@@ -8,10 +8,10 @@
 //! * `fig6a_topk`         — search time as a function of `k` and query
 //!   length (Fig. 6a),
 //! * `fig6b_index`        — keyword-index and graph-index sizes and build
-//!   times for DBLP/LUBM/TAP (Fig. 6b),
-//! * `perf_topk`          — the exploration performance tracker: runs the
-//!   DBLP/TAP/LUBM workloads at `KWSEARCH_SCALE` and writes
-//!   `BENCH_topk.json` so every change leaves a perf datapoint.
+//!   times for DBLP/LUBM/TAP (Fig. 6b).
+//!
+//! Performance tracking lives in the standalone `benchmark/` package (see
+//! `benchmark/README.md`), not here.
 //!
 //! This library crate provides the pieces the binaries share: dataset
 //! construction with environment-variable scaling, wall-clock timing and
@@ -24,4 +24,4 @@ pub mod datasets;
 pub mod report;
 
 pub use datasets::{dblp_dataset, lubm_dataset, tap_dataset, ScaleProfile};
-pub use report::{best_of_ms, format_duration, json_f64, json_string, time, Table};
+pub use report::{format_duration, time, Table};

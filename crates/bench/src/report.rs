@@ -15,61 +15,6 @@ pub fn format_duration(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1000.0)
 }
 
-/// Runs `f` `repetitions` times (at least once) and returns the best
-/// (minimum) wall-clock time in milliseconds — the measurement the benchmark
-/// binaries report, to damp scheduler noise.
-pub fn best_of_ms(repetitions: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repetitions.max(1) {
-        let start = Instant::now();
-        f();
-        let ms = start.elapsed().as_secs_f64() * 1000.0;
-        if ms < best {
-            best = ms;
-        }
-    }
-    best
-}
-
-/// Serializes a string as a JSON string literal (quoted, with the control
-/// characters, quotes and backslashes escaped). The benchmark binaries emit
-/// their machine-readable output by hand — the workspace deliberately has no
-/// serde dependency.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` for JSON output: finite values print with enough
-/// precision to round-trip, non-finite values (not representable in JSON)
-/// become `null`.
-pub fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        let mut s = format!("{value}");
-        // `{}` prints integral floats without a decimal point; keep the
-        // value unambiguously a float for downstream tooling.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
 /// A fixed-width plain-text table.
 #[derive(Debug, Default, Clone)]
 pub struct Table {
@@ -159,19 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn best_of_ms_runs_at_least_once_and_is_finite() {
-        let mut calls = 0usize;
-        let best = best_of_ms(0, || calls += 1);
-        assert_eq!(calls, 1, "zero repetitions still measure once");
-        assert!(best.is_finite() && best >= 0.0);
-
-        let mut calls = 0usize;
-        let best = best_of_ms(3, || calls += 1);
-        assert_eq!(calls, 3);
-        assert!(best.is_finite() && best >= 0.0);
-    }
-
-    #[test]
     fn table_renders_aligned_columns() {
         let mut table = Table::new(["query", "time (ms)"]);
         table.row(["Q1", "1.2"]);
@@ -192,22 +124,5 @@ mod tests {
         let mut table = Table::new(["a", "b", "c"]);
         table.row(["1"]);
         assert!(table.render().lines().count() >= 3);
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn json_floats_round_trip_and_reject_non_finite() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(0.1), "0.1");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 }

@@ -294,36 +294,9 @@ impl ExplorationState {
 
     /// Installs a shared cancellation token, polled once per pop. The serving
     /// layer cancels it on shutdown or when a request's deadline fires while
-    /// the job is queued or mid-merge.
+    /// the job is queued.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
         self.cancel = Some(cancel);
-    }
-
-    /// Lower bound on the cost of every emission [`Self::next_certified`] has
-    /// not yet handed out — the per-shard term of the cross-shard merge
-    /// certificate — or `None` when the stream is provably complete (nothing
-    /// pending: an unbounded future emission cost).
-    ///
-    /// Two sources bound the future stream and both must be taken: a retained
-    /// but uncertified candidate can cost *less* than the cheapest pending
-    /// cursor (it is merely waiting for the queue bound to reach it), so the
-    /// queue top alone is not a valid bound. On a finished run only the
-    /// retained candidates remain, and the (now irrelevant) leftover queue
-    /// entries are ignored rather than weakening the bound.
-    pub fn emission_lower_bound(&self) -> Option<f64> {
-        let candidate = self
-            .candidates
-            .best()
-            .get(self.certified)
-            .map(|front| front.cost);
-        if self.finished {
-            return candidate;
-        }
-        let cursor = self.queue.peek().map(|top| top.cost);
-        match (candidate, cursor) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (bound, None) | (None, bound) => bound,
-        }
     }
 
     /// debug-invariants: cost of the cheapest still-pending cursor, the
@@ -783,30 +756,6 @@ mod tests {
         // Clearing the deadline does not resurrect an aborted run.
         state.set_deadline(None);
         assert!(state.next_certified(&aug, &config).is_none());
-    }
-
-    #[test]
-    fn the_emission_lower_bound_tracks_the_certified_stream() {
-        let g = figure1_graph();
-        let aug = augmented(&g, &["cimiano", "aifb"]);
-        let config = SearchConfig::with_k(5);
-        let mut state = ExplorationState::new(&aug, &config);
-        let mut bound = state.emission_lower_bound();
-        let mut emitted = 0;
-        while let Some(subgraph) = state.next_certified(&aug, &config) {
-            let b = bound.expect("a pending emission implies a finite bound");
-            assert!(
-                subgraph.cost >= b - 1e-12,
-                "emission cost {} undercut the advertised bound {}",
-                subgraph.cost,
-                b
-            );
-            bound = state.emission_lower_bound();
-            emitted += 1;
-        }
-        assert!(emitted > 0);
-        // A drained stream advertises no bound at all.
-        assert!(state.emission_lower_bound().is_none());
     }
 
     #[test]

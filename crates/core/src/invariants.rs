@@ -20,8 +20,9 @@
 //!   its incremental heap-byte estimate matches a recount.
 //!
 //! The checks run only in debug builds (`cfg(debug_assertions)`) — release
-//! binaries compile them out entirely, which `perf_topk` asserts so BENCH
-//! numbers can never silently include sanitizer overhead. Within debug
+//! binaries compile them out entirely, which the benchmark
+//! (`benchmark/src/main.rs`) asserts so its numbers can never silently
+//! include sanitizer overhead. Within debug
 //! builds the switch defaults to **on** and can be disabled with
 //! `KWSEARCH_DEBUG_INVARIANTS=0` (also `off`, `false`, or empty); CI forces
 //! it on for one full test-suite run, determinism suite included.

@@ -31,10 +31,9 @@
 //!    cold start that skips re-indexing entirely,
 //! 9. [`shard`] partitions one data graph into edge-disjoint shards, each
 //!    with its own preparation (and snapshot), and serves keyword queries
-//!    scatter-gather across them from a [`ShardedService`] whose streaming
-//!    merge is provably rank-correct — merged results are emitted as soon
-//!    as the cross-shard bound certifies them, bit-identical to the
-//!    unsharded stream,
+//!    across them from a [`ShardedService`]: scattered keyword lookups,
+//!    one exploration over the merged matches (the unsharded stream, bit
+//!    for bit), and an answer phase scattered over the shard-local stores,
 //! 10. [`live`] absorbs writes with measured freshness: a [`LiveGraph`]
 //!     maintains a lineage of immutable prepared snapshots whose delta
 //!     overlays (triple store, adjacency, keyword vocabulary, summary)

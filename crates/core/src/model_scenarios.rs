@@ -20,18 +20,14 @@
 //! with the schedule that provoked it, which is exactly the signal we want.
 // lint: allow-file(no-unwrap, reason = "scenario assertions: a panic inside a model thread is the checker's failure signal, reported with the replayable schedule that provoked it")
 
-use std::time::Duration;
-
 use kwsearch_keyword_index::ElementRef;
 use kwsearch_modelcheck::{explore, thread, Config, Report};
 use kwsearch_rdf::VertexId;
 
 use crate::cache::{AugmentationCache, AugmentationKey, CacheProbe, CachedAugmentation};
-use crate::serve::{Job, JobQueue, SearchRequest, ServeError};
-use crate::shard::coordinator::{GatherState, ShardJob, ShardQueue};
-use crate::subgraph::{MatchingSubgraph, SubgraphPath};
-use crate::sync::{lock_unpoisoned, Arc, CancelToken, Mutex};
-use crate::{RankedQuery, SearchConfig};
+use crate::serve::{Job, JobQueue, SearchRequest};
+use crate::sync::{lock_unpoisoned, Arc, Mutex};
+use crate::SearchConfig;
 
 /// A distinct cache key per scenario role (the config is shared; the terms
 /// disambiguate).
@@ -393,245 +389,6 @@ pub fn service_queue_close_wakes_idle_worker(config: Config) -> Report {
         assert!(
             worker.join().unwrap().is_none(),
             "an empty closed queue pops None"
-        );
-    })
-}
-
-/// A minimal ranked emission for the gather scenarios: the merge inspects
-/// only `rank` and `cost`, so a one-path subgraph over any summary element
-/// is enough.
-fn ranked(rank: usize, cost: f64) -> RankedQuery {
-    use kwsearch_rdf::fixtures::figure1_graph;
-    use kwsearch_summary::{SummaryElement, SummaryGraph};
-    let graph = figure1_graph();
-    let summary = SummaryGraph::build(&graph);
-    let element = SummaryElement::Node(summary.nodes().next().unwrap());
-    RankedQuery {
-        rank,
-        cost,
-        query: kwsearch_query::QueryBuilder::new()
-            .class_pattern("x", "Publication")
-            .distinguished(["x"])
-            .build(),
-        subgraph: MatchingSubgraph::new(
-            element,
-            vec![SubgraphPath {
-                keyword: 0,
-                elements: vec![element],
-                cost,
-            }],
-        ),
-    }
-}
-
-/// **Scatter-gather rendezvous.** Two shard workers feed one
-/// [`GatherState`]: shard 0 owns the global rank-1 emission, shard 1 owns
-/// rank 2, and each publishes its emission lower bound exactly as
-/// `run_shard_job` would (the bound after an owned push is the next
-/// emission's cost; after the unowned pop it is `None`, i.e. drained). The
-/// coordinator's merge must release `[rank 1, rank 2]` — dense, costs
-/// bit-identical — in *every* interleaving: whether the merge races ahead
-/// (blocking on `progress` while the gate is closed) or both workers finish
-/// before it even looks.
-///
-/// Under seeded mutation (c) — the dropped `notify_one` in
-/// [`GatherState::finish`] — any interleaving where the merge has drained
-/// both buffers and blocks waiting for the last shard's completion hangs
-/// forever, which the checker reports as a lost wakeup.
-pub fn shard_scatter_gather_rendezvous(config: Config) -> Report {
-    explore(config, shard_scatter_gather_rendezvous_body)
-}
-
-/// The closed program behind [`shard_scatter_gather_rendezvous`], exposed
-/// so the seeded-mutation tests can [`kwsearch_modelcheck::replay`] a
-/// failing schedule against the identical body.
-pub fn shard_scatter_gather_rendezvous_body() {
-    let gather = Arc::new(GatherState::new(2, 8));
-    let shard0 = {
-        let gather = Arc::clone(&gather);
-        thread::spawn(move || {
-            // Owns rank 1; the session's next certified cost is 2.0 (the
-            // unowned rank 2), then the session drains.
-            assert!(gather.push_emission(0, ranked(1, 1.0), Some(2.0)));
-            assert!(gather.update_bound(0, None));
-            gather.finish(0, false);
-        })
-    };
-    let shard1 = {
-        let gather = Arc::clone(&gather);
-        thread::spawn(move || {
-            // Pops the unowned rank 1 first (bound rises to 2.0), then
-            // owns and pushes rank 2, then drains.
-            assert!(gather.update_bound(1, Some(2.0)));
-            assert!(gather.push_emission(1, ranked(2, 2.0), None));
-            gather.finish(1, false);
-        })
-    };
-    let mut merged = Vec::new();
-    let early = gather
-        .merge_certified(10, None, Duration::ZERO, &mut merged)
-        .unwrap();
-    shard0.join().unwrap();
-    shard1.join().unwrap();
-    let ranks: Vec<usize> = merged.iter().map(|q| q.rank).collect();
-    assert_eq!(ranks, vec![1, 2], "the merge must release the dense order");
-    assert_eq!(merged[0].cost.to_bits(), 1.0f64.to_bits());
-    assert_eq!(merged[1].cost.to_bits(), 2.0f64.to_bits());
-    assert!(early <= 2, "early emissions never exceed the merged stream");
-}
-
-/// **Backpressure with full one-slot buffers on both shards.** A
-/// `pending_limit` of 1: each worker buffers one owned emission, blocks on
-/// `space` pushing its second, and the merge must keep the pipeline moving.
-/// Shard 0 owns global ranks 1 (cost 1.0) and 3 (cost 2.0); shard 1 owns
-/// ranks 2 (cost 2.0) and 4 (cost 3.0). Every interleaving must merge the
-/// dense `[1, 2, 3, 4]`.
-///
-/// This is the regression harness for the merge's `space` broadcast: the
-/// waiters have *distinct* predicates (each watches its own shard's
-/// buffer), so a pop that signalled with `notify_one` could wake the
-/// still-full shard's worker (which re-waits) while the freed shard's
-/// worker sleeps forever — its stale bound (2.0, not *strictly* greater
-/// than the 2.0 candidate) then keeps the gate shut and the merge blocks
-/// on `progress` with every thread asleep. The checker convicts exactly
-/// that interleaving as a lost wakeup if the `notify_all` ever regresses.
-pub fn shard_backpressure_full_buffers(config: Config) -> Report {
-    explore(config, shard_backpressure_full_buffers_body)
-}
-
-/// The closed program behind [`shard_backpressure_full_buffers`], exposed
-/// so a failing schedule can be [`kwsearch_modelcheck::replay`]ed against
-/// the identical body.
-pub fn shard_backpressure_full_buffers_body() {
-    let gather = Arc::new(GatherState::new(2, 1));
-    let shard0 = {
-        let gather = Arc::clone(&gather);
-        thread::spawn(move || {
-            // Owns ranks 1 and 3; after rank 1 the cheapest it can still
-            // emit is rank 3's cost 2.0, and after rank 3 it is drained.
-            assert!(gather.push_emission(0, ranked(1, 1.0), Some(2.0)));
-            assert!(gather.push_emission(0, ranked(3, 2.0), None));
-            gather.finish(0, false);
-        })
-    };
-    let shard1 = {
-        let gather = Arc::clone(&gather);
-        thread::spawn(move || {
-            // Owns ranks 2 and 4.
-            assert!(gather.push_emission(1, ranked(2, 2.0), Some(3.0)));
-            assert!(gather.push_emission(1, ranked(4, 3.0), None));
-            gather.finish(1, false);
-        })
-    };
-    let mut merged = Vec::new();
-    let early = gather
-        .merge_certified(10, None, Duration::ZERO, &mut merged)
-        .unwrap();
-    shard0.join().unwrap();
-    shard1.join().unwrap();
-    let ranks: Vec<usize> = merged.iter().map(|q| q.rank).collect();
-    assert_eq!(
-        ranks,
-        vec![1, 2, 3, 4],
-        "the dense order must survive backpressure"
-    );
-    assert_eq!(merged[1].cost.to_bits(), 2.0f64.to_bits());
-    assert!(early <= 4, "early emissions never exceed the merged stream");
-}
-
-/// **Deadline fires during the merge.** Shard 0 delivers its owned rank-1
-/// emission and drains normally, but shard 1's worker picks its job up
-/// past the deadline and reports an *aborted* finish. The merge gate can
-/// never certify rank 1 (shard 1's published bound stays at 0.0 until the
-/// abort lands, and an aborted shard fails the request before the gate is
-/// consulted), so **every** interleaving must return
-/// [`ServeError::DeadlineExceeded`] with an empty merged stream — a
-/// deadline can never leak a partial, uncertified prefix.
-pub fn shard_deadline_fires_during_merge(config: Config) -> Report {
-    explore(config, shard_deadline_fires_during_merge_body)
-}
-
-/// The closed program behind [`shard_deadline_fires_during_merge`],
-/// exposed so the seeded-mutation tests can
-/// [`kwsearch_modelcheck::replay`] a failing schedule against the
-/// identical body.
-pub fn shard_deadline_fires_during_merge_body() {
-    let gather = Arc::new(GatherState::new(2, 8));
-    let healthy = {
-        let gather = Arc::clone(&gather);
-        thread::spawn(move || {
-            // The merge may already have cancelled the gather (the abort
-            // landed first), so the push may correctly report `false`.
-            let _ = gather.push_emission(0, ranked(1, 1.0), Some(2.0));
-            gather.finish(0, false);
-        })
-    };
-    let expired = {
-        let gather = Arc::clone(&gather);
-        thread::spawn(move || gather.finish(1, true))
-    };
-    let mut merged = Vec::new();
-    let deadline = Duration::from_millis(7);
-    // The absolute deadline stays `None`: model time never advances, so the
-    // scenario's expiry is the shard-side abort, not the merge's timed wait.
-    let err = gather
-        .merge_certified(10, None, deadline, &mut merged)
-        .expect_err("an aborted shard must fail the whole request");
-    assert!(
-        matches!(err, ServeError::DeadlineExceeded { deadline: d } if d == deadline),
-        "the error must carry the request's deadline: {err:?}"
-    );
-    assert!(
-        merged.is_empty(),
-        "no uncertified prefix may leak past a deadline"
-    );
-    healthy.join().unwrap();
-    expired.join().unwrap();
-}
-
-/// **Shutdown with an in-flight shard job.** A submitter pushes one shard
-/// job and immediately closes the queue (the coordinator's `Drop` path);
-/// the worker either pops the job before observing the close or drains it
-/// from the closed queue — in every interleaving the job is served exactly
-/// once, the worker then sees `None` and exits, and the submitter's merge
-/// completes with an empty stream instead of hanging on the never-finished
-/// shard.
-pub fn shard_shutdown_with_inflight(config: Config) -> Report {
-    explore(config, || {
-        let queue = Arc::new(ShardQueue::new());
-        let gather = Arc::new(GatherState::new(1, 8));
-        let worker = {
-            let queue = Arc::clone(&queue);
-            thread::spawn(move || {
-                let mut served = 0usize;
-                while let Some(job) = queue.pop() {
-                    job.gather.finish(job.shard_id, false);
-                    served += 1;
-                }
-                served
-            })
-        };
-        queue.push(ShardJob {
-            gather: Arc::clone(&gather),
-            shard_id: 0,
-            shard_count: 1,
-            matches: Arc::new(Vec::new()),
-            report: Vec::new(),
-            config: SearchConfig::default(),
-            deadline: None,
-            cancel: CancelToken::new(),
-        });
-        queue.close();
-        let mut merged = Vec::new();
-        let early = gather
-            .merge_certified(10, None, Duration::ZERO, &mut merged)
-            .unwrap();
-        assert_eq!(early, 0, "nothing was emitted, so nothing was early");
-        assert!(merged.is_empty(), "an empty job merges an empty stream");
-        assert_eq!(
-            worker.join().unwrap(),
-            1,
-            "the queued job drains exactly once before shutdown completes"
         );
     })
 }

@@ -78,7 +78,8 @@ pub enum ServeError {
     /// at capacity. The request was never enqueued; retry later or against
     /// a larger pool.
     Rejected {
-        /// The capacity of the queue that was full.
+        /// The capacity of the queue that was full (for the sharded
+        /// coordinator, which has no queue: its in-flight cap).
         queue_capacity: usize,
     },
     /// The request's deadline expired before a complete result existed —

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use kwsearch_summary::AugmentedSummaryGraph;
 
-use crate::cache::{AugmentationKey, CacheProbe, CachedAugmentation};
+use crate::cache::{AugmentationKey, CacheProbe, CachedAugmentation, ComputeTicket};
 use crate::config::SearchConfig;
 use crate::engine::{AnswerPhase, SearchOutcome};
 use crate::error::{KeywordMatch, SearchError};
@@ -224,9 +224,40 @@ impl<'e> SearchSession<'e> {
         let matches: Vec<_> = all_matches.into_iter().filter(|m| !m.is_empty()).collect();
 
         // 2. Augmentation + the seeded exploration state.
+        Ok(Self::start_with_matches(
+            prepared,
+            report,
+            &matches,
+            config,
+            ticket,
+            keyword_mapping_time,
+        ))
+    }
+
+    /// Augmentation plus the seeded exploration state: the one place that
+    /// turns keyword matches into a session. [`Self::start`] arrives here on
+    /// a cache miss, with the `ticket` whose entry the augmentation
+    /// completes; the sharded coordinator (see [`crate::shard`]) arrives
+    /// here directly, with the per-shard lookups merged into the exact
+    /// global match lists and no ticket. Augmenting any shard's graph with
+    /// those *global* matches yields the unsharded augmented summary graph:
+    /// the augmentation's structure depends only on the shared summary and
+    /// the matches, and shard graphs retain the full vertex and label
+    /// tables.
+    ///
+    /// `matches` must already be filtered of empty per-keyword lists and
+    /// `report` must cover the original keyword positions — the caller
+    /// owns the `AllKeywordsUnmatched` decision.
+    pub(crate) fn start_with_matches(
+        prepared: &'e PreparedGraph,
+        report: Vec<KeywordMatch>,
+        matches: &[Vec<kwsearch_keyword_index::KeywordMatch>],
+        config: SearchConfig,
+        ticket: Option<ComputeTicket<'_>>,
+        keyword_mapping_time: Duration,
+    ) -> Self {
         let exploration_start = Instant::now();
-        let augmented =
-            AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), &matches);
+        let augmented = AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), matches);
         let cache_entry = ticket.map(|ticket| {
             ticket.complete(CachedAugmentation::with_elements(
                 report.iter().map(|k| k.element_matches).collect(),
@@ -252,67 +283,7 @@ impl<'e> SearchSession<'e> {
             exploration_time,
         );
         session.cache_entry = cache_entry;
-        Ok(session)
-    }
-
-    /// Starts a session from an already-merged set of keyword matches,
-    /// bypassing the cache and the per-preparation keyword lookup — the
-    /// shard-runner entry point (see [`crate::shard`]). The scatter phase
-    /// looks keywords up on every shard and merges the per-shard match
-    /// lists into the exact global lists; each shard session then augments
-    /// its own graph with those *global* matches, which yields the same
-    /// augmented summary graph everywhere (the augmentation's structure
-    /// depends only on the shared summary and the matches, and shard
-    /// graphs retain the full vertex and label tables).
-    ///
-    /// `matches` must already be filtered of empty per-keyword lists and
-    /// `report` must cover the original keyword positions — the caller
-    /// owns the `AllKeywordsUnmatched` decision.
-    pub(crate) fn start_with_matches(
-        prepared: &'e PreparedGraph,
-        report: Vec<KeywordMatch>,
-        matches: &[Vec<kwsearch_keyword_index::KeywordMatch>],
-        config: SearchConfig,
-    ) -> Self {
-        let exploration_start = Instant::now();
-        let augmented = AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), matches);
-        let state = ExplorationState::new(&augmented, &config);
-        let exploration_time = exploration_start.elapsed();
-        let augmented_elements = augmented.element_count();
-        Self::assemble(
-            prepared,
-            config,
-            report,
-            Some((augmented, state)),
-            augmented_elements,
-            Duration::ZERO,
-            exploration_time,
-        )
-    }
-
-    /// A lower bound on the cost of every emission this session can still
-    /// produce: no future [`Self::next_query`] result costs less. `None`
-    /// means the stream is finished — nothing further will be emitted (an
-    /// infinite bound). The sharded coordinator's streaming merge gates on
-    /// this to certify cross-shard rank order (see [`crate::shard`]).
-    ///
-    /// Replay-served sessions conservatively report the last emission's
-    /// cost (emissions are non-decreasing within one run); sessions that
-    /// never explored report `Some(0.0)` until they start.
-    pub fn emission_lower_bound(&self) -> Option<f64> {
-        if self.drained || self.queries.len() >= self.config.k {
-            return None;
-        }
-        if let Some((log, position)) = &self.replay {
-            if *position >= log.len() {
-                return None;
-            }
-            return Some(self.queries.last().map_or(0.0, |q| q.cost));
-        }
-        match &self.exploration {
-            Some((_, state)) => state.emission_lower_bound(),
-            None => Some(0.0),
-        }
+        session
     }
 
     #[allow(clippy::too_many_arguments)]

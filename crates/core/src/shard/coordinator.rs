@@ -1,81 +1,44 @@
-//! The scatter-gather serving coordinator.
+//! The sharded serving coordinator.
 //!
 //! A [`ShardedService`] owns one [`PreparedGraph`] per shard (built by
 //! [`PartitionPlan::prepare_shards`](crate::shard::PartitionPlan::prepare_shards))
-//! and a pool of per-shard worker threads. One request flows through it as:
+//! and spawns no threads: [`ShardedService::search`] runs one request start
+//! to finish on the caller's thread — admission, scatter lookups, one
+//! exploration, scattered answer phase; [`crate::shard`]'s module docs
+//! give the lifecycle and why each step is exact.
 //!
-//! 1. **Admission** — a bounded in-flight budget; over it, the request is
-//!    turned away with [`ServeError::Rejected`] before any work happens.
-//! 2. **Phase-1 scatter** — the keywords are looked up on every shard's
-//!    index and the per-shard lists merged into the exact global matches
-//!    (see [`crate::shard`]'s module docs for why the merge is exact).
-//! 3. **Phase-2 scatter** — one job per shard is pushed onto that shard's
-//!    bounded queue *while the coordinator's admission lock is held*, so a
-//!    racing shutdown can never close the queues between admission and
-//!    scatter. Each worker runs a full [`SearchSession`] over the merged
-//!    matches but **emits only the results its shard owns** (FNV-1a of the
-//!    canonical query modulo the shard count).
-//! 4. **Streaming merge** — the caller's thread merges the per-shard
-//!    emission streams. An emission is released the moment its cost is at
-//!    or below every other shard's *emission lower bound* (the cheapest
-//!    cost that shard can still emit, [`SearchSession::emission_lower_bound`]) —
-//!    the cross-shard form of the paper's threshold certificate, so
-//!    rank-correct results stream out **before** the slowest shard drains.
-//! 5. **Deadlines** — a request deadline is installed on every shard
-//!    session *and* enforced by the merge loop itself: the cursor walks
-//!    abort cooperatively within one poll of expiry, and the coordinator's
-//!    condvar wait times out at the request's absolute deadline, so an
-//!    expired request fails even when every shard worker is blocked or
-//!    silent. Either way the merged partial stream is discarded with
-//!    [`ServeError::DeadlineExceeded`].
-//!
-//! Lock order (checked by the workspace lint's acquisition graph): the
-//! coordinator's `state` is acquired before any shard queue's
-//! `shard_state`; the per-request `gather` lock nests inside neither.
+//! The only lock is the coordinator's `state` (admission count and
+//! counters), held for a few stores at a time and never nested.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use kwsearch_keyword_index::KeywordMatch as ElementMatch;
-use kwsearch_query::{AnswerSet, Atom, ConjunctiveQuery, Evaluator};
-use kwsearch_rdf::snapshot::fnv1a64;
+use kwsearch_query::{AnswerSet, Atom, ConjunctiveQuery, EvalError, Evaluator};
 use kwsearch_rdf::VertexId;
 
 use crate::config::SearchConfig;
 use crate::engine::AnswerPhase;
 use crate::error::{KeywordMatch, SearchError};
+use crate::exploration::ExplorationStats;
 use crate::prepared::PreparedGraph;
 use crate::result::RankedQuery;
 use crate::serve::{SearchRequest, ServeError};
 use crate::session::SearchSession;
 use crate::shard::matches::merge_keyword_matches;
-use crate::sync::{lock_unpoisoned, Arc, CancelToken, Condvar, Mutex};
+use crate::sync::{lock_unpoisoned, CancelToken, Mutex};
 
 /// Tuning knobs of a [`ShardedService`].
 #[derive(Debug, Clone)]
 pub struct ShardedServiceOptions {
-    /// Worker threads per shard (each serves one request's shard job at a
-    /// time; more workers overlap concurrent requests).
-    pub workers_per_shard: usize,
     /// Admission cap: concurrently served requests beyond this are turned
     /// away with [`ServeError::Rejected`].
     pub max_inflight: usize,
-    /// Capacity of each shard's job queue; a full queue rejects the whole
-    /// request (all-or-nothing scatter).
-    pub queue_capacity: usize,
-    /// Per-shard bound on buffered, not-yet-merged emissions; workers
-    /// block (backpressure) when their request's buffer is full.
-    pub pending_limit: usize,
 }
 
 impl Default for ShardedServiceOptions {
     fn default() -> Self {
-        Self {
-            workers_per_shard: 1,
-            max_inflight: 64,
-            queue_capacity: 64,
-            pending_limit: 64,
-        }
+        Self { max_inflight: 64 }
     }
 }
 
@@ -84,447 +47,57 @@ impl Default for ShardedServiceOptions {
 pub struct ShardedStats {
     /// Requests admitted past the in-flight cap.
     pub requests_admitted: u64,
-    /// Requests turned away by admission control or a full shard queue.
+    /// Requests turned away by admission control.
     pub requests_rejected: u64,
     /// Requests that failed with [`ServeError::DeadlineExceeded`].
     pub requests_deadline_exceeded: u64,
-    /// Rank-certified emissions released by the streaming merge.
+    /// Rank-certified queries returned by successful requests.
     pub merged_emissions: u64,
-    /// Merged emissions released while at least one shard was still
-    /// running — the streaming wins over a drain-then-merge design.
-    pub early_emissions: u64,
 }
 
-/// The result of one sharded search (the scatter-gather analogue of
+/// The result of one sharded search (the sharded analogue of
 /// [`SearchOutcome`](crate::engine::SearchOutcome)).
 #[derive(Debug)]
 pub struct ShardedOutcome {
-    /// The merged top-k queries, bit-identical to the unsharded stream.
+    /// The top-k queries — the unsharded session's stream over the merged
+    /// matches.
     pub queries: Vec<RankedQuery>,
     /// The per-keyword match report (from the merged global matches).
     pub keywords: Vec<KeywordMatch>,
     /// The sharded answer phase, when the request asked for one.
     pub answer_phase: Option<AnswerPhase>,
-    /// Number of shards the request was scattered over.
+    /// Number of shards the lookups and the answer phase were scattered over.
     pub shard_count: usize,
-    /// Phase-1 latency: per-shard lookups, match merge and job scatter.
+    /// Counters of the request's one exploration.
+    pub exploration: ExplorationStats,
+    /// Latency of the per-shard lookups and the match merge.
     pub scatter_time: Duration,
-    /// Streaming-merge latency (overlaps the shard explorations).
+    /// Span of the one exploration (augmentation, cursor walk, query
+    /// mapping). Goes when a later `benchmark` issue retires
+    /// `shard.merge_ms_p50`.
     pub merge_time: Duration,
-    /// Emissions released before the last shard finished.
+    /// Always `queries.len()`: no emission waits on another shard. Goes
+    /// when a later `benchmark` issue retires `shard.early_emit_ratio`.
     pub early_emissions: usize,
 }
-
-impl ShardedOutcome {
-    /// Fraction of merged emissions released while some shard was still
-    /// exploring (0.0 for an empty result).
-    pub fn early_emit_ratio(&self) -> f64 {
-        if self.queries.is_empty() {
-            0.0
-        } else {
-            self.early_emissions as f64 / self.queries.len() as f64
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-shard job queues
-// ---------------------------------------------------------------------
-
-/// One scattered unit of work: run the request's session on one shard.
-pub(crate) struct ShardJob {
-    pub(crate) gather: Arc<GatherState>,
-    pub(crate) shard_id: usize,
-    pub(crate) shard_count: usize,
-    pub(crate) matches: Arc<Vec<Vec<ElementMatch>>>,
-    pub(crate) report: Vec<KeywordMatch>,
-    pub(crate) config: SearchConfig,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) cancel: CancelToken,
-}
-
-pub(crate) struct ShardQueueState {
-    pub(crate) jobs: VecDeque<ShardJob>,
-    pub(crate) closed: bool,
-}
-
-/// A bounded MPMC job queue feeding one shard's workers. The mutex field
-/// is deliberately named `shard_state` so the lint's acquisition graph
-/// records the coordinator's `state → shard_state` scatter edge as its own
-/// node (distinct from the serve-layer `state`).
-pub(crate) struct ShardQueue {
-    pub(crate) shard_state: Mutex<ShardQueueState>,
-    pub(crate) available: Condvar,
-}
-
-impl ShardQueue {
-    pub(crate) fn new() -> Self {
-        Self {
-            shard_state: Mutex::new(ShardQueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a job (unbounded push for the model scenarios; the serving
-    /// path enforces its capacity at the scatter site, where the rejection
-    /// must be all-or-nothing across every shard).
-    #[cfg_attr(not(kwsearch_model), allow(dead_code))]
-    pub(crate) fn push(&self, job: ShardJob) {
-        let mut shard_state = lock_unpoisoned(&self.shard_state);
-        debug_assert!(!shard_state.closed, "push to a closed shard queue");
-        shard_state.jobs.push_back(job);
-        drop(shard_state);
-        self.available.notify_one();
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed and empty.
-    // lint: wait-loop
-    pub(crate) fn pop(&self) -> Option<ShardJob> {
-        let mut shard_state = lock_unpoisoned(&self.shard_state);
-        loop {
-            if let Some(job) = shard_state.jobs.pop_front() {
-                return Some(job);
-            }
-            if shard_state.closed {
-                return None;
-            }
-            shard_state = self
-                .available
-                .wait(shard_state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Closes the queue: queued jobs still drain, then pops return `None`.
-    pub(crate) fn close(&self) {
-        let mut shard_state = lock_unpoisoned(&self.shard_state);
-        shard_state.closed = true;
-        drop(shard_state);
-        self.available.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-request gather state
-// ---------------------------------------------------------------------
-
-/// One shard's progress inside a gather.
-struct ShardProgress {
-    /// Owned, not-yet-merged emissions, in emission (= global rank) order.
-    pending: VecDeque<RankedQuery>,
-    /// Lower bound on the cost of every emission the shard has not pushed
-    /// yet; `None` once nothing further can come (an infinite bound).
-    bound: Option<f64>,
-    /// The shard's session drained (or bailed on a cancelled gather).
-    done: bool,
-    /// The shard's session was cut short by the deadline or cancellation.
-    aborted: bool,
-}
-
-struct Gather {
-    shards: Vec<ShardProgress>,
-    pending_limit: usize,
-    /// Set by the merge when it stops needing emissions (k reached, error,
-    /// rejection mid-scatter): workers bail instead of buffering.
-    cancelled: bool,
-}
-
-/// The rendezvous between one request's shard workers and its merging
-/// coordinator: per-shard emission buffers plus the cross-shard bounds the
-/// merge certificate is computed from.
-pub(crate) struct GatherState {
-    gather: Mutex<Gather>,
-    /// Signalled on every emission, bound update and shard completion;
-    /// the merging coordinator waits here.
-    progress: Condvar,
-    /// Signalled when the merge frees buffer space; workers with a full
-    /// pending buffer wait here.
-    space: Condvar,
-}
-
-impl GatherState {
-    pub(crate) fn new(shard_count: usize, pending_limit: usize) -> Self {
-        Self {
-            gather: Mutex::new(Gather {
-                shards: (0..shard_count)
-                    .map(|_| ShardProgress {
-                        pending: VecDeque::new(),
-                        bound: Some(0.0),
-                        done: false,
-                        aborted: false,
-                    })
-                    .collect(),
-                pending_limit: pending_limit.max(1),
-                cancelled: false,
-            }),
-            progress: Condvar::new(),
-            space: Condvar::new(),
-        }
-    }
-
-    /// Whether the merge side gave up (workers should stop exploring).
-    pub(crate) fn is_cancelled(&self) -> bool {
-        lock_unpoisoned(&self.gather).cancelled
-    }
-
-    /// Marks the gather cancelled and releases every blocked worker.
-    pub(crate) fn cancel(&self) {
-        let mut gather = lock_unpoisoned(&self.gather);
-        gather.cancelled = true;
-        drop(gather);
-        self.space.notify_all();
-        self.progress.notify_all();
-    }
-
-    /// Buffers one owned emission from `shard` and publishes the shard's
-    /// new emission lower bound. Blocks while the shard's buffer is full;
-    /// returns `false` if the gather was cancelled (the worker should stop).
-    // lint: wait-loop
-    pub(crate) fn push_emission(
-        &self,
-        shard: usize,
-        emission: RankedQuery,
-        bound: Option<f64>,
-    ) -> bool {
-        let mut gather = lock_unpoisoned(&self.gather);
-        while gather.shards[shard].pending.len() >= gather.pending_limit && !gather.cancelled {
-            gather = self.space.wait(gather).unwrap_or_else(|e| e.into_inner());
-        }
-        if gather.cancelled {
-            return false;
-        }
-        gather.shards[shard].pending.push_back(emission);
-        gather.shards[shard].bound = bound;
-        drop(gather);
-        self.progress.notify_one();
-        true
-    }
-
-    /// Publishes `shard`'s new emission lower bound after a pop that owned
-    /// nothing (the bound still rose — the merge gate may now open).
-    /// Returns `false` if the gather was cancelled.
-    pub(crate) fn update_bound(&self, shard: usize, bound: Option<f64>) -> bool {
-        let mut gather = lock_unpoisoned(&self.gather);
-        if gather.cancelled {
-            return false;
-        }
-        gather.shards[shard].bound = bound;
-        drop(gather);
-        self.progress.notify_one();
-        true
-    }
-
-    /// Marks `shard`'s session finished (its bound becomes infinite).
-    /// An `aborted` shard fails the whole request with
-    /// [`ServeError::DeadlineExceeded`].
-    pub(crate) fn finish(&self, shard: usize, aborted: bool) {
-        let mut gather = lock_unpoisoned(&self.gather);
-        gather.shards[shard].done = true;
-        gather.shards[shard].aborted = aborted;
-        gather.shards[shard].bound = None;
-        drop(gather);
-        // Seeded mutation (c): dropping this notify strands a merging
-        // coordinator that blocked before the last shard finished — the
-        // model checker must report it as a lost wakeup
-        // (`tests/model_mutations.rs`).
-        #[cfg(not(all(kwsearch_model, kwsearch_model_mutation)))]
-        self.progress.notify_one();
-    }
-
-    /// The streaming, rank-correct merge: releases the cheapest buffered
-    /// emission as soon as every other shard provably cannot emit anything
-    /// cheaper (its buffered head is costlier, or its published bound
-    /// strictly exceeds the candidate's cost, or it is finished). Emissions
-    /// are appended to `merged` in global rank order; returns the number
-    /// released before the last shard finished (the early-emission count).
-    ///
-    /// When `deadline` is set the merge enforces it independently of shard
-    /// progress: the wait times out at the absolute deadline and the
-    /// request fails with [`ServeError::DeadlineExceeded`] (carrying the
-    /// original `deadline_budget`) even if every worker is blocked.
-    ///
-    /// Correctness: every shard session explores the identical augmented
-    /// graph, so the per-shard streams are the *same* global stream
-    /// filtered by ownership, with non-decreasing costs. If some shard
-    /// still owed an emission cheaper than (or tied with, at a lower rank
-    /// than) the candidate, that emission would either be buffered (its
-    /// shard's head would have won the min) or still unpushed — in which
-    /// case the shard's bound is at most the candidate's cost and the gate
-    /// stays closed. Hence the released sequence is exactly the global
-    /// rank order, debug-asserted dense below.
-    // lint: wait-loop
-    // lint: hot-path
-    pub(crate) fn merge_certified(
-        &self,
-        k: usize,
-        deadline: Option<Instant>,
-        deadline_budget: Duration,
-        merged: &mut Vec<RankedQuery>,
-    ) -> Result<usize, ServeError> {
-        let mut early = 0usize;
-        let mut gather = lock_unpoisoned(&self.gather);
-        loop {
-            let expired = deadline.is_some_and(|deadline| Instant::now() >= deadline);
-            if expired || gather.shards.iter().any(|s| s.aborted) {
-                gather.cancelled = true;
-                drop(gather);
-                self.space.notify_all();
-                return Err(ServeError::DeadlineExceeded {
-                    deadline: deadline_budget,
-                });
-            }
-            // The cheapest buffered head, ties broken toward the lower
-            // global rank (ranks are dense, so ties are always resolvable).
-            let mut best: Option<(usize, f64, usize)> = None;
-            for (i, sh) in gather.shards.iter().enumerate() {
-                if let Some(head) = sh.pending.front() {
-                    let wins = match best {
-                        None => true,
-                        Some((_, cost, rank)) => {
-                            head.cost < cost || (head.cost == cost && head.rank < rank)
-                        }
-                    };
-                    if wins {
-                        best = Some((i, head.cost, head.rank));
-                    }
-                }
-            }
-            if let Some((winner, cost, _)) = best {
-                let gate_open = gather.shards.iter().enumerate().all(|(i, sh)| {
-                    i == winner
-                        || !sh.pending.is_empty()
-                        || match sh.bound {
-                            None => true,
-                            Some(bound) => bound > cost,
-                        }
-                });
-                if gate_open {
-                    let Some(emission) = gather.shards[winner].pending.pop_front() else {
-                        unreachable!("the winner was chosen for its non-empty buffer")
-                    };
-                    debug_assert_eq!(
-                        emission.rank,
-                        merged.len() + 1,
-                        "the merged stream must be the dense global rank order"
-                    );
-                    if !gather.shards.iter().all(|s| s.done) {
-                        early += 1;
-                    }
-                    merged.push(emission);
-                    // The `space` waiters have *distinct* predicates — each
-                    // watches its own shard's buffer — and this pop freed
-                    // exactly one shard's slot, so wake them all: a
-                    // `notify_one` here could pick a worker whose buffer is
-                    // still full (it re-waits) while the freed shard's
-                    // worker sleeps forever behind its stale bound, hanging
-                    // the merge. Waiters number at most `shard_count`, so
-                    // the broadcast is cheap.
-                    self.space.notify_all();
-                    if merged.len() >= k {
-                        gather.cancelled = true;
-                        drop(gather);
-                        self.space.notify_all();
-                        return Ok(early);
-                    }
-                    continue;
-                }
-            } else if gather.shards.iter().all(|s| s.done) {
-                return Ok(early);
-            }
-            gather = match deadline {
-                // The merge enforces the deadline itself: the wait times
-                // out at the request's absolute deadline, so the expiry
-                // check at the loop top runs even when no worker ever
-                // signals progress again.
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    self.progress
-                        .wait_timeout(gather, timeout)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-                None => self
-                    .progress
-                    .wait(gather)
-                    .unwrap_or_else(|e| e.into_inner()),
-            };
-        }
-    }
-}
-
-/// Runs one scattered shard job to completion against `prepared`: a full
-/// session over the merged global matches, pushing only the emissions this
-/// shard owns and publishing the emission lower bound after every pop.
-pub(crate) fn run_shard_job(prepared: &PreparedGraph, job: ShardJob) {
-    if job.gather.is_cancelled() {
-        job.gather.finish(job.shard_id, false);
-        return;
-    }
-    if job
-        .deadline
-        .is_some_and(|deadline| Instant::now() >= deadline)
-    {
-        // Expired while queued: don't start a doomed exploration.
-        job.gather.finish(job.shard_id, true);
-        return;
-    }
-    let mut session =
-        SearchSession::start_with_matches(prepared, job.report, &job.matches, job.config);
-    session.set_deadline(job.deadline);
-    session.set_cancel(job.cancel.clone());
-    loop {
-        match session.next_query() {
-            Some(emission) => {
-                let bound = session.emission_lower_bound();
-                let canonical = emission.query.canonicalized().to_string();
-                let owned =
-                    fnv1a64(canonical.as_bytes()) % job.shard_count as u64 == job.shard_id as u64;
-                let live = if owned {
-                    job.gather.push_emission(job.shard_id, emission, bound)
-                } else {
-                    job.gather.update_bound(job.shard_id, bound)
-                };
-                if !live {
-                    job.gather.finish(job.shard_id, false);
-                    return;
-                }
-            }
-            None => {
-                job.gather.finish(job.shard_id, session.aborted());
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The service
-// ---------------------------------------------------------------------
 
 struct CoordinatorState {
     inflight: usize,
     stats: ShardedStats,
 }
 
-/// A scatter-gather serving front over partitioned [`PreparedGraph`]s —
-/// see the [module docs](crate::shard) for the request lifecycle and the
-/// [`crate::shard`] docs for the correctness argument.
+/// A serving front over partitioned [`PreparedGraph`]s — see the
+/// [module docs](crate::shard) for the request lifecycle and the
+/// correctness argument.
 ///
-/// [`Self::search`] runs synchronously on the caller's thread (the merge
-/// *is* the response stream); shard explorations run on the service's
-/// per-shard workers. The service is `Sync`: clones of one
-/// `Arc<ShardedService>` can search from many threads concurrently,
-/// subject to admission control.
+/// [`Self::search`] runs synchronously on the caller's thread. The service
+/// is `Sync`: clones of one `Arc<ShardedService>` can search from many
+/// threads concurrently, subject to admission control.
 pub struct ShardedService {
-    shards: Vec<Arc<PreparedGraph>>,
-    queues: Vec<Arc<ShardQueue>>,
+    shards: Vec<PreparedGraph>,
     state: Mutex<CoordinatorState>,
     default_config: SearchConfig,
     options: ShardedServiceOptions,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Decrements the in-flight count however the request leaves `search`.
@@ -543,8 +116,7 @@ impl ShardedService {
     /// Starts the service over already-prepared shards (one
     /// [`PreparedGraph`] per shard, from
     /// [`PartitionPlan::prepare_shards`](crate::shard::PartitionPlan::prepare_shards)
-    /// or [`load_shards`](crate::shard::load_shards)), spawning
-    /// `options.workers_per_shard` threads per shard.
+    /// or [`load_shards`](crate::shard::load_shards)).
     ///
     /// # Panics
     ///
@@ -558,37 +130,14 @@ impl ShardedService {
             !shards.is_empty(),
             "a sharded service needs at least one shard"
         );
-        let shards: Vec<Arc<PreparedGraph>> = shards.into_iter().map(Arc::new).collect();
-        let queues: Vec<Arc<ShardQueue>> = (0..shards.len())
-            .map(|_| Arc::new(ShardQueue::new()))
-            .collect();
-        let mut workers = Vec::new();
-        for (shard_id, (prepared, queue)) in shards.iter().zip(&queues).enumerate() {
-            for worker in 0..options.workers_per_shard.max(1) {
-                let prepared = Arc::clone(prepared);
-                let queue = Arc::clone(queue);
-                let handle = std::thread::Builder::new()
-                    .name(format!("kwsearch-shard-{shard_id}-{worker}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            run_shard_job(&prepared, job);
-                        }
-                    })
-                    // lint: allow(no-unwrap, reason = "thread spawn failure at service start is unrecoverable resource exhaustion")
-                    .expect("failed to spawn shard worker");
-                workers.push(handle);
-            }
-        }
         Self {
             shards,
-            queues,
             state: Mutex::new(CoordinatorState {
                 inflight: 0,
                 stats: ShardedStats::default(),
             }),
             default_config,
             options,
-            workers,
         }
     }
 
@@ -604,28 +153,28 @@ impl ShardedService {
         Self::start(shards, default_config, ShardedServiceOptions::default())
     }
 
-    /// Number of shards the service scatters over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard preparations, indexed by shard id.
-    pub fn shards(&self) -> &[Arc<PreparedGraph>] {
-        &self.shards
-    }
-
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ShardedStats {
         lock_unpoisoned(&self.state).stats.clone()
     }
 
-    /// Serves one request: scatter, streaming merge, optional sharded
-    /// answer phase — synchronously on the caller's thread. See the
+    /// Counts one deadline failure and builds its error.
+    fn deadline_exceeded(&self, budget: Duration) -> ServeError {
+        lock_unpoisoned(&self.state)
+            .stats
+            .requests_deadline_exceeded += 1;
+        ServeError::DeadlineExceeded { deadline: budget }
+    }
+
+    /// Serves one request on the caller's thread: admission, scatter
+    /// lookups, one exploration, optional scattered answer phase. See the
     /// [module docs](crate::shard) for the lifecycle and failure modes.
     pub fn search(&self, request: SearchRequest) -> Result<ShardedOutcome, ServeError> {
         let submitted = Instant::now();
         let deadline = request.deadline.map(|budget| submitted + budget);
-        let deadline_budget = request.deadline.unwrap_or(Duration::ZERO);
+        // Reported by deadline failures only, which need a deadline.
+        let budget = request.deadline.unwrap_or_default();
+        let expired = || deadline.is_some_and(|deadline| Instant::now() >= deadline);
 
         // 1. Admission.
         {
@@ -640,13 +189,15 @@ impl ShardedService {
             state.stats.requests_admitted += 1;
         }
         let _inflight = InflightGuard { service: self };
+        if expired() {
+            return Err(self.deadline_exceeded(budget));
+        }
 
-        // 2. Phase-1 scatter: per-shard lookups, merged to the global
-        // matches (exact — see `crate::shard::matches`).
+        // 2. Scatter lookups: per-shard lists, merged to the global matches
+        // (exact — see `crate::shard::matches`).
         let scatter_start = Instant::now();
         let config = request
             .config
-            .clone()
             .unwrap_or_else(|| self.default_config.clone());
         let per_shard: Vec<Vec<Vec<ElementMatch>>> = self
             .shards
@@ -674,117 +225,52 @@ impl ShardedService {
                 keywords: report,
             }));
         }
-        let matches: Arc<Vec<Vec<ElementMatch>>> = Arc::new(
-            merged_matches
-                .into_iter()
-                .filter(|m| !m.is_empty())
-                .collect(),
-        );
-
-        // 3. Phase-2 scatter, atomic with respect to shutdown: the jobs are
-        // pushed while the coordinator's `state` lock is held, so queues
-        // observed open stay open for the whole scatter.
-        let gather = Arc::new(GatherState::new(
-            self.shards.len(),
-            self.options.pending_limit,
-        ));
-        let cancel = CancelToken::new();
-        {
-            let mut state = lock_unpoisoned(&self.state);
-            for (shard_id, queue) in self.queues.iter().enumerate() {
-                // lint: allow(lock-discipline, reason = "documented order: coordinator state before every shard queue, making the scatter atomic against shutdown; shard_state never acquires state")
-                let mut shard_state = lock_unpoisoned(&queue.shard_state);
-                if shard_state.closed || shard_state.jobs.len() >= self.options.queue_capacity {
-                    drop(shard_state);
-                    state.stats.requests_rejected += 1;
-                    drop(state);
-                    // Workers already scattered to will bail on the
-                    // cancelled gather.
-                    gather.cancel();
-                    return Err(ServeError::Rejected {
-                        queue_capacity: self.options.queue_capacity,
-                    });
-                }
-                shard_state.jobs.push_back(ShardJob {
-                    gather: Arc::clone(&gather),
-                    shard_id,
-                    shard_count: self.shards.len(),
-                    matches: Arc::clone(&matches),
-                    report: report.clone(),
-                    config: config.clone(),
-                    deadline,
-                    cancel: cancel.clone(),
-                });
-                drop(shard_state);
-                queue.available.notify_one();
-            }
-        }
+        let matches: Vec<Vec<ElementMatch>> = merged_matches
+            .into_iter()
+            .filter(|m| !m.is_empty())
+            .collect();
         let scatter_time = scatter_start.elapsed();
 
-        // 4. The streaming merge, on the caller's thread.
-        let merge_start = Instant::now();
-        let mut queries = Vec::with_capacity(config.k);
-        let merge_result =
-            gather.merge_certified(config.k, deadline, deadline_budget, &mut queries);
-        // Whatever happened, release any still-blocked workers.
-        gather.cancel();
-        cancel.cancel();
-        let merge_time = merge_start.elapsed();
-
-        let early_emissions = match merge_result {
-            Ok(early) => early,
-            Err(error) => {
-                let mut state = lock_unpoisoned(&self.state);
-                if matches!(error, ServeError::DeadlineExceeded { .. }) {
-                    state.stats.requests_deadline_exceeded += 1;
-                }
-                return Err(error);
-            }
-        };
-        {
-            let mut state = lock_unpoisoned(&self.state);
-            state.stats.merged_emissions += queries.len() as u64;
-            state.stats.early_emissions += early_emissions as u64;
+        // 3. One exploration over the merged matches. Any shard would do:
+        // each carries the global summary and the full vertex/label tables.
+        let explore_start = Instant::now();
+        let mut session = SearchSession::start_with_matches(
+            &self.shards[0],
+            report,
+            &matches,
+            config,
+            None, // shard preparations run with the cache off
+            scatter_time,
+        );
+        session.set_deadline(deadline);
+        while session.next_query().is_some() {}
+        if session.aborted() {
+            return Err(self.deadline_exceeded(budget));
         }
+        let outcome = session.into_partial_outcome();
+        let merge_time = explore_start.elapsed();
+        lock_unpoisoned(&self.state).stats.merged_emissions += outcome.queries.len() as u64;
 
-        // 5. The sharded answer phase, if asked for. The scatter token was
-        // burned above to release blocked workers, so the phase is driven by
-        // the request deadline (plus its own token for embedders that want
-        // out-of-band aborts — none here).
+        // 4. The scattered answer phase, if asked for.
         let answer_phase = request.min_answers.map(|min_answers| {
-            answer_queries_sharded(&self.shards, &queries, min_answers, deadline, None)
+            answer_queries_sharded(&self.shards, &outcome.queries, min_answers, deadline, None)
         });
 
         Ok(ShardedOutcome {
-            queries,
-            keywords: report,
+            early_emissions: outcome.queries.len(),
+            queries: outcome.queries,
+            keywords: outcome.keywords,
             answer_phase,
             shard_count: self.shards.len(),
+            exploration: outcome.exploration,
             scatter_time,
             merge_time,
-            early_emissions,
         })
     }
 
-    /// Shuts the service down: closes every shard queue, drains queued
-    /// jobs and joins the workers. Dropping the service does the same.
-    pub fn shutdown(self) {
-        drop(self);
-    }
-}
-
-impl Drop for ShardedService {
-    fn drop(&mut self) {
-        for queue in &self.queues {
-            queue.close();
-        }
-        for handle in self.workers.drain(..) {
-            // A worker panic is a bug; surface it like `SearchService` does.
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    }
+    /// Consumes the service. It owns no threads or queues, so there is
+    /// nothing to stop; dropping it is equivalent.
+    pub fn shutdown(self) {}
 }
 
 impl std::fmt::Debug for ShardedService {
@@ -813,7 +299,7 @@ impl std::fmt::Debug for ShardedService {
 /// expired request cannot sit inside a huge join. A truncated phase reports
 /// `truncated = true`; the rows already emitted are exact.
 pub(crate) fn answer_queries_sharded(
-    shards: &[Arc<PreparedGraph>],
+    shards: &[PreparedGraph],
     queries: &[RankedQuery],
     min_answers: usize,
     deadline: Option<Instant>,
@@ -833,12 +319,17 @@ pub(crate) fn answer_queries_sharded(
             break;
         }
         queries_processed += 1;
-        let (set, cut) = evaluate_sharded(
+        // A query whose evaluation failed on any shard contributes no set,
+        // like `PreparedGraph::answer_queries` (a partial union would pass
+        // for an exact one).
+        let Ok((set, cut)) = evaluate_sharded(
             shards,
             &ranked.query,
             min_answers.saturating_sub(total).max(1),
             &expired,
-        );
+        ) else {
+            continue;
+        };
         total += set.len();
         answers.push(set);
         if cut {
@@ -871,13 +362,13 @@ pub(crate) fn answer_queries_sharded(
 /// cross-product row, so the odometer materialization — whose output size is
 /// bounded only by `limit` — aborts within one row of the signal. Returns
 /// the (exact, possibly short) answer set plus whether the evaluation was
-/// cut off.
+/// cut off, or the first per-shard evaluation error.
 fn evaluate_sharded(
-    shards: &[Arc<PreparedGraph>],
+    shards: &[PreparedGraph],
     query: &ConjunctiveQuery,
     limit: usize,
     expired: &dyn Fn() -> bool,
-) -> (AnswerSet, bool) {
+) -> Result<(AnswerSet, bool), EvalError> {
     let variables = query.effective_distinguished();
 
     // Split atoms into constant-only guards and variable-connected groups.
@@ -922,7 +413,7 @@ fn evaluate_sharded(
             .iter()
             .any(|shard| constant_atom_holds(shard.graph(), guard));
         if !holds {
-            return (AnswerSet::empty(variables), false);
+            return Ok((AnswerSet::empty(variables), false));
         }
     }
 
@@ -945,29 +436,29 @@ fn evaluate_sharded(
         }
         sub.distinguish_all();
         let sub_vars = sub.effective_distinguished();
-        let mut rows: BTreeSet<Vec<VertexId>> = BTreeSet::new();
+        let mut per_shard = Vec::with_capacity(shards.len());
         for shard in shards {
             // A truncated group union would make the cross product below
             // silently incomplete-but-plausible; give back nothing instead.
             if expired() {
-                return (AnswerSet::empty(variables), true);
+                return Ok((AnswerSet::empty(variables), true));
             }
-            if let Ok(set) = Evaluator::with_borrowed_store(shard.graph(), shard.store())
-                .evaluate_with_limit(&sub, Some(limit))
-            {
-                rows.extend(set.rows().iter().cloned());
-            }
+            per_shard.push(
+                Evaluator::with_borrowed_store(shard.graph(), shard.store())
+                    .evaluate_with_limit(&sub, Some(limit)),
+            );
         }
+        let rows = union_shard_rows(per_shard)?;
         if rows.is_empty() {
-            return (AnswerSet::empty(variables), false);
+            return Ok((AnswerSet::empty(variables), false));
         }
-        group_results.push((sub_vars, rows.into_iter().collect()));
+        group_results.push((sub_vars, rows));
     }
 
     if group_results.is_empty() {
         // Guards only (all satisfied) — a single empty binding, projected
         // onto zero variables.
-        return (AnswerSet::new(variables, vec![Vec::new()]), false);
+        return Ok((AnswerSet::new(variables, vec![Vec::new()]), false));
     }
 
     // Cross-product the groups into the query's projection order.
@@ -987,7 +478,7 @@ fn evaluate_sharded(
         // the answer phase whose size is not bounded by per-shard evaluator
         // limits, so an expired deadline must be able to stop it mid-join.
         if expired() {
-            return (AnswerSet::new(variables, rows), true);
+            return Ok((AnswerSet::new(variables, rows), true));
         }
         let row: Vec<VertexId> = variables
             .iter()
@@ -1011,7 +502,20 @@ fn evaluate_sharded(
         }
         break;
     }
-    (AnswerSet::new(variables, rows), false)
+    Ok((AnswerSet::new(variables, rows), false))
+}
+
+/// Unions one atom group's per-shard row sets (shard-disjoint, returned
+/// sorted). One failed shard fails the group: the rows it would have
+/// contributed are unknown, so the union of the rest is not the answer.
+fn union_shard_rows(
+    per_shard: Vec<Result<AnswerSet, EvalError>>,
+) -> Result<Vec<Vec<VertexId>>, EvalError> {
+    let mut rows: BTreeSet<Vec<VertexId>> = BTreeSet::new();
+    for set in per_shard {
+        rows.extend(set?.rows().iter().cloned());
+    }
+    Ok(rows.into_iter().collect())
 }
 
 /// Whether a constant-only atom holds on `graph` — an edge with the
@@ -1048,33 +552,29 @@ fn lookup_vertex(graph: &kwsearch_rdf::DataGraph, name: &str) -> Option<VertexId
 mod tests {
     use super::*;
     use crate::config::SearchConfig;
+    use crate::engine::SearchOutcome;
     use crate::scoring::ScoringFunction;
     use crate::shard::partition;
     use kwsearch_rdf::fixtures::figure1_graph;
 
     fn service_over(shard_count: usize, config: &SearchConfig) -> ShardedService {
-        let graph = figure1_graph();
-        let plan = partition(&graph, shard_count);
-        let shards = plan.prepare_shards(&graph, Default::default());
-        ShardedService::start(shards, config.clone(), ShardedServiceOptions::default())
+        ShardedService::over(&figure1_graph(), shard_count, config.clone())
     }
 
-    fn unsharded_stream(config: &SearchConfig, keywords: &[&str]) -> Vec<RankedQuery> {
-        let prepared = PreparedGraph::index(figure1_graph());
-        let mut session = prepared
+    /// The unsharded session over the whole graph, drained to `config.k`.
+    fn unsharded_outcome(config: &SearchConfig, keywords: &[&str]) -> SearchOutcome {
+        PreparedGraph::index(figure1_graph())
             .session(keywords, config.clone())
-            .expect("the running example always matches");
-        let mut out = Vec::new();
-        while let Some(q) = session.next_query() {
-            out.push(q);
-        }
-        out
+            .expect("the running example always matches")
+            .into_outcome()
     }
 
-    /// The acceptance bar of the sharded subsystem: the merged stream is
+    /// The acceptance bar of the sharded subsystem: the stream is
     /// bit-identical to the unsharded session for every shard count and
     /// every scoring function — same ranks, same cost bits, same canonical
-    /// queries, same subgraphs.
+    /// queries, same subgraphs — and it costs exactly one exploration: the
+    /// cursor counters equal the unsharded session's, whatever the shard
+    /// count.
     #[test]
     fn sharded_merge_is_bit_identical_to_the_unsharded_stream() {
         let keywords = ["2006", "cimiano", "aifb"];
@@ -1087,7 +587,8 @@ mod tests {
                 scoring,
                 ..SearchConfig::default()
             };
-            let want = unsharded_stream(&config, &keywords);
+            let unsharded = unsharded_outcome(&config, &keywords);
+            let want = &unsharded.queries;
             assert!(!want.is_empty(), "the running example has results");
             for shard_count in [1usize, 2, 3, 7] {
                 let service = service_over(shard_count, &config);
@@ -1099,7 +600,7 @@ mod tests {
                     want.len(),
                     "{scoring:?} diverges at {shard_count} shards"
                 );
-                for (got, want) in outcome.queries.iter().zip(&want) {
+                for (got, want) in outcome.queries.iter().zip(want) {
                     assert_eq!(got.rank, want.rank);
                     assert_eq!(got.cost.to_bits(), want.cost.to_bits());
                     assert_eq!(
@@ -1109,26 +610,16 @@ mod tests {
                     assert_eq!(got.subgraph, want.subgraph);
                 }
                 assert_eq!(outcome.shard_count, shard_count);
+                assert_eq!(
+                    outcome.exploration.queue_pops, unsharded.exploration.queue_pops,
+                    "{scoring:?} at {shard_count} shards explored more than once"
+                );
+                assert_eq!(
+                    outcome.exploration.cursors_created,
+                    unsharded.exploration.cursors_created
+                );
             }
         }
-    }
-
-    /// Ownership striping spreads emissions across shards: at more than one
-    /// shard, no single shard owns the whole stream (on the running example
-    /// the canonical hashes do split), so the merge really is cross-shard.
-    #[test]
-    fn emissions_are_owned_by_more_than_one_shard() {
-        let config = SearchConfig::default();
-        let want = unsharded_stream(&config, &["2006", "cimiano", "aifb"]);
-        let owners: std::collections::BTreeSet<u64> = want
-            .iter()
-            .map(|q| fnv1a64(q.query.canonicalized().to_string().as_bytes()) % 2)
-            .collect();
-        assert!(
-            owners.len() > 1,
-            "the running example's stream must stripe across 2 shards for \
-             the merge tests to exercise a real rendezvous"
-        );
     }
 
     #[test]
@@ -1139,10 +630,7 @@ mod tests {
         let service = ShardedService::start(
             shards,
             SearchConfig::default(),
-            ShardedServiceOptions {
-                max_inflight: 0,
-                ..ShardedServiceOptions::default()
-            },
+            ShardedServiceOptions { max_inflight: 0 },
         );
         let err = service
             .search(SearchRequest::new(["cimiano"]))
@@ -1150,38 +638,6 @@ mod tests {
         assert!(matches!(err, ServeError::Rejected { queue_capacity: 0 }));
         assert_eq!(service.stats().requests_rejected, 1);
         assert_eq!(service.stats().requests_admitted, 0);
-    }
-
-    /// Backpressure regression: with a one-slot pending buffer the workers
-    /// block between emissions and every pop must wake the freed shard's
-    /// worker (the merge broadcasts on `space`). A `notify_one` there can
-    /// strand the freed shard's worker behind its stale bound and hang the
-    /// merge — the deterministic conviction lives in the model scenario
-    /// `shard_backpressure_full_buffers`; this exercises the real service.
-    #[test]
-    fn a_one_slot_pending_buffer_still_merges_the_full_stream() {
-        let keywords = ["2006", "cimiano", "aifb"];
-        let config = SearchConfig::default();
-        let want = unsharded_stream(&config, &keywords);
-        let graph = figure1_graph();
-        let plan = partition(&graph, 2);
-        let shards = plan.prepare_shards(&graph, Default::default());
-        let service = ShardedService::start(
-            shards,
-            config,
-            ShardedServiceOptions {
-                pending_limit: 1,
-                ..ShardedServiceOptions::default()
-            },
-        );
-        let outcome = service
-            .search(SearchRequest::new(keywords.iter()))
-            .expect("the running example always matches");
-        assert_eq!(outcome.queries.len(), want.len());
-        for (got, want) in outcome.queries.iter().zip(&want) {
-            assert_eq!(got.rank, want.rank);
-            assert_eq!(got.cost.to_bits(), want.cost.to_bits());
-        }
     }
 
     /// Cancellation regression: the answer phase used to materialize its
@@ -1193,13 +649,9 @@ mod tests {
     fn the_answer_phase_polls_deadline_and_cancellation() {
         let graph = figure1_graph();
         let plan = partition(&graph, 2);
-        let shards: Vec<Arc<PreparedGraph>> = plan
-            .prepare_shards(&graph, Default::default())
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let shards = plan.prepare_shards(&graph, Default::default());
         let config = SearchConfig::default();
-        let queries = unsharded_stream(&config, &["publications"]);
+        let queries = unsharded_outcome(&config, &["publications"]).queries;
         assert!(!queries.is_empty());
 
         // Control arm: unbounded, the phase completes and finds answers.
@@ -1222,31 +674,18 @@ mod tests {
         assert_eq!(phase.total_answers(), 0);
     }
 
-    /// The merge loop enforces the request deadline on its own: a shard
-    /// that never reports progress (blocked, lost, stuck) cannot hold the
-    /// merge past the deadline — the coordinator's timed wait fires and
-    /// fails the request instead of hanging forever.
-    #[test]
-    fn the_merge_wait_enforces_the_deadline_without_worker_progress() {
-        let gather = GatherState::new(1, 4);
-        let budget = Duration::from_millis(20);
-        let deadline = Instant::now() + budget;
-        let mut merged = Vec::new();
-        let err = gather
-            .merge_certified(10, Some(deadline), budget, &mut merged)
-            .expect_err("a silent shard must not outlive the deadline");
-        assert!(matches!(err, ServeError::DeadlineExceeded { deadline } if deadline == budget));
-        assert!(merged.is_empty(), "nothing was certified, nothing leaks");
-        assert!(
-            gather.is_cancelled(),
-            "an expired merge releases its workers"
-        );
-    }
-
+    /// A deadline already expired at admission fails the request before any
+    /// lookup, and the failed request gives its in-flight slot back: under
+    /// `max_inflight = 1` the next request is admitted.
     #[test]
     fn an_expired_deadline_fails_the_request_with_deadline_exceeded() {
-        let config = SearchConfig::default();
-        let service = service_over(2, &config);
+        let graph = figure1_graph();
+        let shards = partition(&graph, 2).prepare_shards(&graph, Default::default());
+        let service = ShardedService::start(
+            shards,
+            SearchConfig::default(),
+            ShardedServiceOptions { max_inflight: 1 },
+        );
         let err = service
             .search(SearchRequest::new(["2006", "cimiano", "aifb"]).with_deadline(Duration::ZERO))
             .expect_err("a zero deadline cannot be met");
@@ -1257,11 +696,12 @@ mod tests {
             }
         ));
         assert_eq!(service.stats().requests_deadline_exceeded, 1);
-        // The service survives the abort: the next request succeeds.
         let outcome = service
             .search(SearchRequest::new(["2006", "cimiano", "aifb"]))
-            .expect("the pool recovered");
+            .expect("the expired request released its in-flight slot");
         assert!(!outcome.queries.is_empty());
+        assert_eq!(service.stats().requests_admitted, 2);
+        assert_eq!(service.stats().requests_rejected, 0);
     }
 
     #[test]
@@ -1323,7 +763,24 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.requests_admitted, 1);
         assert_eq!(stats.merged_emissions, outcome.queries.len() as u64);
-        assert_eq!(stats.early_emissions, outcome.early_emissions as u64);
-        assert!(outcome.early_emit_ratio() >= 0.0 && outcome.early_emit_ratio() <= 1.0);
+        assert_eq!(outcome.early_emissions, outcome.queries.len());
+    }
+
+    /// One shard tripping its evaluation budget fails the whole group
+    /// union: the rows of the other shards alone would pass for an exact
+    /// answer set.
+    #[test]
+    fn a_failed_shard_fails_the_group_union_instead_of_shrinking_it() {
+        let row = |index: u32| vec![VertexId::from_index(index)];
+        let set = |rows| AnswerSet::new(vec!["x".to_string()], rows);
+        let union = union_shard_rows(vec![Ok(set(vec![row(2)])), Ok(set(vec![row(1), row(2)]))])
+            .expect("every shard answered");
+        assert_eq!(union, vec![row(1), row(2)], "sorted, duplicates folded");
+
+        let failed = EvalError::TooManyIntermediateRows { limit: 7 };
+        assert_eq!(
+            union_shard_rows(vec![Ok(set(vec![row(1)])), Err(failed.clone())]),
+            Err(failed)
+        );
     }
 }

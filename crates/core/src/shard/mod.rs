@@ -1,5 +1,4 @@
-//! Sharded scatter-gather serving: partitioned preparations and a
-//! rank-correct streaming merge.
+//! Sharded serving: partitioned preparations behind one exploration.
 //!
 //! # Architecture
 //!
@@ -9,37 +8,36 @@
 //! [`PartitionPlan::prepare_shards`] builds one [`PreparedGraph`] per
 //! shard — each persistable as a standalone snapshot via
 //! [`persist_shards`] / [`load_shards`]. A [`ShardedService`] then serves
-//! keyword queries over the shards:
+//! a keyword query over the shards, on the caller's thread:
 //!
-//! - **scatter**: the keywords are looked up on every shard index and the
-//!   per-shard lists merged into the exact global match lists (shards keep
-//!   the full vertex/label tables, so per-shard lookups agree on elements,
-//!   scores and order; only edge-derived payloads need the union —
-//!   `matches`), then one exploration job per shard is enqueued;
-//! - **gather**: every shard session explores the *same* augmented summary
-//!   graph (a shared global summary plus the merged matches) and therefore
-//!   produces the identical certified stream — but each shard **emits only
-//!   the results it owns** (FNV-1a of the canonical query, modulo the
-//!   shard count), so the emission work and the downstream answer work
-//!   spread across the pool. The coordinator merges the per-shard streams,
-//!   releasing an emission as soon as every other shard's *emission lower
-//!   bound* certifies that nothing cheaper can still arrive — rank-correct
-//!   results stream out before the slowest shard drains.
+//! 1. **admission**: a bounded in-flight budget, and the request deadline
+//!    checked once before any work;
+//! 2. **scatter lookups**: the keywords are looked up on every shard index
+//!    and the per-shard lists merged into the exact global match lists
+//!    (shards keep the full vertex/label tables, so per-shard lookups agree
+//!    on elements, scores and order; only edge-derived payloads need the
+//!    union — `matches`);
+//! 3. **one exploration**: a single
+//!    [`SearchSession`](crate::session::SearchSession) over the merged
+//!    matches. The exploration runs on the augmented summary graph — a
+//!    shared global summary plus the matches, orders of magnitude smaller
+//!    than the data and identical on every shard — so it is neither
+//!    partitioned nor repeated: any one shard's preparation yields the
+//!    unsharded certified stream;
+//! 4. **scattered answer phase**: each ranked query is evaluated against
+//!    the shard-local triple stores and the row sets unioned (exact,
+//!    because variable-connected atom groups bind within one connectivity
+//!    component — see `coordinator`). A shard that fails a query's
+//!    evaluation fails that query's set, never shrinks it.
 //!
-//! Deliberate trade-off, stated honestly: the *exploration* itself is
-//! replicated on every shard (it runs on the summary graph, which is
-//! orders of magnitude smaller than the data); what shards scale out is
-//! the keyword-index lookups, the per-emission ownership work, and the
-//! answer phase, which evaluates each ranked query against the shard-local
-//! triple stores (exact, because variable-connected atom groups bind
-//! within one connectivity component — see `coordinator`).
-//!
-//! The merged stream is **bit-identical** to the unsharded
-//! [`SearchSession`](crate::session::SearchSession) stream for every shard
-//! count — pinned by golden tests and property tests across shard counts
-//! {1, 2, 3, 7} and all three scoring functions.
+//! What the shards divide is the data: triple stores, keyword-index
+//! payloads and snapshots. The stream is **bit-identical** to the unsharded
+//! session's for every shard count because it *is* that session — pinned,
+//! together with the exact one-exploration cursor counts, by golden tests
+//! and property tests across shard counts {1, 2, 3, 7} and all three
+//! scoring functions.
 
-pub(crate) mod coordinator;
+mod coordinator;
 mod matches;
 mod partition;
 

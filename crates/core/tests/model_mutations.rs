@@ -2,7 +2,7 @@
 //! catches the bug classes it exists for.
 //!
 //! Under `RUSTFLAGS="--cfg kwsearch_model --cfg kwsearch_model_mutation"`
-//! four deliberate bugs are compiled into the serving stack:
+//! three deliberate bugs are compiled into the serving stack:
 //!
 //! * **(a)** `InFlight::finish` in `cache.rs` drops its `notify_all` — the
 //!   owner publishes, but coalesced waiters blocked on the condvar are
@@ -10,9 +10,6 @@
 //! * **(b)** `JobQueue::pop` in `serve.rs` acquires `metrics` before
 //!   `state` — the inverse of `push`'s documented order, an AB-BA lock
 //!   cycle;
-//! * **(c)** `GatherState::finish` in `shard/coordinator.rs` drops its
-//!   shard-completion `notify_one` — a merging coordinator that blocked
-//!   before the last shard finished is never woken;
 //! * **(d)** `AugmentationCache::insert_resolved` in `cache.rs` skips its
 //!   clear-generation check — an owner that took its miss before a
 //!   `clear()` resurrects the cleared entry (and its stale replay log)
@@ -88,23 +85,4 @@ fn skipped_generation_check_is_reported_as_a_resurrected_entry() {
     )
     .expect("replaying the printed schedule must reproduce the resurrection");
     assert_eq!(replayed.kind, FailureKind::Panic);
-}
-
-#[test]
-fn dropped_shard_completion_notify_is_reported_as_lost_wakeup() {
-    let report = scenarios::shard_scatter_gather_rendezvous(Config::with_preemptions(2));
-    let failure = report.expect_failure();
-    assert_eq!(failure.kind, FailureKind::LostWakeup, "{failure}");
-    assert!(!failure.schedule.is_empty(), "schedule must be replayable");
-    assert!(
-        failure.trace.iter().any(|line| line.contains("condvar")),
-        "the trace names the stranded merge wait: {failure}"
-    );
-    let replayed = replay(
-        Config::with_preemptions(2),
-        &failure.schedule,
-        scenarios::shard_scatter_gather_rendezvous_body,
-    )
-    .expect("replaying the printed schedule must reproduce the hang");
-    assert_eq!(replayed.kind, FailureKind::LostWakeup);
 }

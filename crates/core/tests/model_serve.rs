@@ -1,14 +1,13 @@
 //! Exhaustive model checking of the `SearchService` job queue
-//! (submit/drain, shutdown wake-ups) and the sharded scatter-gather
-//! coordinator (rendezvous, deadline-during-merge, shutdown-with-inflight).
+//! (submit/drain, shutdown wake-ups).
 //!
 //! Runs only under `RUSTFLAGS="--cfg kwsearch_model"` and not under the
 //! sabotaging `kwsearch_model_mutation` cfg (see `model_mutations.rs`).
-//! The scenarios drive `JobQueue`, `ShardQueue` and `GatherState` directly:
-//! `SearchService` and `ShardedService` themselves spawn native worker
-//! threads that the model scheduler cannot see, so the queues and the
-//! gather — the only shared mutable state on the serve path — are the
-//! model surface.
+//! The scenarios drive `JobQueue` directly: `SearchService` itself spawns
+//! native worker threads that the model scheduler cannot see, so the queue
+//! — the only shared mutable state on the serve path — is the model
+//! surface. (`ShardedService` serves on the caller's thread behind one
+//! never-nested mutex; it has no interleaving to explore.)
 //!
 //! Interleaving counts are asserted exactly; see `model_cache.rs` for the
 //! fingerprint rationale.
@@ -32,36 +31,4 @@ fn close_always_wakes_an_idle_worker() {
         scenarios::service_queue_close_wakes_idle_worker(Config::with_preemptions(2)).assert_pass();
     assert_eq!(schedules, 13, "explored-space fingerprint moved");
     println!("close vs idle worker: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn the_shard_rendezvous_merges_the_dense_order_in_every_interleaving() {
-    let schedules =
-        scenarios::shard_scatter_gather_rendezvous(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 1882, "explored-space fingerprint moved");
-    println!("shard rendezvous: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn backpressure_with_full_buffers_never_strands_a_worker() {
-    let schedules =
-        scenarios::shard_backpressure_full_buffers(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 10208, "explored-space fingerprint moved");
-    println!("backpressure full buffers: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn a_deadline_during_the_merge_always_discards_the_partial_stream() {
-    let schedules =
-        scenarios::shard_deadline_fires_during_merge(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 499, "explored-space fingerprint moved");
-    println!("deadline during merge: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn shutdown_with_an_inflight_shard_job_serves_it_exactly_once() {
-    let schedules =
-        scenarios::shard_shutdown_with_inflight(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 60, "explored-space fingerprint moved");
-    println!("shutdown with inflight shard job: {schedules} interleavings, all correct");
 }

@@ -419,9 +419,8 @@ pub mod reference {
     //!
     //! It materializes every intermediate join result before the limit is
     //! applied, so it cannot terminate early — tests use it to check that the
-    //! streaming evaluator returns identical answer sets, and the `perf_topk`
-    //! benchmark uses it as the answer-phase baseline the streaming pipeline
-    //! is measured against. Not part of the supported API.
+    //! streaming evaluator returns identical answer sets. Not part of the
+    //! supported API.
 
     use std::collections::HashMap;
 

@@ -22,8 +22,8 @@
 //! Run with: `cargo run --example live_updates`
 //!
 //! See the README "Live updates & freshness" section for the invalidation
-//! and compaction rules, and `perf_topk`'s freshness section (schema v7)
-//! for the measured write-to-visibility latency.
+//! and compaction rules, and the benchmark's `live_mixed` workload
+//! (`benchmark/README.md`) for the measured write-to-visibility latency.
 
 use searchwebdb::core::{DeltaBatch, LiveGraph, PreparedGraph, SearchConfig};
 use searchwebdb::rdf::Triple;

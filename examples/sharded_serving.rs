@@ -1,14 +1,13 @@
-//! Sharded scatter-gather serving: partitioned preparations and the
-//! rank-correct streaming merge.
+//! Sharded serving: partitioned preparations behind one exploration.
 //!
 //! Demonstrates the sharded serving architecture on the generated
 //! bibliographic dataset: the data graph is partitioned into edge-disjoint
 //! shards, each shard is prepared and persisted as its own snapshot, the
 //! snapshots are loaded back into a [`ShardedService`], and a keyword
-//! workload is scattered over the shard pool — the merged stream is
-//! bit-identical to an unsharded session, and emissions stream out before
-//! the slowest shard drains (the early-emit ratio). A deadline demo shows
-//! the typed failure path.
+//! workload is served over them — keyword lookups scattered over every
+//! shard, one exploration over the merged matches (bit-identical to an
+//! unsharded session, at the same cursor count), answers scattered over
+//! the shard-local stores. A deadline demo shows the typed failure path.
 //!
 //! Run with `cargo run --release --example sharded_serving`.
 
@@ -52,7 +51,7 @@ fn main() {
         dir.display()
     );
 
-    // On-line: load the snapshots back and start the scatter-gather pool.
+    // On-line: load the snapshots back and start the service.
     let loaded = load_shards(&dir).expect("loading shard snapshots");
     let config = SearchConfig::with_k(5);
     let service = ShardedService::start(loaded, config.clone(), Default::default());
@@ -67,7 +66,7 @@ fn main() {
     ];
 
     // Reference: an unsharded session on a fresh preparation. The sharded
-    // merge must reproduce it bit for bit.
+    // service must reproduce it bit for bit.
     let reference = PreparedGraph::index(graph.clone());
     for keywords in &workload {
         let outcome = service
@@ -84,18 +83,18 @@ fn main() {
                     == unsharded.query.canonicalized().to_string();
         }
         println!(
-            "{keywords:?}: {} merged queries over {} shards, scatter {:?} + merge {:?}, \
-             {:.0}% emitted early, bit-identical: {identical}",
+            "{keywords:?}: {} queries over {} shards, lookups {:?} + exploration {:?} \
+             ({} cursor pops), bit-identical: {identical}",
             outcome.queries.len(),
             outcome.shard_count,
             outcome.scatter_time,
             outcome.merge_time,
-            outcome.early_emit_ratio() * 100.0,
+            outcome.exploration.queue_pops,
             identical = identical,
         );
         assert!(
             identical,
-            "the sharded merge must match the unsharded stream"
+            "the sharded service must match the unsharded stream"
         );
     }
 
@@ -129,12 +128,11 @@ fn main() {
     let stats = service.stats();
     println!(
         "service counters: {} admitted, {} rejected, {} deadline-exceeded; \
-         {} merged emissions ({} early)",
+         {} queries returned",
         stats.requests_admitted,
         stats.requests_rejected,
         stats.requests_deadline_exceeded,
         stats.merged_emissions,
-        stats.early_emissions,
     );
 
     service.shutdown();
