@@ -6,8 +6,7 @@
 //! matches — plus their neighbouring blocks — need to be searched. METIS is
 //! not available here, so the partitioning is a greedy BFS bisection, which
 //! preserves the relevant behaviour: the search space shrinks to a
-//! keyword-dependent subset of the graph (recorded as a substitution in
-//! DESIGN.md).
+//! keyword-dependent subset of the graph.
 //!
 //! This block partitioning is a *baseline search heuristic* and is distinct
 //! from the engine's serving-side partitioner

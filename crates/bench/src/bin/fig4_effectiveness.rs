@@ -12,13 +12,13 @@
 //! matching scores when keywords are ambiguous.
 
 use kwsearch_bench::{dblp_dataset, tap_dataset, ScaleProfile, Table};
-use kwsearch_core::{KeywordSearchEngine, ScoringFunction, SearchConfig};
+use kwsearch_core::{PreparedGraph, ScoringFunction, SearchConfig};
 use kwsearch_datagen::workload::{dblp_effectiveness_workload, tap_effectiveness_workload};
 use kwsearch_datagen::EffectivenessQuery;
 
 fn evaluate_workload(
     name: &str,
-    engine: &KeywordSearchEngine,
+    prepared: &PreparedGraph,
     workload: &[EffectivenessQuery],
     k: usize,
 ) {
@@ -30,9 +30,10 @@ fn evaluate_workload(
         let mut rrs = [0.0f64; 3];
         for (i, scoring) in ScoringFunction::all().into_iter().enumerate() {
             let config = SearchConfig::with_k(k).scoring(scoring);
-            let Ok(outcome) = engine.search_with(&query.keywords, &config) else {
+            let Ok(session) = prepared.session(&query.keywords, config) else {
                 continue;
             };
+            let outcome = session.into_outcome();
             let ranked: Vec<_> = outcome.queries.iter().map(|r| &r.query).collect();
             rrs[i] = query.reciprocal_rank(ranked);
             totals[i] += rrs[i];
@@ -69,13 +70,11 @@ fn main() {
 
     let dblp = dblp_dataset(profile);
     let workload = dblp_effectiveness_workload(&dblp, 30);
-    let engine = KeywordSearchEngine::builder(dblp.graph.clone())
-        .k(k)
-        .build();
-    evaluate_workload("DBLP", &engine, &workload, k);
+    let prepared = PreparedGraph::index(dblp.graph.clone());
+    evaluate_workload("DBLP", &prepared, &workload, k);
 
     let tap = tap_dataset(profile);
     let tap_workload = tap_effectiveness_workload(&tap);
-    let tap_engine = KeywordSearchEngine::builder(tap.graph.clone()).k(k).build();
-    evaluate_workload("TAP", &tap_engine, &tap_workload, k);
+    let tap_prepared = PreparedGraph::index(tap.graph.clone());
+    evaluate_workload("TAP", &tap_prepared, &tap_workload, k);
 }

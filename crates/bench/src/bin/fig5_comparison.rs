@@ -23,7 +23,7 @@ use kwsearch_baselines::{
     partitioned_search,
 };
 use kwsearch_bench::{dblp_dataset, format_duration, time, ScaleProfile, Table};
-use kwsearch_core::KeywordSearchEngine;
+use kwsearch_core::{PreparedGraph, SearchConfig};
 use kwsearch_datagen::workload::dblp_performance_queries;
 
 const K: usize = 10;
@@ -43,18 +43,14 @@ fn main() {
     );
 
     // Off-line phases (not charged to the per-query times, as in the paper).
-    let (engine, engine_build) = time(|| {
-        KeywordSearchEngine::builder(dataset.graph.clone())
-            .k(K)
-            .build()
-    });
+    let (prepared, index_build) = time(|| PreparedGraph::index(dataset.graph.clone()));
     let vertex_count = dataset.graph.vertex_count();
     let (fine, fine_build) = time(|| partition_graph(&dataset.graph, (vertex_count / 40).max(4)));
     let (coarse, coarse_build) =
         time(|| partition_graph(&dataset.graph, (vertex_count / 150).max(2)));
     println!(
-        "offline: engine indexes {} ms, fine partitioning ({} blocks) {} ms, coarse partitioning ({} blocks) {} ms\n",
-        format_duration(engine_build),
+        "offline: our indexes {} ms, fine partitioning ({} blocks) {} ms, coarse partitioning ({} blocks) {} ms\n",
+        format_duration(index_build),
         fine.block_count(),
         format_duration(fine_build),
         coarse.block_count(),
@@ -76,7 +72,16 @@ fn main() {
     for query in &queries {
         let keywords = &query.keywords;
 
-        let (_, ours) = time(|| engine.search_and_answer(keywords, MIN_ANSWERS).ok());
+        // The paper's metric: compute the top-k queries, then process them
+        // in rank order until MIN_ANSWERS answers exist.
+        let (_, ours) = time(|| {
+            prepared
+                .session(keywords, SearchConfig::with_k(K))
+                .map(|session| {
+                    prepared.answer_queries(&session.into_outcome().queries, MIN_ANSWERS)
+                })
+                .ok()
+        });
         let (groups, _) = time(|| match_keywords(&dataset.graph, keywords));
         let (_, bidirect) =
             time(|| bidirectional_search(&dataset.graph, &groups, K, BASELINE_DMAX));

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use kwsearch_bench::{dblp_dataset, format_duration, time, ScaleProfile, Table};
-use kwsearch_core::{KeywordSearchEngine, ScoringFunction, SearchConfig};
+use kwsearch_core::{PreparedGraph, ScoringFunction, SearchConfig};
 use kwsearch_datagen::workload::dblp_effectiveness_workload;
 
 const KS: [usize; 5] = [1, 5, 10, 20, 50];
@@ -20,7 +20,7 @@ fn main() {
     let profile = ScaleProfile::from_env();
     let dataset = dblp_dataset(profile);
     let workload = dblp_effectiveness_workload(&dataset, 30);
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone()).build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
 
     println!("== Fig. 6a: average query computation time (ms) vs k and query length ==\n");
 
@@ -39,7 +39,12 @@ fn main() {
         let config = SearchConfig::with_k(k).scoring(ScoringFunction::PopularityAndMatch);
         let mut per_query_time: Vec<Duration> = Vec::with_capacity(workload.len());
         for q in &workload {
-            let (_, elapsed) = time(|| engine.search_with(&q.keywords, &config).ok());
+            let (_, elapsed) = time(|| {
+                prepared
+                    .session(&q.keywords, config.clone())
+                    .map(|session| session.into_outcome())
+                    .ok()
+            });
             per_query_time.push(elapsed);
         }
         let mut row: Vec<String> = vec![k.to_string()];

@@ -1,14 +1,14 @@
-//! Dataset construction for the benchmark harnesses.
+//! Dataset construction for the figure binaries.
 //!
 //! The original evaluation ran against DBLP (26M triples), TAP (220k) and
-//! LUBM(50, 0). The harness defaults to laptop-scale versions that preserve
-//! the structural ratios (see DESIGN.md) and can be scaled up through the
-//! `KWSEARCH_SCALE` environment variable:
+//! LUBM(50, 0). The binaries default to laptop-scale versions that preserve
+//! the structural ratios (see the `kwsearch-datagen` crate docs) and can be
+//! scaled up through the `KWSEARCH_SCALE` environment variable:
 //!
 //! * `KWSEARCH_SCALE=small`  — quick smoke runs (default for tests),
 //! * `KWSEARCH_SCALE=medium` — the default for the figure binaries,
-//! * `KWSEARCH_SCALE=large`  — ~10⁶ triples (DBLP tier), the scale the
-//!   snapshot cold-start speedup is certified at,
+//! * `KWSEARCH_SCALE=large`  — ~10⁶ triples (DBLP tier), the scale of the
+//!   committed benchmark's `data_bound` workload,
 //! * `KWSEARCH_SCALE=huge`   — ~10⁷ triples, approaching the paper's full
 //!   DBLP evaluation scale.
 

@@ -1,14 +1,15 @@
 //! Shared infrastructure for the figure-reproduction harnesses.
 //!
 //! The binaries in `src/bin/` regenerate the tables behind every figure of
-//! the paper's evaluation section (see `DESIGN.md` §5 and `EXPERIMENTS.md`):
+//! the paper's evaluation section:
 //!
 //! * `fig4_effectiveness` — MRR of the scoring functions C1/C2/C3 (Fig. 4),
 //! * `fig5_comparison`    — query performance vs. the baselines (Fig. 5),
 //! * `fig6a_topk`         — search time as a function of `k` and query
 //!   length (Fig. 6a),
 //! * `fig6b_index`        — keyword-index and graph-index sizes and build
-//!   times for DBLP/LUBM/TAP (Fig. 6b).
+//!   times for DBLP/LUBM/TAP (Fig. 6b),
+//! * `ablation`           — one design choice toggled at a time.
 //!
 //! Performance tracking lives in the standalone `benchmark/` package (see
 //! `benchmark/README.md`), not here.

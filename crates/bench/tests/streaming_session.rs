@@ -2,16 +2,16 @@
 //! workload: certifying the rank-1 query must require strictly fewer queue
 //! pops than draining the full top-k — the anytime gap the session API
 //! exposes. (The drained session itself is checked for result-equality with
-//! batch `search` by the core crate's proptests and golden tests.)
+//! a bare exploration run by the core crate's proptests and golden tests.)
 
 use kwsearch_bench::{dblp_dataset, ScaleProfile};
-use kwsearch_core::KeywordSearchEngine;
+use kwsearch_core::{PreparedGraph, SearchConfig};
 use kwsearch_datagen::workload::dblp_performance_queries;
 
 #[test]
 fn first_query_explores_strictly_less_than_a_drained_session_on_medium_dblp() {
     let dataset = dblp_dataset(ScaleProfile::Medium);
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone()).build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
     let queries = dblp_performance_queries(&dataset);
     assert!(!queries.is_empty(), "the DBLP workload ships queries");
 
@@ -19,14 +19,14 @@ fn first_query_explores_strictly_less_than_a_drained_session_on_medium_dblp() {
     let mut total_drained_pops = 0usize;
     let mut produced = 0usize;
     for query in &queries {
-        let mut session = engine
-            .session(&query.keywords)
+        let mut session = prepared
+            .session(&query.keywords, SearchConfig::default())
             .expect("workload keywords always match");
         let first = session.next_query();
         let first_pops = session.stats().queue_pops;
 
-        let drained = engine
-            .session(&query.keywords)
+        let drained = prepared
+            .session(&query.keywords, SearchConfig::default())
             .expect("workload keywords always match")
             .into_outcome();
         let drained_pops = drained.exploration.queue_pops;

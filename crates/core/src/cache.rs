@@ -1,7 +1,7 @@
 //! The bounded augmentation cache.
 //!
 //! The first two phases of every search — keyword-to-element mapping and
-//! summary-graph augmentation — depend only on the engine's immutable
+//! summary-graph augmentation — depend only on the prepared graph's immutable
 //! indexes, the search configuration and the *normalized* query terms.
 //! Repeated or overlapping queries therefore redo identical work, and under
 //! serving traffic (see [`crate::serve`]) the repetition dominates: a few
@@ -37,11 +37,10 @@
 //! entry; keeping the per-keyword term lists *in query order* is essential,
 //! because the augmentation assigns dense element ids in keyword order and a
 //! reordered query may legitimately break cost ties differently. Keying on
-//! the configuration means
-//! [`KeywordSearchEngine::set_config`](crate::KeywordSearchEngine::set_config)
-//! never invalidates or corrupts existing entries: searches under the new
-//! configuration simply populate their own keys, and switching back rehits
-//! the old ones.
+//! the configuration means sessions with different configurations over one
+//! [`PreparedGraph`](crate::PreparedGraph) never invalidate or corrupt each
+//! other's entries: each configuration populates its own keys, and going
+//! back to an earlier one rehits its entries.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::PoisonError;
@@ -465,8 +464,8 @@ pub struct AugmentationCache {
 }
 
 impl AugmentationCache {
-    /// The capacity used by [`Default`] and by engines that do not configure
-    /// one explicitly.
+    /// The capacity used by [`Default`] and by
+    /// [`PreparedGraph::index`](crate::PreparedGraph::index).
     pub const DEFAULT_CAPACITY: usize = 128;
 
     /// Creates a cache bounded to `capacity` entries (0 disables caching).

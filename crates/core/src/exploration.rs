@@ -94,14 +94,6 @@ pub struct ExplorationOutcome {
     pub stats: ExplorationStats,
 }
 
-/// The cursor-based explorer over an augmented summary graph: the batch
-/// facade over [`ExplorationState`] (one call, run to completion).
-#[derive(Debug)]
-pub struct Explorer<'a, 'g> {
-    graph: &'a AugmentedSummaryGraph<'g>,
-    config: SearchConfig,
-}
-
 /// The deadline is polled when `queue_pops & DEADLINE_POLL_MASK == 0`: once
 /// every 64 pops (and on the very first), bounding both the clock-sampling
 /// overhead and the post-expiry overshoot.
@@ -114,29 +106,15 @@ struct ElementPaths {
     per_keyword: Vec<Vec<CursorId>>,
 }
 
-impl<'a, 'g> Explorer<'a, 'g> {
-    /// Creates an explorer for one augmented summary graph.
-    pub fn new(graph: &'a AugmentedSummaryGraph<'g>, config: SearchConfig) -> Self {
-        Self { graph, config }
-    }
-
-    /// Runs Algorithm 1 + 2 and returns the top-k matching subgraphs.
-    pub fn run(&self) -> ExplorationOutcome {
-        let mut state = ExplorationState::new(self.graph, &self.config);
-        state.run_to_completion(self.graph, &self.config);
-        state.into_outcome()
-    }
-}
-
 /// The explicit, suspendable run state of Algorithm 1 + 2.
 ///
 /// Everything the former monolithic exploration loop kept in locals — the
 /// global cursor heap, the cursor arena, the per-element path lists, the
 /// candidate list and the run counters — lives here, so an exploration can
 /// be advanced one cursor pop at a time and paused between results.
-/// [`Explorer::run`] drives it to completion in one call (the batch shape);
-/// `SearchSession` (in the engine crate layer) owns one and advances it
-/// lazily, popping [`Self::next_certified`] results on demand.
+/// [`Self::run_to_completion`] drives it to the end in one call (the batch
+/// shape); [`crate::SearchSession`] owns one and advances it lazily, popping
+/// [`Self::next_certified`] results on demand.
 ///
 /// The state holds no borrows: cursors, queue entries, path lists and
 /// candidates are all index- or value-based, so the state can be stored next
@@ -467,7 +445,7 @@ impl ExplorationState {
     /// by the `max_cursors` safety valve (`stats().hit_cursor_limit`), the
     /// remaining candidates are handed out as the best found so far
     /// *without* a certificate — a longer run could outrank them, exactly
-    /// as a truncated [`Explorer::run`] could.
+    /// as a truncated [`Self::run_to_completion`] could.
     pub fn next_certified(
         &mut self,
         graph: &AugmentedSummaryGraph<'_>,
@@ -545,7 +523,9 @@ mod tests {
     }
 
     fn run(graph: &AugmentedSummaryGraph<'_>, config: SearchConfig) -> ExplorationOutcome {
-        Explorer::new(graph, config).run()
+        let mut state = ExplorationState::new(graph, &config);
+        state.run_to_completion(graph, &config);
+        state.into_outcome()
     }
 
     #[test]

@@ -35,8 +35,12 @@
 //! [`snapshot`](LiveGraph::snapshot) and keep a consistent view for as long
 //! as they hold it; [`apply`](LiveGraph::apply) swaps the current snapshot
 //! atomically, so a snapshot taken after `apply` returns always sees the
-//! write (*read-your-writes*). Every snapshot carries a monotone **write
-//! epoch** ([`PreparedGraph::write_epoch`]) that is folded into every
+//! write (*read-your-writes*). Writers never block readers: a write builds
+//! its successor snapshot while holding only the writer lock, and the lock
+//! `snapshot` takes is held for a pointer load or store, nothing else.
+//!
+//! Every snapshot carries a monotone **write epoch**
+//! ([`PreparedGraph::write_epoch`]) that is folded into every
 //! [`AugmentationKey`](crate::cache::AugmentationKey) of the shared
 //! [`AugmentationCache`](crate::cache::AugmentationCache): an entry
 //! computed — and above all a replay log
@@ -321,12 +325,12 @@ pub struct CompactionReport {
 /// `tests/model_cache.rs`).
 #[derive(Debug)]
 pub struct LiveGraph {
-    state: Mutex<LiveState>,
-}
-
-#[derive(Debug)]
-struct LiveState {
-    prepared: Arc<PreparedGraph>,
+    /// Serialises writers ([`Self::apply`], [`Self::compact`]) for the whole
+    /// of a write; readers never take it.
+    writer: Mutex<()>,
+    /// The snapshot readers see. Held only to clone or replace the `Arc`,
+    /// so a reader waits for a pointer store at most, never for a write.
+    current: Mutex<Arc<PreparedGraph>>,
 }
 
 impl LiveGraph {
@@ -334,9 +338,8 @@ impl LiveGraph {
     /// as the first snapshot of a live lineage.
     pub fn new(prepared: PreparedGraph) -> Self {
         Self {
-            state: Mutex::new(LiveState {
-                prepared: Arc::new(prepared),
-            }),
+            writer: Mutex::new(()),
+            current: Mutex::new(Arc::new(prepared)),
         }
     }
 
@@ -344,13 +347,34 @@ impl LiveGraph {
     /// remains fully consistent (graph, indexes, cache epoch) for as long
     /// as the caller holds it, regardless of concurrent writes.
     pub fn snapshot(&self) -> Arc<PreparedGraph> {
-        Arc::clone(&lock_unpoisoned(&self.state).prepared)
+        Arc::clone(&lock_unpoisoned(&self.current))
     }
 
     /// The current write epoch — the epoch of the snapshot
     /// [`Self::snapshot`] would return right now.
     pub fn write_epoch(&self) -> u64 {
-        lock_unpoisoned(&self.state).prepared.write_epoch()
+        lock_unpoisoned(&self.current).write_epoch()
+    }
+
+    /// Runs one write. Writers queue on `writer`; `build` gets the current
+    /// snapshot — which no other writer can replace meanwhile — and returns
+    /// its successor (`None`: nothing to install) without holding the lock
+    /// readers use. An `Err` from `build` installs nothing.
+    fn write<T, E>(
+        &self,
+        build: impl FnOnce(&PreparedGraph) -> Result<(Option<PreparedGraph>, T), E>,
+    ) -> Result<T, E> {
+        let _writer = lock_unpoisoned(&self.writer);
+        let prepared = self.snapshot();
+        let (next, done) = build(&prepared)?;
+        if let Some(next) = next {
+            let next = Arc::new(next);
+            // `prepared` keeps the replaced snapshot alive past the store, so
+            // nothing is freed under the lock.
+            // lint: allow(lock-discipline, reason = "the one nested order: writer before current; readers take only current, for a pointer load, so the nesting cannot deadlock or stall them")
+            *lock_unpoisoned(&self.current) = next;
+        }
+        Ok(done)
     }
 
     /// Applies a write batch atomically and returns once the new snapshot
@@ -363,28 +387,24 @@ impl LiveGraph {
     /// without the retracted triples). On any error the live state is
     /// unchanged.
     pub fn apply(&self, batch: &DeltaBatch) -> Result<WriteTicket, WriteError> {
-        let mut state = lock_unpoisoned(&self.state);
-        let prepared = Arc::clone(&state.prepared);
-        if batch.is_empty() {
-            return Ok(WriteTicket {
-                epoch: prepared.write_epoch(),
-                added_vertices: 0,
-                added_edges: 0,
-                collapsed_duplicates: 0,
-                retracted: 0,
-                summary_rebuilt: false,
-                cache_promoted: false,
-            });
-        }
-        let (next, ticket) = if batch.retractions.is_empty() {
-            Self::apply_adds(&prepared, batch)?
-        } else {
-            Self::apply_with_retractions(&prepared, batch)?
-        };
-        if let Some(next) = next {
-            state.prepared = Arc::new(next);
-        }
-        Ok(ticket)
+        self.write(|prepared| {
+            if batch.is_empty() {
+                let ticket = WriteTicket {
+                    epoch: prepared.write_epoch(),
+                    added_vertices: 0,
+                    added_edges: 0,
+                    collapsed_duplicates: 0,
+                    retracted: 0,
+                    summary_rebuilt: false,
+                    cache_promoted: false,
+                };
+                Ok((None, ticket))
+            } else if batch.retractions.is_empty() {
+                Self::apply_adds(prepared, batch)
+            } else {
+                Self::apply_with_retractions(prepared, batch)
+            }
+        })
     }
 
     /// The add-only fast path: clone the snapshot's structures (`O(delta)`
@@ -601,8 +621,16 @@ impl LiveGraph {
     /// lineage is already flat.
     pub fn compact(&self) -> Result<CompactionReport, CompactError> {
         let start = Instant::now();
-        let mut state = lock_unpoisoned(&self.state);
-        let prepared = Arc::clone(&state.prepared);
+        self.write(|prepared| Self::compacted(prepared, start))
+    }
+
+    /// The compaction proper: the flat successor of `prepared` (`None` when
+    /// it is already flat) and the report, timed from `start`.
+    #[allow(clippy::type_complexity)]
+    fn compacted(
+        prepared: &PreparedGraph,
+        start: Instant,
+    ) -> Result<(Option<PreparedGraph>, CompactionReport), CompactError> {
         let epoch = prepared.write_epoch();
         let folded_rows = prepared.store().delta_len();
         if !prepared.store().has_delta()
@@ -610,13 +638,14 @@ impl LiveGraph {
             && !prepared.graph().has_adjacency_overlay()
         {
             prepared.augmentation_cache().prune_below_epoch(epoch);
-            return Ok(CompactionReport {
+            let report = CompactionReport {
                 duration: start.elapsed(),
                 snapshot_bytes: 0,
                 folded_rows: 0,
                 epoch,
                 compacted: false,
-            });
+            };
+            return Ok((None, report));
         }
 
         // Fold: the graph flattens on snapshot write; the store merges its
@@ -675,16 +704,16 @@ impl LiveGraph {
             epoch,
             prepared.index_build_time(),
         );
-        state.prepared = Arc::new(next);
         prepared.augmentation_cache().prune_below_epoch(epoch);
 
-        Ok(CompactionReport {
+        let report = CompactionReport {
             duration: start.elapsed(),
             snapshot_bytes: compacted_bytes.len(),
             folded_rows,
             epoch,
             compacted: true,
-        })
+        };
+        Ok((Some(next), report))
     }
 }
 
@@ -793,7 +822,7 @@ impl WriteImpact {
 mod tests {
     use super::*;
     use crate::config::SearchConfig;
-    use crate::engine::SearchOutcome;
+    use crate::result::SearchOutcome;
     use crate::scoring::ScoringFunction;
     use kwsearch_rdf::fixtures::{figure1_graph, figure1_triples};
 
@@ -1039,5 +1068,43 @@ mod tests {
         assert_outcomes_bit_identical(&after, &before, "pre-write snapshot");
         assert_eq!(old.write_epoch(), 0);
         assert_eq!(live.write_epoch(), 2);
+    }
+
+    /// Writers must not block readers. One long write (a batch large enough
+    /// to take many milliseconds) is in flight while the reader takes its
+    /// snapshots: every one of them must be served *during* the write, i.e.
+    /// still at the pre-write epoch. With the lock `snapshot` takes held
+    /// across the write, the reader's first contended snapshot waits for the
+    /// write to finish and observes the new epoch instead.
+    #[test]
+    fn snapshots_are_served_while_a_write_is_in_flight() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        const SNAPSHOTS: usize = 1_000;
+        let batch = (0..1_000).fold(DeltaBatch::new(), |batch, i| {
+            batch.add(Triple::attribute("pub1URI", "note", format!("note {i}")))
+        });
+
+        let live = LiveGraph::new(PreparedGraph::index(figure1_graph()));
+        let write_started = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                write_started.store(true, Ordering::SeqCst);
+                live.apply(&batch).unwrap()
+            });
+            while !write_started.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            for taken in 0..SNAPSHOTS {
+                assert_eq!(
+                    live.snapshot().write_epoch(),
+                    0,
+                    "snapshot {taken} of {SNAPSHOTS} waited for the write to finish"
+                );
+            }
+            let ticket = writer.join().unwrap();
+            assert_eq!(ticket.epoch(), 1);
+        });
+        assert_eq!(live.snapshot().write_epoch(), 1, "read-your-writes");
     }
 }

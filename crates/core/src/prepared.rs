@@ -1,4 +1,4 @@
-//! The immutable, shareable read path of the engine.
+//! The off-line half of Fig. 2: the immutable, shareable read path.
 //!
 //! The paper's pipeline — keyword matching, summary-graph augmentation,
 //! top-k exploration, query evaluation — is read-only over structures built
@@ -10,9 +10,9 @@
 //! [`SearchSession`] borrows the prepared graph immutably and keeps its own
 //! per-request state.
 //!
-//! [`KeywordSearchEngine`](crate::KeywordSearchEngine) is a thin facade over
-//! `Arc<PreparedGraph>` + a default [`SearchConfig`]; single-threaded users
-//! never need to name this type.
+//! This is the front door for reads: [`PreparedGraph::index`] once, then
+//! [`PreparedGraph::session`] per keyword query — `session(..)?.into_outcome()`
+//! is the batch shape, [`SearchSession::next_query`] the streaming one.
 
 use std::time::{Duration, Instant};
 
@@ -23,9 +23,8 @@ use kwsearch_summary::SummaryGraph;
 
 use crate::cache::AugmentationCache;
 use crate::config::SearchConfig;
-use crate::engine::AnswerPhase;
 use crate::error::SearchError;
-use crate::result::RankedQuery;
+use crate::result::{AnswerPhase, RankedQuery};
 use crate::session::SearchSession;
 
 /// The immutable artifacts of the off-line preprocessing: everything the
@@ -224,8 +223,9 @@ impl PreparedGraph {
     // ------------------------------------------------------------------
 
     /// Opens a resumable, streaming [`SearchSession`] against this prepared
-    /// graph — the thread-safe core behind
-    /// [`KeywordSearchEngine::session`](crate::KeywordSearchEngine::session).
+    /// graph: keyword mapping and summary-graph augmentation run eagerly,
+    /// the exploration advances only as far as the queries actually pulled
+    /// from the session require.
     ///
     /// Fails with [`SearchError::AllKeywordsUnmatched`] when a non-empty
     /// query matches nothing at all.
@@ -248,8 +248,13 @@ impl PreparedGraph {
     }
 
     /// Processes already-computed ranked queries in rank order until at
-    /// least `min_answers` answers have been retrieved (the paper's Fig. 5
-    /// answer phase; each evaluation is limited to the still-missing count).
+    /// least `min_answers` answers have been retrieved — the answer phase of
+    /// the paper's Fig. 5 interaction ("the time for computing the top-10
+    /// queries plus the time for processing several queries (the top ones)
+    /// until finding at least 10 answers"), measured on its own. Each
+    /// evaluation is limited to the still-missing count, so the streaming
+    /// evaluator stops the instant enough answers exist. To stop *computing*
+    /// queries at that point too, use [`SearchSession::answers_until`].
     pub fn answer_queries(&self, queries: &[RankedQuery], min_answers: usize) -> AnswerPhase {
         let start = Instant::now();
         let mut answers = Vec::new();

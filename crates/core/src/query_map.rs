@@ -188,7 +188,7 @@ fn add_type_atom_named(
 mod tests {
     use super::*;
     use crate::config::SearchConfig;
-    use crate::exploration::Explorer;
+    use crate::exploration::ExplorationState;
     use kwsearch_keyword_index::KeywordIndex;
     use kwsearch_query::evaluate;
     use kwsearch_rdf::fixtures::figure1_graph;
@@ -204,7 +204,10 @@ mod tests {
 
     fn best_query(graph: &DataGraph, keywords: &[&str]) -> ConjunctiveQuery {
         let aug = augmented(graph, keywords);
-        let outcome = Explorer::new(&aug, SearchConfig::default()).run();
+        let config = SearchConfig::default();
+        let mut state = ExplorationState::new(&aug, &config);
+        state.run_to_completion(&aug, &config);
+        let outcome = state.into_outcome();
         assert!(
             !outcome.subgraphs.is_empty(),
             "no subgraph for {keywords:?}"

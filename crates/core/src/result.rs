@@ -1,7 +1,11 @@
-//! Ranked query results.
+//! Search results: ranked queries, the batch outcome and the answer phase.
 
-use kwsearch_query::{sparql, ConjunctiveQuery};
+use std::time::Duration;
 
+use kwsearch_query::{sparql, AnswerSet, ConjunctiveQuery};
+
+use crate::error::KeywordMatch;
+use crate::exploration::ExplorationStats;
 use crate::subgraph::MatchingSubgraph;
 
 /// One entry of the top-k result list: a conjunctive query, its cost and the
@@ -38,6 +42,71 @@ impl std::fmt::Display for RankedQuery {
     }
 }
 
+/// The result of one keyword search.
+#[derive(Debug, Clone)]
+#[must_use]
+pub struct SearchOutcome {
+    /// The top-k queries in ascending cost order (rank 1 first).
+    pub queries: Vec<RankedQuery>,
+    /// The per-keyword match report: one entry per input keyword, carrying
+    /// the keyword string, its position and how many graph elements it
+    /// matched (unmatched keywords were ignored by the exploration).
+    pub keywords: Vec<KeywordMatch>,
+    /// Statistics of the exploration run.
+    pub exploration: ExplorationStats,
+    /// Size of the augmented summary graph that was explored.
+    pub augmented_elements: usize,
+    /// Time spent mapping keywords to elements.
+    pub keyword_mapping_time: Duration,
+    /// Time spent augmenting the summary graph and exploring it.
+    pub exploration_time: Duration,
+}
+
+impl SearchOutcome {
+    /// The best (rank-1) query, if any.
+    pub fn best(&self) -> Option<&RankedQuery> {
+        self.queries.first()
+    }
+
+    /// The keywords that did not match any graph element (and were ignored).
+    pub fn unmatched_keywords(&self) -> impl Iterator<Item = &KeywordMatch> {
+        self.keywords.iter().filter(|k| !k.is_matched())
+    }
+
+    /// Total query-computation time (mapping + exploration).
+    pub fn computation_time(&self) -> Duration {
+        self.keyword_mapping_time + self.exploration_time
+    }
+}
+
+/// The answer phase of one Fig. 5 interaction: the top queries processed in
+/// rank order until enough answers were retrieved.
+#[derive(Debug, Clone)]
+#[must_use]
+pub struct AnswerPhase {
+    /// One answer set per successfully processed query, in rank order.
+    pub answers: Vec<AnswerSet>,
+    /// How many queries were processed (including ones that failed to
+    /// evaluate).
+    pub queries_processed: usize,
+    /// Wall-clock time of the whole answer phase — the second half of the
+    /// paper's Fig. 5 metric ("processing several queries … until finding at
+    /// least 10 answers").
+    pub answer_time: Duration,
+    /// Whether the phase stopped early because a deadline expired or
+    /// cancellation was signalled. The collected answers are a valid prefix
+    /// (every returned row is exact); only the `min_answers` goal may be
+    /// unmet.
+    pub truncated: bool,
+}
+
+impl AnswerPhase {
+    /// Total number of answers retrieved across all processed queries.
+    pub fn total_answers(&self) -> usize {
+        self.answers.iter().map(AnswerSet::len).sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,7 +116,7 @@ mod tests {
 
     fn sample() -> RankedQuery {
         // A minimal subgraph handle is enough for formatting tests; real
-        // subgraphs are covered by the engine tests.
+        // subgraphs are covered by the session tests.
         let element = sample_element();
         RankedQuery {
             rank: 1,

@@ -1,8 +1,8 @@
 //! Concurrent serving of one prepared graph from a worker pool.
 //!
-//! The read path of the engine is immutable (see [`PreparedGraph`]), so
-//! serving many keyword searches at once needs no sharding, copying or
-//! locking of the indexes: a [`SearchService`] owns an
+//! The read path is immutable (see [`PreparedGraph`]), so serving many
+//! keyword searches at once needs no sharding, copying or locking of the
+//! indexes: a [`SearchService`] owns an
 //! `Arc<PreparedGraph>`, spawns a fixed pool of `std::thread` workers, and
 //! feeds them from a submission queue. Each worker runs ordinary
 //! [`SearchSession`](crate::SearchSession)s against the shared preparation —
@@ -23,12 +23,12 @@
 //!
 //! ```
 //! use kwsearch_core::serve::{SearchRequest, SearchService};
-//! use kwsearch_core::{KeywordSearchEngine, SearchConfig};
+//! use kwsearch_core::{PreparedGraph, SearchConfig};
 //! use kwsearch_rdf::fixtures::figure1_graph;
+//! use std::sync::Arc;
 //!
-//! let engine = KeywordSearchEngine::builder(figure1_graph()).build();
 //! let service = SearchService::start(
-//!     engine.prepared().clone(),
+//!     Arc::new(PreparedGraph::index(figure1_graph())),
 //!     SearchConfig::default(),
 //!     4, // workers
 //! );
@@ -57,9 +57,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::config::SearchConfig;
-use crate::engine::{AnswerPhase, SearchOutcome};
 use crate::error::SearchError;
 use crate::prepared::PreparedGraph;
+use crate::result::{AnswerPhase, SearchOutcome};
 use crate::sync::{lock_unpoisoned, Arc, Condvar, Mutex};
 
 /// Queue capacity used by [`SearchService::start`]: deep enough that no
@@ -143,6 +143,7 @@ pub struct SearchRequest {
     pub min_answers: Option<usize>,
     /// Test seam: makes the serving worker panic mid-job (see
     /// [`SearchRequest::with_injected_panic`]).
+    #[cfg(test)]
     inject_panic: bool,
 }
 
@@ -157,6 +158,7 @@ impl SearchRequest {
             config: None,
             deadline: None,
             min_answers: None,
+            #[cfg(test)]
             inject_panic: false,
         }
     }
@@ -173,8 +175,8 @@ impl SearchRequest {
     /// instead of serving it. Exists so the pool's panic containment
     /// (drop-drain with a dead worker, poisoned-lock recovery) can be
     /// exercised from tests; serving code never sets it.
-    #[doc(hidden)]
-    pub fn with_injected_panic(mut self) -> Self {
+    #[cfg(test)]
+    fn with_injected_panic(mut self) -> Self {
         self.inject_panic = true;
         self
     }
@@ -593,6 +595,7 @@ fn worker_loop(
             reply,
             deadline,
         } = job;
+        #[cfg(test)]
         if request.inject_panic {
             panic!("injected worker panic (test seam)");
         }
@@ -659,12 +662,14 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::KeywordSearchEngine;
     use kwsearch_rdf::fixtures::figure1_graph;
 
+    fn prepared() -> Arc<PreparedGraph> {
+        Arc::new(PreparedGraph::index(figure1_graph()))
+    }
+
     fn service(workers: usize) -> SearchService {
-        let engine = KeywordSearchEngine::builder(figure1_graph()).build();
-        SearchService::start(engine.prepared().clone(), SearchConfig::default(), workers)
+        SearchService::start(prepared(), SearchConfig::default(), workers)
     }
 
     #[test]
@@ -812,13 +817,7 @@ mod tests {
         // Deterministic construction of a stalled pool: the only worker
         // dies on an injected panic, so nothing ever drains the queue and
         // it can be filled to capacity without racing a consumer.
-        let engine = KeywordSearchEngine::builder(figure1_graph()).build();
-        let service = SearchService::start_with_capacity(
-            engine.prepared().clone(),
-            SearchConfig::default(),
-            1,
-            3,
-        );
+        let service = SearchService::start_with_capacity(prepared(), SearchConfig::default(), 1, 3);
         assert_eq!(service.queue_capacity(), 3);
         let kill = service
             .submit(SearchRequest::new(["publications"]).with_injected_panic())
@@ -867,13 +866,7 @@ mod tests {
 
     #[test]
     fn batch_submission_is_all_or_nothing() {
-        let engine = KeywordSearchEngine::builder(figure1_graph()).build();
-        let service = SearchService::start_with_capacity(
-            engine.prepared().clone(),
-            SearchConfig::default(),
-            1,
-            2,
-        );
+        let service = SearchService::start_with_capacity(prepared(), SearchConfig::default(), 1, 2);
         let kill = service
             .submit(SearchRequest::new(["publications"]).with_injected_panic())
             .unwrap();

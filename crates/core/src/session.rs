@@ -11,11 +11,13 @@
 //! the same certificate the batch top-k termination uses).
 //!
 //! ```
-//! use kwsearch_core::KeywordSearchEngine;
+//! use kwsearch_core::{PreparedGraph, SearchConfig};
 //! use kwsearch_rdf::fixtures::figure1_graph;
 //!
-//! let engine = KeywordSearchEngine::builder(figure1_graph()).k(5).build();
-//! let mut session = engine.session(&["2006", "cimiano", "aifb"]).unwrap();
+//! let prepared = PreparedGraph::index(figure1_graph());
+//! let mut session = prepared
+//!     .session(&["2006", "cimiano", "aifb"], SearchConfig::with_k(5))
+//!     .unwrap();
 //! let best = session.next_query().expect("the running example matches");
 //! assert_eq!(best.rank, 1);
 //! // The rest of the top-k is computed only if somebody asks for it.
@@ -30,21 +32,19 @@ use kwsearch_summary::AugmentedSummaryGraph;
 
 use crate::cache::{AugmentationKey, CacheProbe, CachedAugmentation, ComputeTicket};
 use crate::config::SearchConfig;
-use crate::engine::{AnswerPhase, SearchOutcome};
 use crate::error::{KeywordMatch, SearchError};
 use crate::exploration::ExplorationState;
 use crate::prepared::PreparedGraph;
 use crate::query_map::map_subgraph_to_query;
-use crate::result::RankedQuery;
+use crate::result::{AnswerPhase, RankedQuery, SearchOutcome};
 use crate::sync::CancelToken;
 
-/// A resumable, streaming keyword search over one engine.
+/// A resumable, streaming keyword search over one [`PreparedGraph`].
 ///
-/// Created by [`KeywordSearchEngine::session`](crate::KeywordSearchEngine::session) (or
-/// [`KeywordSearchEngine::session_with`](crate::KeywordSearchEngine::session_with) for an explicit configuration).
-/// The session runs the keyword-to-element mapping and the summary-graph
-/// augmentation eagerly — those are cheap and shared by every result — and
-/// then advances the cursor exploration *lazily*:
+/// Created by [`PreparedGraph::session`]. The session runs the
+/// keyword-to-element mapping and the summary-graph augmentation eagerly —
+/// those are cheap and shared by every result — and then advances the
+/// cursor exploration *lazily*:
 ///
 /// * [`Self::next_query`] pops the next ranked query, exploring only as far
 ///   as needed to certify it,
@@ -53,7 +53,7 @@ use crate::sync::CancelToken;
 /// * [`Self::raise_k`] re-arms a (possibly drained) session for more
 ///   results,
 /// * [`Self::into_outcome`] drains the rest and returns the familiar batch
-///   [`SearchOutcome`] — [`KeywordSearchEngine::search`](crate::KeywordSearchEngine::search) is exactly this.
+///   [`SearchOutcome`].
 #[must_use = "a search session does nothing until queries are pulled from it"]
 pub struct SearchSession<'e> {
     prepared: &'e PreparedGraph,
@@ -602,10 +602,10 @@ impl<'e> SearchSession<'e> {
     /// subgraph can outrank it. Returns `None` once `k` queries were
     /// emitted or the exploration is exhausted.
     ///
-    /// The certificate has one exception, shared with batch `search`: if
-    /// the run was truncated by the `max_cursors` safety valve
-    /// (`stats().hit_cursor_limit`), the remaining results are the best
-    /// found so far, not provably the best overall.
+    /// The certificate has one exception: if the run was truncated by the
+    /// `max_cursors` safety valve (`stats().hit_cursor_limit`), the
+    /// remaining results are the best found so far, not provably the best
+    /// overall.
     ///
     /// The returned query is a clone; the session keeps its own copy
     /// (see [`Self::queries`]).
@@ -664,18 +664,18 @@ impl<'e> SearchSession<'e> {
     /// queries with [`Self::next_query`] and evaluates each one the moment
     /// it is certified, stopping as soon as at least `min_answers` answers
     /// exist (each evaluation is limited to the still-missing count, like
-    /// [`KeywordSearchEngine::answer_queries`](crate::KeywordSearchEngine::answer_queries)). The paper's Fig. 5
-    /// interaction, without ever computing queries the answer phase does
-    /// not reach.
+    /// [`PreparedGraph::answer_queries`]). The paper's Fig. 5 interaction,
+    /// without ever computing queries the answer phase does not reach.
     ///
     /// Consumes the stream from its current position. The interleaved
     /// exploration slices accrue to the session's exploration time (they
     /// surface in [`Self::into_outcome`]'s `exploration_time`), and the
     /// reported `answer_time` covers only the evaluation side — the two
     /// halves of the Fig. 5 total stay disjoint and summable, exactly like
-    /// the batch `search` + [`KeywordSearchEngine::answer_queries`](crate::KeywordSearchEngine::answer_queries) split.
+    /// draining the session and then calling [`PreparedGraph::answer_queries`].
     /// A `min_answers` of zero returns an empty phase without touching the
-    /// stream (the batch loop, by contrast, always probes its first query).
+    /// stream ([`PreparedGraph::answer_queries`], by contrast, always probes
+    /// its first query).
     pub fn answers_until(&mut self, min_answers: usize) -> AnswerPhase {
         let start = Instant::now();
         let exploration_before = self.exploration_time;
@@ -703,19 +703,17 @@ impl<'e> SearchSession<'e> {
         }
     }
 
-    /// Drains the remaining queries and returns the batch [`SearchOutcome`]
-    /// — the shape the old `search` call produced, including the timing
-    /// split and the exploration counters.
+    /// Drains the remaining queries and returns the batch [`SearchOutcome`]:
+    /// the ranked queries, the timing split and the exploration counters.
     ///
-    /// The queries are identical to a full [`Explorer`](crate::Explorer)
-    /// run, bit for bit, but the exploration *counters* can come out
-    /// slightly lower: the drain stops at the k-th certification
-    /// (`cost <= bound`), whereas the batch loop keeps popping until the
-    /// strict threshold (`kth cost < bound`) fires, so on cost ties the
-    /// drained session skips a few trailing pops (and may report
-    /// `terminated_by_threshold = false` where the batch run reports
-    /// `true`). Counters are comparable across sessions, not across the
-    /// two driving modes.
+    /// The queries are identical, bit for bit, to mapping the subgraphs of
+    /// a bare [`ExplorationState::run_to_completion`], but the exploration
+    /// *counters* can come out slightly lower: the drain stops at the k-th
+    /// certification (`cost <= bound`), whereas `run_to_completion` keeps
+    /// popping until the strict threshold (`kth cost < bound`) fires, so on
+    /// cost ties the drained session skips a few trailing pops (and may
+    /// report `terminated_by_threshold = false` where the bare run reports
+    /// `true`). Counters are comparable across sessions.
     pub fn into_outcome(mut self) -> SearchOutcome {
         while self.advance().is_some() {}
         self.into_partial_outcome()
@@ -754,18 +752,22 @@ impl std::fmt::Debug for SearchSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KeywordSearchEngine;
     use kwsearch_rdf::fixtures::figure1_graph;
 
-    fn engine() -> KeywordSearchEngine {
-        KeywordSearchEngine::builder(figure1_graph()).build()
+    fn prepared() -> PreparedGraph {
+        PreparedGraph::index(figure1_graph())
+    }
+
+    /// A session under the default configuration.
+    fn open<'p>(prepared: &'p PreparedGraph, keywords: &[&str]) -> SearchSession<'p> {
+        prepared.session(keywords, SearchConfig::default()).unwrap()
     }
 
     #[test]
     fn next_query_streams_the_batch_result() {
-        let engine = engine();
-        let batch = engine.search(&["cimiano", "publication"]).unwrap();
-        let mut session = engine.session(&["cimiano", "publication"]).unwrap();
+        let prepared = prepared();
+        let batch = open(&prepared, &["cimiano", "publication"]).into_outcome();
+        let mut session = open(&prepared, &["cimiano", "publication"]);
         let mut streamed = Vec::new();
         while let Some(q) = session.next_query() {
             streamed.push(q);
@@ -782,16 +784,13 @@ mod tests {
 
     #[test]
     fn first_query_needs_no_more_pops_than_the_full_run() {
-        let engine = engine();
-        let mut session = engine.session(&["2006", "cimiano", "aifb"]).unwrap();
+        let prepared = prepared();
+        let mut session = open(&prepared, &["2006", "cimiano", "aifb"]);
         let first = session.next_query().expect("the running example matches");
         assert_eq!(first.rank, 1);
         let first_pops = session.stats().queue_pops;
 
-        let drained = engine
-            .session(&["2006", "cimiano", "aifb"])
-            .unwrap()
-            .into_outcome();
+        let drained = open(&prepared, &["2006", "cimiano", "aifb"]).into_outcome();
         assert!(
             first_pops <= drained.exploration.queue_pops,
             "certifying rank 1 ({first_pops} pops) must not exceed the drained run ({})",
@@ -801,11 +800,11 @@ mod tests {
 
     #[test]
     fn raise_k_after_draining_matches_a_fresh_larger_session() {
-        let engine = engine();
+        let prepared = prepared();
         let keywords = ["cimiano", "publication"];
 
-        let mut session = engine
-            .session_with(&keywords, SearchConfig::with_k(3))
+        let mut session = prepared
+            .session(&keywords, SearchConfig::with_k(3))
             .unwrap();
         let mut collected = Vec::new();
         while let Some(q) = session.next_query() {
@@ -817,8 +816,8 @@ mod tests {
             collected.push(q);
         }
 
-        let fresh = engine
-            .session_with(&keywords, SearchConfig::with_k(10))
+        let fresh = prepared
+            .session(&keywords, SearchConfig::with_k(10))
             .unwrap()
             .into_outcome();
         assert_eq!(collected.len(), fresh.queries.len());
@@ -831,9 +830,9 @@ mod tests {
 
     #[test]
     fn raise_k_with_smaller_or_equal_k_is_a_no_op() {
-        let engine = engine();
-        let mut session = engine
-            .session_with(&["publications"], SearchConfig::with_k(3))
+        let prepared = prepared();
+        let mut session = prepared
+            .session(&["publications"], SearchConfig::with_k(3))
             .unwrap();
         let first = session.next_query().unwrap();
         session.raise_k(3);
@@ -846,13 +845,12 @@ mod tests {
     #[test]
     fn replayed_sessions_match_and_raise_k_falls_back_to_exploration() {
         let keywords = ["cimiano", "publication"];
-        // Honest reference: a cache-disabled engine, drained at k=3 and then
-        // raised to 10.
-        let mut honest_engine = KeywordSearchEngine::builder(figure1_graph())
-            .cache_capacity(0)
-            .build();
-        honest_engine.set_config(SearchConfig::with_k(3));
-        let mut honest = honest_engine.session(&keywords).unwrap();
+        // Honest reference: a cache-disabled preparation, drained at k=3 and
+        // then raised to 10.
+        let uncached = PreparedGraph::index_with(figure1_graph(), Default::default(), 0);
+        let mut honest = uncached
+            .session(&keywords, SearchConfig::with_k(3))
+            .unwrap();
         let mut want = Vec::new();
         while let Some(q) = honest.next_query() {
             want.push(q);
@@ -862,18 +860,18 @@ mod tests {
             want.push(q);
         }
 
-        let engine = engine();
+        let prepared = prepared();
         // First drain populates the augmentation entry and its replay log.
-        let first = engine
-            .session_with(&keywords, SearchConfig::with_k(3))
+        let first = prepared
+            .session(&keywords, SearchConfig::with_k(3))
             .unwrap()
             .into_outcome();
         assert!(first.exploration.queue_pops > 0);
 
         // Second session replays the log (no exploration work) and then
         // falls back to honest exploration when raised.
-        let mut replayed = engine
-            .session_with(&keywords, SearchConfig::with_k(3))
+        let mut replayed = prepared
+            .session(&keywords, SearchConfig::with_k(3))
             .unwrap();
         let mut got = Vec::new();
         while let Some(q) = replayed.next_query() {
@@ -905,9 +903,9 @@ mod tests {
             max_cursors: 40,
             ..SearchConfig::default()
         };
-        let engine = engine();
-        let first = engine
-            .session_with(&["2006", "cimiano", "aifb"], config.clone())
+        let prepared = prepared();
+        let first = prepared
+            .session(&["2006", "cimiano", "aifb"], config.clone())
             .unwrap()
             .into_outcome();
         assert!(
@@ -916,8 +914,8 @@ mod tests {
         );
         // The repeat must re-explore (no replay log was written), so the
         // caller sees the uncertified-results flag again.
-        let second = engine
-            .session_with(&["2006", "cimiano", "aifb"], config)
+        let second = prepared
+            .session(&["2006", "cimiano", "aifb"], config)
             .unwrap()
             .into_outcome();
         assert!(
@@ -933,8 +931,8 @@ mod tests {
 
     #[test]
     fn answers_until_interleaves_evaluation_with_exploration() {
-        let engine = engine();
-        let mut session = engine.session(&["publications"]).unwrap();
+        let prepared = prepared();
+        let mut session = open(&prepared, &["publications"]);
         let phase = session.answers_until(2);
         assert!(phase.total_answers() >= 2, "two publications exist");
         assert!(phase.queries_processed >= 1);
@@ -946,9 +944,9 @@ mod tests {
 
     #[test]
     fn aborted_sessions_truncate_and_never_cache_their_log() {
-        let engine = engine();
+        let prepared = prepared();
         let keywords = ["2006", "cimiano", "aifb"];
-        let mut session = engine.session(&keywords).unwrap();
+        let mut session = open(&prepared, &keywords);
         let token = CancelToken::new();
         session.set_cancel(token.clone());
         let first = session.next_query();
@@ -961,7 +959,7 @@ mod tests {
         // The truncated prefix must not have been cached as a replay log: a
         // fresh same-key session re-explores (pops > 0) instead of replaying
         // a stream that would be short forever.
-        let full = engine.session(&keywords).unwrap().into_outcome();
+        let full = open(&prepared, &keywords).into_outcome();
         assert!(
             full.exploration.queue_pops > 0,
             "a truncated log must never be replayed"
@@ -971,8 +969,8 @@ mod tests {
 
     #[test]
     fn an_expired_deadline_ends_the_stream_early() {
-        let engine = engine();
-        let mut session = engine.session(&["2006", "cimiano", "aifb"]).unwrap();
+        let prepared = prepared();
+        let mut session = open(&prepared, &["2006", "cimiano", "aifb"]);
         session.set_deadline(Some(Instant::now() - Duration::from_millis(1)));
         assert!(session.next_query().is_none());
         assert!(session.aborted());
@@ -980,8 +978,8 @@ mod tests {
 
     #[test]
     fn session_reports_keyword_matches() {
-        let engine = engine();
-        let session = engine.session(&["cimiano", "xyzzy-unknown"]).unwrap();
+        let prepared = prepared();
+        let session = open(&prepared, &["cimiano", "xyzzy-unknown"]);
         let report = session.keyword_matches();
         assert_eq!(report.len(), 2);
         assert!(report[0].is_matched());

@@ -18,10 +18,10 @@ use kwsearch_query::{AnswerSet, Atom, ConjunctiveQuery, EvalError, Evaluator};
 use kwsearch_rdf::VertexId;
 
 use crate::config::SearchConfig;
-use crate::engine::AnswerPhase;
 use crate::error::{KeywordMatch, SearchError};
 use crate::exploration::ExplorationStats;
 use crate::prepared::PreparedGraph;
+use crate::result::AnswerPhase;
 use crate::result::RankedQuery;
 use crate::serve::{SearchRequest, ServeError};
 use crate::session::SearchSession;
@@ -56,7 +56,7 @@ pub struct ShardedStats {
 }
 
 /// The result of one sharded search (the sharded analogue of
-/// [`SearchOutcome`](crate::engine::SearchOutcome)).
+/// [`SearchOutcome`](crate::SearchOutcome)).
 #[derive(Debug)]
 pub struct ShardedOutcome {
     /// The top-k queries — the unsharded session's stream over the merged
@@ -552,7 +552,7 @@ fn lookup_vertex(graph: &kwsearch_rdf::DataGraph, name: &str) -> Option<VertexId
 mod tests {
     use super::*;
     use crate::config::SearchConfig;
-    use crate::engine::SearchOutcome;
+    use crate::result::SearchOutcome;
     use crate::scoring::ScoringFunction;
     use crate::shard::partition;
     use kwsearch_rdf::fixtures::figure1_graph;

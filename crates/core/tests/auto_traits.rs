@@ -13,9 +13,8 @@ use std::sync::Arc;
 
 use kwsearch_core::serve::{SearchRequest, SearchResponse, SearchTicket};
 use kwsearch_core::{
-    AnswerPhase, AugmentationCache, AugmentationKey, CacheStats, EngineBuilder,
-    KeywordSearchEngine, PreparedGraph, SearchConfig, SearchError, SearchOutcome, SearchService,
-    SearchSession,
+    AnswerPhase, AugmentationCache, AugmentationKey, CacheStats, PreparedGraph, SearchConfig,
+    SearchError, SearchOutcome, SearchService, SearchSession,
 };
 use kwsearch_keyword_index::{KeywordIndex, KeywordIndexConfig};
 use kwsearch_rdf::{DataGraph, TripleStore};
@@ -31,8 +30,6 @@ fn shared_read_path_is_send_and_sync() {
     assert_send_sync::<AugmentationCache>();
     assert_send_sync::<AugmentationKey>();
     assert_send_sync::<AugmentationSnapshot>();
-    assert_send_sync::<KeywordSearchEngine>();
-    assert_send_sync::<EngineBuilder>();
 }
 
 #[test]

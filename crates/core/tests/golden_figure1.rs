@@ -4,12 +4,12 @@
 //! behavioural drift in the exploration order, the candidate list, or the
 //! cost functions is caught immediately.
 //!
-//! Every case is checked twice: once through the batch [`Explorer`] and
-//! once by streaming certified subgraphs out of a suspended
-//! [`ExplorationState`] one at a time — pinning the *session pop order* to
-//! the very same golden tables.
+//! Every case is checked twice on an [`ExplorationState`]: once run to
+//! completion (the batch shape) and once by streaming certified subgraphs
+//! out of a suspended state one at a time — pinning the *session pop order*
+//! to the very same golden tables.
 
-use kwsearch_core::{ExplorationState, Explorer, ScoringFunction, SearchConfig};
+use kwsearch_core::{ExplorationState, ScoringFunction, SearchConfig};
 use kwsearch_keyword_index::KeywordIndex;
 use kwsearch_rdf::fixtures::figure1_graph;
 use kwsearch_summary::{AugmentedSummaryGraph, SummaryGraph};
@@ -27,7 +27,9 @@ fn check(keywords: &[&str], scoring: ScoringFunction, expected: &[Golden]) {
     let matches = index.lookup_all(keywords);
     let aug = AugmentedSummaryGraph::build(&g, &base, &matches);
     let config = SearchConfig::with_k(10).scoring(scoring);
-    let outcome = Explorer::new(&aug, config.clone()).run();
+    let mut batch = ExplorationState::new(&aug, &config);
+    batch.run_to_completion(&aug, &config);
+    let outcome = batch.into_outcome();
     assert_eq!(
         outcome.subgraphs.len(),
         expected.len(),

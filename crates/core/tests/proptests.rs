@@ -1,13 +1,13 @@
 //! Property-based tests of the top-k exploration: result validity,
 //! cost ordering, the prefix property of increasing k, agreement across
 //! configurations, and the streaming `SearchSession` (drain-equivalence to
-//! the batch explorer, `raise_k` resumption) on randomly generated graphs.
+//! the batch exploration, `raise_k` resumption) on randomly generated graphs.
 
 use proptest::prelude::*;
 
 use kwsearch_core::{
-    map_subgraph_to_query, Explorer, KeywordSearchEngine, RankedQuery, ScoringFunction,
-    SearchConfig,
+    map_subgraph_to_query, ExplorationOutcome, ExplorationState, PreparedGraph, RankedQuery,
+    ScoringFunction, SearchConfig, SearchOutcome,
 };
 use kwsearch_keyword_index::KeywordIndex;
 use kwsearch_rdf::{DataGraph, Triple};
@@ -67,6 +67,22 @@ fn build(graph_spec: &RandomGraph) -> DataGraph {
     graph
 }
 
+/// Algorithm 1 + 2 run to completion over one augmented graph (the batch
+/// shape).
+fn explore(augmented: &AugmentedSummaryGraph<'_>, config: &SearchConfig) -> ExplorationOutcome {
+    let mut state = ExplorationState::new(augmented, config);
+    state.run_to_completion(augmented, config);
+    state.into_outcome()
+}
+
+/// A drained session: the batch shape of one keyword search.
+fn search(prepared: &PreparedGraph, keywords: &[String], config: &SearchConfig) -> SearchOutcome {
+    prepared
+        .session(keywords, config.clone())
+        .expect("at least one keyword matches")
+        .into_outcome()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -86,7 +102,7 @@ proptest! {
 
         for scoring in ScoringFunction::all() {
             let config = SearchConfig::with_k(5).scoring(scoring);
-            let outcome = Explorer::new(&augmented, config).run();
+            let outcome = explore(&augmented, &config);
             let mut previous = 0.0f64;
             for subgraph in &outcome.subgraphs {
                 prop_assert!(subgraph.cost >= previous - 1e-9);
@@ -109,14 +125,10 @@ proptest! {
         prop_assume!(!spec.value_labels.is_empty());
         let graph = build(&spec);
         let keywords: Vec<String> = spec.value_labels.iter().take(2).cloned().collect();
-        let engine = KeywordSearchEngine::builder(graph).build();
+        let prepared = PreparedGraph::index(graph);
 
-        let small = engine
-            .search_with(&keywords, &SearchConfig::with_k(2))
-            .unwrap();
-        let large = engine
-            .search_with(&keywords, &SearchConfig::with_k(6))
-            .unwrap();
+        let small = search(&prepared, &keywords, &SearchConfig::with_k(2));
+        let large = search(&prepared, &keywords, &SearchConfig::with_k(6));
         prop_assert!(small.queries.len() <= 2);
         prop_assert!(large.queries.len() <= 6);
         prop_assert!(large.queries.len() >= small.queries.len());
@@ -125,16 +137,16 @@ proptest! {
         }
     }
 
-    /// The engine is deterministic: searching twice yields identical
+    /// The search is deterministic: searching twice yields identical
     /// queries and costs.
     #[test]
     fn search_is_deterministic(spec in random_graph()) {
         prop_assume!(!spec.value_labels.is_empty());
         let graph = build(&spec);
         let keywords: Vec<String> = spec.value_labels.iter().take(2).cloned().collect();
-        let engine = KeywordSearchEngine::builder(graph).build();
-        let first = engine.search(&keywords).unwrap();
-        let second = engine.search(&keywords).unwrap();
+        let prepared = PreparedGraph::index(graph);
+        let first = search(&prepared, &keywords, &SearchConfig::default());
+        let second = search(&prepared, &keywords, &SearchConfig::default());
         prop_assert_eq!(first.queries.len(), second.queries.len());
         for (a, b) in first.queries.iter().zip(second.queries.iter()) {
             prop_assert_eq!(a.query.canonicalized(), b.query.canonicalized());
@@ -142,7 +154,7 @@ proptest! {
         }
     }
 
-    /// The optimized explorer returns cost-identical top-k results to the
+    /// The optimized exploration returns cost-identical top-k results to the
     /// exhaustive reference (a run with `k = usize::MAX / 2`, whose
     /// threshold test never fires, enumerating every candidate within
     /// `dmax`) — across random graphs, keyword choices, and all three
@@ -168,11 +180,11 @@ proptest! {
             }
             .scoring(scoring)
             .dmax(4);
-            let reference = Explorer::new(&augmented, reference_config).run();
+            let reference = explore(&augmented, &reference_config);
 
             for k in [1usize, 3, 7] {
                 let config = SearchConfig::with_k(k).scoring(scoring).dmax(4);
-                let topk = Explorer::new(&augmented, config).run();
+                let topk = explore(&augmented, &config);
                 prop_assert_eq!(
                     topk.subgraphs.len(),
                     reference.subgraphs.len().min(k),
@@ -205,12 +217,12 @@ proptest! {
         prop_assume!(!spec.value_labels.is_empty());
         let graph = build(&spec);
         let keywords: Vec<String> = spec.value_labels.iter().take(2).cloned().collect();
-        let engine = KeywordSearchEngine::builder(graph).build();
-        let outcome = engine.search(&keywords).unwrap();
+        let prepared = PreparedGraph::index(graph);
+        let outcome = search(&prepared, &keywords, &SearchConfig::default());
         for ranked in &outcome.queries {
             for predicate in ranked.query.predicates() {
                 prop_assert!(
-                    !engine.graph().edge_labels_named(&predicate).is_empty(),
+                    !prepared.graph().edge_labels_named(&predicate).is_empty(),
                     "unknown predicate {} in generated query",
                     predicate
                 );
@@ -220,7 +232,7 @@ proptest! {
     }
 }
 
-/// The old batch pipeline, reimplemented on the explorer directly: run
+/// The batch pipeline, reimplemented on the exploration directly: run
 /// Algorithm 1 + 2 to completion, then map and deduplicate the subgraphs.
 /// The independent reference the streaming `SearchSession` is checked
 /// against.
@@ -236,7 +248,7 @@ fn batch_reference(
     let all_matches = index.lookup_all(keywords);
     let matches: Vec<_> = all_matches.into_iter().filter(|m| !m.is_empty()).collect();
     let augmented = AugmentedSummaryGraph::build(graph, &base, &matches);
-    let outcome = Explorer::new(&augmented, config.clone()).run();
+    let outcome = explore(&augmented, config);
 
     let mut queries: Vec<RankedQuery> = Vec::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -276,7 +288,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Fully draining a `SearchSession` yields cost- and element-identical
-    /// results to the batch explorer pipeline — across random graphs and
+    /// results to the batch exploration pipeline — across random graphs and
     /// all three scoring functions. Costs are compared bit-for-bit: the
     /// streaming emission must not change a single arithmetic step.
     #[test]
@@ -284,14 +296,14 @@ proptest! {
         prop_assume!(spec.value_labels.len() >= 2);
         let graph = build(&spec);
         let keywords: Vec<String> = spec.value_labels.iter().take(2).cloned().collect();
-        let engine = KeywordSearchEngine::builder(graph.clone()).build();
+        let prepared = PreparedGraph::index(graph.clone());
 
         for scoring in ScoringFunction::all() {
             let config = SearchConfig::with_k(5).scoring(scoring);
             let reference = batch_reference(&graph, &keywords, &config);
 
-            let mut session = engine
-                .session_with(&keywords, config.clone())
+            let mut session = prepared
+                .session(&keywords, config.clone())
                 .expect("at least one keyword matches");
             let mut streamed: Vec<RankedQuery> = Vec::new();
             while let Some(ranked) = session.next_query() {
@@ -336,10 +348,10 @@ proptest! {
         prop_assume!(spec.value_labels.len() >= 2);
         let graph = build(&spec);
         let keywords: Vec<String> = spec.value_labels.iter().take(2).cloned().collect();
-        let engine = KeywordSearchEngine::builder(graph).build();
+        let prepared = PreparedGraph::index(graph);
 
-        let mut raised = engine
-            .session_with(&keywords, SearchConfig::with_k(2))
+        let mut raised = prepared
+            .session(&keywords, SearchConfig::with_k(2))
             .expect("at least one keyword matches");
         let mut collected: Vec<RankedQuery> = Vec::new();
         while let Some(ranked) = raised.next_query() {
@@ -350,10 +362,7 @@ proptest! {
             collected.push(ranked);
         }
 
-        let fresh = engine
-            .session_with(&keywords, SearchConfig::with_k(6))
-            .expect("at least one keyword matches");
-        let fresh_outcome = fresh.into_outcome();
+        let fresh_outcome = search(&prepared, &keywords, &SearchConfig::with_k(6));
 
         for (i, ranked) in collected.iter().enumerate() {
             prop_assert_eq!(ranked.rank, i + 1, "ranks stay sequential across the raise");
@@ -370,7 +379,7 @@ proptest! {
 /// The bit-identity key of one search outcome: per rank the cost bits, the
 /// canonical query string and the sorted element labels — the equality the
 /// augmentation-cache coherence properties demand.
-fn outcome_key(outcome: &kwsearch_core::SearchOutcome) -> Vec<(u64, String, Vec<String>)> {
+fn outcome_key(outcome: &SearchOutcome) -> Vec<(u64, String, Vec<String>)> {
     outcome
         .queries
         .iter()
@@ -389,7 +398,7 @@ proptest! {
 
     /// Cache coherence: for random graphs, keyword sets and all three
     /// scoring functions, a cache-hit search equals a cache-miss search
-    /// bit for bit — both compared against an engine whose cache is
+    /// bit for bit — both compared against a preparation whose cache is
     /// disabled, so neither direction of the memoization can drift.
     #[test]
     fn cache_hits_equal_cache_misses_exactly(spec in random_graph()) {
@@ -397,35 +406,35 @@ proptest! {
         let graph = build(&spec);
         let keywords: Vec<String> = spec.value_labels.iter().take(2).cloned().collect();
 
-        let cached = KeywordSearchEngine::builder(graph.clone()).cache_capacity(8).build();
-        let uncached = KeywordSearchEngine::builder(graph).cache_capacity(0).build();
+        let cached = PreparedGraph::index_with(graph.clone(), Default::default(), 8);
+        let uncached = PreparedGraph::index_with(graph, Default::default(), 0);
 
         for scoring in ScoringFunction::all() {
             let config = SearchConfig::with_k(5).scoring(scoring);
-            let reference = uncached.search_with(&keywords, &config).unwrap();
-            let miss = cached.search_with(&keywords, &config).unwrap();
-            let hit = cached.search_with(&keywords, &config).unwrap();
+            let reference = search(&uncached, &keywords, &config);
+            let miss = search(&cached, &keywords, &config);
+            let hit = search(&cached, &keywords, &config);
             prop_assert_eq!(
                 outcome_key(&miss),
                 outcome_key(&reference),
-                "scoring {}: cache-miss run differs from the uncached engine",
+                "scoring {}: cache-miss run differs from the uncached preparation",
                 scoring
             );
             prop_assert_eq!(
                 outcome_key(&hit),
                 outcome_key(&reference),
-                "scoring {}: cache-hit run differs from the uncached engine",
+                "scoring {}: cache-hit run differs from the uncached preparation",
                 scoring
             );
         }
-        let stats = cached.cache_stats();
+        let stats = cached.augmentation_cache().stats();
         prop_assert_eq!(stats.hits, 3, "one hit per scoring function: {:?}", stats);
     }
 
     /// Evicting mid-sequence never changes results: a capacity-1 cache is
     /// thrashed by alternating keyword sets (every search after the first
     /// either hits or re-computes a just-evicted entry), and every outcome
-    /// stays bit-identical to the uncached engine's.
+    /// stays bit-identical to the uncached preparation's.
     #[test]
     fn eviction_mid_sequence_never_changes_results(spec in random_graph()) {
         prop_assume!(spec.value_labels.len() >= 2);
@@ -434,13 +443,13 @@ proptest! {
         let b = vec![spec.value_labels[1].clone()];
         let config = SearchConfig::with_k(4);
 
-        let thrashed = KeywordSearchEngine::builder(graph.clone()).cache_capacity(1).build();
-        let uncached = KeywordSearchEngine::builder(graph).cache_capacity(0).build();
+        let thrashed = PreparedGraph::index_with(graph.clone(), Default::default(), 1);
+        let uncached = PreparedGraph::index_with(graph, Default::default(), 0);
 
         for round in 0..3 {
             for keywords in [&a, &b] {
-                let got = thrashed.search_with(keywords, &config).unwrap();
-                let want = uncached.search_with(keywords, &config).unwrap();
+                let got = search(&thrashed, keywords, &config);
+                let want = search(&uncached, keywords, &config);
                 prop_assert_eq!(
                     outcome_key(&got),
                     outcome_key(&want),
@@ -450,7 +459,7 @@ proptest! {
                 );
             }
         }
-        let stats = thrashed.cache_stats();
+        let stats = thrashed.augmentation_cache().stats();
         prop_assert!(stats.len <= 1, "capacity bound violated: {:?}", stats);
         prop_assert!(stats.evictions >= 4, "alternation must evict: {:?}", stats);
     }
@@ -463,7 +472,7 @@ proptest! {
         prop_assume!(spec.value_labels.len() >= 2);
         let graph = build(&spec);
         let capacity = 3usize;
-        let engine = KeywordSearchEngine::builder(graph).cache_capacity(capacity).build();
+        let prepared = PreparedGraph::index_with(graph, Default::default(), capacity);
 
         // Adversarial mix: distinct keyword sets × distinct ks (distinct
         // config keys), with re-touches of early keys interleaved so
@@ -473,9 +482,9 @@ proptest! {
             for width in 1..=spec.value_labels.len().min(3) {
                 let keywords: Vec<String> =
                     spec.value_labels.iter().take(width).cloned().collect();
-                let _ = engine.search_with(&keywords, &config);
-                let _ = engine.search_with(&keywords[..1], &config);
-                let stats = engine.cache_stats();
+                let _ = search(&prepared, &keywords, &config);
+                let _ = search(&prepared, &keywords[..1], &config);
+                let stats = prepared.augmentation_cache().stats();
                 prop_assert!(
                     stats.len <= capacity,
                     "capacity bound violated: {:?}",
@@ -483,7 +492,7 @@ proptest! {
                 );
             }
         }
-        let stats = engine.cache_stats();
+        let stats = prepared.augmentation_cache().stats();
         prop_assert!(stats.insertions > capacity as u64, "the sequence overflows: {:?}", stats);
     }
 }
@@ -501,7 +510,6 @@ proptest! {
     fn sharded_merge_equals_the_unsharded_stream(spec in random_graph()) {
         use kwsearch_core::serve::SearchRequest;
         use kwsearch_core::shard::ShardedService;
-        use kwsearch_core::PreparedGraph;
 
         prop_assume!(spec.value_labels.len() >= 2);
         let graph = build(&spec);

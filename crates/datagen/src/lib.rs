@@ -8,7 +8,7 @@
 //!
 //! The original dumps are not redistributable and far exceed laptop scale,
 //! so this crate generates structurally equivalent datasets at a
-//! configurable scale (see DESIGN.md for the substitution rationale):
+//! configurable scale — what each generator preserves of its original:
 //!
 //! * [`dblp`] — publications/authors/venues with Zipfian label reuse: few
 //!   classes, very many V-vertices (large keyword index),

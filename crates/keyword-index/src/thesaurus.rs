@@ -9,8 +9,6 @@
 //! general-knowledge domains) and can be extended programmatically. The
 //! lookup interface is the same as a WordNet-backed implementation would
 //! offer: given a term, return related terms with a relatedness weight.
-//!
-//! This substitution is recorded in `DESIGN.md`.
 
 use std::collections::HashMap;
 

@@ -15,8 +15,8 @@
 //!   the total numbers of E-vertices and R-edges of the data graph. The
 //!   paper divides by the totals "of the summary graph"; we normalise by the
 //!   data-graph totals instead so the ratio is a true fraction of the data
-//!   that the element represents and the cost always stays in `[0, 1]`
-//!   (recorded as a deviation in DESIGN.md). Elements added during
+//!   that the element represents and the cost always stays in `[0, 1]` —
+//!   a deliberate deviation from the paper's wording. Elements added during
 //!   augmentation aggregate a single data element and are therefore
 //!   "unpopular" (cost close to 1), which matches the intuition that
 //!   query-specific detours should not be free.

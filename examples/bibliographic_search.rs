@@ -24,10 +24,8 @@ fn main() {
         stats.values
     );
 
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone())
-        .k(5)
-        .build();
-    println!("indexed in {:?}\n", engine.index_build_time());
+    let prepared = PreparedGraph::index(dataset.graph.clone());
+    println!("indexed in {:?}\n", prepared.index_build_time());
 
     // Keyword queries a user might type.
     let first_author = dataset.author_names[0].clone();
@@ -58,7 +56,7 @@ fn main() {
 
     for (intent, keywords) in queries {
         println!("== {intent}: {keywords:?}");
-        let mut session = match engine.session(&keywords) {
+        let mut session = match prepared.session(&keywords, SearchConfig::with_k(5)) {
             Ok(session) => session,
             Err(error) => {
                 println!("   {error}\n");

@@ -2,13 +2,14 @@
 //! augmentation cache.
 //!
 //! Demonstrates the serving architecture on the generated bibliographic
-//! dataset: the engine's immutable read path is `Arc`-shared into a
+//! dataset: the immutable prepared graph is `Arc`-shared into a
 //! [`SearchService`] worker pool, a repeated keyword workload is submitted,
 //! and the shared cache turns the repeats into replay hits — bit-identical
 //! to fresh runs, at a fraction of the cost.
 //!
 //! Run with `cargo run --release --example concurrent_serving`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use searchwebdb::core::serve::{SearchRequest, SearchService};
@@ -18,13 +19,11 @@ use searchwebdb::prelude::*;
 fn main() {
     // Off-line: index the dataset once.
     let dataset = DblpDataset::small();
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone())
-        .k(5)
-        .build();
+    let prepared = Arc::new(PreparedGraph::index(dataset.graph.clone()));
     println!(
         "indexed {} edges in {:?}",
         dataset.graph.edge_count(),
-        engine.index_build_time()
+        prepared.index_build_time()
     );
 
     // A small workload with heavy repetition, as serving traffic would see.
@@ -39,7 +38,7 @@ fn main() {
 
     // On-line: share the prepared graph into a 4-worker pool. The service
     // accepts submissions from any thread and replies through tickets.
-    let service = SearchService::start(engine.prepared().clone(), engine.config().clone(), 4);
+    let service = SearchService::start(Arc::clone(&prepared), SearchConfig::with_k(5), 4);
     let started = Instant::now();
     // Batched submission: one queue-lock acquisition and one pool wakeup
     // for the whole workload, admitted all-or-nothing.
@@ -63,7 +62,7 @@ fn main() {
     }
     let elapsed = started.elapsed();
 
-    let stats = engine.cache_stats();
+    let stats = prepared.augmentation_cache().stats();
     println!(
         "{answered}/{submitted} requests served in {elapsed:?} \
          ({:.0} searches/s) across {} workers",

@@ -70,10 +70,10 @@ fn main() -> ExitCode {
         graph.vertex_count()
     );
 
-    let engine = KeywordSearchEngine::builder(graph).k(k).build();
-    println!("indexed in {:?}\n", engine.index_build_time());
+    let prepared = PreparedGraph::index(graph);
+    println!("indexed in {:?}\n", prepared.index_build_time());
 
-    let session = match engine.session(&keywords) {
+    let session = match prepared.session(&keywords, SearchConfig::with_k(k)) {
         Ok(session) => session,
         Err(error) => {
             // Every keyword failed to match: a typed error instead of an
@@ -111,10 +111,10 @@ fn main() -> ExitCode {
     }
 
     let best = outcome.best().expect("non-empty result list");
-    match engine.answers(&best.query, Some(25)) {
+    match prepared.answers(&best.query, Some(25)) {
         Ok(answers) => {
             println!("answers of interpretation [1] ({} shown):", answers.len());
-            for row in answers.labelled_rows(engine.graph()) {
+            for row in answers.labelled_rows(prepared.graph()) {
                 let rendered: Vec<String> = row
                     .iter()
                     .map(|(var, label)| format!("?{var}={label}"))

@@ -16,7 +16,7 @@ use searchwebdb::query::{sparql, sql};
 
 fn main() {
     let dataset = TapDataset::generate(TapConfig::default());
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone()).build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
 
     // "Which country is this city located in?"
     let city = dataset
@@ -31,7 +31,7 @@ fn main() {
     // Step 1: keyword-to-element mapping.
     for keyword in &keywords {
         println!("matches for '{keyword}':");
-        for m in engine.keyword_index().lookup(keyword).into_iter().take(3) {
+        for m in prepared.keyword_index().lookup(keyword).into_iter().take(3) {
             let kind = match &m.element {
                 MatchedElement::Class { .. } => "class",
                 MatchedElement::Relation { .. } => "relation",
@@ -43,9 +43,10 @@ fn main() {
     }
 
     // Steps 2–5: augmentation, exploration, top-k, query mapping.
-    let outcome = engine
-        .search(&keywords)
-        .expect("the city label always matches");
+    let outcome = prepared
+        .session(&keywords, SearchConfig::default())
+        .expect("the city label always matches")
+        .into_outcome();
     println!(
         "\nexplored {} summary elements, expanded {} cursors, produced {} queries\n",
         outcome.augmented_elements,
@@ -67,9 +68,9 @@ fn main() {
     }
 
     if let Some(best) = outcome.best() {
-        let answers = engine.answers(&best.query, None).unwrap();
+        let answers = prepared.answers(&best.query, None).unwrap();
         println!("the best query returns {} answer(s)", answers.len());
-        for row in answers.labelled_rows(engine.graph()).into_iter().take(5) {
+        for row in answers.labelled_rows(prepared.graph()).into_iter().take(5) {
             let rendered: Vec<String> = row
                 .iter()
                 .map(|(var, label)| format!("?{var}={label}"))

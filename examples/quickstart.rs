@@ -18,12 +18,12 @@ fn main() {
     );
 
     // 2. Off-line preprocessing: keyword index + summary graph + triple store.
-    let engine = KeywordSearchEngine::builder(graph).k(10).build();
+    let prepared = PreparedGraph::index(graph);
     println!(
         "\nsummary graph: {} nodes, {} edges (built in {:?})",
-        engine.summary().node_count(),
-        engine.summary().edge_count(),
-        engine.index_build_time()
+        prepared.summary().node_count(),
+        prepared.summary().edge_count(),
+        prepared.index_build_time()
     );
 
     // 3. The keyword query of the running example, as a streaming session:
@@ -31,7 +31,9 @@ fn main() {
     //    certified after a fraction of the work the full top-k needs.
     let keywords = ["2006", "cimiano", "aifb"];
     println!("\nkeyword query: {:?}\n", keywords);
-    let mut session = engine.session(&keywords).expect("keywords match");
+    let mut session = prepared
+        .session(&keywords, SearchConfig::with_k(10))
+        .expect("keywords match");
 
     let best = session
         .next_query()
@@ -45,9 +47,11 @@ fn main() {
 
     // 4. Evaluate the best query while the rest of the top-k is still
     //    uncomputed.
-    let answers = engine.answers(&best.query, None).expect("query evaluates");
+    let answers = prepared
+        .answers(&best.query, None)
+        .expect("query evaluates");
     println!("answers of the top-ranked query:");
-    for row in answers.labelled_rows(engine.graph()) {
+    for row in answers.labelled_rows(prepared.graph()) {
         let rendered: Vec<String> = row
             .iter()
             .map(|(var, label)| format!("?{var} = {label}"))

@@ -1,4 +1,4 @@
-//! Snapshot round trip: persist a prepared engine, load it back, prove the
+//! Snapshot round trip: persist a prepared graph, load it back, prove the
 //! loaded copy answers identically.
 //!
 //! The full cold-start pipeline at example scale:
@@ -11,8 +11,8 @@
 //!    asserting bit-identical costs and canonical queries.
 //!
 //! At evaluation scale (10⁶–10⁷ triples) step 5's load replaces steps 2 + 3
-//! on every warm start — the `ingest_large` bench certifies the ≥10x
-//! speedup; this example shows the API.
+//! on every warm start — the benchmark's `data_bound` workload measures the
+//! ratio (`persist.load_vs_build_ratio`); this example shows the API.
 //!
 //! Run with: `cargo run --example snapshot_roundtrip`
 

@@ -17,7 +17,7 @@ fn main() {
         stats.relation_labels
     );
 
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone()).build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
 
     // A keyword query: a professor's name plus the kind of thing we want.
     let professor = dataset.professor_names[0].clone();
@@ -27,9 +27,10 @@ fn main() {
     // Compare the three scoring functions of Section V.
     for scoring in ScoringFunction::all() {
         let config = SearchConfig::with_k(3).scoring(scoring);
-        let outcome = engine
-            .search_with(&keywords, &config)
-            .expect("the professor's name always matches");
+        let outcome = prepared
+            .session(&keywords, config)
+            .expect("the professor's name always matches")
+            .into_outcome();
         println!("-- scoring {scoring} --");
         for ranked in &outcome.queries {
             println!(
@@ -38,7 +39,7 @@ fn main() {
             );
         }
         if let Some(best) = outcome.best() {
-            let answers = engine.answers(&best.query, Some(5)).unwrap();
+            let answers = prepared.answers(&best.query, Some(5)).unwrap();
             println!("  -> {} answers for the best query", answers.len());
         }
         println!();

@@ -11,18 +11,20 @@
 //! // 1. Build (or load) an RDF data graph.
 //! let graph = searchwebdb::rdf::fixtures::figure1_graph();
 //!
-//! // 2. Index it: keyword index, summary graph, triple store.
-//! let engine = KeywordSearchEngine::builder(graph).k(10).build();
+//! // 2. Index it once, off-line: keyword index, summary graph, triple store.
+//! let prepared = PreparedGraph::index(graph);
 //!
 //! // 3. Open a streaming search session: the top-k exploration is an
 //! //    anytime algorithm, so the best query is certified long before the
 //! //    k-th — `next_query` explores only as far as rank 1 requires.
-//! let mut session = engine.session(&["2006", "cimiano", "aifb"]).unwrap();
+//! let mut session = prepared
+//!     .session(&["2006", "cimiano", "aifb"], SearchConfig::with_k(10))
+//!     .unwrap();
 //! let best = session.next_query().expect("the running example has a match");
 //! println!("{}", best.sparql());
 //!
 //! // 4. Process the chosen query with the underlying query engine.
-//! let answers = engine.answers(&best.query, None).unwrap();
+//! let answers = prepared.answers(&best.query, None).unwrap();
 //! assert!(!answers.is_empty());
 //!
 //! // 5. Or drain the session into the familiar batch outcome.
@@ -30,19 +32,19 @@
 //! assert_eq!(outcome.best().unwrap().rank, 1);
 //! ```
 //!
-//! For serving many clients, the engine's immutable read path
-//! ([`PreparedGraph`](core::PreparedGraph)) is `Send + Sync` and
-//! `Arc`-shareable, and [`core::serve`] runs a worker pool against one
-//! shared preparation — repeated queries are answered from the shared
-//! augmentation cache, bit-identically to fresh runs (see the README's
-//! "Concurrent serving" section):
+//! For serving many clients, a [`PreparedGraph`](core::PreparedGraph) is
+//! immutable, `Send + Sync` and `Arc`-shareable, and [`core::serve`] runs a
+//! worker pool against one shared preparation — repeated queries are
+//! answered from the shared augmentation cache, bit-identically to fresh
+//! runs (see the README's "Concurrent serving" section):
 //!
 //! ```
 //! use searchwebdb::prelude::*;
+//! use std::sync::Arc;
 //!
 //! let graph = searchwebdb::rdf::fixtures::figure1_graph();
-//! let engine = KeywordSearchEngine::builder(graph).build();
-//! let service = SearchService::start(engine.prepared().clone(), engine.config().clone(), 2);
+//! let prepared = Arc::new(PreparedGraph::index(graph));
+//! let service = SearchService::start(prepared, SearchConfig::default(), 2);
 //! let ticket = service.submit(SearchRequest::new(["cimiano", "aifb"])).unwrap();
 //! assert!(!ticket.wait().result.unwrap().queries.is_empty());
 //! ```
@@ -53,7 +55,7 @@
 //! * [`query`] — conjunctive queries, SPARQL/SQL rendering and evaluation,
 //! * [`keyword_index`] — the IR-style keyword-to-element index,
 //! * [`summary`] — the summary graph (graph index) and its augmentation,
-//! * [`core`] — the top-k exploration algorithms and the search engine,
+//! * [`core`] — the top-k exploration, search sessions and serving,
 //! * [`baselines`] — BANKS/BLINKS-style baselines on the full data graph,
 //! * [`datagen`] — DBLP/LUBM/TAP-like dataset generators and workloads.
 
@@ -71,10 +73,9 @@ pub use kwsearch_summary as summary;
 /// The most commonly used types, re-exported for glob import.
 pub mod prelude {
     pub use kwsearch_core::{
-        AnswerPhase, AugmentationCache, CacheStats, EngineBuilder, KeywordMatch,
-        KeywordSearchEngine, PartitionPlan, PreparedGraph, RankedQuery, ScoringFunction,
-        SearchConfig, SearchError, SearchOutcome, SearchRequest, SearchResponse, SearchService,
-        SearchSession, SearchTicket, ServeError, ShardedService,
+        AnswerPhase, AugmentationCache, CacheStats, KeywordMatch, PartitionPlan, PreparedGraph,
+        RankedQuery, ScoringFunction, SearchConfig, SearchError, SearchOutcome, SearchRequest,
+        SearchResponse, SearchService, SearchSession, SearchTicket, ServeError, ShardedService,
     };
     pub use kwsearch_keyword_index::KeywordIndex;
     pub use kwsearch_query::{AnswerSet, ConjunctiveQuery, QueryBuilder};

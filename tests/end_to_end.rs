@@ -5,15 +5,28 @@ use searchwebdb::datagen::{DblpDataset, LubmConfig, LubmDataset, TapDataset};
 use searchwebdb::prelude::*;
 use searchwebdb::rdf::{fixtures, ntriples};
 
+/// A drained session under `config`: the batch shape of one keyword search.
+fn search_with<S: AsRef<str>>(
+    prepared: &PreparedGraph,
+    keywords: &[S],
+    config: SearchConfig,
+) -> SearchOutcome {
+    prepared.session(keywords, config).unwrap().into_outcome()
+}
+
+fn search<S: AsRef<str>>(prepared: &PreparedGraph, keywords: &[S]) -> SearchOutcome {
+    search_with(prepared, keywords, SearchConfig::default())
+}
+
 #[test]
 fn running_example_from_ntriples_to_answers() {
     // Serialise the running example to the N-Triples-like format, parse it
     // back, index it and run the paper's keyword query.
     let document = ntriples::write_graph(&fixtures::figure1_graph());
     let graph = ntriples::parse_graph(&document).expect("round-trip parses");
-    let engine = KeywordSearchEngine::builder(graph).build();
+    let prepared = PreparedGraph::index(graph);
 
-    let outcome = engine.search(&["2006", "cimiano", "aifb"]).unwrap();
+    let outcome = search(&prepared, &["2006", "cimiano", "aifb"]);
     assert!(!outcome.queries.is_empty());
     let best = outcome.best().unwrap();
 
@@ -27,24 +40,21 @@ fn running_example_from_ntriples_to_answers() {
     }
 
     // And processing it retrieves pub1URI.
-    let answers = engine.answers(&best.query, None).unwrap();
-    let pub1 = engine.graph().entity("pub1URI").unwrap();
+    let answers = prepared.answers(&best.query, None).unwrap();
+    let pub1 = prepared.graph().entity("pub1URI").unwrap();
     assert!(answers.rows().iter().any(|row| row.contains(&pub1)));
 }
 
 #[test]
 fn generated_bibliographic_dataset_supports_the_full_pipeline() {
     let dataset = DblpDataset::small();
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone())
-        .k(5)
-        .build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
 
     // Author + year: the classic information need of the paper's user study.
     let author = dataset.author_names[dataset.authorship[0][0]].clone();
     let year = dataset.years[0].clone();
-    let (outcome, phase) = engine
-        .search_and_answer(&[author.clone(), year], 5)
-        .unwrap();
+    let outcome = search_with(&prepared, &[author.clone(), year], SearchConfig::with_k(5));
+    let phase = prepared.answer_queries(&outcome.queries, 5);
 
     assert!(!outcome.queries.is_empty(), "queries must be generated");
     assert!(phase.queries_processed >= 1);
@@ -58,11 +68,11 @@ fn generated_bibliographic_dataset_supports_the_full_pipeline() {
 #[test]
 fn scoring_functions_rank_differently_but_all_terminate() {
     let dataset = DblpDataset::small();
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone()).build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
     let keywords = vec![dataset.venue_names[0].clone(), dataset.years[3].clone()];
     for scoring in ScoringFunction::all() {
         let config = SearchConfig::with_k(10).scoring(scoring);
-        let outcome = engine.search_with(&keywords, &config).unwrap();
+        let outcome = search_with(&prepared, &keywords, config);
         assert!(
             !outcome.queries.is_empty(),
             "no queries under scoring {scoring}"
@@ -76,14 +86,12 @@ fn scoring_functions_rank_differently_but_all_terminate() {
 #[test]
 fn lubm_and_tap_datasets_are_searchable() {
     let lubm = LubmDataset::generate(LubmConfig::with_universities(1));
-    let engine = KeywordSearchEngine::builder(lubm.graph.clone()).build();
+    let prepared = PreparedGraph::index(lubm.graph.clone());
     let professor = lubm.professor_names[0].clone();
-    let outcome = engine
-        .search(&[professor, "department".to_string()])
-        .unwrap();
+    let outcome = search(&prepared, &[professor, "department".to_string()]);
     assert!(!outcome.queries.is_empty());
     let best = outcome.best().unwrap();
-    let answers = engine.answers(&best.query, Some(10)).unwrap();
+    let answers = prepared.answers(&best.query, Some(10)).unwrap();
     assert!(
         !answers.is_empty(),
         "best query should be answerable:\n{}",
@@ -91,36 +99,38 @@ fn lubm_and_tap_datasets_are_searchable() {
     );
 
     let tap = TapDataset::small();
-    let engine = KeywordSearchEngine::builder(tap.graph.clone()).build();
+    let prepared = PreparedGraph::index(tap.graph.clone());
     let city = tap
         .instances
         .iter()
         .find(|(c, _)| c == "City")
         .map(|(_, l)| l[0].clone())
         .unwrap();
-    let outcome = engine.search(&[city, "country".to_string()]).unwrap();
+    let outcome = search(&prepared, &[city, "country".to_string()]);
     assert!(!outcome.queries.is_empty());
 }
 
 #[test]
 fn unmatched_and_empty_keyword_queries_are_handled_gracefully() {
-    let engine = KeywordSearchEngine::builder(fixtures::figure1_graph()).build();
-    let error = engine.search(&["zzz-no-such-keyword"]).unwrap_err();
+    let prepared = PreparedGraph::index(fixtures::figure1_graph());
+    let error = prepared
+        .session(&["zzz-no-such-keyword"], SearchConfig::default())
+        .unwrap_err();
     let report = error.keywords();
     assert_eq!(report.len(), 1);
     assert_eq!(report[0].position, 0);
     assert_eq!(report[0].keyword, "zzz-no-such-keyword");
     assert!(!report[0].is_matched());
 
-    let outcome = engine.search::<&str>(&[]).unwrap();
+    let outcome = search::<&str>(&prepared, &[]);
     assert!(outcome.queries.is_empty());
     assert!(outcome.keywords.is_empty());
 }
 
 #[test]
 fn sparql_and_sql_renderings_are_produced_for_every_result() {
-    let engine = KeywordSearchEngine::builder(fixtures::figure1_graph()).build();
-    let outcome = engine.search(&["cimiano", "publication"]).unwrap();
+    let prepared = PreparedGraph::index(fixtures::figure1_graph());
+    let outcome = search(&prepared, &["cimiano", "publication"]);
     for ranked in &outcome.queries {
         let sparql = ranked.sparql();
         assert!(sparql.starts_with("SELECT"));
@@ -134,15 +144,11 @@ fn sparql_and_sql_renderings_are_produced_for_every_result() {
 #[test]
 fn increasing_k_only_appends_results() {
     let dataset = DblpDataset::small();
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone()).build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
     let keywords = vec![dataset.author_names[0].clone(), "publications".to_string()];
 
-    let small = engine
-        .search_with(&keywords, &SearchConfig::with_k(2))
-        .unwrap();
-    let large = engine
-        .search_with(&keywords, &SearchConfig::with_k(8))
-        .unwrap();
+    let small = search_with(&prepared, &keywords, SearchConfig::with_k(2));
+    let large = search_with(&prepared, &keywords, SearchConfig::with_k(8));
     assert!(large.queries.len() >= small.queries.len());
     // The top results and costs agree (top-k guarantee): the cheaper list is
     // a prefix of the larger one in terms of cost.

@@ -1,6 +1,6 @@
-//! Cross-crate comparison tests: the summary-graph engine and the
+//! Cross-crate comparison tests: the summary-graph search and the
 //! data-graph baselines must agree on whether keywords are connectable, and
-//! the engine must explore far fewer elements than the baselines visit.
+//! the search must explore far fewer elements than the baselines visit.
 
 use searchwebdb::baselines::{
     backward_search, bfs_search, bidirectional_search, match_keywords, partition_graph,
@@ -13,10 +13,13 @@ use searchwebdb::rdf::fixtures;
 #[test]
 fn both_approaches_interpret_the_running_example() {
     let graph = fixtures::figure1_graph();
-    let engine = KeywordSearchEngine::builder(graph.clone()).build();
+    let prepared = PreparedGraph::index(graph.clone());
     let keywords = ["2006", "Cimiano", "AIFB"];
 
-    let outcome = engine.search(&keywords).unwrap();
+    let outcome = prepared
+        .session(&keywords, SearchConfig::default())
+        .unwrap()
+        .into_outcome();
     assert!(!outcome.queries.is_empty(), "our approach finds queries");
 
     let groups = match_keywords(&graph, &keywords);
@@ -40,10 +43,13 @@ fn summary_exploration_touches_fewer_elements_than_data_graph_search() {
     // summary graph, which is orders of magnitude smaller than the data
     // graph the baselines have to search.
     let dataset = DblpDataset::small();
-    let engine = KeywordSearchEngine::builder(dataset.graph.clone()).build();
+    let prepared = PreparedGraph::index(dataset.graph.clone());
     let keywords = vec![dataset.author_names[0].clone(), dataset.years[0].clone()];
 
-    let outcome = engine.search(&keywords).unwrap();
+    let outcome = prepared
+        .session(&keywords, SearchConfig::default())
+        .unwrap()
+        .into_outcome();
     assert!(!outcome.queries.is_empty());
 
     let groups = match_keywords(&dataset.graph, &keywords);
@@ -84,7 +90,7 @@ fn answer_trees_and_query_answers_name_the_same_entities() {
     // our generated query for the same keywords (the paper argues queries
     // retrieve *all* answers, a superset of the distinct roots).
     let graph = fixtures::figure1_graph();
-    let engine = KeywordSearchEngine::builder(graph.clone()).build();
+    let prepared = PreparedGraph::index(graph.clone());
     let keywords = ["2006", "Cimiano"];
 
     let groups = match_keywords(&graph, &keywords);
@@ -92,9 +98,12 @@ fn answer_trees_and_query_answers_name_the_same_entities() {
     let pub1 = graph.entity("pub1URI").unwrap();
     assert!(trees.trees.iter().any(|t| t.root == pub1));
 
-    let outcome = engine.search(&keywords).unwrap();
+    let outcome = prepared
+        .session(&keywords, SearchConfig::default())
+        .unwrap()
+        .into_outcome();
     let best = outcome.best().unwrap();
-    let answers = engine.answers(&best.query, None).unwrap();
+    let answers = prepared.answers(&best.query, None).unwrap();
     assert!(
         answers.rows().iter().any(|row| row.contains(&pub1)),
         "query answers must include the baseline's answer root"

@@ -20,11 +20,14 @@ fn engine_answers_the_running_example_end_to_end() {
 
     // Off-line preprocessing across kwsearch-keyword-index and
     // kwsearch-summary, wired together by kwsearch-core.
-    let engine = KeywordSearchEngine::builder(graph).build();
-    assert!(engine.summary().node_count() > 0);
+    let prepared = PreparedGraph::index(graph);
+    assert!(prepared.summary().node_count() > 0);
 
     // The paper's keyword query: the 2006 publication by Cimiano at AIFB.
-    let outcome = engine.search(&["2006", "cimiano", "aifb"]).unwrap();
+    let outcome = prepared
+        .session(&["2006", "cimiano", "aifb"], SearchConfig::default())
+        .unwrap()
+        .into_outcome();
     assert!(
         !outcome.queries.is_empty(),
         "the running example must produce at least one query interpretation"
@@ -49,7 +52,7 @@ fn engine_answers_the_running_example_end_to_end() {
         "SPARQL rendering broken: {sparql}"
     );
 
-    let answers = engine
+    let answers = prepared
         .answers(&best.query, None)
         .expect("the best query must evaluate");
     assert!(
