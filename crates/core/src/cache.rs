@@ -1,37 +1,39 @@
-//! The bounded augmentation cache.
+//! The bounded result cache.
 //!
-//! The first two phases of every search — keyword-to-element mapping and
-//! summary-graph augmentation — depend only on the prepared graph's immutable
-//! indexes, the search configuration and the *normalized* query terms.
-//! Repeated or overlapping queries therefore redo identical work, and under
-//! serving traffic (see [`crate::serve`]) the repetition dominates: a few
-//! hot keyword combinations account for most requests.
+//! A keyword search depends only on the prepared graph's immutable indexes,
+//! the search configuration and the *normalized* query terms, and every
+//! phase of it — matching, augmentation, exploration, query mapping — is
+//! deterministic. Under serving traffic (see [`crate::serve`]) a few hot
+//! keyword combinations account for most requests, and exploration is where
+//! a request's time goes (the committed benchmark's per-layer shares put it
+//! at roughly half to four fifths of a cold request, matching well under a
+//! quarter, augmentation under one percent). So [`AugmentationCache`] caches
+//! the answer, not the cheap phases in front of it. Its whole contract:
 //!
-//! [`AugmentationCache`] memoizes that work. It is a bounded, thread-safe
-//! LRU map from [`AugmentationKey`] — the pair of the full
-//! [`SearchConfig`] (embedded verbatim, so cross-config
-//! collisions are impossible by construction) and the
-//! per-keyword normalized query terms — to the finished augmentation
-//! ([`AugmentationSnapshot`]) plus the per-keyword match counts the session
-//! report needs. A hit skips the matching *and* the augmentation phase
-//! entirely, and is **bit-identical** to a fresh run: the snapshot captures
-//! the built augmented graph exactly (same dense element ids, same CSR
-//! order, same scores), and the exploration that runs on top is
-//! deterministic. The cross-thread determinism suite and the cache-coherence
-//! proptests pin this property.
+//! * **A hit is a replay.** A resident entry holds the *complete* ranked-query
+//!   stream a drained session emitted under the key (or the verdict that no
+//!   keyword matched anything). A session that hits emits from that log
+//!   instead of matching, augmenting and exploring — **bit-identically**,
+//!   which the cross-thread determinism suite, the cache-coherence proptests
+//!   and the sanitizer's shadow exploration pin. It is still a full
+//!   [`SearchSession`](crate::SearchSession): `raise_k` rebuilds the
+//!   augmented graph from a fresh lookup, explores for real and
+//!   fast-forwards past the replayed prefix, exactly like raising a session
+//!   that explored honestly.
+//! * **A miss is an ordinary session.** Nothing is registered, nobody waits:
+//!   concurrent sessions that miss on one key each run the full search.
+//! * **Entries appear when a session drains.** A session that reaches the end
+//!   of its stream naturally — not raised, not truncated by the `max_cursors`
+//!   valve, not aborted by a deadline or cancellation — inserts its log in
+//!   one step under the cache mutex. Racing drained sessions computed
+//!   identical logs; the first insert wins. A session that stops early
+//!   (first-query-only consumers, `min_answers` requests) inserts nothing.
 //!
-//! Determinism buys a second layer for free: once any session under a key
-//! has drained naturally, its complete emission log (the ranked queries, in
-//! order) is written back to the entry, and later same-key sessions *replay*
-//! the log instead of exploring — the dominant cost of a repeated query
-//! drops to cloning its results. A replayed session is still a full
-//! [`SearchSession`](crate::SearchSession): `raise_k` falls back to real
-//! exploration (over the snapshot's augmented graph) and fast-forwards past
-//! the replayed prefix, exactly like raising a session that explored
-//! honestly.
-//!
-//! Keying on the normalized terms (lower-cased, tokenized, stop words
-//! removed — see
+//! Entries are immutable once inserted and keyed by [`AugmentationKey`] — the
+//! full [`SearchConfig`] (embedded verbatim, so cross-config collisions are
+//! impossible by construction), the per-keyword normalized terms, and the
+//! write epoch. Keying on the normalized terms (lower-cased, tokenized, stop
+//! words removed — see
 //! [`KeywordIndex::normalized_query_terms`](kwsearch_keyword_index::KeywordIndex::normalized_query_terms))
 //! rather than the raw strings lets `"Cimiano"` and `"cimiano"` share an
 //! entry; keeping the per-keyword term lists *in query order* is essential,
@@ -43,37 +45,28 @@
 //! back to an earlier one rehits its entries.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::PoisonError;
+use std::mem::size_of_val;
 
 use kwsearch_keyword_index::ElementRef;
-use kwsearch_summary::AugmentationSnapshot;
+use kwsearch_query::QueryTerm;
 
 use crate::config::SearchConfig;
 use crate::invariants;
 use crate::result::RankedQuery;
-use crate::sync::{lock_unpoisoned, Arc, Condvar, Mutex};
+use crate::sync::{lock_unpoisoned, Arc, Mutex};
 
-/// The key of one cached augmentation: the search configuration (embedded
+/// The key of one cached result: the search configuration (embedded
 /// verbatim — see [`SearchConfig`]'s `Eq + Hash` note), the normalized
 /// query terms of every keyword in query order, and the write epoch of the
 /// preparation the entry was computed against.
 ///
-/// The snapshot itself is configuration-independent (augmentation takes no
-/// [`SearchConfig`]), so keying it under the config deliberately trades
-/// some duplication — one snapshot per distinct config sweeping the same
-/// keywords — for a single, simple invariant: everything under a key was
-/// produced under that key's exact configuration, replay logs included.
-/// Splitting the key (snapshot by terms, log by config + terms) would share
-/// the snapshot across sweeps and is the natural next step if that
-/// duplication ever shows up in [`CacheStats::heap_bytes`].
-///
 /// The epoch serves the live write path (see [`crate::live`]): a cache
 /// shared across a [`LiveGraph`](crate::live::LiveGraph)'s succession of
 /// prepared snapshots folds each snapshot's monotone write epoch into the
-/// key, so an entry computed before a write — its matches, its snapshot,
-/// and above all its replay log — can never be served to a reader of a
-/// later snapshot. Frozen, standalone preparations stay at epoch 0 and
-/// behave exactly as before.
+/// key, so an entry computed before a write — its match counts and above
+/// all its replay log — can never be served to a reader of a later
+/// snapshot. Frozen, standalone preparations stay at epoch 0 and behave
+/// exactly as before.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AugmentationKey {
     config: SearchConfig,
@@ -109,24 +102,27 @@ impl AugmentationKey {
     pub fn keyword_count(&self) -> usize {
         self.terms.len()
     }
+
+    /// Approximate heap footprint of the key's term lists.
+    fn heap_bytes(&self) -> usize {
+        let per_keyword = |terms: &Vec<String>| {
+            size_of_val(terms.as_slice()) + terms.iter().map(String::len).sum::<usize>()
+        };
+        size_of_val(self.terms.as_slice()) + self.terms.iter().map(per_keyword).sum::<usize>()
+    }
 }
 
-/// A cached augmentation: everything a session start needs to skip the
-/// matching and augmentation phases, plus — once some session under this key
-/// has drained naturally — the certified-result replay log that lets later
-/// sessions skip the exploration too.
+/// One immutable cache entry: everything a same-key session needs to report
+/// and emit exactly what the drained session that inserted it did.
 #[derive(Debug)]
 pub(crate) struct CachedAugmentation {
     /// Per-keyword element-match counts (aligned with the query order), used
     /// to rebuild the session's keyword report without re-running the
     /// matching.
     pub(crate) element_matches: Vec<usize>,
-    /// The finished augmentation, detached from the data graph — or `None`
-    /// for a *negative* entry: the keywords all failed to match, the session
-    /// start errors before augmenting, and caching that verdict keeps a hot
-    /// failing query from re-running (or, worse, serializing coalesced
-    /// waiters behind) the matching on every request.
-    pub(crate) snapshot: Option<AugmentationSnapshot>,
+    /// Element count of the augmented summary graph the inserting session
+    /// explored — the size its outcome reported (0 for a negative entry).
+    pub(crate) augmented_elements: usize,
     /// The distinct elements the keywords matched, in canonical (sorted)
     /// order — the fan-in side of the cache's per-element reverse map. A
     /// write that touches any of these elements invalidates the entry (see
@@ -134,96 +130,109 @@ pub(crate) struct CachedAugmentation {
     /// all untouched can be carried forward to the new epoch. Empty for
     /// negative entries (nothing matched, so nothing to touch).
     pub(crate) elements: Vec<ElementRef>,
-    /// The complete ranked-query stream a drained session under this key
-    /// emitted, in emission order. `None` until the first session drains.
-    /// The exploration is deterministic over the (immutable) indexes and the
-    /// keyed configuration, so replaying this log is bit-identical to
-    /// re-exploring — the determinism suite and the cache-coherence
-    /// proptests pin that. Written once (racing drained sessions computed
-    /// identical logs; the first one wins).
-    results: Mutex<Option<Arc<Vec<RankedQuery>>>>,
+    /// The complete ranked-query stream the drained session emitted, in
+    /// emission order — or `None` for a *negative* entry: the keywords all
+    /// failed to match, the session start errors before augmenting, and
+    /// caching that verdict keeps a hot failing query from re-running the
+    /// matching on every request. The exploration is deterministic over the
+    /// (immutable) indexes and the keyed configuration, so replaying the log
+    /// is bit-identical to re-exploring.
+    pub(crate) queries: Option<Vec<RankedQuery>>,
 }
 
 impl CachedAugmentation {
-    pub(crate) fn new(element_matches: Vec<usize>, snapshot: Option<AugmentationSnapshot>) -> Self {
-        Self::with_elements(element_matches, snapshot, Vec::new())
-    }
-
-    /// Like [`Self::new`], with the matched element set for keyed
-    /// invalidation. `elements` need not be sorted; it is canonicalized
-    /// here.
-    pub(crate) fn with_elements(
+    /// Assembles an entry. `elements` need not be sorted or distinct; it is
+    /// canonicalized here.
+    pub(crate) fn new(
         element_matches: Vec<usize>,
-        snapshot: Option<AugmentationSnapshot>,
+        augmented_elements: usize,
         mut elements: Vec<ElementRef>,
+        queries: Option<Vec<RankedQuery>>,
     ) -> Self {
         elements.sort_unstable();
         elements.dedup();
         Self {
             element_matches,
-            snapshot,
+            augmented_elements,
             elements,
-            results: Mutex::new(None),
+            queries,
         }
     }
 
-    /// Approximate heap footprint of the entry (the snapshot dominates;
-    /// match counts and the replay log are comparatively negligible).
+    /// Approximate heap footprint of the entry: the replay log (queries and
+    /// the subgraphs they were mapped from) plus the match counts and the
+    /// matched-element set.
     fn heap_bytes(&self) -> usize {
-        self.snapshot
-            .as_ref()
-            .map(AugmentationSnapshot::heap_bytes)
-            .unwrap_or(0)
+        let log = self.queries.as_deref().unwrap_or_default();
+        size_of_val(self.element_matches.as_slice())
+            + size_of_val(self.elements.as_slice())
+            + size_of_val(log)
+            + log.iter().map(ranked_query_heap_bytes).sum::<usize>()
     }
 
-    /// The replay log, if a session under this key already drained.
-    pub(crate) fn results(&self) -> Option<Arc<Vec<RankedQuery>>> {
-        lock_unpoisoned(&self.results).clone()
-    }
-
-    /// Stores the complete emission log of a drained session (first writer
-    /// wins; identical by determinism).
-    pub(crate) fn store_results(&self, queries: &[RankedQuery]) {
-        let mut slot = lock_unpoisoned(&self.results);
-        match slot.as_ref() {
-            None => *slot = Some(Arc::new(queries.to_vec())),
-            Some(existing) => {
-                // debug-invariants: racing drained sessions must have
-                // computed bit-identical logs (the determinism contract the
-                // first-writer-wins policy relies on).
-                if invariants::enabled() {
-                    assert_eq!(
-                        existing.len(),
-                        queries.len(),
-                        "replay-log write-back disagrees in length with the resident log"
-                    );
-                    for (resident, late) in existing.iter().zip(queries) {
-                        assert_eq!(
-                            resident.cost.to_bits(),
-                            late.cost.to_bits(),
-                            "replay-log write-back disagrees in cost with the resident log"
-                        );
-                        assert_eq!(
-                            resident.query.canonicalized(),
-                            late.query.canonicalized(),
-                            "replay-log write-back disagrees in query with the resident log"
-                        );
-                    }
-                }
-            }
+    /// debug-invariants: a drained session that finds its key already
+    /// resident must have computed a bit-identical log (the determinism
+    /// contract the first-writer-wins policy relies on).
+    fn assert_same_log(&self, late: &Self) {
+        let (resident, late) = (
+            self.queries.as_deref().unwrap_or_default(),
+            late.queries.as_deref().unwrap_or_default(),
+        );
+        assert_eq!(
+            resident.len(),
+            late.len(),
+            "late replay log disagrees in length with the resident log"
+        );
+        for (resident, late) in resident.iter().zip(late) {
+            assert_eq!(
+                resident.cost.to_bits(),
+                late.cost.to_bits(),
+                "late replay log disagrees in cost with the resident log"
+            );
+            assert_eq!(
+                resident.query.canonicalized(),
+                late.query.canonicalized(),
+                "late replay log disagrees in query with the resident log"
+            );
         }
     }
+}
+
+/// Approximate heap bytes one logged query owns beyond its inline size: the
+/// atoms and variable names of the conjunctive query, and the per-keyword
+/// paths and element set of the subgraph it was mapped from.
+fn ranked_query_heap_bytes(ranked: &RankedQuery) -> usize {
+    let term = |t: &QueryTerm| t.as_variable().or(t.as_constant()).map_or(0, str::len);
+    let (query, subgraph) = (&ranked.query, &ranked.subgraph);
+    let atoms: usize = query
+        .atoms()
+        .iter()
+        .map(|a| a.predicate.len() + term(&a.subject) + term(&a.object))
+        .sum();
+    let distinguished: usize = query.distinguished().iter().map(String::len).sum();
+    let paths: usize = subgraph
+        .paths()
+        .iter()
+        .map(|p| size_of_val(p.elements.as_slice()))
+        .sum();
+    size_of_val(query.atoms())
+        + atoms
+        + size_of_val(query.distinguished())
+        + distinguished
+        + size_of_val(subgraph.paths())
+        + paths
+        + size_of_val(subgraph.elements())
 }
 
 /// Cumulative counters of one [`AugmentationCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Probes that avoided computing: the key was resident, or an in-flight
-    /// computation of the same key was joined (request coalescing).
+    /// Probes that found their key resident: the session replayed the
+    /// entry's log (or re-raised its negative verdict) instead of searching.
     pub hits: u64,
-    /// Probes that had to compute (they became the key's owner).
+    /// Probes that found nothing: the session ran the full search.
     pub misses: u64,
-    /// Entries inserted.
+    /// Entries inserted (one per key a session drained under first).
     pub insertions: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
@@ -237,9 +246,11 @@ pub struct CacheStats {
     pub len: usize,
     /// The capacity bound (0 means the cache is disabled).
     pub capacity: usize,
-    /// Approximate heap footprint of the resident snapshots, in bytes — the
-    /// number to watch when sizing `capacity` for a large graph, where a
-    /// single augmentation snapshot can run to megabytes.
+    /// Approximate heap footprint of what is resident, in bytes: every
+    /// entry's key terms, match counts, matched-element set and replay log
+    /// (queries and subgraphs) — what a hit clones from. A promoted entry
+    /// shares its payload with its old-epoch twin and is counted under both
+    /// keys while both are resident.
     pub heap_bytes: usize,
 }
 
@@ -258,20 +269,10 @@ impl CacheStats {
 #[derive(Debug, Default)]
 struct CacheInner {
     map: HashMap<AugmentationKey, Entry>,
-    /// Keys some session is currently computing (request coalescing):
-    /// same-key probes join the owner's [`InFlight`] instead of redoing the
-    /// matching and augmentation — the thundering-herd guard for serving
-    /// workloads, where the same hot query arrives on many workers at once.
-    in_flight: HashMap<AugmentationKey, Arc<InFlight>>,
     /// Per-element reverse map: which resident keys matched each element.
     /// Maintained by insert/remove so keyed invalidation
     /// ([`AugmentationCache::advance_epoch`]) never scans entry payloads.
     reverse: HashMap<ElementRef, HashSet<AugmentationKey>>,
-    /// Monotone clear-generation: [`AugmentationCache::clear`] bumps it so
-    /// in-flight owners whose computation started before the clear cannot
-    /// re-insert (resurrect) their entry afterwards. Compare
-    /// [`ComputeTicket::complete`].
-    generation: u64,
     /// Monotonic logical clock stamping every hit/insert for LRU eviction.
     tick: u64,
     /// Approximate heap bytes of the resident entries (kept incrementally).
@@ -293,7 +294,9 @@ struct Entry {
 impl CacheInner {
     fn remove(&mut self, key: &AugmentationKey) -> Option<Entry> {
         let entry = self.map.remove(key)?;
-        self.heap_bytes = self.heap_bytes.saturating_sub(entry.payload.heap_bytes());
+        self.heap_bytes = self
+            .heap_bytes
+            .saturating_sub(key.heap_bytes() + entry.payload.heap_bytes());
         for element in &entry.payload.elements {
             if let Some(keys) = self.reverse.get_mut(element) {
                 keys.remove(key);
@@ -310,7 +313,7 @@ impl CacheInner {
     fn insert(&mut self, key: AugmentationKey, payload: Arc<CachedAugmentation>) {
         self.tick += 1;
         let tick = self.tick;
-        self.heap_bytes += payload.heap_bytes();
+        self.heap_bytes += key.heap_bytes() + payload.heap_bytes();
         for element in &payload.elements {
             self.reverse
                 .entry(*element)
@@ -346,114 +349,20 @@ impl CacheInner {
     }
 }
 
-/// The rendezvous between the owner computing a key and the probes waiting
-/// on it. The slot distinguishes pending (`None`), completed
-/// (`Some(Some(_))`) and abandoned (`Some(None)` — the owner errored or
-/// panicked; waiters retry and one of them becomes the new owner).
-#[derive(Debug, Default)]
-struct InFlight {
-    slot: Mutex<Option<Option<Arc<CachedAugmentation>>>>,
-    done: Condvar,
-}
-
-impl InFlight {
-    // lint: wait-loop
-    fn wait(&self) -> Option<Arc<CachedAugmentation>> {
-        let mut slot = lock_unpoisoned(&self.slot);
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn finish(&self, result: Option<Arc<CachedAugmentation>>) {
-        let mut slot = lock_unpoisoned(&self.slot);
-        *slot = Some(result);
-        drop(slot);
-        // Seeded mutation (a): dropping this notify_all leaves every joined
-        // waiter blocked forever once the owner publishes — the model
-        // checker must report it as a lost wakeup
-        // (`tests/model_mutations.rs`).
-        #[cfg(not(all(kwsearch_model, kwsearch_model_mutation)))]
-        self.done.notify_all();
-    }
-}
-
-/// The outcome of [`AugmentationCache::probe`].
-pub(crate) enum CacheProbe<'c> {
-    /// The augmentation is available — resident, or just finished by the
-    /// in-flight owner this probe joined.
-    Hit(Arc<CachedAugmentation>),
-    /// This probe owns the computation: it must run the matching and
-    /// augmentation and then call [`ComputeTicket::complete`] (dropping the
-    /// ticket instead — e.g. on an all-unmatched error — releases the
-    /// waiters to compute for themselves).
-    Compute(ComputeTicket<'c>),
-}
-
-/// The obligation of the probe that owns a missing key (see
-/// [`CacheProbe::Compute`]).
-pub(crate) struct ComputeTicket<'c> {
-    cache: &'c AugmentationCache,
-    key: Option<AugmentationKey>,
-    flight: Arc<InFlight>,
-    /// The cache's clear-generation at miss time; a [`AugmentationCache::clear`]
-    /// in between orphans this owner's write-back (see [`Self::complete`]).
-    generation: u64,
-}
-
-impl ComputeTicket<'_> {
-    /// Publishes the computed augmentation: inserts it (evicting LRU entries
-    /// past the capacity bound), wakes every waiter joined on the key, and
-    /// returns the resident entry for the replay-log write-back.
-    ///
-    /// If [`AugmentationCache::clear`] ran since this owner took the miss,
-    /// the computed entry is **not** inserted — the clear's contract is that
-    /// nothing computed before it survives it, and without the generation
-    /// check an in-flight owner would resurrect a stale entry (and, worse,
-    /// a stale replay log) right after the clear. The orphaned payload is
-    /// still returned so the owning session can finish normally; its
-    /// waiters are released empty-handed and retry under the new
-    /// generation.
-    pub(crate) fn complete(mut self, payload: CachedAugmentation) -> Arc<CachedAugmentation> {
-        // lint: allow(no-unwrap, reason = "completion consumes the ticket by value, so the key is always present; the Option exists only for the Drop impl")
-        let key = self.key.take().expect("ticket completed twice");
-        match self.cache.insert_resolved(&key, payload, self.generation) {
-            Ok(resident) => {
-                self.flight.finish(Some(Arc::clone(&resident)));
-                resident
-            }
-            Err(orphan) => {
-                self.flight.finish(None);
-                orphan
-            }
-        }
-    }
-}
-
-impl Drop for ComputeTicket<'_> {
-    fn drop(&mut self) {
-        // Abandoned (error or panic on the computing path): deregister the
-        // key and release the waiters empty-handed so they can retry.
-        if let Some(key) = self.key.take() {
-            let mut inner = lock_unpoisoned(&self.cache.inner);
-            inner.in_flight.remove(&key);
-            drop(inner);
-            self.flight.finish(None);
-        }
-    }
-}
-
-/// A bounded, thread-safe LRU cache of finished augmentations.
+/// A bounded, thread-safe LRU cache of complete search results (see the
+/// module docs for the contract).
+///
+/// The type keeps the name it had when it memoized augmentations because the
+/// frozen benchmark reads it through
+/// [`PreparedGraph::augmentation_cache`](crate::PreparedGraph::augmentation_cache);
+/// rename it together with the next `benchmark/` change.
 ///
 /// Owned by a [`PreparedGraph`](crate::PreparedGraph) and consulted by every
 /// session start. All methods take `&self`; the cache is internally
-/// synchronized with a [`Mutex`], so a `PreparedGraph` stays `Sync` and many
-/// worker threads can share one cache. The critical sections are tiny (a
-/// hash probe plus an `Arc` clone — the snapshot itself is cloned *outside*
-/// the lock), so contention stays negligible even at high request rates.
+/// synchronized with one [`Mutex`], so a `PreparedGraph` stays `Sync` and
+/// many worker threads can share one cache. The critical sections are tiny
+/// (a hash probe plus an `Arc` clone on a hit, a map insert when a session
+/// drains) and nothing ever blocks on another session's work.
 ///
 /// A capacity of 0 disables the cache: every lookup misses and insertions
 /// are dropped.
@@ -503,19 +412,13 @@ impl AugmentationCache {
         }
     }
 
-    /// Drops every entry (the counters keep accumulating) and bumps the
-    /// clear-generation, so in-flight owners that took their miss before
-    /// this call cannot re-insert afterwards (their write-backs are
-    /// orphaned — see `ComputeTicket::complete`). In-flight registrations
-    /// are left in place: post-clear probes still coalesce on the running
-    /// owner, are released empty-handed when its insert is refused, and
-    /// retry under the new generation.
+    /// Drops every entry (the counters keep accumulating). Sessions already
+    /// running are unaffected and insert as usual when they drain.
     pub fn clear(&self) {
         let mut inner = lock_unpoisoned(&self.inner);
         inner.map.clear();
         inner.reverse.clear();
         inner.heap_bytes = 0;
-        inner.generation += 1;
     }
 
     /// Advances the live write epoch (see [`crate::live`]): processes every
@@ -586,90 +489,47 @@ impl AugmentationCache {
         }
     }
 
-    /// Probes a key: a resident entry (or one an in-flight owner finishes
-    /// while we wait) comes back as [`CacheProbe::Hit`]; otherwise this
-    /// probe becomes the key's owner and receives the
-    /// [`ComputeTicket`] obligation. Blocks only while another session is
-    /// computing the same key — never during an unrelated computation.
+    /// Probes a key, counting the hit or the miss. A hit refreshes the
+    /// entry's LRU stamp and returns the resident entry to replay; a miss
+    /// registers nothing — the caller runs an ordinary session and calls
+    /// [`Self::insert`] if it drains. Never blocks on another session.
     ///
     /// # Panics
     ///
     /// Panics when the cache is disabled (capacity 0); callers skip the
     /// cache entirely in that case.
-    pub(crate) fn probe(&self, key: AugmentationKey) -> CacheProbe<'_> {
+    pub(crate) fn probe(&self, key: &AugmentationKey) -> Option<Arc<CachedAugmentation>> {
         assert!(self.capacity > 0, "probe on a disabled cache");
-        loop {
-            let flight = {
-                let mut inner = lock_unpoisoned(&self.inner);
-                inner.tick += 1;
-                let tick = inner.tick;
-                if let Some(entry) = inner.map.get_mut(&key) {
-                    entry.last_used = tick;
-                    let payload = Arc::clone(&entry.payload);
-                    inner.hits += 1;
-                    return CacheProbe::Hit(payload);
-                }
-                match inner.in_flight.get(&key) {
-                    Some(flight) => Arc::clone(flight),
-                    None => {
-                        let flight = Arc::new(InFlight::default());
-                        inner.in_flight.insert(key.clone(), Arc::clone(&flight));
-                        inner.misses += 1;
-                        let generation = inner.generation;
-                        return CacheProbe::Compute(ComputeTicket {
-                            cache: self,
-                            key: Some(key),
-                            flight,
-                            generation,
-                        });
-                    }
-                }
-            };
-            // Join the owner outside the cache lock.
-            match flight.wait() {
-                Some(payload) => {
-                    let mut inner = lock_unpoisoned(&self.inner);
-                    inner.hits += 1;
-                    return CacheProbe::Hit(payload);
-                }
-                // The owner abandoned the key (error/panic); retry — the
-                // next round either finds a new owner or becomes one.
-                None => continue,
+        let mut guard = lock_unpoisoned(&self.inner);
+        let inner = &mut *guard;
+        inner.tick += 1;
+        match inner.map.get_mut(key) {
+            Some(entry) => {
+                entry.last_used = inner.tick;
+                inner.hits += 1;
+                Some(Arc::clone(&entry.payload))
+            }
+            None => {
+                inner.misses += 1;
+                None
             }
         }
     }
 
-    /// Publishes an owner's finished augmentation: deregisters the in-flight
-    /// marker and inserts the entry, evicting least-recently-used entries
-    /// past the capacity bound. Returns the resident entry (the freshly
-    /// inserted one; the in-flight marker guarantees no same-key race) —
-    /// or, when [`Self::clear`] ran after the owner took its miss
-    /// (`generation` is stale), refuses the insert and hands the payload
-    /// back as `Err` so the owner's session can still use it privately.
-    fn insert_resolved(
-        &self,
-        key: &AugmentationKey,
-        payload: CachedAugmentation,
-        generation: u64,
-    ) -> Result<Arc<CachedAugmentation>, Arc<CachedAugmentation>> {
+    /// Inserts the entry of a session that drained under `key`, evicting
+    /// least-recently-used entries past the capacity bound. First writer
+    /// wins: when the key is already resident — another session that missed
+    /// at the same time drained first — the late entry is dropped (it is
+    /// identical by determinism, which the sanitizer checks).
+    pub(crate) fn insert(&self, key: AugmentationKey, payload: CachedAugmentation) {
         let mut inner = lock_unpoisoned(&self.inner);
-        inner.in_flight.remove(key);
-        let payload = Arc::new(payload);
-        // Seeded mutation (d): skipping this generation check lets an owner
-        // that took its miss before a `clear()` resurrect the stale entry —
-        // and its stale replay log — right after the clear; the model
-        // checker must observe the resurrected hit and report the panic
-        // (`tests/model_mutations.rs`).
-        #[cfg(not(all(kwsearch_model, kwsearch_model_mutation)))]
-        if generation != inner.generation {
-            // Orphaned by a clear(): resurrecting the entry would undo the
-            // clear's visible effect (model scenario `cache_clear_orphans_
-            // inflight_writeback` pins the schedule space).
-            return Err(payload);
+        if let Some(resident) = inner.map.get(&key) {
+            if invariants::enabled() {
+                resident.payload.assert_same_log(&payload);
+            }
+            return;
         }
-        #[cfg(all(kwsearch_model, kwsearch_model_mutation))]
-        let _ = generation;
-        inner.insert(key.clone(), Arc::clone(&payload));
+        inner.insert(key, Arc::new(payload));
         inner.evict_to(self.capacity);
         inner.insertions += 1;
         // debug-invariants: the eviction loop above must have restored the
@@ -685,8 +545,8 @@ impl AugmentationCache {
             let recount: usize = inner
                 .map
                 // lint: unordered-ok(reason = "summing heap bytes — addition over usize is commutative, the total is independent of hash order")
-                .values()
-                .map(|entry| entry.payload.heap_bytes())
+                .iter()
+                .map(|(key, entry)| key.heap_bytes() + entry.payload.heap_bytes())
                 .sum();
             assert_eq!(
                 recount, inner.heap_bytes,
@@ -708,7 +568,6 @@ impl AugmentationCache {
                 "per-element reverse map drifted from the resident entries"
             );
         }
-        Ok(payload)
     }
 }
 
@@ -721,19 +580,23 @@ impl Default for AugmentationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kwsearch_keyword_index::KeywordIndex;
+    use crate::PreparedGraph;
     use kwsearch_rdf::fixtures::figure1_graph;
-    use kwsearch_summary::{AugmentedSummaryGraph, SummaryGraph};
 
+    /// The entry a session draining `keywords` on the Fig. 1 graph inserts
+    /// (with an empty matched-element set: these tests key by `tag`).
     fn payload(keywords: &[&str]) -> CachedAugmentation {
-        let g = figure1_graph();
-        let base = SummaryGraph::build(&g);
-        let index = KeywordIndex::build(&g);
-        let matches = index.lookup_all(keywords);
-        let augmented = AugmentedSummaryGraph::build(&g, &base, &matches);
+        let uncached = PreparedGraph::index_with(figure1_graph(), Default::default(), 0);
+        let outcome = uncached
+            .session(keywords, SearchConfig::with_k(7))
+            .unwrap()
+            .into_outcome();
+        assert!(!outcome.queries.is_empty());
         CachedAugmentation::new(
-            matches.iter().map(Vec::len).collect(),
-            Some(augmented.to_snapshot()),
+            outcome.keywords.iter().map(|k| k.element_matches).collect(),
+            outcome.augmented_elements,
+            Vec::new(),
+            Some(outcome.queries),
         )
     }
 
@@ -741,20 +604,17 @@ mod tests {
         AugmentationKey::new(SearchConfig::with_k(7), vec![vec![tag.to_string()]])
     }
 
-    /// Probes expecting to own the computation, and completes it.
-    fn fill(cache: &AugmentationCache, tag: &str, keywords: &[&str]) -> Arc<CachedAugmentation> {
-        match cache.probe(key(tag)) {
-            CacheProbe::Compute(ticket) => ticket.complete(payload(keywords)),
-            CacheProbe::Hit(_) => panic!("key {tag} unexpectedly resident"),
-        }
+    /// Probes expecting a miss, then inserts like a drained session would.
+    fn fill(cache: &AugmentationCache, tag: &str, keywords: &[&str]) {
+        assert!(
+            cache.probe(&key(tag)).is_none(),
+            "key {tag} unexpectedly resident"
+        );
+        cache.insert(key(tag), payload(keywords));
     }
 
-    /// Probes expecting a resident entry.
     fn hit(cache: &AugmentationCache, tag: &str) -> Option<Arc<CachedAugmentation>> {
-        match cache.probe(key(tag)) {
-            CacheProbe::Hit(payload) => Some(payload),
-            CacheProbe::Compute(_) => None, // dropping the ticket abandons it
-        }
+        cache.probe(&key(tag))
     }
 
     #[test]
@@ -814,9 +674,13 @@ mod tests {
     fn heap_bytes_track_insertions_evictions_and_clear() {
         let cache = AugmentationCache::new(1);
         assert_eq!(cache.stats().heap_bytes, 0);
+        let log_len = payload(&["aifb"]).queries.map_or(0, |log| log.len());
         fill(&cache, "a", &["aifb"]);
         let after_a = cache.stats().heap_bytes;
-        assert!(after_a > 0);
+        assert!(
+            after_a > log_len * std::mem::size_of::<RankedQuery>(),
+            "the footprint covers the replay log, not just the key: {after_a}"
+        );
         fill(&cache, "b", &["cimiano"]); // evicts "a"
         let stats = cache.stats();
         assert_eq!(stats.len, 1);
@@ -836,60 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_probes_coalesce_on_one_owner() {
-        let cache = Arc::new(AugmentationCache::new(4));
-        let ticket = match cache.probe(key("shared")) {
-            CacheProbe::Compute(ticket) => ticket,
-            CacheProbe::Hit(_) => panic!("the key cannot be resident yet"),
-        };
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.probe(key("shared")) {
-                CacheProbe::Hit(payload) => payload.element_matches.len(),
-                CacheProbe::Compute(_) => panic!("a joined probe must hit, not recompute"),
-            })
-        };
-        // Give the waiter a moment to join the in-flight computation (the
-        // test is correct either way — a late probe hits the resident entry).
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        ticket.complete(payload(&["aifb"]));
-        assert_eq!(waiter.join().unwrap(), 1);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
-    }
-
-    #[test]
-    fn abandoned_owner_releases_waiters_to_retry() {
-        let cache = Arc::new(AugmentationCache::new(4));
-        let ticket = match cache.probe(key("doomed")) {
-            CacheProbe::Compute(ticket) => ticket,
-            CacheProbe::Hit(_) => panic!("the key cannot be resident yet"),
-        };
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || match cache.probe(key("doomed")) {
-                // Either ordering is legal: the waiter may probe after the
-                // abandonment (fresh owner) or join and be released to retry.
-                CacheProbe::Compute(ticket) => {
-                    ticket.complete(payload(&["cimiano"]));
-                    true
-                }
-                CacheProbe::Hit(_) => false,
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(ticket); // the owner errors out
-        assert!(
-            waiter.join().unwrap(),
-            "after the abandonment the waiter must become the new owner"
-        );
-        assert!(
-            hit(&cache, "doomed").is_some(),
-            "the retry populated the key"
-        );
-    }
-
-    #[test]
     fn epoch_distinguishes_otherwise_equal_keys() {
         let base = key("same");
         assert_eq!(base.clone(), base.clone().with_epoch(0));
@@ -898,48 +708,18 @@ mod tests {
 
         let cache = AugmentationCache::new(4);
         fill(&cache, "same", &["aifb"]);
-        match cache.probe(key("same").with_epoch(1)) {
-            CacheProbe::Compute(_) => {} // dropped: the epoch-1 twin is absent
-            CacheProbe::Hit(_) => panic!("an epoch-0 entry must not serve epoch-1 readers"),
-        };
-    }
-
-    #[test]
-    fn clear_orphans_the_inflight_writeback() {
-        let cache = AugmentationCache::new(4);
-        let ticket = match cache.probe(key("stale")) {
-            CacheProbe::Compute(ticket) => ticket,
-            CacheProbe::Hit(_) => panic!("the key cannot be resident yet"),
-        };
-        // The owner computed against pre-clear state; the clear must win.
-        cache.clear();
-        let orphan = ticket.complete(payload(&["aifb"]));
-        assert_eq!(
-            orphan.element_matches.len(),
-            1,
-            "the owning session still gets its payload"
-        );
         assert!(
-            hit(&cache, "stale").is_none(),
-            "the write-back must not resurrect the cleared entry"
+            cache.probe(&key("same").with_epoch(1)).is_none(),
+            "an epoch-0 entry must not serve epoch-1 readers"
         );
-        assert_eq!(cache.stats().insertions, 0);
-        assert_eq!(cache.stats().len, 0);
     }
 
     /// An entry whose declared elements include `element`.
     fn fill_with_element(cache: &AugmentationCache, tag: &str, element: ElementRef) {
-        match cache.probe(key(tag)) {
-            CacheProbe::Compute(ticket) => {
-                let base = payload(&["aifb"]);
-                ticket.complete(CachedAugmentation::with_elements(
-                    base.element_matches.clone(),
-                    base.snapshot.clone(),
-                    vec![element],
-                ));
-            }
-            CacheProbe::Hit(_) => panic!("key {tag} unexpectedly resident"),
-        }
+        cache.insert(
+            key(tag),
+            CachedAugmentation::new(vec![1], 0, vec![element], Some(Vec::new())),
+        );
     }
 
     #[test]
@@ -957,17 +737,17 @@ mod tests {
 
         // The touched entry is gone at both epochs.
         assert!(hit(&cache, "touched").is_none());
-        match cache.probe(key("touched").with_epoch(1)) {
-            CacheProbe::Compute(_) => {}
-            CacheProbe::Hit(_) => panic!("the touched entry must not survive the write"),
-        }
+        assert!(
+            cache.probe(&key("touched").with_epoch(1)).is_none(),
+            "the touched entry must not survive the write"
+        );
         // The safe entry is resident at the old epoch *and* the new one,
         // sharing one payload.
         let old = hit(&cache, "safe").expect("old-epoch readers keep hitting");
-        match cache.probe(key("safe").with_epoch(1)) {
-            CacheProbe::Hit(promoted) => assert!(Arc::ptr_eq(&promoted, &old)),
-            CacheProbe::Compute(_) => panic!("the promoted entry must hit at the new epoch"),
-        };
+        let promoted = cache
+            .probe(&key("safe").with_epoch(1))
+            .expect("the promoted entry must hit at the new epoch");
+        assert!(Arc::ptr_eq(&promoted, &old));
     }
 
     #[test]
@@ -978,10 +758,10 @@ mod tests {
         cache.advance_epoch(0, 1, &[], false);
         assert_eq!(cache.stats().promotions, 0);
         assert!(hit(&cache, "safe").is_some(), "old epoch still serves");
-        match cache.probe(key("safe").with_epoch(1)) {
-            CacheProbe::Compute(_) => {}
-            CacheProbe::Hit(_) => panic!("no promotion was requested"),
-        };
+        assert!(
+            cache.probe(&key("safe").with_epoch(1)).is_none(),
+            "no promotion was requested"
+        );
     }
 
     #[test]
@@ -992,9 +772,9 @@ mod tests {
         cache.advance_epoch(0, 1, &[], true); // "old" promoted to epoch 1
         cache.prune_below_epoch(1);
         assert!(hit(&cache, "old").is_none(), "the epoch-0 copy was pruned");
-        match cache.probe(key("old").with_epoch(1)) {
-            CacheProbe::Hit(_) => {}
-            CacheProbe::Compute(_) => panic!("the current-epoch copy must survive the prune"),
-        };
+        assert!(
+            cache.probe(&key("old").with_epoch(1)).is_some(),
+            "the current-epoch copy must survive the prune"
+        );
     }
 }

@@ -20,15 +20,10 @@ pub struct SearchConfig {
     /// Upper bound on the number of cursor expansions, a safety valve against
     /// pathological graphs (the paper's worst case is `|G|^dmax` cursors).
     pub max_cursors: usize,
-    /// At most this many paths per (element, keyword) pair are retained. The
-    /// paper's space bound (`k · |K| · |G|`) relies on keeping only the `k`
-    /// cheapest paths, which preserves the top-k guarantee because any
-    /// subgraph built from a pruned path is dominated by `k` cheaper
-    /// alternatives through the same element. `None` (the default) uses `k`.
-    pub max_paths_per_element: Option<usize>,
-    /// Whether cursors whose path was *not* retained (the cap above was
-    /// already reached for their element/keyword pair) are still expanded to
-    /// their neighbours. The default (`false`) matches the paper's space
+    /// Whether cursors whose path was *not* retained (the
+    /// [`Self::effective_path_cap`] was already reached for their
+    /// element/keyword pair) are still expanded to their neighbours. The
+    /// default (`false`) matches the paper's space
     /// bound and keeps the number of cursors linear in the summary-graph
     /// size; enabling it explores every distinct path up to `dmax`, which is
     /// exhaustive but can be exponentially slower on dense summary graphs.
@@ -42,7 +37,6 @@ impl Default for SearchConfig {
             dmax: 8,
             scoring: ScoringFunction::PopularityAndMatch,
             max_cursors: 1_000_000,
-            max_paths_per_element: None,
             expand_pruned_paths: false,
         }
     }
@@ -69,10 +63,13 @@ impl SearchConfig {
         self
     }
 
-    /// The per-(element, keyword) path cap that actually applies: the
-    /// explicit setting, or `k` when unset but pruning is beneficial.
+    /// The per-(element, keyword) path cap: at most `k` paths are retained.
+    /// The paper's space bound (`k · |K| · |G|`) relies on keeping only the
+    /// `k` cheapest paths, which preserves the top-k guarantee because any
+    /// subgraph built from a pruned path is dominated by `k` cheaper
+    /// alternatives through the same element.
     pub fn effective_path_cap(&self) -> usize {
-        self.max_paths_per_element.unwrap_or(self.k.max(1))
+        self.k.max(1)
     }
 }
 
@@ -113,10 +110,6 @@ mod tests {
                 ..SearchConfig::default()
             },
             SearchConfig {
-                max_paths_per_element: Some(2),
-                ..SearchConfig::default()
-            },
-            SearchConfig {
                 expand_pruned_paths: true,
                 ..SearchConfig::default()
             },
@@ -128,12 +121,7 @@ mod tests {
 
     #[test]
     fn effective_path_cap_defaults_to_k() {
-        let config = SearchConfig::with_k(7);
-        assert_eq!(config.effective_path_cap(), 7);
-        let config = SearchConfig {
-            max_paths_per_element: Some(3),
-            ..SearchConfig::default()
-        };
-        assert_eq!(config.effective_path_cap(), 3);
+        assert_eq!(SearchConfig::with_k(7).effective_path_cap(), 7);
+        assert_eq!(SearchConfig::with_k(0).effective_path_cap(), 1);
     }
 }

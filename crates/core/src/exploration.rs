@@ -340,7 +340,7 @@ impl ExplorationState {
             let element_idx = graph.element_index(element);
 
             // Line 11: record the path at the element (bounded to the k
-            // cheapest per keyword — see SearchConfig::max_paths_per_element).
+            // cheapest per keyword — see SearchConfig::effective_path_cap).
             let m = self.m;
             let stats = &mut self.stats;
             let paths = self.element_paths[element_idx].get_or_insert_with(|| {

@@ -12,12 +12,13 @@
 //!   [`SearchSession`](crate::SearchSession) emits costs no more than the
 //!   cheapest cursor still pending (the rank certificate itself),
 //! * **replay equality** — a cache-hit session replaying a stored emission
-//!   log produces exactly what honest exploration over the cached snapshot
-//!   would (a shadow exploration cross-checks each replayed query), and a
-//!   drained session writing its log back finds any already-present log
-//!   bit-identical (first-writer-wins race),
-//! * **LRU bounds** — the augmentation cache never exceeds its capacity and
-//!   its incremental heap-byte estimate matches a recount.
+//!   log produces exactly what honest exploration over a freshly built
+//!   augmented graph would (a shadow exploration cross-checks each replayed
+//!   query), and a drained session that finds its key already resident
+//!   computed a bit-identical log (first-writer-wins race),
+//! * **LRU bounds** — the result cache never exceeds its capacity, and its
+//!   incremental heap-byte estimate and per-element reverse map match a
+//!   recount.
 //!
 //! The checks run only in debug builds (`cfg(debug_assertions)`) — release
 //! binaries compile them out entirely, which the benchmark

@@ -25,8 +25,9 @@
 //! 7. [`prepared`] holds the off-line half: [`PreparedGraph`] indexes a
 //!    data graph once (keyword index, summary graph, triple store) and is
 //!    the immutable value every session borrows, so one preparation can be
-//!    `Arc`-shared across threads; [`cache`] memoizes finished
-//!    augmentations (bit-identical hits), and [`serve`] runs many sessions
+//!    `Arc`-shared across threads; [`cache`] keeps the complete result
+//!    log of every drained session, so a repeated query is a bit-identical
+//!    replay instead of a search, and [`serve`] runs many sessions
 //!    concurrently against one shared preparation from a [`SearchService`]
 //!    worker pool,
 //! 8. [`persist`] saves a [`PreparedGraph`] to a checksummed, versioned

@@ -384,6 +384,18 @@ impl JobQueue {
     pub(crate) fn close(&self) {
         let mut state = lock_unpoisoned(&self.state);
         state.closed = true;
+        // Seeded mutation (a′): a queue that never held a job closes without
+        // its notify_all ("nobody to wake" — backwards: that is exactly when
+        // every worker is parked), leaving an idle worker blocked in `pop`
+        // forever; the model checker must report it as a lost wakeup
+        // (`tests/model_mutations.rs`). Scoped to the never-used queue (no
+        // push ever grew the deque) so it stays out of the submit/drain
+        // scenario, where the explorer's deepest-first search would meet it
+        // before mutation (b)'s deadlock.
+        #[cfg(all(kwsearch_model, kwsearch_model_mutation))]
+        if state.jobs.capacity() == 0 {
+            return;
+        }
         drop(state);
         self.ready.notify_all();
     }

@@ -30,7 +30,9 @@ use std::time::{Duration, Instant};
 
 use kwsearch_summary::AugmentedSummaryGraph;
 
-use crate::cache::{AugmentationKey, CacheProbe, CachedAugmentation, ComputeTicket};
+use kwsearch_keyword_index::ElementRef;
+
+use crate::cache::{AugmentationKey, CachedAugmentation};
 use crate::config::SearchConfig;
 use crate::error::{KeywordMatch, SearchError};
 use crate::exploration::ExplorationState;
@@ -61,11 +63,11 @@ pub struct SearchSession<'e> {
     keywords: Vec<KeywordMatch>,
     /// The augmented summary graph and the suspended cursor walk over it.
     /// `None` only for a cache hit whose replay log is still serving the
-    /// stream — the expensive reconstruction is deferred until something
-    /// actually needs to explore ([`Self::materialize`]), which on the hot
-    /// serving path is never.
+    /// stream — the graph is built only if the session has to explore for
+    /// real ([`Self::raise_k`]), which on the hot serving path is never.
     exploration: Option<(AugmentedSummaryGraph<'e>, ExplorationState)>,
-    /// Element count of the (possibly not yet materialized) augmented graph.
+    /// Element count of the augmented graph (on a cache hit, as recorded by
+    /// the session that inserted the entry).
     augmented_elements: usize,
     /// Queries emitted so far, in rank order (rank 1 first).
     queries: Vec<RankedQuery>,
@@ -74,19 +76,19 @@ pub struct SearchSession<'e> {
     seen: BTreeSet<String>,
     /// Set once the stream is known to be complete for the current `k`.
     drained: bool,
-    /// The cache entry this session's key resolved to (hit or fresh
-    /// insert); a naturally drained, never-raised session writes its
-    /// complete emission log back here so later same-key sessions can skip
-    /// the exploration (see [`crate::cache`]).
-    cache_entry: Option<crate::sync::Arc<crate::cache::CachedAugmentation>>,
-    /// A complete emission log written by an earlier drained session under
-    /// the same key, plus the replay position: while set, [`Self::advance`]
-    /// emits from the log instead of exploring — bit-identically, since the
-    /// exploration is deterministic. Dropped by [`Self::raise_k`], which
-    /// falls back to real exploration.
-    replay: Option<(crate::sync::Arc<Vec<RankedQuery>>, usize)>,
+    /// On a cache miss: the key this session missed under and the distinct
+    /// elements its keywords matched. A naturally drained, never-raised
+    /// session inserts its complete emission log under that key so later
+    /// same-key sessions replay instead of searching (see [`crate::cache`]).
+    pending_insert: Option<(AugmentationKey, Vec<ElementRef>)>,
+    /// On a cache hit: the entry an earlier drained session inserted under
+    /// the same key, plus the replay position. While set, [`Self::advance`]
+    /// emits from the entry's log instead of exploring — bit-identically,
+    /// since the exploration is deterministic. Dropped by [`Self::raise_k`],
+    /// which falls back to real exploration.
+    replay: Option<(crate::sync::Arc<CachedAugmentation>, usize)>,
     /// Whether [`Self::raise_k`] changed the configuration away from the
-    /// one the cache key was computed for (disables the write-back).
+    /// one the cache key was computed for (disables the insert).
     raised: bool,
     /// Counters of exploration runs retired by [`Self::raise_k`]: the
     /// session's reported stats cover all the work it performed, matching
@@ -98,12 +100,12 @@ pub struct SearchSession<'e> {
     /// `exploration_time`).
     exploration_time: Duration,
     /// Deadline/cancellation installed by the serving layer, kept on the
-    /// session so a state rebuilt by [`Self::materialize`] or
-    /// [`Self::raise_k`] inherits it.
+    /// session so a state rebuilt by [`Self::raise_k`] inherits it.
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    /// debug-invariants: a shadow exploration over the cached snapshot that
-    /// cross-checks every replayed emission against honest exploration.
+    /// debug-invariants: a shadow exploration over a freshly built augmented
+    /// graph that cross-checks every replayed emission against honest
+    /// exploration.
     /// Deliberately separate from `exploration` so a replayed session still
     /// reports zero exploration work in [`Self::stats`] (counters describe
     /// effort; the shadow is a checker, not work the session performed).
@@ -121,78 +123,53 @@ impl<'e> SearchSession<'e> {
         keywords: &[S],
         config: SearchConfig,
     ) -> Result<Self, SearchError> {
-        // 0. Probe the augmentation cache: the matching and augmentation
-        // phases depend only on the immutable indexes, the configuration and
-        // the normalized query terms, so a hit replays a previous session
-        // start bit for bit (see `crate::cache`). A probe that finds another
-        // session computing the same key joins it (request coalescing)
-        // instead of duplicating the work.
+        // 0. Probe the result cache: a search depends only on the immutable
+        // indexes, the configuration and the normalized query terms, so a
+        // hit replays what an earlier drained session emitted, bit for bit
+        // (see `crate::cache`). A miss is an ordinary cold start.
         let mapping_start = Instant::now();
         let cache = prepared.augmentation_cache();
-        let probe = cache.is_enabled().then(|| {
-            cache.probe(
-                AugmentationKey::new(
-                    config.clone(),
-                    keywords
-                        .iter()
-                        .map(|k| prepared.keyword_index().normalized_query_terms(k.as_ref()))
-                        .collect(),
-                )
-                // Live lineages share one cache across snapshots; the epoch
-                // keeps every entry pinned to the snapshot it was computed
-                // against (frozen preparations stay at epoch 0).
-                .with_epoch(prepared.write_epoch()),
-            )
-        });
-        let ticket = match probe {
-            Some(CacheProbe::Hit(cached)) => {
-                let report: Vec<KeywordMatch> = keywords
+        let key = cache.is_enabled().then(|| {
+            AugmentationKey::new(
+                config.clone(),
+                keywords
                     .iter()
-                    .zip(&cached.element_matches)
-                    .enumerate()
-                    .map(|(position, (keyword, &element_matches))| KeywordMatch {
-                        position,
-                        keyword: keyword.as_ref().to_string(),
-                        element_matches,
-                    })
-                    .collect();
-                // A negative entry: these keywords are known to match
-                // nothing at all — re-raise the error without re-matching.
-                let Some(snapshot) = cached.snapshot.as_ref() else {
-                    return Err(SearchError::AllKeywordsUnmatched { keywords: report });
-                };
-                let keyword_mapping_time = mapping_start.elapsed();
-                let exploration_start = Instant::now();
-                let replay = cached.results().map(|log| (log, 0));
-                // With a replay log the graph and the cursor state may never
-                // be needed (the hot serving path): defer the snapshot
-                // reconstruction until something actually explores.
-                let exploration = if replay.is_some() {
-                    None
-                } else {
-                    let augmented =
-                        AugmentedSummaryGraph::from_snapshot(prepared.graph(), snapshot.clone());
-                    let state = ExplorationState::new(&augmented, &config);
-                    Some((augmented, state))
-                };
-                let exploration_time = exploration_start.elapsed();
-                let augmented_elements = snapshot.element_count();
-                let mut session = Self::assemble(
-                    prepared,
-                    config,
-                    report,
-                    exploration,
-                    augmented_elements,
-                    keyword_mapping_time,
-                    exploration_time,
-                );
-                session.cache_entry = Some(cached);
-                session.replay = replay;
-                return Ok(session);
+                    .map(|k| prepared.keyword_index().normalized_query_terms(k.as_ref()))
+                    .collect(),
+            )
+            // Live lineages share one cache across snapshots; the epoch
+            // keeps every entry pinned to the snapshot it was computed
+            // against (frozen preparations stay at epoch 0).
+            .with_epoch(prepared.write_epoch())
+        });
+        if let Some(cached) = key.as_ref().and_then(|key| cache.probe(key)) {
+            let report: Vec<KeywordMatch> = keywords
+                .iter()
+                .zip(&cached.element_matches)
+                .enumerate()
+                .map(|(position, (keyword, &element_matches))| KeywordMatch {
+                    position,
+                    keyword: keyword.as_ref().to_string(),
+                    element_matches,
+                })
+                .collect();
+            // A negative entry: these keywords are known to match nothing
+            // at all — re-raise the error without re-matching.
+            if cached.queries.is_none() {
+                return Err(SearchError::AllKeywordsUnmatched { keywords: report });
             }
-            Some(CacheProbe::Compute(ticket)) => Some(ticket),
-            None => None,
-        };
+            let mut session = Self::assemble(
+                prepared,
+                config,
+                report,
+                None,
+                cached.augmented_elements,
+                mapping_start.elapsed(),
+                Duration::ZERO,
+            );
+            session.replay = Some((cached, 0));
+            return Ok(session);
+        }
 
         // 1. Keyword-to-element mapping.
         let all_matches = prepared.keyword_index().lookup_all(keywords);
@@ -209,38 +186,45 @@ impl<'e> SearchSession<'e> {
             })
             .collect();
         if !report.is_empty() && report.iter().all(|k| !k.is_matched()) {
-            // Cache the *negative* verdict (snapshot-less entry): repeats of
-            // a failing query — and any coalesced waiters parked behind this
-            // computation — get the typed error straight from the cache
-            // instead of re-running (or serializing on) the matching.
-            if let Some(ticket) = ticket {
-                let _ = ticket.complete(CachedAugmentation::new(
-                    report.iter().map(|k| k.element_matches).collect(),
-                    None,
-                ));
+            // Cache the *negative* verdict (log-less entry): repeats of a
+            // failing query get the typed error straight from the cache
+            // instead of re-running the matching.
+            if let Some(key) = key {
+                cache.insert(
+                    key,
+                    CachedAugmentation::new(
+                        report.iter().map(|k| k.element_matches).collect(),
+                        0,
+                        Vec::new(),
+                        None,
+                    ),
+                );
             }
             return Err(SearchError::AllKeywordsUnmatched { keywords: report });
         }
         let matches: Vec<_> = all_matches.into_iter().filter(|m| !m.is_empty()).collect();
 
         // 2. Augmentation + the seeded exploration state.
-        Ok(Self::start_with_matches(
-            prepared,
-            report,
-            &matches,
-            config,
-            ticket,
-            keyword_mapping_time,
-        ))
+        let mut session =
+            Self::start_with_matches(prepared, report, &matches, config, keyword_mapping_time);
+        session.pending_insert = key.map(|key| {
+            let elements = matches
+                .iter()
+                .flatten()
+                .map(|m| m.element.element_ref())
+                .collect();
+            (key, elements)
+        });
+        Ok(session)
     }
 
     /// Augmentation plus the seeded exploration state: the one place that
     /// turns keyword matches into a session. [`Self::start`] arrives here on
-    /// a cache miss, with the `ticket` whose entry the augmentation
-    /// completes; the sharded coordinator (see [`crate::shard`]) arrives
-    /// here directly, with the per-shard lookups merged into the exact
-    /// global match lists and no ticket. Augmenting any shard's graph with
-    /// those *global* matches yields the unsharded augmented summary graph:
+    /// a cache miss (or with the cache off); the sharded coordinator (see
+    /// [`crate::shard`]) arrives here directly, with the per-shard lookups
+    /// merged into the exact global match lists. Augmenting any shard's
+    /// graph with those *global* matches yields the unsharded augmented
+    /// summary graph:
     /// the augmentation's structure depends only on the shared summary and
     /// the matches, and shard graphs retain the full vertex and label
     /// tables.
@@ -253,27 +237,15 @@ impl<'e> SearchSession<'e> {
         report: Vec<KeywordMatch>,
         matches: &[Vec<kwsearch_keyword_index::KeywordMatch>],
         config: SearchConfig,
-        ticket: Option<ComputeTicket<'_>>,
         keyword_mapping_time: Duration,
     ) -> Self {
         let exploration_start = Instant::now();
         let augmented = AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), matches);
-        let cache_entry = ticket.map(|ticket| {
-            ticket.complete(CachedAugmentation::with_elements(
-                report.iter().map(|k| k.element_matches).collect(),
-                Some(augmented.to_snapshot()),
-                matches
-                    .iter()
-                    .flat_map(|per_keyword| per_keyword.iter())
-                    .map(|m| m.element.element_ref())
-                    .collect(),
-            ))
-        });
         let state = ExplorationState::new(&augmented, &config);
         let exploration_time = exploration_start.elapsed();
 
         let augmented_elements = augmented.element_count();
-        let mut session = Self::assemble(
+        Self::assemble(
             prepared,
             config,
             report,
@@ -281,9 +253,7 @@ impl<'e> SearchSession<'e> {
             augmented_elements,
             keyword_mapping_time,
             exploration_time,
-        );
-        session.cache_entry = cache_entry;
-        session
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -305,7 +275,7 @@ impl<'e> SearchSession<'e> {
             queries: Vec::new(),
             seen: BTreeSet::new(),
             drained: false,
-            cache_entry: None,
+            pending_insert: None,
             replay: None,
             raised: false,
             prior_stats: crate::exploration::ExplorationStats::default(),
@@ -320,34 +290,24 @@ impl<'e> SearchSession<'e> {
         }
     }
 
-    /// Reconstructs the augmented graph and the seeded cursor state from the
-    /// cache entry's snapshot — the deferred half of a replay-served cache
-    /// hit, needed only when the session has to explore for real (log
-    /// exhausted prematurely is impossible — logs are complete — so this
-    /// fires only on [`Self::raise_k`]).
-    fn materialize(&mut self) {
-        if self.exploration.is_some() {
-            return;
-        }
+    /// The augmented graph and a seeded cursor state under the current
+    /// configuration, rebuilt from a fresh keyword lookup — what a replaying
+    /// session never built. A hit means this session's keywords normalize to
+    /// the entry's terms on the entry's epoch, so the rebuilt graph is the
+    /// one the inserting session explored.
+    fn build_exploration(&self) -> (AugmentedSummaryGraph<'e>, ExplorationState) {
         let prepared: &'e PreparedGraph = self.prepared;
-        let entry = self
-            .cache_entry
-            .as_ref()
-            // lint: allow(no-unwrap, reason = "structural invariant: only cache-hit sessions leave the exploration unmaterialized, and those always hold their entry")
-            .expect("only cache-hit sessions defer materialization");
-        let snapshot = entry
-            .snapshot
-            .as_ref()
-            // lint: allow(no-unwrap, reason = "structural invariant: a negative (snapshot-less) entry errors out in start() before a session exists")
-            .expect("negative entries never produce a session")
-            .clone();
-        let augmented = AugmentedSummaryGraph::from_snapshot(prepared.graph(), snapshot);
-        let mut state = ExplorationState::new(&augmented, &self.config);
-        state.set_deadline(self.deadline);
-        if let Some(cancel) = &self.cancel {
-            state.set_cancel(cancel.clone());
-        }
-        self.exploration = Some((augmented, state));
+        let keywords: Vec<&str> = self.keywords.iter().map(|k| k.keyword.as_str()).collect();
+        let matches: Vec<_> = prepared
+            .keyword_index()
+            .lookup_all(&keywords)
+            .into_iter()
+            .filter(|m| !m.is_empty())
+            .collect();
+        let augmented =
+            AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), &matches);
+        let state = ExplorationState::new(&augmented, &self.config);
+        (augmented, state)
     }
 
     /// The prepared graph this session searches.
@@ -444,7 +404,8 @@ impl<'e> SearchSession<'e> {
             // deterministic, so emitting from the log is bit-identical to
             // re-exploring (the canonical set still grows so a later
             // `raise_k` can fast-forward past the replayed prefix).
-            if let Some((log, position)) = &mut self.replay {
+            if let Some((entry, position)) = &mut self.replay {
+                let log = entry.queries.as_deref().unwrap_or_default();
                 if let Some(ranked) = log.get(*position) {
                     let ranked = ranked.clone();
                     *position += 1;
@@ -458,9 +419,8 @@ impl<'e> SearchSession<'e> {
                 self.drained = true; // the log is complete — nothing follows
                 break None;
             }
-            self.materialize();
             let Some((augmented, state)) = self.exploration.as_mut() else {
-                unreachable!("materialize() always fills the exploration")
+                unreachable!("a session that is not replaying holds its exploration")
             };
             let Some(subgraph) = state.next_certified(augmented, &self.config) else {
                 self.drain_complete();
@@ -514,27 +474,18 @@ impl<'e> SearchSession<'e> {
     }
 
     /// debug-invariants: cross-checks one replayed emission against a shadow
-    /// exploration running honestly over the cached snapshot. The shadow is
-    /// built lazily on the first replayed emission (so replay stays free when
-    /// the sanitizer is off) and advanced in lockstep: every replayed query
-    /// must match the shadow's next deduplicated emission bit for bit.
+    /// exploration running honestly over a freshly built augmented graph.
+    /// The shadow is built lazily on the first replayed emission (so replay
+    /// stays free when the sanitizer is off) and advanced in lockstep: every
+    /// replayed query must match the shadow's next deduplicated emission bit
+    /// for bit.
     #[cfg(debug_assertions)]
     fn check_replayed_emission(&mut self, replayed: &RankedQuery) {
         if !crate::invariants::enabled() {
             return;
         }
         if self.shadow.is_none() {
-            let Some(snapshot) = self
-                .cache_entry
-                .as_ref()
-                .and_then(|entry| entry.snapshot.as_ref())
-            else {
-                return; // nothing to shadow (cannot happen for replay hits)
-            };
-            let augmented =
-                AugmentedSummaryGraph::from_snapshot(self.prepared.graph(), snapshot.clone());
-            let state = ExplorationState::new(&augmented, &self.config);
-            self.shadow = Some((augmented, state));
+            self.shadow = Some(self.build_exploration());
         }
         let Some((augmented, state)) = self.shadow.as_mut() else {
             return;
@@ -571,11 +522,11 @@ impl<'e> SearchSession<'e> {
     }
 
     /// Marks the stream drained and, when this session explored under an
-    /// unraised cache key, writes its complete emission log back to the
-    /// cache entry so later same-key sessions replay instead of exploring.
+    /// unraised cache key, inserts its complete emission log into the cache
+    /// so later same-key sessions replay instead of searching.
     fn drain_complete(&mut self) {
         self.drained = true;
-        if self.raised || self.replay.is_some() {
+        if self.raised {
             return;
         }
         // A run truncated by the `max_cursors` safety valve yields
@@ -591,8 +542,16 @@ impl<'e> SearchSession<'e> {
         if self.aborted() {
             return;
         }
-        if let Some(entry) = &self.cache_entry {
-            entry.store_results(&self.queries);
+        if let Some((key, elements)) = self.pending_insert.take() {
+            self.prepared.augmentation_cache().insert(
+                key,
+                CachedAugmentation::new(
+                    self.keywords.iter().map(|k| k.element_matches).collect(),
+                    self.augmented_elements,
+                    elements,
+                    Some(self.queries.clone()),
+                ),
+            );
         }
     }
 
@@ -639,23 +598,26 @@ impl<'e> SearchSession<'e> {
         let start = Instant::now();
         // The session's configuration now differs from the one its cache key
         // was computed for: stop replaying (the log covers the old `k` only)
-        // and never write this session's log back under the stale key. The
+        // and never insert this session's log under the stale key. The
         // re-exploration below fast-forwards past everything already emitted
         // — replayed or explored — via the canonical dedup set.
         self.raised = true;
         self.replay = None;
-        if let Some((augmented, state)) = self.exploration.as_mut() {
-            self.prior_stats.absorb(state.stats());
-            *state = ExplorationState::new(augmented, &self.config);
-            state.set_deadline(self.deadline);
-            if let Some(cancel) = &self.cancel {
-                state.set_cancel(cancel.clone());
+        let (augmented, mut state) = match self.exploration.take() {
+            Some((augmented, retired)) => {
+                self.prior_stats.absorb(retired.stats());
+                let state = ExplorationState::new(&augmented, &self.config);
+                (augmented, state)
             }
-        } else {
-            // A replay-served session that never explored: reconstruct the
-            // graph and seed the walk under the raised configuration.
-            self.materialize();
+            // A replay-served session that never explored: build the graph
+            // and seed the walk under the raised configuration.
+            None => self.build_exploration(),
+        };
+        state.set_deadline(self.deadline);
+        if let Some(cancel) = &self.cancel {
+            state.set_cancel(cancel.clone());
         }
+        self.exploration = Some((augmented, state));
         self.drained = false;
         self.exploration_time += start.elapsed();
     }
@@ -861,7 +823,7 @@ mod tests {
         }
 
         let prepared = prepared();
-        // First drain populates the augmentation entry and its replay log.
+        // The first drain inserts the entry: its complete replay log.
         let first = prepared
             .session(&keywords, SearchConfig::with_k(3))
             .unwrap()
@@ -893,6 +855,71 @@ mod tests {
             assert_eq!(g.cost.to_bits(), w.cost.to_bits());
             assert_eq!(g.query.canonicalized(), w.query.canonicalized());
         }
+    }
+
+    #[test]
+    fn sessions_opened_before_either_drains_both_explore_and_insert_once() {
+        let prepared = prepared();
+        let keywords = ["cimiano", "publication"];
+        let stats = || prepared.augmentation_cache().stats();
+
+        let first = open(&prepared, &keywords);
+        let second = open(&prepared, &keywords);
+        let opened = stats();
+        assert_eq!(
+            (opened.hits, opened.misses, opened.len),
+            (0, 2, 0),
+            "nothing is resident until a session drains: {opened:?}"
+        );
+
+        let first = first.into_outcome();
+        let second = second.into_outcome();
+        assert!(first.exploration.queue_pops > 0);
+        assert!(
+            second.exploration.queue_pops > 0,
+            "the second session missed, so it explored for itself"
+        );
+        assert_eq!(first.queries.len(), second.queries.len());
+        for (a, b) in first.queries.iter().zip(second.queries.iter()) {
+            assert_eq!(a.rank, b.rank);
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(a.query.canonicalized(), b.query.canonicalized());
+        }
+        let drained = stats();
+        assert_eq!(
+            (drained.insertions, drained.len),
+            (1, 1),
+            "the first drain wins; the late identical log is dropped: {drained:?}"
+        );
+    }
+
+    #[test]
+    fn sessions_that_stop_early_insert_nothing() {
+        let prepared = prepared();
+        let keywords = ["publications"];
+
+        // A `min_answers` consumer that reaches its target mid-stream …
+        let mut session = open(&prepared, &keywords);
+        assert!(session.answers_until(1).total_answers() >= 1);
+        assert!(!session.drained, "the test needs an undrained stream");
+        drop(session);
+        // … and a first-query-only consumer.
+        let mut session = open(&prepared, &keywords);
+        assert!(session.next_query().is_some());
+        drop(session);
+
+        let stats = prepared.augmentation_cache().stats();
+        assert_eq!(
+            (stats.hits, stats.insertions, stats.len),
+            (0, 0, 0),
+            "only a drained session inserts: {stats:?}"
+        );
+        let full = open(&prepared, &keywords).into_outcome();
+        assert!(
+            full.exploration.queue_pops > 0,
+            "with nothing resident the next same-key session explores"
+        );
+        assert_eq!(prepared.augmentation_cache().stats().insertions, 1);
     }
 
     #[test]

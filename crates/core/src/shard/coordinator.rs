@@ -239,7 +239,6 @@ impl ShardedService {
             report,
             &matches,
             config,
-            None, // shard preparations run with the cache off
             scatter_time,
         );
         session.set_deadline(deadline);

@@ -21,14 +21,14 @@
 //! each critical section leaves the protected state consistent at all its
 //! panic points:
 //!
-//! * the cache's map/in-flight tables are only mutated through insert/remove
+//! * the cache's map and reverse map are only mutated through insert/remove
 //!   calls that are individually atomic with respect to panics — a recovered
 //!   guard can at worst observe advisory counters (hits, ticks, heap-byte
 //!   estimates) that miss one update, never a torn entry, and cached search
-//!   results stay bit-identical because payloads are published as whole
-//!   `Arc`s;
-//! * the in-flight rendezvous slot, the job queue, and the service metrics
-//!   are single-assignment or monotonic-counter updates between wait points.
+//!   results stay bit-identical because entries are immutable and published
+//!   as whole `Arc`s;
+//! * the job queue and the service metrics are single-assignment or
+//!   monotonic-counter updates between wait points.
 //!
 //! Panics from serving workers are still surfaced — [`crate::serve`] joins
 //! its threads and re-raises — but read paths keep working instead of
@@ -94,8 +94,8 @@ impl std::fmt::Debug for CancelToken {
 }
 
 /// Locks `mutex`, recovering the guard when a previous holder panicked.
-/// Condvar re-acquisitions recover the same way, inline in the two
-/// `// lint: wait-loop` fns (`cache.rs` single-flight, `serve.rs` queue).
+/// Condvar re-acquisitions recover the same way, inline in the one
+/// `// lint: wait-loop` fn (`JobQueue::pop` in `serve.rs`).
 pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()

@@ -18,7 +18,7 @@ use kwsearch_core::{
 };
 use kwsearch_keyword_index::{KeywordIndex, KeywordIndexConfig};
 use kwsearch_rdf::{DataGraph, TripleStore};
-use kwsearch_summary::{AugmentationSnapshot, SummaryGraph};
+use kwsearch_summary::SummaryGraph;
 
 fn assert_send_sync<T: Send + Sync>() {}
 fn assert_send<T: Send>() {}
@@ -29,7 +29,6 @@ fn shared_read_path_is_send_and_sync() {
     assert_send_sync::<Arc<PreparedGraph>>();
     assert_send_sync::<AugmentationCache>();
     assert_send_sync::<AugmentationKey>();
-    assert_send_sync::<AugmentationSnapshot>();
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Exhaustive model checking of the augmentation cache's concurrency
-//! contracts (single-flight coalescing, abandonment recovery, negative
-//! entries, eviction vs. write-back).
+//! Exhaustive model checking of the result cache's concurrency contracts
+//! (racing drained sessions insert once; an epoch advance never serves a
+//! late insert at the new epoch).
 //!
 //! Runs only under `RUSTFLAGS="--cfg kwsearch_model"`, where
 //! `kwsearch_core::sync` resolves to the `kwsearch-modelcheck` shims — and
@@ -20,50 +20,18 @@ use kwsearch_core::model_scenarios as scenarios;
 use kwsearch_modelcheck::Config;
 
 #[test]
-fn single_flight_coalescing_is_exhaustively_correct() {
+fn racing_drained_sessions_insert_once_and_share_the_resident_log() {
     let schedules =
-        scenarios::cache_single_flight_coalescing(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 49, "explored-space fingerprint moved");
-    println!("single-flight coalescing: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn abandoned_owner_releases_waiters_to_retry() {
-    let schedules =
-        scenarios::cache_owner_abandons_waiters_retry(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 140, "explored-space fingerprint moved");
-    println!("owner abandonment: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn negative_entries_serve_concurrent_probes_without_recomputing() {
-    let schedules =
-        scenarios::cache_negative_entry_is_cached(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 49, "explored-space fingerprint moved");
-    println!("negative entries: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn replay_log_write_back_survives_concurrent_eviction() {
-    let schedules =
-        scenarios::cache_store_results_vs_eviction(Config::with_preemptions(2)).assert_pass();
-    assert_eq!(schedules, 41, "explored-space fingerprint moved");
-    println!("store vs eviction: {schedules} interleavings, all correct");
-}
-
-#[test]
-fn clear_orphans_the_inflight_writeback_in_every_interleaving() {
-    let schedules = scenarios::cache_clear_orphans_inflight_writeback(Config::with_preemptions(2))
-        .assert_pass();
-    assert_eq!(schedules, 19, "explored-space fingerprint moved");
-    println!("clear vs in-flight write-back: {schedules} interleavings, all correct");
+        scenarios::cache_racing_drained_sessions_insert_once(Config::with_preemptions(2))
+            .assert_pass();
+    assert_eq!(schedules, 20, "explored-space fingerprint moved");
+    println!("racing inserts: {schedules} interleavings, all correct");
 }
 
 #[test]
 fn epoch_advance_never_leaks_a_touched_entry_to_the_new_epoch() {
     let schedules =
-        scenarios::cache_epoch_advance_races_inflight_writeback(Config::with_preemptions(2))
-            .assert_pass();
-    assert_eq!(schedules, 25, "explored-space fingerprint moved");
-    println!("epoch advance vs write-back: {schedules} interleavings, all correct");
+        scenarios::cache_epoch_advance_races_late_insert(Config::with_preemptions(2)).assert_pass();
+    assert_eq!(schedules, 10, "explored-space fingerprint moved");
+    println!("epoch advance vs late insert: {schedules} interleavings, all correct");
 }

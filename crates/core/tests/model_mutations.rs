@@ -2,24 +2,20 @@
 //! catches the bug classes it exists for.
 //!
 //! Under `RUSTFLAGS="--cfg kwsearch_model --cfg kwsearch_model_mutation"`
-//! three deliberate bugs are compiled into the serving stack:
+//! two deliberate bugs are compiled into the serving stack:
 //!
-//! * **(a)** `InFlight::finish` in `cache.rs` drops its `notify_all` — the
-//!   owner publishes, but coalesced waiters blocked on the condvar are
-//!   never woken;
+//! * **(a′)** `JobQueue::close` in `serve.rs` drops its `notify_all` when
+//!   the queue never held a job — the queue closes, but an idle worker
+//!   blocked on the condvar is never woken;
 //! * **(b)** `JobQueue::pop` in `serve.rs` acquires `metrics` before
 //!   `state` — the inverse of `push`'s documented order, an AB-BA lock
-//!   cycle;
-//! * **(d)** `AugmentationCache::insert_resolved` in `cache.rs` skips its
-//!   clear-generation check — an owner that took its miss before a
-//!   `clear()` resurrects the cleared entry (and its stale replay log)
-//!   with its write-back.
+//!   cycle.
 //!
-//! Each test runs the same healthy scenario the `model_cache.rs` /
-//! `model_serve.rs` suites prove correct, and asserts the checker reports
-//! the exact failure kind with a non-empty schedule that *replays* to the
-//! same failure. A future change that blunts the checker (or accidentally
-//! fixes only the healthy path) turns these red.
+//! Each test runs the same healthy scenario the `model_serve.rs` suite
+//! proves correct, and asserts the checker reports the exact failure kind
+//! with a non-empty schedule that *replays* to the same failure. A future
+//! change that blunts the checker (or accidentally fixes only the healthy
+//! path) turns these red.
 
 #![cfg(all(kwsearch_model, kwsearch_model_mutation))]
 
@@ -27,8 +23,8 @@ use kwsearch_core::model_scenarios as scenarios;
 use kwsearch_modelcheck::{replay, Config, FailureKind};
 
 #[test]
-fn dropped_notify_in_single_flight_release_is_reported_as_lost_wakeup() {
-    let report = scenarios::cache_single_flight_coalescing(Config::with_preemptions(2));
+fn dropped_notify_in_queue_close_is_reported_as_lost_wakeup() {
+    let report = scenarios::service_queue_close_wakes_idle_worker(Config::with_preemptions(2));
     let failure = report.expect_failure();
     assert_eq!(failure.kind, FailureKind::LostWakeup, "{failure}");
     assert!(!failure.schedule.is_empty(), "schedule must be replayable");
@@ -40,7 +36,7 @@ fn dropped_notify_in_single_flight_release_is_reported_as_lost_wakeup() {
     let replayed = replay(
         Config::with_preemptions(2),
         &failure.schedule,
-        scenarios::cache_single_flight_body,
+        scenarios::service_queue_close_wakes_idle_worker_body,
     )
     .expect("replaying the printed schedule must reproduce the hang");
     assert_eq!(replayed.kind, FailureKind::LostWakeup);
@@ -63,26 +59,4 @@ fn inverted_pop_lock_order_is_reported_as_deadlock() {
     )
     .expect("replaying the printed schedule must reproduce the deadlock");
     assert_eq!(replayed.kind, FailureKind::Deadlock);
-}
-
-#[test]
-fn skipped_generation_check_is_reported_as_a_resurrected_entry() {
-    let report = scenarios::cache_clear_orphans_inflight_writeback(Config::with_preemptions(2));
-    let failure = report.expect_failure();
-    assert_eq!(failure.kind, FailureKind::Panic, "{failure}");
-    assert!(!failure.schedule.is_empty(), "schedule must be replayable");
-    // The scenario has two tripwires for a resurrected entry — the end-state
-    // residency count and the follow-up probe — and the checker stops at the
-    // first one the provoking schedule reaches; both name the clear.
-    assert!(
-        failure.message.contains("clear"),
-        "the panic names the violated clear contract: {failure}"
-    );
-    let replayed = replay(
-        Config::with_preemptions(2),
-        &failure.schedule,
-        scenarios::cache_clear_orphans_inflight_writeback_body,
-    )
-    .expect("replaying the printed schedule must reproduce the resurrection");
-    assert_eq!(replayed.kind, FailureKind::Panic);
 }

@@ -622,7 +622,7 @@ fn no_alloc_hot_path(ctx: &FileContext<'_>, ann: &Annotations, diags: &mut Vec<D
 }
 
 /// **lock-discipline** — a poor man's deadlock detector for the lock
-/// hierarchies in the engine (`cache.rs` single-flight, `serve.rs` job
+/// hierarchies in the engine (the `cache.rs` mutex, the `serve.rs` job
 /// queue):
 ///
 /// * taking a second lock — `.lock()` or the facade's `lock_unpoisoned(…)`

@@ -36,68 +36,6 @@ pub struct KeywordElement {
     pub score: f64,
 }
 
-/// A graph-detached capture of a finished [`AugmentedSummaryGraph`].
-///
-/// The augmented graph borrows the data graph it was built for, which makes
-/// the graph itself impossible to store next to that data graph (the pair
-/// would be self-referential). A snapshot holds only the *owned* state — the
-/// element tables, the CSR adjacency, the keyword elements and the matching
-/// scores — so a cache can keep finished augmentations around and re-attach
-/// them to the data graph on demand with
-/// [`AugmentedSummaryGraph::from_snapshot`].
-///
-/// Reconstruction is exact: the snapshot captures the post-build state byte
-/// for byte (same dense element ids, same CSR order, same scores), so an
-/// exploration over a reconstructed graph is bit-identical to one over the
-/// originally built graph.
-#[derive(Debug, Clone)]
-pub struct AugmentationSnapshot {
-    nodes: Vec<SummaryNode>,
-    edges: Vec<SummaryEdge>,
-    csr_offsets: Vec<u32>,
-    csr_neighbors: Vec<SummaryElement>,
-    class_nodes: HashMap<VertexId, SummaryNodeId>,
-    thing_node: SummaryNodeId,
-    value_nodes: HashMap<VertexId, SummaryNodeId>,
-    artificial_value_nodes: HashMap<EdgeLabelId, SummaryNodeId>,
-    keyword_elements: Vec<Vec<KeywordElement>>,
-    match_scores: Vec<f64>,
-    total_entities: usize,
-    total_relation_edges: usize,
-}
-
-impl AugmentationSnapshot {
-    /// Number of nodes of the captured graph (base + augmented).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of edges of the captured graph (base + augmented).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Total number of elements (nodes + edges) of the captured graph.
-    pub fn element_count(&self) -> usize {
-        self.nodes.len() + self.edges.len()
-    }
-
-    /// Approximate heap size in bytes — lets a bounded cache reason about
-    /// its footprint.
-    pub fn heap_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<SummaryNode>()
-            + self.edges.len() * std::mem::size_of::<SummaryEdge>()
-            + self.csr_offsets.len() * std::mem::size_of::<u32>()
-            + self.csr_neighbors.len() * std::mem::size_of::<SummaryElement>()
-            + self.match_scores.len() * std::mem::size_of::<f64>()
-            + self
-                .keyword_elements
-                .iter()
-                .map(|k| k.len() * std::mem::size_of::<KeywordElement>())
-                .sum::<usize>()
-    }
-}
-
 /// The per-query augmented summary graph on which exploration runs.
 ///
 /// # Dense element ids
@@ -345,59 +283,6 @@ impl<'g> AugmentedSummaryGraph<'g> {
         self.out_adj[from.index()].push(id);
         self.in_adj[to.index()].push(id);
         id
-    }
-
-    // ------------------------------------------------------------------
-    // Snapshots (augmentation caching)
-    // ------------------------------------------------------------------
-
-    /// Captures the owned state of this (finished) augmented graph so it can
-    /// outlive the borrow of the data graph — see [`AugmentationSnapshot`].
-    pub fn to_snapshot(&self) -> AugmentationSnapshot {
-        AugmentationSnapshot {
-            nodes: self.nodes.clone(),
-            edges: self.edges.clone(),
-            csr_offsets: self.csr_offsets.clone(),
-            csr_neighbors: self.csr_neighbors.clone(),
-            class_nodes: self.class_nodes.clone(),
-            thing_node: self.thing_node,
-            value_nodes: self.value_nodes.clone(),
-            artificial_value_nodes: self.artificial_value_nodes.clone(),
-            keyword_elements: self.keyword_elements.clone(),
-            match_scores: self.match_scores.clone(),
-            total_entities: self.total_entities,
-            total_relation_edges: self.total_relation_edges,
-        }
-    }
-
-    /// Re-attaches a snapshot to the data graph it was captured from,
-    /// reconstructing the augmented graph exactly (same dense ids, same CSR
-    /// order, same scores — explorations over the result are bit-identical
-    /// to explorations over the originally built graph).
-    ///
-    /// The caller must pass the same data graph the snapshotted augmentation
-    /// was built for; the snapshot stores vertex and edge-label ids that are
-    /// only meaningful there.
-    pub fn from_snapshot(graph: &'g DataGraph, snapshot: AugmentationSnapshot) -> Self {
-        Self {
-            graph,
-            nodes: snapshot.nodes,
-            edges: snapshot.edges,
-            // Build-time adjacency is dropped once the CSR is finalized and
-            // never needed again.
-            out_adj: Vec::new(),
-            in_adj: Vec::new(),
-            csr_offsets: snapshot.csr_offsets,
-            csr_neighbors: snapshot.csr_neighbors,
-            class_nodes: snapshot.class_nodes,
-            thing_node: snapshot.thing_node,
-            value_nodes: snapshot.value_nodes,
-            artificial_value_nodes: snapshot.artificial_value_nodes,
-            keyword_elements: snapshot.keyword_elements,
-            match_scores: snapshot.match_scores,
-            total_entities: snapshot.total_entities,
-            total_relation_edges: snapshot.total_relation_edges,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -757,28 +642,6 @@ mod tests {
                 assert_eq!(aug.neighbors(element), expected.as_slice());
             }
         }
-    }
-
-    #[test]
-    fn snapshot_round_trip_reconstructs_the_graph_exactly() {
-        let g = figure1_graph();
-        let base = SummaryGraph::build(&g);
-        let aug = augmented_for(&g, &base, &["2006", "cimiano", "aifb"]);
-        let rebuilt = AugmentedSummaryGraph::from_snapshot(&g, aug.to_snapshot());
-
-        assert_eq!(rebuilt.node_count(), aug.node_count());
-        assert_eq!(rebuilt.edge_count(), aug.edge_count());
-        assert_eq!(rebuilt.keyword_elements(), aug.keyword_elements());
-        for element in aug.elements() {
-            assert_eq!(rebuilt.neighbors(element), aug.neighbors(element));
-            assert_eq!(
-                rebuilt.match_score(element).to_bits(),
-                aug.match_score(element).to_bits()
-            );
-            assert_eq!(rebuilt.aggregated(element), aug.aggregated(element));
-            assert_eq!(rebuilt.element_label(element), aug.element_label(element));
-        }
-        assert!(aug.to_snapshot().heap_bytes() > 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod cost;
 pub mod element;
 pub mod summary;
 
-pub use augment::{AugmentationSnapshot, AugmentedSummaryGraph, KeywordElement};
+pub use augment::{AugmentedSummaryGraph, KeywordElement};
 pub use cost::CostModel;
 pub use element::{
     SummaryEdge, SummaryEdgeId, SummaryEdgeKind, SummaryElement, SummaryNode, SummaryNodeId,

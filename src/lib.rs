@@ -35,8 +35,8 @@
 //! For serving many clients, a [`PreparedGraph`](core::PreparedGraph) is
 //! immutable, `Send + Sync` and `Arc`-shareable, and [`core::serve`] runs a
 //! worker pool against one shared preparation — repeated queries are
-//! answered from the shared augmentation cache, bit-identically to fresh
-//! runs (see the README's "Concurrent serving" section):
+//! replayed from the shared result cache, bit-identically to fresh runs
+//! (see the README's "Concurrent serving" section):
 //!
 //! ```
 //! use searchwebdb::prelude::*;
