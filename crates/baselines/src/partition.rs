@@ -11,8 +11,8 @@
 //! This block partitioning is a *baseline search heuristic* and is distinct
 //! from the engine's serving-side partitioner
 //! (`crates/core/src/shard/partition.rs`), which splits the data graph into
-//! edge-disjoint shards for the scatter-gather `ShardedService` — see the
-//! README's "Sharded serving" section.
+//! edge-disjoint shards for a `SearchService` over partitioned preparations
+//! — see the README's "Serving" section.
 
 use std::collections::{HashSet, VecDeque};
 

@@ -179,9 +179,9 @@ impl Report {
     /// Asserts the exploration found a failure and returns it.
     #[track_caller]
     pub fn expect_failure(&self) -> &Failure {
-        self.failure.as_ref().expect(
-            "exploration passed but a failure was expected (is the seeded mutation compiled in?)",
-        )
+        self.failure
+            .as_ref()
+            .expect("exploration passed but a failure was expected")
     }
 }
 

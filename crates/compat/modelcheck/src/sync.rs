@@ -391,6 +391,12 @@ impl<T> Arc<T> {
     }
 }
 
+impl<T> From<T> for Arc<T> {
+    fn from(data: T) -> Self {
+        Arc::new(data)
+    }
+}
+
 impl<T: ?Sized> Arc<T> {
     /// Whether two `Arc`s point at the same allocation.
     pub fn ptr_eq(this: &Self, other: &Self) -> bool {

@@ -27,17 +27,17 @@
 //!    the immutable value every session borrows, so one preparation can be
 //!    `Arc`-shared across threads; [`cache`] keeps the complete result
 //!    log of every drained session, so a repeated query is a bit-identical
-//!    replay instead of a search, and [`serve`] runs many sessions
-//!    concurrently against one shared preparation from a [`SearchService`]
-//!    worker pool,
+//!    replay instead of a search, and [`serve`] puts admission control,
+//!    deadlines and the answer phase around one session per request in a
+//!    thread-less [`SearchService`] that any number of caller threads share,
 //! 8. [`persist`] saves a [`PreparedGraph`] to a checksummed, versioned
 //!    disk snapshot and loads it back with bulk buffer reads — an O(bytes)
 //!    cold start that skips re-indexing entirely,
 //! 9. [`shard`] partitions one data graph into edge-disjoint shards, each
-//!    with its own preparation (and snapshot), and serves keyword queries
-//!    across them from a [`ShardedService`]: scattered keyword lookups,
-//!    one exploration over the merged matches (the unsharded stream, bit
-//!    for bit), and an answer phase scattered over the shard-local stores,
+//!    with its own preparation (and snapshot); the same [`SearchService`]
+//!    serves them: per-shard keyword lookups merged exactly, one
+//!    exploration over the merged matches (the unsharded stream, bit for
+//!    bit), and an answer phase scattered over the shard-local stores,
 //! 10. [`live`] absorbs writes with measured freshness: a [`LiveGraph`]
 //!     maintains a lineage of immutable prepared snapshots whose delta
 //!     overlays (triple store, adjacency, keyword vocabulary, summary)
@@ -84,12 +84,11 @@ pub use prepared::PreparedGraph;
 pub use query_map::map_subgraph_to_query;
 pub use result::{AnswerPhase, RankedQuery, SearchOutcome};
 pub use scoring::ScoringFunction;
-pub use serve::{
-    SearchRequest, SearchResponse, SearchService, SearchTicket, ServeError, ServiceStats,
-    DEFAULT_QUEUE_CAPACITY,
-};
+pub use serve::{SearchReply, SearchRequest, SearchService, ServeError, ServiceStats};
 pub use session::SearchSession;
-pub use shard::{PartitionPlan, ShardedService};
+pub use shard::PartitionPlan;
+#[doc(hidden)] // benchmark compat, see `serve`
+pub use shard::ShardedService;
 pub use subgraph::{MatchingSubgraph, SubgraphPath};
 pub use sync::CancelToken;
 

@@ -321,8 +321,8 @@ pub struct CompactionReport {
 /// ```
 ///
 /// All synchronization goes through the `crate::sync` facade, so the
-/// write/invalidate/replay races are model-checked (see
-/// `tests/model_cache.rs`).
+/// write/invalidate/replay races and reader progress during a write are
+/// model-checked (see `tests/model_cache.rs`, `tests/model_live.rs`).
 #[derive(Debug)]
 pub struct LiveGraph {
     /// Serialises writers ([`Self::apply`], [`Self::compact`]) for the whole
@@ -359,8 +359,9 @@ impl LiveGraph {
     /// Runs one write. Writers queue on `writer`; `build` gets the current
     /// snapshot — which no other writer can replace meanwhile — and returns
     /// its successor (`None`: nothing to install) without holding the lock
-    /// readers use. An `Err` from `build` installs nothing.
-    fn write<T, E>(
+    /// readers use. An `Err` from `build` installs nothing. (Crate-visible
+    /// for the `live_reader_progress_during_write` model scenario.)
+    pub(crate) fn write<T, E>(
         &self,
         build: impl FnOnce(&PreparedGraph) -> Result<(Option<PreparedGraph>, T), E>,
     ) -> Result<T, E> {

@@ -1,18 +1,17 @@
-//! Model-checked concurrency scenarios for the serving stack.
+//! Model-checked concurrency scenarios for the cache, the `sync` facade and
+//! [`LiveGraph`].
 //!
 //! Compiled only under `--cfg kwsearch_model`, where the [`crate::sync`]
 //! facade resolves to the `kwsearch-modelcheck` shims: every scenario here
-//! is a closed 2–3-thread program over the *real* cache / job-queue code,
+//! is a closed 2-thread program over the *real* cache / live-graph code,
 //! handed to [`kwsearch_modelcheck::explore`] so the DFS scheduler
 //! exhaustively enumerates its interleavings up to the configured
-//! preemption bound.
+//! preemption bound. ([`crate::serve::SearchService`] has no scenario: its
+//! one lock is never nested and never waited on.)
 //!
 //! The functions return the explorer's [`Report`] rather than asserting, so
-//! the integration tests (`tests/model_cache.rs`, `tests/model_serve.rs`,
-//! `tests/model_sync.rs`) can assert a pass *and* the seeded-mutation tests
-//! (`tests/model_mutations.rs`, under the additional
-//! `kwsearch_model_mutation` cfg) can assert the exact failure the checker
-//! must report against the sabotaged build.
+//! the integration tests (`tests/model_cache.rs`, `tests/model_live.rs`,
+//! `tests/model_sync.rs`) assert the pass and pin the schedule count.
 //!
 //! Scenario code panics on violated expectations — inside an exploration
 //! the shims convert a model-thread panic into a
@@ -25,9 +24,8 @@ use kwsearch_modelcheck::{explore, thread, Config, Report};
 use kwsearch_rdf::VertexId;
 
 use crate::cache::{AugmentationCache, AugmentationKey, CachedAugmentation};
-use crate::serve::{Job, JobQueue, SearchRequest};
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
-use crate::SearchConfig;
+use crate::{LiveGraph, PreparedGraph, SearchConfig};
 
 /// A distinct cache key per scenario role (the config is shared; the terms
 /// disambiguate), pinned to a write epoch as the live write path mints them.
@@ -45,18 +43,6 @@ fn entry(element: u32) -> CachedAugmentation {
         vec![ElementRef::Value(VertexId::from_index(element))],
         Some(Vec::new()),
     )
-}
-
-/// A queue job carrying a fresh reply channel (the channel is a per-request
-/// rendezvous; the scenarios never block on it).
-fn job() -> Job {
-    // lint: allow(no-raw-sync, reason = "per-job rendezvous channel, same as serve.rs; the scenarios never block on it, so it needs no model shim")
-    let (reply, _rx) = std::sync::mpsc::channel();
-    Job {
-        request: SearchRequest::new(["model"]),
-        reply,
-        deadline: None,
-    }
 }
 
 /// **Two drained sessions insert one key.** Both sessions took their miss
@@ -136,81 +122,49 @@ pub fn cache_epoch_advance_races_late_insert(config: Config) -> Report {
     })
 }
 
-/// **Queue drains exactly what was submitted.** One submitter pushes two
-/// jobs and closes; one worker pops until the queue reports closed-empty.
-/// Every interleaving drains exactly two jobs — whether the worker races
-/// ahead (blocking on the condvar between pushes) or lags behind (draining
-/// after close) — and the metrics agree with the queue they describe.
+/// **A reader makes progress while a write is in flight.** The writer, inside
+/// [`LiveGraph`]'s write section (holding `writer`, building the successor),
+/// blocks until the reader thread's `snapshot()` has returned — joining it is
+/// the model's blocking primitive. Every interleaving must complete: readers
+/// take only `current`, which a writer holds for a pointer store and never
+/// across the build. With `snapshot` behind the lock a write holds throughout
+/// (the pre-PR-14 single `state` mutex) the reader blocks on it, the writer
+/// blocks on the reader, and the checker reports a deadlock.
 ///
-/// Under seeded mutation (b) — `pop` acquiring `metrics` before `state` —
-/// the interleaving where the worker blocks first and the submitter then
-/// pushes is an AB-BA lock cycle, which the checker reports as a deadlock.
-pub fn service_queue_submit_drain(config: Config) -> Report {
-    explore(config, service_queue_submit_drain_body)
-}
-
-/// The closed program behind [`service_queue_submit_drain`], exposed so
-/// the seeded-mutation tests can [`kwsearch_modelcheck::replay`] a failing
-/// schedule against the identical body.
-pub fn service_queue_submit_drain_body() {
-    let queue = Arc::new(JobQueue::new(8));
-    let worker = {
-        let queue = Arc::clone(&queue);
-        thread::spawn(move || {
-            let mut drained = 0u64;
-            while queue.pop().is_some() {
-                drained += 1;
-            }
-            drained
-        })
-    };
-    queue.push(job()).unwrap();
-    queue.push(job()).unwrap();
-    queue.close();
-    let drained = worker.join().unwrap();
-    assert_eq!(drained, 2, "the worker must see both jobs, then the close");
-    let stats = queue.stats();
-    assert_eq!(stats.jobs_submitted, 2);
-    assert_eq!(stats.jobs_served, 2);
-    assert!(
-        (1..=2).contains(&stats.peak_queue_depth),
-        "peak depth reflects how far the submitter outran the worker"
-    );
-}
-
-/// **Shutdown with nothing queued.** Close racing an idle worker: the
-/// worker either finds the queue already closed or blocks and is woken by
-/// `close`'s `notify_all`. No interleaving may strand it.
-///
-/// Under seeded mutation (a′) — `JobQueue::close` dropping its
-/// `notify_all` for a queue that never held a job — any interleaving where
-/// the worker blocks before the close hangs forever, which the checker
-/// reports as a lost wakeup.
-pub fn service_queue_close_wakes_idle_worker(config: Config) -> Report {
-    explore(config, service_queue_close_wakes_idle_worker_body)
-}
-
-/// The closed program behind [`service_queue_close_wakes_idle_worker`],
-/// exposed so the seeded-mutation tests can [`kwsearch_modelcheck::replay`]
-/// a failing schedule against the identical body.
-pub fn service_queue_close_wakes_idle_worker_body() {
-    let queue = Arc::new(JobQueue::new(8));
-    let worker = {
-        let queue = Arc::clone(&queue);
-        thread::spawn(move || queue.pop())
-    };
-    queue.close();
-    assert!(
-        worker.join().unwrap().is_none(),
-        "an empty closed queue pops None"
-    );
+/// Then the successor is installed — `writer → current`, the one nested
+/// lock order left in the crate — and later snapshots see it.
+pub fn live_reader_progress_during_write(config: Config) -> Report {
+    explore(config, || {
+        let prepared = || PreparedGraph::index(kwsearch_rdf::fixtures::figure1_graph());
+        let live = Arc::new(LiveGraph::new(prepared()));
+        let before = live.snapshot();
+        let reader = {
+            let live = Arc::clone(&live);
+            thread::spawn(move || live.snapshot())
+        };
+        let seen = live
+            .write(|current| {
+                assert!(std::ptr::eq(current, &*before));
+                let seen = reader.join().unwrap();
+                Ok::<_, std::convert::Infallible>((Some(prepared()), seen))
+            })
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&seen, &before),
+            "a snapshot served during the write is the pre-write one"
+        );
+        assert!(
+            !Arc::ptr_eq(&live.snapshot(), &before),
+            "the successor is installed once the write returns"
+        );
+    })
 }
 
 /// **Poisoning recovery under exploration.** A model thread panics with
 /// the guard held (poisoning the mutex); the surviving thread's
 /// [`lock_unpoisoned`] must recover the guard and read the last write in
-/// every interleaving — the serving stack's workers share this contract
-/// (metrics and cache maps stay usable after a worker dies).
+/// every interleaving — the contract every lock in the crate relies on
+/// (service counters and cache maps stay usable after a request panics).
 pub fn sync_lock_unpoisoned_recovery(config: Config) -> Report {
     explore(config, || {
         let value = Arc::new(Mutex::new(0u32));

@@ -1,91 +1,69 @@
-//! Concurrent serving of one prepared graph from a worker pool.
+//! Serving: one thread-less front over one or more prepared shards.
 //!
-//! The read path is immutable (see [`PreparedGraph`]), so serving many
-//! keyword searches at once needs no sharding, copying or locking of the
-//! indexes: a [`SearchService`] owns an
-//! `Arc<PreparedGraph>`, spawns a fixed pool of `std::thread` workers, and
-//! feeds them from a submission queue. Each worker runs ordinary
-//! [`SearchSession`](crate::SearchSession)s against the shared preparation —
-//! the augmentation cache inside the prepared graph is shared too, so hot
-//! keyword combinations are matched and augmented once, pool-wide.
+//! A [`SearchService`] owns `Arc<PreparedGraph>`s — one for an unsharded
+//! deployment, or the N edge-disjoint shards of a
+//! [`PartitionPlan`](crate::shard::PartitionPlan) — and spawns no threads:
+//! [`SearchService::search`] runs one request start to finish on the
+//! caller's thread. The service is `Sync` and concurrency is the caller's:
+//! any number of threads share one `&SearchService`, and a caller that wants
+//! fire-and-forget spawns its own thread around `search`. One request:
 //!
-//! Admission is controlled: the submission queue is bounded
-//! ([`DEFAULT_QUEUE_CAPACITY`], or [`SearchService::start_with_capacity`]),
-//! and a full queue rejects the request with [`ServeError::Rejected`]
-//! instead of queueing unboundedly. Requests may also carry a deadline
-//! ([`SearchRequest::with_deadline`]): a request whose deadline expires
-//! while still queued is answered with [`ServeError::DeadlineExceeded`]
-//! without searching, and one that expires mid-exploration is cancelled
-//! cooperatively (the exploration loop polls the deadline between cursor
-//! pops) and answered the same way.
-//!
-//! Results are delivered through per-request [`SearchTicket`]s:
+//! 1. **admission** — at most `max_inflight` requests
+//!    ([`SearchService::with_max_inflight`]) are inside `search` at once; the
+//!    next is rejected, never queued ([`ServeError::Rejected`]). The slot comes
+//!    back however the request leaves, a panic on the caller's thread included;
+//! 2. **deadline** — a [`SearchRequest::with_deadline`] budget runs from the
+//!    call; expired before any work or mid-exploration (polled between cursor
+//!    pops), the request fails with [`ServeError::DeadlineExceeded`];
+//! 3. **cache probe** on shard 0 — a hit replays an earlier drained session's
+//!    log and skips steps 4–5 (see [`crate::cache`]);
+//! 4. **lookups** — on every shard, merged into the exact global match
+//!    lists (see [`crate::shard`]);
+//! 5. **one exploration** — a single [`SearchSession`] over the merged
+//!    matches, drained to `k` and then remembered in the cache;
+//! 6. **answer phase** ([`SearchRequest::with_min_answers`]) — the ranked
+//!    queries evaluated in rank order against the shard-local stores until
+//!    enough answers exist. The top-k is drained first; to stop exploring
+//!    early, hold a session and use [`SearchSession::answers_until`].
 //!
 //! ```
-//! use kwsearch_core::serve::{SearchRequest, SearchService};
-//! use kwsearch_core::{PreparedGraph, SearchConfig};
+//! use kwsearch_core::{PreparedGraph, SearchConfig, SearchRequest, SearchService};
 //! use kwsearch_rdf::fixtures::figure1_graph;
-//! use std::sync::Arc;
 //!
-//! let service = SearchService::start(
-//!     Arc::new(PreparedGraph::index(figure1_graph())),
-//!     SearchConfig::default(),
-//!     4, // workers
-//! );
-//! let tickets: Vec<_> = [vec!["cimiano".to_string()], vec!["aifb".to_string()]]
-//!     .into_iter()
-//!     .map(|keywords| service.submit(SearchRequest::new(keywords)).unwrap())
-//!     .collect();
-//! for ticket in tickets {
-//!     let response = ticket.wait();
-//!     assert!(!response.result.unwrap().queries.is_empty());
-//! }
+//! let prepared = PreparedGraph::index(figure1_graph());
+//! let service = SearchService::new([prepared], SearchConfig::default());
+//! let reply = service.search(SearchRequest::new(["cimiano", "aifb"])).unwrap();
+//! assert!(!reply.outcome.queries.is_empty());
+//! assert_eq!(service.stats().admitted, 1);
 //! ```
 //!
-//! Determinism is unaffected by concurrency: sessions share nothing mutable
-//! but the internally synchronized cache, whose hits are bit-identical to
-//! fresh runs — the cross-thread determinism suite
-//! (`tests/concurrent_determinism.rs`) pins exactly this.
+//! Results do not depend on concurrency: sessions share nothing mutable but
+//! the internally synchronized cache, whose hits are bit-identical to fresh
+//! runs (`tests/concurrent_determinism.rs` pins this across threads).
 
-use std::collections::VecDeque;
-// Reply tickets are per-request rendezvous channels between exactly one
-// worker and one caller; the model scenarios drive the job queue directly,
-// so `mpsc` stays a std primitive outside the facade.
-// lint: allow(no-raw-sync, reason = "mpsc reply channels are per-request rendezvous, never contended; model scenarios bypass them")
-use std::sync::{mpsc, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::config::SearchConfig;
 use crate::error::SearchError;
 use crate::prepared::PreparedGraph;
-use crate::result::{AnswerPhase, SearchOutcome};
-use crate::sync::{lock_unpoisoned, Arc, Condvar, Mutex};
+use crate::result::{AnswerPhase, RankedQuery, SearchOutcome};
+use crate::session::SearchSession;
+use crate::shard::{answer_queries_sharded, merge_keyword_matches};
+use crate::sync::{lock_unpoisoned, Arc, Mutex};
 
-/// Queue capacity used by [`SearchService::start`]: deep enough that no
-/// realistic burst against a healthy pool is turned away, small enough that
-/// a stalled pool rejects instead of buffering requests without bound (see
-/// [`ServeError::Rejected`]).
-pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// Why the serving layer could not produce a [`SearchOutcome`] for a
-/// request: the shared failure contract of [`SearchService`] and the
-/// sharded coordinator ([`crate::shard::ShardedService`]).
+/// Why [`SearchService::search`] produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// Admission control turned the request away: the submission queue was
-    /// at capacity. The request was never enqueued; retry later or against
-    /// a larger pool.
+    /// Admission control turned the request away: `max_inflight` requests
+    /// were already being served. Nothing was done for it; retry later.
     Rejected {
-        /// The capacity of the queue that was full (for the sharded
-        /// coordinator, which has no queue: its in-flight cap).
-        queue_capacity: usize,
+        /// The in-flight cap that was reached.
+        max_inflight: usize,
     },
-    /// The request's deadline expired before a complete result existed —
-    /// either while the request was still queued, or mid-exploration (the
+    /// The request's deadline expired before a complete result existed. The
     /// partial stream is discarded: a deadline caller asked for bounded
-    /// latency, not a silently truncated top-k).
+    /// latency, not a silently truncated top-k.
     DeadlineExceeded {
         /// The deadline the request carried.
         deadline: Duration,
@@ -97,9 +75,9 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Rejected { queue_capacity } => write!(
+            Self::Rejected { max_inflight } => write!(
                 f,
-                "request rejected: submission queue at capacity ({queue_capacity})"
+                "request rejected: {max_inflight} requests already in flight"
             ),
             Self::DeadlineExceeded { deadline } => {
                 write!(f, "request deadline ({deadline:?}) exceeded")
@@ -109,14 +87,8 @@ impl std::fmt::Display for ServeError {
     }
 }
 
-impl std::error::Error for ServeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Search(error) => Some(error),
-            _ => None,
-        }
-    }
-}
+// No `source()`: `Display` already prints the wrapped search error.
+impl std::error::Error for ServeError {}
 
 impl From<SearchError> for ServeError {
     fn from(error: SearchError) -> Self {
@@ -124,24 +96,20 @@ impl From<SearchError> for ServeError {
     }
 }
 
-/// One keyword search to be served by a [`SearchService`] worker.
-#[derive(Debug, Clone)]
+/// One keyword search to be served by [`SearchService::search`].
+#[derive(Debug, Clone, Default)]
 pub struct SearchRequest {
     /// The keyword query.
     pub keywords: Vec<String>,
     /// Per-request configuration; `None` uses the service default.
     pub config: Option<SearchConfig>,
-    /// Latency budget, measured from submission (so queueing counts
-    /// against it); `None` means no deadline. See
-    /// [`ServeError::DeadlineExceeded`].
+    /// Latency budget, measured from the call to `search`; `None` means no
+    /// deadline. See [`ServeError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
-    /// When set, the worker interleaves the answer phase with the
-    /// exploration ([`SearchSession::answers_until`](crate::SearchSession::answers_until))
-    /// until at least this many answers exist, and the returned outcome
-    /// covers only the queries the answer phase reached (no drain past the
-    /// target).
+    /// When set, the drained top-k is followed by an answer phase that
+    /// evaluates the queries in rank order until this many answers exist.
     pub min_answers: Option<usize>,
-    /// Test seam: makes the serving worker panic mid-job (see
+    /// Test seam: `search` panics after admission (see
     /// [`SearchRequest::with_injected_panic`]).
     #[cfg(test)]
     inject_panic: bool,
@@ -155,29 +123,15 @@ impl SearchRequest {
                 .into_iter()
                 .map(|k| k.as_ref().to_string())
                 .collect(),
-            config: None,
-            deadline: None,
-            min_answers: None,
-            #[cfg(test)]
-            inject_panic: false,
+            ..Self::default()
         }
     }
 
-    /// Gives the request a latency budget, measured from submission: if no
-    /// complete result exists when it expires, the response is
+    /// Gives the request a latency budget: if no complete result exists
+    /// when it expires, the request fails with
     /// [`ServeError::DeadlineExceeded`].
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Test seam: the worker that picks this request up panics mid-job
-    /// instead of serving it. Exists so the pool's panic containment
-    /// (drop-drain with a dead worker, poisoned-lock recovery) can be
-    /// exercised from tests; serving code never sets it.
-    #[cfg(test)]
-    fn with_injected_panic(mut self) -> Self {
-        self.inject_panic = true;
         self
     }
 
@@ -187,722 +141,434 @@ impl SearchRequest {
         self
     }
 
-    /// Asks for the interleaved answer phase until `min_answers` answers.
+    /// Asks for an answer phase until `min_answers` answers exist.
     pub fn with_min_answers(mut self, min_answers: usize) -> Self {
         self.min_answers = Some(min_answers);
         self
     }
-}
 
-/// What a worker produced for one [`SearchRequest`].
-#[derive(Debug)]
-pub struct SearchResponse {
-    /// The search outcome, or the typed serving error.
-    pub result: Result<SearchOutcome, ServeError>,
-    /// The answer phase, when the request asked for one.
-    pub answer_phase: Option<AnswerPhase>,
-    /// Wall-clock service time on the worker (queueing excluded).
-    pub service_time: Duration,
-    /// Index of the worker that served the request.
-    pub worker: usize,
-}
-
-/// The receiving end of one submitted request.
-#[must_use = "a dropped ticket discards the response"]
-#[derive(Debug)]
-pub struct SearchTicket {
-    receiver: mpsc::Receiver<SearchResponse>,
-}
-
-impl SearchTicket {
-    /// Blocks until the response is available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the serving worker died without replying (a worker panic —
-    /// a bug, not an expected condition).
-    pub fn wait(self) -> SearchResponse {
-        self.receiver
-            .recv()
-            // lint: allow(no-unwrap, reason = "documented panic: a worker dying without replying is a bug surfaced here, not an expected condition")
-            .expect("search worker dropped the reply channel without responding")
+    /// Test seam: `search` panics on the caller's thread once the request
+    /// holds its in-flight slot, so tests can show the slot is given back.
+    #[cfg(test)]
+    fn with_injected_panic(mut self) -> Self {
+        self.inject_panic = true;
+        self
     }
 }
 
-pub(crate) struct Job {
-    pub(crate) request: SearchRequest,
-    pub(crate) reply: mpsc::Sender<SearchResponse>,
-    /// Absolute form of `request.deadline`, fixed at submission so the
-    /// budget covers time spent queued, not just time on a worker.
-    pub(crate) deadline: Option<Instant>,
+/// What [`SearchService::search`] produced for one [`SearchRequest`].
+#[derive(Debug)]
+pub struct SearchReply {
+    /// The drained top-k with its match report, counters and timing split
+    /// (`keyword_mapping_time`: cache probe, per-shard lookups and merge).
+    pub outcome: SearchOutcome,
+    /// The answer phase, when the request asked for one. A deadline that
+    /// expires here truncates the phase (flagged) instead of failing the
+    /// request: the top-k it follows is already complete.
+    pub answer_phase: Option<AnswerPhase>,
+}
+
+/// Cumulative counters of a [`SearchService`] (see [`SearchService::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServiceStats {
+    /// Requests admitted past the in-flight cap.
+    pub admitted: u64,
+    /// Requests turned away by admission control (not counted in `admitted`).
+    pub rejected: u64,
+    /// Admitted requests that failed with [`ServeError::DeadlineExceeded`].
+    pub deadline_exceeded: u64,
+    /// The most requests that were ever inside `search` at once.
+    pub peak_inflight: usize,
+    /// Ranked queries returned by successful requests.
+    pub queries_returned: u64,
+    /// Benchmark compat alias of `peak_inflight` (see the compat block).
+    #[doc(hidden)]
+    pub peak_queue_depth: usize,
+    /// Benchmark compat alias of `rejected` (see the compat block).
+    #[doc(hidden)]
+    pub jobs_rejected: u64,
 }
 
 #[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
+struct ServiceState {
+    inflight: usize,
+    stats: ServiceStats,
 }
 
-/// Cumulative serving metrics, kept consistent with the queue they describe
-/// (see [`SearchService::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests accepted by [`SearchService::submit`] since startup.
-    pub jobs_submitted: u64,
-    /// Requests handed to a worker since startup.
-    pub jobs_served: u64,
-    /// Requests turned away by admission control (full queue) since
-    /// startup. Rejected requests are not counted in `jobs_submitted`.
-    pub jobs_rejected: u64,
-    /// The deepest the submission queue has ever been.
-    pub peak_queue_depth: usize,
-}
-
-/// The submission queue: a mutex-protected deque with a condition variable,
-/// closed on shutdown so idle workers wake up and exit, plus a metrics
-/// mutex updated while the queue lock is held.
-///
-/// Lock order (workspace-wide, pinned by the `lock-order` lint's
-/// acquisition graph): queue `state` **before** `metrics`. The nesting is
-/// deliberate — `peak_queue_depth` and the submitted/served counters must
-/// snapshot the queue they describe, so they are updated under the queue
-/// lock rather than after it.
-pub(crate) struct JobQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-    metrics: Mutex<ServiceStats>,
-    /// Admission bound: pushes beyond this depth are rejected.
-    capacity: usize,
-}
-
-impl JobQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState::default()),
-            ready: Condvar::new(),
-            metrics: Mutex::new(ServiceStats::default()),
-            capacity: capacity.max(1),
-        }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub(crate) fn push(&self, job: Job) -> Result<(), ServeError> {
-        self.push_all(std::iter::once(job))
-    }
-
-    /// Enqueues a batch atomically — all jobs under one lock acquisition
-    /// and one wakeup, and all-or-nothing against the capacity bound, so a
-    /// partially admitted batch can never exist.
-    pub(crate) fn push_batch(&self, jobs: Vec<Job>) -> Result<(), ServeError> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        self.push_all(jobs.into_iter())
-    }
-
-    fn push_all(&self, jobs: impl ExactSizeIterator<Item = Job>) -> Result<(), ServeError> {
-        let count = jobs.len() as u64;
-        let mut state = lock_unpoisoned(&self.state);
-        debug_assert!(!state.closed, "submit after shutdown");
-        if state.jobs.len() + jobs.len() > self.capacity {
-            // lint: allow(lock-discipline, reason = "documented order: queue state before metrics; the rejection count must snapshot the queue that caused it")
-            let mut metrics = lock_unpoisoned(&self.metrics);
-            metrics.jobs_rejected += count;
-            drop(metrics);
-            return Err(ServeError::Rejected {
-                queue_capacity: self.capacity,
-            });
-        }
-        state.jobs.extend(jobs);
-        let depth = state.jobs.len();
-        // lint: allow(lock-discipline, reason = "documented order: queue state before metrics; the depth snapshot must match the queue it measures")
-        let mut metrics = lock_unpoisoned(&self.metrics);
-        metrics.jobs_submitted += count;
-        metrics.peak_queue_depth = metrics.peak_queue_depth.max(depth);
-        drop(metrics);
-        drop(state);
-        if count == 1 {
-            self.ready.notify_one();
-        } else {
-            self.ready.notify_all();
-        }
-        Ok(())
-    }
-
-    // lint: wait-loop
-    #[cfg(not(all(kwsearch_model, kwsearch_model_mutation)))]
-    pub(crate) fn pop(&self) -> Option<Job> {
-        let mut state = lock_unpoisoned(&self.state);
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                // lint: allow(lock-discipline, reason = "documented order: queue state before metrics, so served counts never outrun the queue")
-                let mut metrics = lock_unpoisoned(&self.metrics);
-                metrics.jobs_served += 1;
-                drop(metrics);
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Seeded mutation (b): acquires `metrics` before `state` — the inverse
-    /// of `push`'s documented order, on the one nested pair that genuinely
-    /// races it (workers pop while submitters push). The model checker must
-    /// report the resulting AB-BA deadlock (`tests/model_mutations.rs`),
-    /// and the `lock-order` lint would flag the cycle were the inverted
-    /// edge not explicitly waived as a fixture.
-    // lint: wait-loop
-    #[cfg(all(kwsearch_model, kwsearch_model_mutation))]
-    pub(crate) fn pop(&self) -> Option<Job> {
-        let mut metrics = lock_unpoisoned(&self.metrics);
-        // lint: allow(lock-order, reason = "seeded mutation fixture: the inverted edge exists to be caught by the model checker, not to be ordered")
-        let mut state = lock_unpoisoned(&self.state); // lint: allow(lock-discipline, reason = "seeded mutation fixture, compiled only under kwsearch_model_mutation")
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                metrics.jobs_served += 1;
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        let mut state = lock_unpoisoned(&self.state);
-        state.closed = true;
-        // Seeded mutation (a′): a queue that never held a job closes without
-        // its notify_all ("nobody to wake" — backwards: that is exactly when
-        // every worker is parked), leaving an idle worker blocked in `pop`
-        // forever; the model checker must report it as a lost wakeup
-        // (`tests/model_mutations.rs`). Scoped to the never-used queue (no
-        // push ever grew the deque) so it stays out of the submit/drain
-        // scenario, where the explorer's deepest-first search would meet it
-        // before mutation (b)'s deadlock.
-        #[cfg(all(kwsearch_model, kwsearch_model_mutation))]
-        if state.jobs.capacity() == 0 {
-            return;
-        }
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        lock_unpoisoned(&self.state).jobs.len()
-    }
-
-    pub(crate) fn stats(&self) -> ServiceStats {
-        *lock_unpoisoned(&self.metrics)
-    }
-}
-
-/// A `std::thread` worker pool serving keyword searches against one shared
-/// [`PreparedGraph`].
-///
-/// Workers run until the service is dropped (or [`Self::shutdown`] is
-/// called): outstanding submissions are drained, then the threads are
-/// joined. The service is `Send + Sync`, so it can itself be shared — e.g.
-/// behind an `Arc` in a network front-end — and submissions from many
-/// producer threads interleave safely.
+/// A thread-less serving front over one or more [`PreparedGraph`] shards —
+/// see the [module docs](self) for the request lifecycle.
 pub struct SearchService {
-    prepared: Arc<PreparedGraph>,
+    shards: Vec<Arc<PreparedGraph>>,
     default_config: SearchConfig,
-    queue: Arc<JobQueue>,
-    workers: Vec<JoinHandle<()>>,
+    max_inflight: usize,
+    /// Admission count and counters: the service's only lock, held for a
+    /// few stores at a time and never nested.
+    state: Mutex<ServiceState>,
+}
+
+/// Gives the in-flight slot back however the request leaves `search`.
+struct InflightGuard<'s>(&'s SearchService);
+
+impl Drop for InflightGuard<'_> {
+    fn drop(&mut self) {
+        lock_unpoisoned(&self.0.state).inflight -= 1;
+    }
 }
 
 impl SearchService {
-    /// Starts a pool of `workers` threads (at least one) serving sessions
-    /// against `prepared` with `default_config`, admitting up to
-    /// [`DEFAULT_QUEUE_CAPACITY`] queued requests.
-    pub fn start(
-        prepared: Arc<PreparedGraph>,
+    /// A service over `shards` (owned preparations or `Arc`s): one
+    /// preparation is served unsharded, the shards of one
+    /// [`PartitionPlan`](crate::shard::PartitionPlan) serve their union.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty.
+    pub fn new<P: Into<Arc<PreparedGraph>>>(
+        shards: impl IntoIterator<Item = P>,
         default_config: SearchConfig,
-        workers: usize,
     ) -> Self {
-        Self::start_with_capacity(prepared, default_config, workers, DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// [`Self::start`] with an explicit submission-queue capacity (at least
-    /// one): submissions beyond `queue_capacity` outstanding requests are
-    /// rejected with [`ServeError::Rejected`].
-    pub fn start_with_capacity(
-        prepared: Arc<PreparedGraph>,
-        default_config: SearchConfig,
-        workers: usize,
-        queue_capacity: usize,
-    ) -> Self {
-        let queue = Arc::new(JobQueue::new(queue_capacity));
-        let workers = (0..workers.max(1))
-            .map(|worker| {
-                let prepared = Arc::clone(&prepared);
-                let queue = Arc::clone(&queue);
-                let default_config = default_config.clone();
-                std::thread::Builder::new()
-                    .name(format!("kwsearch-worker-{worker}"))
-                    .spawn(move || worker_loop(worker, &prepared, &default_config, &queue))
-                    // lint: allow(no-unwrap, reason = "thread spawning fails only on resource exhaustion at pool startup; no graceful degradation exists")
-                    .expect("spawning a search worker thread")
-            })
-            .collect();
+        let shards: Vec<_> = shards.into_iter().map(Into::into).collect();
+        assert!(!shards.is_empty(), "a service needs at least one shard");
         Self {
-            prepared,
+            shards,
             default_config,
-            queue,
-            workers,
+            max_inflight: 64,
+            state: Mutex::default(),
         }
     }
 
-    /// Enqueues a request and returns the ticket its response arrives on,
-    /// or [`ServeError::Rejected`] when the queue is at capacity. The
-    /// request's deadline clock starts now, not when a worker picks it up.
-    pub fn submit(&self, request: SearchRequest) -> Result<SearchTicket, ServeError> {
-        let (reply, receiver) = mpsc::channel();
-        let deadline = request.deadline.map(|budget| Instant::now() + budget);
-        self.queue.push(Job {
-            request,
-            reply,
-            deadline,
-        })?;
-        Ok(SearchTicket { receiver })
+    /// Sets the admission cap (default 64) — the service's one option:
+    /// requests beyond this many concurrently served ones are rejected.
+    pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
+        self.max_inflight = max_inflight;
+        self
     }
 
-    /// Enqueues a batch of requests atomically: one queue-lock acquisition
-    /// and one pool wakeup for the whole batch, and admission is
-    /// all-or-nothing — either every request fits under the capacity bound
-    /// (tickets returned in submission order) or none is enqueued.
-    pub fn submit_batch(
-        &self,
-        requests: impl IntoIterator<Item = SearchRequest>,
-    ) -> Result<Vec<SearchTicket>, ServeError> {
-        let now = Instant::now();
-        let mut jobs = Vec::new();
-        let mut tickets = Vec::new();
-        for request in requests {
-            let (reply, receiver) = mpsc::channel();
-            let deadline = request.deadline.map(|budget| now + budget);
-            jobs.push(Job {
-                request,
-                reply,
-                deadline,
-            });
-            tickets.push(SearchTicket { receiver });
-        }
-        self.queue.push_batch(jobs)?;
-        Ok(tickets)
+    /// The preparations served, in shard order.
+    pub fn shards(&self) -> &[Arc<PreparedGraph>] {
+        &self.shards
     }
 
-    /// Convenience: submits a plain top-k request for `keywords`.
-    pub fn submit_keywords<S: AsRef<str>>(
-        &self,
-        keywords: &[S],
-    ) -> Result<SearchTicket, ServeError> {
-        self.submit(SearchRequest::new(keywords.iter().map(AsRef::as_ref)))
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of submitted requests not yet picked up by a worker.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The admission bound: submissions beyond this many outstanding
-    /// requests are rejected.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
-    /// The shared preparation the pool serves.
-    pub fn prepared(&self) -> &Arc<PreparedGraph> {
-        &self.prepared
-    }
-
-    /// The configuration used for requests without an explicit one.
-    pub fn default_config(&self) -> &SearchConfig {
-        &self.default_config
-    }
-
-    /// Cumulative serving metrics: submissions, served jobs, and the peak
-    /// submission-queue depth.
+    /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        self.queue.stats()
+        let stats = lock_unpoisoned(&self.state).stats;
+        ServiceStats {
+            peak_queue_depth: stats.peak_inflight, // benchmark compat
+            jobs_rejected: stats.rejected,         // benchmark compat
+            ..stats
+        }
     }
 
-    /// Closes the submission queue, drains outstanding requests and joins
-    /// the workers. Dropping the service does the same; this form merely
-    /// makes the blocking explicit.
-    pub fn shutdown(self) {}
-}
+    /// Serves one request on the caller's thread — see the
+    /// [module docs](self) for the steps and the failure modes.
+    pub fn search(&self, request: SearchRequest) -> Result<SearchReply, ServeError> {
+        let _slot = self.admit()?;
+        let result = self.serve(request);
+        let mut state = lock_unpoisoned(&self.state);
+        match &result {
+            Ok(reply) => state.stats.queries_returned += reply.outcome.queries.len() as u64,
+            Err(ServeError::DeadlineExceeded { .. }) => state.stats.deadline_exceeded += 1,
+            Err(_) => {}
+        }
+        drop(state);
+        result
+    }
 
-impl Drop for SearchService {
-    fn drop(&mut self) {
-        // Close (sets the flag and notifies) strictly before joining, so
-        // idle workers wake up and exit instead of waiting forever.
-        self.queue.close();
-        // Join *every* worker before re-raising anything: resuming the
-        // first panic mid-loop would leak the remaining handles and skip
-        // draining their outstanding jobs.
-        let mut first_panic = None;
-        for worker in self.workers.drain(..) {
-            if let Err(panic) = worker.join() {
-                if first_panic.is_none() {
-                    first_panic = Some(panic);
-                } else {
-                    eprintln!("kwsearch-core: additional search worker panicked: {panic:?}");
-                }
-            }
+    fn admit(&self) -> Result<InflightGuard<'_>, ServeError> {
+        let mut state = lock_unpoisoned(&self.state);
+        if state.inflight >= self.max_inflight {
+            state.stats.rejected += 1;
+            return Err(ServeError::Rejected {
+                max_inflight: self.max_inflight,
+            });
         }
-        if let Some(panic) = first_panic {
-            // A panicking worker poisoned nothing shared (sessions are
-            // per-request); surface the panic here instead of hiding it —
-            // unless this drop is itself running during an unwind (e.g. the
-            // caller's `SearchTicket::wait` panicked about the dead worker),
-            // where a second panic would abort the process and destroy the
-            // original message.
-            if std::thread::panicking() {
-                eprintln!("kwsearch-core: search worker panicked: {panic:?}");
-            } else {
-                std::panic::resume_unwind(panic);
-            }
+        state.inflight += 1;
+        state.stats.admitted += 1;
+        state.stats.peak_inflight = state.stats.peak_inflight.max(state.inflight);
+        Ok(InflightGuard(self))
+    }
+
+    /// Steps 2–6 of the lifecycle, for a request that holds its slot.
+    fn serve(&self, request: SearchRequest) -> Result<SearchReply, ServeError> {
+        #[cfg(test)]
+        if request.inject_panic {
+            panic!("injected search panic (test seam)");
         }
+        let deadline = request.deadline.map(|budget| Instant::now() + budget);
+        let exceeded = || ServeError::DeadlineExceeded {
+            // Only deadline failures report it, and those carry a budget.
+            deadline: request.deadline.unwrap_or_default(),
+        };
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Err(exceeded());
+        }
+        let config = request
+            .config
+            .unwrap_or_else(|| self.default_config.clone());
+        // Any shard carries the global summary and the full vertex/label
+        // tables; shard 0's cache is the service's cache.
+        let first = &*self.shards[0];
+        let mut session =
+            SearchSession::start_with_lookup(first, &request.keywords, config, || {
+                let per_shard: Vec<_> = self
+                    .shards
+                    .iter()
+                    .map(|shard| shard.keyword_index().lookup_all(&request.keywords))
+                    .collect();
+                let max_matches = first.keyword_index().config().max_matches_per_keyword;
+                merge_keyword_matches(&per_shard, max_matches)
+            })?;
+        session.set_deadline(deadline);
+        session.drain();
+        if session.aborted() {
+            return Err(exceeded());
+        }
+        let outcome = session.into_partial_outcome();
+        let answer_phase = request.min_answers.map(|min_answers| {
+            answer_queries_sharded(&self.shards, &outcome.queries, min_answers, deadline)
+        });
+        Ok(SearchReply {
+            outcome,
+            answer_phase,
+        })
     }
 }
 
 impl std::fmt::Debug for SearchService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchService")
-            .field("workers", &self.workers.len())
-            .field("pending", &self.pending())
+            .field("shards", &self.shards.len())
+            .field("max_inflight", &self.max_inflight)
             .field("default_config", &self.default_config)
             .finish_non_exhaustive()
     }
 }
 
-fn worker_loop(
-    worker: usize,
-    prepared: &PreparedGraph,
-    default_config: &SearchConfig,
-    queue: &JobQueue,
-) {
-    while let Some(job) = queue.pop() {
-        let Job {
-            request,
-            reply,
-            deadline,
-        } = job;
-        #[cfg(test)]
-        if request.inject_panic {
-            panic!("injected worker panic (test seam)");
+/// Benchmark compat, going with the `benchmark` catch-up issue (ROADMAP item 4):
+/// the names the frozen `benchmark/` still calls. All of it, and the two hidden
+/// `ServiceStats` fields, only delegates to `SearchService::{new, search}`.
+#[doc(hidden)]
+pub mod compat {
+    #![allow(missing_debug_implementations)]
+    use super::*;
+    pub struct SearchResponse {
+        pub result: Result<SearchOutcome, ServeError>,
+        pub service_time: Duration,
+    }
+    pub type SearchTicket = SearchResponse;
+    impl SearchResponse {
+        pub fn wait(self) -> Self {
+            self
         }
-        let start = Instant::now();
-        let deadline_error = || ServeError::DeadlineExceeded {
-            // Jobs carry an absolute deadline only when the request had a
-            // budget, so the unwrap-to-zero is unreachable in practice.
-            deadline: request.deadline.unwrap_or(Duration::ZERO),
-        };
-        // A request that spent its whole budget queued is answered without
-        // searching at all — tail-latency control means shedding work the
-        // caller has already given up on.
-        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-            let _ = reply.send(SearchResponse {
-                result: Err(deadline_error()),
-                answer_phase: None,
-                service_time: start.elapsed(),
-                worker,
-            });
-            continue;
+    }
+    impl SearchService {
+        pub fn start(prepared: Arc<PreparedGraph>, config: SearchConfig, _workers: usize) -> Self {
+            Self::new([prepared], config)
         }
-        let config = request
-            .config
-            .clone()
-            .unwrap_or_else(|| default_config.clone());
-        let (result, answer_phase) = match prepared.session(&request.keywords, config) {
-            Ok(mut session) => {
-                session.set_deadline(deadline);
-                match request.min_answers {
-                    Some(min_answers) => {
-                        let phase = session.answers_until(min_answers);
-                        if session.aborted() {
-                            (Err(deadline_error()), None)
-                        } else {
-                            (Ok(session.into_partial_outcome()), Some(phase))
-                        }
-                    }
-                    None => {
-                        // Drain by hand instead of `into_outcome` so an
-                        // abort can still be observed on the session: a
-                        // deadline hit mid-stream discards the partial
-                        // prefix rather than passing it off as a top-k.
-                        while session.next_query().is_some() {}
-                        if session.aborted() {
-                            (Err(deadline_error()), None)
-                        } else {
-                            (Ok(session.into_partial_outcome()), None)
-                        }
-                    }
-                }
-            }
-            Err(error) => (Err(ServeError::Search(error)), None),
-        };
-        // A closed ticket (submitter gave up) is not an error.
-        let _ = reply.send(SearchResponse {
-            result,
-            answer_phase,
-            service_time: start.elapsed(),
-            worker,
-        });
+        pub fn submit(&self, request: SearchRequest) -> Result<SearchTicket, ServeError> {
+            let start = Instant::now();
+            let result = match self.search(request) {
+                Err(rejected @ ServeError::Rejected { .. }) => return Err(rejected),
+                result => result.map(|reply| reply.outcome),
+            };
+            let service_time = start.elapsed();
+            Ok(SearchResponse {
+                result,
+                service_time,
+            })
+        }
+    }
+    pub type ShardedServiceOptions = ();
+    pub struct ShardedOutcome {
+        pub queries: Vec<RankedQuery>,
+        pub scatter_time: Duration,
+        pub merge_time: Duration,
+        pub early_emissions: usize,
+    }
+    pub struct ShardedService(SearchService);
+    impl ShardedService {
+        pub fn start(shards: Vec<PreparedGraph>, config: SearchConfig, _: ()) -> Self {
+            Self(SearchService::new(shards, config))
+        }
+        pub fn search(&self, request: SearchRequest) -> Result<ShardedOutcome, ServeError> {
+            let outcome = self.0.search(request)?.outcome;
+            Ok(ShardedOutcome {
+                early_emissions: outcome.queries.len(),
+                queries: outcome.queries,
+                scatter_time: outcome.keyword_mapping_time,
+                merge_time: outcome.exploration_time,
+            })
+        }
+        pub fn shutdown(self) {}
     }
 }
+pub use compat::*;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kwsearch_rdf::fixtures::figure1_graph;
 
-    fn prepared() -> Arc<PreparedGraph> {
-        Arc::new(PreparedGraph::index(figure1_graph()))
+    pub(crate) const RUNNING_EXAMPLE: [&str; 3] = ["2006", "cimiano", "aifb"];
+
+    /// One shard, cache on: the unsharded deployment.
+    fn service() -> SearchService {
+        let prepared = PreparedGraph::index(figure1_graph());
+        SearchService::new([prepared], SearchConfig::default())
     }
 
-    fn service(workers: usize) -> SearchService {
-        SearchService::start(prepared(), SearchConfig::default(), workers)
+    fn cache_hits(service: &SearchService) -> u64 {
+        service.shards()[0].augmentation_cache().stats().hits
     }
 
+    /// Eight client threads and a final cache hit all get, bit for bit, what
+    /// a direct session on an uncached preparation computes.
     #[test]
     fn serves_concurrent_submissions_identically_to_direct_sessions() {
-        let service = service(4);
-        let direct = service
-            .prepared()
-            .session(&["2006", "cimiano", "aifb"], SearchConfig::default())
+        let service = service();
+        let direct = PreparedGraph::index_with(figure1_graph(), Default::default(), 0)
+            .session(&RUNNING_EXAMPLE, SearchConfig::default())
             .unwrap()
             .into_outcome();
-        let tickets: Vec<_> = (0..8)
-            .map(|_| {
-                service
-                    .submit_keywords(&["2006", "cimiano", "aifb"])
-                    .unwrap()
-            })
-            .collect();
-        for ticket in tickets {
-            let response = ticket.wait();
-            let outcome = response.result.expect("the running example matches");
-            assert_eq!(outcome.queries.len(), direct.queries.len());
-            for (got, want) in outcome.queries.iter().zip(direct.queries.iter()) {
+        let assert_direct = |got: SearchOutcome| {
+            assert_eq!(got.queries.len(), direct.queries.len());
+            for (got, want) in got.queries.iter().zip(&direct.queries) {
                 assert_eq!(got.cost.to_bits(), want.cost.to_bits());
                 assert_eq!(got.query.canonicalized(), want.query.canonicalized());
             }
-            assert!(response.worker < service.worker_count());
-        }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let reply = service.search(SearchRequest::new(RUNNING_EXAMPLE));
+                    assert_direct(reply.expect("the running example matches").outcome);
+                });
+            }
+        });
+        let hits = cache_hits(&service);
+        let replayed = service.search(SearchRequest::new(RUNNING_EXAMPLE)).unwrap();
+        assert_eq!(cache_hits(&service), hits + 1, "served by replay");
+        assert_direct(replayed.outcome);
+        let stats = service.stats();
+        assert_eq!((stats.admitted, stats.rejected), (9, 0));
+        assert!((1..=8).contains(&stats.peak_inflight), "{stats:?}");
     }
 
     #[test]
+    fn workers_share_the_augmentation_cache() {
+        let service = service();
+        let request = || SearchRequest::new(["cimiano", "aifb"]);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| (0..3).for_each(|_| drop(service.search(request()).unwrap())));
+            }
+        });
+        // Only a thread's first request can race the first insert.
+        assert!(cache_hits(&service) >= 8, "expected shared-cache hits");
+    }
+
+    /// The top-k is drained whole, then answered in rank order.
+    #[test]
     fn min_answers_requests_carry_an_answer_phase() {
-        let service = service(2);
-        let response = service
-            .submit(SearchRequest::new(["publications"]).with_min_answers(2))
-            .unwrap()
-            .wait();
-        let phase = response.answer_phase.expect("answer phase was requested");
+        let service = service();
+        let plain = service
+            .search(SearchRequest::new(["publications"]))
+            .unwrap();
+        assert!(plain.answer_phase.is_none());
+        let reply = service
+            .search(SearchRequest::new(["publications"]).with_min_answers(2))
+            .unwrap();
+        let phase = reply.answer_phase.expect("answer phase was requested");
         assert!(phase.total_answers() >= 2, "two publications exist");
-        let outcome = response.result.unwrap();
-        assert_eq!(outcome.queries.len(), phase.queries_processed);
+        assert!(!phase.truncated);
+        assert!(phase.queries_processed <= reply.outcome.queries.len());
+        assert_eq!(reply.outcome.queries.len(), plain.outcome.queries.len());
     }
 
     #[test]
     fn per_request_config_overrides_the_default() {
-        let service = service(2);
-        let response = service
-            .submit(
-                SearchRequest::new(["cimiano", "publication"]).with_config(SearchConfig::with_k(2)),
-            )
-            .unwrap()
-            .wait();
-        assert!(response.result.unwrap().queries.len() <= 2);
+        let request =
+            SearchRequest::new(["cimiano", "publication"]).with_config(SearchConfig::with_k(2));
+        assert!(service().search(request).unwrap().outcome.queries.len() <= 2);
     }
 
-    #[test]
-    fn unmatched_keywords_surface_as_typed_errors() {
-        let service = service(1);
-        let response = service.submit_keywords(&["xyzzy-unknown"]).unwrap().wait();
-        let ServeError::Search(SearchError::AllKeywordsUnmatched { keywords }) =
-            response.result.unwrap_err()
-        else {
-            panic!("expected a search error");
+    /// Nothing matches: the session's typed error, through the service.
+    pub(crate) fn check_unmatched_keywords(service: SearchService) {
+        let error = service
+            .search(SearchRequest::new(["xyzzy-unknown"]))
+            .unwrap_err();
+        let ServeError::Search(SearchError::AllKeywordsUnmatched { keywords }) = error else {
+            panic!("expected a search error, got {error:?}");
         };
         assert_eq!(keywords.len(), 1);
     }
 
     #[test]
-    fn shutdown_drains_outstanding_requests() {
-        let service = service(1);
-        let tickets: Vec<_> = (0..4)
-            .map(|_| service.submit_keywords(&["publications"]).unwrap())
-            .collect();
-        service.shutdown();
-        for ticket in tickets {
-            assert!(ticket.wait().result.is_ok());
-        }
+    fn unmatched_keywords_surface_as_typed_errors() {
+        check_unmatched_keywords(service());
     }
 
-    #[test]
-    fn stats_track_submissions_served_jobs_and_peak_depth() {
-        let service = service(1);
-        let tickets: Vec<_> = (0..3)
-            .map(|_| service.submit_keywords(&["publications"]).unwrap())
-            .collect();
-        for ticket in tickets {
-            let _ = ticket.wait().result.unwrap();
-        }
+    /// A deadline already expired at admission fails the request before any
+    /// lookup, is counted, and gives its slot back: under `max_inflight = 1`
+    /// the next request (without a deadline) is admitted and served.
+    pub(crate) fn check_expired_deadline(service: SearchService) {
+        let service = service.with_max_inflight(1);
+        let error = service
+            .search(SearchRequest::new(RUNNING_EXAMPLE).with_deadline(Duration::ZERO))
+            .expect_err("a zero deadline cannot be met");
+        let deadline = Duration::ZERO;
+        assert_eq!(error, ServeError::DeadlineExceeded { deadline });
+        let reply = service.search(SearchRequest::new(RUNNING_EXAMPLE));
+        assert!(!reply
+            .expect("the slot came back")
+            .outcome
+            .queries
+            .is_empty());
         let stats = service.stats();
-        assert_eq!(stats.jobs_submitted, 3);
-        assert_eq!(stats.jobs_served, 3);
-        assert!(
-            (1..=3).contains(&stats.peak_queue_depth),
-            "peak depth reflects real queueing: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn drop_completes_when_a_worker_panicked_mid_job() {
-        // One worker dies on the injected panic; the other keeps serving.
-        // Drop must still join both and then re-raise the worker's panic —
-        // the hang this guards against is a drop that waits on a thread
-        // that will never see the close flag, or that leaks live workers
-        // after the first panicked join.
-        let service = service(2);
-        let poisoned = service
-            .submit(SearchRequest::new(["publications"]).with_injected_panic())
-            .unwrap();
-        let healthy: Vec<_> = (0..4)
-            .map(|_| service.submit_keywords(&["publications"]).unwrap())
-            .collect();
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || service.shutdown()));
-        let message = *result
-            .expect_err("the worker panic is re-raised from drop")
-            .downcast::<&str>()
-            .expect("the injected panic carries its message");
-        assert_eq!(message, "injected worker panic (test seam)");
-        // The panicked job's ticket is dead; the drain guarantee still
-        // holds for every job a live worker could reach.
-        for ticket in healthy {
-            assert!(ticket.wait().result.is_ok());
-        }
-        assert!(
-            poisoned.receiver.recv().is_err(),
-            "no reply from a dead worker"
-        );
-    }
-
-    #[test]
-    fn workers_share_the_augmentation_cache() {
-        let service = service(4);
-        let tickets: Vec<_> = (0..12)
-            .map(|_| service.submit_keywords(&["cimiano", "aifb"]).unwrap())
-            .collect();
-        for ticket in tickets {
-            let _ = ticket.wait().result.unwrap();
-        }
-        let stats = service.prepared().augmentation_cache().stats();
-        // 12 identical requests: at least the non-racing majority hit.
-        assert!(stats.hits >= 8, "expected shared-cache hits, got {stats:?}");
-    }
-
-    #[test]
-    fn a_full_queue_rejects_submissions_with_the_typed_error() {
-        // Deterministic construction of a stalled pool: the only worker
-        // dies on an injected panic, so nothing ever drains the queue and
-        // it can be filled to capacity without racing a consumer.
-        let service = SearchService::start_with_capacity(prepared(), SearchConfig::default(), 1, 3);
-        assert_eq!(service.queue_capacity(), 3);
-        let kill = service
-            .submit(SearchRequest::new(["publications"]).with_injected_panic())
-            .unwrap();
-        // Wait until the worker has picked the poison job up (the queue
-        // length drops to zero), so capacity is measured on queued jobs
-        // only, never on the one in flight.
-        while service.pending() > 0 {
-            std::thread::yield_now();
-        }
-        let _parked: Vec<_> = (0..3)
-            .map(|_| service.submit_keywords(&["publications"]).unwrap())
-            .collect();
-        let rejected = service.submit_keywords(&["publications"]);
         assert_eq!(
-            rejected.map(|_| ()).unwrap_err(),
-            ServeError::Rejected { queue_capacity: 3 }
+            (stats.admitted, stats.rejected, stats.deadline_exceeded),
+            (2, 0, 1)
         );
-        assert_eq!(service.stats().jobs_rejected, 1);
-        // Shutdown re-raises the injected panic; the parked tickets die
-        // with the queue (their jobs were closed out, never served).
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || service.shutdown()));
-        assert!(result.is_err(), "the worker panic is re-raised from drop");
-        assert!(kill.receiver.recv().is_err(), "no reply from a dead worker");
     }
 
     #[test]
     fn an_expired_deadline_is_a_typed_error_not_a_truncated_result() {
-        let service = service(2);
-        let response = service
-            .submit(SearchRequest::new(["2006", "cimiano", "aifb"]).with_deadline(Duration::ZERO))
-            .unwrap()
-            .wait();
-        assert_eq!(
-            response.result.unwrap_err(),
-            ServeError::DeadlineExceeded {
-                deadline: Duration::ZERO
-            }
-        );
-        assert!(response.answer_phase.is_none());
-        // A request without a deadline on the same service is unaffected.
-        let ok = service.submit_keywords(&["publications"]).unwrap().wait();
-        assert!(ok.result.is_ok());
+        check_expired_deadline(service());
     }
 
+    /// Three sequential requests: all admitted, all served, one at a time.
     #[test]
-    fn batch_submission_is_all_or_nothing() {
-        let service = SearchService::start_with_capacity(prepared(), SearchConfig::default(), 1, 2);
-        let kill = service
-            .submit(SearchRequest::new(["publications"]).with_injected_panic())
-            .unwrap();
-        while service.pending() > 0 {
-            std::thread::yield_now();
-        }
-        // Three requests against capacity two: the whole batch is refused,
-        // and none of it reached the queue.
-        let oversized = service.submit_batch((0..3).map(|_| SearchRequest::new(["publications"])));
+    fn stats_track_submissions_served_jobs_and_peak_depth() {
+        let service = service();
+        let request = || SearchRequest::new(["publications"]);
+        let returned: usize = (0..3)
+            .map(|_| service.search(request()).unwrap().outcome.queries.len())
+            .sum();
+        let stats = service.stats();
         assert_eq!(
-            oversized.map(|_| ()).unwrap_err(),
-            ServeError::Rejected { queue_capacity: 2 }
+            (stats.admitted, stats.rejected, stats.deadline_exceeded),
+            (3, 0, 0)
         );
-        assert_eq!(service.pending(), 0, "a rejected batch leaves no residue");
-        assert_eq!(service.stats().jobs_rejected, 3);
-        // A fitting batch is admitted whole.
-        let fits = service
-            .submit_batch((0..2).map(|_| SearchRequest::new(["publications"])))
-            .unwrap();
-        assert_eq!(fits.len(), 2);
-        assert_eq!(service.pending(), 2);
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || service.shutdown()));
-        assert!(result.is_err(), "the worker panic is re-raised from drop");
-        assert!(kill.receiver.recv().is_err(), "no reply from a dead worker");
+        assert_eq!(stats.queries_returned, returned as u64);
+        assert_eq!(stats.peak_inflight, 1, "sequential callers never overlap");
+    }
+
+    /// A panic inside `search` unwinds the caller's thread; the slot it held
+    /// comes back and the service keeps serving.
+    #[test]
+    fn a_panicking_search_gives_its_slot_back_and_the_service_keeps_serving() {
+        let service = service().with_max_inflight(1);
+        let request = SearchRequest::new(["publications"]).with_injected_panic();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = service.search(request);
+        }))
+        .expect_err("the injected panic reaches the caller");
+        assert_eq!(
+            panic.downcast_ref::<&str>(),
+            Some(&"injected search panic (test seam)")
+        );
+        assert!(service.search(SearchRequest::new(["publications"])).is_ok());
+        let stats = service.stats();
+        assert_eq!((stats.admitted, stats.rejected), (2, 0));
     }
 }

@@ -123,6 +123,27 @@ impl<'e> SearchSession<'e> {
         keywords: &[S],
         config: SearchConfig,
     ) -> Result<Self, SearchError> {
+        Self::start_with_lookup(prepared, keywords, config, || {
+            prepared.keyword_index().lookup_all(keywords)
+        })
+    }
+
+    /// [`Self::start`] with the keyword-to-element mapping supplied by the
+    /// caller: [`crate::serve::SearchService`] arrives here with the
+    /// per-shard lookups merged into the exact global match lists (one list
+    /// per keyword, in keyword order). Cache probe, replay, the typed
+    /// unmatched error and the insert on a natural drain are this one path.
+    ///
+    /// Augmenting any shard's graph with the *global* matches yields the
+    /// unsharded augmented summary graph: the augmentation's structure
+    /// depends only on the shared summary and the matches, and shard graphs
+    /// retain the full vertex and label tables.
+    pub(crate) fn start_with_lookup<S: AsRef<str>>(
+        prepared: &'e PreparedGraph,
+        keywords: &[S],
+        config: SearchConfig,
+        lookup: impl FnOnce() -> Vec<Vec<kwsearch_keyword_index::KeywordMatch>>,
+    ) -> Result<Self, SearchError> {
         // 0. Probe the result cache: a search depends only on the immutable
         // indexes, the configuration and the normalized query terms, so a
         // hit replays what an earlier drained session emitted, bit for bit
@@ -172,7 +193,7 @@ impl<'e> SearchSession<'e> {
         }
 
         // 1. Keyword-to-element mapping.
-        let all_matches = prepared.keyword_index().lookup_all(keywords);
+        let all_matches = lookup();
         let keyword_mapping_time = mapping_start.elapsed();
 
         let report: Vec<KeywordMatch> = keywords
@@ -218,21 +239,10 @@ impl<'e> SearchSession<'e> {
         Ok(session)
     }
 
-    /// Augmentation plus the seeded exploration state: the one place that
-    /// turns keyword matches into a session. [`Self::start`] arrives here on
-    /// a cache miss (or with the cache off); the sharded coordinator (see
-    /// [`crate::shard`]) arrives here directly, with the per-shard lookups
-    /// merged into the exact global match lists. Augmenting any shard's
-    /// graph with those *global* matches yields the unsharded augmented
-    /// summary graph:
-    /// the augmentation's structure depends only on the shared summary and
-    /// the matches, and shard graphs retain the full vertex and label
-    /// tables.
-    ///
-    /// `matches` must already be filtered of empty per-keyword lists and
-    /// `report` must cover the original keyword positions — the caller
-    /// owns the `AllKeywordsUnmatched` decision.
-    pub(crate) fn start_with_matches(
+    /// Augmentation plus the seeded exploration state over already-filtered
+    /// matches (no empty per-keyword lists; `report` covers the original
+    /// keyword positions).
+    fn start_with_matches(
         prepared: &'e PreparedGraph,
         report: Vec<KeywordMatch>,
         matches: &[Vec<kwsearch_keyword_index::KeywordMatch>],
@@ -329,8 +339,8 @@ impl<'e> SearchSession<'e> {
     }
 
     /// Installs a shared cooperative-cancellation token (see
-    /// [`CancelToken`]): the serving layer cancels it on shutdown or when a
-    /// request's deadline fires while the job is queued.
+    /// [`CancelToken`]): a caller that runs the session on a thread of its
+    /// own cancels it from outside to stop the cursor walk within one pop.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
         if let Some((_, state)) = self.exploration.as_mut() {
             state.set_cancel(cancel.clone());
@@ -677,16 +687,22 @@ impl<'e> SearchSession<'e> {
     /// report `terminated_by_threshold = false` where the bare run reports
     /// `true`). Counters are comparable across sessions.
     pub fn into_outcome(mut self) -> SearchOutcome {
-        while self.advance().is_some() {}
+        self.drain();
         self.into_partial_outcome()
+    }
+
+    /// Runs the stream to its end without handing the queries out, leaving
+    /// the session inspectable ([`Self::aborted`]) — the serving layer's
+    /// drain.
+    pub(crate) fn drain(&mut self) {
+        while self.advance().is_some() {}
     }
 
     /// Returns the batch [`SearchOutcome`] over the queries emitted *so
     /// far*, without draining the rest of the stream — the terminal form of
-    /// an anytime consumer (e.g. a serving worker that ran
-    /// [`Self::answers_until`] and has no use for queries the answer phase
-    /// never reached). [`Self::into_outcome`] is `advance`-to-exhaustion
-    /// followed by this.
+    /// an anytime consumer (e.g. one that ran [`Self::answers_until`] and
+    /// has no use for queries the answer phase never reached).
+    /// [`Self::into_outcome`] drains the stream to its end, then does this.
     pub fn into_partial_outcome(self) -> SearchOutcome {
         let exploration = self.stats();
         SearchOutcome {

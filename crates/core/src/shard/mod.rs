@@ -1,34 +1,26 @@
-//! Sharded serving: partitioned preparations behind one exploration.
+//! Sharding: one data graph partitioned into edge-disjoint preparations.
 //!
-//! # Architecture
+//! [`partition`] splits a data graph into `N` **edge-disjoint** shard graphs
+//! over the original id space (entity/value connectivity components stay
+//! whole; `subclass` schema edges are replicated), and
+//! [`PartitionPlan::prepare_shards`] builds one [`PreparedGraph`] per shard —
+//! each persistable as a standalone snapshot via [`persist_shards`] /
+//! [`load_shards`]. A [`SearchService`](crate::serve::SearchService) over
+//! those preparations serves a keyword query exactly as it serves one
+//! unsharded preparation (see [`crate::serve`] for the request lifecycle);
+//! what makes the two sharded steps exact lives here:
 //!
-//! [`partition`] splits one data graph into `N` **edge-disjoint** shard
-//! graphs over the original id space (entity/value connectivity components
-//! stay whole; `subclass` schema edges are replicated), and
-//! [`PartitionPlan::prepare_shards`] builds one [`PreparedGraph`] per
-//! shard — each persistable as a standalone snapshot via
-//! [`persist_shards`] / [`load_shards`]. A [`ShardedService`] then serves
-//! a keyword query over the shards, on the caller's thread:
-//!
-//! 1. **admission**: a bounded in-flight budget, and the request deadline
-//!    checked once before any work;
-//! 2. **scatter lookups**: the keywords are looked up on every shard index
-//!    and the per-shard lists merged into the exact global match lists
-//!    (shards keep the full vertex/label tables, so per-shard lookups agree
-//!    on elements, scores and order; only edge-derived payloads need the
-//!    union — `matches`);
-//! 3. **one exploration**: a single
-//!    [`SearchSession`](crate::session::SearchSession) over the merged
-//!    matches. The exploration runs on the augmented summary graph — a
-//!    shared global summary plus the matches, orders of magnitude smaller
-//!    than the data and identical on every shard — so it is neither
-//!    partitioned nor repeated: any one shard's preparation yields the
-//!    unsharded certified stream;
-//! 4. **scattered answer phase**: each ranked query is evaluated against
-//!    the shard-local triple stores and the row sets unioned (exact,
-//!    because variable-connected atom groups bind within one connectivity
-//!    component — see `coordinator`). A shard that fails a query's
-//!    evaluation fails that query's set, never shrinks it.
+//! * **merged lookups** (`matches`): shards keep the full vertex/label
+//!   tables, so per-shard lookups agree on elements, scores and order; only
+//!   edge-derived payloads need a union. The exploration then runs once, on
+//!   the augmented summary graph — a shared global summary plus the merged
+//!   matches, orders of magnitude smaller than the data and identical on
+//!   every shard — so it is neither partitioned nor repeated;
+//! * **scattered answer phase** (`coordinator`): each ranked query is
+//!   evaluated against the shard-local triple stores and the row sets
+//!   unioned — exact, because variable-connected atom groups bind within one
+//!   connectivity component. A shard that fails a query's evaluation fails
+//!   that query's set, never shrinks it.
 //!
 //! What the shards divide is the data: triple stores, keyword-index
 //! payloads and snapshots. The stream is **bit-identical** to the unsharded
@@ -41,8 +33,13 @@ mod coordinator;
 mod matches;
 mod partition;
 
-pub use coordinator::{ShardedOutcome, ShardedService, ShardedServiceOptions, ShardedStats};
+pub(crate) use coordinator::answer_queries_sharded;
+pub(crate) use matches::merge_keyword_matches;
 pub use partition::{load_shards, partition, persist_shards, PartitionPlan};
+
+// Benchmark compat (see the marked block in `crate::serve`).
+#[doc(hidden)]
+pub use crate::serve::{ShardedOutcome, ShardedService, ShardedServiceOptions};
 
 #[allow(unused_imports)] // referenced by the module docs
 use crate::prepared::PreparedGraph;

@@ -215,15 +215,18 @@ impl PartitionPlan {
     }
 
     /// Builds one [`PreparedGraph`] per shard, ready for
-    /// [`ShardedService::start`](crate::shard::ShardedService::start).
+    /// [`SearchService::new`](crate::serve::SearchService::new).
     ///
     /// Every shard preparation carries a clone of the **global** summary
     /// graph: the augmentation's structure depends only on the summary and
     /// the keyword matches, so sharing the summary is what makes every
     /// shard's exploration bit-identical to the unsharded one (see
     /// [`crate::shard`]). The keyword index and the triple store are built
-    /// from the shard's own edges; the augmentation cache is disabled
-    /// (shard sessions bypass it).
+    /// from the shard's own edges. The result cache stays disabled
+    /// (capacity 0): the service's probe/replay/insert runs on shard 0's
+    /// cache, so turning it on is this one constant — after which a replaying
+    /// session's debug-invariants shadow (`SearchSession::build_exploration`,
+    /// which looks up on shard 0 alone) needs the merged lookup too.
     pub fn prepare_shards(
         &self,
         graph: &DataGraph,

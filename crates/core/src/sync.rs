@@ -1,25 +1,25 @@
 //! The crate's synchronization facade: `std::sync` normally, the
 //! model-checker shims under `cfg(kwsearch_model)`.
 //!
-//! Every lock, condvar, `Arc`, and atomic in this crate is imported from
-//! here (the `no-raw-sync` lint rule enforces it), so building with
-//! `RUSTFLAGS="--cfg kwsearch_model"` swaps the whole serving stack onto
-//! [`kwsearch_modelcheck`]'s instrumented twins: acquisition, release-wait,
-//! notify, and `Arc`-clone become scheduling decisions a bounded DFS
-//! explorer can enumerate exhaustively (see `tests/model_*.rs`). The two
-//! twins export the same API surface — a compile-time shape test below pins
-//! that — and the model twins fall back to plain blocking behavior on
-//! threads that are not part of an exploration, so ordinary tests keep
-//! working under either cfg.
+//! Every lock, `Arc`, and atomic in this crate is imported from here (the
+//! `no-raw-sync` lint rule enforces it), so building with
+//! `RUSTFLAGS="--cfg kwsearch_model"` swaps the cache, the service and
+//! [`crate::LiveGraph`] onto [`kwsearch_modelcheck`]'s instrumented twins:
+//! acquisition, release, atomic access and `Arc`-clone become scheduling
+//! decisions a bounded DFS explorer can enumerate exhaustively (see
+//! `tests/model_*.rs`). The two twins export the same API surface — a
+//! compile-time shape test below pins that — and the model twins fall back
+//! to plain blocking behavior on threads that are not part of an
+//! exploration, so ordinary tests keep working under either cfg.
 //!
 //! # Lock-poisoning recovery
 //!
-//! `std`'s mutexes poison when a holder panics, and the previous revisions
-//! of [`crate::cache`] and [`crate::serve`] escalated that into a panic on
-//! every *subsequent* access — one panicking worker could cascade into a
-//! pool-wide abort. Recovery is sound for every lock in this crate because
-//! each critical section leaves the protected state consistent at all its
-//! panic points:
+//! `std`'s mutexes poison when a holder panics, and escalating that into a
+//! panic on every *subsequent* access would let one panicking request take
+//! the cache, the service counters or the live lineage down for every other
+//! caller. Recovery is sound for every lock in this crate because each
+//! critical section leaves the protected state consistent at all its panic
+//! points:
 //!
 //! * the cache's map and reverse map are only mutated through insert/remove
 //!   calls that are individually atomic with respect to panics — a recovered
@@ -27,18 +27,17 @@
 //!   estimates) that miss one update, never a torn entry, and cached search
 //!   results stay bit-identical because entries are immutable and published
 //!   as whole `Arc`s;
-//! * the job queue and the service metrics are single-assignment or
-//!   monotonic-counter updates between wait points.
+//! * the service's admission count and counters are single integer updates,
+//!   and [`crate::LiveGraph`] only ever stores a whole `Arc`.
 //!
-//! Panics from serving workers are still surfaced — [`crate::serve`] joins
-//! its threads and re-raises — but read paths keep working instead of
-//! amplifying the failure.
+//! A panic inside a search is still surfaced — it unwinds the caller's
+//! thread — but every other caller keeps being served.
 
 #[cfg(not(kwsearch_model))]
-pub(crate) use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+pub(crate) use std::sync::{Arc, Mutex, MutexGuard};
 
 #[cfg(kwsearch_model)]
-pub(crate) use kwsearch_modelcheck::sync::{Arc, Condvar, Mutex, MutexGuard};
+pub(crate) use kwsearch_modelcheck::sync::{Arc, Mutex, MutexGuard};
 
 // Atomics for future use by the serving stack; both twins export the same
 // names. (Unused while the counters live under mutexes.)
@@ -50,11 +49,11 @@ pub(crate) use std::sync::atomic;
 #[allow(unused_imports)]
 pub(crate) use kwsearch_modelcheck::sync::atomic;
 
-/// A shared cooperative-cancellation flag: the serving layer sets it when a
-/// request's deadline expires or the service shuts down, and
-/// `ExplorationState::step` polls it between cursor pops, so a running
-/// exploration stops within one pop of the signal. Built on the facade's
-/// atomics, so model-checked schedules see the store/load as events.
+/// A shared cooperative-cancellation flag: whoever runs a session on a
+/// thread of its own sets it from outside, and `ExplorationState::step`
+/// polls it between cursor pops, so a running exploration stops within one
+/// pop of the signal. Built on the facade's atomics, so model-checked
+/// schedules see the store/load as events.
 #[derive(Clone)]
 pub struct CancelToken {
     flag: Arc<atomic::AtomicBool>,
@@ -94,8 +93,6 @@ impl std::fmt::Debug for CancelToken {
 }
 
 /// Locks `mutex`, recovering the guard when a previous holder panicked.
-/// Condvar re-acquisitions recover the same way, inline in the one
-/// `// lint: wait-loop` fn (`JobQueue::pop` in `serve.rs`).
 pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
@@ -127,58 +124,34 @@ mod tests {
     fn facade_twins_export_the_same_shape() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Mutex<Vec<u8>>>();
-        assert_send_sync::<Condvar>();
         assert_send_sync::<Arc<Vec<u8>>>();
         assert_send_sync::<atomic::AtomicBool>();
         assert_send_sync::<atomic::AtomicUsize>();
         assert_send_sync::<atomic::AtomicU64>();
 
-        // `new` is const on both twins for mutexes, condvars and atomics
-        // (a named `const` of these types would be an interior-mutability
-        // footgun, so prove const-ness via a const fn instead).
-        const fn const_constructible() -> (Mutex<u32>, Condvar, atomic::AtomicBool) {
-            (
-                Mutex::new(0),
-                Condvar::new(),
-                atomic::AtomicBool::new(false),
-            )
+        // `new` is const on both twins for mutexes and atomics (a named
+        // `const` of these types would be an interior-mutability footgun,
+        // so prove const-ness via a const fn instead).
+        const fn const_constructible() -> (Mutex<u32>, atomic::AtomicBool) {
+            (Mutex::new(0), atomic::AtomicBool::new(false))
         }
-        let (_m, _c, _b) = const_constructible();
+        let (_m, _b) = const_constructible();
 
-        // The full lock / wait / notify / poison surface, monomorphized
-        // against whichever twin is active.
-        fn exercise(mutex: &Mutex<u32>, cond: &Condvar) -> u32 {
+        // The full lock / poison surface, monomorphized against whichever
+        // twin is active.
+        fn exercise(mutex: &Mutex<u32>) -> u32 {
             let guard: MutexGuard<'_, u32> = match mutex.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            let guard = if *guard == u32::MAX {
-                cond.wait(guard).unwrap_or_else(|e| e.into_inner())
-            } else {
-                guard
-            };
-            cond.notify_one();
-            cond.notify_all();
             let _ = mutex.is_poisoned();
             *guard
         }
-        let mutex = Mutex::new(3);
-        let cond = Condvar::new();
-        assert_eq!(exercise(&mutex, &cond), 3);
+        assert_eq!(exercise(&Mutex::new(3)), 3);
+        assert_eq!(*lock_unpoisoned(&Mutex::<u32>::default()), 0);
 
-        // Timed waits: both twins expose `wait_timeout` returning the guard
-        // plus a `timed_out()` flag (the model twin's timeout never fires
-        // inside an exploration; on ordinary threads — like this test — it
-        // is a real timed wait, so with no notifier it must elapse).
-        let guard = lock_unpoisoned(&mutex);
-        let (guard, timeout) = cond
-            .wait_timeout(guard, std::time::Duration::from_millis(1))
-            .unwrap_or_else(|e| e.into_inner());
-        assert!(timeout.timed_out());
-        drop(guard);
-
-        // Arc surface: new / clone / deref / ptr_eq.
-        let arc = Arc::new(5u32);
+        // Arc surface: new / from / clone / deref / ptr_eq.
+        let arc: Arc<u32> = 5u32.into();
         let clone = Arc::clone(&arc);
         assert!(Arc::ptr_eq(&arc, &clone));
         assert_eq!(*clone, 5);

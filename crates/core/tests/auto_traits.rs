@@ -1,9 +1,9 @@
 //! Compile-time auto-trait guards for the shared serving path.
 //!
 //! The concurrent architecture rests on `PreparedGraph` (and everything
-//! reachable from it) being `Send + Sync`: an `Arc<PreparedGraph>` is handed
-//! to worker threads, sessions borrow it, and the augmentation cache is
-//! probed from all of them. These assertions make a future regression — say,
+//! reachable from it) being `Send + Sync`: one `SearchService` (or one
+//! `Arc<PreparedGraph>`) is shared by every caller thread, sessions borrow
+//! it, and the result cache is probed from all of them. These assertions make a future regression — say,
 //! an `Rc` or `RefCell` slipped into an index or the cache — fail at
 //! `cargo test` time with a type error pointing at the offending type,
 //! instead of surfacing as a build break in downstream serving code (or not
@@ -11,17 +11,16 @@
 
 use std::sync::Arc;
 
-use kwsearch_core::serve::{SearchRequest, SearchResponse, SearchTicket};
 use kwsearch_core::{
     AnswerPhase, AugmentationCache, AugmentationKey, CacheStats, PreparedGraph, SearchConfig,
-    SearchError, SearchOutcome, SearchService, SearchSession,
+    SearchError, SearchOutcome, SearchReply, SearchRequest, SearchService, SearchSession,
+    ServeError, ServiceStats,
 };
 use kwsearch_keyword_index::{KeywordIndex, KeywordIndexConfig};
 use kwsearch_rdf::{DataGraph, TripleStore};
 use kwsearch_summary::SummaryGraph;
 
 fn assert_send_sync<T: Send + Sync>() {}
-fn assert_send<T: Send>() {}
 
 #[test]
 fn shared_read_path_is_send_and_sync() {
@@ -35,10 +34,9 @@ fn shared_read_path_is_send_and_sync() {
 fn serving_types_are_send_and_sync() {
     assert_send_sync::<SearchService>();
     assert_send_sync::<SearchRequest>();
-    assert_send_sync::<SearchResponse>();
-    // A ticket is moved to whoever awaits the response; it does not need to
-    // be shared, only sent.
-    assert_send::<SearchTicket>();
+    assert_send_sync::<SearchReply>();
+    assert_send_sync::<ServeError>();
+    assert_send_sync::<ServiceStats>();
 }
 
 #[test]
@@ -50,7 +48,8 @@ fn config_types_are_send_and_sync() {
 
 #[test]
 fn request_scoped_types_are_send_and_sync() {
-    // Sessions and outcomes cross thread boundaries in the worker pool.
+    // Sessions and outcomes cross thread boundaries when a caller runs
+    // `search` on a thread of its own and hands the reply back.
     assert_send_sync::<SearchSession<'static>>();
     assert_send_sync::<SearchOutcome>();
     assert_send_sync::<AnswerPhase>();

@@ -3,9 +3,7 @@
 //! late insert at the new epoch).
 //!
 //! Runs only under `RUSTFLAGS="--cfg kwsearch_model"`, where
-//! `kwsearch_core::sync` resolves to the `kwsearch-modelcheck` shims — and
-//! not under the additional `kwsearch_model_mutation` cfg, which sabotages
-//! the code under test on purpose (see `model_mutations.rs`).
+//! `kwsearch_core::sync` resolves to the `kwsearch-modelcheck` shims.
 //!
 //! The asserted interleaving counts are exact: the DFS explorer is
 //! deterministic, so the count is a fingerprint of the explored space. A
@@ -14,7 +12,7 @@
 //! still passes. A count that silently *shrinks* without a code change
 //! means the explorer stopped exploring.
 
-#![cfg(all(kwsearch_model, not(kwsearch_model_mutation)))]
+#![cfg(kwsearch_model)]
 
 use kwsearch_core::model_scenarios as scenarios;
 use kwsearch_modelcheck::Config;

@@ -1,12 +1,10 @@
 //! Model checking of the `sync` facade's poisoning-recovery contract
 //! (`lock_unpoisoned`) under exploration.
 //!
-//! Runs only under `RUSTFLAGS="--cfg kwsearch_model"` and not under the
-//! sabotaging `kwsearch_model_mutation` cfg (see `model_mutations.rs`).
-//! The interleaving count is asserted exactly; see `model_cache.rs` for
+//! Runs only under `RUSTFLAGS="--cfg kwsearch_model"`. The interleaving count is asserted exactly; see `model_cache.rs` for
 //! the fingerprint rationale.
 
-#![cfg(all(kwsearch_model, not(kwsearch_model_mutation)))]
+#![cfg(kwsearch_model)]
 
 use kwsearch_core::model_scenarios as scenarios;
 use kwsearch_modelcheck::Config;

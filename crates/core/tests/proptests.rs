@@ -501,15 +501,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Sharded scatter-gather identity: for random graphs, every shard
-    /// count in {1, 2, 3, 7} and all three scoring functions, the
-    /// [`ShardedService`]'s streamed merge equals a drained unsharded
-    /// session on a fresh cache-disabled preparation — ranks dense, costs
+    /// count in {1, 2, 3, 7} and all three scoring functions, the stream a
+    /// [`SearchService`] over the shards returns (merged per-shard lookups,
+    /// one exploration) equals a drained unsharded session on a fresh cache-disabled preparation — ranks dense, costs
     /// bit-for-bit, canonical queries and element sets equal. This is the
     /// randomized arm of the golden Figure-1 bit-identity tests.
     #[test]
     fn sharded_merge_equals_the_unsharded_stream(spec in random_graph()) {
-        use kwsearch_core::serve::SearchRequest;
-        use kwsearch_core::shard::ShardedService;
+        use kwsearch_core::serve::{SearchRequest, SearchService};
+        use kwsearch_core::shard::partition;
 
         prop_assume!(spec.value_labels.len() >= 2);
         let graph = build(&spec);
@@ -517,7 +517,8 @@ proptest! {
         let pristine = PreparedGraph::index_with(graph.clone(), Default::default(), 0);
 
         for shard_count in [1usize, 2, 3, 7] {
-            let service = ShardedService::over(&graph, shard_count, SearchConfig::default());
+            let shards = partition(&graph, shard_count).prepare_shards(&graph, Default::default());
+            let service = SearchService::new(shards, SearchConfig::default());
             for scoring in ScoringFunction::all() {
                 let config = SearchConfig::with_k(5).scoring(scoring);
                 let Ok(mut session) = pristine.session(&keywords, config.clone()) else {
@@ -533,7 +534,8 @@ proptest! {
                 }
                 let outcome = service
                     .search(SearchRequest::new(keywords.iter()).with_config(config))
-                    .expect("the unsharded session matched, so the scatter must too");
+                    .expect("the unsharded session matched, so the service must too")
+                    .outcome;
                 prop_assert_eq!(
                     outcome.queries.len(),
                     reference.len(),
@@ -555,7 +557,6 @@ proptest! {
                     prop_assert_eq!(element_key(got), element_key(want));
                 }
             }
-            service.shutdown();
         }
     }
 }

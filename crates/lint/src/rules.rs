@@ -622,8 +622,8 @@ fn no_alloc_hot_path(ctx: &FileContext<'_>, ann: &Annotations, diags: &mut Vec<D
 }
 
 /// **lock-discipline** — a poor man's deadlock detector for the lock
-/// hierarchies in the engine (the `cache.rs` mutex, the `serve.rs` job
-/// queue):
+/// hierarchies in the engine (the `cache.rs` mutex, the `serve.rs`
+/// admission state, `live.rs`'s `writer → current` pair):
 ///
 /// * taking a second lock — `.lock()` or the facade's `lock_unpoisoned(…)`
 ///   — while another guard is plausibly live in the same function is
@@ -631,8 +631,8 @@ fn no_alloc_hot_path(ctx: &FileContext<'_>, ann: &Annotations, diags: &mut Vec<D
 ///   statement for unbound temporaries);
 /// * `Condvar`-style blocking waits (`.wait(guard)`, `.wait_timeout`,
 ///   `.wait_while`) are only permitted inside fns marked `// lint:
-///   wait-loop`. A no-argument `.wait()` (e.g. `SearchTicket::wait`) is not
-///   a condvar wait and is ignored.
+///   wait-loop`. A no-argument `.wait()` (e.g. `Child::wait`) is not a
+///   condvar wait and is ignored.
 ///
 /// Every nested acquisition additionally contributes a `first → second`
 /// edge (by lock field name) to the workspace-wide acquisition graph the

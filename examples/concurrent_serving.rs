@@ -1,25 +1,26 @@
-//! Concurrent serving: one shared `PreparedGraph`, a worker pool, and the
-//! augmentation cache.
+//! Concurrent serving: one thread-less `SearchService`, client threads of
+//! the caller's own, and the shared result cache.
 //!
 //! Demonstrates the serving architecture on the generated bibliographic
-//! dataset: the immutable prepared graph is `Arc`-shared into a
-//! [`SearchService`] worker pool, a repeated keyword workload is submitted,
-//! and the shared cache turns the repeats into replay hits — bit-identical
-//! to fresh runs, at a fraction of the cost.
+//! dataset: a [`SearchService`] over one prepared graph is shared by four
+//! scoped client threads, each calling `search` on its own thread; a
+//! repeated keyword workload turns into replay hits on the shared cache —
+//! bit-identical to fresh runs, at a fraction of the cost.
 //!
 //! Run with `cargo run --release --example concurrent_serving`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use searchwebdb::core::serve::{SearchRequest, SearchService};
 use searchwebdb::datagen::DblpDataset;
 use searchwebdb::prelude::*;
+
+const CLIENTS: usize = 4;
+const ROUNDS: usize = 10;
 
 fn main() {
     // Off-line: index the dataset once.
     let dataset = DblpDataset::small();
-    let prepared = Arc::new(PreparedGraph::index(dataset.graph.clone()));
+    let prepared = PreparedGraph::index(dataset.graph.clone());
     println!(
         "indexed {} edges in {:?}",
         dataset.graph.edge_count(),
@@ -34,43 +35,48 @@ fn main() {
         vec![venue.clone()],
         vec![author, venue],
     ];
-    const ROUNDS: usize = 40;
 
-    // On-line: share the prepared graph into a 4-worker pool. The service
-    // accepts submissions from any thread and replies through tickets.
-    let service = SearchService::start(Arc::clone(&prepared), SearchConfig::with_k(5), 4);
+    // On-line: the service owns the preparation and spawns nothing. Each
+    // client thread runs its requests start to finish by calling `search`;
+    // admission control (at most `max_inflight` at once) is the only thing
+    // the callers share besides the cache.
+    let service = SearchService::new([prepared], SearchConfig::with_k(5));
     let started = Instant::now();
-    // Batched submission: one queue-lock acquisition and one pool wakeup
-    // for the whole workload, admitted all-or-nothing.
-    let tickets = service
-        .submit_batch((0..ROUNDS).flat_map(|_| {
-            workload
-                .iter()
-                .map(|keywords| SearchRequest::new(keywords.iter()))
-        }))
-        .expect("the workload fits the admission bound");
-    let submitted = tickets.len();
-
-    let mut answered = 0usize;
-    let mut results = 0usize;
-    for ticket in tickets {
-        let response = ticket.wait();
-        if let Ok(outcome) = response.result {
-            answered += 1;
-            results += outcome.queries.len();
-        }
-    }
+    let (answered, results) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut answered = 0usize;
+                    let mut results = 0usize;
+                    for keywords in workload.iter().cycle().take(ROUNDS * workload.len()) {
+                        if let Ok(reply) = service.search(SearchRequest::new(keywords)) {
+                            answered += 1;
+                            results += reply.outcome.queries.len();
+                        }
+                    }
+                    (answered, results)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client thread"))
+            .fold((0, 0), |sum, one| (sum.0 + one.0, sum.1 + one.1))
+    });
     let elapsed = started.elapsed();
+    let sent = CLIENTS * ROUNDS * workload.len();
 
-    let stats = prepared.augmentation_cache().stats();
+    let serving = service.stats();
     println!(
-        "{answered}/{submitted} requests served in {elapsed:?} \
-         ({:.0} searches/s) across {} workers",
-        submitted as f64 / elapsed.as_secs_f64(),
-        service.worker_count(),
+        "{answered}/{sent} requests served in {elapsed:?} ({:.0} searches/s) from {CLIENTS} \
+         client threads; at most {} in flight, {} rejected",
+        sent as f64 / elapsed.as_secs_f64(),
+        serving.peak_inflight,
+        serving.rejected,
     );
+    let stats = service.shards()[0].augmentation_cache().stats();
     println!(
-        "{results} ranked queries delivered; augmentation cache: {} hits / {} misses \
+        "{results} ranked queries delivered; result cache: {} hits / {} misses \
          ({:.0}% hit ratio, {} resident)",
         stats.hits,
         stats.misses,
@@ -78,23 +84,22 @@ fn main() {
         stats.len,
     );
 
-    // A request can also ask for the paper's Fig. 5 interaction: interleave
-    // query computation with evaluation until enough answers exist.
-    let response = service
-        .submit(SearchRequest::new(["publications"]).with_min_answers(3))
-        .expect("the queue is idle")
-        .wait();
-    if let (Ok(outcome), Some(phase)) = (&response.result, &response.answer_phase) {
+    // A request can also ask for the paper's Fig. 5 interaction: the top-k,
+    // then the queries evaluated in rank order until enough answers exist.
+    let reply = service
+        .search(SearchRequest::new(["publications"]).with_min_answers(3))
+        .expect("the service is idle and the keyword matches");
+    if let Some(phase) = &reply.answer_phase {
         println!(
-            "answers_until(3): {} answers from {} queries (best: {})",
+            "min_answers(3): {} answers from {} of {} queries (best: {})",
             phase.total_answers(),
-            outcome.queries.len(),
-            outcome
+            phase.queries_processed,
+            reply.outcome.queries.len(),
+            reply
+                .outcome
                 .best()
                 .map(|q| q.query.canonicalized().to_string())
                 .unwrap_or_default(),
         );
     }
-
-    service.shutdown();
 }

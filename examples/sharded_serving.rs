@@ -1,11 +1,11 @@
 //! Sharded serving: partitioned preparations behind one exploration.
 //!
-//! Demonstrates the sharded serving architecture on the generated
-//! bibliographic dataset: the data graph is partitioned into edge-disjoint
-//! shards, each shard is prepared and persisted as its own snapshot, the
-//! snapshots are loaded back into a [`ShardedService`], and a keyword
-//! workload is served over them — keyword lookups scattered over every
-//! shard, one exploration over the merged matches (bit-identical to an
+//! Demonstrates sharded serving on the generated bibliographic dataset: the
+//! data graph is partitioned into edge-disjoint shards, each shard is
+//! prepared and persisted as its own snapshot, the snapshots are loaded
+//! back into the same [`SearchService`] that serves an unsharded
+//! preparation, and a keyword workload is served over them — keyword
+//! lookups scattered over every shard, one exploration over the merged matches (bit-identical to an
 //! unsharded session, at the same cursor count), answers scattered over
 //! the shard-local stores. A deadline demo shows the typed failure path.
 //!
@@ -13,9 +13,7 @@
 
 use std::time::Duration;
 
-use searchwebdb::core::serve::{SearchRequest, ServeError};
-use searchwebdb::core::shard::{load_shards, partition, persist_shards, ShardedService};
-use searchwebdb::core::SearchConfig;
+use searchwebdb::core::shard::{load_shards, partition, persist_shards};
 use searchwebdb::datagen::DblpDataset;
 use searchwebdb::prelude::*;
 
@@ -54,7 +52,7 @@ fn main() {
     // On-line: load the snapshots back and start the service.
     let loaded = load_shards(&dir).expect("loading shard snapshots");
     let config = SearchConfig::with_k(5);
-    let service = ShardedService::start(loaded, config.clone(), Default::default());
+    let service = SearchService::new(loaded, config.clone());
 
     // The same workload shape serving traffic would see.
     let author = dataset.author_names[0].clone();
@@ -71,7 +69,8 @@ fn main() {
     for keywords in &workload {
         let outcome = service
             .search(SearchRequest::new(keywords.iter()))
-            .expect("the workload keywords always match");
+            .expect("the workload keywords always match")
+            .outcome;
         let mut session = reference
             .session(keywords, config.clone())
             .expect("the workload keywords always match");
@@ -86,9 +85,9 @@ fn main() {
             "{keywords:?}: {} queries over {} shards, lookups {:?} + exploration {:?} \
              ({} cursor pops), bit-identical: {identical}",
             outcome.queries.len(),
-            outcome.shard_count,
-            outcome.scatter_time,
-            outcome.merge_time,
+            service.shards().len(),
+            outcome.keyword_mapping_time,
+            outcome.exploration_time,
             outcome.exploration.queue_pops,
             identical = identical,
         );
@@ -100,17 +99,18 @@ fn main() {
 
     // The Fig. 5 interaction also scatters: the answer phase evaluates each
     // ranked query against the shard-local triple stores.
-    let outcome = service
+    let reply = service
         .search(SearchRequest::new(["publications"]).with_min_answers(3))
         .expect("the workload keywords always match");
-    if let Some(phase) = &outcome.answer_phase {
+    if let Some(phase) = &reply.answer_phase {
         println!(
-            "answers_until(3): {} answers from {} queries (best: {})",
+            "min_answers(3): {} answers from {} of {} queries (best: {})",
             phase.total_answers(),
-            outcome.queries.len(),
-            outcome
-                .queries
-                .first()
+            phase.queries_processed,
+            reply.outcome.queries.len(),
+            reply
+                .outcome
+                .best()
                 .map(|q| q.query.canonicalized().to_string())
                 .unwrap_or_default(),
         );
@@ -129,13 +129,9 @@ fn main() {
     println!(
         "service counters: {} admitted, {} rejected, {} deadline-exceeded; \
          {} queries returned",
-        stats.requests_admitted,
-        stats.requests_rejected,
-        stats.requests_deadline_exceeded,
-        stats.merged_emissions,
+        stats.admitted, stats.rejected, stats.deadline_exceeded, stats.queries_returned,
     );
 
-    service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -33,20 +33,20 @@
 //! ```
 //!
 //! For serving many clients, a [`PreparedGraph`](core::PreparedGraph) is
-//! immutable, `Send + Sync` and `Arc`-shareable, and [`core::serve`] runs a
-//! worker pool against one shared preparation — repeated queries are
-//! replayed from the shared result cache, bit-identically to fresh runs
-//! (see the README's "Concurrent serving" section):
+//! immutable, `Send + Sync` and `Arc`-shareable, and a thread-less
+//! [`SearchService`](core::SearchService) puts admission control, deadlines
+//! and the answer phase around one session per request, over one
+//! preparation or a set of shards — repeated queries are replayed from the
+//! shared result cache, bit-identically to fresh runs (see the README's
+//! "Serving" section):
 //!
 //! ```
 //! use searchwebdb::prelude::*;
-//! use std::sync::Arc;
 //!
 //! let graph = searchwebdb::rdf::fixtures::figure1_graph();
-//! let prepared = Arc::new(PreparedGraph::index(graph));
-//! let service = SearchService::start(prepared, SearchConfig::default(), 2);
-//! let ticket = service.submit(SearchRequest::new(["cimiano", "aifb"])).unwrap();
-//! assert!(!ticket.wait().result.unwrap().queries.is_empty());
+//! let service = SearchService::new([PreparedGraph::index(graph)], SearchConfig::default());
+//! let reply = service.search(SearchRequest::new(["cimiano", "aifb"])).unwrap();
+//! assert!(!reply.outcome.queries.is_empty());
 //! ```
 //!
 //! The sub-crates can also be used individually:
@@ -74,8 +74,8 @@ pub use kwsearch_summary as summary;
 pub mod prelude {
     pub use kwsearch_core::{
         AnswerPhase, AugmentationCache, CacheStats, KeywordMatch, PartitionPlan, PreparedGraph,
-        RankedQuery, ScoringFunction, SearchConfig, SearchError, SearchOutcome, SearchRequest,
-        SearchResponse, SearchService, SearchSession, SearchTicket, ServeError, ShardedService,
+        RankedQuery, ScoringFunction, SearchConfig, SearchError, SearchOutcome, SearchReply,
+        SearchRequest, SearchService, SearchSession, ServeError,
     };
     pub use kwsearch_keyword_index::KeywordIndex;
     pub use kwsearch_query::{AnswerSet, ConjunctiveQuery, QueryBuilder};

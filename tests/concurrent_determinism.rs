@@ -16,9 +16,10 @@
 use std::sync::Arc;
 use std::thread;
 
-use searchwebdb::core::serve::SearchRequest;
-use searchwebdb::core::shard::{partition, ShardedService};
-use searchwebdb::core::{DeltaBatch, LiveGraph, PreparedGraph, SearchConfig, SearchSession};
+use searchwebdb::core::shard::partition;
+use searchwebdb::core::{
+    DeltaBatch, LiveGraph, PreparedGraph, SearchConfig, SearchRequest, SearchService, SearchSession,
+};
 use searchwebdb::datagen::workload::dblp_performance_queries;
 use searchwebdb::datagen::DblpDataset;
 use searchwebdb::rdf::fixtures::figure1_graph;
@@ -200,13 +201,12 @@ fn snapshot_loaded_scenarios_are_bit_identical_across_threads() {
     assert_shared_runs_match_reference(Arc::new(loaded), &graph, workload);
 }
 
-/// The sharded analogue of the suite's proof obligation: N threads hammering
-/// one `Arc<ShardedService>` (scatter, per-shard exploration, streaming
-/// merge) must return streams bit-identical to single-threaded unsharded
-/// sessions on a fresh, cache-disabled preparation.
-#[test]
-fn sharded_scatter_gather_is_bit_identical_across_threads() {
-    let graph = figure1_graph();
+/// The serving analogue of the suite's proof obligation: N threads calling
+/// `search` on one shared [`SearchService`] (admission, cache probe, merged
+/// per-shard lookups, one exploration — all on the caller's thread) must
+/// get streams bit-identical to single-threaded unsharded sessions on a
+/// fresh, cache-disabled preparation over `graph`.
+fn assert_service_matches_reference(service: &SearchService, graph: &DataGraph) {
     let workload: Vec<Vec<String>> = vec![
         vec!["2006".into(), "cimiano".into(), "aifb".into()],
         vec!["cimiano".into(), "publication".into()],
@@ -216,28 +216,11 @@ fn sharded_scatter_gather_is_bit_identical_across_threads() {
     let pristine = PreparedGraph::index_with(graph.clone(), Default::default(), 0);
     let reference: Vec<Vec<QueryKey>> = workload
         .iter()
-        .map(|keywords| {
-            let mut session = pristine
-                .session(keywords, SearchConfig::default())
-                .expect("workload keywords always match");
-            let mut queries = Vec::new();
-            while let Some(ranked) = session.next_query() {
-                queries.push(query_key(&ranked));
-            }
-            queries
-        })
+        .map(|keywords| run_scenario(&pristine, Scenario::Drain, keywords).0)
         .collect();
 
-    let plan = partition(&graph, 3);
-    let shards = plan.prepare_shards(&graph, Default::default());
-    let service = Arc::new(ShardedService::start(
-        shards,
-        SearchConfig::default(),
-        Default::default(),
-    ));
     thread::scope(|scope| {
         for thread_id in 0..THREADS {
-            let service = Arc::clone(&service);
             let workload = &workload;
             let reference = &reference;
             scope.spawn(move || {
@@ -248,24 +231,54 @@ fn sharded_scatter_gather_is_bit_identical_across_threads() {
                         let keywords = &workload[kw_index];
                         let outcome = service
                             .search(SearchRequest::new(keywords.iter()))
-                            .expect("workload keywords always match");
+                            .expect("workload keywords always match")
+                            .outcome;
                         let got: Vec<QueryKey> = outcome.queries.iter().map(query_key).collect();
                         assert_eq!(
                             &got, &reference[kw_index],
-                            "thread {thread_id}, repeat {repeat}: the sharded merge \
+                            "thread {thread_id}, repeat {repeat}: the served stream \
                              over {keywords:?} diverged from the unsharded reference"
                         );
                         let ranks: Vec<usize> = outcome.queries.iter().map(|q| q.rank).collect();
                         assert_eq!(
                             ranks,
                             (1..=outcome.queries.len()).collect::<Vec<_>>(),
-                            "merged ranks must stay dense"
+                            "ranks must stay dense"
                         );
                     }
                 }
             });
         }
     });
+    let stats = service.stats();
+    assert_eq!(stats.admitted, (THREADS * REPEATS * workload.len()) as u64);
+    assert_eq!((stats.rejected, stats.deadline_exceeded), (0, 0));
+}
+
+/// Three shards, shard caches off: every request looks up on every shard,
+/// merges, and explores once.
+#[test]
+fn sharded_scatter_gather_is_bit_identical_across_threads() {
+    let graph = figure1_graph();
+    let shards = partition(&graph, 3).prepare_shards(&graph, Default::default());
+    let service = SearchService::new(shards, SearchConfig::default());
+    assert_service_matches_reference(&service, &graph);
+}
+
+/// One shard, cache on: racing misses, inserts and replays behind `search`.
+#[test]
+fn one_shard_cached_service_is_bit_identical_across_threads() {
+    let graph = figure1_graph();
+    let service = SearchService::new(
+        [PreparedGraph::index(graph.clone())],
+        SearchConfig::default(),
+    );
+    assert_service_matches_reference(&service, &graph);
+    let stats = service.shards()[0].augmentation_cache().stats();
+    assert!(
+        stats.hits > 0,
+        "repeats must be served by replay: {stats:?}"
+    );
 }
 
 /// Read-during-write determinism: reader threads hammer a [`LiveGraph`]
