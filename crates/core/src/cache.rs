@@ -24,16 +24,21 @@
 //!   concurrent sessions that miss on one key each run the full search.
 //! * **Entries appear when a session drains.** A session that reaches the end
 //!   of its stream naturally — not raised, not truncated by the `max_cursors`
-//!   valve, not aborted by a deadline or cancellation — inserts its log in
-//!   one step under the cache mutex. Racing drained sessions computed
-//!   identical logs; the first insert wins. A session that stops early
-//!   (first-query-only consumers, `min_answers` requests) inserts nothing.
+//!   valve, not aborted by a deadline — inserts its log in one step under
+//!   the cache mutex. Racing drained sessions computed identical logs; the
+//!   first insert wins. A session that stops early (first-query-only
+//!   consumers, `min_answers` requests) inserts nothing.
+//! * **A snapshot owns its cache.** Every [`PreparedGraph`](crate::PreparedGraph)
+//!   has a cache of its own, and an entry stays valid exactly as long as the
+//!   immutable snapshot that computed it — so nothing is ever invalidated. A
+//!   [`LiveGraph`](crate::LiveGraph) write builds its successor snapshot
+//!   around a fresh, empty cache; compaction hands the cache on, because the
+//!   compacted snapshot holds the same data at the same epoch.
 //!
 //! Entries are immutable once inserted and keyed by [`AugmentationKey`] — the
 //! full [`SearchConfig`] (embedded verbatim, so cross-config collisions are
-//! impossible by construction), the per-keyword normalized terms, and the
-//! write epoch. Keying on the normalized terms (lower-cased, tokenized, stop
-//! words removed — see
+//! impossible by construction) and the per-keyword normalized terms. Keying
+//! on the normalized terms (lower-cased, tokenized, stop words removed — see
 //! [`KeywordIndex::normalized_query_terms`](kwsearch_keyword_index::KeywordIndex::normalized_query_terms))
 //! rather than the raw strings lets `"Cimiano"` and `"cimiano"` share an
 //! entry; keeping the per-keyword term lists *in query order* is essential,
@@ -44,10 +49,9 @@
 //! other's entries: each configuration populates its own keys, and going
 //! back to an earlier one rehits its entries.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::mem::size_of_val;
 
-use kwsearch_keyword_index::ElementRef;
 use kwsearch_query::QueryTerm;
 
 use crate::config::SearchConfig;
@@ -56,46 +60,21 @@ use crate::result::RankedQuery;
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
 
 /// The key of one cached result: the search configuration (embedded
-/// verbatim — see [`SearchConfig`]'s `Eq + Hash` note), the normalized
-/// query terms of every keyword in query order, and the write epoch of the
-/// preparation the entry was computed against.
-///
-/// The epoch serves the live write path (see [`crate::live`]): a cache
-/// shared across a [`LiveGraph`](crate::live::LiveGraph)'s succession of
-/// prepared snapshots folds each snapshot's monotone write epoch into the
-/// key, so an entry computed before a write — its match counts and above
-/// all its replay log — can never be served to a reader of a later
-/// snapshot. Frozen, standalone preparations stay at epoch 0 and behave
-/// exactly as before.
+/// verbatim — see [`SearchConfig`]'s `Eq + Hash` note) and the normalized
+/// query terms of every keyword in query order. The snapshot is not part of
+/// the key: each snapshot owns its cache (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AugmentationKey {
     config: SearchConfig,
     terms: Vec<Vec<String>>,
-    epoch: u64,
 }
 
 impl AugmentationKey {
     /// Builds a key from a configuration and the per-keyword normalized
     /// term lists (one entry per input keyword, in query order; keywords
-    /// that normalize to nothing contribute an empty list). The key starts
-    /// at write epoch 0 — the frozen-preparation case.
+    /// that normalize to nothing contribute an empty list).
     pub fn new(config: SearchConfig, terms: Vec<Vec<String>>) -> Self {
-        Self {
-            config,
-            terms,
-            epoch: 0,
-        }
-    }
-
-    /// Folds a write epoch into the key fingerprint (see the type docs).
-    pub fn with_epoch(mut self, epoch: u64) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
-    /// The write epoch folded into this key.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        Self { config, terms }
     }
 
     /// Number of keywords the key covers.
@@ -123,13 +102,6 @@ pub(crate) struct CachedAugmentation {
     /// Element count of the augmented summary graph the inserting session
     /// explored — the size its outcome reported (0 for a negative entry).
     pub(crate) augmented_elements: usize,
-    /// The distinct elements the keywords matched, in canonical (sorted)
-    /// order — the fan-in side of the cache's per-element reverse map. A
-    /// write that touches any of these elements invalidates the entry (see
-    /// [`AugmentationCache::advance_epoch`]); an entry whose elements are
-    /// all untouched can be carried forward to the new epoch. Empty for
-    /// negative entries (nothing matched, so nothing to touch).
-    pub(crate) elements: Vec<ElementRef>,
     /// The complete ranked-query stream the drained session emitted, in
     /// emission order — or `None` for a *negative* entry: the keywords all
     /// failed to match, the session start errors before augmenting, and
@@ -141,31 +113,11 @@ pub(crate) struct CachedAugmentation {
 }
 
 impl CachedAugmentation {
-    /// Assembles an entry. `elements` need not be sorted or distinct; it is
-    /// canonicalized here.
-    pub(crate) fn new(
-        element_matches: Vec<usize>,
-        augmented_elements: usize,
-        mut elements: Vec<ElementRef>,
-        queries: Option<Vec<RankedQuery>>,
-    ) -> Self {
-        elements.sort_unstable();
-        elements.dedup();
-        Self {
-            element_matches,
-            augmented_elements,
-            elements,
-            queries,
-        }
-    }
-
     /// Approximate heap footprint of the entry: the replay log (queries and
-    /// the subgraphs they were mapped from) plus the match counts and the
-    /// matched-element set.
+    /// the subgraphs they were mapped from) plus the match counts.
     fn heap_bytes(&self) -> usize {
         let log = self.queries.as_deref().unwrap_or_default();
         size_of_val(self.element_matches.as_slice())
-            + size_of_val(self.elements.as_slice())
             + size_of_val(log)
             + log.iter().map(ranked_query_heap_bytes).sum::<usize>()
     }
@@ -236,21 +188,18 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Entries dropped by keyed invalidation: a write touched one of the
-    /// entry's matched elements (see `AugmentationCache::advance_epoch`).
+    /// Always 0: entries are never invalidated, because each snapshot owns
+    /// its cache. Kept only because the benchmark still reads it; it goes
+    /// with the next `benchmark/` change.
+    #[doc(hidden)]
     pub invalidations: u64,
-    /// Entries carried forward to a new write epoch because the write
-    /// touched none of their matched elements.
-    pub promotions: u64,
     /// Entries currently resident.
     pub len: usize,
     /// The capacity bound (0 means the cache is disabled).
     pub capacity: usize,
     /// Approximate heap footprint of what is resident, in bytes: every
-    /// entry's key terms, match counts, matched-element set and replay log
-    /// (queries and subgraphs) — what a hit clones from. A promoted entry
-    /// shares its payload with its old-epoch twin and is counted under both
-    /// keys while both are resident.
+    /// entry's key terms, match counts and replay log (queries and
+    /// subgraphs) — what a hit clones from.
     pub heap_bytes: usize,
 }
 
@@ -269,10 +218,6 @@ impl CacheStats {
 #[derive(Debug, Default)]
 struct CacheInner {
     map: HashMap<AugmentationKey, Entry>,
-    /// Per-element reverse map: which resident keys matched each element.
-    /// Maintained by insert/remove so keyed invalidation
-    /// ([`AugmentationCache::advance_epoch`]) never scans entry payloads.
-    reverse: HashMap<ElementRef, HashSet<AugmentationKey>>,
     /// Monotonic logical clock stamping every hit/insert for LRU eviction.
     tick: u64,
     /// Approximate heap bytes of the resident entries (kept incrementally).
@@ -281,8 +226,6 @@ struct CacheInner {
     misses: u64,
     insertions: u64,
     evictions: u64,
-    invalidations: u64,
-    promotions: u64,
 }
 
 #[derive(Debug)]
@@ -292,43 +235,6 @@ struct Entry {
 }
 
 impl CacheInner {
-    fn remove(&mut self, key: &AugmentationKey) -> Option<Entry> {
-        let entry = self.map.remove(key)?;
-        self.heap_bytes = self
-            .heap_bytes
-            .saturating_sub(key.heap_bytes() + entry.payload.heap_bytes());
-        for element in &entry.payload.elements {
-            if let Some(keys) = self.reverse.get_mut(element) {
-                keys.remove(key);
-                if keys.is_empty() {
-                    self.reverse.remove(element);
-                }
-            }
-        }
-        Some(entry)
-    }
-
-    /// Inserts `payload` under `key` with a fresh LRU tick, maintaining the
-    /// heap estimate and the per-element reverse map.
-    fn insert(&mut self, key: AugmentationKey, payload: Arc<CachedAugmentation>) {
-        self.tick += 1;
-        let tick = self.tick;
-        self.heap_bytes += key.heap_bytes() + payload.heap_bytes();
-        for element in &payload.elements {
-            self.reverse
-                .entry(*element)
-                .or_default()
-                .insert(key.clone());
-        }
-        self.map.insert(
-            key,
-            Entry {
-                last_used: tick,
-                payload,
-            },
-        );
-    }
-
     /// Evicts least-recently-used entries until at most `capacity` remain.
     fn evict_to(&mut self, capacity: usize) {
         while self.map.len() > capacity {
@@ -343,7 +249,11 @@ impl CacheInner {
             else {
                 break;
             };
-            self.remove(&oldest);
+            if let Some(entry) = self.map.remove(&oldest) {
+                self.heap_bytes = self
+                    .heap_bytes
+                    .saturating_sub(oldest.heap_bytes() + entry.payload.heap_bytes());
+            }
             self.evictions += 1;
         }
     }
@@ -357,12 +267,13 @@ impl CacheInner {
 /// [`PreparedGraph::augmentation_cache`](crate::PreparedGraph::augmentation_cache);
 /// rename it together with the next `benchmark/` change.
 ///
-/// Owned by a [`PreparedGraph`](crate::PreparedGraph) and consulted by every
-/// session start. All methods take `&self`; the cache is internally
+/// Owned by one [`PreparedGraph`](crate::PreparedGraph) (and shared only
+/// with its compacted form, which holds the same data) and consulted by
+/// every session start. All methods take `&self`; the cache is internally
 /// synchronized with one [`Mutex`], so a `PreparedGraph` stays `Sync` and
-/// many worker threads can share one cache. The critical sections are tiny
-/// (a hash probe plus an `Arc` clone on a hit, a map insert when a session
-/// drains) and nothing ever blocks on another session's work.
+/// any number of reader threads can share one cache. The critical sections
+/// are tiny (a hash probe plus an `Arc` clone on a hit, a map insert when a
+/// session drains) and nothing ever blocks on another session's work.
 ///
 /// A capacity of 0 disables the cache: every lookup misses and insertions
 /// are dropped.
@@ -404,8 +315,7 @@ impl AugmentationCache {
             misses: inner.misses,
             insertions: inner.insertions,
             evictions: inner.evictions,
-            invalidations: inner.invalidations,
-            promotions: inner.promotions,
+            invalidations: 0,
             len: inner.map.len(),
             capacity: self.capacity,
             heap_bytes: inner.heap_bytes,
@@ -417,76 +327,7 @@ impl AugmentationCache {
     pub fn clear(&self) {
         let mut inner = lock_unpoisoned(&self.inner);
         inner.map.clear();
-        inner.reverse.clear();
         inner.heap_bytes = 0;
-    }
-
-    /// Advances the live write epoch (see [`crate::live`]): processes every
-    /// resident entry keyed at epoch `from` — the snapshot the write
-    /// replaced. Entries whose matched elements intersect `touched` are
-    /// removed (keyed invalidation via the per-element reverse map; they
-    /// describe state the write changed). When `promote` is set — the
-    /// caller proved the write changed neither the match vocabulary nor the
-    /// summary structure — the remaining (untouched) entries are carried
-    /// forward: re-inserted under the same config/terms at epoch `to`,
-    /// sharing the payload, so readers of the new snapshot keep hitting.
-    /// Without `promote` the untouched entries merely stay behind at their
-    /// old epoch, serving concurrent readers of the replaced snapshot until
-    /// LRU pressure or [`Self::prune_below_epoch`] retires them.
-    pub(crate) fn advance_epoch(&self, from: u64, to: u64, touched: &[ElementRef], promote: bool) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = lock_unpoisoned(&self.inner);
-        // Keys to drop: resolved through the reverse map, so the cost is
-        // proportional to the touched entries, not the cache size.
-        // The collected keys are sorted-deduped below, so removal order over
-        // a set of distinct keys cannot affect the resulting map.
-        let mut stale: Vec<AugmentationKey> = touched
-            .iter()
-            .filter_map(|element| inner.reverse.get(element))
-            .flat_map(|keys| keys.iter().filter(|k| k.epoch == from).cloned())
-            .collect();
-        stale.sort_by(|a, b| a.terms.cmp(&b.terms).then(a.epoch.cmp(&b.epoch)));
-        stale.dedup();
-        for key in stale {
-            if inner.remove(&key).is_some() {
-                inner.invalidations += 1;
-            }
-        }
-        if promote {
-            let survivors: Vec<AugmentationKey> = inner
-                .map
-                // lint: unordered-ok(reason = "promotion re-keys every surviving entry exactly once; the per-entry LRU ticks it assigns only bias later eviction order, never a served result")
-                .keys()
-                .filter(|k| k.epoch == from)
-                .cloned()
-                .collect();
-            for key in survivors {
-                let payload = Arc::clone(&inner.map[&key].payload);
-                inner.insert(key.with_epoch(to), payload);
-                inner.promotions += 1;
-            }
-            inner.evict_to(self.capacity);
-        }
-    }
-
-    /// Drops every entry keyed below `epoch` — the compaction-time sweep
-    /// retiring entries that only ever served readers of replaced
-    /// snapshots.
-    pub(crate) fn prune_below_epoch(&self, epoch: u64) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        let old: Vec<AugmentationKey> = inner
-            .map
-            // lint: unordered-ok(reason = "removing a fixed set of keys; the resulting map is independent of removal order")
-            .keys()
-            .filter(|k| k.epoch < epoch)
-            .cloned()
-            .collect();
-        for key in old {
-            inner.remove(&key);
-            inner.invalidations += 1;
-        }
     }
 
     /// Probes a key, counting the hit or the miss. A hit refreshes the
@@ -529,7 +370,13 @@ impl AugmentationCache {
             }
             return;
         }
-        inner.insert(key, Arc::new(payload));
+        inner.tick += 1;
+        inner.heap_bytes += key.heap_bytes() + payload.heap_bytes();
+        let entry = Entry {
+            last_used: inner.tick,
+            payload: Arc::new(payload),
+        };
+        inner.map.insert(key, entry);
         inner.evict_to(self.capacity);
         inner.insertions += 1;
         // debug-invariants: the eviction loop above must have restored the
@@ -552,21 +399,6 @@ impl AugmentationCache {
                 recount, inner.heap_bytes,
                 "incremental heap-byte estimate drifted from the recount"
             );
-            // The reverse map must list exactly the resident keys of every
-            // element (no leaked keys after remove/clear, none missing after
-            // insert/promotion).
-            let mut expected: HashMap<ElementRef, HashSet<AugmentationKey>> = HashMap::new();
-            // Building a set-valued map: insertion order over a hash map
-            // cannot change the resulting sets.
-            for (key, entry) in &inner.map {
-                for element in &entry.payload.elements {
-                    expected.entry(*element).or_default().insert(key.clone());
-                }
-            }
-            assert_eq!(
-                expected, inner.reverse,
-                "per-element reverse map drifted from the resident entries"
-            );
         }
     }
 }
@@ -584,7 +416,7 @@ mod tests {
     use kwsearch_rdf::fixtures::figure1_graph;
 
     /// The entry a session draining `keywords` on the Fig. 1 graph inserts
-    /// (with an empty matched-element set: these tests key by `tag`).
+    /// (these tests key it by `tag`, not by the keywords).
     fn payload(keywords: &[&str]) -> CachedAugmentation {
         let uncached = PreparedGraph::index_with(figure1_graph(), Default::default(), 0);
         let outcome = uncached
@@ -592,12 +424,11 @@ mod tests {
             .unwrap()
             .into_outcome();
         assert!(!outcome.queries.is_empty());
-        CachedAugmentation::new(
-            outcome.keywords.iter().map(|k| k.element_matches).collect(),
-            outcome.augmented_elements,
-            Vec::new(),
-            Some(outcome.queries),
-        )
+        CachedAugmentation {
+            element_matches: outcome.keywords.iter().map(|k| k.element_matches).collect(),
+            augmented_elements: outcome.augmented_elements,
+            queries: Some(outcome.queries),
+        }
     }
 
     fn key(tag: &str) -> AugmentationKey {
@@ -697,84 +528,5 @@ mod tests {
         assert_eq!(cache.stats().len, 0);
         assert_eq!(cache.stats().insertions, 1);
         assert!(hit(&cache, "a").is_none());
-    }
-
-    #[test]
-    fn epoch_distinguishes_otherwise_equal_keys() {
-        let base = key("same");
-        assert_eq!(base.clone(), base.clone().with_epoch(0));
-        assert_ne!(base.clone(), base.clone().with_epoch(1));
-        assert_eq!(base.clone().with_epoch(3).epoch(), 3);
-
-        let cache = AugmentationCache::new(4);
-        fill(&cache, "same", &["aifb"]);
-        assert!(
-            cache.probe(&key("same").with_epoch(1)).is_none(),
-            "an epoch-0 entry must not serve epoch-1 readers"
-        );
-    }
-
-    /// An entry whose declared elements include `element`.
-    fn fill_with_element(cache: &AugmentationCache, tag: &str, element: ElementRef) {
-        cache.insert(
-            key(tag),
-            CachedAugmentation::new(vec![1], 0, vec![element], Some(Vec::new())),
-        );
-    }
-
-    #[test]
-    fn advance_epoch_invalidates_touched_entries_and_promotes_the_rest() {
-        let touched_element = ElementRef::Value(kwsearch_rdf::VertexId::from_index(7));
-        let safe_element = ElementRef::Value(kwsearch_rdf::VertexId::from_index(9));
-        let cache = AugmentationCache::new(4);
-        fill_with_element(&cache, "touched", touched_element);
-        fill_with_element(&cache, "safe", safe_element);
-
-        cache.advance_epoch(0, 1, &[touched_element], true);
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 1, "{stats:?}");
-        assert_eq!(stats.promotions, 1, "{stats:?}");
-
-        // The touched entry is gone at both epochs.
-        assert!(hit(&cache, "touched").is_none());
-        assert!(
-            cache.probe(&key("touched").with_epoch(1)).is_none(),
-            "the touched entry must not survive the write"
-        );
-        // The safe entry is resident at the old epoch *and* the new one,
-        // sharing one payload.
-        let old = hit(&cache, "safe").expect("old-epoch readers keep hitting");
-        let promoted = cache
-            .probe(&key("safe").with_epoch(1))
-            .expect("the promoted entry must hit at the new epoch");
-        assert!(Arc::ptr_eq(&promoted, &old));
-    }
-
-    #[test]
-    fn advance_epoch_without_promotion_leaves_survivors_behind() {
-        let safe_element = ElementRef::Value(kwsearch_rdf::VertexId::from_index(3));
-        let cache = AugmentationCache::new(4);
-        fill_with_element(&cache, "safe", safe_element);
-        cache.advance_epoch(0, 1, &[], false);
-        assert_eq!(cache.stats().promotions, 0);
-        assert!(hit(&cache, "safe").is_some(), "old epoch still serves");
-        assert!(
-            cache.probe(&key("safe").with_epoch(1)).is_none(),
-            "no promotion was requested"
-        );
-    }
-
-    #[test]
-    fn prune_below_epoch_retires_old_entries_only() {
-        let element = ElementRef::Value(kwsearch_rdf::VertexId::from_index(1));
-        let cache = AugmentationCache::new(4);
-        fill_with_element(&cache, "old", element);
-        cache.advance_epoch(0, 1, &[], true); // "old" promoted to epoch 1
-        cache.prune_below_epoch(1);
-        assert!(hit(&cache, "old").is_none(), "the epoch-0 copy was pruned");
-        assert!(
-            cache.probe(&key("old").with_epoch(1)).is_some(),
-            "the current-epoch copy must survive the prune"
-        );
     }
 }

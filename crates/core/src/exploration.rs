@@ -25,7 +25,6 @@ use kwsearch_summary::AugmentedSummaryGraph;
 use crate::config::SearchConfig;
 use crate::cursor::{Cursor, CursorArena, CursorId, QueueEntry};
 use crate::subgraph::MatchingSubgraph;
-use crate::sync::CancelToken;
 use crate::topk::{combinations_with_new_cursor, CandidateList};
 
 /// Counters describing one exploration run.
@@ -151,12 +150,10 @@ pub struct ExplorationState {
     /// Absolute wall-clock bound: once it passes, the run aborts at the next
     /// deadline poll (every [`DEADLINE_POLL_MASK`]+1-th pop).
     deadline: Option<std::time::Instant>,
-    /// Cooperative-cancellation flag, polled once per pop.
-    cancel: Option<CancelToken>,
-    /// Whether the run was cut short by the deadline or the cancel token.
-    /// Unlike ordinary termination, an aborted run makes no completeness
-    /// claim, so [`Self::next_certified`] stops emitting instead of flushing
-    /// the retained candidates.
+    /// Whether the run was cut short by the deadline. Unlike ordinary
+    /// termination, an aborted run makes no completeness claim, so
+    /// [`Self::next_certified`] stops emitting instead of flushing the
+    /// retained candidates.
     aborted: bool,
     /// debug-invariants: cost of the last popped queue entry, for the pop
     /// monotonicity check (absent from release builds).
@@ -189,7 +186,6 @@ impl ExplorationState {
                 certified: 0,
                 finished: true,
                 deadline: None,
-                cancel: None,
                 aborted: false,
                 #[cfg(debug_assertions)]
                 last_pop_cost: f64::NEG_INFINITY,
@@ -233,7 +229,6 @@ impl ExplorationState {
             certified: 0,
             finished: false,
             deadline: None,
-            cancel: None,
             aborted: false,
             #[cfg(debug_assertions)]
             last_pop_cost: f64::NEG_INFINITY,
@@ -256,8 +251,8 @@ impl ExplorationState {
         self.certified
     }
 
-    /// Whether the run was cut short by its deadline or cancel token (see
-    /// [`Self::set_deadline`] / [`Self::set_cancel`]).
+    /// Whether the run was cut short by its deadline (see
+    /// [`Self::set_deadline`]).
     pub fn is_aborted(&self) -> bool {
         self.aborted
     }
@@ -268,13 +263,6 @@ impl ExplorationState {
     /// of expiry. `None` removes a previously installed deadline.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Installs a shared cancellation token, polled once per pop. The serving
-    /// layer cancels it on shutdown or when a request's deadline fires while
-    /// the job is queued.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
     }
 
     /// debug-invariants: cost of the cheapest still-pending cursor, the
@@ -290,13 +278,6 @@ impl ExplorationState {
     // lint: hot-path
     fn step(&mut self, graph: &AugmentedSummaryGraph<'_>, config: &SearchConfig) {
         debug_assert!(!self.finished, "step on a finished exploration");
-        if let Some(cancel) = &self.cancel {
-            if cancel.is_cancelled() {
-                self.aborted = true;
-                self.finished = true;
-                return;
-            }
-        }
         if let Some(deadline) = self.deadline {
             if self.stats.queue_pops & DEADLINE_POLL_MASK == 0
                 && std::time::Instant::now() >= deadline
@@ -452,15 +433,6 @@ impl ExplorationState {
         config: &SearchConfig,
     ) -> Option<MatchingSubgraph> {
         loop {
-            // Poll the cancel token here as well as in `step`: a certified
-            // front can be emitted without expanding any cursor, and a
-            // cancelled caller must not receive it.
-            if let Some(cancel) = &self.cancel {
-                if cancel.is_cancelled() {
-                    self.aborted = true;
-                    self.finished = true;
-                }
-            }
             if self.aborted {
                 // No completeness claim: certified results already handed out
                 // stand, but the retained rest is NOT flushed — a longer run
@@ -706,23 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn a_cancelled_token_aborts_the_run_without_flushing() {
-        let g = figure1_graph();
-        let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
-        let config = SearchConfig::default();
-        let mut state = ExplorationState::new(&aug, &config);
-        let token = CancelToken::new();
-        token.cancel();
-        state.set_cancel(token);
-        assert!(state.next_certified(&aug, &config).is_none());
-        assert!(state.is_aborted());
-        assert!(state.is_finished());
-        assert_eq!(state.certified_count(), 0);
-        // The stream stays closed on a repeated poll.
-        assert!(state.next_certified(&aug, &config).is_none());
-    }
-
-    #[test]
     fn an_expired_deadline_aborts_at_the_first_poll() {
         let g = figure1_graph();
         let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
@@ -733,6 +688,8 @@ mod tests {
         ));
         assert!(state.next_certified(&aug, &config).is_none());
         assert!(state.is_aborted());
+        assert!(state.is_finished());
+        assert_eq!(state.certified_count(), 0);
         // Clearing the deadline does not resurrect an aborted run.
         state.set_deadline(None);
         assert!(state.next_certified(&aug, &config).is_none());

@@ -17,8 +17,7 @@
 //!   query), and a drained session that finds its key already resident
 //!   computed a bit-identical log (first-writer-wins race),
 //! * **LRU bounds** — the result cache never exceeds its capacity, and its
-//!   incremental heap-byte estimate and per-element reverse map match a
-//!   recount.
+//!   incremental heap-byte estimate matches a recount.
 //!
 //! The checks run only in debug builds (`cfg(debug_assertions)`) — release
 //! binaries compile them out entirely, which the benchmark

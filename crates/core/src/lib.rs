@@ -42,8 +42,9 @@
 //!     maintains a lineage of immutable prepared snapshots whose delta
 //!     overlays (triple store, adjacency, keyword vocabulary, summary)
 //!     keep every read bit-identical to a from-scratch rebuild over the
-//!     merged data, with epoch-keyed cache invalidation and a compaction
-//!     that proves itself byte-identical to a fresh preparation.
+//!     merged data; each snapshot owns its result cache (a write starts
+//!     an empty one), and a compaction proves itself byte-identical to a
+//!     fresh preparation and keeps the cache.
 //!
 //! Scoring (Section V) is configurable through [`ScoringFunction`]: path
 //! length (C1), popularity (C2), or popularity weighted by the keyword
@@ -90,7 +91,6 @@ pub use shard::PartitionPlan;
 #[doc(hidden)] // benchmark compat, see `serve`
 pub use shard::ShardedService;
 pub use subgraph::{MatchingSubgraph, SubgraphPath};
-pub use sync::CancelToken;
 
 /// End-to-end behaviour of the read API: [`PreparedGraph::index`] →
 /// [`PreparedGraph::session`] → outcome → answers, on the Fig. 1 fixture.

@@ -29,7 +29,7 @@
 //! base+delta across all three scorings — is pinned by the
 //! `live_equivalence` proptest suite.
 //!
-//! # Visibility and the write epoch
+//! # Visibility, the write epoch and the cache
 //!
 //! Readers obtain an immutable [`Arc<PreparedGraph>`] from
 //! [`snapshot`](LiveGraph::snapshot) and keep a consistent view for as long
@@ -38,19 +38,13 @@
 //! write (*read-your-writes*). Writers never block readers: a write builds
 //! its successor snapshot while holding only the writer lock, and the lock
 //! `snapshot` takes is held for a pointer load or store, nothing else.
-//!
 //! Every snapshot carries a monotone **write epoch**
-//! ([`PreparedGraph::write_epoch`]) that is folded into every
-//! [`AugmentationKey`](crate::cache::AugmentationKey) of the shared
-//! [`AugmentationCache`](crate::cache::AugmentationCache): an entry
-//! computed — and above all a replay log
-//! recorded — against a pre-write snapshot can never be served to a reader
-//! of a post-write snapshot, even though all snapshots of one lineage share
-//! one cache. Entries whose matched elements a write touched are dropped
-//! eagerly through the cache's per-element reverse map; for attribute-only
-//! writes that provably change neither the match vocabulary nor the summary
-//! structure, the untouched survivors are *promoted* (re-keyed to the new
-//! epoch, payload shared), so hot queries keep hitting across writes.
+//! ([`PreparedGraph::write_epoch`]).
+//!
+//! Each snapshot owns its [`AugmentationCache`], so the whole invalidation
+//! rule is the snapshot's lifetime: a write starts its successor with an
+//! empty cache of the same capacity, while a reader still holding an older
+//! snapshot keeps hitting that snapshot's entries, which are freed with it.
 //!
 //! # Compaction
 //!
@@ -59,7 +53,8 @@
 //! [`crate::persist`] — it writes the merged state, **proves the bytes
 //! bit-identical to a from-scratch preparation** of the same graph, reloads
 //! the snapshot (bulk, flat, `Arc`-fresh) and installs it at the *same*
-//! epoch: compaction is invisible to readers and to the cache. Retractions
+//! epoch with the *same* cache: compaction is invisible to readers and to
+//! the cache. Retractions
 //! ride the same machinery as an inline mini-compaction: the batch is
 //! applied to a rebuilt base (no overlay can "hide" a frozen triple), at a
 //! bumped epoch.
@@ -73,6 +68,7 @@ use kwsearch_rdf::{
 };
 use kwsearch_summary::SummaryGraph;
 
+use crate::cache::AugmentationCache;
 use crate::prepared::PreparedGraph;
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
 
@@ -173,7 +169,6 @@ pub struct WriteTicket {
     collapsed_duplicates: usize,
     retracted: usize,
     summary_rebuilt: bool,
-    cache_promoted: bool,
 }
 
 impl WriteTicket {
@@ -209,13 +204,6 @@ impl WriteTicket {
     /// retractions) instead of being maintained incrementally.
     pub fn summary_rebuilt(&self) -> bool {
         self.summary_rebuilt
-    }
-
-    /// Whether untouched augmentation-cache entries were carried forward to
-    /// the new epoch (attribute-only batches that change neither the match
-    /// vocabulary nor the summary structure).
-    pub fn cache_promoted(&self) -> bool {
-        self.cache_promoted
     }
 }
 
@@ -320,9 +308,8 @@ pub struct CompactionReport {
 ///     .is_err());
 /// ```
 ///
-/// All synchronization goes through the `crate::sync` facade, so the
-/// write/invalidate/replay races and reader progress during a write are
-/// model-checked (see `tests/model_cache.rs`, `tests/model_live.rs`).
+/// All synchronization goes through the `crate::sync` facade, so reader
+/// progress during a write is model-checked (see `tests/model_live.rs`).
 #[derive(Debug)]
 pub struct LiveGraph {
     /// Serialises writers ([`Self::apply`], [`Self::compact`]) for the whole
@@ -397,7 +384,6 @@ impl LiveGraph {
                     collapsed_duplicates: 0,
                     retracted: 0,
                     summary_rebuilt: false,
-                    cache_promoted: false,
                 };
                 Ok((None, ticket))
             } else if batch.retractions.is_empty() {
@@ -410,10 +396,10 @@ impl LiveGraph {
 
     /// The add-only fast path: clone the snapshot's structures (`O(delta)`
     /// for the Arc-shared store/keyword-index, `O(base)` for the graph —
-    /// amortized by compaction), extend every delta overlay, and advance
-    /// the cache epoch. Returns `None` as the successor for an effect-free
-    /// batch (every addition was a duplicate): the epoch does not move and
-    /// the cache is untouched.
+    /// amortized by compaction) and extend every delta overlay. Returns
+    /// `None` as the successor for an effect-free batch (every addition was
+    /// a duplicate): the epoch does not move and the snapshot, cache
+    /// included, stays current.
     #[allow(clippy::type_complexity)]
     fn apply_adds(
         prepared: &PreparedGraph,
@@ -437,7 +423,7 @@ impl LiveGraph {
         let added_edges = graph.edge_count() - old_edges;
         if added_edges == 0 && added_vertices == 0 {
             // Every addition was already present: nothing changed, no new
-            // epoch, no cache work.
+            // epoch.
             return Ok((
                 None,
                 WriteTicket {
@@ -447,7 +433,6 @@ impl LiveGraph {
                     collapsed_duplicates: collapsed,
                     retracted: 0,
                     summary_rebuilt: false,
-                    cache_promoted: false,
                 },
             ));
         }
@@ -485,61 +470,52 @@ impl LiveGraph {
                 None => (SummaryGraph::build(&graph), true),
             };
 
-        let promote = impact.promotable && !summary_rebuilt;
-        if crate::invariants::enabled() && promote {
-            // debug-invariants: promotion claims the write left the summary
-            // untouched — verify against the freshly maintained one.
-            let mut before = kwsearch_rdf::SectionEncoder::new();
-            prepared.summary().write_snapshot(&mut before);
-            let mut after = kwsearch_rdf::SectionEncoder::new();
-            summary.write_snapshot(&mut after);
-            assert_eq!(
-                before.into_bytes(),
-                after.into_bytes(),
-                "promotable write changed the summary graph"
-            );
-        }
-
-        let epoch = old_epoch + 1;
-        let cache = prepared.shared_cache();
-        let next = PreparedGraph::from_shared_parts(
-            graph,
-            keyword_index,
-            summary,
-            store,
-            Arc::clone(&cache),
-            epoch,
-            prepared.index_build_time(),
-        );
-        // Drop entries whose matched elements this write changed; carry the
-        // untouched rest forward when the write provably cannot affect them.
-        cache.advance_epoch(old_epoch, epoch, &impact.touched, promote);
-
+        let next = Self::successor(prepared, graph, keyword_index, summary, store);
         Ok((
             Some(next),
             WriteTicket {
-                epoch,
+                epoch: old_epoch + 1,
                 added_vertices,
                 added_edges,
                 collapsed_duplicates: collapsed,
                 retracted: 0,
                 summary_rebuilt,
-                cache_promoted: promote,
             },
         ))
+    }
+
+    /// The snapshot one write after `prepared`, assembled from the written
+    /// structures around a fresh, empty cache of the predecessor's
+    /// capacity: entries computed on `prepared` describe its data, not the
+    /// successor's, and stay with it for readers that still hold it.
+    fn successor(
+        prepared: &PreparedGraph,
+        graph: DataGraph,
+        keyword_index: kwsearch_keyword_index::KeywordIndex,
+        summary: SummaryGraph,
+        store: kwsearch_rdf::TripleStore,
+    ) -> PreparedGraph {
+        let capacity = prepared.augmentation_cache().capacity();
+        PreparedGraph::from_shared_parts(
+            graph,
+            keyword_index,
+            summary,
+            store,
+            Arc::new(AugmentationCache::new(capacity)),
+            prepared.write_epoch() + 1,
+            prepared.index_build_time(),
+        )
     }
 
     /// The retraction path: an inline mini-compaction. The merged triple
     /// set minus the retractions (plus the additions) is rebuilt into a
     /// fresh base — overlays cannot "hide" a frozen triple, so removal
-    /// means rebuilding. The new snapshot gets a bumped epoch with no
-    /// promotions: retraction invalidates by epoch alone.
+    /// means rebuilding. The new snapshot gets a bumped epoch.
     #[allow(clippy::type_complexity)]
     fn apply_with_retractions(
         prepared: &PreparedGraph,
         batch: &DeltaBatch,
     ) -> Result<(Option<PreparedGraph>, WriteTicket), WriteError> {
-        let old_epoch = prepared.write_epoch();
         let mut triples = prepared.graph().triples();
         let mut retracted = 0usize;
         for gone in &batch.retractions {
@@ -578,32 +554,16 @@ impl LiveGraph {
         let summary = SummaryGraph::build(&graph);
         let store = kwsearch_rdf::TripleStore::build(&graph);
 
-        let epoch = old_epoch + 1;
-        let cache = prepared.shared_cache();
-        let next = PreparedGraph::from_shared_parts(
-            graph,
-            keyword_index,
-            summary,
-            store,
-            Arc::clone(&cache),
-            epoch,
-            prepared.index_build_time(),
-        );
-        // No promotions across a retraction: every entry of the old epoch
-        // stays behind (correct for readers still on the old snapshot) and
-        // dies by LRU pressure or the next compaction's prune.
-        cache.advance_epoch(old_epoch, epoch, &[], false);
-
+        let next = Self::successor(prepared, graph, keyword_index, summary, store);
         Ok((
             Some(next),
             WriteTicket {
-                epoch,
+                epoch: prepared.write_epoch() + 1,
                 added_vertices,
                 added_edges,
                 collapsed_duplicates: collapsed,
                 retracted,
                 summary_rebuilt: true,
-                cache_promoted: false,
             },
         ))
     }
@@ -614,9 +574,8 @@ impl LiveGraph {
     /// from-scratch preparation of the same merged graph (same keyword
     /// configuration, same recorded build time), and only on bit-identity
     /// is the snapshot reloaded (flat CSR, fresh `Arc` bases) and installed
-    /// — at the *unchanged* epoch, so compaction is invisible to readers
-    /// and cache entries of the current epoch keep hitting. Entries of
-    /// older epochs, which can no longer gain readers, are pruned.
+    /// — at the *unchanged* epoch and with the replaced snapshot's cache, so
+    /// compaction is invisible to readers and cached entries keep hitting.
     ///
     /// Returns with `compacted: false` (and no state change) when the
     /// lineage is already flat.
@@ -638,7 +597,6 @@ impl LiveGraph {
             && !prepared.keyword_index().has_delta()
             && !prepared.graph().has_adjacency_overlay()
         {
-            prepared.augmentation_cache().prune_below_epoch(epoch);
             let report = CompactionReport {
                 duration: start.elapsed(),
                 snapshot_bytes: 0,
@@ -654,13 +612,12 @@ impl LiveGraph {
         // frozen form) is rebuilt; the summary is already byte-identical to
         // a rebuild by the `apply` invariants.
         let graph = prepared.graph().clone();
-        let compacted = PreparedGraph::from_shared_parts(
+        let compacted = PreparedGraph::from_parts(
             graph.clone(),
             prepared.keyword_index().rebuilt(&graph),
             prepared.summary().clone(),
             prepared.store().flattened(),
-            prepared.shared_cache(),
-            epoch,
+            0,
             prepared.index_build_time(),
         );
         let mut compacted_bytes = Vec::new();
@@ -669,13 +626,12 @@ impl LiveGraph {
         // Prove: a from-scratch preparation of the merged graph must
         // serialize to exactly the same bytes (the recorded build time is
         // part of the snapshot META, so it is threaded through).
-        let scratch = PreparedGraph::from_shared_parts(
+        let scratch = PreparedGraph::from_parts(
             graph.clone(),
             prepared.keyword_index().rebuilt(&graph),
             SummaryGraph::build(&graph),
             kwsearch_rdf::TripleStore::build(&graph),
-            Arc::new(crate::cache::AugmentationCache::new(0)),
-            epoch,
+            0,
             prepared.index_build_time(),
         );
         let mut scratch_bytes = Vec::new();
@@ -693,7 +649,8 @@ impl LiveGraph {
 
         // Reload through the persist path — the loaded parts are flat (no
         // CSR overlay, empty store deltas) — and re-wrap them around the
-        // lineage's shared cache at the unchanged epoch.
+        // replaced snapshot's cache at the unchanged epoch: same data, so
+        // its entries stay valid.
         let loaded = PreparedGraph::load_with(&compacted_bytes[..], 0)?;
         let (graph, keyword_index, summary, store) = loaded.into_parts();
         let next = PreparedGraph::from_shared_parts(
@@ -705,7 +662,6 @@ impl LiveGraph {
             epoch,
             prepared.index_build_time(),
         );
-        prepared.augmentation_cache().prune_below_epoch(epoch);
 
         let report = CompactionReport {
             duration: start.elapsed(),
@@ -719,22 +675,17 @@ impl LiveGraph {
 }
 
 /// What an add-only batch did to the element universe, classified once per
-/// write for keyword-index maintenance and cache invalidation.
+/// write for keyword-index maintenance.
 struct WriteImpact {
     /// Elements that did not exist before the batch (new classes, new
-    /// values, new relation/attribute labels). No cache entry can reference
-    /// them, but they extend the match vocabulary.
+    /// values, new relation/attribute labels): they extend the match
+    /// vocabulary.
     new_elements: Vec<ElementRef>,
     /// Pre-existing elements whose match data (enrichment) the batch
     /// changed: values gaining connections, attribute labels gaining
     /// classes, and both for entities that gained a `type` edge. Sorted and
     /// deduplicated.
     touched: Vec<ElementRef>,
-    /// Whether untouched cache entries may be carried to the new epoch: the
-    /// batch added only A-edges between pre-existing vertices under
-    /// pre-existing labels, which extends neither the match vocabulary nor
-    /// the summary structure.
-    promotable: bool,
 }
 
 impl WriteImpact {
@@ -763,7 +714,6 @@ impl WriteImpact {
         }
 
         let mut touched = Vec::new();
-        let mut attribute_edges_only = true;
         for i in old_edges..graph.edge_count() {
             let edge = graph.edge(EdgeId::from_index(i as u32));
             match graph.edge_label(edge.label) {
@@ -778,7 +728,6 @@ impl WriteImpact {
                     }
                 }
                 EdgeLabel::Type => {
-                    attribute_edges_only = false;
                     if edge.from.index() < old_vertices {
                         // A re-typed entity changes the class lists inside
                         // the enrichment of every value and attribute label
@@ -797,24 +746,16 @@ impl WriteImpact {
                         }
                     }
                 }
-                EdgeLabel::Relation(_) | EdgeLabel::SubClass => {
-                    // Neither relations nor classes carry enrichment, but
-                    // both project into the summary graph.
-                    attribute_edges_only = false;
-                }
+                // Neither relations nor classes carry enrichment.
+                EdgeLabel::Relation(_) | EdgeLabel::SubClass => {}
             }
         }
         touched.sort_unstable();
         touched.dedup();
 
-        let promotable = attribute_edges_only
-            && old_vertices == graph.vertex_count()
-            && old_labels == graph.edge_label_count();
-
         Self {
             new_elements,
             touched,
-            promotable,
         }
     }
 }
@@ -988,6 +929,11 @@ mod tests {
 
         let after = outcome(&compacted, &["streaming", "cimiano"], config);
         assert_outcomes_bit_identical(&after, &before, "compaction");
+        assert_eq!(
+            compacted.augmentation_cache().stats().hits,
+            1,
+            "the compacted snapshot inherits the entry drained before it"
+        );
 
         // A second compaction finds nothing to fold.
         let report = live.compact().unwrap();
@@ -995,62 +941,59 @@ mod tests {
     }
 
     #[test]
-    fn attribute_only_writes_promote_untouched_entries_and_invalidate_touched_ones() {
+    fn a_write_starts_its_successor_with_an_empty_cache() {
         let live = LiveGraph::new(PreparedGraph::index(figure1_graph()));
         let config = SearchConfig::default();
-
-        // Warm two entries: one matching the `2008` year value (about to be
-        // touched), one matching the Cimiano name value (untouched).
-        let stale_before = outcome(&live.snapshot(), &["2008"], config.clone());
-        assert!(!stale_before.queries.is_empty());
-        let hot_before = outcome(&live.snapshot(), &["cimiano", "aifb"], config.clone());
+        let held = live.snapshot();
+        assert!(!outcome(&held, &["2008"], config.clone()).queries.is_empty());
+        let hot_before = outcome(&held, &["cimiano", "aifb"], config.clone());
+        assert_eq!(held.augmentation_cache().stats().len, 2);
 
         // `pub1URI` gains the existing `2008` value under the existing
-        // `year` label: no new vertices, no new labels, A-edge only.
-        let ticket = live
-            .apply(&DeltaBatch::new().add(Triple::attribute("pub1URI", "year", "2008")))
-            .unwrap();
-        assert!(ticket.cache_promoted(), "attribute-only write must promote");
-        assert!(!ticket.summary_rebuilt());
+        // `year` label: the smallest write there is.
+        let year = Triple::attribute("pub1URI", "year", "2008");
+        live.apply(&DeltaBatch::new().add(year.clone())).unwrap();
 
-        let snapshot = live.snapshot();
-        let stats_before = snapshot.augmentation_cache().stats();
-        assert!(stats_before.promotions > 0, "{stats_before:?}");
-        assert!(stats_before.invalidations > 0, "{stats_before:?}");
+        let successor = live.snapshot();
+        let fresh_cache = successor.augmentation_cache();
+        assert_eq!(fresh_cache.stats().len, 0, "{:?}", fresh_cache.stats());
+        assert_eq!(fresh_cache.capacity(), held.augmentation_cache().capacity());
 
-        // The untouched entry is served from the promoted payload …
-        let hot_after = outcome(&snapshot, &["cimiano", "aifb"], config.clone());
-        let stats_after = snapshot.augmentation_cache().stats();
-        assert_eq!(
-            stats_after.hits,
-            stats_before.hits + 1,
-            "promoted entry must hit at the new epoch: {stats_after:?}"
-        );
-        assert_outcomes_bit_identical(&hot_after, &hot_before, "promoted entry");
+        // The predecessor keeps its entries for the readers that hold it …
+        let hits = held.augmentation_cache().stats().hits;
+        let hot_after = outcome(&held, &["cimiano", "aifb"], config.clone());
+        assert_eq!(held.augmentation_cache().stats().hits, hits + 1);
+        assert_outcomes_bit_identical(&hot_after, &hot_before, "held snapshot");
 
-        // … while the touched entry recomputes against the new state and
-        // sees the additional match.
-        let stale_after = outcome(&snapshot, &["2008"], config.clone());
-        let stats_final = snapshot.augmentation_cache().stats();
-        assert_eq!(
-            stats_final.misses,
-            stats_after.misses + 1,
-            "touched entry must recompute: {stats_final:?}"
-        );
-        assert!(
-            stale_after.keywords[0].element_matches >= stale_before.keywords[0].element_matches,
-            "the touched value still matches"
-        );
-
-        // The recomputed results are bit-identical to a fresh preparation
-        // of the merged graph.
+        // … while the successor recomputes, bit-identically to a fresh
+        // preparation of the merged graph.
+        let recomputed = outcome(&successor, &["2008"], config.clone());
         let mut merged = figure1_graph();
-        merged
-            .insert_triple(&Triple::attribute("pub1URI", "year", "2008"))
-            .unwrap();
-        let fresh = PreparedGraph::index(merged);
-        let want = outcome(&fresh, &["2008"], config);
-        assert_outcomes_bit_identical(&stale_after, &want, "touched entry recompute");
+        merged.insert_triple(&year).unwrap();
+        let want = outcome(&PreparedGraph::index(merged), &["2008"], config);
+        assert_outcomes_bit_identical(&recomputed, &want, "successor recompute");
+    }
+
+    #[test]
+    fn old_snapshots_keep_their_cache_across_writes_and_compaction() {
+        let live = LiveGraph::new(PreparedGraph::index(figure1_graph()));
+        let config = SearchConfig::default();
+        let keywords = ["2006", "cimiano", "aifb"];
+        let held = live.snapshot();
+        let before = outcome(&held, &keywords, config.clone());
+
+        live.apply(&mixed_batch()).unwrap();
+        assert!(live.compact().unwrap().compacted);
+
+        let hits = held.augmentation_cache().stats().hits;
+        let after = outcome(&held, &keywords, config);
+        assert_eq!(
+            held.augmentation_cache().stats().hits,
+            hits + 1,
+            "the epoch-0 entry must outlive the write and the compaction"
+        );
+        assert_eq!(after.exploration.queue_pops, 0, "a hit replays");
+        assert_outcomes_bit_identical(&after, &before, "held snapshot");
     }
 
     #[test]

@@ -19,30 +19,25 @@
 //! with the schedule that provoked it, which is exactly the signal we want.
 // lint: allow-file(no-unwrap, reason = "scenario assertions: a panic inside a model thread is the checker's failure signal, reported with the replayable schedule that provoked it")
 
-use kwsearch_keyword_index::ElementRef;
 use kwsearch_modelcheck::{explore, thread, Config, Report};
-use kwsearch_rdf::VertexId;
 
 use crate::cache::{AugmentationCache, AugmentationKey, CachedAugmentation};
 use crate::sync::{lock_unpoisoned, Arc, Mutex};
 use crate::{LiveGraph, PreparedGraph, SearchConfig};
 
-/// A distinct cache key per scenario role (the config is shared; the terms
-/// disambiguate), pinned to a write epoch as the live write path mints them.
-fn key(term: &str, epoch: u64) -> AugmentationKey {
-    AugmentationKey::new(SearchConfig::default(), vec![vec![term.to_string()]]).with_epoch(epoch)
+/// The cache key of the scenario's one query.
+fn key() -> AugmentationKey {
+    AugmentationKey::new(SearchConfig::default(), vec![vec!["shared".to_string()]])
 }
 
-/// The entry a drained session inserts, reduced to what the scenarios
-/// observe: its matched-element set is the single V-vertex `element`, and
-/// its (complete) log is empty.
-fn entry(element: u32) -> CachedAugmentation {
-    CachedAugmentation::new(
-        vec![1],
-        0,
-        vec![ElementRef::Value(VertexId::from_index(element))],
-        Some(Vec::new()),
-    )
+/// The entry a drained session inserts, reduced to what the scenario
+/// observes: a complete, empty log.
+fn entry() -> CachedAugmentation {
+    CachedAugmentation {
+        element_matches: vec![1],
+        augmented_elements: 0,
+        queries: Some(Vec::new()),
+    }
 }
 
 /// **Two drained sessions insert one key.** Both sessions took their miss
@@ -53,12 +48,12 @@ fn entry(element: u32) -> CachedAugmentation {
 pub fn cache_racing_drained_sessions_insert_once(config: Config) -> Report {
     explore(config, || {
         let cache = Arc::new(AugmentationCache::new(4));
-        assert!(cache.probe(&key("shared", 0)).is_none());
-        assert!(cache.probe(&key("shared", 0)).is_none());
+        assert!(cache.probe(&key()).is_none());
+        assert!(cache.probe(&key()).is_none());
         let insert_then_read = |cache: &AugmentationCache| {
-            cache.insert(key("shared", 0), entry(1));
+            cache.insert(key(), entry());
             cache
-                .probe(&key("shared", 0))
+                .probe(&key())
                 .expect("resident once any session drained")
         };
         let worker = {
@@ -75,50 +70,6 @@ pub fn cache_racing_drained_sessions_insert_once(config: Config) -> Report {
         assert_eq!(stats.insertions, 1, "the first drained session wins");
         assert_eq!(stats.len, 1, "one key, one resident entry");
         assert_eq!((stats.hits, stats.misses), (2, 2));
-    })
-}
-
-/// **Epoch advance vs. a late insert** — the write/invalidate/replay race
-/// behind [`crate::LiveGraph`]'s keyed invalidation. A reader of the epoch-0
-/// snapshot missed on a key whose keywords match element `V3` and is about
-/// to drain; concurrently a write touching `V3` advances the cache from
-/// epoch 0 to epoch 1 (with promotion). In every interleaving:
-///
-/// * the advanced epoch starts clean of the touched entry — if the insert
-///   landed first, keyed invalidation dropped it; if the advance ran first,
-///   the insert lands keyed at epoch 0, unreachable from epoch-1 readers
-///   (epoch-0 readers still hold the old snapshot, for which the entry
-///   remains correct);
-/// * the untouched resident entry crosses over to epoch 1 as the *same*
-///   `Arc` — promotion shares the payload (and its replay log), never
-///   copies it.
-pub fn cache_epoch_advance_races_late_insert(config: Config) -> Report {
-    explore(config, || {
-        let cache = Arc::new(AugmentationCache::new(8));
-        cache.insert(key("stable", 0), entry(7));
-        let stable = cache
-            .probe(&key("stable", 0))
-            .expect("the seeded entry is resident");
-        assert!(cache.probe(&key("hot", 0)).is_none());
-        let writer = {
-            let cache = Arc::clone(&cache);
-            thread::spawn(move || {
-                cache.advance_epoch(0, 1, &[ElementRef::Value(VertexId::from_index(3))], true);
-            })
-        };
-        cache.insert(key("hot", 0), entry(3));
-        writer.join().unwrap();
-        assert!(
-            cache.probe(&key("hot", 1)).is_none(),
-            "stale result served at the advanced epoch"
-        );
-        let promoted = cache
-            .probe(&key("stable", 1))
-            .expect("untouched entry lost its promotion");
-        assert!(
-            Arc::ptr_eq(&promoted, &stable),
-            "promotion must share the seeded payload Arc, not copy it"
-        );
     })
 }
 

@@ -64,13 +64,13 @@ pub struct PreparedGraph {
     keyword_index: KeywordIndex,
     summary: SummaryGraph,
     store: TripleStore,
-    /// Shared with every other snapshot of the same [`crate::live::LiveGraph`]
-    /// (frozen preparations own theirs exclusively); entries are kept
-    /// epoch-correct via the write epoch folded into every cache key.
+    /// This snapshot's own result cache: its entries are valid exactly as
+    /// long as the snapshot's data, so nothing ever invalidates them. A live
+    /// write gives its successor a fresh one; compaction shares it with the
+    /// compacted snapshot, which holds the same data (see [`crate::live`]).
     cache: crate::sync::Arc<AugmentationCache>,
     /// Monotone write epoch of the live lineage this preparation belongs
-    /// to; 0 for frozen preparations. Folded into every augmentation cache
-    /// key (see [`crate::cache::AugmentationKey`]).
+    /// to; 0 for frozen preparations.
     write_epoch: u64,
     index_build_time: Duration,
 }
@@ -135,10 +135,9 @@ impl PreparedGraph {
         )
     }
 
-    /// Assembles a prepared graph around an already-shared augmentation
-    /// cache at an explicit write epoch — the [`crate::live`] path, where a
-    /// succession of snapshots shares one cache and distinguishes entries
-    /// by epoch.
+    /// Assembles a prepared graph around a given cache at an explicit write
+    /// epoch — the [`crate::live`] path: a write passes a fresh cache, a
+    /// compaction the cache of the snapshot it flattens.
     pub(crate) fn from_shared_parts(
         graph: DataGraph,
         keyword_index: KeywordIndex,
@@ -161,7 +160,7 @@ impl PreparedGraph {
 
     /// Disassembles the preparation into its component structures — the
     /// compaction path, which reloads a freshly-written snapshot and
-    /// re-wraps its parts around the live lineage's shared cache.
+    /// re-wraps its parts around the flattened snapshot's cache.
     pub(crate) fn into_parts(self) -> (DataGraph, KeywordIndex, SummaryGraph, TripleStore) {
         (self.graph, self.keyword_index, self.summary, self.store)
     }
@@ -195,15 +194,14 @@ impl PreparedGraph {
         &self.cache
     }
 
-    /// The shared cache handle — cloned into every successor snapshot of a
-    /// live lineage (see [`crate::live`]).
+    /// The cache handle — handed to the compacted snapshot, which holds the
+    /// same data (see [`crate::live`]).
     pub(crate) fn shared_cache(&self) -> crate::sync::Arc<AugmentationCache> {
         crate::sync::Arc::clone(&self.cache)
     }
 
     /// The monotone write epoch this preparation was assembled at (0 for
-    /// frozen preparations). Folded into every augmentation cache key so
-    /// entries computed before a live write are never served after it.
+    /// frozen preparations).
     pub fn write_epoch(&self) -> u64 {
         self.write_epoch
     }

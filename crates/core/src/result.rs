@@ -93,8 +93,8 @@ pub struct AnswerPhase {
     /// paper's Fig. 5 metric ("processing several queries … until finding at
     /// least 10 answers").
     pub answer_time: Duration,
-    /// Whether the phase stopped early because a deadline expired or
-    /// cancellation was signalled. The collected answers are a valid prefix
+    /// Whether the phase stopped early because a deadline expired. The
+    /// collected answers are a valid prefix
     /// (every returned row is exact); only the `min_answers` goal may be
     /// unmet.
     pub truncated: bool,

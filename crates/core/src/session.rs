@@ -30,8 +30,6 @@ use std::time::{Duration, Instant};
 
 use kwsearch_summary::AugmentedSummaryGraph;
 
-use kwsearch_keyword_index::ElementRef;
-
 use crate::cache::{AugmentationKey, CachedAugmentation};
 use crate::config::SearchConfig;
 use crate::error::{KeywordMatch, SearchError};
@@ -39,7 +37,6 @@ use crate::exploration::ExplorationState;
 use crate::prepared::PreparedGraph;
 use crate::query_map::map_subgraph_to_query;
 use crate::result::{AnswerPhase, RankedQuery, SearchOutcome};
-use crate::sync::CancelToken;
 
 /// A resumable, streaming keyword search over one [`PreparedGraph`].
 ///
@@ -76,11 +73,11 @@ pub struct SearchSession<'e> {
     seen: BTreeSet<String>,
     /// Set once the stream is known to be complete for the current `k`.
     drained: bool,
-    /// On a cache miss: the key this session missed under and the distinct
-    /// elements its keywords matched. A naturally drained, never-raised
-    /// session inserts its complete emission log under that key so later
-    /// same-key sessions replay instead of searching (see [`crate::cache`]).
-    pending_insert: Option<(AugmentationKey, Vec<ElementRef>)>,
+    /// On a cache miss: the key this session missed under. A naturally
+    /// drained, never-raised session inserts its complete emission log
+    /// under that key so later same-key sessions replay instead of
+    /// searching (see [`crate::cache`]).
+    pending_insert: Option<AugmentationKey>,
     /// On a cache hit: the entry an earlier drained session inserted under
     /// the same key, plus the replay position. While set, [`Self::advance`]
     /// emits from the entry's log instead of exploring — bit-identically,
@@ -99,10 +96,9 @@ pub struct SearchSession<'e> {
     /// all advancing calls (the lazy equivalent of the batch
     /// `exploration_time`).
     exploration_time: Duration,
-    /// Deadline/cancellation installed by the serving layer, kept on the
-    /// session so a state rebuilt by [`Self::raise_k`] inherits it.
+    /// Deadline installed by the serving layer, kept on the session so a
+    /// state rebuilt by [`Self::raise_k`] inherits it.
     deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
     /// debug-invariants: a shadow exploration over a freshly built augmented
     /// graph that cross-checks every replayed emission against honest
     /// exploration.
@@ -158,10 +154,6 @@ impl<'e> SearchSession<'e> {
                     .map(|k| prepared.keyword_index().normalized_query_terms(k.as_ref()))
                     .collect(),
             )
-            // Live lineages share one cache across snapshots; the epoch
-            // keeps every entry pinned to the snapshot it was computed
-            // against (frozen preparations stay at epoch 0).
-            .with_epoch(prepared.write_epoch())
         });
         if let Some(cached) = key.as_ref().and_then(|key| cache.probe(key)) {
             let report: Vec<KeywordMatch> = keywords
@@ -213,12 +205,11 @@ impl<'e> SearchSession<'e> {
             if let Some(key) = key {
                 cache.insert(
                     key,
-                    CachedAugmentation::new(
-                        report.iter().map(|k| k.element_matches).collect(),
-                        0,
-                        Vec::new(),
-                        None,
-                    ),
+                    CachedAugmentation {
+                        element_matches: report.iter().map(|k| k.element_matches).collect(),
+                        augmented_elements: 0,
+                        queries: None,
+                    },
                 );
             }
             return Err(SearchError::AllKeywordsUnmatched { keywords: report });
@@ -228,14 +219,7 @@ impl<'e> SearchSession<'e> {
         // 2. Augmentation + the seeded exploration state.
         let mut session =
             Self::start_with_matches(prepared, report, &matches, config, keyword_mapping_time);
-        session.pending_insert = key.map(|key| {
-            let elements = matches
-                .iter()
-                .flatten()
-                .map(|m| m.element.element_ref())
-                .collect();
-            (key, elements)
-        });
+        session.pending_insert = key;
         Ok(session)
     }
 
@@ -292,7 +276,6 @@ impl<'e> SearchSession<'e> {
             keyword_mapping_time,
             exploration_time,
             deadline: None,
-            cancel: None,
             #[cfg(debug_assertions)]
             shadow: None,
             #[cfg(debug_assertions)]
@@ -303,7 +286,7 @@ impl<'e> SearchSession<'e> {
     /// The augmented graph and a seeded cursor state under the current
     /// configuration, rebuilt from a fresh keyword lookup — what a replaying
     /// session never built. A hit means this session's keywords normalize to
-    /// the entry's terms on the entry's epoch, so the rebuilt graph is the
+    /// the entry's terms on the entry's snapshot, so the rebuilt graph is the
     /// one the inserting session explored.
     fn build_exploration(&self) -> (AugmentedSummaryGraph<'e>, ExplorationState) {
         let prepared: &'e PreparedGraph = self.prepared;
@@ -338,19 +321,9 @@ impl<'e> SearchSession<'e> {
         }
     }
 
-    /// Installs a shared cooperative-cancellation token (see
-    /// [`CancelToken`]): a caller that runs the session on a thread of its
-    /// own cancels it from outside to stop the cursor walk within one pop.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        if let Some((_, state)) = self.exploration.as_mut() {
-            state.set_cancel(cancel.clone());
-        }
-        self.cancel = Some(cancel);
-    }
-
-    /// Whether the exploration was cut short by the deadline or the cancel
-    /// token. An aborted session's emitted prefix is still certified; the
-    /// stream simply ends without a completeness claim.
+    /// Whether the exploration was cut short by the deadline. An aborted
+    /// session's emitted prefix is still certified; the stream simply ends
+    /// without a completeness claim.
     pub fn aborted(&self) -> bool {
         self.exploration
             .as_ref()
@@ -547,20 +520,19 @@ impl<'e> SearchSession<'e> {
         if self.stats().hit_cursor_limit {
             return;
         }
-        // An aborted (deadline/cancel) drain is a truncated prefix, not the
+        // An aborted (deadline) drain is a truncated prefix, not the
         // complete stream — caching it would serve short results forever.
         if self.aborted() {
             return;
         }
-        if let Some((key, elements)) = self.pending_insert.take() {
+        if let Some(key) = self.pending_insert.take() {
             self.prepared.augmentation_cache().insert(
                 key,
-                CachedAugmentation::new(
-                    self.keywords.iter().map(|k| k.element_matches).collect(),
-                    self.augmented_elements,
-                    elements,
-                    Some(self.queries.clone()),
-                ),
+                CachedAugmentation {
+                    element_matches: self.keywords.iter().map(|k| k.element_matches).collect(),
+                    augmented_elements: self.augmented_elements,
+                    queries: Some(self.queries.clone()),
+                },
             );
         }
     }
@@ -624,9 +596,6 @@ impl<'e> SearchSession<'e> {
             None => self.build_exploration(),
         };
         state.set_deadline(self.deadline);
-        if let Some(cancel) = &self.cancel {
-            state.set_cancel(cancel.clone());
-        }
         self.exploration = Some((augmented, state));
         self.drained = false;
         self.exploration_time += start.elapsed();
@@ -990,18 +959,13 @@ mod tests {
         let prepared = prepared();
         let keywords = ["2006", "cimiano", "aifb"];
         let mut session = open(&prepared, &keywords);
-        let token = CancelToken::new();
-        session.set_cancel(token.clone());
-        let first = session.next_query();
-        assert!(first.is_some(), "the stream starts before the cancel");
-        assert!(!session.aborted());
-        token.cancel();
+        session.set_deadline(Some(Instant::now() - Duration::from_millis(1)));
         assert!(session.next_query().is_none());
         assert!(session.aborted());
         drop(session);
-        // The truncated prefix must not have been cached as a replay log: a
-        // fresh same-key session re-explores (pops > 0) instead of replaying
-        // a stream that would be short forever.
+        // The truncated (here: empty) stream must not have been cached as a
+        // replay log: a fresh same-key session re-explores (pops > 0)
+        // instead of replaying a stream that would be short forever.
         let full = open(&prepared, &keywords).into_outcome();
         assert!(
             full.exploration.queue_pops > 0,

@@ -294,7 +294,7 @@ mod tests {
         assert_eq!((service.stats().rejected, service.stats().admitted), (1, 0));
     }
 
-    /// Cancellation regression: the answer phase used to materialize its
+    /// Deadline regression: the answer phase used to materialize its
     /// odometer cross-product without ever polling the deadline, so an
     /// expired request could sit inside a huge join. An expired deadline
     /// must truncate the phase (flagged, exact prefix) instead.

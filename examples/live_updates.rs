@@ -10,19 +10,21 @@
 //!    extend,
 //! 2. apply a delta batch (a new publication, its author edge, a title)
 //!    and read the [`WriteTicket`] acknowledging it,
-//! 3. read-your-writes: the very next snapshot answers a keyword query
-//!    over the just-written title,
+//! 3. read-your-writes: the very next snapshot — which starts with an
+//!    empty result cache of its own — answers a keyword query over the
+//!    just-written title,
 //! 4. `compact()`: fold every overlay back into a flat snapshot — the
 //!    fold proves itself byte-identical to a from-scratch rebuild before
-//!    the lineage swaps — and show queries are unchanged across it,
+//!    the lineage swaps, and keeps the snapshot's cache — and show queries
+//!    are unchanged across it,
 //! 5. retract the title again and watch the keyword stop matching; a
 //!    retraction is an inline mini-compaction (overlays cannot hide a
 //!    frozen triple), so a follow-up `compact()` is a no-op.
 //!
 //! Run with: `cargo run --example live_updates`
 //!
-//! See the README "Live updates & freshness" section for the invalidation
-//! and compaction rules, and the benchmark's `live_mixed` workload
+//! See the README "Live updates & freshness" section for the cache and
+//! compaction rules, and the benchmark's `live_mixed` workload
 //! (`benchmark/README.md`) for the measured write-to-visibility latency.
 
 use searchwebdb::core::{DeltaBatch, LiveGraph, PreparedGraph, SearchConfig};

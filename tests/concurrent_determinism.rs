@@ -286,8 +286,9 @@ fn one_shard_cached_service_is_bit_identical_across_threads() {
 /// a reader takes is pinned to some write epoch, and its results must be
 /// **bit-identical** to a single-threaded, cache-disabled preparation
 /// indexed from scratch over exactly that epoch's merged triples — the
-/// overlay read path, the shared epoch-keyed cache, and concurrent epoch
-/// advances may change timings, never results.
+/// overlay read path, each snapshot's own result cache (shared by every
+/// reader of that snapshot), and concurrent writes may change timings,
+/// never results.
 #[test]
 fn reads_during_writes_are_bit_identical_per_epoch() {
     let graph = figure1_graph();
@@ -302,9 +303,9 @@ fn reads_during_writes_are_bit_identical_per_epoch() {
     ));
 
     // The write stream: each batch introduces at least one new edge, so
-    // each apply advances the epoch by exactly one. The first batch is
-    // attribute-only (existing value, existing label) to also drive the
-    // cache-promotion path under concurrency.
+    // each apply advances the epoch by exactly one. The first batch is the
+    // smallest write there is (an existing value under an existing label);
+    // like every other batch it starts its snapshot with an empty cache.
     let addition_stream: Vec<Vec<Triple>> = vec![
         vec![Triple::attribute("pub1URI", "year", "2008")],
         vec![
