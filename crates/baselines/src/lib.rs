@@ -4,35 +4,27 @@
 //! compute *answer trees* directly on the data graph under the distinct-root
 //! assumption:
 //!
-//! * **backward search** (BANKS, \[1\] in the paper) — multi-source Dijkstra
-//!   from the keyword vertices along incoming edges,
 //! * **bidirectional search** (BLINKS-style, \[14\]) — expansion along both
 //!   edge directions with degree-based activation factors,
-//! * **BFS candidate search** — unweighted breadth-first expansion, the
-//!   simplest answer-tree baseline,
 //! * **partitioned search** — bidirectional search restricted to the graph
-//!   blocks that contain keyword matches (a stand-in for the METIS-based
-//!   1000/300-block indexes of \[2\]; greedy BFS partitioning replaces METIS).
+//!   blocks that contain keyword matches (a stand-in for the METIS- and
+//!   BFS-based 1000/300-block indexes of \[2\]; greedy BFS partitioning
+//!   replaces METIS).
 //!
-//! All baselines share the exact-match keyword mapping of
-//! [`keyword_match`] and the [`AnswerTree`] result
-//! model, and report how many vertices they visited so the benchmark
-//! harness can relate running time to search effort.
+//! Both share the exact-match keyword mapping of [`keyword_match`] and the
+//! [`AnswerTree`] result model, and report how many vertices they visited,
+//! so a comparison can relate their search effort to the exploration's.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod answer_tree;
-pub mod backward;
-pub mod bfs;
 pub mod bidirectional;
 pub mod keyword_match;
 pub mod partition;
 mod search_core;
 
 pub use answer_tree::{AnswerTree, BaselineResult};
-pub use backward::backward_search;
-pub use bfs::bfs_search;
 pub use bidirectional::bidirectional_search;
 pub use keyword_match::match_keywords;
 pub use partition::{partition_graph, partitioned_search, Partitioning};

@@ -142,9 +142,6 @@ pub fn partitioned_search(
     let params = SearchParams {
         k,
         dmax,
-        follow_incoming: true,
-        follow_outgoing: true,
-        degree_penalty: true,
         ..SearchParams::default()
     };
     multi_source_search(graph, keyword_groups, &params, Some(&allowed))

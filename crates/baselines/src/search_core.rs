@@ -1,10 +1,10 @@
 //! Shared multi-source search machinery for the baseline algorithms.
 //!
-//! Backward search, bidirectional search and BFS candidate search all follow
-//! the same skeleton — expand frontiers from every keyword-vertex group and
-//! emit an answer tree whenever some vertex has been reached from every
-//! group — and differ only in which edge directions they follow and how they
-//! prioritise the frontier. This module implements the skeleton once.
+//! Bidirectional search and its partitioned variant follow one skeleton:
+//! expand frontiers from every keyword-vertex group along both edge
+//! directions, de-prioritising hub vertices, and emit an answer tree
+//! whenever some vertex has been reached from every group. The partitioned
+//! variant only restricts the vertices the frontiers may enter.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -19,14 +19,6 @@ pub(crate) struct SearchParams {
     pub k: usize,
     /// Maximum path length (in edges) from a keyword vertex to the root.
     pub dmax: usize,
-    /// Traverse incoming edges (towards the sources of edges pointing at the
-    /// current vertex).
-    pub follow_incoming: bool,
-    /// Traverse outgoing edges.
-    pub follow_outgoing: bool,
-    /// Apply a degree-based activation penalty: hub vertices are expanded
-    /// later, mimicking the activation factors of bidirectional search.
-    pub degree_penalty: bool,
     /// Upper bound on vertex visits, a safety valve for large graphs.
     pub max_visits: usize,
 }
@@ -36,9 +28,6 @@ impl Default for SearchParams {
         Self {
             k: 10,
             dmax: 6,
-            follow_incoming: true,
-            follow_outgoing: true,
-            degree_penalty: false,
             max_visits: 2_000_000,
         }
     }
@@ -159,19 +148,16 @@ pub(crate) fn multi_source_search(
             continue;
         }
 
-        // Expand.
-        let mut neighbors: Vec<VertexId> = Vec::new();
-        if params.follow_outgoing {
-            for &e in graph.out_edges(entry.vertex) {
-                neighbors.push(graph.edge(e).to);
-            }
-        }
-        if params.follow_incoming {
-            for &e in graph.in_edges(entry.vertex) {
-                neighbors.push(graph.edge(e).from);
-            }
-        }
-        for neighbor in neighbors {
+        // Expand along outgoing, then incoming edges.
+        let outgoing = graph
+            .out_edges(entry.vertex)
+            .iter()
+            .map(|&e| graph.edge(e).to);
+        let incoming = graph
+            .in_edges(entry.vertex)
+            .iter()
+            .map(|&e| graph.edge(e).from);
+        for neighbor in outgoing.chain(incoming) {
             if settled[entry.group].contains_key(&neighbor) {
                 continue;
             }
@@ -181,12 +167,8 @@ pub(crate) fn multi_source_search(
                 }
             }
             let distance = entry.distance + 1;
-            let priority = if params.degree_penalty {
-                // Activation-factor style: popular hubs are de-prioritised.
-                distance as f64 + (graph.degree(neighbor) as f64).ln_1p() * 0.1
-            } else {
-                distance as f64
-            };
+            // Activation-factor style: popular hubs are de-prioritised.
+            let priority = distance as f64 + (graph.degree(neighbor) as f64).ln_1p() * 0.1;
             let trace = traces.len();
             traces.push(Trace {
                 vertex: neighbor,

@@ -15,16 +15,12 @@
 //!   keyword matched anything). A session that hits emits from that log
 //!   instead of matching, augmenting and exploring — **bit-identically**,
 //!   which the cross-thread determinism suite, the cache-coherence proptests
-//!   and the sanitizer's shadow exploration pin. It is still a full
-//!   [`SearchSession`](crate::SearchSession): `raise_k` rebuilds the
-//!   augmented graph from a fresh lookup, explores for real and
-//!   fast-forwards past the replayed prefix, exactly like raising a session
-//!   that explored honestly.
+//!   and the sanitizer's shadow exploration pin.
 //! * **A miss is an ordinary session.** Nothing is registered, nobody waits:
 //!   concurrent sessions that miss on one key each run the full search.
 //! * **Entries appear when a session drains.** A session that reaches the end
-//!   of its stream naturally — not raised, not truncated by the `max_cursors`
-//!   valve, not aborted by a deadline — inserts its log in one step under
+//!   of its stream naturally — not truncated by the `max_cursors` valve, not
+//!   aborted by a deadline — inserts its log in one step under
 //!   the cache mutex. Racing drained sessions computed identical logs; the
 //!   first insert wins. A session that stops early (first-query-only
 //!   consumers, `min_answers` requests) inserts nothing.

@@ -20,14 +20,6 @@ pub struct SearchConfig {
     /// Upper bound on the number of cursor expansions, a safety valve against
     /// pathological graphs (the paper's worst case is `|G|^dmax` cursors).
     pub max_cursors: usize,
-    /// Whether cursors whose path was *not* retained (the
-    /// [`Self::effective_path_cap`] was already reached for their
-    /// element/keyword pair) are still expanded to their neighbours. The
-    /// default (`false`) matches the paper's space
-    /// bound and keeps the number of cursors linear in the summary-graph
-    /// size; enabling it explores every distinct path up to `dmax`, which is
-    /// exhaustive but can be exponentially slower on dense summary graphs.
-    pub expand_pruned_paths: bool,
 }
 
 impl Default for SearchConfig {
@@ -37,7 +29,6 @@ impl Default for SearchConfig {
             dmax: 8,
             scoring: ScoringFunction::PopularityAndMatch,
             max_cursors: 1_000_000,
-            expand_pruned_paths: false,
         }
     }
 }
@@ -107,10 +98,6 @@ mod tests {
             SearchConfig::default().dmax(3),
             SearchConfig {
                 max_cursors: 7,
-                ..SearchConfig::default()
-            },
-            SearchConfig {
-                expand_pruned_paths: true,
                 ..SearchConfig::default()
             },
         ];

@@ -64,23 +64,6 @@ impl ExplorationStats {
             (self.queue_pushes - self.queue_pops) as f64 / self.queue_pushes as f64
         }
     }
-
-    /// Folds the counters of a later run into these: counts add, the queue
-    /// peak takes the maximum, the termination flags are OR-ed. Used by
-    /// sessions whose `raise_k` re-runs the exploration, so the reported
-    /// counters cover *all* the work the session performed (consistent with
-    /// its accumulated exploration time), not just the latest run.
-    pub fn absorb(&mut self, later: ExplorationStats) {
-        self.cursors_created += later.cursors_created;
-        self.cursors_expanded += later.cursors_expanded;
-        self.elements_visited += later.elements_visited;
-        self.candidates_generated += later.candidates_generated;
-        self.queue_pushes += later.queue_pushes;
-        self.queue_pops += later.queue_pops;
-        self.peak_queue_len = self.peak_queue_len.max(later.peak_queue_len);
-        self.terminated_by_threshold |= later.terminated_by_threshold;
-        self.hit_cursor_limit |= later.hit_cursor_limit;
-    }
 }
 
 /// The result of one exploration run.
@@ -357,9 +340,9 @@ impl ExplorationState {
             // Lines 12-23: expand to all neighbours except the parent and
             // except elements already on this path (no cyclic expansion).
             // Paths beyond the per-(element, keyword) cap are not
-            // expanded unless explicitly requested — this is what keeps
-            // the cursor count within the paper's k·|K|·|G| space bound.
-            if recorded || config.expand_pruned_paths {
+            // expanded — this is what keeps the cursor count within the
+            // paper's k·|K|·|G| space bound.
+            if recorded {
                 let parent_element = self.arena.parent_element(cursor_id);
                 for &neighbor in graph.neighbors(cursor.element) {
                     if Some(neighbor) == parent_element {

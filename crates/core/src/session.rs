@@ -49,8 +49,6 @@ use crate::result::{AnswerPhase, RankedQuery, SearchOutcome};
 ///   as needed to certify it,
 /// * [`Self::answers_until`] interleaves the streaming answer phase with the
 ///   exploration: each query is evaluated the moment it is certified,
-/// * [`Self::raise_k`] re-arms a (possibly drained) session for more
-///   results,
 /// * [`Self::into_outcome`] drains the rest and returns the familiar batch
 ///   [`SearchOutcome`].
 #[must_use = "a search session does nothing until queries are pulled from it"]
@@ -59,9 +57,7 @@ pub struct SearchSession<'e> {
     config: SearchConfig,
     keywords: Vec<KeywordMatch>,
     /// The augmented summary graph and the suspended cursor walk over it.
-    /// `None` only for a cache hit whose replay log is still serving the
-    /// stream — the graph is built only if the session has to explore for
-    /// real ([`Self::raise_k`]), which on the hot serving path is never.
+    /// `None` for a cache hit: the replay log serves the whole stream.
     exploration: Option<(AugmentedSummaryGraph<'e>, ExplorationState)>,
     /// Element count of the augmented graph (on a cache hit, as recorded by
     /// the session that inserted the entry).
@@ -71,34 +67,23 @@ pub struct SearchSession<'e> {
     /// Canonical forms of the emitted queries, for deduplication: different
     /// subgraphs can normalise to the same conjunctive query.
     seen: BTreeSet<String>,
-    /// Set once the stream is known to be complete for the current `k`.
+    /// Set once the stream is known to be complete.
     drained: bool,
     /// On a cache miss: the key this session missed under. A naturally
-    /// drained, never-raised session inserts its complete emission log
-    /// under that key so later same-key sessions replay instead of
-    /// searching (see [`crate::cache`]).
+    /// drained session inserts its complete emission log under that key so
+    /// later same-key sessions replay instead of searching (see
+    /// [`crate::cache`]).
     pending_insert: Option<AugmentationKey>,
     /// On a cache hit: the entry an earlier drained session inserted under
     /// the same key, plus the replay position. While set, [`Self::advance`]
     /// emits from the entry's log instead of exploring — bit-identically,
-    /// since the exploration is deterministic. Dropped by [`Self::raise_k`],
-    /// which falls back to real exploration.
+    /// since the exploration is deterministic.
     replay: Option<(crate::sync::Arc<CachedAugmentation>, usize)>,
-    /// Whether [`Self::raise_k`] changed the configuration away from the
-    /// one the cache key was computed for (disables the insert).
-    raised: bool,
-    /// Counters of exploration runs retired by [`Self::raise_k`]: the
-    /// session's reported stats cover all the work it performed, matching
-    /// the accumulated `exploration_time`.
-    prior_stats: crate::exploration::ExplorationStats,
     keyword_mapping_time: Duration,
     /// Accumulated augmentation + exploration + query-mapping time across
     /// all advancing calls (the lazy equivalent of the batch
     /// `exploration_time`).
     exploration_time: Duration,
-    /// Deadline installed by the serving layer, kept on the session so a
-    /// state rebuilt by [`Self::raise_k`] inherits it.
-    deadline: Option<Instant>,
     /// debug-invariants: a shadow exploration over a freshly built augmented
     /// graph that cross-checks every replayed emission against honest
     /// exploration.
@@ -271,11 +256,8 @@ impl<'e> SearchSession<'e> {
             drained: false,
             pending_insert: None,
             replay: None,
-            raised: false,
-            prior_stats: crate::exploration::ExplorationStats::default(),
             keyword_mapping_time,
             exploration_time,
-            deadline: None,
             #[cfg(debug_assertions)]
             shadow: None,
             #[cfg(debug_assertions)]
@@ -283,11 +265,12 @@ impl<'e> SearchSession<'e> {
         }
     }
 
-    /// The augmented graph and a seeded cursor state under the current
-    /// configuration, rebuilt from a fresh keyword lookup — what a replaying
-    /// session never built. A hit means this session's keywords normalize to
-    /// the entry's terms on the entry's snapshot, so the rebuilt graph is the
-    /// one the inserting session explored.
+    /// debug-invariants: the augmented graph and a seeded cursor state,
+    /// rebuilt from a fresh keyword lookup — what a replaying session never
+    /// built. A hit means this session's keywords normalize to the entry's
+    /// terms on the entry's snapshot, so the rebuilt graph is the one the
+    /// inserting session explored.
+    #[cfg(debug_assertions)]
     fn build_exploration(&self) -> (AugmentedSummaryGraph<'e>, ExplorationState) {
         let prepared: &'e PreparedGraph = self.prepared;
         let keywords: Vec<&str> = self.keywords.iter().map(|k| k.keyword.as_str()).collect();
@@ -315,7 +298,6 @@ impl<'e> SearchSession<'e> {
     /// exploration only — a cache-replay stream is O(results) and finishes
     /// ahead of any meaningful deadline.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
         if let Some((_, state)) = self.exploration.as_mut() {
             state.set_deadline(deadline);
         }
@@ -352,20 +334,16 @@ impl<'e> SearchSession<'e> {
         &self.queries
     }
 
-    /// The exploration counters so far, covering *all* the work the session
-    /// performed — including runs retired by [`Self::raise_k`] — so they
-    /// stay consistent with the accumulated exploration time. After
-    /// [`Self::next_query`] returned the rank-1 result, `stats().queue_pops`
-    /// is typically a small fraction of what a drained session reports —
-    /// that gap is what streaming buys. A session served from the cache's
+    /// The exploration counters so far. After [`Self::next_query`] returned
+    /// the rank-1 result, `stats().queue_pops` is typically a small fraction
+    /// of what a drained session reports — that gap is what streaming buys. A session served from the cache's
     /// replay log reports only the (near-zero) work it actually did;
     /// counters describe effort, never results.
     pub fn stats(&self) -> crate::exploration::ExplorationStats {
-        let mut stats = self.prior_stats;
-        if let Some((_, state)) = &self.exploration {
-            stats.absorb(state.stats());
-        }
-        stats
+        self.exploration
+            .as_ref()
+            .map(|(_, state)| state.stats())
+            .unwrap_or_default()
     }
 
     /// Advances the stream by one emitted query and returns its index in
@@ -385,13 +363,14 @@ impl<'e> SearchSession<'e> {
             // Replay: an earlier drained session under the same cache key
             // recorded its complete emission log; the exploration is
             // deterministic, so emitting from the log is bit-identical to
-            // re-exploring (the canonical set still grows so a later
-            // `raise_k` can fast-forward past the replayed prefix).
+            // re-exploring.
             if let Some((entry, position)) = &mut self.replay {
                 let log = entry.queries.as_deref().unwrap_or_default();
                 if let Some(ranked) = log.get(*position) {
                     let ranked = ranked.clone();
                     *position += 1;
+                    // `seen` holds the canonical form of every emitted
+                    // query, replayed or explored.
                     self.seen.insert(ranked.query.canonicalized().to_string());
                     debug_assert_eq!(ranked.rank, self.queries.len() + 1);
                     #[cfg(debug_assertions)]
@@ -425,15 +404,13 @@ impl<'e> SearchSession<'e> {
                         subgraph.cost
                     );
                 }
-                if !self.raised {
-                    if let Some(last) = self.queries.last() {
-                        assert!(
-                            subgraph.cost >= last.cost,
-                            "emission monotonicity violated: cost {} after {}",
-                            subgraph.cost,
-                            last.cost
-                        );
-                    }
+                if let Some(last) = self.queries.last() {
+                    assert!(
+                        subgraph.cost >= last.cost,
+                        "emission monotonicity violated: cost {} after {}",
+                        subgraph.cost,
+                        last.cost
+                    );
                 }
             }
             // Query mapping + deduplication: different subgraphs can
@@ -504,14 +481,11 @@ impl<'e> SearchSession<'e> {
         }
     }
 
-    /// Marks the stream drained and, when this session explored under an
-    /// unraised cache key, inserts its complete emission log into the cache
-    /// so later same-key sessions replay instead of searching.
+    /// Marks the stream drained and, when this session explored under a
+    /// cache key, inserts its complete emission log into the cache so later
+    /// same-key sessions replay instead of searching.
     fn drain_complete(&mut self) {
         self.drained = true;
-        if self.raised {
-            return;
-        }
         // A run truncated by the `max_cursors` safety valve yields
         // best-effort results whose lack of certification is only visible
         // through `stats().hit_cursor_limit` — and a replayed session
@@ -552,53 +526,6 @@ impl<'e> SearchSession<'e> {
     /// (see [`Self::queries`]).
     pub fn next_query(&mut self) -> Option<RankedQuery> {
         self.advance().map(|index| self.queries[index].clone())
-    }
-
-    /// Re-arms the session for more results: raises the result bound to
-    /// `new_k` so the stream continues past the previous limit, including on
-    /// a session that already returned `None`. Values of `new_k` at or below
-    /// the current `k` are ignored (already-emitted queries cannot be
-    /// taken back).
-    ///
-    /// The exploration's pruning bounds (candidate-list capacity, the
-    /// per-(element, keyword) path cap, the combination limit) all scale
-    /// with `k`, so the cursor walk is deterministically re-run at the new
-    /// `k` — reusing the keyword mapping and the augmented summary graph.
-    /// Already-delivered queries are never re-emitted (the replayed
-    /// certified subgraphs map to canonical forms the dedup set already
-    /// holds) and keep their ranks, so a session raised from `k` to `k'`
-    /// emits exactly what a fresh `k'` session would. The one caveat: on
-    /// exact cost ties a candidate the smaller `k`'s tighter pruning had
-    /// suppressed can surface *between* already-delivered results in the
-    /// fresh-`k'` order; the raised session still emits it — nothing is
-    /// dropped — just at a later rank than the fresh session would assign.
-    pub fn raise_k(&mut self, new_k: usize) {
-        if new_k <= self.config.k {
-            return;
-        }
-        self.config.k = new_k;
-        let start = Instant::now();
-        // The session's configuration now differs from the one its cache key
-        // was computed for: stop replaying (the log covers the old `k` only)
-        // and never insert this session's log under the stale key. The
-        // re-exploration below fast-forwards past everything already emitted
-        // — replayed or explored — via the canonical dedup set.
-        self.raised = true;
-        self.replay = None;
-        let (augmented, mut state) = match self.exploration.take() {
-            Some((augmented, retired)) => {
-                self.prior_stats.absorb(retired.stats());
-                let state = ExplorationState::new(&augmented, &self.config);
-                (augmented, state)
-            }
-            // A replay-served session that never explored: build the graph
-            // and seed the walk under the raised configuration.
-            None => self.build_exploration(),
-        };
-        state.set_deadline(self.deadline);
-        self.exploration = Some((augmented, state));
-        self.drained = false;
-        self.exploration_time += start.elapsed();
     }
 
     /// Interleaves the streaming answer phase with the exploration: pops
@@ -746,80 +673,27 @@ mod tests {
     }
 
     #[test]
-    fn raise_k_after_draining_matches_a_fresh_larger_session() {
-        let prepared = prepared();
+    fn replayed_sessions_match_a_cache_disabled_session() {
         let keywords = ["cimiano", "publication"];
-
-        let mut session = prepared
-            .session(&keywords, SearchConfig::with_k(3))
-            .unwrap();
-        let mut collected = Vec::new();
-        while let Some(q) = session.next_query() {
-            collected.push(q);
-        }
-        assert_eq!(collected.len(), 3);
-        session.raise_k(10);
-        while let Some(q) = session.next_query() {
-            collected.push(q);
-        }
-
-        let fresh = prepared
-            .session(&keywords, SearchConfig::with_k(10))
-            .unwrap()
-            .into_outcome();
-        assert_eq!(collected.len(), fresh.queries.len());
-        for (got, want) in collected.iter().zip(fresh.queries.iter()) {
-            assert_eq!(got.rank, want.rank);
-            assert_eq!(got.cost.to_bits(), want.cost.to_bits());
-            assert_eq!(got.query.canonicalized(), want.query.canonicalized());
-        }
-    }
-
-    #[test]
-    fn raise_k_with_smaller_or_equal_k_is_a_no_op() {
-        let prepared = prepared();
-        let mut session = prepared
-            .session(&["publications"], SearchConfig::with_k(3))
-            .unwrap();
-        let first = session.next_query().unwrap();
-        session.raise_k(3);
-        session.raise_k(1);
-        assert_eq!(session.config().k, 3);
-        let second = session.next_query().unwrap();
-        assert!(first.cost <= second.cost + 1e-12);
-    }
-
-    #[test]
-    fn replayed_sessions_match_and_raise_k_falls_back_to_exploration() {
-        let keywords = ["cimiano", "publication"];
-        // Honest reference: a cache-disabled preparation, drained at k=3 and
-        // then raised to 10.
+        let config = SearchConfig::with_k(3);
+        // Honest reference: a cache-disabled preparation.
         let uncached = PreparedGraph::index_with(figure1_graph(), Default::default(), 0);
-        let mut honest = uncached
-            .session(&keywords, SearchConfig::with_k(3))
-            .unwrap();
-        let mut want = Vec::new();
-        while let Some(q) = honest.next_query() {
-            want.push(q);
-        }
-        honest.raise_k(10);
-        while let Some(q) = honest.next_query() {
-            want.push(q);
-        }
+        let want = uncached
+            .session(&keywords, config.clone())
+            .unwrap()
+            .into_outcome()
+            .queries;
 
         let prepared = prepared();
         // The first drain inserts the entry: its complete replay log.
         let first = prepared
-            .session(&keywords, SearchConfig::with_k(3))
+            .session(&keywords, config.clone())
             .unwrap()
             .into_outcome();
         assert!(first.exploration.queue_pops > 0);
 
-        // Second session replays the log (no exploration work) and then
-        // falls back to honest exploration when raised.
-        let mut replayed = prepared
-            .session(&keywords, SearchConfig::with_k(3))
-            .unwrap();
+        // The second session replays the log (no exploration work).
+        let mut replayed = prepared.session(&keywords, config).unwrap();
         let mut got = Vec::new();
         while let Some(q) = replayed.next_query() {
             got.push(q);
@@ -829,10 +703,6 @@ mod tests {
             0,
             "a replayed drain pops nothing off the cursor queue"
         );
-        replayed.raise_k(10);
-        while let Some(q) = replayed.next_query() {
-            got.push(q);
-        }
 
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want.iter()) {

@@ -2,9 +2,10 @@
 //!
 //! The paper evaluates on three datasets — DBLP (26M triples, bibliographic),
 //! TAP (220k triples, broad general-knowledge ontology) and LUBM(50, 0)
-//! (university benchmark) — plus two workloads: 30 DBLP / 9 TAP keyword
-//! queries collected from 12 participants (effectiveness, Fig. 4) and the
-//! queries Q1–Q10 of the BLINKS evaluation (performance, Fig. 5).
+//! (university benchmark) — plus two workloads: keyword queries collected
+//! from 12 participants (effectiveness, Fig. 4; this crate regenerates the
+//! 30 DBLP ones) and the queries Q1–Q10 of the BLINKS evaluation
+//! (performance, Fig. 5).
 //!
 //! The original dumps are not redistributable and far exceed laptop scale,
 //! so this crate generates structurally equivalent datasets at a
@@ -15,8 +16,8 @@
 //! * [`lubm`] — the LUBM schema (universities, departments, professors,
 //!   students, courses) generated from its published class/relation layout,
 //! * [`tap`] — a class-rich, broad ontology (large graph index),
-//! * [`workload`] — keyword queries with gold-standard conjunctive queries
-//!   for the MRR study, and the Q1–Q10 performance queries.
+//! * [`workload`] — DBLP keyword queries with gold-standard conjunctive
+//!   queries for the MRR study, and the Q1–Q10 performance queries.
 //!
 //! All generators are deterministic given a seed.
 
@@ -44,8 +45,8 @@ pub use zipf::ZipfSampler;
 
 /// Writes a generated graph to `path` as N-Triples through the streaming
 /// writer (no intermediate `String` of the whole document), returning the
-/// number of bytes on disk. This is how the `large`/`huge` benchmark tiers
-/// materialise their 10⁶–10⁷ triple inputs for the ingest measurements.
+/// number of bytes on disk. This is how the committed benchmark materialises
+/// its 10⁶-triple input for the ingest measurements.
 pub fn write_ntriples_file<P: AsRef<Path>>(graph: &DataGraph, path: P) -> io::Result<u64> {
     let file = File::create(&path)?;
     let mut writer = BufWriter::new(file);

@@ -3,7 +3,7 @@
 //! The paper's effectiveness study (Fig. 4) uses 30 DBLP and 9 TAP keyword
 //! queries collected from 12 participants, each accompanied by a natural
 //! language description of the intended meaning; a generated query is
-//! "correct" if it matches that description. We regenerate an equivalent
+//! "correct" if it matches that description. We regenerate the DBLP
 //! workload programmatically: every [`EffectivenessQuery`] carries the
 //! keywords, a description and the **gold conjunctive query** that encodes
 //! the intent, so the Reciprocal Rank of the gold query can be computed
@@ -19,7 +19,6 @@ use std::collections::BTreeSet;
 use kwsearch_query::{ConjunctiveQuery, QueryBuilder};
 
 use crate::dblp::DblpDataset;
-use crate::tap::TapDataset;
 
 /// A keyword query with a known intended interpretation.
 #[derive(Debug, Clone)]
@@ -250,133 +249,6 @@ pub fn dblp_effectiveness_workload(dataset: &DblpDataset, n: usize) -> Vec<Effec
     queries
 }
 
-/// Builds the 9-query TAP effectiveness workload.
-pub fn tap_effectiveness_workload(dataset: &TapDataset) -> Vec<EffectivenessQuery> {
-    let label = |class: &str, i: usize| -> String {
-        dataset
-            .instances
-            .iter()
-            .find(|(c, _)| c == class)
-            .map(|(_, labels)| labels[i % labels.len()].clone())
-            .unwrap_or_else(|| format!("{class} {i}"))
-    };
-
-    let templates: Vec<(Vec<String>, String, ConjunctiveQuery)> = vec![
-        (
-            vec![label("Athlete", 0), "team".to_string()],
-            "The team the athlete plays for".to_string(),
-            QueryBuilder::new()
-                .class_pattern("a", "Athlete")
-                .attribute_pattern("a", "name", &label("Athlete", 0))
-                .relation_pattern("a", "playsFor", "t")
-                .class_pattern("t", "SportsTeam")
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("City", 1), "country".to_string()],
-            "The country the city is located in".to_string(),
-            QueryBuilder::new()
-                .class_pattern("c", "City")
-                .attribute_pattern("c", "name", &label("City", 1))
-                .relation_pattern("c", "locatedIn", "k")
-                .class_pattern("k", "Country")
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("Movie", 2), "director".to_string()],
-            "The director of the movie".to_string(),
-            QueryBuilder::new()
-                .class_pattern("m", "Movie")
-                .attribute_pattern("m", "name", &label("Movie", 2))
-                .relation_pattern("m", "directedBy", "d")
-                .class_pattern("d", "Director")
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("Song", 3), label("Album", 3)],
-            "The song on the given album".to_string(),
-            QueryBuilder::new()
-                .class_pattern("s", "Song")
-                .attribute_pattern("s", "name", &label("Song", 3))
-                .relation_pattern("s", "partOfAlbum", "a")
-                .class_pattern("a", "Album")
-                .attribute_pattern("a", "name", &label("Album", 3))
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("Musician", 4), "award".to_string()],
-            "Awards won by the musician".to_string(),
-            QueryBuilder::new()
-                .class_pattern("m", "Musician")
-                .attribute_pattern("m", "name", &label("Musician", 4))
-                .relation_pattern("m", "wonAward", "a")
-                .class_pattern("a", "Award")
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("University", 5), label("City", 5)],
-            "The university located in the city".to_string(),
-            QueryBuilder::new()
-                .class_pattern("u", "University")
-                .attribute_pattern("u", "name", &label("University", 5))
-                .relation_pattern("u", "locatedIn", "c")
-                .class_pattern("c", "City")
-                .attribute_pattern("c", "name", &label("City", 5))
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("Scientist", 0), "university".to_string()],
-            "The university the scientist works at".to_string(),
-            QueryBuilder::new()
-                .class_pattern("s", "Scientist")
-                .attribute_pattern("s", "name", &label("Scientist", 0))
-                .relation_pattern("s", "worksAt", "u")
-                .class_pattern("u", "University")
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("SportsTeam", 1), "league".to_string()],
-            "The league the team plays in".to_string(),
-            QueryBuilder::new()
-                .class_pattern("t", "SportsTeam")
-                .attribute_pattern("t", "name", &label("SportsTeam", 1))
-                .relation_pattern("t", "memberOfLeague", "l")
-                .class_pattern("l", "SportsLeague")
-                .distinguish_all()
-                .build(),
-        ),
-        (
-            vec![label("Book", 2), "author".to_string()],
-            "The author who wrote the book".to_string(),
-            QueryBuilder::new()
-                .class_pattern("b", "Book")
-                .attribute_pattern("b", "name", &label("Book", 2))
-                .relation_pattern("b", "writtenBy", "a")
-                .class_pattern("a", "Author")
-                .distinguish_all()
-                .build(),
-        ),
-    ];
-
-    templates
-        .into_iter()
-        .enumerate()
-        .map(|(i, (keywords, description, gold))| EffectivenessQuery {
-            id: format!("T{}", i + 1),
-            keywords,
-            description,
-            gold,
-        })
-        .collect()
-}
-
 /// Builds the Q1–Q10 performance workload (Fig. 5) with an increasing
 /// number of keywords, drawn from the dataset's labels.
 pub fn dblp_performance_queries(dataset: &DblpDataset) -> Vec<PerformanceQuery> {
@@ -437,17 +309,6 @@ mod tests {
             assert!(!q.gold.is_empty());
             assert!(!q.description.is_empty());
             assert!(q.gold.predicates().contains("type"));
-        }
-    }
-
-    #[test]
-    fn tap_workload_has_nine_queries() {
-        let dataset = TapDataset::small();
-        let workload = tap_effectiveness_workload(&dataset);
-        assert_eq!(workload.len(), 9);
-        for q in &workload {
-            assert_eq!(q.keywords.len(), 2);
-            assert!(!q.gold.is_empty());
         }
     }
 

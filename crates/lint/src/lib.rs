@@ -423,7 +423,7 @@ fn g(x: Option<u32>) -> u32 { x.unwrap() }
 fn f(x: Option<u32>) -> u32 { x.unwrap() }
 fn g(x: Option<u32>) -> u32 { x.unwrap() }
 ";
-        assert!(lint_source("crates/bench/src/bin/demo.rs", src).is_empty());
+        assert!(lint_source("crates/datagen/src/demo.rs", src).is_empty());
     }
 
     #[test]

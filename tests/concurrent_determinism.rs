@@ -2,7 +2,7 @@
 //!
 //! One `Arc<PreparedGraph>` (with its shared augmentation cache) is hammered
 //! by several threads running repeated, interleaved session scenarios —
-//! plain drains, `raise_k` resumptions and `answers_until` interleavings —
+//! plain drains and `answers_until` interleavings —
 //! and every result must be **bit-identical** (cost bits, element sets,
 //! canonical query strings, answer rows) to a single-threaded run on a
 //! fresh, *cache-disabled* preparation. This is the proof obligation of the
@@ -52,18 +52,16 @@ fn query_key(ranked: &searchwebdb::core::RankedQuery) -> QueryKey {
     )
 }
 
-/// The three interleaved session shapes the suite exercises.
+/// The two interleaved session shapes the suite exercises.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Scenario {
     /// Drain a session at the default k.
     Drain,
-    /// Drain at k = 2, then `raise_k` to the default k and drain the rest.
-    RaiseK,
     /// Run `answers_until(3)`, then drain the remainder.
     AnswersUntil,
 }
 
-const SCENARIOS: [Scenario; 3] = [Scenario::Drain, Scenario::RaiseK, Scenario::AnswersUntil];
+const SCENARIOS: [Scenario; 2] = [Scenario::Drain, Scenario::AnswersUntil];
 
 fn run_scenario(prepared: &PreparedGraph, scenario: Scenario, keywords: &[String]) -> ScenarioKey {
     let full = SearchConfig::default();
@@ -78,13 +76,6 @@ fn run_scenario(prepared: &PreparedGraph, scenario: Scenario, keywords: &[String
         Scenario::Drain => {
             let mut session = prepared.session(keywords, full).unwrap();
             (collect(&mut session), Vec::new())
-        }
-        Scenario::RaiseK => {
-            let mut session = prepared.session(keywords, SearchConfig::with_k(2)).unwrap();
-            let mut queries = collect(&mut session);
-            session.raise_k(full.k);
-            queries.extend(collect(&mut session));
-            (queries, Vec::new())
         }
         Scenario::AnswersUntil => {
             let mut session = prepared.session(keywords, full).unwrap();

@@ -1,0 +1,478 @@
+//! The paper's evaluation as assertions: each claim of Figs. 4–6 and of the
+//! ablation in Tran et al. (ICDE 2009) is one test over generated data.
+//!
+//! Every dataset comes straight from `kwsearch_datagen`, and every assertion
+//! is over a count or a ratio, never a wall time. There are two kinds, on
+//! purpose:
+//!
+//! * **Results are pinned exactly:** MRR, and which queries each system
+//!   answers in full. A change to the exploration's stopping rule must leave
+//!   them where they are.
+//! * **Work is asserted as an inequality:** cursor pops, cursors created,
+//!   visited vertices. The exploration can get cheaper without re-pinning
+//!   anything.
+//!
+//! The scales keep the suite within the debug profile's budget: DBLP-like
+//! data at 300 and 600 publications (2 653 and 5 281 triples), LUBM-like at
+//! one university, TAP-like at four instances per class. Every preparation
+//! has its result cache disabled, because the workloads repeat keyword sets
+//! and a replayed session reports no work.
+
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+use std::thread;
+
+use searchwebdb::baselines::{
+    bidirectional_search, match_keywords, partition_graph, partitioned_search, BaselineResult,
+};
+use searchwebdb::core::{ExplorationStats, PreparedGraph, ScoringFunction, SearchConfig};
+use searchwebdb::datagen::workload::{dblp_effectiveness_workload, dblp_performance_queries};
+use searchwebdb::datagen::{
+    DblpConfig, DblpDataset, LubmConfig, LubmDataset, PerformanceQuery, TapConfig, TapDataset,
+};
+use searchwebdb::keyword_index::{KeywordIndex, KeywordIndexConfig};
+use searchwebdb::rdf::{DataGraph, VertexId};
+use searchwebdb::summary::SummaryGraph;
+
+/// Queries computed per search (ours), answer trees per search (baselines).
+const K: usize = 10;
+/// Answers a query needs for a system to count as answering it in full.
+const MIN_ANSWERS: usize = 10;
+/// Path-length bound of the baselines.
+const BASELINE_DMAX: usize = 6;
+/// The two DBLP-like scales, in publications.
+const SMALL: usize = 300;
+const LARGE: usize = 600;
+
+/// A DBLP-like dataset and its cache-less preparation.
+struct Dblp {
+    dataset: DblpDataset,
+    prepared: PreparedGraph,
+    queries: Vec<PerformanceQuery>,
+}
+
+fn prepare_with(graph: &DataGraph, keyword_config: KeywordIndexConfig) -> PreparedGraph {
+    PreparedGraph::index_with(graph.clone(), keyword_config, 0)
+}
+
+/// The DBLP-like data at one of the two scales, built once per test run.
+fn dblp(publications: usize) -> &'static Dblp {
+    static SMALL_DBLP: OnceLock<Dblp> = OnceLock::new();
+    static LARGE_DBLP: OnceLock<Dblp> = OnceLock::new();
+    let cell = match publications {
+        SMALL => &SMALL_DBLP,
+        LARGE => &LARGE_DBLP,
+        _ => unreachable!("the suite runs at two scales"),
+    };
+    cell.get_or_init(|| {
+        let dataset = DblpDataset::generate(DblpConfig::with_scale(publications));
+        let prepared = prepare_with(&dataset.graph, KeywordIndexConfig::default());
+        let queries = dblp_performance_queries(&dataset);
+        Dblp {
+            dataset,
+            prepared,
+            queries,
+        }
+    })
+}
+
+fn ids<'q>(queries: impl IntoIterator<Item = &'q str>) -> BTreeSet<String> {
+    queries.into_iter().map(str::to_string).collect()
+}
+
+// ---------------------------------------------------------------- Fig. 4 --
+
+/// MRR and total cursor pops of the 30-query effectiveness workload at
+/// 300 publications under one scoring function and `k`.
+fn effectiveness(scoring: ScoringFunction, k: usize) -> (f64, usize) {
+    let dblp = dblp(SMALL);
+    let workload = dblp_effectiveness_workload(&dblp.dataset, 30);
+    let mut reciprocal_ranks = 0.0;
+    let mut pops = 0;
+    for query in &workload {
+        let config = SearchConfig::with_k(k).scoring(scoring);
+        let outcome = dblp
+            .prepared
+            .session(&query.keywords, config)
+            .expect("workload keywords match")
+            .into_outcome();
+        reciprocal_ranks += query.reciprocal_rank(outcome.queries.iter().map(|r| &r.query));
+        pops += outcome.exploration.queue_pops;
+    }
+    (reciprocal_ranks / workload.len() as f64, pops)
+}
+
+/// C3 at k = 10, which both Fig. 4 and Fig. 6a read.
+fn effectiveness_c3_top10() -> (f64, usize) {
+    static RUN: OnceLock<(f64, usize)> = OnceLock::new();
+    *RUN.get_or_init(|| effectiveness(ScoringFunction::PopularityAndMatch, K))
+}
+
+/// Fig. 4: C2 ranks the intended query at least as high as C1, and C3 —
+/// which adds the keyword-matching score — higher still.
+#[test]
+fn fig4_mrr_orders_the_scoring_functions_c3_c2_c1() {
+    let (c1, _) = effectiveness(ScoringFunction::PathLength, K);
+    let (c2, _) = effectiveness(ScoringFunction::Popularity, K);
+    let (c3, _) = effectiveness_c3_top10();
+    for (name, mrr, pin) in [("C1", c1, 0.497), ("C2", c2, 0.633), ("C3", c3, 0.658)] {
+        assert!(
+            (mrr - pin).abs() <= 0.001,
+            "MRR({name}) is {mrr:.4}, pinned at {pin}"
+        );
+    }
+    assert!(
+        c3 >= c2 && c2 >= c1,
+        "MRR C3 {c3:.4} ≥ C2 {c2:.4} ≥ C1 {c1:.4}"
+    );
+}
+
+// ---------------------------------------------------------------- Fig. 5 --
+
+/// One system's side of Fig. 5 at one scale, over Q1–Q10.
+struct Side {
+    /// The work summed over the queries: cursor pops for ours, visited
+    /// vertices for a baseline.
+    work: usize,
+    /// Per query, in order: answers (ours) or answer trees (a baseline).
+    found: Vec<usize>,
+}
+
+impl Side {
+    /// The ids of the queries whose `found` count passes `keep`.
+    fn queries_where(
+        &self,
+        queries: &[PerformanceQuery],
+        keep: impl Fn(usize) -> bool,
+    ) -> BTreeSet<String> {
+        queries
+            .iter()
+            .zip(&self.found)
+            .filter(|&(_, &found)| keep(found))
+            .map(|(query, _)| query.id.clone())
+            .collect()
+    }
+}
+
+fn answered_in_full(found: usize) -> bool {
+    found >= MIN_ANSWERS
+}
+
+/// Fig. 5 at one scale: our system, bidirectional search on the full data
+/// graph, and bidirectional search on fine blocks (one per ~40 vertices).
+struct Fig5 {
+    ours: Side,
+    /// Our drained exploration counters per query (for the streaming and
+    /// ablation claims, which compare against the default run).
+    ours_stats: Vec<ExplorationStats>,
+    bidirectional: Side,
+    partitioned: Side,
+}
+
+/// Our side: the top-k queries, then the answer phase until `MIN_ANSWERS`.
+fn ours(dblp: &Dblp) -> (Side, Vec<ExplorationStats>) {
+    let mut found = Vec::new();
+    let mut stats = Vec::new();
+    for query in &dblp.queries {
+        let outcome = dblp
+            .prepared
+            .session(&query.keywords, SearchConfig::with_k(K))
+            .expect("workload keywords match")
+            .into_outcome();
+        let phase = dblp.prepared.answer_queries(&outcome.queries, MIN_ANSWERS);
+        found.push(phase.total_answers());
+        stats.push(outcome.exploration);
+    }
+    let work = stats.iter().map(|s| s.queue_pops).sum();
+    (Side { work, found }, stats)
+}
+
+/// A baseline's side: `search` maps keyword-vertex groups to answer trees.
+fn baseline(dblp: &Dblp, search: impl Fn(&[Vec<VertexId>]) -> BaselineResult) -> Side {
+    let graph = &dblp.dataset.graph;
+    let mut work = 0;
+    let mut found = Vec::new();
+    for query in &dblp.queries {
+        let result = search(&match_keywords(graph, &query.keywords));
+        work += result.visited;
+        found.push(result.trees.len());
+    }
+    Side { work, found }
+}
+
+/// Fig. 5 at one scale, computed once per test run for the two Fig. 5
+/// claims, the streaming claim and the ablation. The three systems are
+/// independent and run side by side: at 600 publications the data-graph
+/// baselines cost three times our side in the debug profile.
+fn fig5(publications: usize) -> &'static Fig5 {
+    static SMALL_FIG5: OnceLock<Fig5> = OnceLock::new();
+    static LARGE_FIG5: OnceLock<Fig5> = OnceLock::new();
+    let cell = match publications {
+        SMALL => &SMALL_FIG5,
+        LARGE => &LARGE_FIG5,
+        _ => unreachable!("the suite runs at two scales"),
+    };
+    cell.get_or_init(|| {
+        let dblp = dblp(publications);
+        let graph = &dblp.dataset.graph;
+        thread::scope(|scope| {
+            let bidirectional = scope.spawn(|| {
+                baseline(dblp, |groups| {
+                    bidirectional_search(graph, groups, K, BASELINE_DMAX)
+                })
+            });
+            let partitioned = scope.spawn(|| {
+                let blocks = partition_graph(graph, (graph.vertex_count() / 40).max(4));
+                baseline(dblp, |groups| {
+                    partitioned_search(graph, &blocks, groups, K, BASELINE_DMAX)
+                })
+            });
+            let (ours, ours_stats) = ours(dblp);
+            Fig5 {
+                ours,
+                ours_stats,
+                bidirectional: bidirectional.join().expect("bidirectional side"),
+                partitioned: partitioned.join().expect("partitioned side"),
+            }
+        })
+    })
+}
+
+/// Fig. 5, work: doubling the data barely moves our exploration, which runs
+/// on the summary graph, while both data-graph baselines visit
+/// substantially more vertices. Measured 300 → 600 publications: our pops
+/// 57 927 → 63 174 (×1.09), bidirectional 34 320 → 63 022 (×1.84),
+/// partitioned 28 141 → 43 067 (×1.53), triples ×1.99.
+#[test]
+fn fig5_work_stays_flat_for_us_and_grows_for_the_baselines() {
+    let (small, large) = (fig5(SMALL), fig5(LARGE));
+    let growth = |small: &Side, large: &Side| large.work as f64 / small.work as f64;
+    let data = dblp(LARGE).dataset.graph.edge_count() as f64
+        / dblp(SMALL).dataset.graph.edge_count() as f64;
+    assert!(
+        data > 1.9,
+        "the large scale has about twice the triples: ×{data:.2}"
+    );
+
+    let ours = growth(&small.ours, &large.ours);
+    assert!(ours < 1.3, "our cursor pops grow ×{ours:.2}");
+    for (name, small, large) in [
+        ("bidirectional", &small.bidirectional, &large.bidirectional),
+        ("partitioned", &small.partitioned, &large.partitioned),
+    ] {
+        let baseline = growth(small, large);
+        assert!(
+            baseline > 1.5,
+            "{name} visited vertices grow ×{baseline:.2}, not more than ×1.5"
+        );
+    }
+}
+
+/// Fig. 5, answered sets: a system that returns fewer than `MIN_ANSWERS`
+/// answers (answer trees) on a query has not answered it, whatever its time.
+/// We answer fewer of the ten in full than the baselines do, and return
+/// nothing at all on Q6, Q8 and Q10 at either scale. The baselines miss Q3
+/// alone: its keyword `publications` matches no vertex exactly.
+#[test]
+fn fig5_pins_the_queries_each_system_answers_in_full() {
+    let baselines = ids(["Q1", "Q2", "Q4", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10"]);
+    for (publications, ours) in [
+        (SMALL, ids(["Q1", "Q2", "Q3", "Q4"])),
+        (LARGE, ids(["Q1", "Q2", "Q3", "Q4", "Q5", "Q9"])),
+    ] {
+        let fig5 = fig5(publications);
+        let queries = &dblp(publications).queries;
+        assert_eq!(
+            fig5.ours.queries_where(queries, answered_in_full),
+            ours,
+            "ours at {publications}"
+        );
+        assert_eq!(
+            fig5.ours.queries_where(queries, |found| found == 0),
+            ids(["Q6", "Q8", "Q10"]),
+            "queries we return no answer for at {publications}"
+        );
+        for (name, side) in [
+            ("bidirectional", &fig5.bidirectional),
+            ("partitioned", &fig5.partitioned),
+        ] {
+            assert_eq!(
+                side.queries_where(queries, answered_in_full),
+                baselines,
+                "{name} at {publications}"
+            );
+        }
+    }
+}
+
+// --------------------------------------------------------------- Fig. 6a --
+
+/// Fig. 6a: exploration work grows with `k`, and sub-linearly — the pops per
+/// requested query do not grow. Measured under C3 on the 30-query
+/// workload: 10 118, 42 194 and 76 860 pops at k = 1, 5 and 10.
+#[test]
+fn fig6a_pops_grow_with_k_and_sublinearly() {
+    let c3 = ScoringFunction::PopularityAndMatch;
+    let pops = [
+        (1, effectiveness(c3, 1).1),
+        (5, effectiveness(c3, 5).1),
+        (K, effectiveness_c3_top10().1),
+    ];
+    for pair in pops.windows(2) {
+        let [(k_lo, lo), (k_hi, hi)] = [pair[0], pair[1]];
+        assert!(lo < hi, "pops at k={k_lo} ({lo}) < k={k_hi} ({hi})");
+        assert!(
+            hi * k_lo <= lo * k_hi,
+            "pops per k at k={k_hi} ({hi}/{k_hi}) ≤ k={k_lo} ({lo}/{k_lo})"
+        );
+    }
+}
+
+// --------------------------------------------------------------- Fig. 6b --
+
+/// Keyword postings, summary nodes and the summary-to-data element ratio.
+fn index_sizes(graph: &DataGraph) -> (usize, usize, f64) {
+    let keywords = KeywordIndex::build(graph);
+    let summary = SummaryGraph::build(graph);
+    let ratio = (summary.node_count() + summary.edge_count()) as f64
+        / (graph.vertex_count() + graph.edge_count()) as f64;
+    (keywords.posting_count(), summary.node_count(), ratio)
+}
+
+/// Fig. 6b: the keyword index is largest for DBLP (most values), the graph
+/// index for TAP (most classes), and DBLP's summary graph is a vanishing
+/// share of its data graph. Measured: postings 2 098 / 487 / 301, summary
+/// nodes 9 / 20 / 35 (DBLP / LUBM / TAP), DBLP ratio 0.0099 at 300
+/// publications and 0.0051 at 600.
+#[test]
+fn fig6b_keyword_index_peaks_on_dblp_graph_index_on_tap() {
+    let (dblp_postings, dblp_nodes, dblp_ratio) = index_sizes(&dblp(SMALL).dataset.graph);
+    let (_, _, dblp_large_ratio) = index_sizes(&dblp(LARGE).dataset.graph);
+    let lubm = LubmDataset::generate(LubmConfig::with_universities(1));
+    let (lubm_postings, lubm_nodes, _) = index_sizes(&lubm.graph);
+    let tap = TapDataset::generate(TapConfig {
+        instances_per_class: 4,
+        ..TapConfig::default()
+    });
+    let (tap_postings, tap_nodes, _) = index_sizes(&tap.graph);
+
+    assert!(
+        dblp_postings > lubm_postings && dblp_postings > tap_postings,
+        "keyword postings: DBLP {dblp_postings}, LUBM {lubm_postings}, TAP {tap_postings}"
+    );
+    assert!(
+        tap_nodes > lubm_nodes && tap_nodes > dblp_nodes,
+        "summary nodes: TAP {tap_nodes}, LUBM {lubm_nodes}, DBLP {dblp_nodes}"
+    );
+    assert!(
+        dblp_large_ratio < dblp_ratio && dblp_ratio < 0.02,
+        "DBLP summary/data elements: {dblp_ratio:.4} at {SMALL}, {dblp_large_ratio:.4} at {LARGE}"
+    );
+}
+
+// ------------------------------------------------------------- streaming --
+
+/// The anytime property: over Q1–Q10, certifying the rank-1 query costs
+/// strictly fewer pops than draining the top-k, and never more on any query.
+#[test]
+fn streaming_certifies_rank_one_with_fewer_pops_than_draining() {
+    let dblp = dblp(SMALL);
+    let drained = &fig5(SMALL).ours_stats;
+    let mut first_total = 0;
+    for (query, drained) in dblp.queries.iter().zip(drained) {
+        let mut session = dblp
+            .prepared
+            .session(&query.keywords, SearchConfig::with_k(K))
+            .expect("workload keywords match");
+        assert!(
+            session.next_query().is_some(),
+            "{}: a rank-1 query",
+            query.id
+        );
+        let first = session.stats().queue_pops;
+        assert!(
+            first <= drained.queue_pops,
+            "{}: rank 1 took {first} pops, the drained top-k {}",
+            query.id,
+            drained.queue_pops
+        );
+        first_total += first;
+    }
+    let drained_total: usize = drained.iter().map(|s| s.queue_pops).sum();
+    assert!(
+        first_total < drained_total,
+        "rank 1 over Q1–Q10: {first_total} pops, drained: {drained_total}"
+    );
+}
+
+// -------------------------------------------------------------- ablation --
+
+/// How many elements `keyword` matches.
+fn matches(prepared: &PreparedGraph, keyword: &str) -> usize {
+    prepared.keyword_index().lookup(keyword).len()
+}
+
+/// Each surviving knob moves the counter it claims to move.
+#[test]
+fn ablation_each_knob_moves_its_counter() {
+    let dblp = dblp(SMALL);
+    let default_runs = &fig5(SMALL).ours_stats;
+
+    // `dmax`: a shallower exploration creates fewer cursors.
+    let shallow: usize = dblp
+        .queries
+        .iter()
+        .map(|query| {
+            let config = SearchConfig::with_k(K).dmax(4);
+            let session = dblp.prepared.session(&query.keywords, config);
+            session
+                .expect("workload keywords match")
+                .into_outcome()
+                .exploration
+                .cursors_created
+        })
+        .sum();
+    let deep: usize = default_runs.iter().map(|s| s.cursors_created).sum();
+    assert!(
+        shallow < deep,
+        "cursors at dmax 4: {shallow}, at the default 8: {deep}"
+    );
+
+    // `max_cursors`: a small cap trips the safety valve.
+    let capped = SearchConfig {
+        max_cursors: 100,
+        ..SearchConfig::with_k(K)
+    };
+    let keywords = &dblp.queries[0].keywords;
+    let outcome = dblp
+        .prepared
+        .session(keywords, capped)
+        .unwrap()
+        .into_outcome();
+    assert!(outcome.exploration.hit_cursor_limit);
+    assert!(!default_runs[0].hit_cursor_limit);
+
+    // `fuzzy` and `semantic`: with the knob off, a keyword that matched
+    // only through it — a misspelling of the family name Mueller, a
+    // thesaurus synonym of the class Publication — matches nothing.
+    for (keyword, knob_off) in [
+        (
+            "Muller",
+            KeywordIndexConfig {
+                fuzzy: false,
+                ..KeywordIndexConfig::default()
+            },
+        ),
+        (
+            "paper",
+            KeywordIndexConfig {
+                semantic: false,
+                ..KeywordIndexConfig::default()
+            },
+        ),
+    ] {
+        assert!(matches(&dblp.prepared, keyword) > 0, "{keyword} matches");
+        let without = prepare_with(&dblp.dataset.graph, knob_off);
+        assert_eq!(matches(&without, keyword), 0, "{keyword} with the knob off");
+    }
+}
