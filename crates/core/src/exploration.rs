@@ -9,14 +9,65 @@
 //!   within one path),
 //! * every visited element keeps, per keyword, the list of cursors (paths)
 //!   that reached it,
-//! * after each visit the top-k procedure (Algorithm 2, [`crate::topk`])
-//!   checks whether the element became a *connecting element* and whether
-//!   the search may stop.
+//! * after each visit the top-k procedure (Algorithm 2, the private `topk`
+//!   module) checks whether the element became a *connecting element* and
+//!   whether the search may stop.
 //!
 //! Because the cheapest cursor is always expanded first and element costs
-//! are non-negative, cursors are created in non-decreasing order of path
+//! are non-negative, cursors are popped in non-decreasing order of path
 //! cost (Theorem 1), which makes the candidate/threshold comparison of the
 //! top-k procedure sound.
+//!
+//! # The completion bound
+//!
+//! The paper stops once the k-th candidate costs less than the cheapest
+//! pending cursor. A subgraph's cost is the *sum* of one path cost per
+//! keyword, so that test ignores the other m − 1 paths. The exploration
+//! instead tests against a completion bound `B` built from what the state
+//! already records. With
+//!
+//! * `top` the cost of the cheapest pending cursor (∞ once none is left),
+//! * `o_j` keyword j's cheapest origin cost (fixed at creation),
+//! * `Q_j = max(top, o_j)`: no keyword-j cursor that is pending or not yet
+//!   created costs less, since a cursor costs at least its parent and at
+//!   least its origin,
+//! * `r_j(e)` the cost of the first keyword-j path recorded at a visited
+//!   element `e` (∞ if none) — pops come out in cost order, so the first is
+//!   the cheapest,
+//!
+//! every candidate generated from now on joins, at some element `e`, one
+//! path per keyword of which at least one (say keyword i's) is popped in
+//! the future. Keyword i's path costs at least `Q_i`, every other keyword
+//! j's at least `min(r_j(e), Q_j)`, so the candidate costs at least
+//!
+//! ```text
+//! B(e) = min_i ( Q_i + Σ_{j≠i} min(r_j(e), Q_j) )
+//! ```
+//!
+//! An element no keyword has reached yet gives `Σ_j Q_j`, which bounds
+//! every `B(e)` from above. `B` is the minimum of `Σ_j Q_j` and `B(e)` over
+//! the visited elements. It is admissible under all three scorings: C1, C2
+//! and C3 differ only in the non-negative element cost `c(n)`, and nothing
+//! above depends on which one is used. With one keyword `B = top`, the
+//! paper's test; with more, `B ≥ top`, so the bound never fires later.
+//!
+//! **Floating point.** Each `B(e)` term is summed left to right in keyword
+//! order, the order `MatchingSubgraph::new` sums a candidate's path costs.
+//! Rounded addition is monotone in each operand, so summing term-wise
+//! smaller non-negative values in the same order never gives a larger
+//! result: no candidate's float cost falls below the float `B`.
+//!
+//! `B` is used in both places that need a lower bound on the future:
+//!
+//! * **termination** — once the k-th candidate costs less than `B`, no
+//!   future candidate can enter the list ([`ExplorationState::run_to_completion`]),
+//! * **certification** — a front candidate costing at most `B` can no
+//!   longer be displaced ([`ExplorationState::next_certified`]).
+//!
+//! Computing `B` scans the visited elements (`O(visited · m²)`), but both
+//! tests only need to know whether some term falls below a threshold: the
+//! scan stops at the first term that does, and the element that last
+//! stopped it is checked first next time.
 
 use std::collections::BinaryHeap;
 
@@ -36,7 +87,9 @@ pub struct ExplorationStats {
     pub cursors_expanded: usize,
     /// Distinct elements visited by at least one cursor.
     pub elements_visited: usize,
-    /// Candidate subgraphs generated (before deduplication).
+    /// Candidate subgraphs generated (before deduplication). Only
+    /// combinations cheaper than the current k-th candidate are generated,
+    /// so this counts the candidates the list could still accept.
     pub candidates_generated: usize,
     /// Entries pushed onto the global cursor queue.
     pub queue_pushes: usize,
@@ -122,6 +175,14 @@ pub struct ExplorationState {
     /// Per-element path bookkeeping (no `SummaryElement` hashing on the hot
     /// path).
     element_paths: Vec<Option<ElementPaths>>,
+    /// Dense ids of the visited elements, in first-visit order: the
+    /// elements the completion bound scans.
+    visited: Vec<usize>,
+    /// `o_j` of the completion bound: each keyword's cheapest origin cost.
+    origin_costs: Vec<f64>,
+    /// The visited element whose `B(e)` last stopped a completion-bound
+    /// scan; the next scan checks it first.
+    bound_witness: Option<usize>,
     candidates: CandidateList,
     stats: ExplorationStats,
     /// Candidates `[0, certified)` of the sorted list have been proven
@@ -142,6 +203,10 @@ pub struct ExplorationState {
     /// monotonicity check (absent from release builds).
     #[cfg(debug_assertions)]
     last_pop_cost: f64,
+    /// debug-invariants: the largest completion bound a certification used;
+    /// no candidate generated afterwards may cost less.
+    #[cfg(debug_assertions)]
+    certified_bound: f64,
 }
 
 impl ExplorationState {
@@ -164,6 +229,9 @@ impl ExplorationState {
                 queue: BinaryHeap::new(),
                 costs: Vec::new(),
                 element_paths: Vec::new(),
+                visited: Vec::new(),
+                origin_costs: Vec::new(),
+                bound_witness: None,
                 candidates: CandidateList::new(config.k),
                 stats: ExplorationStats::default(),
                 certified: 0,
@@ -172,6 +240,8 @@ impl ExplorationState {
                 aborted: false,
                 #[cfg(debug_assertions)]
                 last_pop_cost: f64::NEG_INFINITY,
+                #[cfg(debug_assertions)]
+                certified_bound: f64::NEG_INFINITY,
             };
         }
 
@@ -179,9 +249,11 @@ impl ExplorationState {
         let costs: Vec<f64> = config.scoring.cost_table(graph);
         let mut arena = CursorArena::new();
         let mut queue: BinaryHeap<QueueEntry> = BinaryHeap::new();
+        let mut origin_costs = vec![f64::INFINITY; m];
         for (keyword, elements) in keyword_elements.iter().enumerate() {
             for ke in elements {
                 let cost = costs[graph.element_index(ke.element)];
+                origin_costs[keyword] = origin_costs[keyword].min(cost);
                 let id = arena.push(Cursor {
                     element: ke.element,
                     keyword,
@@ -207,6 +279,9 @@ impl ExplorationState {
             queue,
             costs,
             element_paths: (0..graph.element_count()).map(|_| None).collect(),
+            visited: Vec::new(),
+            origin_costs,
+            bound_witness: None,
             candidates: CandidateList::new(config.k),
             stats,
             certified: 0,
@@ -215,6 +290,8 @@ impl ExplorationState {
             aborted: false,
             #[cfg(debug_assertions)]
             last_pop_cost: f64::NEG_INFINITY,
+            #[cfg(debug_assertions)]
+            certified_bound: f64::NEG_INFINITY,
         }
     }
 
@@ -248,11 +325,75 @@ impl ExplorationState {
         self.deadline = deadline;
     }
 
-    /// debug-invariants: cost of the cheapest still-pending cursor, the
+    /// debug-invariants: the full completion bound `B` (module doc), the
     /// upper bound every certified emission must respect.
     #[cfg(debug_assertions)]
-    pub(crate) fn cheapest_pending_cost(&self) -> Option<f64> {
-        self.queue.peek().map(|top| top.cost)
+    pub(crate) fn completion_bound(&mut self) -> f64 {
+        self.completion_bound_until(|_| false)
+    }
+
+    /// The completion bound `B` (module doc), scanning its terms until one
+    /// satisfies `stop`. Returns `B` when no term stops the scan, and
+    /// otherwise the stopping term — an upper bound on `B` — after
+    /// remembering its element as the next scan's first check.
+    fn completion_bound_until(&mut self, stop: impl Fn(f64) -> bool) -> f64 {
+        let top = self.queue.peek().map_or(f64::INFINITY, |entry| entry.cost);
+        let unvisited: f64 = self
+            .origin_costs
+            .iter()
+            .map(|&origin| origin.max(top))
+            .sum();
+        if stop(unvisited) {
+            return unvisited;
+        }
+        if let Some(witness) = self.bound_witness {
+            let term = self.element_bound(witness, top);
+            if stop(term) {
+                return term;
+            }
+        }
+        let mut bound = unvisited;
+        let stopped = self.visited.iter().find_map(|&element| {
+            let term = self.element_bound(element, top);
+            bound = bound.min(term);
+            stop(term).then_some((element, term))
+        });
+        match stopped {
+            Some((element, term)) => {
+                self.bound_witness = Some(element);
+                term
+            }
+            None => bound,
+        }
+    }
+
+    /// `B(e)` of the module doc for the visited element with dense id
+    /// `element`, given the cheapest pending cost `top`. Every sum runs
+    /// left to right in keyword order, like a candidate's cost.
+    fn element_bound(&self, element: usize, top: f64) -> f64 {
+        let Some(paths) = &self.element_paths[element] else {
+            return f64::INFINITY;
+        };
+        let pending = |keyword: usize| self.origin_costs[keyword].max(top);
+        let recorded = |keyword: usize| {
+            paths.per_keyword[keyword]
+                .first()
+                .map_or(f64::INFINITY, |&cursor| self.arena.get(cursor).cost)
+                .min(pending(keyword))
+        };
+        (0..self.m)
+            .map(|unpopped| {
+                (0..self.m)
+                    .map(|keyword| {
+                        if keyword == unpopped {
+                            pending(keyword)
+                        } else {
+                            recorded(keyword)
+                        }
+                    })
+                    .sum::<f64>()
+            })
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// One iteration of the main loop (Algorithm 1, line 7): pop the
@@ -307,8 +448,10 @@ impl ExplorationState {
             // cheapest per keyword — see SearchConfig::effective_path_cap).
             let m = self.m;
             let stats = &mut self.stats;
+            let visited = &mut self.visited;
             let paths = self.element_paths[element_idx].get_or_insert_with(|| {
                 stats.elements_visited += 1;
+                visited.push(element_idx);
                 ElementPaths {
                     // lint: allow(no-alloc-hot-path, reason = "lazy one-time init per *visited* element — amortized over the run, never per pop")
                     per_keyword: vec![Vec::new(); m],
@@ -321,7 +464,9 @@ impl ExplorationState {
                 false
             };
 
-            // Algorithm 2: new candidate subgraphs involving this cursor.
+            // Algorithm 2: new candidate subgraphs involving this cursor —
+            // only those cheaper than the k-th candidate, the rest `add`
+            // would reject.
             if recorded {
                 let combos = combinations_with_new_cursor(
                     graph,
@@ -330,8 +475,23 @@ impl ExplorationState {
                     &paths.per_keyword,
                     cursor_id,
                     config.k,
+                    self.candidates.kth_cost().unwrap_or(f64::INFINITY),
                 );
                 self.stats.candidates_generated += combos.len();
+                // debug-invariants: a certification promised that nothing
+                // cheaper than its completion bound would ever appear.
+                #[cfg(debug_assertions)]
+                if crate::invariants::enabled() {
+                    for combo in &combos {
+                        assert!(
+                            combo.cost >= self.certified_bound,
+                            "completion bound violated: generated cost {} below the \
+                             bound {} a certification already used",
+                            combo.cost,
+                            self.certified_bound
+                        );
+                    }
+                }
                 for combo in combos {
                     self.candidates.add(combo);
                 }
@@ -371,23 +531,18 @@ impl ExplorationState {
             }
         }
 
-        // Algorithm 2, lines 9-17: threshold test. The cost of the
-        // cheapest unexpanded cursor lower-bounds every subgraph that is
-        // still undiscovered, so once the k-th candidate is cheaper the
-        // top-k is final. Unlike the pre-state monolithic loop, the test
-        // also runs after pruned-path pops (which used to `continue` past
-        // it): any candidate such an extra pop could have produced costs at
-        // least the queue bound and can never enter a full list whose k-th
-        // entry is already below it, so the results are unchanged and the
-        // run merely terminates up to one pop earlier.
+        // Algorithm 2, lines 9-17: threshold test, against the completion
+        // bound `B` of the module doc instead of the paper's cheapest
+        // pending cursor. `B` lower-bounds every candidate still to be
+        // generated, so once the k-th candidate is cheaper the top-k is
+        // final. The test also runs after pruned-path pops: whatever such a
+        // pop could have produced costs at least `B` as well.
         if let Some(kth_cost) = self.candidates.kth_cost() {
-            match self.queue.peek() {
-                Some(top) if kth_cost < top.cost => {
-                    self.stats.terminated_by_threshold = true;
-                    self.finished = true;
-                }
-                None => self.finished = true,
-                _ => {}
+            if self.queue.is_empty() {
+                self.finished = true;
+            } else if kth_cost < self.completion_bound_until(|term| term <= kth_cost) {
+                self.stats.terminated_by_threshold = true;
+                self.finished = true;
             }
         }
     }
@@ -395,15 +550,14 @@ impl ExplorationState {
     /// Advances the exploration until the next result subgraph is *provably*
     /// rank-correct, and returns it — or `None` when the run is complete.
     ///
-    /// A candidate is certified as soon as its cost is at most the cost of
-    /// the cheapest unexpanded cursor: every subgraph still undiscovered
-    /// involves at least one unexpanded cursor and therefore costs at least
-    /// that bound (the same Theorem-1 certificate the batch top-k
-    /// termination uses), and an equal-cost newcomer is never placed ahead
-    /// of an existing candidate, so the certified prefix of the candidate
-    /// list can no longer change. This is what makes the search *anytime*:
-    /// the rank-1 result is typically certified after a small fraction of
-    /// the pops a full top-k run performs.
+    /// A candidate is certified as soon as its cost is at most the
+    /// completion bound `B` of the [module doc](crate::exploration): every
+    /// candidate still to be generated costs at least `B` (the same
+    /// certificate the batch top-k termination uses), and an equal-cost
+    /// newcomer is never placed ahead of an existing candidate, so the
+    /// certified prefix of the candidate list can no longer change. This is what makes the search
+    /// *anytime*: the rank-1 result is typically certified after a small
+    /// fraction of the pops a full top-k run performs.
     ///
     /// One exception, shared with the batch mode: when the run is cut short
     /// by the `max_cursors` safety valve (`stats().hit_cursor_limit`), the
@@ -426,12 +580,19 @@ impl ExplorationState {
             }
             if self.certified < self.candidates.len() {
                 // A finished run certifies every retained candidate; a live
-                // run certifies the front once the queue bound reaches it.
-                let front = &self.candidates.best()[self.certified];
-                let is_final =
-                    self.finished || self.queue.peek().is_none_or(|top| front.cost <= top.cost);
+                // run certifies the front once the completion bound reaches
+                // it.
+                let front_cost = self.candidates.best()[self.certified].cost;
+                let is_final = self.finished || {
+                    let bound = self.completion_bound_until(|term| term < front_cost);
+                    #[cfg(debug_assertions)]
+                    if front_cost <= bound {
+                        self.certified_bound = self.certified_bound.max(bound);
+                    }
+                    front_cost <= bound
+                };
                 if is_final {
-                    let subgraph = front.clone();
+                    let subgraph = self.candidates.best()[self.certified].clone();
                     self.certified += 1;
                     return Some(subgraph);
                 }
@@ -573,19 +734,42 @@ mod tests {
     }
 
     #[test]
-    fn threshold_termination_kicks_in_for_small_k() {
+    fn the_completion_bound_stops_and_certifies_before_exhaustion() {
+        // With three keywords the paper's single-cursor test never fires on
+        // the running example at k = 1: the search runs until its queue is
+        // empty.
         let g = figure1_graph();
-        let aug = augmented(&g, &["cimiano", "aifb"]);
-        let outcome = run(&aug, SearchConfig::with_k(1));
-        assert!(!outcome.subgraphs.is_empty());
-        assert!(
-            outcome.stats.terminated_by_threshold || outcome.stats.cursors_expanded > 0,
-            "either the threshold fired or the graph was exhausted"
-        );
-        // With k = 1 the search must not explore more cursors than the
-        // exhaustive run.
-        let exhaustive = run(&aug, SearchConfig::with_k(50));
-        assert!(outcome.stats.cursors_expanded <= exhaustive.stats.cursors_expanded);
+        let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
+        for scoring in ScoringFunction::all() {
+            let exhaustive = run(
+                &aug,
+                SearchConfig {
+                    k: usize::MAX / 2,
+                    ..SearchConfig::default()
+                }
+                .scoring(scoring),
+            );
+            let exhaustive_pops = exhaustive.stats.queue_pops;
+
+            let config = SearchConfig::with_k(1).scoring(scoring);
+            let mut state = ExplorationState::new(&aug, &config);
+            let first = state.next_certified(&aug, &config).expect("rank 1 exists");
+            let first_pops = state.stats().queue_pops;
+            assert!(
+                first_pops < exhaustive_pops,
+                "{scoring}: rank 1 certified after {first_pops} pops, exhaustion takes \
+                 {exhaustive_pops}"
+            );
+            assert_eq!(first.cost.to_bits(), exhaustive.subgraphs[0].cost.to_bits());
+
+            state.run_to_completion(&aug, &config);
+            let stats = state.stats();
+            assert!(
+                stats.terminated_by_threshold,
+                "{scoring}: k = 1 must stop on the bound, popped {} of {exhaustive_pops}",
+                stats.queue_pops
+            );
+        }
     }
 
     #[test]

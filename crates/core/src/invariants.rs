@@ -10,7 +10,10 @@
 //!   non-decreasing cost order (the property Theorem 1 builds on),
 //! * **certificate inequality** — every query a
 //!   [`SearchSession`](crate::SearchSession) emits costs no more than the
-//!   cheapest cursor still pending (the rank certificate itself),
+//!   completion bound of the [`exploration`](crate::exploration) module doc
+//!   (the rank certificate itself),
+//! * **bound admissibility** — no candidate is ever generated below a
+//!   completion bound that a certification already used,
 //! * **replay equality** — a cache-hit session replaying a stored emission
 //!   log produces exactly what honest exploration over a freshly built
 //!   augmented graph would (a shadow exploration cross-checks each replayed

@@ -10,9 +10,10 @@
 //! 3. [`exploration`] (Algorithm 1) explores the augmented summary graph
 //!    with cost-ordered cursors, starting simultaneously from all keyword
 //!    elements and traversing vertices *and* edges in both directions,
-//! 4. [`topk`] (Algorithm 2) maintains the candidate subgraphs and the
-//!    Threshold-Algorithm-style termination test that guarantees the
-//!    returned subgraphs really are the k cheapest,
+//! 4. the private `topk` module (Algorithm 2) maintains the candidate
+//!    subgraphs; a Threshold-Algorithm-style test against the completion
+//!    bound stated in [`exploration`] stops the search and certifies each
+//!    result, guaranteeing the returned subgraphs really are the k cheapest,
 //! 5. [`query_map`] translates each matching subgraph into a conjunctive
 //!    query (Section VI-D),
 //! 6. [`session`] runs the on-line half of Fig. 2 as a resumable,
@@ -73,7 +74,7 @@ pub mod session;
 pub mod shard;
 pub mod subgraph;
 mod sync;
-pub mod topk;
+mod topk;
 
 pub use cache::{AugmentationCache, AugmentationKey, CacheStats};
 pub use config::SearchConfig;

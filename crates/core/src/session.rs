@@ -389,21 +389,20 @@ impl<'e> SearchSession<'e> {
                 break None;
             };
             // debug-invariants: the Theorem-1 rank certificate — an emitted
-            // subgraph costs at most the cheapest still-pending cursor (no
-            // undiscovered subgraph can outrank it), and within one
-            // exploration run the emission costs are non-decreasing. Both
-            // are void when the `max_cursors` safety valve truncated the run
-            // (results are explicitly uncertified then).
+            // subgraph costs at most the completion bound (no undiscovered
+            // subgraph can outrank it), and within one exploration run the
+            // emission costs are non-decreasing. Both are void when the
+            // `max_cursors` safety valve truncated the run (results are
+            // explicitly uncertified then).
             #[cfg(debug_assertions)]
             if crate::invariants::enabled() && !state.stats().hit_cursor_limit {
-                if let Some(bound) = state.cheapest_pending_cost() {
-                    assert!(
-                        subgraph.cost <= bound,
-                        "certificate violated: emitting cost {} above the cheapest \
-                         pending cursor cost {bound}",
-                        subgraph.cost
-                    );
-                }
+                let bound = state.completion_bound();
+                assert!(
+                    subgraph.cost <= bound,
+                    "certificate violated: emitting cost {} above the completion \
+                     bound {bound}",
+                    subgraph.cost
+                );
                 if let Some(last) = self.queries.last() {
                     assert!(
                         subgraph.cost >= last.cost,
@@ -513,9 +512,9 @@ impl<'e> SearchSession<'e> {
 
     /// Pops the next ranked query, advancing the exploration only until the
     /// result is provably rank-correct: its subgraph cost is at most the
-    /// cost of the cheapest unexpanded cursor, so no still-undiscovered
-    /// subgraph can outrank it. Returns `None` once `k` queries were
-    /// emitted or the exploration is exhausted.
+    /// completion bound (stated in the [`crate::exploration`] module doc),
+    /// so no still-undiscovered subgraph can outrank it. Returns `None` once
+    /// `k` queries were emitted or the exploration is exhausted.
     ///
     /// The certificate has one exception: if the run was truncated by the
     /// `max_cursors` safety valve (`stats().hit_cursor_limit`), the

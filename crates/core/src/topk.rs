@@ -4,15 +4,15 @@
 //!
 //! * a **candidate list** `LG'` of matching subgraphs discovered so far,
 //!   kept sorted by cost and truncated to the k best (this module), and
-//! * the cost of the cheapest unexpanded cursor, which lower-bounds the cost
-//!   of every subgraph that could still be discovered (tracked by the
-//!   explorer).
+//! * a lower bound on the cost of every candidate still to be generated —
+//!   the completion bound, stated with its admissibility argument in the
+//!   [`crate::exploration`] module doc.
 //!
 //! The search may stop as soon as the k-th best candidate costs less than
 //! that lower bound: no undiscovered subgraph can displace the current top-k.
-//! Because cursors are created in non-decreasing order of path cost
-//! (Theorem 1 of the paper), the bound is valid and the returned subgraphs
-//! are guaranteed to be the k cheapest — including cyclic ones.
+//! The same k-th cost also cuts the per-pop work here: a combination that
+//! costs at least as much is one [`CandidateList::add`] would reject, so
+//! [`combinations_with_new_cursor`] never builds it.
 
 use kwsearch_summary::{AugmentedSummaryGraph, SummaryElement};
 
@@ -92,11 +92,6 @@ impl CandidateList {
         self.candidates.len()
     }
 
-    /// Whether no candidate has been found yet.
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
     /// The candidates in ascending cost order.
     pub fn best(&self) -> &[MatchingSubgraph] {
         &self.candidates
@@ -121,6 +116,12 @@ impl CandidateList {
 /// combinations first. Skipped combinations are dominated by
 /// `max_combinations` cheaper candidates through the same element and can
 /// therefore never enter the top-k.
+///
+/// The walk also stops at the first combination that costs `below` or more
+/// (pass the k-th candidate's cost, ∞ while the list is not full): it and
+/// every later one would be rejected by [`CandidateList::add`]. When even
+/// the cheapest combination — the new cursor plus every other keyword's
+/// first path — costs that much, nothing is allocated at all.
 pub fn combinations_with_new_cursor(
     graph: &AugmentedSummaryGraph<'_>,
     arena: &CursorArena,
@@ -128,15 +129,24 @@ pub fn combinations_with_new_cursor(
     paths_at_element: &[Vec<CursorId>],
     new_cursor: CursorId,
     max_combinations: usize,
+    below: f64,
 ) -> Vec<MatchingSubgraph> {
     let new_keyword = arena.get(new_cursor).keyword;
     // The element is a connecting element only if every keyword has at least
     // one path ending here; the new cursor itself covers its own keyword.
-    if paths_at_element
+    // The sum runs in keyword order, exactly like a subgraph's cost.
+    let cheapest: Option<f64> = paths_at_element
         .iter()
         .enumerate()
-        .any(|(keyword, cursors)| keyword != new_keyword && cursors.is_empty())
-    {
+        .map(|(keyword, cursors)| {
+            if keyword == new_keyword {
+                Some(arena.get(new_cursor).cost)
+            } else {
+                cursors.first().map(|&cursor| arena.get(cursor).cost)
+            }
+        })
+        .sum();
+    if cheapest.is_none_or(|cost| cost >= below) {
         return Vec::new();
     }
 
@@ -154,7 +164,7 @@ pub fn combinations_with_new_cursor(
         })
         .collect();
 
-    let combos = cheapest_combinations(arena, &choices, max_combinations);
+    let combos = cheapest_combinations(arena, &choices, max_combinations, below);
 
     combos
         .into_iter()
@@ -180,13 +190,16 @@ pub fn combinations_with_new_cursor(
 }
 
 /// Best-first enumeration of the `limit` cheapest combinations (one cursor
-/// per keyword) from per-keyword choice lists that are sorted by ascending
-/// cursor cost. The classic "k smallest sums" walk: start from the all-zeros
-/// index vector and expand by incrementing one position at a time.
+/// per keyword) costing less than `below`, from per-keyword choice lists
+/// that are sorted by ascending cursor cost. The classic "k smallest sums"
+/// walk: start from the all-zeros index vector and expand by incrementing
+/// one position at a time; combinations come out in ascending cost, so the
+/// walk ends at the first one that reaches `below`.
 fn cheapest_combinations(
     arena: &CursorArena,
     choices: &[&[CursorId]],
     limit: usize,
+    below: f64,
 ) -> Vec<Vec<CursorId>> {
     use std::collections::{BTreeSet, BinaryHeap};
 
@@ -233,6 +246,9 @@ fn cheapest_combinations(
     seen.insert(start);
 
     while let Some(entry) = heap.pop() {
+        if entry.cost >= below {
+            break;
+        }
         let combo: Vec<CursorId> = entry
             .indices
             .iter()
@@ -298,7 +314,7 @@ mod tests {
         let g = figure1_graph();
         let aug = augmented(&g, &["aifb"]);
         let mut list = CandidateList::new(2);
-        assert!(list.is_empty());
+        assert_eq!(list.len(), 0);
         list.add(toy_subgraph(&aug, 5.0, 0));
         list.add(toy_subgraph(&aug, 1.0, 1));
         list.add(toy_subgraph(&aug, 3.0, 2));
@@ -395,8 +411,71 @@ mod tests {
             cost: 1.0,
         });
         // Keyword 1 has no path at the element yet: no combinations.
-        let combos = combinations_with_new_cursor(&aug, &arena, value, &[vec![c0], vec![]], c0, 10);
+        let combos = combinations_with_new_cursor(
+            &aug,
+            &arena,
+            value,
+            &[vec![c0], vec![]],
+            c0,
+            10,
+            f64::INFINITY,
+        );
         assert!(combos.is_empty());
+    }
+
+    #[test]
+    fn the_walk_returns_exactly_the_combinations_below_the_bound_in_cost_order() {
+        let g = figure1_graph();
+        let aug = augmented(&g, &["aifb"]);
+        let element = aug.keyword_elements()[0][0].element;
+        let mut arena = CursorArena::new();
+        // Dyadic costs keep every sum exact; 1 + 0.5 + 2.5 lands on 4.0.
+        let lists: Vec<Vec<CursorId>> = [vec![1.0, 2.0, 4.0], vec![0.5, 1.5], vec![0.25, 2.5]]
+            .iter()
+            .enumerate()
+            .map(|(keyword, costs)| {
+                costs
+                    .iter()
+                    .map(|&cost| {
+                        arena.push(Cursor {
+                            element,
+                            keyword,
+                            parent: None,
+                            distance: 0,
+                            cost,
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let choices: Vec<&[CursorId]> = lists.iter().map(Vec::as_slice).collect();
+        // Brute force: every combination, in index order, stably sorted by
+        // cost — the walk's tie-break is the index vector.
+        let mut all: Vec<(f64, Vec<CursorId>)> = Vec::new();
+        for &a in &lists[0] {
+            for &b in &lists[1] {
+                for &c in &lists[2] {
+                    let combo = vec![a, b, c];
+                    let cost = combo.iter().map(|&id| arena.get(id).cost).sum();
+                    all.push((cost, combo));
+                }
+            }
+        }
+        all.sort_by(|x, y| x.0.total_cmp(&y.0));
+        for below in [f64::INFINITY, 4.0, 2.75, 1.75] {
+            let want: Vec<Vec<CursorId>> = all
+                .iter()
+                .filter(|(cost, _)| *cost < below)
+                .map(|(_, combo)| combo.clone())
+                .collect();
+            let got = cheapest_combinations(&arena, &choices, usize::MAX, below);
+            assert_eq!(got, want, "bound {below}");
+        }
+        // The bound and the count limit compose: the limit still cuts first.
+        assert_eq!(
+            cheapest_combinations(&arena, &choices, 2, 4.0),
+            all[..2].iter().map(|(_, c)| c.clone()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -460,6 +539,7 @@ mod tests {
             &[vec![path_a, path_b], vec![]],
             new_cursor,
             10,
+            f64::INFINITY,
         );
         // The new cursor is fixed for keyword 1; keyword 0 offers two paths.
         assert_eq!(combos.len(), 2);

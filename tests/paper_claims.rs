@@ -241,7 +241,7 @@ fn fig5(publications: usize) -> &'static Fig5 {
 /// Fig. 5, work: doubling the data barely moves our exploration, which runs
 /// on the summary graph, while both data-graph baselines visit
 /// substantially more vertices. Measured 300 → 600 publications: our pops
-/// 57 927 → 63 174 (×1.09), bidirectional 34 320 → 63 022 (×1.84),
+/// 17 875 → 19 607 (×1.10), bidirectional 34 320 → 63 022 (×1.84),
 /// partitioned 28 141 → 43 067 (×1.53), triples ×1.99.
 #[test]
 fn fig5_work_stays_flat_for_us_and_grows_for_the_baselines() {
@@ -309,7 +309,7 @@ fn fig5_pins_the_queries_each_system_answers_in_full() {
 
 /// Fig. 6a: exploration work grows with `k`, and sub-linearly — the pops per
 /// requested query do not grow. Measured under C3 on the 30-query
-/// workload: 10 118, 42 194 and 76 860 pops at k = 1, 5 and 10.
+/// workload: 5 888, 16 716 and 26 260 pops at k = 1, 5 and 10.
 #[test]
 fn fig6a_pops_grow_with_k_and_sublinearly() {
     let c3 = ScoringFunction::PopularityAndMatch;
