@@ -47,13 +47,14 @@
 
 use std::collections::HashMap;
 use std::mem::size_of_val;
+use std::sync::{Arc, Mutex};
 
 use kwsearch_query::QueryTerm;
 
 use crate::config::SearchConfig;
 use crate::invariants;
 use crate::result::RankedQuery;
-use crate::sync::{lock_unpoisoned, Arc, Mutex};
+use crate::sync::lock_unpoisoned;
 
 /// The key of one cached result: the search configuration (embedded
 /// verbatim — see [`SearchConfig`]'s `Eq + Hash` note) and the normalized
@@ -514,6 +515,42 @@ mod tests {
         assert!(stats.heap_bytes > 0);
         cache.clear();
         assert_eq!(cache.stats().heap_bytes, 0);
+    }
+
+    /// Two sessions miss one key, both drain, both insert: the first insert
+    /// wins, the late one is dropped, and both next probes are served the
+    /// one resident log.
+    #[test]
+    fn racing_drained_sessions_insert_once() {
+        let cache = AugmentationCache::new(4);
+        let drained = std::sync::Barrier::new(2);
+        let session = || {
+            assert!(cache.probe(&key("shared")).is_none());
+            drained.wait();
+            cache.insert(
+                key("shared"),
+                CachedAugmentation {
+                    element_matches: vec![1],
+                    augmented_elements: 0,
+                    queries: Some(Vec::new()),
+                },
+            );
+            cache
+                .probe(&key("shared"))
+                .expect("resident once any session drained")
+        };
+        let (mine, theirs) = std::thread::scope(|scope| {
+            let theirs = scope.spawn(session);
+            (session(), theirs.join().unwrap())
+        });
+        assert!(
+            Arc::ptr_eq(&mine, &theirs),
+            "both readers must be served the one resident log"
+        );
+        let stats = cache.stats();
+        assert_eq!(stats.insertions, 1, "the first drained session wins");
+        assert_eq!(stats.len, 1, "one key, one resident entry");
+        assert_eq!((stats.hits, stats.misses), (2, 2));
     }
 
     #[test]

@@ -62,8 +62,6 @@ pub mod error;
 pub mod exploration;
 pub mod invariants;
 pub mod live;
-#[cfg(kwsearch_model)]
-pub mod model_scenarios;
 pub mod persist;
 pub mod prepared;
 pub mod query_map;

@@ -60,6 +60,7 @@
 //! bumped epoch.
 
 use std::fmt;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use kwsearch_keyword_index::ElementRef;
@@ -70,7 +71,7 @@ use kwsearch_summary::SummaryGraph;
 
 use crate::cache::AugmentationCache;
 use crate::prepared::PreparedGraph;
-use crate::sync::{lock_unpoisoned, Arc, Mutex};
+use crate::sync::lock_unpoisoned;
 
 /// A batch of triple-level writes applied atomically by
 /// [`LiveGraph::apply`]: all additions and retractions become visible in one
@@ -308,8 +309,10 @@ pub struct CompactionReport {
 ///     .is_err());
 /// ```
 ///
-/// All synchronization goes through the `crate::sync` facade, so reader
-/// progress during a write is model-checked (see `tests/model_live.rs`).
+/// A write holds `writer` throughout and `current` only for the pointer
+/// store, so readers progress during a write; the
+/// `snapshots_are_served_while_a_write_is_in_flight` test forces a reader
+/// inside the write section to prove it.
 #[derive(Debug)]
 pub struct LiveGraph {
     /// Serialises writers ([`Self::apply`], [`Self::compact`]) for the whole
@@ -346,9 +349,8 @@ impl LiveGraph {
     /// Runs one write. Writers queue on `writer`; `build` gets the current
     /// snapshot — which no other writer can replace meanwhile — and returns
     /// its successor (`None`: nothing to install) without holding the lock
-    /// readers use. An `Err` from `build` installs nothing. (Crate-visible
-    /// for the `live_reader_progress_during_write` model scenario.)
-    pub(crate) fn write<T, E>(
+    /// readers use. An `Err` from `build` installs nothing.
+    fn write<T, E>(
         &self,
         build: impl FnOnce(&PreparedGraph) -> Result<(Option<PreparedGraph>, T), E>,
     ) -> Result<T, E> {
@@ -1014,41 +1016,40 @@ mod tests {
         assert_eq!(live.write_epoch(), 2);
     }
 
-    /// Writers must not block readers. One long write (a batch large enough
-    /// to take many milliseconds) is in flight while the reader takes its
-    /// snapshots: every one of them must be served *during* the write, i.e.
-    /// still at the pre-write epoch. With the lock `snapshot` takes held
-    /// across the write, the reader's first contended snapshot waits for the
-    /// write to finish and observes the new epoch instead.
+    /// Writers must not block readers. A reader spawned from inside the
+    /// write section — `writer` held, successor being built — must get its
+    /// snapshot while the write waits on it, and that snapshot is the
+    /// pre-write one. With the lock `snapshot` takes held across the build,
+    /// the reader blocks on the writer, the writer on the reader, and the
+    /// `recv_timeout` turns that deadlock into a failure instead of a hang.
     #[test]
     fn snapshots_are_served_while_a_write_is_in_flight() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        const SNAPSHOTS: usize = 1_000;
-        let batch = (0..1_000).fold(DeltaBatch::new(), |batch, i| {
-            batch.add(Triple::attribute("pub1URI", "note", format!("note {i}")))
+        let batch = DeltaBatch::new().add(Triple::attribute("pub1URI", "note", "in flight"));
+        let live = &LiveGraph::new(PreparedGraph::index(figure1_graph()));
+        let before = live.snapshot();
+        let (ticket, seen) = std::thread::scope(|scope| {
+            live.write(|current| {
+                assert!(std::ptr::eq(current, &*before));
+                let (tx, rx) = std::sync::mpsc::channel();
+                scope.spawn(move || tx.send(live.snapshot()));
+                let seen = rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("a reader blocked behind the write in flight");
+                let (next, ticket) = LiveGraph::apply_adds(current, &batch)?;
+                Ok::<_, WriteError>((next, (ticket, seen)))
+            })
+            .unwrap()
         });
-
-        let live = LiveGraph::new(PreparedGraph::index(figure1_graph()));
-        let write_started = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                write_started.store(true, Ordering::SeqCst);
-                live.apply(&batch).unwrap()
-            });
-            while !write_started.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
-            for taken in 0..SNAPSHOTS {
-                assert_eq!(
-                    live.snapshot().write_epoch(),
-                    0,
-                    "snapshot {taken} of {SNAPSHOTS} waited for the write to finish"
-                );
-            }
-            let ticket = writer.join().unwrap();
-            assert_eq!(ticket.epoch(), 1);
-        });
-        assert_eq!(live.snapshot().write_epoch(), 1, "read-your-writes");
+        assert!(
+            Arc::ptr_eq(&seen, &before),
+            "a snapshot served during the write is the pre-write one"
+        );
+        let after = live.snapshot();
+        assert!(
+            !Arc::ptr_eq(&after, &before),
+            "the successor is installed once the write returns"
+        );
+        assert_eq!(ticket.epoch(), 1);
+        assert_eq!(after.write_epoch(), 1, "read-your-writes");
     }
 }

@@ -5,7 +5,7 @@
 //! once per data graph. [`PreparedGraph`] bundles exactly those structures
 //! (data graph, keyword index, summary graph, triple store, plus the
 //! [`AugmentationCache`]) behind a `Send + Sync` value, so one preparation
-//! can be wrapped in an [`Arc`](std::sync::Arc) and served from any number
+//! can be wrapped in an [`Arc`] and served from any number
 //! of worker threads concurrently (see [`crate::serve`]): every
 //! [`SearchSession`] borrows the prepared graph immutably and keeps its own
 //! per-request state.
@@ -14,6 +14,7 @@
 //! [`PreparedGraph::session`] per keyword query — `session(..)?.into_outcome()`
 //! is the batch shape, [`SearchSession::next_query`] the streaming one.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kwsearch_keyword_index::{KeywordIndex, KeywordIndexConfig};
@@ -68,7 +69,7 @@ pub struct PreparedGraph {
     /// long as the snapshot's data, so nothing ever invalidates them. A live
     /// write gives its successor a fresh one; compaction shares it with the
     /// compacted snapshot, which holds the same data (see [`crate::live`]).
-    cache: crate::sync::Arc<AugmentationCache>,
+    cache: Arc<AugmentationCache>,
     /// Monotone write epoch of the live lineage this preparation belongs
     /// to; 0 for frozen preparations.
     write_epoch: u64,
@@ -107,7 +108,7 @@ impl PreparedGraph {
             keyword_index,
             summary,
             store,
-            cache: crate::sync::Arc::new(AugmentationCache::new(cache_capacity)),
+            cache: Arc::new(AugmentationCache::new(cache_capacity)),
             write_epoch: 0,
             index_build_time,
         }
@@ -129,7 +130,7 @@ impl PreparedGraph {
             keyword_index,
             summary,
             store,
-            crate::sync::Arc::new(AugmentationCache::new(cache_capacity)),
+            Arc::new(AugmentationCache::new(cache_capacity)),
             0,
             index_build_time,
         )
@@ -143,7 +144,7 @@ impl PreparedGraph {
         keyword_index: KeywordIndex,
         summary: SummaryGraph,
         store: TripleStore,
-        cache: crate::sync::Arc<AugmentationCache>,
+        cache: Arc<AugmentationCache>,
         write_epoch: u64,
         index_build_time: Duration,
     ) -> Self {
@@ -196,8 +197,8 @@ impl PreparedGraph {
 
     /// The cache handle — handed to the compacted snapshot, which holds the
     /// same data (see [`crate::live`]).
-    pub(crate) fn shared_cache(&self) -> crate::sync::Arc<AugmentationCache> {
-        crate::sync::Arc::clone(&self.cache)
+    pub(crate) fn shared_cache(&self) -> Arc<AugmentationCache> {
+        Arc::clone(&self.cache)
     }
 
     /// The monotone write epoch this preparation was assembled at (0 for
@@ -281,7 +282,6 @@ impl PreparedGraph {
 mod tests {
     use super::*;
     use kwsearch_rdf::fixtures::figure1_graph;
-    use std::sync::Arc;
 
     #[test]
     fn prepared_graph_is_shareable_across_threads() {

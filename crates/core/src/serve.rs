@@ -41,6 +41,7 @@
 //! the internally synchronized cache, whose hits are bit-identical to fresh
 //! runs (`tests/concurrent_determinism.rs` pins this across threads).
 
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::config::SearchConfig;
@@ -49,7 +50,7 @@ use crate::prepared::PreparedGraph;
 use crate::result::{AnswerPhase, RankedQuery, SearchOutcome};
 use crate::session::SearchSession;
 use crate::shard::{answer_queries_sharded, merge_keyword_matches};
-use crate::sync::{lock_unpoisoned, Arc, Mutex};
+use crate::sync::lock_unpoisoned;
 
 /// Why [`SearchService::search`] produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]

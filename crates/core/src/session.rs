@@ -26,6 +26,7 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kwsearch_summary::AugmentedSummaryGraph;
@@ -78,7 +79,7 @@ pub struct SearchSession<'e> {
     /// the same key, plus the replay position. While set, [`Self::advance`]
     /// emits from the entry's log instead of exploring — bit-identically,
     /// since the exploration is deterministic.
-    replay: Option<(crate::sync::Arc<CachedAugmentation>, usize)>,
+    replay: Option<(Arc<CachedAugmentation>, usize)>,
     keyword_mapping_time: Duration,
     /// Accumulated augmentation + exploration + query-mapping time across
     /// all advancing calls (the lazy equivalent of the batch

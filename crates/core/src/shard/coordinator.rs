@@ -5,6 +5,7 @@
 //! [`SearchService::search`]: crate::serve::SearchService::search
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use kwsearch_query::{AnswerSet, ConjunctiveQuery, EvalError, Evaluator};
@@ -12,7 +13,6 @@ use kwsearch_rdf::VertexId;
 
 use crate::prepared::PreparedGraph;
 use crate::result::{AnswerPhase, RankedQuery};
-use crate::sync::Arc;
 
 /// Evaluates `queries` in rank order across the shards until at least
 /// `min_answers` answers exist — the scatter-gather analogue of

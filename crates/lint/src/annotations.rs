@@ -1,7 +1,7 @@
 //! The `// lint:` annotation grammar.
 //!
 //! Annotations are ordinary line comments whose text starts with `lint:`.
-//! Five forms exist:
+//! Four forms exist:
 //!
 //! * `// lint: allow(<rule>, reason = "…")` — suppress `<rule>` on the
 //!   annotation's own line and the line after it. A non-empty reason is
@@ -13,8 +13,6 @@
 //!   diagnostic suggests.
 //! * `// lint: hot-path` — marks the next `fn` as allocation-free: the
 //!   `no-alloc-hot-path` rule checks its body.
-//! * `// lint: wait-loop` — marks the next `fn` as a blessed `Condvar` wait
-//!   loop for the `lock-discipline` rule.
 //!
 //! Malformed directives (unknown rule, missing reason, trailing junk) are
 //! themselves diagnostics (`bad-annotation`), and allows that suppress
@@ -43,8 +41,6 @@ pub struct Annotations {
     pub file_allows: Vec<Allow>,
     /// Lines carrying a `hot-path` marker (binds to the next `fn`).
     pub hot_path: Vec<u32>,
-    /// Lines carrying a `wait-loop` marker (binds to the next `fn`).
-    pub wait_loop: Vec<u32>,
     /// `bad-annotation` findings: (line, message).
     pub problems: Vec<(u32, String)>,
 }
@@ -85,10 +81,9 @@ impl Annotations {
         };
         match (name, args) {
             ("hot-path", None) => self.hot_path.push(line),
-            ("wait-loop", None) => self.wait_loop.push(line),
-            ("hot-path" | "wait-loop", Some(_)) => self
+            ("hot-path", Some(_)) => self
                 .problems
-                .push((line, format!("`{name}` markers take no arguments"))),
+                .push((line, "`hot-path` markers take no arguments".to_string())),
             ("allow" | "allow-file", Some(args)) => {
                 let Some((rule, reason_part)) = args.split_once(',') else {
                     self.problems.push((
@@ -175,14 +170,12 @@ mod tests {
             "// lint: allow(no-unwrap, reason = \"invariant\")\n\
              // lint: allow-file(no-unwrap, reason = \"harness\")\n\
              // lint: unordered-ok(reason = \"order-independent fold\")\n\
-             // lint: hot-path\n\
-             // lint: wait-loop\n",
+             // lint: hot-path\n",
         );
         assert_eq!(ann.allows.len(), 2);
         assert_eq!(ann.allows[1].rule, "unordered-iteration");
         assert_eq!(ann.file_allows.len(), 1);
         assert_eq!(ann.hot_path, vec![4]);
-        assert_eq!(ann.wait_loop, vec![5]);
         assert!(ann.problems.is_empty());
     }
 

@@ -21,7 +21,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use kwsearch_lint::{analyze_source, lint_workspace, lock_order_cycles, Diagnostic};
+use kwsearch_lint::{lint_source, lint_workspace, Diagnostic};
 
 struct Options {
     workspace: bool,
@@ -56,12 +56,7 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        // Explicit files are one analysis unit: lock-order cycles are
-        // checked across everything passed, so handing the linter both
-        // halves of an AB-BA inversion reports it even without
-        // `--workspace`.
         let mut diags = Vec::new();
-        let mut edges = Vec::new();
         for file in &options.files {
             let source = match fs::read_to_string(file) {
                 Ok(source) => source,
@@ -75,11 +70,8 @@ fn main() -> ExitCode {
                 .unwrap_or(file)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let analysis = analyze_source(&rel, &source);
-            diags.extend(analysis.diagnostics);
-            edges.extend(analysis.lock_edges);
+            diags.extend(lint_source(&rel, &source));
         }
-        diags.extend(lock_order_cycles(&edges));
         diags
     };
 

@@ -16,31 +16,10 @@ use crate::Diagnostic;
 pub const RULE_NAMES: &[&str] = &[
     "float-ordering",
     "lock-discipline",
-    "lock-order",
     "no-alloc-hot-path",
-    "no-raw-sync",
     "no-unsafe",
     "no-unwrap",
     "unordered-iteration",
-];
-
-/// `std::sync` items that are *state*, not mere error plumbing: constructing
-/// or importing one of these in `crates/core` outside the `sync.rs` facade
-/// hides synchronization from the model checker (the facade swaps in the
-/// `kwsearch-modelcheck` shims under `--cfg kwsearch_model`).
-const RAW_SYNC_BANNED: &[&str] = &[
-    "Arc",
-    "Barrier",
-    "Condvar",
-    "Mutex",
-    "MutexGuard",
-    "Once",
-    "RwLock",
-    "RwLockReadGuard",
-    "RwLockWriteGuard",
-    "Weak",
-    "atomic",
-    "mpsc",
 ];
 
 /// Crates whose iteration order can reach `SearchOutcome` and therefore must
@@ -68,8 +47,6 @@ const HOT_PATH_BANNED: &[&str] = &[
 /// A function body located in the token stream.
 #[derive(Debug)]
 struct FnRegion {
-    /// Index of the `fn` keyword token.
-    fn_tok: usize,
     /// Token index of the opening `{` (body start).
     body_start: usize,
     /// Token index one past the matching `}`.
@@ -223,7 +200,6 @@ fn find_fns(code: &[Token<'_>]) -> Vec<FnRegion> {
         };
         if let Some(body_start) = body_start {
             fns.push(FnRegion {
-                fn_tok: i,
                 body_start,
                 body_end: matching_brace(code, body_start) + 1,
                 line: tok.line,
@@ -233,41 +209,17 @@ fn find_fns(code: &[Token<'_>]) -> Vec<FnRegion> {
     fns
 }
 
-/// One observed nested acquisition: lock `second` was taken while a guard
-/// of lock `first` was live. The `lock-order` analysis aggregates these
-/// into a workspace-wide acquisition graph and reports any cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
-    /// Line of the *second* acquisition (the nesting site).
-    pub line: u32,
-    /// Name of the lock whose guard was already live.
-    pub first: String,
-    /// Name of the lock acquired under it.
-    pub second: String,
-}
-
 /// Runs every rule over one file and returns the raw (pre-`allow`)
 /// diagnostics.
 pub fn run_rules(ctx: &FileContext<'_>, ann: &Annotations) -> Vec<Diagnostic> {
-    run_rules_full(ctx, ann).0
-}
-
-/// [`run_rules`] plus the file's nested-acquisition edges for the
-/// cross-file `lock-order` analysis.
-pub fn run_rules_full(
-    ctx: &FileContext<'_>,
-    ann: &Annotations,
-) -> (Vec<Diagnostic>, Vec<LockSite>) {
     let mut diags = Vec::new();
-    let mut edges = Vec::new();
     no_unwrap(ctx, &mut diags);
     no_unsafe(ctx, &mut diags);
-    no_raw_sync(ctx, &mut diags);
     float_ordering(ctx, &mut diags);
     unordered_iteration(ctx, &mut diags);
     no_alloc_hot_path(ctx, ann, &mut diags);
-    lock_discipline(ctx, ann, &mut diags, &mut edges);
-    (diags, edges)
+    lock_discipline(ctx, &mut diags);
+    diags
 }
 
 /// **no-unwrap** — `.unwrap()` / `.expect(…)` abort the worker thread that
@@ -303,92 +255,23 @@ fn no_unwrap(ctx: &FileContext<'_>, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// **no-unsafe** — the workspace ships no `unsafe` outside the vendored
-/// `crates/compat` stand-ins (where the model checker's `UnsafeCell` shims
-/// live). An `unsafe` token anywhere else — tests included, since UB does
-/// not care about `cfg(test)` — needs a reasoned
-/// `// lint: allow(no-unsafe, reason = "…")`.
+/// **no-unsafe** — the workspace ships no `unsafe`. An `unsafe` token
+/// anywhere — tests included, since UB does not care about `cfg(test)` —
+/// needs a reasoned `// lint: allow(no-unsafe, reason = "…")`.
 fn no_unsafe(ctx: &FileContext<'_>, diags: &mut Vec<Diagnostic>) {
-    if ctx.path.starts_with("crates/compat/") {
-        return;
-    }
     for t in &ctx.code {
         if t.kind == TokenKind::Ident && t.text == "unsafe" {
             diags.push(
                 ctx.diag(
                     t.line,
                     "no-unsafe",
-                    "`unsafe` outside crates/compat: the workspace is safe Rust — justify the \
+                    "`unsafe` in a safe-Rust workspace: justify the \
                  exception with `// lint: allow(no-unsafe, reason = \"…\")` or rewrite"
                         .to_string(),
                 ),
             );
         }
     }
-}
-
-/// **no-raw-sync** — `crates/core` must route all synchronization through
-/// its `sync.rs` facade, which swaps in the `kwsearch-modelcheck` shims
-/// under `--cfg kwsearch_model`. A raw `std::sync::{Mutex, Condvar, Arc,
-/// atomic, …}` import or path anywhere else in the crate creates state the
-/// model checker cannot schedule around. Error plumbing (`PoisonError`,
-/// `LockResult`, `OnceLock`, …) is fine — it never blocks. Test code is
-/// exempt (tests run natively, never under the model cfg).
-fn no_raw_sync(ctx: &FileContext<'_>, diags: &mut Vec<Diagnostic>) {
-    if !ctx.path.starts_with("crates/core/src/") || ctx.path == "crates/core/src/sync.rs" {
-        return;
-    }
-    let code = &ctx.code;
-    let mut i = 0;
-    while i + 3 < code.len() {
-        let path_start = code[i].kind == TokenKind::Ident
-            && code[i].text == "std"
-            && code[i + 1].text == "::"
-            && code[i + 2].text == "sync"
-            && code[i + 3].text == "::";
-        if !path_start || ctx.is_test_line(code[i].line) {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 4;
-        if code.get(j).map(|t| t.text) == Some("{") {
-            // `use std::sync::{a, b::{c}}` — check every ident in the group.
-            let mut depth = 0usize;
-            while let Some(t) = code.get(j) {
-                match t.text {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    banned if t.kind == TokenKind::Ident && RAW_SYNC_BANNED.contains(&banned) => {
-                        diags.push(raw_sync_diag(ctx, t.line, banned));
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        } else if let Some(t) = code.get(j) {
-            if t.kind == TokenKind::Ident && RAW_SYNC_BANNED.contains(&t.text) {
-                diags.push(raw_sync_diag(ctx, t.line, t.text));
-            }
-        }
-        i = j + 1;
-    }
-}
-
-fn raw_sync_diag(ctx: &FileContext<'_>, line: u32, item: &str) -> Diagnostic {
-    ctx.diag(
-        line,
-        "no-raw-sync",
-        format!(
-            "`std::sync::{item}` in crates/core outside sync.rs: route it through the \
-             `crate::sync` facade so the model checker can schedule it, or justify with \
-             `// lint: allow(no-raw-sync, reason = \"…\")`"
-        ),
-    )
 }
 
 /// **float-ordering** — `partial_cmp` shortcuts and bare `f64` comparisons
@@ -621,42 +504,16 @@ fn no_alloc_hot_path(ctx: &FileContext<'_>, ann: &Annotations, diags: &mut Vec<D
     }
 }
 
-/// **lock-discipline** — a poor man's deadlock detector for the lock
-/// hierarchies in the engine (the `cache.rs` mutex, the `serve.rs`
-/// admission state, `live.rs`'s `writer → current` pair):
-///
-/// * taking a second lock — `.lock()` or the facade's `lock_unpoisoned(…)`
-///   — while another guard is plausibly live in the same function is
-///   flagged (guards die at `drop(g)`, scope end, or the end of the
-///   statement for unbound temporaries);
-/// * `Condvar`-style blocking waits (`.wait(guard)`, `.wait_timeout`,
-///   `.wait_while`) are only permitted inside fns marked `// lint:
-///   wait-loop`. A no-argument `.wait()` (e.g. `Child::wait`) is not a
-///   condvar wait and is ignored.
-///
-/// Every nested acquisition additionally contributes a `first → second`
-/// edge (by lock field name) to the workspace-wide acquisition graph the
-/// `lock-order` analysis checks for cycles; `// lint: allow(lock-order)`
-/// at the nesting site waives the edge.
-fn lock_discipline(
-    ctx: &FileContext<'_>,
-    ann: &Annotations,
-    diags: &mut Vec<Diagnostic>,
-    edges: &mut Vec<LockSite>,
-) {
+/// **lock-discipline** — a poor man's deadlock detector for the engine's
+/// locks (the `cache.rs` mutex, the `serve.rs` admission state, `live.rs`'s
+/// `writer → current` pair): taking a second lock — `.lock()` or
+/// `lock_unpoisoned(…)` — while another guard is plausibly live in the same
+/// function is flagged (guards die at `drop(g)`, scope end, or the end of
+/// the statement for unbound temporaries). A deadlock needs a nesting site,
+/// so flagging every one — waived only by an `allow` with a reason — leaves
+/// no lock order unreviewed.
+fn lock_discipline(ctx: &FileContext<'_>, diags: &mut Vec<Diagnostic>) {
     let code = &ctx.code;
-    let wait_fns: Vec<(u32, u32)> = ann
-        .wait_loop
-        .iter()
-        .filter_map(|&m| ctx.fn_after(m))
-        .map(|f| {
-            (
-                code[f.fn_tok].line,
-                code[(f.body_end - 1).min(code.len() - 1)].line,
-            )
-        })
-        .collect();
-
     for region in &ctx.fns {
         if ctx.is_test_line(region.line) {
             continue;
@@ -704,13 +561,6 @@ fn lock_discipline(
                         ),
                     ));
                 }
-                for &(_, live_lock) in scopes.iter().flatten() {
-                    edges.push(LockSite {
-                        line: t.line,
-                        first: live_lock.to_string(),
-                        second: lock_name.to_string(),
-                    });
-                }
                 stmt_lock = Some(lock_name);
                 continue;
             }
@@ -748,38 +598,8 @@ fn lock_discipline(
                         }
                     }
                 }
-                "wait" | "wait_timeout" | "wait_while" if t.kind == TokenKind::Ident => {
-                    let condvar_wait = i >= 1
-                        && code[i - 1].text == "."
-                        && code.get(i + 1).map(|t| t.text) == Some("(")
-                        && code.get(i + 2).map(|t| t.text) != Some(")");
-                    if condvar_wait
-                        && !wait_fns
-                            .iter()
-                            .any(|&(start, end)| (start..=end).contains(&t.line))
-                    {
-                        diags.push(ctx.diag(
-                            t.line,
-                            "lock-discipline",
-                            format!(
-                                "condvar `.{}(…)` outside a `// lint: wait-loop` fn: blocking \
-                                 waits must live in the module's annotated wait loop",
-                                t.text
-                            ),
-                        ));
-                    }
-                }
                 _ => {}
             }
-        }
-    }
-    for &marker in &ann.wait_loop {
-        if ctx.fn_after(marker).is_none() {
-            diags.push(ctx.diag(
-                marker,
-                "bad-annotation",
-                "`wait-loop` marker is not followed by a function".to_string(),
-            ));
         }
     }
 }

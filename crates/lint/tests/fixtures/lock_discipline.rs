@@ -1,12 +1,11 @@
 //! Fixture: the `lock-discipline` rule (linted as
 //! `crates/rdf/src/lock_discipline.rs`).
 
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 struct Pair {
     a: Mutex<u32>,
     b: Mutex<u32>,
-    ready: Condvar,
 }
 
 impl Pair {
@@ -22,24 +21,5 @@ impl Pair {
         drop(first);
         let second = self.b.lock().unwrap_or_else(|e| e.into_inner());
         value + *second
-    }
-
-    fn flagged_wait_outside_loop(&self) -> u32 {
-        let guard = self.a.lock().unwrap_or_else(|e| e.into_inner());
-        let guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-        *guard
-    }
-
-    // lint: wait-loop
-    fn fine_wait_loop(&self) -> u32 {
-        let mut guard = self.a.lock().unwrap_or_else(|e| e.into_inner());
-        while *guard == 0 {
-            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-        *guard
-    }
-
-    fn fine_ticket_style_wait(&self, rx: std::sync::mpsc::Receiver<u32>) -> u32 {
-        rx.recv().unwrap_or_default()
     }
 }

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use kwsearch_lint::{analyze_source, lint_source, lint_workspace, lock_order_cycles};
+use kwsearch_lint::{lint_source, lint_workspace};
 
 /// Fixture file → the workspace-relative path it is linted as.
 const FIXTURES: &[(&str, &str)] = &[
@@ -24,9 +24,6 @@ const FIXTURES: &[(&str, &str)] = &[
         "crates/rdf/src/no_alloc_hot_path.rs",
     ),
     ("lock_discipline.rs", "crates/rdf/src/lock_discipline.rs"),
-    ("lock_order_a.rs", "crates/rdf/src/lock_order_a.rs"),
-    ("lock_order_b.rs", "crates/rdf/src/lock_order_b.rs"),
-    ("no_raw_sync.rs", "crates/core/src/no_raw_sync.rs"),
     ("no_unsafe.rs", "crates/rdf/src/no_unsafe.rs"),
     ("tokenizer_edges.rs", "crates/rdf/src/tokenizer_edges.rs"),
 ];
@@ -69,68 +66,6 @@ fn every_fixture_expects_at_least_one_diagnostic() {
             "fixture {fixture} expects no diagnostics — it no longer guards anything"
         );
     }
-}
-
-/// The two `lock_order_*` fixtures each nest innocently on their own; only
-/// the aggregated acquisition graph closes the AB-BA cycle. The diagnostic
-/// must name both sites so either half can be fixed.
-#[test]
-fn cross_file_lock_order_cycle_is_reported_with_both_sites() {
-    let read = |fixture: &str, lint_path: &str| {
-        let source = fs::read_to_string(fixtures_dir().join(fixture)).unwrap();
-        analyze_source(lint_path, &source)
-    };
-    let a = read("lock_order_a.rs", "crates/rdf/src/lock_order_a.rs");
-    let b = read("lock_order_b.rs", "crates/rdf/src/lock_order_b.rs");
-
-    // Each half alone is acyclic.
-    assert!(lock_order_cycles(&a.lock_edges).is_empty());
-    assert!(lock_order_cycles(&b.lock_edges).is_empty());
-
-    let mut edges = a.lock_edges;
-    edges.extend(b.lock_edges);
-    let cycles = lock_order_cycles(&edges);
-    assert_eq!(cycles.len(), 1, "exactly one AB-BA cycle: {cycles:?}");
-    let diag = &cycles[0];
-    assert_eq!(diag.rule, "lock-order");
-    assert!(
-        diag.message.contains("crates/rdf/src/lock_order_a.rs:17")
-            && diag.message.contains("crates/rdf/src/lock_order_b.rs:15"),
-        "cycle must name both nesting sites: {}",
-        diag.message
-    );
-    assert!(
-        diag.message.contains("`alpha` → `beta`") && diag.message.contains("`beta` → `alpha`"),
-        "cycle must name both edges: {}",
-        diag.message
-    );
-}
-
-/// The serving stack's documented hierarchy is one edge: `LiveGraph`'s
-/// `writer` before `current` in `live.rs`. It must be visible in the
-/// workspace acquisition graph — an allow on the `lock-discipline`
-/// diagnostic must not hide the edge — and the graph as a whole must stay
-/// acyclic. The service's one lock (`serve.rs`) never nests, so neither it
-/// nor the sharded answer phase contributes an edge.
-#[test]
-fn workspace_acquisition_graph_contains_the_serve_hierarchy_and_is_acyclic() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let edges = kwsearch_lint::workspace_lock_edges(&root).expect("walking the workspace");
-    let core_edges: Vec<_> = edges
-        .iter()
-        .filter(|e| e.path.starts_with("crates/core/src/"))
-        .map(|e| (e.path.as_str(), e.first.as_str(), e.second.as_str()))
-        .collect();
-    assert_eq!(
-        core_edges,
-        [("crates/core/src/live.rs", "writer", "current")],
-        "the only nested acquisition in crates/core is LiveGraph's write section"
-    );
-    let cycles = lock_order_cycles(&edges);
-    assert!(
-        cycles.is_empty(),
-        "workspace lock graph has cycles: {cycles:?}"
-    );
 }
 
 /// The repository itself must be clean: every remaining violation is either
@@ -185,38 +120,6 @@ fn cli_is_report_only_without_deny() {
     let (code, stdout) = run_cli_on("no_unwrap.rs", "crates/rdf/src/no_unwrap.rs", &[]);
     assert_eq!(code, 0, "without --deny the lint is report-only");
     assert!(stdout.contains("no-unwrap"), "diagnostics still printed");
-}
-
-/// Passing both halves of the AB-BA to the CLI as one invocation must
-/// surface the cross-file cycle (explicit files form one analysis unit).
-#[test]
-fn cli_reports_cross_file_lock_order_cycle() {
-    let stage = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join("lint-cli")
-        .join("lock-order-pair");
-    let mut staged = Vec::new();
-    for (fixture, lint_path) in [
-        ("lock_order_a.rs", "crates/rdf/src/lock_order_a.rs"),
-        ("lock_order_b.rs", "crates/rdf/src/lock_order_b.rs"),
-    ] {
-        let dest = stage.join(lint_path);
-        fs::create_dir_all(dest.parent().expect("staged path has a parent")).unwrap();
-        fs::copy(fixtures_dir().join(fixture), &dest).unwrap();
-        staged.push(dest);
-    }
-    let output = Command::new(env!("CARGO_BIN_EXE_kwsearch-lint"))
-        .arg("--root")
-        .arg(&stage)
-        .arg("--deny")
-        .args(&staged)
-        .output()
-        .expect("running kwsearch-lint");
-    assert_eq!(output.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        stdout.contains("[lock-order]") && stdout.contains("lock_order_b.rs:15"),
-        "CLI must report the aggregated cycle with both sites:\n{stdout}"
-    );
 }
 
 #[test]
