@@ -17,6 +17,7 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod answer_tree;
 pub mod bidirectional;

@@ -130,10 +130,18 @@ pub fn partitioned_search(
         }
     }
     // Plus their direct neighbours.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the blocks only go back into the same set, so their order cannot matter"
+    )]
     let direct: Vec<usize> = selected.iter().copied().collect();
     for block in direct {
         selected.extend(partitioning.neighbor_blocks(graph, block));
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "collected into a set, so visit order cannot change the result"
+    )]
     let allowed: HashSet<VertexId> = selected
         .iter()
         .flat_map(|&b| partitioning.block(b).iter().copied())
@@ -192,6 +200,10 @@ mod tests {
         let g = figure1_graph();
         let p = partition_graph(&g, 3);
         for b in 0..p.block_count() {
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "every neighbour is checked on its own, so visit order cannot matter"
+            )]
             for n in p.neighbor_blocks(&g, b) {
                 assert!(n < p.block_count());
                 assert_ne!(n, b);

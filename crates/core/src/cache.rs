@@ -237,9 +237,12 @@ impl CacheInner {
         while self.map.len() > capacity {
             // O(capacity) scan; capacities are small (default 128) and
             // eviction is off the hit path.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "min_by_key over last_used ticks, which the monotonic clock keeps unique — the selected entry is independent of hash order"
+            )]
             let Some(oldest) = self
                 .map
-                // lint: unordered-ok(reason = "min_by_key over last_used ticks, which the monotonic clock keeps unique — the selected entry is independent of hash order")
                 .iter()
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(key, _)| key.clone())
@@ -386,9 +389,12 @@ impl AugmentationCache {
                 inner.map.len(),
                 self.capacity
             );
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "summing heap bytes — addition over usize is commutative, the total is independent of hash order"
+            )]
             let recount: usize = inner
                 .map
-                // lint: unordered-ok(reason = "summing heap bytes — addition over usize is commutative, the total is independent of hash order")
                 .iter()
                 .map(|(key, entry)| key.heap_bytes() + entry.payload.heap_bytes())
                 .sum();

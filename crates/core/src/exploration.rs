@@ -399,7 +399,6 @@ impl ExplorationState {
     /// One iteration of the main loop (Algorithm 1, line 7): pop the
     /// globally cheapest cursor, record its path, generate candidates,
     /// expand to neighbours, and run the top-k threshold test.
-    // lint: hot-path
     fn step(&mut self, graph: &AugmentedSummaryGraph<'_>, config: &SearchConfig) {
         debug_assert!(!self.finished, "step on a finished exploration");
         if let Some(deadline) = self.deadline {
@@ -453,7 +452,6 @@ impl ExplorationState {
                 stats.elements_visited += 1;
                 visited.push(element_idx);
                 ElementPaths {
-                    // lint: allow(no-alloc-hot-path, reason = "lazy one-time init per *visited* element — amortized over the run, never per pop")
                     per_keyword: vec![Vec::new(); m],
                 }
             });

@@ -1,9 +1,9 @@
 //! The `debug-invariants` runtime sanitizer switch.
 //!
-//! The lint engine (`kwsearch-lint`) enforces the *statically* recognizable
-//! half of the engine's determinism contract; this module gates the
-//! *dynamic* half — cheap invariant checks at the seams no token-level rule
-//! can see:
+//! The workspace's rustc and clippy lints enforce the *statically*
+//! recognizable half of the engine's determinism contract (no hash-order
+//! iteration, no unreasoned panic sites); this module gates the *dynamic*
+//! half — cheap invariant checks at the seams no lint can see:
 //!
 //! * **pop monotonicity** — cursor-heap pops in
 //!   [`ExplorationState::step`](crate::ExplorationState) come out in

@@ -90,7 +90,10 @@ impl DeltaBatch {
 
     /// Adds a triple to insert. Duplicates of already-present triples are
     /// collapsed silently (the data graph is a set of edges).
-    #[allow(clippy::should_implement_trait)] // builder verb, not arithmetic
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "a builder verb, not arithmetic"
+    )]
     pub fn add(mut self, triple: Triple) -> Self {
         self.additions.push(triple);
         self
@@ -361,7 +364,10 @@ impl LiveGraph {
             let next = Arc::new(next);
             // `prepared` keeps the replaced snapshot alive past the store, so
             // nothing is freed under the lock.
-            // lint: allow(lock-discipline, reason = "the one nested order: writer before current; readers take only current, for a pointer load, so the nesting cannot deadlock or stall them")
+            // The one nested lock order: writer before current. Readers take
+            // only current, for a pointer load, so the nesting cannot
+            // deadlock or stall them
+            // (`snapshots_are_served_while_a_write_is_in_flight`).
             *lock_unpoisoned(&self.current) = next;
         }
         Ok(done)
@@ -402,7 +408,10 @@ impl LiveGraph {
     /// `None` as the successor for an effect-free batch (every addition was
     /// a duplicate): the epoch does not move and the snapshot, cache
     /// included, stays current.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a private (successor, report) pair, clearer spelled out than behind an alias"
+    )]
     fn apply_adds(
         prepared: &PreparedGraph,
         batch: &DeltaBatch,
@@ -513,7 +522,10 @@ impl LiveGraph {
     /// set minus the retractions (plus the additions) is rebuilt into a
     /// fresh base — overlays cannot "hide" a frozen triple, so removal
     /// means rebuilding. The new snapshot gets a bumped epoch.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a private (successor, report) pair, clearer spelled out than behind an alias"
+    )]
     fn apply_with_retractions(
         prepared: &PreparedGraph,
         batch: &DeltaBatch,
@@ -588,7 +600,10 @@ impl LiveGraph {
 
     /// The compaction proper: the flat successor of `prepared` (`None` when
     /// it is already flat) and the report, timed from `start`.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a private (successor, report) pair, clearer spelled out than behind an alias"
+    )]
     fn compacted(
         prepared: &PreparedGraph,
         start: Instant,

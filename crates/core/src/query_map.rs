@@ -128,7 +128,10 @@ pub fn map_subgraph_to_query(
                     .copied()
                     .find(|n| n.as_edge().is_some())
                 {
-                    // lint: allow(no-unwrap, reason = "the find() two lines up filtered to elements whose as_edge() is Some")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the find() two lines up filtered to elements whose as_edge() is Some"
+                    )]
                     let edge = graph.edge(edge_el.as_edge().expect("filtered to edges"));
                     let source_var = variables
                         .get(&edge.from)
@@ -162,9 +165,12 @@ fn add_type_atom(
     query: &mut ConjunctiveQuery,
     node: SummaryNodeId,
 ) {
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller populates `variables` with every node of the subgraph before mapping atoms"
+    )]
     let var = variables
         .get(&node)
-        // lint: allow(no-unwrap, reason = "the caller populates `variables` with every node of the subgraph before mapping atoms")
         .expect("every subgraph node has a variable");
     add_type_atom_named(graph, var, query, node);
 }

@@ -130,7 +130,8 @@ impl SearchRequest {
 
     /// Gives the request a latency budget: if no complete result exists
     /// when it expires, the request fails with
-    /// [`ServeError::DeadlineExceeded`].
+    /// [`ServeError::DeadlineExceeded`]. A budget that cannot be represented
+    /// as a point in time (such as `Duration::MAX`) never expires.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -295,7 +296,10 @@ impl SearchService {
         if request.inject_panic {
             panic!("injected search panic (test seam)");
         }
-        let deadline = request.deadline.map(|budget| Instant::now() + budget);
+        // A budget too large for `Instant` to represent is no deadline.
+        let deadline = request
+            .deadline
+            .and_then(|budget| Instant::now().checked_add(budget));
         let exceeded = || ServeError::DeadlineExceeded {
             // Only deadline failures report it, and those carry a budget.
             deadline: request.deadline.unwrap_or_default(),
@@ -350,7 +354,10 @@ impl std::fmt::Debug for SearchService {
 /// `ServiceStats` fields, only delegates to `SearchService::{new, search}`.
 #[doc(hidden)]
 pub mod compat {
-    #![allow(missing_debug_implementations)]
+    #![allow(
+        missing_debug_implementations,
+        reason = "hidden shims that only delegate to SearchService"
+    )]
     use super::*;
     pub struct SearchResponse {
         pub result: Result<SearchOutcome, ServeError>,
@@ -535,6 +542,23 @@ pub(crate) mod tests {
     #[test]
     fn an_expired_deadline_is_a_typed_error_not_a_truncated_result() {
         check_expired_deadline(service());
+    }
+
+    /// `Duration::MAX` overflows `Instant`: the request runs without a
+    /// deadline instead of panicking.
+    #[test]
+    fn an_unrepresentable_deadline_is_no_deadline() {
+        let service = service();
+        let reply = service
+            .search(SearchRequest::new(RUNNING_EXAMPLE).with_deadline(Duration::MAX))
+            .expect("served without a deadline");
+        let stats = service.stats();
+        assert_eq!(
+            (stats.admitted, stats.rejected, stats.deadline_exceeded),
+            (1, 0, 0)
+        );
+        assert_eq!(stats.queries_returned, reply.outcome.queries.len() as u64);
+        assert!(stats.queries_returned > 0);
     }
 
     /// Three sequential requests: all admitted, all served, one at a time.

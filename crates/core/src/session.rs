@@ -236,7 +236,10 @@ impl<'e> SearchSession<'e> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one private constructor that sets every field of a session"
+    )]
     fn assemble(
         prepared: &'e PreparedGraph,
         config: SearchConfig,

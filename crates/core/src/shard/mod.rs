@@ -41,5 +41,5 @@ pub use partition::{load_shards, partition, persist_shards, PartitionPlan};
 #[doc(hidden)]
 pub use crate::serve::{ShardedOutcome, ShardedService, ShardedServiceOptions};
 
-#[allow(unused_imports)] // referenced by the module docs
+#[allow(unused_imports, reason = "referenced by the module docs")]
 use crate::prepared::PreparedGraph;

@@ -26,11 +26,14 @@ pub struct SubgraphPath {
 
 impl SubgraphPath {
     /// The keyword element this path originates from.
+    #[expect(
+        clippy::expect_used,
+        reason = "paths are constructed from a keyword element, so `elements` is never empty"
+    )]
     pub fn keyword_element(&self) -> SummaryElement {
         *self
             .elements
             .first()
-            // lint: allow(no-unwrap, reason = "paths are constructed from a keyword element, so `elements` is never empty")
             .expect("a path always contains at least the keyword element")
     }
 

@@ -44,7 +44,6 @@ impl CandidateList {
     /// Adds a candidate subgraph. Subgraphs with the same element set are
     /// deduplicated, keeping the cheaper one. Returns `true` if the list
     /// changed.
-    // lint: hot-path
     pub fn add(&mut self, subgraph: MatchingSubgraph) -> bool {
         // Fast path (`k-best(LG')`): a full list rejects anything not
         // strictly cheaper than the current k-th candidate. This also covers

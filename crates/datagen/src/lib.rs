@@ -23,6 +23,7 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};

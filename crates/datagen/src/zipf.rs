@@ -43,7 +43,10 @@ impl ZipfSampler {
 
     /// Draws one index.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        // lint: allow(no-unwrap, reason = "sample() on an empty sampler is a caller bug; is_empty() exists for the check")
+        #[expect(
+            clippy::expect_used,
+            reason = "sample() on an empty sampler is a caller bug; is_empty() exists for the check"
+        )]
         let total = *self.cumulative.last().expect("sampler is non-empty");
         let x: f64 = rng.gen_range(0.0..total);
         self.cumulative.partition_point(|&c| c <= x)

@@ -11,14 +11,13 @@
 //! E-vertices are not indexed; classes, values, relation labels and
 //! attribute labels are.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
 use kwsearch_rdf::{DataGraph, EdgeLabel, EdgeLabelId, VertexId, VertexKind};
 
 use crate::analyzer::Analyzer;
-use crate::inverted::InvertedIndex;
 use crate::levenshtein::bounded_levenshtein;
 use crate::postings::{unpack, AttributeTable, ConnectionTable, PostingLists};
 use crate::thesaurus::Thesaurus;
@@ -193,7 +192,7 @@ impl DeltaIndex {
 
 /// The keyword index: an IR engine over the labels of the data graph.
 ///
-/// Construction accumulates into a hash-based [`InvertedIndex`] and then
+/// Construction accumulates into a term-ordered `BTreeMap` and then
 /// freezes everything into flat, offset-indexed columns
 /// ([`PostingLists`], [`ConnectionTable`], [`AttributeTable`]) — the shape
 /// that both lookups and disk snapshots operate on. The frozen columns are
@@ -231,14 +230,19 @@ impl KeywordIndex {
         thesaurus: Thesaurus,
         config: KeywordIndexConfig,
     ) -> Self {
-        let mut index = InvertedIndex::new();
+        // Each element is visited once and `analyze_unique` yields each of
+        // its terms once, so no posting list ever holds a duplicate.
+        let mut index: BTreeMap<String, Vec<ElementRef>> = BTreeMap::new();
         let mut indexed_elements = 0usize;
 
         // Classes.
         for class in graph.vertices_of_kind(VertexKind::Class) {
             let label = graph.vertex_label(class);
             for term in analyzer.analyze_unique(label) {
-                index.insert(&term, ElementRef::Class(class));
+                index
+                    .entry(term)
+                    .or_default()
+                    .push(ElementRef::Class(class));
             }
             indexed_elements += 1;
         }
@@ -250,7 +254,10 @@ impl KeywordIndex {
         for value in graph.vertices_of_kind(VertexKind::Value) {
             let label = graph.vertex_label(value);
             for term in analyzer.analyze_unique(label) {
-                index.insert(&term, ElementRef::Value(value));
+                index
+                    .entry(term)
+                    .or_default()
+                    .push(ElementRef::Value(value));
             }
             indexed_elements += 1;
             values.push(value, &Self::connections_of_value(graph, value));
@@ -265,14 +272,20 @@ impl KeywordIndex {
                 EdgeLabel::Relation(sym) => {
                     let name = graph.resolve(sym);
                     for term in analyzer.analyze_unique(name) {
-                        index.insert(&term, ElementRef::Relation(label_id));
+                        index
+                            .entry(term)
+                            .or_default()
+                            .push(ElementRef::Relation(label_id));
                     }
                     indexed_elements += 1;
                 }
                 EdgeLabel::Attribute(sym) => {
                     let name = graph.resolve(sym);
                     for term in analyzer.analyze_unique(name) {
-                        index.insert(&term, ElementRef::Attribute(label_id));
+                        index
+                            .entry(term)
+                            .or_default()
+                            .push(ElementRef::Attribute(label_id));
                     }
                     indexed_elements += 1;
                     let (classes, has_untyped) = Self::classes_of_attribute(graph, label_id);
@@ -286,7 +299,7 @@ impl KeywordIndex {
             analyzer,
             thesaurus,
             config,
-            postings: Arc::new(PostingLists::from_inverted(&index)),
+            postings: Arc::new(PostingLists::from_sorted(&index)),
             values: Arc::new(values),
             attributes: Arc::new(attributes),
             delta: DeltaIndex::default(),
@@ -379,7 +392,6 @@ impl KeywordIndex {
             }
         }
         let mut connections: Vec<ValueConnection> = per_attribute
-            // lint: unordered-ok(reason = "drained into a Vec that is sorted by attribute id two lines below, erasing hash order")
             .into_iter()
             .map(|(attribute, (mut classes, has_untyped_source))| {
                 // Canonical class order (ascending vertex id), matching
@@ -395,6 +407,7 @@ impl KeywordIndex {
                 }
             })
             .collect();
+        // The sort erases the hash order of `per_attribute`.
         connections.sort_by_key(|c| c.attribute);
         connections
     }
@@ -528,7 +541,6 @@ impl KeywordIndex {
         // of the best per-term score, so an element matching every keyword
         // token scores higher than one matching only some.
         let mut matches: Vec<KeywordMatch> = per_element
-            // lint: unordered-ok(reason = "drained into a Vec that is immediately sorted by (total_cmp score, element ref), erasing hash order")
             .into_iter()
             .map(|(element, term_scores)| {
                 let score = term_scores.iter().sum::<f64>() / num_terms as f64;
@@ -538,6 +550,8 @@ impl KeywordIndex {
                 }
             })
             .collect();
+        // Sorting by (score, element ref) erases the hash order of
+        // `per_element`.
         matches.sort_by(|a, b| {
             b.score
                 .total_cmp(&a.score)

@@ -5,8 +5,11 @@
 
 /// Computes the (unbounded) Levenshtein distance between two strings,
 /// operating on Unicode scalar values.
+#[expect(
+    clippy::expect_used,
+    reason = "bounded_levenshtein returns None only when the distance exceeds the bound, which usize::MAX never allows"
+)]
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    // lint: allow(no-unwrap, reason = "bounded_levenshtein returns None only when the distance exceeds the bound, which usize::MAX never allows")
     bounded_levenshtein(a, b, usize::MAX).expect("unbounded distance always returned")
 }
 

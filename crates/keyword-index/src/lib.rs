@@ -11,7 +11,6 @@
 //! * [`stopwords`] — the built-in English stop-word list,
 //! * [`levenshtein`](mod@levenshtein) — bounded edit distance for syntactic similarity,
 //! * [`thesaurus`] — synonym/hypernym expansion standing in for WordNet,
-//! * [`inverted`] — the build-time term → posting-list accumulator,
 //! * [`postings`] — the frozen flat posting lists and augmentation side
 //!   tables that lookups and disk snapshots operate on,
 //! * [`keyword_index`] — the keyword-to-element map returning, for each
@@ -25,9 +24,9 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod analyzer;
-pub mod inverted;
 pub mod keyword_index;
 pub mod levenshtein;
 pub mod postings;
@@ -36,7 +35,6 @@ pub mod stopwords;
 pub mod thesaurus;
 
 pub use analyzer::Analyzer;
-pub use inverted::InvertedIndex;
 pub use keyword_index::{
     ElementRef, KeywordIndex, KeywordIndexConfig, KeywordMatch, MatchedElement, ValueConnection,
 };

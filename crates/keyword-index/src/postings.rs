@@ -1,6 +1,6 @@
 //! Frozen, snapshot-friendly storage for the keyword index.
 //!
-//! [`InvertedIndex`] is the *build-time* accumulator;
+//! The index is built into a term-ordered `BTreeMap<String, Vec<ElementRef>>`;
 //! once construction finishes it is frozen into [`PostingLists`]: the sorted
 //! vocabulary as one string blob plus an offsets column, and all posting
 //! lists as one packed `u32` column sliced by a second offsets column.
@@ -12,10 +12,11 @@
 //! structures) and [`AttributeTable`] (per A-edge label `(C-vertex…)`
 //! structures).
 
+use std::collections::BTreeMap;
+
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
 use kwsearch_rdf::{EdgeLabelId, VertexId};
 
-use crate::inverted::InvertedIndex;
 use crate::keyword_index::{ElementRef, ValueConnection};
 
 const TAG_CLASS: u32 = 0;
@@ -68,17 +69,15 @@ pub struct PostingLists {
 }
 
 impl PostingLists {
-    /// Freezes a build-time inverted index. Terms are sorted; each posting
-    /// list keeps its insertion order.
-    pub fn from_inverted(index: &InvertedIndex<ElementRef>) -> Self {
-        let mut entries: Vec<(&str, &[ElementRef])> = index.entries().collect();
-        entries.sort_unstable_by_key(|(term, _)| *term);
+    /// Freezes a build-time term → postings map. Terms keep the map's sorted
+    /// order; each posting list keeps its insertion order.
+    pub fn from_sorted(index: &BTreeMap<String, Vec<ElementRef>>) -> Self {
         let mut out = Self {
             term_offsets: vec![0],
             posting_offsets: vec![0],
             ..Self::default()
         };
-        for (term, postings) in entries {
+        for (term, postings) in index {
             out.term_bytes.push_str(term);
             out.term_offsets.push(out.term_bytes.len() as u32);
             out.postings.extend(postings.iter().map(|&e| pack(e)));
@@ -407,16 +406,27 @@ mod tests {
         }
     }
 
+    /// A term → postings map, built by pushing `(term, element)` pairs in
+    /// order.
+    fn inverted(pairs: &[(&str, ElementRef)]) -> BTreeMap<String, Vec<ElementRef>> {
+        let mut index: BTreeMap<String, Vec<ElementRef>> = BTreeMap::new();
+        for &(term, element) in pairs {
+            index.entry(term.to_string()).or_default().push(element);
+        }
+        index
+    }
+
     #[test]
     fn frozen_lists_match_the_inverted_index() {
-        let mut inv = InvertedIndex::new();
-        inv.insert("beta", ElementRef::Class(VertexId::from_index(1)));
-        inv.insert("alpha", ElementRef::Value(VertexId::from_index(2)));
-        inv.insert("alpha", ElementRef::Value(VertexId::from_index(3)));
-        inv.insert("gamma", ElementRef::Relation(EdgeLabelId::from_index(0)));
-        let frozen = PostingLists::from_inverted(&inv);
+        let inv = inverted(&[
+            ("beta", ElementRef::Class(VertexId::from_index(1))),
+            ("alpha", ElementRef::Value(VertexId::from_index(2))),
+            ("alpha", ElementRef::Value(VertexId::from_index(3))),
+            ("gamma", ElementRef::Relation(EdgeLabelId::from_index(0))),
+        ]);
+        let frozen = PostingLists::from_sorted(&inv);
         assert_eq!(frozen.term_count(), 3);
-        assert_eq!(frozen.posting_count(), inv.posting_count());
+        assert_eq!(frozen.posting_count(), 4);
         // Sorted vocabulary.
         let terms: Vec<&str> = frozen.iter().map(|(t, _)| t).collect();
         assert_eq!(terms, vec!["alpha", "beta", "gamma"]);
@@ -440,11 +450,12 @@ mod tests {
     #[test]
     fn posting_snapshot_round_trips() {
         use kwsearch_rdf::snapshot::{SnapshotReader, SnapshotWriter};
-        let mut inv = InvertedIndex::new();
-        for (i, term) in ["x", "yy", "zzz", "aa"].iter().enumerate() {
-            inv.insert(term, ElementRef::Class(VertexId::from_index(i as u32)));
-        }
-        let frozen = PostingLists::from_inverted(&inv);
+        let pairs: Vec<(&str, ElementRef)> = ["x", "yy", "zzz", "aa"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, term)| (term, ElementRef::Class(VertexId::from_index(i as u32))))
+            .collect();
+        let frozen = PostingLists::from_sorted(&inverted(&pairs));
         let mut enc = SectionEncoder::new();
         frozen.write_snapshot(&mut enc);
         let mut writer = SnapshotWriter::new();

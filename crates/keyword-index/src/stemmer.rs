@@ -10,6 +10,10 @@
 ///
 /// Words shorter than three characters and words containing non-ASCII
 /// characters are returned unchanged.
+#[expect(
+    clippy::expect_used,
+    reason = "the input is filtered to ASCII before stemming and every step only removes or appends ASCII bytes"
+)]
 pub fn porter_stem(word: &str) -> String {
     if word.len() <= 2 || !word.is_ascii() {
         return word.to_string();
@@ -25,7 +29,6 @@ pub fn porter_stem(word: &str) -> String {
     stemmer.step4();
     stemmer.step5a();
     stemmer.step5b();
-    // lint: allow(no-unwrap, reason = "the input is filtered to ASCII before stemming and every step only removes or appends ASCII bytes")
     String::from_utf8(stemmer.b).expect("stemming preserves ASCII")
 }
 
@@ -177,7 +180,10 @@ impl Stemmer {
             if self.ends_with("at") || self.ends_with("bl") || self.ends_with("iz") {
                 self.b.push(b'e');
             } else if self.double_consonant(self.b.len()) {
-                // lint: allow(no-unwrap, reason = "double_consonant(len) just returned true, which requires at least two buffered bytes")
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "double_consonant(len) just returned true, which requires at least two buffered bytes"
+                )]
                 let last = *self.b.last().unwrap();
                 if !matches!(last, b'l' | b's' | b'z') {
                     self.b.pop();

@@ -186,11 +186,11 @@ impl Thesaurus {
     /// Serialises the table with terms in sorted order, so equal thesauri
     /// produce byte-identical snapshots.
     pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
-        let mut terms: Vec<&String> = self
-            .entries
-            // lint: unordered-ok(reason = "keys are collected and sorted before serialisation, erasing hash order")
-            .keys()
-            .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "keys are collected and sorted before serialisation, erasing hash order"
+        )]
+        let mut terms: Vec<&String> = self.entries.keys().collect();
         terms.sort_unstable();
         enc.put_u64(terms.len() as u64);
         for term in terms {

@@ -367,10 +367,16 @@ impl Iterator for AnswerStream<'_> {
                 if frame.matches.is_none() {
                     frame.matches = Some(scan_pattern(self.store, &self.row, pattern));
                 }
-                // lint: allow(no-unwrap, reason = "the branch above fills frame.matches when it is None, so it is Some here")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the branch above fills frame.matches when it is None, so it is Some here"
+                )]
                 let match_count = frame.matches.as_ref().expect("just populated").len();
                 while frame.match_idx < match_count {
-                    // lint: allow(no-unwrap, reason = "frame.matches was populated before entering this loop and is not cleared inside it")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "frame.matches was populated before entering this loop and is not cleared inside it"
+                    )]
                     let m = frame.matches.as_ref().expect("just populated")[frame.match_idx];
                     frame.match_idx += 1;
                     if bind(&mut self.row, frame, pattern, m) {
@@ -389,11 +395,14 @@ impl Iterator for AnswerStream<'_> {
             self.visited += 1;
             if depth + 1 == self.compiled.atoms.len() {
                 // Full binding: project, dedup, yield.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "this branch runs only once every atom is matched, which binds every variable in the row"
+                )]
                 let projected: Vec<VertexId> = self
                     .compiled
                     .projection
                     .iter()
-                    // lint: allow(no-unwrap, reason = "this branch runs only once every atom is matched, which binds every variable in the row")
                     .map(|&i| self.row[i].expect("all query variables are bound at full depth"))
                     .collect();
                 if self.seen.insert(projected.clone()) {
@@ -480,7 +489,10 @@ pub mod reference {
         let mut projected = Vec::with_capacity(rows.len());
         for row in rows {
             let out: Option<Vec<VertexId>> = proj_indices.iter().map(|&i| row[i]).collect();
-            // lint: allow(no-unwrap, reason = "rows surviving every join bind all variables; an unbound slot here is an evaluator bug")
+            #[expect(
+                clippy::expect_used,
+                reason = "rows surviving every join bind all variables; an unbound slot here is an evaluator bug"
+            )]
             let out = out.expect("all query variables are bound after the final join");
             projected.push(out);
             if let Some(limit) = limit {
@@ -518,9 +530,12 @@ pub mod reference {
                 let subject_bound = match &atom.subject {
                     QueryTerm::Variable(v) => row[var_index[v.as_str()]],
                     other => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the match arm above handles Variable, so this term can only be a constant"
+                        )]
                         let c = other
                             .as_constant()
-                            // lint: allow(no-unwrap, reason = "the match arm above handles Variable, so this term can only be a constant")
                             .expect("non-variable term is a constant");
                         match resolve_subject_constant(graph, kind, c) {
                             Some(v) => Some(v),
@@ -531,9 +546,12 @@ pub mod reference {
                 let object_bound = match &atom.object {
                     QueryTerm::Variable(v) => row[var_index[v.as_str()]],
                     other => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the match arm above handles Variable, so this term can only be a constant"
+                        )]
                         let c = other
                             .as_constant()
-                            // lint: allow(no-unwrap, reason = "the match arm above handles Variable, so this term can only be a constant")
                             .expect("non-variable term is a constant");
                         match resolve_object_constant(graph, kind, c) {
                             Some(v) => Some(v),

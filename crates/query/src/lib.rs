@@ -22,6 +22,7 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod bindings;
 pub mod builder;

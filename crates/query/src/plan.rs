@@ -94,13 +94,16 @@ pub fn plan_atoms(query: &ConjunctiveQuery, graph: &DataGraph, store: &TripleSto
         };
         // Among candidates prefer (more constants, lower estimate) — constants
         // make the scan a prefix lookup, and low estimates keep joins small.
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop guard guarantees `remaining` is non-empty, so min_by_key sees at least one candidate"
+        )]
         let &best = candidates
             .iter()
             .min_by_key(|&&i| {
                 let atom = &query.atoms()[i];
                 (usize::MAX - atom.constant_count(), estimates[i])
             })
-            // lint: allow(no-unwrap, reason = "the loop guard guarantees `remaining` is non-empty, so min_by_key sees at least one candidate")
             .expect("candidates is non-empty");
         remaining.remove(&best);
         for v in query.atoms()[best].variables() {
@@ -199,9 +202,12 @@ impl CompiledQuery {
                 let subject = match &atom.subject {
                     QueryTerm::Variable(v) => Slot::Var(var_index[v.as_str()]),
                     other => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the match arm above handles Variable, so this term can only be a constant"
+                        )]
                         let c = other
                             .as_constant()
-                            // lint: allow(no-unwrap, reason = "the match arm above handles Variable, so this term can only be a constant")
                             .expect("non-variable term is a constant");
                         match resolve_subject_constant(graph, kind, c) {
                             Some(v) => Slot::Const(v),
@@ -212,9 +218,12 @@ impl CompiledQuery {
                 let object = match &atom.object {
                     QueryTerm::Variable(v) => Slot::Var(var_index[v.as_str()]),
                     other => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the match arm above handles Variable, so this term can only be a constant"
+                        )]
                         let c = other
                             .as_constant()
-                            // lint: allow(no-unwrap, reason = "the match arm above handles Variable, so this term can only be a constant")
                             .expect("non-variable term is a constant");
                         match resolve_object_constant(graph, kind, c) {
                             Some(v) => Slot::Const(v),

@@ -33,9 +33,12 @@ impl GraphBuilder {
     pub fn subclass(&mut self, sub: &str, sup: &str) -> &mut Self {
         let s = self.graph.add_class(sub);
         let o = self.graph.add_class(sup);
+        #[expect(
+            clippy::expect_used,
+            reason = "both endpoints were just created as class vertices, which add_edge accepts for SubClass"
+        )]
         self.graph
             .add_edge(s, EdgeLabel::SubClass, o)
-            // lint: allow(no-unwrap, reason = "both endpoints were just created as class vertices, which add_edge accepts for SubClass")
             .expect("class-to-class subclass edge is always valid");
         self
     }
@@ -44,9 +47,12 @@ impl GraphBuilder {
     pub fn entity(&mut self, iri: &str, class: &str) -> VertexId {
         let e = self.graph.add_entity(iri);
         let c = self.graph.add_class(class);
+        #[expect(
+            clippy::expect_used,
+            reason = "the endpoints were just created as entity and class vertices, which add_edge accepts for Type"
+        )]
         self.graph
             .add_edge(e, EdgeLabel::Type, c)
-            // lint: allow(no-unwrap, reason = "the endpoints were just created as entity and class vertices, which add_edge accepts for Type")
             .expect("entity-to-class type edge is always valid");
         e
     }
@@ -68,9 +74,12 @@ impl GraphBuilder {
         let e = self.graph.add_entity(entity);
         let v = self.graph.add_value(value);
         let label = EdgeLabel::Attribute(self.graph.intern(attr));
+        #[expect(
+            clippy::expect_used,
+            reason = "the endpoints were just created as entity and value vertices, which add_edge accepts for attributes"
+        )]
         self.graph
             .add_edge(e, label, v)
-            // lint: allow(no-unwrap, reason = "the endpoints were just created as entity and value vertices, which add_edge accepts for attributes")
             .expect("entity-to-value attribute edge is always valid");
         self
     }
@@ -80,9 +89,12 @@ impl GraphBuilder {
         let s = self.graph.add_entity(subject);
         let o = self.graph.add_entity(object);
         let label = EdgeLabel::Relation(self.graph.intern(pred));
+        #[expect(
+            clippy::expect_used,
+            reason = "both endpoints were just created as entity vertices, which add_edge accepts for relations"
+        )]
         self.graph
             .add_edge(s, label, o)
-            // lint: allow(no-unwrap, reason = "both endpoints were just created as entity vertices, which add_edge accepts for relations")
             .expect("entity-to-entity relation edge is always valid");
         self
     }

@@ -43,8 +43,11 @@ pub fn figure1_triples() -> Vec<Triple> {
 pub fn figure1_graph() -> DataGraph {
     let mut g = DataGraph::new();
     for t in &figure1_triples() {
+        #[expect(
+            clippy::expect_used,
+            reason = "the fixture triples are a hard-coded constant vetted by the tests in this module"
+        )]
         g.insert_triple(t)
-            // lint: allow(no-unwrap, reason = "the fixture triples are a hard-coded constant vetted by the tests in this module")
             .expect("the figure-1 fixture contains only well-formed triples");
     }
     g

@@ -278,7 +278,10 @@ impl Adjacency {
             // A new vertex starts with an empty frozen slice; overlay
             // entries are grown on demand by `push_edge`.
             Adjacency::Csr { offsets, .. } => {
-                // lint: allow(no-unwrap, reason = "CSR offsets are built with a leading 0 sentinel, so the vector is never empty")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "CSR offsets are built with a leading 0 sentinel, so the vector is never empty"
+                )]
                 let end = *offsets.last().expect("CSR offsets start at 0");
                 offsets.push(end);
             }
@@ -651,7 +654,6 @@ impl DataGraph {
     /// performs the same classification and interning in the same order (so
     /// a graph ingested from a stream is bit-identical to one built from
     /// owned [`Triple`]s) but never allocates an intermediate `String`.
-    // lint: hot-path
     pub fn insert_triple_ref(&mut self, triple: &TripleRef<'_>) -> Result<EdgeId> {
         match triple.edge_kind() {
             EdgeKind::Type => {
@@ -1042,9 +1044,8 @@ impl DataGraph {
             });
         }
 
-        let n_edges = edges.len();
-        let out_adj = read_csr(dec, vertices.len(), n_edges, "out-adjacency")?;
-        let in_adj = read_csr(dec, vertices.len(), n_edges, "in-adjacency")?;
+        let out_adj = read_csr(dec, vertices.len(), &edges, |e| e.from, "out-adjacency")?;
+        let in_adj = read_csr(dec, vertices.len(), &edges, |e| e.to, "in-adjacency")?;
 
         Ok(Self {
             interner,
@@ -1106,11 +1107,14 @@ fn write_csr(enc: &mut SectionEncoder, adj: &Adjacency) {
 ///
 /// The two columns are validated and kept as-is — no per-vertex allocation
 /// happens on the load path; the list-of-lists shape is only re-inflated if
-/// the loaded graph is later mutated.
+/// the loaded graph is later mutated. Every edge must be listed exactly
+/// once, under its `endpoint` vertex: [`DataGraph::add_edge`] trusts the
+/// adjacency to agree with the edge columns.
 fn read_csr(
     dec: &mut SectionDecoder<'_>,
     n_lists: usize,
-    n_edges: usize,
+    edges: &[Edge],
+    endpoint: fn(&Edge) -> VertexId,
     what: &str,
 ) -> std::result::Result<Adjacency, SnapshotError> {
     let offsets = dec.get_u32_vec()?;
@@ -1124,13 +1128,25 @@ fn read_csr(
     if offsets.windows(2).any(|pair| pair[0] > pair[1]) {
         return Err(dec.corrupt(format!("{what} CSR offsets are not monotone")));
     }
-    let n_edges = n_edges as u32;
+    if flat_col.len() != edges.len() {
+        return Err(dec.corrupt(format!("{what} CSR does not list every edge once")));
+    }
+    let n_edges = edges.len() as u32;
     let mut flat = Vec::with_capacity(flat_col.len());
     for e in flat_col.iter() {
         if e >= n_edges {
             return Err(dec.corrupt(format!("{what} CSR refers to a nonexistent edge")));
         }
         flat.push(EdgeId(e));
+    }
+    let mut listed = vec![false; edges.len()];
+    for (v, range) in offsets.windows(2).enumerate() {
+        for e in &flat[range[0] as usize..range[1] as usize] {
+            let e = e.0 as usize;
+            if endpoint(&edges[e]).0 as usize != v || std::mem::replace(&mut listed[e], true) {
+                return Err(dec.corrupt(format!("{what} CSR disagrees with the edge columns")));
+            }
+        }
     }
     Ok(Adjacency::Csr {
         offsets,
@@ -1311,7 +1327,7 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    fn snapshot_round_trip(g: &DataGraph) -> DataGraph {
+    fn try_snapshot_round_trip(g: &DataGraph) -> std::result::Result<DataGraph, SnapshotError> {
         use crate::snapshot::{SnapshotReader, SnapshotWriter};
         let mut enc = SectionEncoder::new();
         g.write_snapshot(&mut enc);
@@ -1321,9 +1337,13 @@ mod tests {
         writer.write_to(&mut bytes).unwrap();
         let reader = SnapshotReader::read_from(bytes.as_slice()).unwrap();
         let mut dec = reader.section(7).unwrap();
-        let loaded = DataGraph::read_snapshot(&mut dec).unwrap();
-        dec.finish().unwrap();
-        loaded
+        let loaded = DataGraph::read_snapshot(&mut dec)?;
+        dec.finish()?;
+        Ok(loaded)
+    }
+
+    fn snapshot_round_trip(g: &DataGraph) -> DataGraph {
+        try_snapshot_round_trip(g).unwrap()
     }
 
     #[test]
@@ -1366,6 +1386,43 @@ mod tests {
             .insert_triple(&Triple::relation("pub1URI", "cites", "pub2URI"))
             .unwrap();
         assert_eq!(loaded.edge_count(), before + 1);
+    }
+
+    #[test]
+    fn adjacency_that_disagrees_with_the_edge_columns_is_corrupt() {
+        fn lists(adj: &mut Adjacency) -> &mut Vec<Vec<EdgeId>> {
+            match adj {
+                Adjacency::Lists(lists) => lists,
+                Adjacency::Csr { .. } => unreachable!("a built graph keeps list adjacency"),
+            }
+        }
+        let g = example_graph();
+        let pub1 = g.entity("pub1URI").unwrap();
+        let year = *g
+            .out_edges(pub1)
+            .iter()
+            .find(|&&e| g.edge_label_name(g.edge(e).label) == "year")
+            .unwrap();
+
+        // The checksums are recomputed by the writer, so only the structural
+        // check can refuse these. Before it existed, the first snapshot
+        // loaded and re-inserting the dropped triple hit `add_edge`'s
+        // `unreachable!`.
+        let mut dropped = g.clone();
+        lists(&mut dropped.out_adj)[pub1.index()].retain(|&e| e != year);
+        let mut misplaced = g.clone();
+        let year_value = g.edge(year).to;
+        lists(&mut misplaced.in_adj)[year_value.index()].retain(|&e| e != year);
+        lists(&mut misplaced.in_adj)[pub1.index()].push(year);
+        let mut doubled = g.clone();
+        lists(&mut doubled.out_adj)[pub1.index()].push(year);
+        for crafted in [dropped, misplaced, doubled] {
+            assert!(matches!(
+                try_snapshot_round_trip(&crafted),
+                Err(SnapshotError::Corrupt { .. })
+            ));
+        }
+        assert!(try_snapshot_round_trip(&g).is_ok());
     }
 
     #[test]

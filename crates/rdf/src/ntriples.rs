@@ -63,7 +63,6 @@ fn escape_literal(s: &str) -> String {
 
 /// Streaming unescape into a caller-provided buffer; the inverse of
 /// [`escape_literal`] without the intermediate `String`.
-// lint: hot-path
 fn unescape_into(s: &str, out: &mut String) {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -171,7 +170,6 @@ impl<'a> Cursor<'a> {
 
     /// Parses one term without allocating: IRIs and literals are returned
     /// as slices of the input line.
-    // lint: hot-path
     fn parse_term_raw(&mut self) -> Result<RawTerm<'a>> {
         self.skip_ws();
         match self.peek() {
@@ -239,7 +237,6 @@ impl<'a> Cursor<'a> {
 /// written when the object literal contains escape sequences; reusing one
 /// buffer across lines is what removes the per-line allocation churn of the
 /// owning parser.
-// lint: hot-path
 pub fn parse_line_ref<'a>(
     line: &'a str,
     line_no: usize,

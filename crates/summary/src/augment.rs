@@ -168,7 +168,10 @@ impl<'g> AugmentedSummaryGraph<'g> {
         self.in_adj = Vec::new();
 
         self.match_scores = vec![1.0; node_count + self.edges.len()];
-        // lint: unordered-ok(reason = "each element writes its own distinct slot of match_scores, so visit order cannot change the result")
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each element writes its own distinct slot of match_scores, so visit order cannot change the result"
+        )]
         for (&element, &score) in best_scores {
             let index = self.element_index(element);
             self.match_scores[index] = score;
@@ -358,7 +361,6 @@ impl<'g> AugmentedSummaryGraph<'g> {
     /// incoming and outgoing edges alike ("forward search is equally
     /// important as backward search"). Borrowed straight from the CSR arrays
     /// — no allocation.
-    // lint: hot-path
     #[inline]
     pub fn neighbors(&self, element: SummaryElement) -> &[SummaryElement] {
         let i = self.element_index(element);

@@ -15,6 +15,7 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_debug_implementations)]
 
 pub mod augment;

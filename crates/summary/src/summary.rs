@@ -259,10 +259,13 @@ impl SummaryGraph {
 
     /// The summary nodes an entity belongs to: its classes, or `Thing` when
     /// untyped.
+    #[expect(
+        clippy::expect_used,
+        reason = "build() creates the Thing node unconditionally before any entity is summarized"
+    )]
     fn schema_nodes_of_entity(&self, graph: &DataGraph, entity: VertexId) -> Vec<SummaryNodeId> {
         let classes = graph.classes_of(entity);
         if classes.is_empty() {
-            // lint: allow(no-unwrap, reason = "build() creates the Thing node unconditionally before any entity is summarized")
             vec![self.thing_node.expect("Thing node always exists")]
         } else {
             classes.into_iter().map(|c| self.class_nodes[&c]).collect()
@@ -333,8 +336,11 @@ impl SummaryGraph {
     }
 
     /// The `Thing` node.
+    #[expect(
+        clippy::expect_used,
+        reason = "build() creates the Thing node unconditionally, and it is the only constructor"
+    )]
     pub fn thing_node(&self) -> SummaryNodeId {
-        // lint: allow(no-unwrap, reason = "build() creates the Thing node unconditionally, and it is the only constructor")
         self.thing_node.expect("Thing node always exists")
     }
 
