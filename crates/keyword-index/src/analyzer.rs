@@ -74,10 +74,26 @@ impl Analyzer {
     pub fn analyze(&self, text: &str) -> Vec<String> {
         self.tokenize(text)
             .into_iter()
-            .filter(|t| !self.remove_stop_words || !is_stop_word(t))
-            .map(|t| if self.stemming { porter_stem(&t) } else { t })
+            .filter(|t| self.keeps(t))
+            .map(|t| self.term_of(t))
             .filter(|t| !t.is_empty())
             .collect()
+    }
+
+    /// Whether the pipeline keeps `token`: only stop words are dropped, and
+    /// only when `remove_stop_words` is set.
+    pub(crate) fn keeps(&self, token: &str) -> bool {
+        !self.remove_stop_words || !is_stop_word(token)
+    }
+
+    /// The term a kept token becomes: its Porter stem when `stemming` is
+    /// set, else the token itself.
+    pub(crate) fn term_of(&self, token: String) -> String {
+        if self.stemming {
+            porter_stem(&token)
+        } else {
+            token
+        }
     }
 
     /// Analyzes and deduplicates, preserving first-occurrence order.

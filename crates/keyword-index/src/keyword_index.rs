@@ -136,10 +136,10 @@ impl Default for KeywordIndexConfig {
 /// columns.
 ///
 /// Lookup results over base + delta are bit-identical to a from-scratch
-/// build over the merged graph: [`record`] keeps the *maximum* score per
-/// (element, query term), so visiting an element through both the frozen
-/// and the delta side (or in a different order) cannot change any score,
-/// and the final match list is canonically sorted.
+/// build over the merged graph: [`KeywordIndex::lookup`] keeps the
+/// *maximum* score per (element, query term), so visiting an element
+/// through both the frozen and the delta side (or in a different order)
+/// cannot change any score, and the final match list is canonically sorted.
 #[derive(Debug, Clone, Default)]
 struct DeltaIndex {
     /// Extra `term → packed postings`, sorted by term (binary-searched and
@@ -435,81 +435,87 @@ impl KeywordIndex {
         (classes, has_untyped)
     }
 
-    /// The normalized query terms of a keyword: tokenized and stop-word
-    /// filtered — exactly the per-term input [`Self::lookup`] matches on
-    /// (stemming, fuzzy and thesaurus expansion are all derived from these
-    /// terms). Two keywords with equal normalized terms therefore produce
-    /// identical matches, which makes the terms a sound cache key for
-    /// everything downstream of the keyword-to-element mapping.
+    /// The normalized query terms of a keyword: tokenized and, when the
+    /// index's analyzer removes stop words, stop-word filtered — exactly the
+    /// per-term input [`Self::lookup`] matches on (stemming, fuzzy and
+    /// thesaurus expansion are all derived from these terms). Two keywords
+    /// with equal normalized terms therefore produce identical matches,
+    /// which makes the terms a sound cache key for everything downstream of
+    /// the keyword-to-element mapping.
     pub fn normalized_query_terms(&self, keyword: &str) -> Vec<String> {
         self.analyzer
             .tokenize(keyword)
             .into_iter()
-            .filter(|t| !crate::stopwords::is_stop_word(t))
+            .filter(|t| self.analyzer.keeps(t))
             .collect()
     }
 
     /// Looks up one keyword, returning matches sorted by descending score.
+    ///
+    /// The cost follows the output: every posting reached becomes one flat
+    /// hit, the hits are ranked on their packed element alone, and only the
+    /// `max_matches_per_keyword` survivors are enriched with neighbourhood
+    /// data.
     pub fn lookup(&self, keyword: &str) -> Vec<KeywordMatch> {
-        let raw_tokens = self.normalized_query_terms(keyword);
-        if raw_tokens.is_empty() {
+        let tokens = self.normalized_query_terms(keyword);
+        let keep = self.config.max_matches_per_keyword;
+        if tokens.is_empty() || keep == 0 {
             return Vec::new();
         }
+        let max = self.config.max_edit_distance;
 
-        // element -> per-query-term best score
-        let mut per_element: HashMap<ElementRef, Vec<f64>> = HashMap::new();
-        let num_terms = raw_tokens.len();
-
-        for (term_idx, raw) in raw_tokens.iter().enumerate() {
-            let stemmed = crate::stemmer::porter_stem(raw);
+        // Every posting reached, as `(packed element << 32 | query term
+        // index, score)`: sorting by the key groups the hits of one element
+        // and, inside it, of one query term.
+        let mut hits: Vec<(u64, f64)> = Vec::new();
+        for (term_idx, token) in tokens.iter().enumerate() {
+            let term = self.analyzer.term_of(token.clone());
+            let mut reach = |postings: &[u32], score: f64| {
+                hits.extend(
+                    postings
+                        .iter()
+                        .map(|&packed| ((u64::from(packed) << 32) | term_idx as u64, score)),
+                );
+            };
 
             // 1. Exact (post-analysis) matches, frozen side and delta side.
-            for &packed in self.postings.get_packed(&stemmed) {
-                record(&mut per_element, unpack(packed), term_idx, num_terms, 1.0);
-            }
-            for &packed in self.delta.get_packed(&stemmed) {
-                record(&mut per_element, unpack(packed), term_idx, num_terms, 1.0);
-            }
+            reach(self.postings.get_packed(&term), 1.0);
+            reach(self.delta.get_packed(&term), 1.0);
 
-            // 2. Fuzzy matches against the (sorted) vocabulary — the frozen
-            // one, then the delta one. A term living on both sides is
-            // visited twice with the same similarity, which `record`'s
-            // max-per-(element, term) semantics make a no-op.
+            // 2. Fuzzy matches: one prefix-sharing walk over the frozen
+            // vocabulary, then a linear scan of the small delta one. A term
+            // living on both sides is reached twice with the same
+            // similarity, which the per-(element, term) maximum below
+            // makes a no-op.
             if self.config.fuzzy {
-                let delta_vocab = self
-                    .delta
-                    .terms
-                    .iter()
-                    .map(|(t, p)| (t.as_str(), p.as_slice()));
-                for (vocab_term, packed_postings) in self.postings.iter().chain(delta_vocab) {
-                    if vocab_term == stemmed {
-                        continue;
+                let query: Vec<char> = term.chars().collect();
+                let mut fuzzy = |vocab_term: &str, distance: usize, postings: &[u32]| {
+                    if vocab_term == term {
+                        return;
                     }
-                    let Some(distance) =
-                        bounded_levenshtein(&stemmed, vocab_term, self.config.max_edit_distance)
-                    else {
-                        continue;
-                    };
-                    let longest = stemmed.chars().count().max(vocab_term.chars().count());
+                    let longest = query.len().max(vocab_term.chars().count());
                     if longest == 0 {
-                        continue;
+                        return;
                     }
                     let sim = 1.0 - distance as f64 / longest as f64;
-                    if sim < self.config.min_fuzzy_similarity {
-                        continue;
+                    if sim >= self.config.min_fuzzy_similarity {
+                        reach(postings, sim);
                     }
-                    for &packed in packed_postings {
-                        record(&mut per_element, unpack(packed), term_idx, num_terms, sim);
+                };
+                self.postings.for_each_within(&query, max, &mut fuzzy);
+                for (vocab_term, postings) in &self.delta.terms {
+                    if let Some(distance) = bounded_levenshtein(&term, vocab_term, max) {
+                        fuzzy(vocab_term, distance, postings);
                     }
                 }
             }
 
             // 3. Semantic expansion through the thesaurus. The thesaurus is
             // keyed by full (unstemmed) words, so besides the raw token we
-            // also try its stem and a naive singular form.
+            // also try its analyzed term and a naive singular form.
             if self.config.semantic {
-                let mut variants = vec![raw.clone(), stemmed.clone()];
-                if let Some(singular) = raw.strip_suffix('s') {
+                let mut variants = vec![token.clone(), term.clone()];
+                if let Some(singular) = token.strip_suffix('s') {
                     variants.push(singular.to_string());
                 }
                 variants.dedup();
@@ -517,48 +523,53 @@ impl KeywordIndex {
                     for related in self.thesaurus.related(&variant) {
                         let weight = related.relation.weight();
                         for expanded in self.analyzer.analyze_unique(&related.term) {
-                            for &packed in self
-                                .postings
-                                .get_packed(&expanded)
-                                .iter()
-                                .chain(self.delta.get_packed(&expanded))
-                            {
-                                record(
-                                    &mut per_element,
-                                    unpack(packed),
-                                    term_idx,
-                                    num_terms,
-                                    weight,
-                                );
-                            }
+                            reach(self.postings.get_packed(&expanded), weight);
+                            reach(self.delta.get_packed(&expanded), weight);
                         }
                     }
                 }
             }
         }
 
-        // Aggregate: the score of an element is the mean over the query terms
-        // of the best per-term score, so an element matching every keyword
-        // token scores higher than one matching only some.
-        let mut matches: Vec<KeywordMatch> = per_element
-            .into_iter()
-            .map(|(element, term_scores)| {
-                let score = term_scores.iter().sum::<f64>() / num_terms as f64;
-                KeywordMatch {
-                    element: self.enrich(element),
-                    score,
-                }
+        // 4. Score: an element's score is the mean over the query terms of
+        // its best per-term score, so an element matching every keyword
+        // token scores higher than one matching only some. Each per-term
+        // best starts from 0.0 (an element reached only with weight ≤ 0
+        // still appears), and a term the element missed would add an exact
+        // +0.0, so summing the present terms in term order gives the same
+        // bits.
+        hits.sort_unstable_by_key(|&(key, _)| key);
+        let num_terms = tokens.len() as f64;
+        let mut scored: Vec<(u32, f64)> = hits
+            .chunk_by(|a, b| a.0 >> 32 == b.0 >> 32)
+            .map(|element_hits| {
+                let sum = element_hits
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|term_hits| {
+                        term_hits
+                            .iter()
+                            .fold(0.0, |best, &(_, s)| if s > best { s } else { best })
+                    })
+                    .fold(0.0, |sum, best| sum + best);
+                ((element_hits[0].0 >> 32) as u32, sum / num_terms)
             })
             .collect();
-        // Sorting by (score, element ref) erases the hash order of
-        // `per_element`.
-        matches.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.element.element_ref().cmp(&b.element.element_ref()))
-        });
-        matches.truncate(self.config.max_matches_per_keyword);
-        matches
+
+        // 5. Rank by (score desc, element asc) — the packed order is
+        // `ElementRef`'s — keep the best `keep`, and enrich only those.
+        let rank = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if scored.len() > keep {
+            scored.select_nth_unstable_by(keep - 1, rank);
+            scored.truncate(keep);
+        }
+        scored.sort_unstable_by(rank);
+        scored
+            .into_iter()
+            .map(|(packed, score)| KeywordMatch {
+                element: self.enrich(unpack(packed)),
+                score,
+            })
+            .collect()
     }
 
     /// Looks up several keywords at once; the result has one entry per
@@ -681,25 +692,150 @@ impl KeywordIndex {
     }
 }
 
-fn record(
-    per_element: &mut HashMap<ElementRef, Vec<f64>>,
-    element: ElementRef,
-    term_idx: usize,
-    num_terms: usize,
-    score: f64,
-) {
-    let scores = per_element
-        .entry(element)
-        .or_insert_with(|| vec![0.0; num_terms]);
-    if score > scores[term_idx] {
-        scores[term_idx] = score;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kwsearch_rdf::fixtures::figure1_graph;
+
+    /// The lookup before ranking preceded enrichment: a `HashMap` of
+    /// per-term best scores for every element reached, every candidate
+    /// enriched and sorted, and a linear `bounded_levenshtein` scan of the
+    /// whole vocabulary. [`KeywordIndex::lookup`] must equal it to the
+    /// score bit.
+    fn reference_lookup(idx: &KeywordIndex, keyword: &str) -> Vec<KeywordMatch> {
+        let raw_tokens = idx.normalized_query_terms(keyword);
+        if raw_tokens.is_empty() {
+            return Vec::new();
+        }
+
+        // element -> per-query-term best score
+        let mut per_element: HashMap<ElementRef, Vec<f64>> = HashMap::new();
+        let num_terms = raw_tokens.len();
+
+        for (term_idx, raw) in raw_tokens.iter().enumerate() {
+            let stemmed = idx.analyzer.term_of(raw.clone());
+
+            // 1. Exact (post-analysis) matches, frozen side and delta side.
+            for &packed in idx.postings.get_packed(&stemmed) {
+                record(&mut per_element, unpack(packed), term_idx, num_terms, 1.0);
+            }
+            for &packed in idx.delta.get_packed(&stemmed) {
+                record(&mut per_element, unpack(packed), term_idx, num_terms, 1.0);
+            }
+
+            // 2. Fuzzy matches against the (sorted) vocabulary — the frozen
+            // one, then the delta one.
+            if idx.config.fuzzy {
+                let delta_vocab = idx
+                    .delta
+                    .terms
+                    .iter()
+                    .map(|(t, p)| (t.as_str(), p.as_slice()));
+                for (vocab_term, packed_postings) in idx.postings.iter().chain(delta_vocab) {
+                    if vocab_term == stemmed {
+                        continue;
+                    }
+                    let Some(distance) =
+                        bounded_levenshtein(&stemmed, vocab_term, idx.config.max_edit_distance)
+                    else {
+                        continue;
+                    };
+                    let longest = stemmed.chars().count().max(vocab_term.chars().count());
+                    if longest == 0 {
+                        continue;
+                    }
+                    let sim = 1.0 - distance as f64 / longest as f64;
+                    if sim < idx.config.min_fuzzy_similarity {
+                        continue;
+                    }
+                    for &packed in packed_postings {
+                        record(&mut per_element, unpack(packed), term_idx, num_terms, sim);
+                    }
+                }
+            }
+
+            // 3. Semantic expansion through the thesaurus.
+            if idx.config.semantic {
+                let mut variants = vec![raw.clone(), stemmed.clone()];
+                if let Some(singular) = raw.strip_suffix('s') {
+                    variants.push(singular.to_string());
+                }
+                variants.dedup();
+                for variant in variants {
+                    for related in idx.thesaurus.related(&variant) {
+                        let weight = related.relation.weight();
+                        for expanded in idx.analyzer.analyze_unique(&related.term) {
+                            for &packed in idx
+                                .postings
+                                .get_packed(&expanded)
+                                .iter()
+                                .chain(idx.delta.get_packed(&expanded))
+                            {
+                                record(
+                                    &mut per_element,
+                                    unpack(packed),
+                                    term_idx,
+                                    num_terms,
+                                    weight,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut matches: Vec<KeywordMatch> = per_element
+            .into_iter()
+            .map(|(element, term_scores)| {
+                let score = term_scores.iter().sum::<f64>() / num_terms as f64;
+                KeywordMatch {
+                    element: idx.enrich(element),
+                    score,
+                }
+            })
+            .collect();
+        // Sorting by (score, element ref) erases the hash order of
+        // `per_element`.
+        matches.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then_with(|| a.element.element_ref().cmp(&b.element.element_ref()))
+        });
+        matches.truncate(idx.config.max_matches_per_keyword);
+        matches
+    }
+
+    fn record(
+        per_element: &mut HashMap<ElementRef, Vec<f64>>,
+        element: ElementRef,
+        term_idx: usize,
+        num_terms: usize,
+        score: f64,
+    ) {
+        let scores = per_element
+            .entry(element)
+            .or_insert_with(|| vec![0.0; num_terms]);
+        if score > scores[term_idx] {
+            scores[term_idx] = score;
+        }
+    }
+
+    /// `lookup` and [`reference_lookup`] agree on every element, score bit
+    /// and position.
+    fn assert_matches_reference(idx: &KeywordIndex, keyword: &str) {
+        let fast = idx.lookup(keyword);
+        let reference = reference_lookup(idx, keyword);
+        assert_eq!(fast.len(), reference.len(), "{keyword:?}: match count");
+        for (a, b) in fast.iter().zip(&reference) {
+            assert_eq!(a.element, b.element, "{keyword:?}: element");
+            assert_eq!(
+                a.score.to_bits(),
+                b.score.to_bits(),
+                "{keyword:?}: score bits"
+            );
+        }
+    }
 
     fn index() -> (KeywordIndex, DataGraph) {
         let g = figure1_graph();
@@ -1034,5 +1170,197 @@ mod tests {
             !idx.lookup("cimiano").is_empty(),
             "exact matching still works"
         );
+    }
+
+    #[test]
+    fn a_minimal_analyzer_matches_labels_typed_verbatim() {
+        let g = figure1_graph();
+        let config = KeywordIndexConfig {
+            fuzzy: false,
+            semantic: false,
+            ..KeywordIndexConfig::default()
+        };
+        let idx = KeywordIndex::build_with(&g, Analyzer::minimal(), Thesaurus::builtin(), config);
+        for label in ["Publication", "Institute", "Researcher"] {
+            let matches = idx.lookup(label);
+            assert_eq!(matches.len(), 1, "{label}");
+            assert_eq!(
+                matches[0].element,
+                MatchedElement::Class {
+                    class: g.class(label).unwrap()
+                }
+            );
+            assert_eq!(matches[0].score, 1.0);
+        }
+        // Without stop-word removal a stop word is a term like any other.
+        assert_eq!(idx.normalized_query_terms("the of"), vec!["the", "of"]);
+    }
+
+    #[test]
+    fn a_64_kib_keyword_costs_a_band_per_vocabulary_character() {
+        let (idx, _) = index();
+        let keyword: String = "cimiano".chars().cycle().take(64 * 1024).collect();
+        let query: Vec<char> = keyword.chars().collect();
+        for max in 0..=3 {
+            let mut walked = Vec::new();
+            let cells = idx.postings.for_each_within(&query, max, |term, d, _| {
+                walked.push((term.to_string(), d));
+            });
+            let scanned: Vec<(String, usize)> = idx
+                .postings
+                .iter()
+                .filter_map(|(term, _)| {
+                    Some((term.to_string(), bounded_levenshtein(&keyword, term, max)?))
+                })
+                .collect();
+            assert_eq!(walked, scanned);
+            let (chars, terms) = idx.postings.iter().fold((0, 0), |(c, t), (term, _)| {
+                (c + term.chars().count(), t + 1)
+            });
+            assert!(
+                cells <= (2 * max + 1) * (chars + terms),
+                "max {max}: {cells} cells for {chars} chars in {terms} terms"
+            );
+        }
+        assert_matches_reference(&idx, &keyword);
+    }
+
+    #[test]
+    fn lookup_equals_the_reference_on_the_running_example() {
+        let (idx, _) = index();
+        for keyword in [
+            "publications",
+            "cimano",
+            "papers",
+            "Thanh Tran",
+            "2006 aifb",
+            "name",
+            "agent",
+            "the of and",
+            "",
+        ] {
+            assert_matches_reference(&idx, keyword);
+        }
+    }
+
+    mod equivalence {
+        use super::*;
+        use kwsearch_rdf::Triple;
+        use proptest::prelude::*;
+
+        /// Labels over a small alphabet with multi-byte characters, so that
+        /// terms share prefixes and sit within small edit distances of each
+        /// other, plus thesaurus words and multi-word labels.
+        fn label() -> impl Strategy<Value = String> {
+            prop_oneof![
+                "[abcé漢]{1,6}",
+                "pub[ailoé]{0,5}",
+                "[abé]{1,4} [a-cé漢]{1,7}",
+                Just("paper".to_string()),
+                Just("Publications".to_string()),
+                Just("the article".to_string()),
+            ]
+        }
+
+        /// A keyword: a label as is, or with a character dropped, added or
+        /// replaced.
+        fn keyword() -> impl Strategy<Value = String> {
+            (label(), 0usize..4, 0usize..8, 0usize..4).prop_map(|(label, edit, at, c)| {
+                let mut chars: Vec<char> = label.chars().collect();
+                let at = at % (chars.len() + 1);
+                let c = ['b', 'é', '漢', 'x'][c];
+                match edit {
+                    1 if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    2 => chars.insert(at, c),
+                    3 if at < chars.len() => chars[at] = c,
+                    _ => {}
+                }
+                chars.into_iter().collect()
+            })
+        }
+
+        /// Entity `i` gets a class, a labelled value and a relation to
+        /// entity `i + 1`.
+        fn triples(offset: usize, rows: &[(String, String, usize)]) -> Vec<Triple> {
+            let mut triples = Vec::new();
+            for (i, (class, value, predicate)) in rows.iter().enumerate() {
+                let subject = format!("e{}", offset + i);
+                triples.push(Triple::typed(&subject, class));
+                let attribute = ["title", "name", "année"][predicate % 3];
+                triples.push(Triple::attribute(&subject, attribute, value));
+                let relation = ["author", "cites"][predicate % 2];
+                triples.push(Triple::relation(
+                    &subject,
+                    relation,
+                    format!("e{}", offset + i + 1),
+                ));
+            }
+            triples
+        }
+
+        /// Every indexable element of `g`.
+        fn elements(g: &DataGraph) -> Vec<ElementRef> {
+            let mut out: Vec<ElementRef> = g
+                .vertices_of_kind(VertexKind::Class)
+                .map(ElementRef::Class)
+                .chain(g.vertices_of_kind(VertexKind::Value).map(ElementRef::Value))
+                .collect();
+            for (id, label) in g.edge_labels() {
+                match label {
+                    EdgeLabel::Relation(_) => out.push(ElementRef::Relation(id)),
+                    EdgeLabel::Attribute(_) => out.push(ElementRef::Attribute(id)),
+                    EdgeLabel::Type | EdgeLabel::SubClass => {}
+                }
+            }
+            out
+        }
+
+        fn row() -> impl Strategy<Value = (String, String, usize)> {
+            (label(), label(), 0usize..6)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// `lookup` returns what the enrich-everything, scan-everything
+            /// lookup returns: same elements, same score bits, same order —
+            /// over either analyzer, every edit bound the index is used
+            /// with, every truncation, with and without a live delta.
+            #[test]
+            fn lookup_equals_the_reference_lookup(
+                base in proptest::collection::vec(row(), 1..12),
+                batch in proptest::collection::vec(row(), 0..4),
+                keywords in proptest::collection::vec(keyword(), 1..6),
+                (minimal, max_edit_distance, keep, loose) in (0usize..2, 0usize..4, 0usize..4, 0usize..2),
+            ) {
+                let mut g = DataGraph::new();
+                for t in triples(0, &base) {
+                    g.insert_triple(&t).unwrap();
+                }
+                let analyzer = if minimal == 1 { Analyzer::minimal() } else { Analyzer::new() };
+                let config = KeywordIndexConfig {
+                    max_edit_distance,
+                    max_matches_per_keyword: [0, 1, 3, 20][keep],
+                    min_fuzzy_similarity: [0.7, 0.0][loose],
+                    ..KeywordIndexConfig::default()
+                };
+                let mut idx = KeywordIndex::build_with(&g, analyzer, Thesaurus::builtin(), config);
+                if !batch.is_empty() {
+                    let before = elements(&g);
+                    for t in triples(base.len() + 1, &batch) {
+                        g.insert_triple(&t).unwrap();
+                    }
+                    let after = elements(&g);
+                    let new: Vec<ElementRef> =
+                        after.iter().copied().filter(|e| !before.contains(e)).collect();
+                    idx.apply_delta(&g, &new, &before);
+                }
+                for keyword in &keywords {
+                    assert_matches_reference(&idx, keyword);
+                }
+            }
+        }
     }
 }

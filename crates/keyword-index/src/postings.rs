@@ -7,6 +7,13 @@
 //! Lookups binary-search the vocabulary, and a snapshot load is a handful of
 //! bulk buffer reads — no per-term allocation, hashing or parsing.
 //!
+//! Fuzzy matching walks the same sorted blob once per query term
+//! (`PostingLists::for_each_within`): consecutive terms share the banded
+//! Levenshtein rows of their common prefix, and a prefix already more than
+//! the edit bound away from the query is skipped, with every term under it,
+//! by one galloping search — the trie form of Schulz & Mihov's
+//! Levenshtein-automaton lookup, without a trie to build.
+//!
 //! The same flattening is applied to the two augmentation side tables:
 //! [`ConnectionTable`] (per V-vertex `[V-vertex, A-edge, (C-vertex…)]`
 //! structures) and [`AttributeTable`] (per A-edge label `(C-vertex…)`
@@ -18,6 +25,7 @@ use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
 use kwsearch_rdf::{EdgeLabelId, VertexId};
 
 use crate::keyword_index::{ElementRef, ValueConnection};
+use crate::levenshtein::PrefixRows;
 
 const TAG_CLASS: u32 = 0;
 const TAG_VALUE: u32 = 1;
@@ -129,6 +137,80 @@ impl PostingLists {
     /// Iterates `(term, packed postings)` in sorted term order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[u32])> + '_ {
         (0..self.term_count()).map(|i| (self.term_at(i), self.postings_at(i)))
+    }
+
+    /// Calls `visit(term, distance, packed postings)` for every vocabulary
+    /// term within Levenshtein distance `max` of `query`, in sorted term
+    /// order, and returns the number of DP cells computed.
+    ///
+    /// One walk over the sorted vocabulary: consecutive terms share the
+    /// [`PrefixRows`] of their common prefix, and once a row's minimum
+    /// exceeds `max`, every term under that prefix — a contiguous run,
+    /// because the vocabulary is sorted by bytes — is skipped with one
+    /// galloping search.
+    pub(crate) fn for_each_within(
+        &self,
+        query: &[char],
+        max: usize,
+        mut visit: impl FnMut(&str, usize, &[u32]),
+    ) -> usize {
+        let mut rows = PrefixRows::new(query, max);
+        let mut i = 0;
+        while i < self.term_count() {
+            let term = self.term_at(i);
+            let shared = rows
+                .prefix()
+                .iter()
+                .zip(term.chars())
+                .take_while(|(a, b)| *a == b)
+                .count();
+            rows.truncate(shared);
+            let hopeless = term
+                .char_indices()
+                .skip(shared)
+                .find(|&(_, c)| rows.push(c) > max)
+                .map(|(at, c)| &term[..at + c.len_utf8()]);
+            match hopeless {
+                Some(prefix) => i = self.end_of_prefix(i, prefix),
+                None => {
+                    if let Some(distance) = rows.distance() {
+                        visit(term, distance, self.postings_at(i));
+                    }
+                    i += 1;
+                }
+            }
+        }
+        rows.computed()
+    }
+
+    /// The first index after `i` whose term does not start with `prefix`,
+    /// given that term `i` does.
+    ///
+    /// Most runs under a hopeless prefix hold one or two terms, so the
+    /// search gallops — probing `i + 1, i + 2, i + 4, …` — before it
+    /// bisects the last gap: a run of `r` terms costs `O(log r)` probes
+    /// rather than `O(log |vocabulary|)`.
+    fn end_of_prefix(&self, i: usize, prefix: &str) -> usize {
+        let count = self.term_count();
+        let (mut inside, mut step) = (i, 1);
+        let mut hi = loop {
+            let probe = i.saturating_add(step);
+            if probe >= count || !self.term_at(probe).starts_with(prefix) {
+                break probe.min(count);
+            }
+            inside = probe;
+            step *= 2;
+        };
+        let mut lo = inside + 1;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.term_at(mid).starts_with(prefix) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Approximate heap bytes (Fig. 6b index-size report).
@@ -392,6 +474,7 @@ impl AttributeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::levenshtein::{bounded_levenshtein, levenshtein};
 
     #[test]
     fn pack_unpack_round_trips() {
@@ -404,6 +487,115 @@ mod tests {
         for e in elements {
             assert_eq!(unpack(pack(e)), e);
         }
+    }
+
+    #[test]
+    fn pack_order_is_element_ref_order() {
+        let mut elements = Vec::new();
+        for id in [0, 1, 7, ID_MASK - 1, ID_MASK] {
+            elements.extend([
+                ElementRef::Class(VertexId::from_index(id)),
+                ElementRef::Value(VertexId::from_index(id)),
+                ElementRef::Relation(EdgeLabelId::from_index(id)),
+                ElementRef::Attribute(EdgeLabelId::from_index(id)),
+            ]);
+        }
+        for a in &elements {
+            for b in &elements {
+                assert_eq!(pack(*a).cmp(&pack(*b)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// A vocabulary whose term `i` posts to class `i`.
+    fn vocabulary<S: AsRef<str>>(terms: impl IntoIterator<Item = S>) -> PostingLists {
+        let terms: Vec<S> = terms.into_iter().collect();
+        let pairs: Vec<(&str, ElementRef)> = terms
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                (
+                    t.as_ref(),
+                    ElementRef::Class(VertexId::from_index(i as u32)),
+                )
+            })
+            .collect();
+        PostingLists::from_sorted(&inverted(&pairs))
+    }
+
+    /// The walk's `(term, distance, postings)` visits and its cell count.
+    fn walk(
+        lists: &PostingLists,
+        query: &str,
+        max: usize,
+    ) -> (Vec<(String, usize, Vec<u32>)>, usize) {
+        let query: Vec<char> = query.chars().collect();
+        let mut visits = Vec::new();
+        let cells = lists.for_each_within(&query, max, |term, d, postings| {
+            visits.push((term.to_string(), d, postings.to_vec()));
+        });
+        (visits, cells)
+    }
+
+    /// The linear scan the walk replaces, with `distance` per term.
+    fn scan(
+        lists: &PostingLists,
+        query: &str,
+        distance: impl Fn(&str, &str) -> Option<usize>,
+    ) -> Vec<(String, usize, Vec<u32>)> {
+        lists
+            .iter()
+            .filter_map(|(term, postings)| {
+                Some((term.to_string(), distance(query, term)?, postings.to_vec()))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// Over random Unicode vocabularies with shared prefixes, the walk
+        /// visits exactly the terms a `bounded_levenshtein` scan accepts,
+        /// with the same distances, at every bound.
+        #[test]
+        fn the_walk_equals_a_bounded_levenshtein_scan(
+            terms in proptest::collection::btree_set("[abé漢]{0,5}", 1..40),
+            query in "[abéx漢]{0,6}",
+        ) {
+            let lists = vocabulary(&terms);
+            for max in 0..=3 {
+                let expected = scan(&lists, &query, |q, t| bounded_levenshtein(q, t, max));
+                proptest::prop_assert_eq!(walk(&lists, &query, max).0, expected, "max {}", max);
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbounded_walk_equals_the_unbounded_scan() {
+        let lists = vocabulary(["", "a", "ab", "abé", "b", "ba", "漢字", "漢字漢"]);
+        for query in ["", "abé", "漢", "xyz"] {
+            let (visits, _) = walk(&lists, query, usize::MAX);
+            assert_eq!(visits, scan(&lists, query, |q, t| Some(levenshtein(q, t))));
+        }
+    }
+
+    #[test]
+    fn a_prefix_the_query_misses_is_skipped_in_one_search() {
+        let terms: Vec<String> = (0..1000).map(|i| format!("prefix{i:03}")).collect();
+        let lists = vocabulary(&terms);
+        let (query, max) = ("zzzzzz500", 2);
+        let (visits, cells) = walk(&lists, query, max);
+        assert_eq!(
+            visits,
+            scan(&lists, query, |q, t| bounded_levenshtein(q, t, max))
+        );
+        // A linear scan computes at least `max + 1` full rows per term
+        // before its first chance to give up.
+        let scan_cells: usize = terms.iter().map(|t| (max + 1) * t.chars().count()).sum();
+        assert!(
+            cells * 100 < scan_cells,
+            "{cells} walk cells against at least {scan_cells} scan cells"
+        );
     }
 
     /// A term → postings map, built by pushing `(term, element)` pairs in
