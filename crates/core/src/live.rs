@@ -12,9 +12,9 @@
 //! * the triple store keeps its three frozen sorted permutations and merges
 //!   a sorted delta into every scan
 //!   ([`TripleStore::add_rows`](kwsearch_rdf::TripleStore::add_rows)),
-//! * the data graph layers new adjacency on a per-vertex overlay instead of
-//!   inflating the frozen CSR
-//!   ([`DataGraph::has_adjacency_overlay`]),
+//! * the data graph appends new edges to per-vertex lists beside the
+//!   adjacency base it derived from its edge columns, and never re-derives
+//!   that base on a write,
 //! * the keyword index unions frozen posting lists with a small sorted
 //!   delta vocabulary
 //!   ([`KeywordIndex::apply_delta`](kwsearch_keyword_index::KeywordIndex::apply_delta)),
@@ -587,12 +587,13 @@ impl LiveGraph {
     /// [`PreparedGraph::save`], the bytes are compared against a
     /// from-scratch preparation of the same merged graph (same keyword
     /// configuration, same recorded build time), and only on bit-identity
-    /// is the snapshot reloaded (flat CSR, fresh `Arc` bases) and installed
+    /// is the snapshot reloaded (flat columns, fresh `Arc` bases) and installed
     /// — at the *unchanged* epoch and with the replaced snapshot's cache, so
     /// compaction is invisible to readers and cached entries keep hitting.
     ///
     /// Returns with `compacted: false` (and no state change) when the
-    /// lineage is already flat.
+    /// lineage is already flat: neither the store nor the keyword index
+    /// carries a delta.
     pub fn compact(&self) -> Result<CompactionReport, CompactError> {
         let start = Instant::now();
         self.write(|prepared| Self::compacted(prepared, start))
@@ -610,10 +611,10 @@ impl LiveGraph {
     ) -> Result<(Option<PreparedGraph>, CompactionReport), CompactError> {
         let epoch = prepared.write_epoch();
         let folded_rows = prepared.store().delta_len();
-        if !prepared.store().has_delta()
-            && !prepared.keyword_index().has_delta()
-            && !prepared.graph().has_adjacency_overlay()
-        {
+        // Every edge a write appends to the graph is also a store delta
+        // row, so the store and the keyword index say whether there is
+        // anything to fold.
+        if !prepared.store().has_delta() && !prepared.keyword_index().has_delta() {
             let report = CompactionReport {
                 duration: start.elapsed(),
                 snapshot_bytes: 0,
@@ -624,8 +625,8 @@ impl LiveGraph {
             return Ok((None, report));
         }
 
-        // Fold: the graph flattens on snapshot write; the store merges its
-        // permutations; the keyword index (whose delta vocabulary has no
+        // Fold: the graph is written as its edge columns; the store merges
+        // its permutations; the keyword index (whose delta vocabulary has no
         // frozen form) is rebuilt; the summary is already byte-identical to
         // a rebuild by the `apply` invariants.
         let graph = prepared.graph().clone();
@@ -664,10 +665,10 @@ impl LiveGraph {
             });
         }
 
-        // Reload through the persist path — the loaded parts are flat (no
-        // CSR overlay, empty store deltas) — and re-wrap them around the
-        // replaced snapshot's cache at the unchanged epoch: same data, so
-        // its entries stay valid.
+        // Reload through the persist path — the loaded parts are flat (an
+        // adjacency base with nothing appended, empty store deltas) — and
+        // re-wrap them around the replaced snapshot's cache at the unchanged
+        // epoch: same data, so its entries stay valid.
         let loaded = PreparedGraph::load_with(&compacted_bytes[..], 0)?;
         let (graph, keyword_index, summary, store) = loaded.into_parts();
         let next = PreparedGraph::from_shared_parts(
@@ -916,8 +917,8 @@ mod tests {
     #[test]
     fn compaction_is_proven_and_invisible_to_readers() {
         // Round-trip the base through the snapshot path so the data graph
-        // uses the frozen CSR adjacency — mutating it must go through the
-        // per-vertex overlay instead of inflating the CSR.
+        // derives its adjacency base from the edge columns, and the write
+        // appends its edges beside that base.
         let mut bytes = Vec::new();
         PreparedGraph::index(figure1_graph())
             .save(&mut bytes)
@@ -927,7 +928,6 @@ mod tests {
         let snapshot = live.snapshot();
         assert!(snapshot.store().has_delta());
         assert!(snapshot.keyword_index().has_delta());
-        assert!(snapshot.graph().has_adjacency_overlay());
 
         let config = SearchConfig::with_k(5);
         let before = outcome(&snapshot, &["streaming", "cimiano"], config.clone());
@@ -941,7 +941,6 @@ mod tests {
         let compacted = live.snapshot();
         assert!(!compacted.store().has_delta());
         assert!(!compacted.keyword_index().has_delta());
-        assert!(!compacted.graph().has_adjacency_overlay());
         assert_eq!(compacted.write_epoch(), 1);
 
         let after = outcome(&compacted, &["streaming", "cimiano"], config);

@@ -16,7 +16,7 @@
 //! | id | section | content |
 //! |----|---------|---------|
 //! | 1  | meta    | original index-build time, sanity counts |
-//! | 2  | graph   | interner, vertex/edge columns, CSR adjacency |
+//! | 2  | graph   | interner, vertex/edge columns (adjacency is derived on load) |
 //! | 3  | store   | the three sorted triple permutations |
 //! | 4  | keyword | analyzer + config + thesaurus + frozen posting lists |
 //! | 5  | summary | summary-graph node/edge columns + totals |

@@ -136,8 +136,8 @@ proptest! {
         let base = build(&spec.triples);
         let base_triples = base.triples();
         // Round-trip the base through the snapshot path so its adjacency
-        // is the frozen CSR: overlay edges (not list pushes) then carry
-        // every delta, which is the production shape of a live graph.
+        // base is derived from the edge columns and every delta is appended
+        // beside it, which is the production shape of a live graph.
         let mut base_bytes = Vec::new();
         PreparedGraph::index(base)
             .save(&mut base_bytes)

@@ -112,10 +112,10 @@ fn figure1_roundtrip_is_bit_identical() {
 
 #[test]
 fn loaded_graphs_accept_further_mutation() {
-    // A loaded graph keeps its adjacency in the frozen CSR form; the first
-    // mutation must transparently inflate it and leave the graph fully
-    // editable — and a re-saved snapshot of the *unmutated* load must be
-    // byte-identical to the original.
+    // A loaded graph derives its adjacency base from the edge columns; a
+    // mutation appends beside it and leaves the graph fully editable — and
+    // a re-saved snapshot of the *unmutated* load must be byte-identical to
+    // the original.
     let built = PreparedGraph::index(figure1_graph());
     let bytes = saved_bytes(&built);
     let loaded = PreparedGraph::load(bytes.as_slice()).expect("load");
@@ -180,14 +180,19 @@ fn foreign_files_are_rejected_by_magic() {
 
 #[test]
 fn future_format_versions_are_rejected_with_the_found_version() {
-    let mut bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
-    // The version field is the little-endian u32 right after the magic.
-    let future = FORMAT_VERSION + 1;
-    bytes[8..12].copy_from_slice(&future.to_le_bytes());
-    assert!(matches!(
-        PreparedGraph::load(bytes.as_slice()),
-        Err(SnapshotError::UnsupportedVersion { found }) if found == future
-    ));
+    let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
+    // The version field is the little-endian u32 right after the magic. An
+    // older file is refused as firmly as a newer one: version 1 stored
+    // adjacency columns in the graph section, which this build must never
+    // read as the columns that follow them.
+    for other in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+        let mut bytes = bytes.clone();
+        bytes[8..12].copy_from_slice(&other.to_le_bytes());
+        assert!(matches!(
+            PreparedGraph::load(bytes.as_slice()),
+            Err(SnapshotError::UnsupportedVersion { found }) if found == other
+        ));
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ impl KeywordIndex {
         // Edge labels (relations and attributes), together with the
         // [A-edge, (C-vertex…)] data for attributes. `edge_labels` yields
         // ascending label ids.
-        let mut attributes = AttributeTable::default();
+        let mut attribute_labels = Vec::new();
         for (label_id, label) in graph.edge_labels() {
             match label {
                 EdgeLabel::Relation(sym) => {
@@ -288,11 +288,17 @@ impl KeywordIndex {
                             .push(ElementRef::Attribute(label_id));
                     }
                     indexed_elements += 1;
-                    let (classes, has_untyped) = Self::classes_of_attribute(graph, label_id);
-                    attributes.push(label_id, &classes, has_untyped);
+                    attribute_labels.push(label_id);
                 }
                 EdgeLabel::Type | EdgeLabel::SubClass => {}
             }
+        }
+        let mut attributes = AttributeTable::default();
+        for (&label_id, (classes, has_untyped)) in attribute_labels
+            .iter()
+            .zip(Self::classes_of_attributes(graph, &attribute_labels))
+        {
+            attributes.push(label_id, &classes, has_untyped);
         }
 
         Self {
@@ -336,6 +342,7 @@ impl KeywordIndex {
             }
             self.indexed_elements += 1;
         }
+        let mut attribute_labels = Vec::new();
         for &element in new_elements.iter().chain(touched) {
             match element {
                 ElementRef::Value(v) => {
@@ -343,14 +350,16 @@ impl KeywordIndex {
                         .values
                         .insert(v, Self::connections_of_value(graph, v));
                 }
-                ElementRef::Attribute(l) => {
-                    self.delta
-                        .attributes
-                        .insert(l, Self::classes_of_attribute(graph, l));
-                }
+                ElementRef::Attribute(l) => attribute_labels.push(l),
                 ElementRef::Class(_) | ElementRef::Relation(_) => {}
             }
         }
+        attribute_labels.sort_unstable();
+        attribute_labels.dedup();
+        let classes = Self::classes_of_attributes(graph, &attribute_labels);
+        self.delta
+            .attributes
+            .extend(attribute_labels.into_iter().zip(classes));
     }
 
     /// Whether a live-update delta is overlaid on the frozen columns
@@ -395,7 +404,7 @@ impl KeywordIndex {
             .into_iter()
             .map(|(attribute, (mut classes, has_untyped_source))| {
                 // Canonical class order (ascending vertex id), matching
-                // `classes_of_attribute`: the list must be a function of the
+                // `classes_of_attributes`: the list must be a function of the
                 // edge *set*, not the edge insertion order, so that indexes
                 // built over edge-disjoint shards of one graph merge back to
                 // exactly this list (see `kwsearch_core::shard`).
@@ -412,18 +421,27 @@ impl KeywordIndex {
         connections
     }
 
-    /// Collects the classes of all entities that carry the given attribute.
-    fn classes_of_attribute(graph: &DataGraph, label: EdgeLabelId) -> (Vec<VertexId>, bool) {
-        let mut classes = Vec::new();
-        let mut has_untyped = false;
+    /// Collects, for each of the distinct `labels`, the classes of all
+    /// entities that carry it (ascending) and whether an untyped one does —
+    /// in one pass over the edges, so a build costs O(edges), not
+    /// O(labels × edges).
+    fn classes_of_attributes(
+        graph: &DataGraph,
+        labels: &[EdgeLabelId],
+    ) -> Vec<(Vec<VertexId>, bool)> {
+        let mut slot = vec![usize::MAX; graph.edge_label_count()];
+        for (i, label) in labels.iter().enumerate() {
+            slot[label.index()] = i;
+        }
+        let mut out = vec![(Vec::new(), false); labels.len()];
         for e in graph.edges() {
             let edge = graph.edge(e);
-            if edge.label != label {
+            let Some((classes, has_untyped)) = out.get_mut(slot[edge.label.index()]) else {
                 continue;
-            }
+            };
             let entity_classes = graph.classes_of(edge.from);
             if entity_classes.is_empty() {
-                has_untyped = true;
+                *has_untyped = true;
             }
             for c in entity_classes {
                 if !classes.contains(&c) {
@@ -431,8 +449,10 @@ impl KeywordIndex {
                 }
             }
         }
-        classes.sort();
-        (classes, has_untyped)
+        for (classes, _) in &mut out {
+            classes.sort_unstable();
+        }
+        out
     }
 
     /// The normalized query terms of a keyword: tokenized and, when the
@@ -696,6 +716,30 @@ impl KeywordIndex {
 mod tests {
     use super::*;
     use kwsearch_rdf::fixtures::figure1_graph;
+
+    /// The per-label scan that [`KeywordIndex::classes_of_attributes`]
+    /// replaced: the oracle its one pass must equal, label by label.
+    fn classes_of_attribute(graph: &DataGraph, label: EdgeLabelId) -> (Vec<VertexId>, bool) {
+        let mut classes = Vec::new();
+        let mut has_untyped = false;
+        for e in graph.edges() {
+            let edge = graph.edge(e);
+            if edge.label != label {
+                continue;
+            }
+            let entity_classes = graph.classes_of(edge.from);
+            if entity_classes.is_empty() {
+                has_untyped = true;
+            }
+            for c in entity_classes {
+                if !classes.contains(&c) {
+                    classes.push(c);
+                }
+            }
+        }
+        classes.sort();
+        (classes, has_untyped)
+    }
 
     /// The lookup before ranking preceded enrichment: a `HashMap` of
     /// per-term best scores for every element reached, every candidate
@@ -1321,6 +1365,29 @@ mod tests {
             (label(), label(), 0usize..6)
         }
 
+        /// A `type` or an attribute triple over a few entities, classes and
+        /// attribute labels: entities may carry several classes or none.
+        fn typing_row() -> impl Strategy<Value = Triple> {
+            (0usize..8, 0usize..3, 0usize..4, 0usize..4).prop_map(|(e, kind, c, a)| {
+                let entity = format!("e{e}");
+                if kind == 0 {
+                    Triple::typed(entity, format!("C{c}"))
+                } else {
+                    Triple::attribute(entity, format!("a{a}"), format!("v{c}"))
+                }
+            })
+        }
+
+        /// The classes and untyped flag `idx` enriches attribute `label`
+        /// with, delta first.
+        fn stored_classes(idx: &KeywordIndex, label: EdgeLabelId) -> Option<(Vec<VertexId>, bool)> {
+            idx.delta
+                .attributes
+                .get(&label)
+                .cloned()
+                .or_else(|| idx.attributes.get(label))
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1359,6 +1426,44 @@ mod tests {
                 }
                 for keyword in &keywords {
                     assert_matches_reference(&idx, keyword);
+                }
+            }
+
+            /// The one-pass attribute classes of a build, and of an
+            /// `apply_delta` batch, equal the per-label scan on every
+            /// attribute label.
+            #[test]
+            fn attribute_classes_equal_the_per_label_scan(
+                base in proptest::collection::vec(typing_row(), 1..24),
+                batch in proptest::collection::vec(typing_row(), 1..8),
+            ) {
+                let mut g = DataGraph::new();
+                for t in &base {
+                    g.insert_triple(t).unwrap();
+                }
+                let mut idx = KeywordIndex::build(&g);
+                let attributes = |g: &DataGraph| -> Vec<EdgeLabelId> {
+                    elements(g)
+                        .into_iter()
+                        .filter_map(|e| match e {
+                            ElementRef::Attribute(l) => Some(l),
+                            _ => None,
+                        })
+                        .collect()
+                };
+                for l in attributes(&g) {
+                    prop_assert_eq!(stored_classes(&idx, l), Some(classes_of_attribute(&g, l)));
+                }
+
+                let before = elements(&g);
+                for t in &batch {
+                    g.insert_triple(t).unwrap();
+                }
+                let new: Vec<ElementRef> =
+                    elements(&g).into_iter().filter(|e| !before.contains(e)).collect();
+                idx.apply_delta(&g, &new, &before);
+                for l in attributes(&g) {
+                    prop_assert_eq!(stored_classes(&idx, l), Some(classes_of_attribute(&g, l)));
                 }
             }
         }

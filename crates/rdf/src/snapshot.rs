@@ -39,8 +39,10 @@ use std::io::{self, Read, Write};
 /// The 8-byte magic at offset 0 of every snapshot.
 pub const MAGIC: [u8; 8] = *b"KWSNAP\r\n";
 
-/// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The container format version this build reads and writes. Version 2
+/// dropped the stored adjacency from the graph section: it is derived from
+/// the edge columns on load.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Upper bound on the section count (a snapshot has a handful of sections;
 /// anything larger is a corrupt header, not a bigger snapshot).

@@ -43,6 +43,14 @@ impl Term {
     pub fn is_literal(&self) -> bool {
         matches!(self, Term::Literal(_))
     }
+
+    /// A borrowed view of the term.
+    pub(crate) fn as_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(v) => TermRef::Iri(v),
+            Term::Literal(v) => TermRef::Literal(v),
+        }
+    }
 }
 
 impl fmt::Display for Term {

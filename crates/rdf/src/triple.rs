@@ -82,20 +82,18 @@ impl Triple {
         Self::new(Term::iri(class), vocab::SUBCLASS, Term::iri(super_class))
     }
 
-    /// Classifies the triple into one of the four edge kinds of Definition 1.
-    ///
-    /// * `type` and `subclass` predicates map to their dedicated kinds,
-    /// * an IRI object yields a [`EdgeKind::Relation`],
-    /// * a literal object yields an [`EdgeKind::Attribute`].
+    /// Classifies the triple into one of the four edge kinds of Definition 1
+    /// (see [`TripleRef::edge_kind`]).
     pub fn edge_kind(&self) -> EdgeKind {
-        if self.predicate == vocab::TYPE {
-            EdgeKind::Type
-        } else if self.predicate == vocab::SUBCLASS {
-            EdgeKind::SubClass
-        } else if self.object.is_literal() {
-            EdgeKind::Attribute
-        } else {
-            EdgeKind::Relation
+        self.as_ref().edge_kind()
+    }
+
+    /// A borrowed view of the triple.
+    pub(crate) fn as_ref(&self) -> TripleRef<'_> {
+        TripleRef {
+            subject: self.subject.value(),
+            predicate: &self.predicate,
+            object: self.object.as_ref(),
         }
     }
 }
@@ -120,7 +118,11 @@ pub struct TripleRef<'a> {
 }
 
 impl<'a> TripleRef<'a> {
-    /// Classifies the triple exactly like [`Triple::edge_kind`].
+    /// Classifies the triple into one of the four edge kinds of Definition 1.
+    ///
+    /// * `type` and `subclass` predicates map to their dedicated kinds,
+    /// * an IRI object yields a [`EdgeKind::Relation`],
+    /// * a literal object yields an [`EdgeKind::Attribute`].
     pub fn edge_kind(&self) -> EdgeKind {
         if self.predicate == vocab::TYPE {
             EdgeKind::Type

@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use kwsearch_rdf::{ntriples, DataGraph, GraphStats, Triple, TriplePattern, TripleStore};
+use kwsearch_rdf::{
+    ntriples, DataGraph, EdgeId, GraphStats, SectionDecoder, SectionEncoder, Triple, TriplePattern,
+    TripleStore,
+};
 
 /// A label that is safe for entity IRIs and class names.
 fn iri_label() -> impl Strategy<Value = String> {
@@ -129,21 +132,64 @@ proptest! {
         }
     }
 
-    /// Adjacency lists and the undirected neighbour view are consistent.
+    /// Adjacency is one function of the edges, whichever way the graph was
+    /// built: inserts, a snapshot round trip, a round trip plus further
+    /// inserts, and `edge_subset` all list every edge exactly once under its
+    /// endpoint, in ascending edge id, and write the same graph section.
     #[test]
-    fn adjacency_is_consistent_with_edges(ts in triples(30)) {
-        let mut graph = DataGraph::new();
-        for t in &ts {
-            graph.insert_triple(t).unwrap();
-        }
+    fn adjacency_is_consistent_with_edges(ts in triples(30), split in 0usize..30) {
+        let built = insert_all(DataGraph::new(), &ts);
+        let split = split % (ts.len() + 1);
+        let resumed = insert_all(reload(&insert_all(DataGraph::new(), &ts[..split])), &ts[split..]);
+        let graphs = [reload(&built), resumed, built.edge_subset(|_, _| true)];
+
         let mut out_total = 0usize;
         let mut in_total = 0usize;
-        for v in graph.vertices() {
-            out_total += graph.out_edges(v).len();
-            in_total += graph.in_edges(v).len();
-            prop_assert_eq!(graph.neighbors(v).len(), graph.degree(v));
+        for v in built.vertices() {
+            let out: Vec<EdgeId> = built.out_edges(v).iter().copied().collect();
+            let inc: Vec<EdgeId> = built.in_edges(v).iter().copied().collect();
+            prop_assert!(out.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(inc.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(out.iter().all(|&e| built.edge(e).from == v));
+            prop_assert!(inc.iter().all(|&e| built.edge(e).to == v));
+            out_total += out.len();
+            in_total += inc.len();
+            prop_assert_eq!(built.neighbors(v).len(), built.degree(v));
+            for g in &graphs {
+                prop_assert_eq!(g.out_edges(v), built.out_edges(v));
+                prop_assert_eq!(g.in_edges(v), built.in_edges(v));
+            }
         }
-        prop_assert_eq!(out_total, graph.edge_count());
-        prop_assert_eq!(in_total, graph.edge_count());
+        prop_assert_eq!(out_total, built.edge_count());
+        prop_assert_eq!(in_total, built.edge_count());
+        for g in &graphs {
+            prop_assert_eq!(g.vertex_count(), built.vertex_count());
+            prop_assert_eq!(graph_section(g), graph_section(&built));
+        }
     }
+}
+
+fn insert_all(mut graph: DataGraph, ts: &[Triple]) -> DataGraph {
+    for t in ts {
+        graph
+            .insert_triple(t)
+            .expect("generated triples are well-formed");
+    }
+    graph
+}
+
+/// The graph's snapshot section bytes.
+fn graph_section(graph: &DataGraph) -> Vec<u8> {
+    let mut enc = SectionEncoder::new();
+    graph.write_snapshot(&mut enc);
+    enc.into_bytes()
+}
+
+/// The graph read back from its snapshot section.
+fn reload(graph: &DataGraph) -> DataGraph {
+    let bytes = graph_section(graph);
+    let mut dec = SectionDecoder::new(0, &bytes);
+    let loaded = DataGraph::read_snapshot(&mut dec).expect("a written graph loads");
+    dec.finish().expect("the section is read to its end");
+    loaded
 }

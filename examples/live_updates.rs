@@ -6,8 +6,8 @@
 //! queries:
 //!
 //! 1. build and persist the Fig. 1a graph, then load it — the production
-//!    cold-start shape, whose adjacency is the frozen CSR that overlays
-//!    extend,
+//!    cold-start shape, whose adjacency base is derived from the edge
+//!    columns and extended by appended edges,
 //! 2. apply a delta batch (a new publication, its author edge, a title)
 //!    and read the [`WriteTicket`] acknowledging it,
 //! 3. read-your-writes: the very next snapshot — which starts with an

@@ -176,9 +176,9 @@ fn figure1_scenarios_are_bit_identical_across_threads() {
 fn snapshot_loaded_scenarios_are_bit_identical_across_threads() {
     // The concurrency contract must hold for a preparation *loaded from a
     // snapshot* exactly as for a freshly indexed one: the loaded graph
-    // keeps its adjacency in the frozen CSR form, and its augmentation
-    // cache starts empty, so this also races cache fills on the CSR read
-    // path against each other.
+    // derives its adjacency from the edge columns, and its augmentation
+    // cache starts empty, so this also races cache fills on the loaded
+    // read path against each other.
     let graph = figure1_graph();
     let workload = vec![
         vec!["2006".into(), "cimiano".into(), "aifb".into()],
@@ -284,7 +284,7 @@ fn one_shard_cached_service_is_bit_identical_across_threads() {
 fn reads_during_writes_are_bit_identical_per_epoch() {
     let graph = figure1_graph();
     // Round-trip the base through the snapshot path so the live overlays
-    // ride on the frozen CSR adjacency, as in production.
+    // ride on a derived adjacency base, as in production.
     let mut bytes = Vec::new();
     PreparedGraph::index(graph.clone())
         .save(&mut bytes)
