@@ -2,16 +2,14 @@
 //!
 //! Every structure the on-line phases read — the [`DataGraph`], the
 //! [`KeywordIndex`](kwsearch_keyword_index::KeywordIndex), the
-//! [`SummaryGraph`] and the [`TripleStore`](kwsearch_rdf::TripleStore) — is
-//! frozen inside a
+//! [`SummaryGraph`] and the [`TripleStore`] — is frozen inside a
 //! [`PreparedGraph`]. [`LiveGraph`] absorbs writes without giving that up:
 //! each [`apply`](LiveGraph::apply) produces a **new** prepared snapshot in
 //! which the base structures are `Arc`-shared and only a small delta overlay
 //! differs:
 //!
 //! * the triple store keeps its three frozen sorted permutations and merges
-//!   a sorted delta into every scan
-//!   ([`TripleStore::add_rows`](kwsearch_rdf::TripleStore::add_rows)),
+//!   a sorted delta into every scan ([`TripleStore::add_rows`]),
 //! * the data graph appends new edges to per-vertex lists beside the
 //!   adjacency base it derived from its edge columns, and never re-derives
 //!   that base on a write,
@@ -50,11 +48,13 @@
 //!
 //! Deltas accumulate per write; [`compact`](LiveGraph::compact) folds them
 //! back into frozen base structures through the snapshot path of
-//! [`crate::persist`] — it writes the merged state, **proves the bytes
-//! bit-identical to a from-scratch preparation** of the same graph, reloads
-//! the snapshot (bulk, flat, `Arc`-fresh) and installs it at the *same*
-//! epoch with the *same* cache: compaction is invisible to readers and to
-//! the cache. Retractions
+//! [`crate::persist`]. It derives the triple store once from the merged
+//! graph and **proves its rows equal the live store's** (snapshots do not
+//! hold the store, so their bytes cannot show it), writes the merged state,
+//! **proves the bytes bit-identical to a from-scratch preparation** of the
+//! same graph, reloads the snapshot (bulk, flat, `Arc`-fresh) and installs
+//! it with the derived store at the *same* epoch with the *same* cache:
+//! compaction is invisible to readers and to the cache. Retractions
 //! ride the same machinery as an inline mini-compaction: the batch is
 //! applied to a rebuilt base (no overlay can "hide" a frozen triple), at a
 //! bumped epoch.
@@ -65,7 +65,8 @@ use std::time::{Duration, Instant};
 
 use kwsearch_keyword_index::ElementRef;
 use kwsearch_rdf::{
-    DataGraph, EdgeId, EdgeLabel, RdfError, SnapshotError, SpoRow, Triple, VertexId, VertexKind,
+    DataGraph, EdgeId, EdgeLabel, RdfError, SnapshotError, SpoRow, Triple, TriplePattern,
+    TripleStore, VertexId, VertexKind,
 };
 use kwsearch_summary::SummaryGraph;
 
@@ -216,15 +217,19 @@ impl WriteTicket {
 pub enum CompactError {
     /// Writing or reloading the compacted snapshot failed.
     Snapshot(SnapshotError),
-    /// The compacted snapshot is **not** byte-identical to a from-scratch
+    /// The compacted state is **not** identical to a from-scratch
     /// preparation of the same merged graph — an invariant violation in one
-    /// of the delta layers. The live state is left unchanged.
+    /// of the delta layers. The compared encodings are the live and the
+    /// derived triple-store rows, then the two snapshots' bytes. The live
+    /// state is left unchanged.
     NotBitIdentical {
-        /// Byte length of the compacted snapshot.
+        /// Length of the compacted encoding (rows for the store, bytes for
+        /// the snapshot).
         compacted_len: usize,
-        /// Byte length of the from-scratch snapshot.
+        /// Length of the from-scratch encoding.
         rebuilt_len: usize,
-        /// Offset of the first differing byte (equal-length prefixes only).
+        /// Position of the first difference (within the common prefix
+        /// only).
         first_difference: Option<usize>,
     },
 }
@@ -239,8 +244,9 @@ impl fmt::Display for CompactError {
                 first_difference,
             } => write!(
                 f,
-                "compacted snapshot diverges from a from-scratch build \
-                 ({compacted_len} vs {rebuilt_len} bytes, first difference at {first_difference:?})"
+                "compacted state diverges from a from-scratch build ({compacted_len} vs \
+                 {rebuilt_len} store rows or snapshot bytes, first difference at \
+                 {first_difference:?})"
             ),
         }
     }
@@ -504,7 +510,7 @@ impl LiveGraph {
         graph: DataGraph,
         keyword_index: kwsearch_keyword_index::KeywordIndex,
         summary: SummaryGraph,
-        store: kwsearch_rdf::TripleStore,
+        store: TripleStore,
     ) -> PreparedGraph {
         let capacity = prepared.augmentation_cache().capacity();
         PreparedGraph::from_shared_parts(
@@ -566,7 +572,7 @@ impl LiveGraph {
 
         let keyword_index = prepared.keyword_index().rebuilt(&graph);
         let summary = SummaryGraph::build(&graph);
-        let store = kwsearch_rdf::TripleStore::build(&graph);
+        let store = TripleStore::build(&graph);
 
         let next = Self::successor(prepared, graph, keyword_index, summary, store);
         Ok((
@@ -583,12 +589,14 @@ impl LiveGraph {
     }
 
     /// Folds every delta overlay back into frozen base structures and
-    /// **proves** the result correct: the compacted state is serialized via
-    /// [`PreparedGraph::save`], the bytes are compared against a
-    /// from-scratch preparation of the same merged graph (same keyword
-    /// configuration, same recorded build time), and only on bit-identity
-    /// is the snapshot reloaded (flat columns, fresh `Arc` bases) and installed
-    /// — at the *unchanged* epoch and with the replaced snapshot's cache, so
+    /// **proves** the result correct: the triple store is derived once from
+    /// the merged graph and its rows must equal the live store's; the
+    /// compacted state is serialized via [`PreparedGraph::save`] and the
+    /// bytes are compared against a from-scratch preparation of the same
+    /// merged graph (same keyword configuration, same recorded build time).
+    /// Only when both agree is the snapshot reloaded (flat columns, fresh
+    /// `Arc` bases) and installed with the derived store — at the
+    /// *unchanged* epoch and with the replaced snapshot's cache, so
     /// compaction is invisible to readers and cached entries keep hitting.
     ///
     /// Returns with `compacted: false` (and no state change) when the
@@ -625,16 +633,24 @@ impl LiveGraph {
             return Ok((None, report));
         }
 
-        // Fold: the graph is written as its edge columns; the store merges
-        // its permutations; the keyword index (whose delta vocabulary has no
-        // frozen form) is rebuilt; the summary is already byte-identical to
-        // a rebuild by the `apply` invariants.
+        // Fold and prove the store: derive it once from the merged graph,
+        // and its rows must be the live store's rows, base and delta merged.
         let graph = prepared.graph().clone();
+        let store = TripleStore::build(&graph);
+        prove_identical(
+            &prepared.store().scan(TriplePattern::any()),
+            &store.scan(TriplePattern::any()),
+        )?;
+
+        // Fold the rest: the graph is written as its edge columns; the
+        // keyword index (whose delta vocabulary has no frozen form) is
+        // rebuilt; the summary is already byte-identical to a rebuild by the
+        // `apply` invariants.
         let compacted = PreparedGraph::from_parts(
             graph.clone(),
             prepared.keyword_index().rebuilt(&graph),
             prepared.summary().clone(),
-            prepared.store().flattened(),
+            store.clone(),
             0,
             prepared.index_build_time(),
         );
@@ -648,29 +664,20 @@ impl LiveGraph {
             graph.clone(),
             prepared.keyword_index().rebuilt(&graph),
             SummaryGraph::build(&graph),
-            kwsearch_rdf::TripleStore::build(&graph),
+            store.clone(),
             0,
             prepared.index_build_time(),
         );
         let mut scratch_bytes = Vec::new();
         scratch.save(&mut scratch_bytes)?;
-        if compacted_bytes != scratch_bytes {
-            return Err(CompactError::NotBitIdentical {
-                compacted_len: compacted_bytes.len(),
-                rebuilt_len: scratch_bytes.len(),
-                first_difference: compacted_bytes
-                    .iter()
-                    .zip(&scratch_bytes)
-                    .position(|(a, b)| a != b),
-            });
-        }
+        prove_identical(&compacted_bytes, &scratch_bytes)?;
 
-        // Reload through the persist path — the loaded parts are flat (an
-        // adjacency base with nothing appended, empty store deltas) — and
-        // re-wrap them around the replaced snapshot's cache at the unchanged
-        // epoch: same data, so its entries stay valid.
-        let loaded = PreparedGraph::load_with(&compacted_bytes[..], 0)?;
-        let (graph, keyword_index, summary, store) = loaded.into_parts();
+        // Reload through the persist path — the loaded graph is flat (an
+        // adjacency base with nothing appended) — and re-wrap it, with the
+        // derived store, around the replaced snapshot's cache at the
+        // unchanged epoch: same data, so its entries stay valid.
+        let (graph, keyword_index, summary, _) =
+            PreparedGraph::load_sections(&compacted_bytes[..])?;
         let next = PreparedGraph::from_shared_parts(
             graph,
             keyword_index,
@@ -690,6 +697,19 @@ impl LiveGraph {
         };
         Ok((Some(next), report))
     }
+}
+
+/// [`CompactError::NotBitIdentical`] unless the compacted encoding equals
+/// the from-scratch one.
+fn prove_identical<T: PartialEq>(compacted: &[T], rebuilt: &[T]) -> Result<(), CompactError> {
+    if compacted == rebuilt {
+        return Ok(());
+    }
+    Err(CompactError::NotBitIdentical {
+        compacted_len: compacted.len(),
+        rebuilt_len: rebuilt.len(),
+        first_difference: compacted.iter().zip(rebuilt).position(|(a, b)| a != b),
+    })
 }
 
 /// What an add-only batch did to the element universe, classified once per
@@ -954,6 +974,50 @@ mod tests {
         // A second compaction finds nothing to fold.
         let report = live.compact().unwrap();
         assert!(!report.compacted);
+    }
+
+    /// Snapshots no longer carry the store, so its rows are compared on
+    /// their own: a live store missing one row of its graph must fail the
+    /// proof, and the live state must stay as it was.
+    #[test]
+    fn compaction_refuses_a_store_that_disagrees_with_its_graph() {
+        let graph = figure1_graph();
+        let n = graph.edge_count();
+        // A base of all but the last two edges, plus a delta of the last one:
+        // the second-to-last row is missing.
+        let mut store = TripleStore::build(&graph.edge_subset(|e, _| e.index() + 2 < n));
+        let last = graph.edge(EdgeId::from_index(n as u32 - 1));
+        store.add_rows(&[SpoRow {
+            subject: last.from,
+            predicate: last.label,
+            object: last.to,
+        }]);
+        assert_eq!(store.len(), n - 1);
+        let prepared = PreparedGraph::from_shared_parts(
+            graph.clone(),
+            kwsearch_keyword_index::KeywordIndex::build(&graph),
+            SummaryGraph::build(&graph),
+            store,
+            Arc::new(AugmentationCache::new(0)),
+            0,
+            Duration::ZERO,
+        );
+        let live = LiveGraph::new(prepared);
+        let before = live.snapshot();
+
+        let err = live.compact().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CompactError::NotBitIdentical { compacted_len, rebuilt_len, .. }
+                    if compacted_len == n - 1 && rebuilt_len == n
+            ),
+            "{err}"
+        );
+        let after = live.snapshot();
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(after.write_epoch(), 0);
+        assert_eq!(after.store().len(), n - 1);
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Disk-backed snapshots of a [`PreparedGraph`]: O(bytes) cold start.
 //!
-//! Rebuilding the keyword index, summary graph and triple store from source
-//! triples is the dominant cold-start cost at the paper's evaluation scale
-//! (10⁶–10⁷ triples). A snapshot sidesteps it: every index structure is
-//! written as flat, length-prefixed little-endian buffers inside the
+//! Rebuilding the keyword index and summary graph from source triples is
+//! the dominant cold-start cost at the paper's evaluation scale (10⁶–10⁷
+//! triples). A snapshot sidesteps it: those structures and the data graph
+//! are written as flat, length-prefixed little-endian buffers inside the
 //! checksummed section container of [`kwsearch_rdf::snapshot`], and loading
 //! is a sequence of bulk reads into the same dense-id structures the engine
-//! searches — no re-parsing, no re-hashing of interned strings, no
-//! re-sorting of triple permutations.
+//! searches — no re-parsing, no re-hashing of interned strings. What is a
+//! pure function of the edge columns is not stored: the graph derives its
+//! adjacency and the load derives the triple store
+//! ([`TripleStore::build`], counting sorts over the dense ids). A load
+//! pays for that derivation, and in return the snapshot is less than half
+//! the size and holds no copy that could disagree with the graph.
 //!
 //! The container layout (magic, format version, checksummed section table)
 //! is documented in [`kwsearch_rdf::snapshot`]. This module assigns one
@@ -17,16 +21,19 @@
 //! |----|---------|---------|
 //! | 1  | meta    | original index-build time, sanity counts |
 //! | 2  | graph   | interner, vertex/edge columns (adjacency is derived on load) |
-//! | 3  | store   | the three sorted triple permutations |
 //! | 4  | keyword | analyzer + config + thesaurus + frozen posting lists |
 //! | 5  | summary | summary-graph node/edge columns + totals |
 //!
+//! Id 3 held the triple store up to format version 2 and is not reused.
+//!
 //! Every load path validates checksums before parsing and structural
-//! invariants during parsing; corrupt or version-mismatched input yields a
-//! typed [`SnapshotError`], never a panic or a partially-initialised graph.
-//! Search results over a loaded graph are bit-identical to results over the
-//! originally built graph (pinned by `tests/snapshot_roundtrip.rs` and the
-//! cross-thread determinism suite).
+//! invariants during parsing; the keyword and summary sections are decoded
+//! against the loaded graph, so each vertex or label id they hold must name
+//! an element of the graph of the kind its tag says. Corrupt or
+//! version-mismatched input yields a typed [`SnapshotError`], never a panic
+//! or a partially-initialised graph. Search results over a loaded graph are
+//! bit-identical to results over the originally built graph (pinned by
+//! `tests/snapshot_roundtrip.rs` and the cross-thread determinism suite).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -34,33 +41,17 @@ use std::path::Path;
 use std::time::Duration;
 
 use kwsearch_keyword_index::KeywordIndex;
-use kwsearch_rdf::snapshot::{
-    parallel_load, SectionEncoder, SnapshotError, SnapshotReader, SnapshotWriter,
-};
+use kwsearch_rdf::snapshot::{SectionEncoder, SnapshotError, SnapshotReader, SnapshotWriter};
 use kwsearch_rdf::{DataGraph, TripleStore};
 use kwsearch_summary::SummaryGraph;
 
 use crate::cache::AugmentationCache;
 use crate::prepared::PreparedGraph;
 
-/// Joins a section-decoding thread, propagating its typed error and
-/// re-raising its panic (decoders are panic-free on arbitrary input; a
-/// panic here is a bug worth surfacing, not swallowing).
-fn join_section<T>(
-    handle: std::thread::ScopedJoinHandle<'_, Result<T, SnapshotError>>,
-) -> Result<T, SnapshotError> {
-    match handle.join() {
-        Ok(result) => result,
-        Err(panic) => std::panic::resume_unwind(panic),
-    }
-}
-
 /// Section id of the metadata section (build time + sanity counts).
 pub const SECTION_META: u32 = 1;
 /// Section id of the data graph.
 pub const SECTION_GRAPH: u32 = 2;
-/// Section id of the triple store.
-pub const SECTION_STORE: u32 = 3;
 /// Section id of the keyword index.
 pub const SECTION_KEYWORD: u32 = 4;
 /// Section id of the summary graph.
@@ -73,10 +64,10 @@ impl PreparedGraph {
     /// iteration is sorted or avoided on the write path), so snapshots can
     /// be diffed and content-addressed.
     pub fn save<W: Write>(&self, writer: &mut W) -> Result<(), SnapshotError> {
-        // Live-update deltas of the graph and the store flatten on write
-        // (their snapshots merge base and overlay), but the keyword index's
-        // delta vocabulary has no frozen representation — refuse with a
-        // typed error before its snapshot writer asserts.
+        // The graph's appended edges flatten on write and the store is not
+        // written at all, but the keyword index's delta vocabulary has no
+        // frozen representation — refuse with a typed error before its
+        // snapshot writer asserts.
         if self.keyword_index().has_delta() {
             return Err(SnapshotError::Corrupt {
                 section: SECTION_KEYWORD,
@@ -96,10 +87,6 @@ impl PreparedGraph {
         let mut graph = SectionEncoder::new();
         self.graph().write_snapshot(&mut graph);
         snapshot.add_section(SECTION_GRAPH, graph);
-
-        let mut store = SectionEncoder::new();
-        self.store().write_snapshot(&mut store);
-        snapshot.add_section(SECTION_STORE, store);
 
         let mut keyword = SectionEncoder::new();
         self.keyword_index().write_snapshot(&mut keyword);
@@ -131,75 +118,8 @@ impl PreparedGraph {
     /// (0 disables caching). The cache always starts empty — cache hits are
     /// proven bit-identical to misses, so this cannot change results.
     pub fn load_with<R: Read>(reader: R, cache_capacity: usize) -> Result<Self, SnapshotError> {
-        let snapshot = SnapshotReader::read_from(reader)?;
-
-        let mut meta = snapshot.section(SECTION_META)?;
-        let index_build_time = Duration::from_nanos(meta.get_u64()?);
-        let vertex_count = meta.get_u64()?;
-        let edge_count = meta.get_u64()?;
-        meta.finish()?;
-
-        // The four component sections only read their own payload, so on a
-        // multicore host they decode on parallel scoped threads — the
-        // cold-start wall time is the *largest* section (the graph) instead
-        // of the sum. On a single-core host the serial twin below is used
-        // instead (see [`kwsearch_rdf::snapshot::parallel_load`]). Assembly
-        // is unchanged either way, so both paths build identical graphs.
-        let (graph, store, keyword_index, summary) = if parallel_load() {
-            std::thread::scope(|scope| {
-                let store_thread = scope.spawn(|| {
-                    let mut dec = snapshot.section(SECTION_STORE)?;
-                    let store = TripleStore::read_snapshot(&mut dec)?;
-                    dec.finish()?;
-                    Ok::<_, SnapshotError>(store)
-                });
-                let keyword_thread = scope.spawn(|| {
-                    let mut dec = snapshot.section(SECTION_KEYWORD)?;
-                    let keyword_index = KeywordIndex::read_snapshot(&mut dec)?;
-                    dec.finish()?;
-                    Ok::<_, SnapshotError>(keyword_index)
-                });
-                let summary_thread = scope.spawn(|| {
-                    let mut dec = snapshot.section(SECTION_SUMMARY)?;
-                    let summary = SummaryGraph::read_snapshot(&mut dec)?;
-                    dec.finish()?;
-                    Ok::<_, SnapshotError>(summary)
-                });
-
-                let mut dec = snapshot.section(SECTION_GRAPH)?;
-                let graph = DataGraph::read_snapshot(&mut dec)?;
-                dec.finish()?;
-
-                Ok::<_, SnapshotError>((
-                    graph,
-                    join_section(store_thread)?,
-                    join_section(keyword_thread)?,
-                    join_section(summary_thread)?,
-                ))
-            })?
-        } else {
-            let mut dec = snapshot.section(SECTION_GRAPH)?;
-            let graph = DataGraph::read_snapshot(&mut dec)?;
-            dec.finish()?;
-            let mut dec = snapshot.section(SECTION_STORE)?;
-            let store = TripleStore::read_snapshot(&mut dec)?;
-            dec.finish()?;
-            let mut dec = snapshot.section(SECTION_KEYWORD)?;
-            let keyword_index = KeywordIndex::read_snapshot(&mut dec)?;
-            dec.finish()?;
-            let mut dec = snapshot.section(SECTION_SUMMARY)?;
-            let summary = SummaryGraph::read_snapshot(&mut dec)?;
-            dec.finish()?;
-            (graph, store, keyword_index, summary)
-        };
-
-        if graph.vertex_count() as u64 != vertex_count || graph.edge_count() as u64 != edge_count {
-            return Err(SnapshotError::Corrupt {
-                section: SECTION_META,
-                detail: "graph counts disagree with the metadata section".to_string(),
-            });
-        }
-
+        let (graph, keyword_index, summary, index_build_time) = Self::load_sections(reader)?;
+        let store = TripleStore::build(&graph);
         Ok(Self::from_parts(
             graph,
             keyword_index,
@@ -208,6 +128,43 @@ impl PreparedGraph {
             cache_capacity,
             index_build_time,
         ))
+    }
+
+    /// Decodes and validates every section of a snapshot: the graph, the
+    /// keyword index, the summary and the recorded build time. The triple
+    /// store is left to the caller: [`Self::load_with`] derives it, and
+    /// compaction passes the one it derived for its proof.
+    pub(crate) fn load_sections<R: Read>(
+        reader: R,
+    ) -> Result<(DataGraph, KeywordIndex, SummaryGraph, Duration), SnapshotError> {
+        let snapshot = SnapshotReader::read_from(reader)?;
+
+        let mut meta = snapshot.section(SECTION_META)?;
+        let index_build_time = Duration::from_nanos(meta.get_u64()?);
+        let vertex_count = meta.get_u64()?;
+        let edge_count = meta.get_u64()?;
+        meta.finish()?;
+
+        let mut dec = snapshot.section(SECTION_GRAPH)?;
+        let graph = DataGraph::read_snapshot(&mut dec)?;
+        dec.finish()?;
+        if graph.vertex_count() as u64 != vertex_count || graph.edge_count() as u64 != edge_count {
+            return Err(SnapshotError::Corrupt {
+                section: SECTION_META,
+                detail: "graph counts disagree with the metadata section".to_string(),
+            });
+        }
+
+        // Both sections are a small fraction of the graph's bytes, so they
+        // decode after it, serially, checked against the graph they index.
+        let mut dec = snapshot.section(SECTION_KEYWORD)?;
+        let keyword_index = KeywordIndex::read_snapshot(&mut dec, &graph)?;
+        dec.finish()?;
+        let mut dec = snapshot.section(SECTION_SUMMARY)?;
+        let summary = SummaryGraph::read_snapshot(&mut dec, &graph)?;
+        dec.finish()?;
+
+        Ok((graph, keyword_index, summary, index_build_time))
     }
 
     /// [`Self::load`] from a buffered file at `path`.
@@ -286,24 +243,15 @@ mod tests {
         meta.put_u64(prepared.graph().vertex_count() as u64 + 1);
         meta.put_u64(prepared.graph().edge_count() as u64);
         snapshot.add_section(SECTION_META, meta);
-        for (id, write) in [
-            (SECTION_GRAPH, true),
-            (SECTION_STORE, false),
-            (SECTION_KEYWORD, false),
-            (SECTION_SUMMARY, false),
-        ] {
-            let mut enc = SectionEncoder::new();
-            if write {
-                prepared.graph().write_snapshot(&mut enc);
-            } else if id == SECTION_STORE {
-                prepared.store().write_snapshot(&mut enc);
-            } else if id == SECTION_KEYWORD {
-                prepared.keyword_index().write_snapshot(&mut enc);
-            } else {
-                prepared.summary().write_snapshot(&mut enc);
-            }
-            snapshot.add_section(id, enc);
-        }
+        let mut graph = SectionEncoder::new();
+        prepared.graph().write_snapshot(&mut graph);
+        snapshot.add_section(SECTION_GRAPH, graph);
+        let mut keyword = SectionEncoder::new();
+        prepared.keyword_index().write_snapshot(&mut keyword);
+        snapshot.add_section(SECTION_KEYWORD, keyword);
+        let mut summary = SectionEncoder::new();
+        prepared.summary().write_snapshot(&mut summary);
+        snapshot.add_section(SECTION_SUMMARY, summary);
         let mut bytes = Vec::new();
         snapshot.write_to(&mut bytes).unwrap();
         assert!(matches!(

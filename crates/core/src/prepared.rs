@@ -159,13 +159,6 @@ impl PreparedGraph {
         }
     }
 
-    /// Disassembles the preparation into its component structures — the
-    /// compaction path, which reloads a freshly-written snapshot and
-    /// re-wraps its parts around the flattened snapshot's cache.
-    pub(crate) fn into_parts(self) -> (DataGraph, KeywordIndex, SummaryGraph, TripleStore) {
-        (self.graph, self.keyword_index, self.summary, self.store)
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------

@@ -8,9 +8,10 @@
 
 use proptest::prelude::*;
 
+use kwsearch_core::persist::{SECTION_GRAPH, SECTION_KEYWORD, SECTION_META, SECTION_SUMMARY};
 use kwsearch_core::{PreparedGraph, ScoringFunction, SearchConfig};
 use kwsearch_rdf::fixtures::figure1_graph;
-use kwsearch_rdf::snapshot::{SnapshotError, FORMAT_VERSION};
+use kwsearch_rdf::snapshot::{checksum64, SnapshotError, FORMAT_VERSION};
 use kwsearch_rdf::{DataGraph, Triple};
 
 /// One emitted query's identity: cost bits, canonical conjunctive query and
@@ -193,6 +194,136 @@ fn future_format_versions_are_rejected_with_the_found_version() {
             Err(SnapshotError::UnsupportedVersion { found }) if found == other
         ));
     }
+}
+
+/// The section table of a snapshot, in file order: per section its id, the
+/// byte range of its payload and its checksum. The table follows the 16-byte
+/// header (magic, version, section count) at 20 bytes per section (id, payload
+/// length, checksum), and the payloads follow the table in the same order.
+fn section_table(bytes: &[u8]) -> Vec<(u32, std::ops::Range<usize>, u64)> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let count = u32_at(12) as usize;
+    let mut start = 16 + 20 * count;
+    (0..count)
+        .map(|i| {
+            let entry = 16 + 20 * i;
+            let len = u64_at(entry + 4) as usize;
+            start += len;
+            (u32_at(entry), start - len..start, u64_at(entry + 12))
+        })
+        .collect()
+}
+
+/// Applies `edit` to the payload of section `id` and re-seals its checksum,
+/// so the edit reaches the section's decoder.
+fn rewrite_section(bytes: &mut [u8], id: u32, edit: impl FnOnce(&mut [u8])) {
+    let (index, range) = section_table(bytes)
+        .into_iter()
+        .enumerate()
+        .find_map(|(i, (section, range, _))| (section == id).then_some((i, range)))
+        .expect("the section exists");
+    edit(&mut bytes[range.clone()]);
+    let checksum = checksum64(&bytes[range]);
+    let entry = 16 + 20 * index;
+    bytes[entry + 12..entry + 20].copy_from_slice(&checksum.to_le_bytes());
+}
+
+#[test]
+fn summary_ids_past_the_vertex_table_are_corrupt() {
+    let prepared = PreparedGraph::index(figure1_graph());
+    let vertices = prepared.graph().vertex_count() as u32;
+    let mut bytes = saved_bytes(&prepared);
+    // The summary section opens with two u32 columns, node tags then node
+    // payloads, each behind a u64 length. Every payload but the "none"
+    // marker (u32::MAX) names a class or value vertex: move it past the
+    // vertex table.
+    rewrite_section(&mut bytes, SECTION_SUMMARY, |payload| {
+        let nodes = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
+        let start = 16 + 4 * nodes;
+        for slot in payload[start..start + 4 * nodes].chunks_exact_mut(4) {
+            let id = u32::from_le_bytes(slot.try_into().unwrap());
+            if id != u32::MAX {
+                slot.copy_from_slice(&(id + vertices).to_le_bytes());
+            }
+        }
+    });
+    assert!(matches!(
+        PreparedGraph::load(bytes.as_slice()),
+        Err(SnapshotError::Corrupt { section, .. }) if section == SECTION_SUMMARY
+    ));
+}
+
+#[test]
+fn a_posting_past_the_vertex_table_is_corrupt() {
+    // A keyword section indexed over a graph with one more value vertex
+    // ("Zebra", the last id), spliced into the snapshot of the graph
+    // without it: its postings name a vertex past the vertex table.
+    let mut wider = figure1_graph();
+    wider
+        .insert_triple(&Triple::attribute("inst1URI", "name", "Zebra"))
+        .expect("a well-formed triple");
+    let wider = saved_bytes(&PreparedGraph::index(wider));
+    let keyword = section_table(&wider)
+        .into_iter()
+        .find(|(id, ..)| *id == SECTION_KEYWORD)
+        .map(|(_, range, _)| wider[range].to_vec())
+        .expect("a keyword section");
+
+    let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
+    let mut spliced = Vec::new();
+    let table = section_table(&bytes);
+    spliced.extend_from_slice(&bytes[..table[0].1.start]);
+    for (i, (id, range, _)) in table.iter().enumerate() {
+        let payload = if *id == SECTION_KEYWORD {
+            &keyword[..]
+        } else {
+            &bytes[range.clone()]
+        };
+        let entry = 16 + 20 * i;
+        spliced[entry + 4..entry + 12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        spliced[entry + 12..entry + 20].copy_from_slice(&checksum64(payload).to_le_bytes());
+        spliced.extend_from_slice(payload);
+    }
+    match PreparedGraph::load(spliced.as_slice()) {
+        Err(SnapshotError::Corrupt { section, detail }) => {
+            assert_eq!(section, SECTION_KEYWORD);
+            assert!(detail.contains("Value"), "{detail}");
+        }
+        other => panic!("a posting past the vertex table must be corrupt, got {other:?}"),
+    }
+}
+
+/// The snapshot layout, pinned to its version: [`FORMAT_VERSION`] with the
+/// checksum of every Figure-1 section but META (which holds the build
+/// time). When these checksums move, the bytes a snapshot holds have
+/// changed. If the layout changed, bump `FORMAT_VERSION` in the same change
+/// and re-pin both; if only the content did (a new thesaurus entry, say),
+/// re-pin the checksums alone.
+const FIGURE1_LAYOUT: (u32, [(u32, u64); 3]) = (
+    3,
+    [
+        (SECTION_GRAPH, 0x6bd191fba09598d9),
+        (SECTION_KEYWORD, 0x0ad10af5836010e5),
+        (SECTION_SUMMARY, 0xcaaaac3c622127ce),
+    ],
+);
+
+#[test]
+fn the_figure1_layout_is_pinned_to_the_format_version() {
+    let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let checksums: Vec<(u32, u64)> = section_table(&bytes)
+        .into_iter()
+        .filter(|(id, ..)| *id != SECTION_META)
+        .map(|(id, _, checksum)| (id, checksum))
+        .collect();
+    assert_eq!(version, FORMAT_VERSION);
+    assert_eq!(
+        (version, checksums.as_slice()),
+        (FIGURE1_LAYOUT.0, &FIGURE1_LAYOUT.1[..]),
+        "the Figure-1 snapshot bytes changed: a layout change needs a FORMAT_VERSION bump"
+    );
 }
 
 // ---------------------------------------------------------------------------

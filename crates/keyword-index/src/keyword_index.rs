@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
-use kwsearch_rdf::{DataGraph, EdgeLabel, EdgeLabelId, VertexId, VertexKind};
+use kwsearch_rdf::{DataGraph, EdgeKind, EdgeLabel, EdgeLabelId, VertexId, VertexKind};
 
 use crate::analyzer::Analyzer;
 use crate::levenshtein::bounded_levenshtein;
@@ -678,10 +678,16 @@ impl KeywordIndex {
         enc.put_u64(self.indexed_elements as u64);
     }
 
-    /// Reads an index serialised by [`Self::write_snapshot`]. The posting
-    /// lists and side tables load as bulk buffer reads; only the small
-    /// thesaurus is re-hashed.
-    pub fn read_snapshot(dec: &mut SectionDecoder<'_>) -> Result<Self, SnapshotError> {
+    /// Reads an index serialised by [`Self::write_snapshot`] for `graph`.
+    /// The posting lists and side tables load as bulk buffer reads; only the
+    /// small thesaurus is re-hashed. Every vertex and label id they hold
+    /// must name an element of `graph` of the kind its tag says (a class or
+    /// value vertex, a relation or attribute label); any other id is
+    /// [`SnapshotError::Corrupt`].
+    pub fn read_snapshot(
+        dec: &mut SectionDecoder<'_>,
+        graph: &DataGraph,
+    ) -> Result<Self, SnapshotError> {
         let analyzer = Analyzer {
             stemming: dec.get_u32()? != 0,
             remove_stop_words: dec.get_u32()? != 0,
@@ -699,6 +705,14 @@ impl KeywordIndex {
         let values = Arc::new(ConnectionTable::read_snapshot(dec)?);
         let attributes = Arc::new(AttributeTable::read_snapshot(dec)?);
         let indexed_elements = dec.get_u64()? as usize;
+        if let Some(stray) = postings
+            .elements()
+            .chain(values.elements())
+            .chain(attributes.elements())
+            .find(|&element| !is_element_of(graph, element))
+        {
+            return Err(dec.corrupt(format!("{stray:?} is not an element of the data graph")));
+        }
         Ok(Self {
             analyzer,
             thesaurus,
@@ -709,6 +723,21 @@ impl KeywordIndex {
             delta: DeltaIndex::default(),
             indexed_elements,
         })
+    }
+}
+
+/// Whether `element` names a vertex or label of `graph` of its own kind.
+fn is_element_of(graph: &DataGraph, element: ElementRef) -> bool {
+    let vertex_is =
+        |v: VertexId, kind| v.index() < graph.vertex_count() && graph.vertex_kind(v) == kind;
+    let label_is = |l: EdgeLabelId, kind| {
+        l.index() < graph.edge_label_count() && graph.edge_label(l).kind() == kind
+    };
+    match element {
+        ElementRef::Class(v) => vertex_is(v, VertexKind::Class),
+        ElementRef::Value(v) => vertex_is(v, VertexKind::Value),
+        ElementRef::Relation(l) => label_is(l, EdgeKind::Relation),
+        ElementRef::Attribute(l) => label_is(l, EdgeKind::Attribute),
     }
 }
 
@@ -1083,7 +1112,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_bit_identically() {
         use kwsearch_rdf::snapshot::{SnapshotReader, SnapshotWriter};
-        let (idx, _) = index();
+        let (idx, g) = index();
         let bytes_of = |idx: &KeywordIndex| {
             let mut enc = SectionEncoder::new();
             idx.write_snapshot(&mut enc);
@@ -1096,7 +1125,7 @@ mod tests {
         let bytes = bytes_of(&idx);
         let reader = SnapshotReader::read_from(bytes.as_slice()).unwrap();
         let mut dec = reader.section(4).unwrap();
-        let loaded = KeywordIndex::read_snapshot(&mut dec).unwrap();
+        let loaded = KeywordIndex::read_snapshot(&mut dec, &g).unwrap();
         dec.finish().unwrap();
 
         assert_eq!(loaded.term_count(), idx.term_count());

@@ -220,6 +220,11 @@ impl PostingLists {
                 * std::mem::size_of::<u32>()
     }
 
+    /// Every element the postings name, once per posting.
+    pub(crate) fn elements(&self) -> impl Iterator<Item = ElementRef> + '_ {
+        self.postings.iter().map(|&packed| unpack(packed))
+    }
+
     /// Serialises the four flat buffers verbatim.
     pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
         enc.put_str(&self.term_bytes);
@@ -347,6 +352,24 @@ impl ConnectionTable {
             * std::mem::size_of::<u32>()
     }
 
+    /// Every element the table names: its values, their attribute labels
+    /// and the classes behind them.
+    pub(crate) fn elements(&self) -> impl Iterator<Item = ElementRef> + '_ {
+        let values = self
+            .values
+            .iter()
+            .map(|&v| ElementRef::Value(VertexId::from_index(v)));
+        let attrs = self
+            .attrs
+            .iter()
+            .map(|&a| ElementRef::Attribute(EdgeLabelId::from_index(a)));
+        let classes = self
+            .classes
+            .iter()
+            .map(|&c| ElementRef::Class(VertexId::from_index(c)));
+        values.chain(attrs).chain(classes)
+    }
+
     /// Serialises the six flat columns verbatim.
     pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
         enc.put_u32_slice(&self.values);
@@ -433,6 +456,20 @@ impl AttributeTable {
     pub fn heap_bytes(&self) -> usize {
         (self.attrs.len() + self.flags.len() + self.class_offsets.len() + self.classes.len())
             * std::mem::size_of::<u32>()
+    }
+
+    /// Every element the table names: its attribute labels and their
+    /// classes.
+    pub(crate) fn elements(&self) -> impl Iterator<Item = ElementRef> + '_ {
+        let attrs = self
+            .attrs
+            .iter()
+            .map(|&a| ElementRef::Attribute(EdgeLabelId::from_index(a)));
+        let classes = self
+            .classes
+            .iter()
+            .map(|&c| ElementRef::Class(VertexId::from_index(c)));
+        attrs.chain(classes)
     }
 
     /// Serialises the four flat columns verbatim.

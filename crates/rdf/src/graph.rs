@@ -231,26 +231,16 @@ const NO_EDGES: &[EdgeId] = &[];
 impl Adjacency {
     /// Derives the base for `n_vertices` vertices from the edge columns: the
     /// edges of each vertex (the `endpoint` of the edge), in ascending edge
-    /// id. A stable counting sort: count per vertex, prefix-sum the counts
-    /// into range ends, then scatter the edges from the last id down, each
-    /// into the highest free slot of its vertex. Every `endpoint` must be
-    /// below `n_vertices`.
+    /// id. Every `endpoint` must be below `n_vertices`.
     fn derive(n_vertices: usize, edges: &[Edge], endpoint: fn(&Edge) -> VertexId) -> Self {
-        let mut offsets = vec![0u32; n_vertices + 1];
-        for edge in edges {
-            offsets[endpoint(edge).index()] += 1;
-        }
-        let mut end = 0;
-        for offset in &mut offsets {
-            end += *offset;
-            *offset = end;
-        }
         let mut flat = vec![EdgeId(0); edges.len()];
-        for (i, edge) in edges.iter().enumerate().rev() {
-            let slot = &mut offsets[endpoint(edge).index()];
-            *slot -= 1;
-            flat[*slot as usize] = EdgeId(i as u32);
-        }
+        let offsets = counting_sort(
+            edges,
+            &mut flat,
+            n_vertices,
+            |edge| endpoint(edge).index(),
+            |i, _| EdgeId(i as u32),
+        );
         Self {
             offsets,
             flat,
@@ -276,6 +266,36 @@ impl Adjacency {
         }
         self.appended[v].push(e);
     }
+}
+
+/// A stable counting sort: writes `emit(i, &src[i])` for every element into
+/// `dst` (of `src`'s length), ordered by `bucket`, with equal buckets in
+/// index order. Counts per bucket, prefix-sums the counts into range ends,
+/// then scatters from the last element down, each into the highest free
+/// slot of its bucket. Returns the bucket starts: `buckets + 1` offsets, the
+/// last equal to `src.len()`. Every bucket must be below `buckets`.
+pub(crate) fn counting_sort<S, T>(
+    src: &[S],
+    dst: &mut [T],
+    buckets: usize,
+    bucket: impl Fn(&S) -> usize,
+    emit: impl Fn(usize, &S) -> T,
+) -> Vec<u32> {
+    let mut offsets = vec![0u32; buckets + 1];
+    for item in src {
+        offsets[bucket(item)] += 1;
+    }
+    let mut end = 0;
+    for offset in &mut offsets {
+        end += *offset;
+        *offset = end;
+    }
+    for (i, item) in src.iter().enumerate().rev() {
+        let slot = &mut offsets[bucket(item)];
+        *slot -= 1;
+        dst[*slot as usize] = emit(i, item);
+    }
+    offsets
 }
 
 /// The in-memory typed RDF data graph.

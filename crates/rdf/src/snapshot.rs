@@ -1,7 +1,7 @@
 //! The versioned binary snapshot container and its flat-buffer codec.
 //!
-//! Every index structure of the engine (interner, data graph, triple store,
-//! keyword index, summary graph) can persist itself into a **section** of a
+//! Every persisted index structure of the engine (interner, data graph,
+//! keyword index, summary graph) writes itself into a **section** of a
 //! snapshot file, so that a prepared engine cold-starts in time proportional
 //! to bytes on disk instead of corpus size. The format is deliberately
 //! hand-rolled over `std` only (the workspace has no serde/memmap):
@@ -40,9 +40,9 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 8] = *b"KWSNAP\r\n";
 
 /// The container format version this build reads and writes. Version 2
-/// dropped the stored adjacency from the graph section: it is derived from
-/// the edge columns on load.
-pub const FORMAT_VERSION: u32 = 2;
+/// dropped the stored adjacency from the graph section, and version 3 the
+/// triple-store section: both are derived from the edge columns on load.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Upper bound on the section count (a snapshot has a handful of sections;
 /// anything larger is a corrupt header, not a bigger snapshot).
@@ -146,15 +146,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Whether snapshot load paths should fan work out to helper threads.
+/// Whether the checksum verification of [`SnapshotReader::read_from`]
+/// should fan out to helper threads.
 ///
-/// On a single-core host the scoped-thread paths are strictly worse: the
-/// work serialises anyway, and each helper thread allocates from a fresh
-/// malloc arena instead of the warmed main-thread heap, turning the bulk
-/// loads into page-fault storms (measured ~7x slower at 10⁶-triple scale).
-/// Every parallel decode path checks this and falls back to its serial
-/// twin; both produce identical structures.
-pub fn parallel_load() -> bool {
+/// On a single-core host the scoped-thread path is strictly worse: the work
+/// serialises anyway, and each helper thread allocates from a fresh malloc
+/// arena instead of the warmed main-thread heap. The serial twin reports the
+/// same result.
+fn parallel_load() -> bool {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -6,11 +6,15 @@
 //! `(subject, predicate-label, object)` rows in three sorted permutations
 //! (SPO, POS, OSP), so that any triple pattern with bound/unbound positions
 //! can be answered by a binary-searched range scan.
+//!
+//! The permutations are a pure function of the graph's edge columns, so the
+//! store is never persisted: a snapshot load derives it with
+//! [`TripleStore::build`], a chain of stable counting sorts over the dense
+//! ids.
 
 use std::sync::Arc;
 
-use crate::graph::{DataGraph, EdgeLabelId, VertexId};
-use crate::snapshot::{parallel_load, SectionDecoder, SectionEncoder, SnapshotError, U32Column};
+use crate::graph::{counting_sort, DataGraph, EdgeLabelId, VertexId};
 
 /// A triple pattern: each position is either bound to a concrete id or a
 /// wildcard (`None`).
@@ -82,9 +86,10 @@ struct BaseRows {
 
 /// Sorted-permutation index over the edges of a [`DataGraph`].
 ///
-/// The store is a frozen, `Arc`-shared base plus a small sorted delta per
-/// permutation (the live-update overlay; empty for frozen builds). Every
-/// scan binary-searches both sides and merges, so results are always in
+/// The store is a frozen, `Arc`-shared base derived from the graph's edge
+/// columns by [`Self::build`], plus a small sorted delta per permutation
+/// (the live-update overlay; empty for frozen builds). Every scan
+/// binary-searches both sides and merges, so results are always in
 /// permutation order and bit-identical to a from-scratch build over the
 /// same row set — per-permutation keys are unique, which makes the merge
 /// order unambiguous.
@@ -128,17 +133,33 @@ impl TripleStore {
                 }
             })
             .collect();
-        Self::from_rows(rows)
+        Self::from_rows(rows, graph.vertex_count(), graph.edge_label_count())
     }
 
-    /// Builds a flat (delta-free) store from an arbitrary row set.
-    fn from_rows(mut rows: Vec<SpoRow>) -> Self {
-        rows.sort_by_key(|r| key(r, Permutation::Spo));
-        let spo = rows.clone();
-        rows.sort_by_key(|r| key(r, Permutation::Pos));
-        let pos = rows.clone();
-        rows.sort_by_key(|r| key(r, Permutation::Osp));
+    /// Builds a flat (delta-free) store from a duplicate-free row set whose
+    /// vertex ids lie below `vertices` and label ids below `labels`.
+    ///
+    /// Each permutation is a chain of stable counting sorts, least
+    /// significant key first: SPO is the rows sorted by object, then
+    /// predicate, then subject; OSP is SPO sorted by object (each object's
+    /// rows keep their (subject, predicate) order); POS is OSP sorted by
+    /// predicate. Keys are unique within a permutation, so this is exactly
+    /// the comparison-sorted order. The passes ping-pong between `rows` and
+    /// one scratch buffer, which become SPO and OSP.
+    fn from_rows(mut rows: Vec<SpoRow>, vertices: usize, labels: usize) -> Self {
+        let subject = |r: &SpoRow| r.subject.index();
+        let predicate = |r: &SpoRow| r.predicate.index();
+        let object = |r: &SpoRow| r.object.index();
+        let row = |_: usize, r: &SpoRow| *r;
+        // Only the length matters: every pass overwrites all of its output.
+        let mut spo = rows.clone();
+        counting_sort(&rows, &mut spo, vertices, object, row);
+        counting_sort(&spo, &mut rows, labels, predicate, row);
+        counting_sort(&rows, &mut spo, vertices, subject, row);
+        counting_sort(&spo, &mut rows, vertices, object, row);
         let osp = rows;
+        let mut pos = osp.clone();
+        counting_sort(&osp, &mut pos, labels, predicate, row);
         Self {
             base: Arc::new(BaseRows { spo, pos, osp }),
             delta_spo: Vec::new(),
@@ -181,16 +202,6 @@ impl TripleStore {
     /// Number of delta rows overlaid on the shared base.
     pub fn delta_len(&self) -> usize {
         self.delta_spo.len()
-    }
-
-    /// Merges the delta into a fresh, exclusively-owned base (the
-    /// compaction path). The result is bit-identical to building from
-    /// scratch over the same row set.
-    pub fn flattened(&self) -> Self {
-        if !self.has_delta() {
-            return self.clone();
-        }
-        Self::from_rows(self.merged(Permutation::Spo))
     }
 
     /// All rows of one permutation, base and delta merged in key order.
@@ -300,98 +311,6 @@ impl TripleStore {
     pub fn count(&self, pattern: TriplePattern) -> usize {
         self.scan(pattern).len()
     }
-
-    /// Serialises all three sorted permutations as flat columns, so a load
-    /// needs no re-sorting. Any delta overlay is merged in, so the written
-    /// bytes are identical to those of a from-scratch build over the same
-    /// row set (the live-update compaction proof relies on this).
-    pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
-        for perm in [Permutation::Spo, Permutation::Pos, Permutation::Osp] {
-            let rows = self.merged(perm);
-            let s: Vec<u32> = rows.iter().map(|r| r.subject.0).collect();
-            let p: Vec<u32> = rows.iter().map(|r| r.predicate.0).collect();
-            let o: Vec<u32> = rows.iter().map(|r| r.object.0).collect();
-            enc.put_u32_slice(&s);
-            enc.put_u32_slice(&p);
-            enc.put_u32_slice(&o);
-        }
-    }
-
-    /// Rebuilds the store from [`Self::write_snapshot`] output, validating
-    /// that each permutation is sorted and that all three hold the same
-    /// number of rows.
-    pub fn read_snapshot(dec: &mut SectionDecoder<'_>) -> Result<Self, SnapshotError> {
-        // Grab zero-copy views of all nine columns up front (cheap — no
-        // decoding happens yet), then build and validate the three
-        // permutations on parallel threads: each is an independent
-        // columns → rows re-pack plus a sortedness scan over 10⁶ rows.
-        let mut columns = Vec::with_capacity(3);
-        for perm in [Permutation::Spo, Permutation::Pos, Permutation::Osp] {
-            let s = dec.get_u32_column()?;
-            let p = dec.get_u32_column()?;
-            let o = dec.get_u32_column()?;
-            if s.len() != p.len() || s.len() != o.len() {
-                return Err(dec.corrupt("triple store columns differ in length"));
-            }
-            columns.push((perm, s, p, o));
-        }
-        let build = |(perm, s, p, o): &(
-            Permutation,
-            U32Column<'_>,
-            U32Column<'_>,
-            U32Column<'_>,
-        )|
-         -> Result<Vec<SpoRow>, SnapshotError> {
-            // The columns are zipped straight out of the payload bytes into
-            // the row array: no intermediate `Vec<u32>` per column.
-            let rows: Vec<SpoRow> = s
-                .iter()
-                .zip(p.iter())
-                .zip(o.iter())
-                .map(|((s, p), o)| SpoRow {
-                    subject: VertexId(s),
-                    predicate: EdgeLabelId(p),
-                    object: VertexId(o),
-                })
-                .collect();
-            if rows
-                .windows(2)
-                .any(|w| key(&w[0], *perm) > key(&w[1], *perm))
-            {
-                return Err(dec.corrupt("triple store permutation is not sorted"));
-            }
-            Ok(rows)
-        };
-        let (spo, pos, osp) = if parallel_load() {
-            std::thread::scope(|scope| {
-                let pos_thread = scope.spawn(|| build(&columns[1]));
-                let osp_thread = scope.spawn(|| build(&columns[2]));
-                let spo = build(&columns[0]);
-                let join = |handle: std::thread::ScopedJoinHandle<
-                    '_,
-                    Result<Vec<SpoRow>, SnapshotError>,
-                >| {
-                    match handle.join() {
-                        Ok(rows) => rows,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                };
-                (spo, join(pos_thread), join(osp_thread))
-            })
-        } else {
-            (build(&columns[0]), build(&columns[1]), build(&columns[2]))
-        };
-        let (spo, pos, osp) = (spo?, pos?, osp?);
-        if spo.len() != pos.len() || spo.len() != osp.len() {
-            return Err(dec.corrupt("triple store permutations differ in length"));
-        }
-        Ok(Self {
-            base: Arc::new(BaseRows { spo, pos, osp }),
-            delta_spo: Vec::new(),
-            delta_pos: Vec::new(),
-            delta_osp: Vec::new(),
-        })
-    }
 }
 
 /// Merges two runs that are each sorted (and jointly duplicate-free) under
@@ -424,6 +343,8 @@ mod tests {
     use super::*;
     use crate::fixtures::figure1_graph;
     use crate::graph::EdgeLabel;
+    use crate::triple::Triple;
+    use proptest::prelude::*;
 
     fn store_and_graph() -> (TripleStore, DataGraph) {
         let g = figure1_graph();
@@ -534,7 +455,7 @@ mod tests {
     }
 
     /// Splits the figure-1 rows into a base store plus a delta overlay and
-    /// checks every scan (and the snapshot bytes) match the flat build.
+    /// checks every scan matches the flat build.
     #[test]
     fn delta_overlay_scans_match_a_flat_build() {
         let (flat, g) = store_and_graph();
@@ -543,7 +464,8 @@ mod tests {
         // Deliberately feed the base and delta in scrambled order.
         let mut head_rows = head.to_vec();
         head_rows.reverse();
-        let mut overlaid = TripleStore::from_rows(head_rows);
+        let mut overlaid =
+            TripleStore::from_rows(head_rows, g.vertex_count(), g.edge_label_count());
         let mut scrambled_tail = tail.to_vec();
         scrambled_tail.reverse();
         overlaid.add_rows(&scrambled_tail);
@@ -581,53 +503,52 @@ mod tests {
                 "pattern {pattern:?} must not see the base/delta split"
             );
         }
-
-        let snapshot_bytes = |store: &TripleStore| {
-            let mut enc = SectionEncoder::new();
-            store.write_snapshot(&mut enc);
-            enc.into_bytes()
-        };
-        assert_eq!(
-            snapshot_bytes(&overlaid),
-            snapshot_bytes(&flat),
-            "snapshot bytes must be independent of the base/delta split"
-        );
-
-        let flattened = overlaid.flattened();
-        assert!(!flattened.has_delta());
-        assert_eq!(
-            flattened.scan(TriplePattern::any()),
-            flat.scan(TriplePattern::any())
-        );
     }
 
-    #[test]
-    fn snapshot_round_trip_preserves_scans() {
-        use crate::snapshot::{SnapshotReader, SnapshotWriter};
-        let (store, g) = store_and_graph();
-        let mut enc = SectionEncoder::new();
-        store.write_snapshot(&mut enc);
-        let mut writer = SnapshotWriter::new();
-        writer.add_section(3, enc);
-        let mut bytes = Vec::new();
-        writer.write_to(&mut bytes).unwrap();
-        let reader = SnapshotReader::read_from(bytes.as_slice()).unwrap();
-        let mut dec = reader.section(3).unwrap();
-        let loaded = TripleStore::read_snapshot(&mut dec).unwrap();
-        dec.finish().unwrap();
+    /// Today's order, by comparison: the oracle the counting-sort build must
+    /// equal, permutation by permutation.
+    fn comparison_sorted(rows: &[SpoRow]) -> [Vec<SpoRow>; 3] {
+        let mut rows = rows.to_vec();
+        rows.sort_by_key(|r| key(r, Permutation::Spo));
+        let spo = rows.clone();
+        rows.sort_by_key(|r| key(r, Permutation::Pos));
+        let pos = rows.clone();
+        rows.sort_by_key(|r| key(r, Permutation::Osp));
+        [spo, pos, rows]
+    }
 
-        assert_eq!(loaded.len(), store.len());
-        for v in g.vertices() {
-            for pattern in [
-                TriplePattern::any().with_subject(v),
-                TriplePattern::any().with_object(v),
-            ] {
-                assert_eq!(loaded.scan(pattern), store.scan(pattern));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random graphs — parallel edges under different labels, self
+        /// loops, isolated vertices — all three permutations of the
+        /// counting-sort build equal the comparison sort.
+        #[test]
+        fn build_equals_the_comparison_sort(
+            edges in proptest::collection::vec((0usize..12, 0usize..4, 0usize..12), 0..60),
+            types in proptest::collection::vec((0usize..12, 0usize..3), 0..12),
+        ) {
+            let mut g = DataGraph::new();
+            for (s, p, o) in &edges {
+                g.insert_triple(&Triple::relation(format!("e{s}"), format!("r{p}"), format!("e{o}")))
+                    .unwrap();
             }
+            for (e, c) in &types {
+                g.insert_triple(&Triple::typed(format!("e{e}"), format!("C{c}")))
+                    .unwrap();
+            }
+            let rows: Vec<SpoRow> = g
+                .edges()
+                .map(|e| {
+                    let edge = g.edge(e);
+                    SpoRow { subject: edge.from, predicate: edge.label, object: edge.to }
+                })
+                .collect();
+            let [spo, pos, osp] = comparison_sorted(&rows);
+            let store = TripleStore::build(&g);
+            prop_assert_eq!(&store.base.spo, &spo);
+            prop_assert_eq!(&store.base.pos, &pos);
+            prop_assert_eq!(&store.base.osp, &osp);
         }
-        assert_eq!(
-            loaded.scan(TriplePattern::any()),
-            store.scan(TriplePattern::any())
-        );
     }
 }

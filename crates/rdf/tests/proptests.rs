@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 
 use kwsearch_rdf::{
-    ntriples, DataGraph, EdgeId, GraphStats, SectionDecoder, SectionEncoder, Triple, TriplePattern,
-    TripleStore,
+    ntriples, DataGraph, EdgeId, GraphStats, SectionDecoder, SectionEncoder, SpoRow, Triple,
+    TriplePattern, TripleStore,
 };
 
 /// A label that is safe for entity IRIs and class names.
@@ -92,42 +92,60 @@ proptest! {
         prop_assert!(stats.untyped_entities <= stats.entities);
     }
 
-    /// Triple-store scans agree with a naive filter over all edges, for
-    /// every combination of bound positions.
+    /// Triple-store scans return exactly the rows of a naive filter over
+    /// all edges, in the order of the permutation that serves the pattern,
+    /// for every combination of bound positions. Three stores must agree:
+    /// one built over an inserted graph, one over the same graph reloaded
+    /// from its snapshot section, and one built over a prefix of the
+    /// triples with the rest added as a delta.
     #[test]
-    fn store_scans_match_naive_filtering(ts in triples(30)) {
-        let mut graph = DataGraph::new();
-        for t in &ts {
-            graph.insert_triple(t).unwrap();
-        }
-        let store = TripleStore::build(&graph);
-        prop_assert_eq!(store.len(), graph.edge_count());
+    fn store_scans_match_naive_filtering(ts in triples(30), split in 0usize..30) {
+        let graph = insert_all(DataGraph::new(), &ts);
+        let split = split % (ts.len() + 1);
+        let prefix = insert_all(DataGraph::new(), &ts[..split]);
+        let mut overlaid = TripleStore::build(&prefix);
+        let tail: Vec<SpoRow> = edge_rows(&graph).split_off(prefix.edge_count());
+        overlaid.add_rows(&tail);
+        let stores = [TripleStore::build(&graph), TripleStore::build(&reload(&graph)), overlaid];
 
-        // Probe with every edge of the graph as a pattern source.
-        for e in graph.edges().take(10) {
-            let edge = graph.edge(e);
-            let patterns = [
-                TriplePattern::any().with_subject(edge.from),
-                TriplePattern::any().with_predicate(edge.label),
-                TriplePattern::any().with_object(edge.to),
-                TriplePattern::any().with_subject(edge.from).with_object(edge.to),
-                TriplePattern::any()
-                    .with_subject(edge.from)
-                    .with_predicate(edge.label)
-                    .with_object(edge.to),
-            ];
-            for pattern in patterns {
-                let scanned = store.scan(pattern);
-                let expected = graph
-                    .edges()
-                    .filter(|&other| {
-                        let o = graph.edge(other);
-                        pattern.subject.is_none_or(|s| s == o.from)
-                            && pattern.predicate.is_none_or(|p| p == o.label)
-                            && pattern.object.is_none_or(|obj| obj == o.to)
-                    })
-                    .count();
-                prop_assert_eq!(scanned.len(), expected);
+        // Each pattern with the sort key of the permutation that serves it:
+        // SPO for a bound subject (and predicate), OSP for a bound object
+        // with or without the subject, POS for a bound predicate alone.
+        type Key = fn(&SpoRow) -> (usize, usize, usize);
+        let spo: Key = |r| (r.subject.index(), r.predicate.index(), r.object.index());
+        let pos: Key = |r| (r.predicate.index(), r.object.index(), r.subject.index());
+        let osp: Key = |r| (r.object.index(), r.subject.index(), r.predicate.index());
+        let mut patterns = vec![(TriplePattern::any(), spo)];
+        for edge in graph.edges().take(10).map(|e| graph.edge(e)) {
+            patterns.extend([
+                (TriplePattern::any().with_subject(edge.from), spo),
+                (TriplePattern::any().with_subject(edge.from).with_predicate(edge.label), spo),
+                (
+                    TriplePattern::any()
+                        .with_subject(edge.from)
+                        .with_predicate(edge.label)
+                        .with_object(edge.to),
+                    spo,
+                ),
+                (TriplePattern::any().with_predicate(edge.label), pos),
+                (TriplePattern::any().with_predicate(edge.label).with_object(edge.to), pos),
+                (TriplePattern::any().with_object(edge.to), osp),
+                (TriplePattern::any().with_subject(edge.from).with_object(edge.to), osp),
+            ]);
+        }
+        for (pattern, order) in patterns {
+            let mut expected: Vec<SpoRow> = edge_rows(&graph)
+                .into_iter()
+                .filter(|r| {
+                    pattern.subject.is_none_or(|s| s == r.subject)
+                        && pattern.predicate.is_none_or(|p| p == r.predicate)
+                        && pattern.object.is_none_or(|o| o == r.object)
+                })
+                .collect();
+            expected.sort_by_key(order);
+            for store in &stores {
+                prop_assert_eq!(store.len(), graph.edge_count());
+                prop_assert_eq!(store.scan(pattern), expected.clone(), "{:?}", pattern);
             }
         }
     }
@@ -167,6 +185,21 @@ proptest! {
             prop_assert_eq!(graph_section(g), graph_section(&built));
         }
     }
+}
+
+/// The graph's edges as store rows, in edge-id order.
+fn edge_rows(graph: &DataGraph) -> Vec<SpoRow> {
+    graph
+        .edges()
+        .map(|e| {
+            let edge = graph.edge(e);
+            SpoRow {
+                subject: edge.from,
+                predicate: edge.label,
+                object: edge.to,
+            }
+        })
+        .collect()
 }
 
 fn insert_all(mut graph: DataGraph, ts: &[Triple]) -> DataGraph {

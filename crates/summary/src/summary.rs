@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
-use kwsearch_rdf::{DataGraph, EdgeLabel, EdgeLabelId, VertexId};
+use kwsearch_rdf::{DataGraph, EdgeKind, EdgeLabel, EdgeLabelId, VertexId, VertexKind};
 
 use crate::element::{
     SummaryEdge, SummaryEdgeId, SummaryEdgeKind, SummaryNode, SummaryNodeId, SummaryNodeKind,
@@ -465,11 +465,22 @@ impl SummaryGraph {
         enc.put_u64(self.total_relation_edges as u64);
     }
 
-    /// Reads a summary serialised by [`Self::write_snapshot`]. The class
-    /// lookup map and the adjacency lists are rebuilt here — the summary is
-    /// schema-sized (nodes = classes + 1), so this stays far below the
-    /// O(bytes) budget of the data-graph sections.
-    pub fn read_snapshot(dec: &mut SectionDecoder<'_>) -> Result<Self, SnapshotError> {
+    /// Reads a summary serialised by [`Self::write_snapshot`] for `graph`.
+    /// The class lookup map and the adjacency lists are rebuilt here — the
+    /// summary is schema-sized (nodes = classes + 1), so this stays far
+    /// below the O(bytes) budget of the data-graph sections. Every class or
+    /// value node must name a vertex of `graph` of that kind, and every
+    /// relation or attribute edge a label of that kind; anything else is
+    /// [`SnapshotError::Corrupt`].
+    pub fn read_snapshot(
+        dec: &mut SectionDecoder<'_>,
+        graph: &DataGraph,
+    ) -> Result<Self, SnapshotError> {
+        let vertex_is =
+            |v: VertexId, kind| v.index() < graph.vertex_count() && graph.vertex_kind(v) == kind;
+        let label_is = |l: EdgeLabelId, kind| {
+            l.index() < graph.edge_label_count() && graph.edge_label(l).kind() == kind
+        };
         let node_tags = dec.get_u32_vec()?;
         let node_payloads = dec.get_u32_vec()?;
         let node_aggregated = dec.get_u64_vec()?;
@@ -484,6 +495,9 @@ impl SummaryGraph {
             let kind = match node_tags[i] {
                 NODE_TAG_CLASS => {
                     let class = VertexId::from_index(node_payloads[i]);
+                    if !vertex_is(class, VertexKind::Class) {
+                        return Err(dec.corrupt("summary class node names no class of the graph"));
+                    }
                     if class_nodes.insert(class, id).is_some() {
                         return Err(dec.corrupt("duplicate summary class node"));
                     }
@@ -496,9 +510,13 @@ impl SummaryGraph {
                     thing_node = Some(id);
                     SummaryNodeKind::Thing
                 }
-                NODE_TAG_VALUE => SummaryNodeKind::Value {
-                    value: VertexId::from_index(node_payloads[i]),
-                },
+                NODE_TAG_VALUE => {
+                    let value = VertexId::from_index(node_payloads[i]);
+                    if !vertex_is(value, VertexKind::Value) {
+                        return Err(dec.corrupt("summary value node names no value of the graph"));
+                    }
+                    SummaryNodeKind::Value { value }
+                }
                 NODE_TAG_ARTIFICIAL_VALUE => SummaryNodeKind::ArtificialValue,
                 _ => return Err(dec.corrupt("unknown summary node tag")),
             };
@@ -527,14 +545,18 @@ impl SummaryGraph {
         let mut out_adj = vec![Vec::new(); nodes.len()];
         let mut in_adj = vec![Vec::new(); nodes.len()];
         for i in 0..edge_tags.len() {
+            let label = EdgeLabelId::from_index(edge_labels[i]);
             let kind = match edge_tags[i] {
-                EDGE_TAG_RELATION => SummaryEdgeKind::Relation {
-                    label: EdgeLabelId::from_index(edge_labels[i]),
-                },
+                EDGE_TAG_RELATION if label_is(label, EdgeKind::Relation) => {
+                    SummaryEdgeKind::Relation { label }
+                }
                 EDGE_TAG_SUBCLASS => SummaryEdgeKind::SubClass,
-                EDGE_TAG_ATTRIBUTE => SummaryEdgeKind::Attribute {
-                    label: EdgeLabelId::from_index(edge_labels[i]),
-                },
+                EDGE_TAG_ATTRIBUTE if label_is(label, EdgeKind::Attribute) => {
+                    SummaryEdgeKind::Attribute { label }
+                }
+                EDGE_TAG_RELATION | EDGE_TAG_ATTRIBUTE => {
+                    return Err(dec.corrupt("summary edge names no label of its kind in the graph"))
+                }
                 _ => return Err(dec.corrupt("unknown summary edge tag")),
             };
             let (from, to) = (edge_from[i] as usize, edge_to[i] as usize);
@@ -732,7 +754,7 @@ mod tests {
         let bytes = bytes_of(&s);
         let reader = SnapshotReader::read_from(bytes.as_slice()).unwrap();
         let mut dec = reader.section(5).unwrap();
-        let loaded = SummaryGraph::read_snapshot(&mut dec).unwrap();
+        let loaded = SummaryGraph::read_snapshot(&mut dec, &g).unwrap();
         dec.finish().unwrap();
 
         assert_eq!(loaded.node_count(), s.node_count());
@@ -778,7 +800,7 @@ mod tests {
         let reader = SnapshotReader::read_from(bytes.as_slice()).unwrap();
         let mut dec = reader.section(5).unwrap();
         assert!(matches!(
-            SummaryGraph::read_snapshot(&mut dec),
+            SummaryGraph::read_snapshot(&mut dec, &figure1_graph()),
             Err(SnapshotError::Corrupt { .. })
         ));
     }
