@@ -8,7 +8,7 @@
 //! which the base structures are `Arc`-shared and only a small delta overlay
 //! differs:
 //!
-//! * the triple store keeps its three frozen sorted permutations and merges
+//! * the triple store keeps its two frozen sorted permutations and merges
 //!   a sorted delta into every scan ([`TripleStore::add_rows`]),
 //! * the data graph appends new edges to per-vertex lists beside the
 //!   adjacency base it derived from its edge columns, and never re-derives
@@ -65,8 +65,8 @@ use std::time::{Duration, Instant};
 
 use kwsearch_keyword_index::ElementRef;
 use kwsearch_rdf::{
-    DataGraph, EdgeId, EdgeLabel, RdfError, SnapshotError, SpoRow, Triple, TriplePattern,
-    TripleStore, VertexId, VertexKind,
+    DataGraph, EdgeId, EdgeLabel, RdfError, SnapshotError, SpoRow, Triple, TripleStore, VertexId,
+    VertexKind,
 };
 use kwsearch_summary::SummaryGraph;
 
@@ -384,10 +384,12 @@ impl LiveGraph {
     /// (read-your-writes). Concurrent readers holding older snapshots are
     /// unaffected.
     ///
-    /// Additions extend the delta overlays in `O(delta)`; retractions
-    /// trigger an inline mini-compaction (full rebuild of the merged base
-    /// without the retracted triples). On any error the live state is
-    /// unchanged.
+    /// Additions cost `O(base)`: the data graph is cloned whole before the
+    /// batch is inserted. Only the triple store and the keyword index share
+    /// their frozen bases through `Arc` and extend a delta overlay in
+    /// `O(delta)`. Retractions trigger an inline mini-compaction (full
+    /// rebuild of the merged base without the retracted triples). On any
+    /// error the live state is unchanged.
     pub fn apply(&self, batch: &DeltaBatch) -> Result<WriteTicket, WriteError> {
         self.write(|prepared| {
             if batch.is_empty() {
@@ -637,10 +639,7 @@ impl LiveGraph {
         // and its rows must be the live store's rows, base and delta merged.
         let graph = prepared.graph().clone();
         let store = TripleStore::build(&graph);
-        prove_identical(
-            &prepared.store().scan(TriplePattern::any()),
-            &store.scan(TriplePattern::any()),
-        )?;
+        prove_identical(&prepared.store().rows(), &store.rows())?;
 
         // Fold the rest: the graph is written as its edge columns; the
         // keyword index (whose delta vocabulary has no frozen form) is

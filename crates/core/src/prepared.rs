@@ -236,7 +236,7 @@ impl PreparedGraph {
         query: &ConjunctiveQuery,
         limit: Option<usize>,
     ) -> Result<AnswerSet, EvalError> {
-        Evaluator::with_borrowed_store(&self.graph, &self.store).evaluate_with_limit(query, limit)
+        Evaluator::new(&self.graph, &self.store).evaluate_with_limit(query, limit)
     }
 
     /// Processes already-computed ranked queries in rank order until at

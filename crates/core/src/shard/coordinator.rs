@@ -136,8 +136,7 @@ fn evaluate_sharded(
                 return Ok((AnswerSet::empty(variables), true));
             }
             per_shard.push(
-                Evaluator::with_borrowed_store(shard.graph(), shard.store())
-                    .evaluate_with_limit(&sub, Some(limit)),
+                Evaluator::new(shard.graph(), shard.store()).evaluate_with_limit(&sub, Some(limit)),
             );
         }
         let rows = union_shard_rows(per_shard)?;

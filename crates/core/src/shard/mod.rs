@@ -1,6 +1,6 @@
 //! Sharding: one data graph partitioned into edge-disjoint preparations.
 //!
-//! [`partition`] splits a data graph into `N` **edge-disjoint** shard graphs
+//! [`partition()`] splits a data graph into `N` **edge-disjoint** shard graphs
 //! over the original id space (entity/value connectivity components stay
 //! whole; `subclass` schema edges are replicated), and
 //! [`PartitionPlan::prepare_shards`] builds one [`PreparedGraph`] per shard —

@@ -92,51 +92,21 @@ pub(crate) fn resolve_object_constant(
     }
 }
 
-/// Owned or borrowed triple store backing an [`Evaluator`].
-enum StoreHolder<'g> {
-    Owned(TripleStore),
-    Borrowed(&'g TripleStore),
-}
-
-impl StoreHolder<'_> {
-    fn get(&self) -> &TripleStore {
-        match self {
-            StoreHolder::Owned(s) => s,
-            StoreHolder::Borrowed(s) => s,
-        }
-    }
-}
-
-/// A reusable evaluator bound to one data graph.
+/// A reusable evaluator over one data graph and the triple store built from
+/// it.
 pub struct Evaluator<'g> {
     graph: &'g DataGraph,
-    store: StoreHolder<'g>,
+    store: &'g TripleStore,
     max_intermediate_rows: usize,
 }
 
 impl<'g> Evaluator<'g> {
-    /// Creates an evaluator, building the triple-store index for `graph`.
-    pub fn new(graph: &'g DataGraph) -> Self {
-        Self::with_store(graph, TripleStore::build(graph))
-    }
-
-    /// Creates an evaluator reusing an existing store (the store must have
-    /// been built from the same graph).
-    pub fn with_store(graph: &'g DataGraph, store: TripleStore) -> Self {
+    /// Creates an evaluator over `graph` and `store`, which must have been
+    /// built from that graph.
+    pub fn new(graph: &'g DataGraph, store: &'g TripleStore) -> Self {
         Self {
             graph,
-            store: StoreHolder::Owned(store),
-            max_intermediate_rows: DEFAULT_MAX_INTERMEDIATE_ROWS,
-        }
-    }
-
-    /// Creates an evaluator borrowing an existing store (the store must have
-    /// been built from the same graph). Useful when many queries are
-    /// evaluated against the same data, e.g. by the keyword-search engine.
-    pub fn with_borrowed_store(graph: &'g DataGraph, store: &'g TripleStore) -> Self {
-        Self {
-            graph,
-            store: StoreHolder::Borrowed(store),
+            store,
             max_intermediate_rows: DEFAULT_MAX_INTERMEDIATE_ROWS,
         }
     }
@@ -145,11 +115,6 @@ impl<'g> Evaluator<'g> {
     pub fn with_max_intermediate_rows(mut self, limit: usize) -> Self {
         self.max_intermediate_rows = limit;
         self
-    }
-
-    /// The underlying triple store (exposed for benchmarks).
-    pub fn store(&self) -> &TripleStore {
-        self.store.get()
     }
 
     /// Evaluates `query`, returning all answers.
@@ -190,10 +155,10 @@ impl<'g> Evaluator<'g> {
     /// is found — pulling `n` items costs only the work needed to reach the
     /// first `n` distinct answers.
     pub fn answer_stream(&self, query: &ConjunctiveQuery) -> Result<AnswerStream<'_>, EvalError> {
-        let compiled = CompiledQuery::compile(query, self.graph, self.store.get())?;
+        let compiled = CompiledQuery::compile(query, self.graph, self.store)?;
         let variable_count = compiled.variables.len();
         Ok(AnswerStream {
-            store: self.store.get(),
+            store: self.store,
             row: vec![None; variable_count],
             stack: Vec::with_capacity(compiled.atoms.len()),
             seen: HashSet::new(),
@@ -218,7 +183,7 @@ struct Frame {
     bound_object: Option<usize>,
 }
 
-/// Builds the triple pattern for `pattern` under the current bindings: a
+/// Scans the triple pattern for `pattern` under the current bindings: a
 /// compiled constant or an already-bound variable pins the position, an
 /// unbound variable leaves it as a wildcard.
 fn scan_pattern(
@@ -226,24 +191,15 @@ fn scan_pattern(
     row: &[Option<VertexId>],
     pattern: &CompiledPattern,
 ) -> Vec<SpoRow> {
-    let mut tp = TriplePattern::any().with_predicate(pattern.label);
-    match pattern.subject {
-        Slot::Const(v) => tp = tp.with_subject(v),
-        Slot::Var(s) => {
-            if let Some(v) = row[s] {
-                tp = tp.with_subject(v);
-            }
-        }
-    }
-    match pattern.object {
-        Slot::Const(v) => tp = tp.with_object(v),
-        Slot::Var(o) => {
-            if let Some(v) = row[o] {
-                tp = tp.with_object(v);
-            }
-        }
-    }
-    store.scan(tp)
+    let bound = |slot| match slot {
+        Slot::Const(v) => Some(v),
+        Slot::Var(i) => row[i],
+    };
+    store.scan(TriplePattern {
+        subject: bound(pattern.subject),
+        predicate: pattern.label,
+        object: bound(pattern.object),
+    })
 }
 
 /// Extends the current bindings with one matched triple, recording the newly
@@ -416,9 +372,11 @@ impl Iterator for AnswerStream<'_> {
     }
 }
 
-/// One-shot convenience wrapper around [`Evaluator`].
+/// One-shot convenience wrapper around [`Evaluator`]: builds the triple
+/// store for `graph` and evaluates `query` against it.
 pub fn evaluate(graph: &DataGraph, query: &ConjunctiveQuery) -> Result<AnswerSet, EvalError> {
-    Evaluator::new(graph).evaluate(query)
+    let store = TripleStore::build(graph);
+    Evaluator::new(graph, &store).evaluate(query)
 }
 
 #[doc(hidden)]
@@ -559,7 +517,7 @@ pub mod reference {
                         }
                     }
                 };
-                let mut pattern = TriplePattern::any().with_predicate(label);
+                let mut pattern = TriplePattern::new(label);
                 if let Some(s) = subject_bound {
                     pattern = pattern.with_subject(s);
                 }
@@ -733,7 +691,8 @@ mod tests {
         let q = QueryBuilder::new()
             .relation_pattern("p", "author", "a")
             .build();
-        let evaluator = Evaluator::new(&g);
+        let store = TripleStore::build(&g);
+        let evaluator = Evaluator::new(&g, &store);
         let answers = evaluator.evaluate_with_limit(&q, Some(1)).unwrap();
         assert_eq!(answers.len(), 1);
     }
@@ -747,7 +706,8 @@ mod tests {
             .relation_pattern("c", "worksAt", "d")
             .relation_pattern("e", "hasProject", "f")
             .build();
-        let evaluator = Evaluator::new(&g).with_max_intermediate_rows(3);
+        let store = TripleStore::build(&g);
+        let evaluator = Evaluator::new(&g, &store).with_max_intermediate_rows(3);
         match evaluator.evaluate(&q) {
             Err(EvalError::TooManyIntermediateRows { limit }) => assert_eq!(limit, 3),
             other => panic!("expected row-cap error, got {other:?}"),
@@ -806,7 +766,8 @@ mod tests {
             .relation_pattern("x", "linksTo", "y")
             .distinguished(["x"])
             .build();
-        let evaluator = Evaluator::new(&g);
+        let store = TripleStore::build(&g);
+        let evaluator = Evaluator::new(&g, &store);
 
         let full = evaluator.evaluate(&q).unwrap();
         assert_eq!(full.len(), 2, "two distinct hubs");
@@ -816,14 +777,9 @@ mod tests {
         assert_eq!(limited.rows(), full.rows());
 
         // The reference evaluator exhibits the shortfall this test pins down.
-        let short = reference::evaluate_with_limit(
-            &g,
-            evaluator.store(),
-            &q,
-            Some(2),
-            DEFAULT_MAX_INTERMEDIATE_ROWS,
-        )
-        .unwrap();
+        let short =
+            reference::evaluate_with_limit(&g, &store, &q, Some(2), DEFAULT_MAX_INTERMEDIATE_ROWS)
+                .unwrap();
         assert!(
             short.len() < 2,
             "the materializing evaluator over-collects 8 bindings that all \
@@ -843,7 +799,8 @@ mod tests {
             .relation_pattern("c", "worksAt", "d")
             .relation_pattern("e", "hasProject", "f")
             .build();
-        let evaluator = Evaluator::new(&g).with_max_intermediate_rows(3);
+        let store = TripleStore::build(&g);
+        let evaluator = Evaluator::new(&g, &store).with_max_intermediate_rows(3);
 
         // Unrestricted evaluation exceeds the budget...
         assert!(matches!(
@@ -856,7 +813,7 @@ mod tests {
         assert_eq!(answers.len(), 1);
 
         // The reference evaluator cannot do this: it trips the cap first.
-        let reference = reference::evaluate_with_limit(&g, evaluator.store(), &q, Some(1), 3);
+        let reference = reference::evaluate_with_limit(&g, &store, &q, Some(1), 3);
         assert!(matches!(
             reference,
             Err(EvalError::TooManyIntermediateRows { limit: 3 })
@@ -869,7 +826,10 @@ mod tests {
         let q = QueryBuilder::new()
             .relation_pattern("p", "author", "a")
             .build();
-        let answers = Evaluator::new(&g).evaluate_with_limit(&q, Some(0)).unwrap();
+        let store = TripleStore::build(&g);
+        let answers = Evaluator::new(&g, &store)
+            .evaluate_with_limit(&q, Some(0))
+            .unwrap();
         assert!(answers.is_empty());
     }
 
@@ -879,7 +839,8 @@ mod tests {
         let q = QueryBuilder::new()
             .relation_pattern("x", "linksTo", "y")
             .build();
-        let evaluator = Evaluator::new(&g);
+        let store = TripleStore::build(&g);
+        let evaluator = Evaluator::new(&g, &store);
         let mut stream = evaluator.answer_stream(&q).unwrap();
         let first = stream.next().expect("an answer exists").unwrap();
         assert_eq!(first.len(), 2, "two distinguished variables by default");
@@ -914,17 +875,13 @@ mod tests {
                 .atom("subclass", QueryTerm::var("c"), QueryTerm::iri("Agent"))
                 .build(),
         ];
-        let evaluator = Evaluator::new(&g);
+        let store = TripleStore::build(&g);
+        let evaluator = Evaluator::new(&g, &store);
         for q in &queries {
             let streaming = evaluator.evaluate(q).unwrap();
-            let materializing = reference::evaluate_with_limit(
-                &g,
-                evaluator.store(),
-                q,
-                None,
-                DEFAULT_MAX_INTERMEDIATE_ROWS,
-            )
-            .unwrap();
+            let materializing =
+                reference::evaluate_with_limit(&g, &store, q, None, DEFAULT_MAX_INTERMEDIATE_ROWS)
+                    .unwrap();
             assert_eq!(streaming, materializing, "query {q}");
         }
     }

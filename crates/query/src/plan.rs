@@ -42,7 +42,7 @@ fn estimate_atom(
     let mut total = 0usize;
     for label in labels {
         let kind = graph.edge_label(label).kind();
-        let mut pattern = TriplePattern::any().with_predicate(label);
+        let mut pattern = TriplePattern::new(label);
         if let Some(c) = atom.subject.as_constant() {
             match resolve_subject_constant(graph, kind, c) {
                 Some(v) => pattern = pattern.with_subject(v),

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use kwsearch_query::eval::{reference, DEFAULT_MAX_INTERMEDIATE_ROWS};
 use kwsearch_query::{ConjunctiveQuery, Evaluator, QueryBuilder};
-use kwsearch_rdf::{DataGraph, Triple};
+use kwsearch_rdf::{DataGraph, Triple, TripleStore};
 
 const CLASSES: [&str; 3] = ["Alpha", "Beta", "Gamma"];
 const VALUES: [&str; 5] = ["red", "green", "blue", "cyan", "amber"];
@@ -113,11 +113,12 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let query = build_query(&qspec);
-        let evaluator = Evaluator::new(&graph);
+        let store = TripleStore::build(&graph);
+        let evaluator = Evaluator::new(&graph, &store);
         let streaming = evaluator.evaluate(&query).expect("small graphs stay in budget");
         let materializing = reference::evaluate_with_limit(
             &graph,
-            evaluator.store(),
+            &store,
             &query,
             None,
             DEFAULT_MAX_INTERMEDIATE_ROWS,
@@ -136,7 +137,8 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let query = build_query(&qspec);
-        let evaluator = Evaluator::new(&graph);
+        let store = TripleStore::build(&graph);
+        let evaluator = Evaluator::new(&graph, &store);
         let full = evaluator.evaluate(&query).expect("small graphs stay in budget");
         for n in [1usize, 2, 5, 17] {
             let limited = evaluator
@@ -164,14 +166,15 @@ proptest! {
     ) {
         let graph = build_graph(&gspec);
         let query = build_query(&qspec);
-        let evaluator = Evaluator::new(&graph);
+        let store = TripleStore::build(&graph);
+        let evaluator = Evaluator::new(&graph, &store);
         for n in [1usize, 3, 10] {
             let streaming = evaluator
                 .evaluate_with_limit(&query, Some(n))
                 .expect("small graphs stay in budget");
             let materializing = reference::evaluate_with_limit(
                 &graph,
-                evaluator.store(),
+                &store,
                 &query,
                 Some(n),
                 DEFAULT_MAX_INTERMEDIATE_ROWS,

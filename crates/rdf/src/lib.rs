@@ -16,8 +16,9 @@
 //! * a compact string [`Interner`] shared by all labels,
 //! * a [`GraphBuilder`] that ingests RDF triples and
 //!   classifies them into the four edge kinds,
-//! * an indexed [`TripleStore`] offering pattern scans
-//!   (`(s?, p?, o?)`) used by the conjunctive-query evaluator,
+//! * an indexed [`TripleStore`] offering the pattern scans a
+//!   conjunctive-query atom needs (`(s?, p, o?)`: the predicate is always
+//!   bound) to the query evaluator,
 //! * a line-oriented [N-Triples-like parser/serialiser](ntriples), and
 //! * [graph statistics](stats) used by the evaluation harness.
 //!

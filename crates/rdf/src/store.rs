@@ -3,9 +3,11 @@
 //! The paper's architecture processes the generated conjunctive query with
 //! "the underlying database engine". This module provides that engine's
 //! storage layer: a [`TripleStore`] holding the data graph's edges as
-//! `(subject, predicate-label, object)` rows in three sorted permutations
-//! (SPO, POS, OSP), so that any triple pattern with bound/unbound positions
-//! can be answered by a binary-searched range scan.
+//! `(subject, predicate-label, object)` rows in two sorted permutations,
+//! SPO and POS. Every atom of a conjunctive query (Definition 2) names its
+//! predicate, so a [`TriplePattern`] always binds it, and each of its four
+//! shapes `(s?, p, o?)` is one binary-searched range: SPO serves a bound
+//! subject, POS a bound predicate alone or with its object.
 //!
 //! The permutations are a pure function of the graph's edge columns, so the
 //! store is never persisted: a snapshot load derives it with
@@ -16,22 +18,27 @@ use std::sync::Arc;
 
 use crate::graph::{counting_sort, DataGraph, EdgeLabelId, VertexId};
 
-/// A triple pattern: each position is either bound to a concrete id or a
-/// wildcard (`None`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// A triple pattern: the predicate is always bound, as in every atom of a
+/// conjunctive query; the subject and the object are each bound to a
+/// concrete id or a wildcard (`None`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriplePattern {
     /// Bound subject vertex, if any.
     pub subject: Option<VertexId>,
-    /// Bound predicate label, if any.
-    pub predicate: Option<EdgeLabelId>,
+    /// Bound predicate label.
+    pub predicate: EdgeLabelId,
     /// Bound object vertex, if any.
     pub object: Option<VertexId>,
 }
 
 impl TriplePattern {
-    /// Pattern with all positions unbound.
-    pub fn any() -> Self {
-        Self::default()
+    /// Pattern over `predicate` with the subject and the object unbound.
+    pub fn new(predicate: EdgeLabelId) -> Self {
+        Self {
+            subject: None,
+            predicate,
+            object: None,
+        }
     }
 
     /// Sets the subject.
@@ -40,23 +47,10 @@ impl TriplePattern {
         self
     }
 
-    /// Sets the predicate.
-    pub fn with_predicate(mut self, p: EdgeLabelId) -> Self {
-        self.predicate = Some(p);
-        self
-    }
-
     /// Sets the object.
     pub fn with_object(mut self, o: VertexId) -> Self {
         self.object = Some(o);
         self
-    }
-
-    /// Number of bound positions (0–3).
-    pub fn bound_positions(&self) -> usize {
-        self.subject.is_some() as usize
-            + self.predicate.is_some() as usize
-            + self.object.is_some() as usize
     }
 }
 
@@ -71,7 +65,7 @@ pub struct SpoRow {
     pub object: VertexId,
 }
 
-/// The frozen bulk of a [`TripleStore`]: three sorted permutations built
+/// The frozen bulk of a [`TripleStore`]: two sorted permutations built
 /// once and shared (via [`Arc`]) across every clone of the store, so a
 /// live-update snapshot clones in O(delta), not O(base).
 #[derive(Debug, Default)]
@@ -80,8 +74,6 @@ struct BaseRows {
     spo: Vec<SpoRow>,
     /// Rows sorted by (predicate, object, subject).
     pos: Vec<SpoRow>,
-    /// Rows sorted by (object, subject, predicate).
-    osp: Vec<SpoRow>,
 }
 
 /// Sorted-permutation index over the edges of a [`DataGraph`].
@@ -100,23 +92,26 @@ pub struct TripleStore {
     delta_spo: Vec<SpoRow>,
     /// Delta rows sorted by (predicate, object, subject).
     delta_pos: Vec<SpoRow>,
-    /// Delta rows sorted by (object, subject, predicate).
-    delta_osp: Vec<SpoRow>,
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Permutation {
     Spo,
     Pos,
-    Osp,
 }
 
 fn key(row: &SpoRow, perm: Permutation) -> (u32, u32, u32) {
     match perm {
         Permutation::Spo => (row.subject.0, row.predicate.0, row.object.0),
         Permutation::Pos => (row.predicate.0, row.object.0, row.subject.0),
-        Permutation::Osp => (row.object.0, row.subject.0, row.predicate.0),
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Rows this thread copied out of any store, so tests can pin which
+    /// reads copy and which do not.
+    static ROWS_COPIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl TripleStore {
@@ -140,31 +135,27 @@ impl TripleStore {
     /// vertex ids lie below `vertices` and label ids below `labels`.
     ///
     /// Each permutation is a chain of stable counting sorts, least
-    /// significant key first: SPO is the rows sorted by object, then
-    /// predicate, then subject; OSP is SPO sorted by object (each object's
-    /// rows keep their (subject, predicate) order); POS is OSP sorted by
-    /// predicate. Keys are unique within a permutation, so this is exactly
-    /// the comparison-sorted order. The passes ping-pong between `rows` and
-    /// one scratch buffer, which become SPO and OSP.
+    /// significant key first: POS is the rows sorted by subject, then
+    /// object, then predicate; SPO is POS sorted by subject (each subject's
+    /// rows keep their (predicate, object) order). Keys are unique within a
+    /// permutation, so this is exactly the comparison-sorted order. The
+    /// passes ping-pong between `rows` and one scratch buffer, which become
+    /// SPO and POS.
     fn from_rows(mut rows: Vec<SpoRow>, vertices: usize, labels: usize) -> Self {
         let subject = |r: &SpoRow| r.subject.index();
         let predicate = |r: &SpoRow| r.predicate.index();
         let object = |r: &SpoRow| r.object.index();
         let row = |_: usize, r: &SpoRow| *r;
         // Only the length matters: every pass overwrites all of its output.
-        let mut spo = rows.clone();
-        counting_sort(&rows, &mut spo, vertices, object, row);
-        counting_sort(&spo, &mut rows, labels, predicate, row);
-        counting_sort(&rows, &mut spo, vertices, subject, row);
-        counting_sort(&spo, &mut rows, vertices, object, row);
-        let osp = rows;
-        let mut pos = osp.clone();
-        counting_sort(&osp, &mut pos, labels, predicate, row);
+        let mut pos = rows.clone();
+        counting_sort(&rows, &mut pos, vertices, subject, row);
+        counting_sort(&pos, &mut rows, vertices, object, row);
+        counting_sort(&rows, &mut pos, labels, predicate, row);
+        counting_sort(&pos, &mut rows, vertices, subject, row);
         Self {
-            base: Arc::new(BaseRows { spo, pos, osp }),
+            base: Arc::new(BaseRows { spo: rows, pos }),
             delta_spo: Vec::new(),
             delta_pos: Vec::new(),
-            delta_osp: Vec::new(),
         }
     }
 
@@ -177,21 +168,17 @@ impl TripleStore {
         }
         debug_assert!(
             rows.iter().all(|r| {
-                self.scan(TriplePattern {
-                    subject: Some(r.subject),
-                    predicate: Some(r.predicate),
-                    object: Some(r.object),
-                })
-                .is_empty()
+                let pattern = TriplePattern::new(r.predicate)
+                    .with_subject(r.subject)
+                    .with_object(r.object);
+                self.count(pattern) == 0
             }),
             "delta rows must not duplicate existing rows"
         );
         self.delta_spo.extend_from_slice(rows);
         self.delta_pos.extend_from_slice(rows);
-        self.delta_osp.extend_from_slice(rows);
         self.delta_spo.sort_by_key(|r| key(r, Permutation::Spo));
         self.delta_pos.sort_by_key(|r| key(r, Permutation::Pos));
-        self.delta_osp.sort_by_key(|r| key(r, Permutation::Osp));
     }
 
     /// Whether any delta rows are overlaid on the shared base.
@@ -204,20 +191,6 @@ impl TripleStore {
         self.delta_spo.len()
     }
 
-    /// All rows of one permutation, base and delta merged in key order.
-    fn merged(&self, perm: Permutation) -> Vec<SpoRow> {
-        let (base, delta) = self.rows(perm);
-        merge_sorted(base, delta, perm)
-    }
-
-    fn rows(&self, perm: Permutation) -> (&[SpoRow], &[SpoRow]) {
-        match perm {
-            Permutation::Spo => (&self.base.spo, &self.delta_spo),
-            Permutation::Pos => (&self.base.pos, &self.delta_pos),
-            Permutation::Osp => (&self.base.osp, &self.delta_osp),
-        }
-    }
-
     /// Number of rows (equal to the graph's edge count).
     pub fn len(&self) -> usize {
         self.base.spo.len() + self.delta_spo.len()
@@ -228,94 +201,55 @@ impl TripleStore {
         self.len() == 0
     }
 
-    /// Approximate heap size in bytes (for the Fig. 6b index-size report).
-    pub fn heap_bytes(&self) -> usize {
-        3 * self.len() * std::mem::size_of::<SpoRow>()
+    /// Every row, base and delta merged in (subject, predicate, object)
+    /// order.
+    pub fn rows(&self) -> Vec<SpoRow> {
+        merge_sorted(&self.base.spo, &self.delta_spo, Permutation::Spo)
     }
 
-    fn scan_permutation(
-        &self,
-        perm: Permutation,
-        first: Option<u32>,
-        second: Option<u32>,
-        third: Option<u32>,
-    ) -> Vec<SpoRow> {
-        debug_assert!(
-            !(first.is_none() && (second.is_some() || third.is_some())),
-            "bound positions must form a prefix of the permutation"
-        );
-        debug_assert!(
-            !(second.is_none() && third.is_some()),
-            "bound positions must form a prefix of the permutation"
-        );
-        let lower = (first.unwrap_or(0), second.unwrap_or(0), third.unwrap_or(0));
-        let upper = (
-            first.unwrap_or(u32::MAX),
-            second.unwrap_or(u32::MAX),
-            third.unwrap_or(u32::MAX),
-        );
+    /// The rows matching `pattern`: a contiguous range of the base and one
+    /// of the delta, in the permutation whose sort key starts with the
+    /// pattern's bound positions.
+    fn ranges(&self, pattern: TriplePattern) -> (Permutation, &[SpoRow], &[SpoRow]) {
+        let p = pattern.predicate.0;
+        let (perm, lower, upper) = match (pattern.subject, pattern.object) {
+            (Some(s), Some(o)) => (Permutation::Spo, (s.0, p, o.0), (s.0, p, o.0)),
+            (Some(s), None) => (Permutation::Spo, (s.0, p, 0), (s.0, p, u32::MAX)),
+            (None, Some(o)) => (Permutation::Pos, (p, o.0, 0), (p, o.0, u32::MAX)),
+            (None, None) => (Permutation::Pos, (p, 0, 0), (p, u32::MAX, u32::MAX)),
+        };
         let range = |rows: &[SpoRow]| {
             let start = rows.partition_point(|r| key(r, perm) < lower);
-            let end = rows.partition_point(|r| key(r, perm) <= upper);
-            (start, end)
+            start..start + rows[start..].partition_point(|r| key(r, perm) <= upper)
         };
-        let (base, delta) = self.rows(perm);
-        let (bs, be) = range(base);
-        if delta.is_empty() {
-            return base[bs..be].to_vec();
-        }
-        let (ds, de) = range(delta);
-        merge_sorted(&base[bs..be], &delta[ds..de], perm)
+        let (base, delta) = match perm {
+            Permutation::Spo => (&self.base.spo, &self.delta_spo),
+            Permutation::Pos => (&self.base.pos, &self.delta_pos),
+        };
+        (perm, &base[range(base)], &delta[range(delta)])
     }
 
-    /// Returns all rows matching `pattern`.
-    ///
-    /// The permutation is chosen so the bound positions form a prefix of the
-    /// sort key, which makes every pattern a contiguous range scan.
+    /// Returns all rows matching `pattern`, in the order of the permutation
+    /// that serves it: SPO when the subject is bound, POS otherwise.
     pub fn scan(&self, pattern: TriplePattern) -> Vec<SpoRow> {
-        let TriplePattern {
-            subject: s,
-            predicate: p,
-            object: o,
-        } = pattern;
-        match (s, p, o) {
-            // Fully bound or s-prefix bound -> SPO.
-            (Some(s), p, _) => {
-                // SPO supports (s), (s,p), (s,p,o).
-                match (p, o) {
-                    (Some(p), o) => self.scan_permutation(
-                        Permutation::Spo,
-                        Some(s.0),
-                        Some(p.0),
-                        o.map(|v| v.0),
-                    ),
-                    (None, None) => self.scan_permutation(Permutation::Spo, Some(s.0), None, None),
-                    // (s, ?, o) -> OSP prefix (o, s).
-                    (None, Some(o)) => {
-                        self.scan_permutation(Permutation::Osp, Some(o.0), Some(s.0), None)
-                    }
-                }
-            }
-            // Predicate-prefix bound -> POS.
-            (None, Some(p), o) => {
-                self.scan_permutation(Permutation::Pos, Some(p.0), o.map(|v| v.0), None)
-            }
-            // Object-only bound -> OSP.
-            (None, None, Some(o)) => self.scan_permutation(Permutation::Osp, Some(o.0), None, None),
-            // Nothing bound -> full scan.
-            (None, None, None) => self.merged(Permutation::Spo),
-        }
+        let (perm, base, delta) = self.ranges(pattern);
+        merge_sorted(base, delta, perm)
     }
 
-    /// Counts the rows matching `pattern` without materialising them.
+    /// Counts the rows matching `pattern` without materialising them: the
+    /// base and the delta are disjoint, so the lengths of their two ranges
+    /// add. `O(log n)`, no allocation.
     pub fn count(&self, pattern: TriplePattern) -> usize {
-        self.scan(pattern).len()
+        let (_, base, delta) = self.ranges(pattern);
+        base.len() + delta.len()
     }
 }
 
 /// Merges two runs that are each sorted (and jointly duplicate-free) under
 /// `perm`'s key into one sorted vector.
 fn merge_sorted(base: &[SpoRow], delta: &[SpoRow], perm: Permutation) -> Vec<SpoRow> {
+    #[cfg(test)]
+    ROWS_COPIED.with(|copied| copied.set(copied.get() + base.len() + delta.len()));
     if delta.is_empty() {
         return base.to_vec();
     }
@@ -351,6 +285,41 @@ mod tests {
         (TripleStore::build(&g), g)
     }
 
+    fn relation(g: &DataGraph, name: &str) -> EdgeLabelId {
+        g.edge_label_id(&EdgeLabel::Relation(g.symbol(name).unwrap()))
+            .unwrap()
+    }
+
+    /// The four pattern shapes around each row: its predicate alone, with
+    /// its object, with its subject, and with both.
+    fn every_shape(rows: &[SpoRow]) -> Vec<TriplePattern> {
+        rows.iter()
+            .flat_map(|r| {
+                let p = TriplePattern::new(r.predicate);
+                [
+                    p,
+                    p.with_object(r.object),
+                    p.with_subject(r.subject),
+                    p.with_subject(r.subject).with_object(r.object),
+                ]
+            })
+            .collect()
+    }
+
+    /// The figure-1 rows split into a base store plus a delta overlay, both
+    /// fed in scrambled order.
+    fn overlaid(flat: &TripleStore, g: &DataGraph) -> TripleStore {
+        let all = flat.rows();
+        let (head, tail) = all.split_at(all.len() / 2);
+        let mut head_rows = head.to_vec();
+        head_rows.reverse();
+        let mut store = TripleStore::from_rows(head_rows, g.vertex_count(), g.edge_label_count());
+        let mut scrambled_tail = tail.to_vec();
+        scrambled_tail.reverse();
+        store.add_rows(&scrambled_tail);
+        store
+    }
+
     #[test]
     fn store_has_one_row_per_edge() {
         let (store, g) = store_and_graph();
@@ -361,45 +330,32 @@ mod tests {
     #[test]
     fn full_scan_returns_everything() {
         let (store, g) = store_and_graph();
-        assert_eq!(store.scan(TriplePattern::any()).len(), g.edge_count());
+        let rows = store.rows();
+        assert_eq!(rows.len(), g.edge_count());
+        assert!(rows
+            .windows(2)
+            .all(|w| key(&w[0], Permutation::Spo) < key(&w[1], Permutation::Spo)));
     }
 
     #[test]
     fn subject_bound_scan() {
         let (store, g) = store_and_graph();
         let pub1 = g.entity("pub1URI").unwrap();
-        let rows = store.scan(TriplePattern::any().with_subject(pub1));
-        assert_eq!(rows.len(), g.out_edges(pub1).len());
-        assert!(rows.iter().all(|r| r.subject == pub1));
+        let author = relation(&g, "author");
+        let rows = store.scan(TriplePattern::new(author).with_subject(pub1));
+        assert_eq!(rows.len(), 2, "pub1 has two authors");
+        assert!(rows
+            .iter()
+            .all(|r| r.subject == pub1 && r.predicate == author));
     }
 
     #[test]
     fn predicate_bound_scan() {
         let (store, g) = store_and_graph();
-        let author_sym = g.symbol("author").unwrap();
-        let author = g.edge_label_id(&EdgeLabel::Relation(author_sym)).unwrap();
-        let rows = store.scan(TriplePattern::any().with_predicate(author));
+        let author = relation(&g, "author");
+        let rows = store.scan(TriplePattern::new(author));
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.predicate == author));
-    }
-
-    #[test]
-    fn object_bound_scan() {
-        let (store, g) = store_and_graph();
-        let inst1 = g.entity("inst1URI").unwrap();
-        let rows = store.scan(TriplePattern::any().with_object(inst1));
-        assert_eq!(rows.len(), g.in_edges(inst1).len());
-        assert!(rows.iter().all(|r| r.object == inst1));
-    }
-
-    #[test]
-    fn subject_object_bound_scan() {
-        let (store, g) = store_and_graph();
-        let pub1 = g.entity("pub1URI").unwrap();
-        let re1 = g.entity("re1URI").unwrap();
-        let rows = store.scan(TriplePattern::any().with_subject(pub1).with_object(re1));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(g.edge_label_name(rows[0].predicate), "author");
     }
 
     #[test]
@@ -407,20 +363,18 @@ mod tests {
         let (store, g) = store_and_graph();
         let pub1 = g.entity("pub1URI").unwrap();
         let re1 = g.entity("re1URI").unwrap();
-        let author = g
-            .edge_label_id(&EdgeLabel::Relation(g.symbol("author").unwrap()))
-            .unwrap();
-        let hit = store.scan(TriplePattern {
-            subject: Some(pub1),
-            predicate: Some(author),
-            object: Some(re1),
-        });
+        let author = relation(&g, "author");
+        let hit = store.scan(
+            TriplePattern::new(author)
+                .with_subject(pub1)
+                .with_object(re1),
+        );
         assert_eq!(hit.len(), 1);
-        let miss = store.scan(TriplePattern {
-            subject: Some(re1),
-            predicate: Some(author),
-            object: Some(pub1),
-        });
+        let miss = store.scan(
+            TriplePattern::new(author)
+                .with_subject(re1)
+                .with_object(pub1),
+        );
         assert!(miss.is_empty());
     }
 
@@ -429,20 +383,37 @@ mod tests {
         let (store, g) = store_and_graph();
         let type_label = g.edge_label_id(&EdgeLabel::Type).unwrap();
         let publication = g.class("Publication").unwrap();
-        let rows = store.scan(
-            TriplePattern::any()
-                .with_predicate(type_label)
-                .with_object(publication),
-        );
+        let rows = store.scan(TriplePattern::new(type_label).with_object(publication));
         assert_eq!(rows.len(), 2, "pub1 and pub2 are Publications");
     }
 
+    /// Every shape, over a flat store and a base+delta store, and over
+    /// patterns that match (built from a row) and mostly miss (built from a
+    /// row with subject and object swapped): `count` equals the scan's
+    /// length and copies no row, while each scanned row is one copy.
     #[test]
     fn counts_are_consistent_with_scans() {
-        let (store, g) = store_and_graph();
-        for v in g.vertices() {
-            let p = TriplePattern::any().with_subject(v);
-            assert_eq!(store.count(p), store.scan(p).len());
+        let (flat, g) = store_and_graph();
+        let overlaid = overlaid(&flat, &g);
+        let rows = flat.rows();
+        let swapped: Vec<SpoRow> = rows
+            .iter()
+            .map(|r| SpoRow {
+                subject: r.object,
+                predicate: r.predicate,
+                object: r.subject,
+            })
+            .collect();
+        let mut patterns = every_shape(&rows);
+        patterns.extend(every_shape(&swapped));
+        for store in [&flat, &overlaid] {
+            ROWS_COPIED.set(0);
+            let counts: Vec<usize> = patterns.iter().map(|&p| store.count(p)).collect();
+            assert_eq!(ROWS_COPIED.get(), 0, "count must not copy rows");
+            let scanned: Vec<usize> = patterns.iter().map(|&p| store.scan(p).len()).collect();
+            assert_eq!(counts, scanned);
+            assert_eq!(ROWS_COPIED.get(), scanned.iter().sum::<usize>());
+            assert!(counts.contains(&0) && counts.iter().any(|&n| n > 1));
         }
     }
 
@@ -451,7 +422,8 @@ mod tests {
         let g = DataGraph::new();
         let store = TripleStore::build(&g);
         assert!(store.is_empty());
-        assert!(store.scan(TriplePattern::any()).is_empty());
+        assert!(store.rows().is_empty());
+        assert_eq!(store.count(TriplePattern::new(EdgeLabelId(0))), 0);
     }
 
     /// Splits the figure-1 rows into a base store plus a delta overlay and
@@ -459,44 +431,12 @@ mod tests {
     #[test]
     fn delta_overlay_scans_match_a_flat_build() {
         let (flat, g) = store_and_graph();
-        let all = flat.scan(TriplePattern::any());
-        let (head, tail) = all.split_at(all.len() / 2);
-        // Deliberately feed the base and delta in scrambled order.
-        let mut head_rows = head.to_vec();
-        head_rows.reverse();
-        let mut overlaid =
-            TripleStore::from_rows(head_rows, g.vertex_count(), g.edge_label_count());
-        let mut scrambled_tail = tail.to_vec();
-        scrambled_tail.reverse();
-        overlaid.add_rows(&scrambled_tail);
-
+        let overlaid = overlaid(&flat, &g);
         assert!(overlaid.has_delta());
-        assert_eq!(overlaid.delta_len(), tail.len());
+        assert_eq!(overlaid.delta_len(), flat.len() - flat.len() / 2);
         assert_eq!(overlaid.len(), flat.len());
-        let mut patterns = vec![TriplePattern::any()];
-        for v in g.vertices() {
-            patterns.push(TriplePattern::any().with_subject(v));
-            patterns.push(TriplePattern::any().with_object(v));
-        }
-        for row in &all {
-            patterns.push(TriplePattern {
-                subject: Some(row.subject),
-                predicate: Some(row.predicate),
-                object: Some(row.object),
-            });
-            patterns.push(
-                TriplePattern::any()
-                    .with_subject(row.subject)
-                    .with_object(row.object),
-            );
-            patterns.push(TriplePattern::any().with_predicate(row.predicate));
-            patterns.push(
-                TriplePattern::any()
-                    .with_predicate(row.predicate)
-                    .with_object(row.object),
-            );
-        }
-        for pattern in patterns {
+        assert_eq!(overlaid.rows(), flat.rows());
+        for pattern in every_shape(&flat.rows()) {
             assert_eq!(
                 overlaid.scan(pattern),
                 flat.scan(pattern),
@@ -507,21 +447,19 @@ mod tests {
 
     /// Today's order, by comparison: the oracle the counting-sort build must
     /// equal, permutation by permutation.
-    fn comparison_sorted(rows: &[SpoRow]) -> [Vec<SpoRow>; 3] {
+    fn comparison_sorted(rows: &[SpoRow]) -> [Vec<SpoRow>; 2] {
         let mut rows = rows.to_vec();
         rows.sort_by_key(|r| key(r, Permutation::Spo));
         let spo = rows.clone();
         rows.sort_by_key(|r| key(r, Permutation::Pos));
-        let pos = rows.clone();
-        rows.sort_by_key(|r| key(r, Permutation::Osp));
-        [spo, pos, rows]
+        [spo, rows]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// On random graphs — parallel edges under different labels, self
-        /// loops, isolated vertices — all three permutations of the
+        /// loops, isolated vertices — both permutations of the
         /// counting-sort build equal the comparison sort.
         #[test]
         fn build_equals_the_comparison_sort(
@@ -544,11 +482,10 @@ mod tests {
                     SpoRow { subject: edge.from, predicate: edge.label, object: edge.to }
                 })
                 .collect();
-            let [spo, pos, osp] = comparison_sorted(&rows);
+            let [spo, pos] = comparison_sorted(&rows);
             let store = TripleStore::build(&g);
             prop_assert_eq!(&store.base.spo, &spo);
             prop_assert_eq!(&store.base.pos, &pos);
-            prop_assert_eq!(&store.base.osp, &osp);
         }
     }
 }
