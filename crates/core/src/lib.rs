@@ -31,11 +31,13 @@
 //!    replay instead of a search, and [`serve`] puts admission control,
 //!    deadlines and the answer phase around one session per request in a
 //!    thread-less [`SearchService`] that any number of caller threads share,
-//! 8. [`persist`] saves a [`PreparedGraph`] to a checksummed, versioned
-//!    disk snapshot and loads it back with bulk buffer reads — an O(bytes)
-//!    cold start that skips re-indexing entirely,
+//! 8. [`persist`] saves a [`PreparedGraph`]'s data graph and keyword index
+//!    to a checksummed, versioned disk snapshot and loads them back with
+//!    bulk buffer reads, deriving the summary graph and the triple store
+//!    from the loaded graph — a cold start that skips parsing and keyword
+//!    indexing,
 //! 9. [`shard`] partitions one data graph into edge-disjoint shards, each
-//!    with its own preparation (and snapshot); the same [`SearchService`]
+//!    with its own in-memory preparation; the same [`SearchService`]
 //!    serves them: per-shard keyword lookups merged exactly, one
 //!    exploration over the merged matches (the unsharded stream, bit for
 //!    bit), and an answer phase scattered over the shard-local stores,
@@ -44,8 +46,9 @@
 //!     overlays (triple store, adjacency, keyword vocabulary, summary)
 //!     keep every read bit-identical to a from-scratch rebuild over the
 //!     merged data; each snapshot owns its result cache (a write starts
-//!     an empty one), and a compaction proves itself byte-identical to a
-//!     fresh preparation and keeps the cache.
+//!     an empty one), and a compaction folds the overlays in memory,
+//!     proves its store and summary equal to the live ones, and keeps the
+//!     cache.
 //!
 //! Scoring (Section V) is configurable through [`ScoringFunction`]: path
 //! length (C1), popularity (C2), or popularity weighted by the keyword

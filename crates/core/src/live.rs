@@ -2,14 +2,15 @@
 //!
 //! Every structure the on-line phases read — the [`DataGraph`], the
 //! [`KeywordIndex`](kwsearch_keyword_index::KeywordIndex), the
-//! [`SummaryGraph`] and the [`TripleStore`] — is frozen inside a
-//! [`PreparedGraph`]. [`LiveGraph`] absorbs writes without giving that up:
-//! each [`apply`](LiveGraph::apply) produces a **new** prepared snapshot in
-//! which the base structures are `Arc`-shared and only a small delta overlay
-//! differs:
+//! [`SummaryGraph`] and the [`TripleStore`](kwsearch_rdf::TripleStore) —
+//! is frozen inside a [`PreparedGraph`]. [`LiveGraph`] absorbs writes
+//! without giving that up: each [`apply`](LiveGraph::apply) produces a
+//! **new** prepared snapshot in which the base structures are `Arc`-shared
+//! and only a small delta overlay differs:
 //!
 //! * the triple store keeps its two frozen sorted permutations and merges
-//!   a sorted delta into every scan ([`TripleStore::add_rows`]),
+//!   a sorted delta into every scan
+//!   ([`TripleStore::add_rows`](kwsearch_rdf::TripleStore::add_rows)),
 //! * the data graph appends new edges to per-vertex lists beside the
 //!   adjacency base it derived from its edge columns, and never re-derives
 //!   that base on a write,
@@ -47,27 +48,25 @@
 //! # Compaction
 //!
 //! Deltas accumulate per write; [`compact`](LiveGraph::compact) folds them
-//! back into frozen base structures through the snapshot path of
-//! [`crate::persist`]. It derives the triple store once from the merged
-//! graph and **proves its rows equal the live store's** (snapshots do not
-//! hold the store, so their bytes cannot show it), writes the merged state,
-//! **proves the bytes bit-identical to a from-scratch preparation** of the
-//! same graph, reloads the snapshot (bulk, flat, `Arc`-fresh) and installs
-//! it with the derived store at the *same* epoch with the *same* cache:
-//! compaction is invisible to readers and to the cache. Retractions
-//! ride the same machinery as an inline mini-compaction: the batch is
-//! applied to a rebuilt base (no overlay can "hide" a frozen triple), at a
-//! bumped epoch.
+//! back into frozen base structures in memory. It flattens the merged graph
+//! (its adjacency base re-derived from the edge columns, nothing
+//! appended), rebuilds the keyword index once, and derives the summary
+//! graph and the triple store from the flat graph exactly as an index
+//! build or a snapshot load does. Then it **proves the fold**: the derived
+//! store's rows must equal the live store's, and the derived summary must
+//! equal (`==`) the live one. Only then does it install the result at the
+//! *same* epoch with the *same* cache, so compaction is invisible to
+//! readers and to the cache. Retractions ride the same machinery as an
+//! inline mini-compaction: the surviving triples are rebuilt into a graph
+//! (no overlay can "hide" a frozen triple), flattened and derived the same
+//! way, at a bumped epoch.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use kwsearch_keyword_index::ElementRef;
-use kwsearch_rdf::{
-    DataGraph, EdgeId, EdgeLabel, RdfError, SnapshotError, SpoRow, Triple, TripleStore, VertexId,
-    VertexKind,
-};
+use kwsearch_rdf::{DataGraph, EdgeId, EdgeLabel, RdfError, SpoRow, Triple, VertexId, VertexKind};
 use kwsearch_summary::SummaryGraph;
 
 use crate::cache::AugmentationCache;
@@ -215,18 +214,16 @@ impl WriteTicket {
 /// Why [`LiveGraph::compact`] failed.
 #[derive(Debug)]
 pub enum CompactError {
-    /// Writing or reloading the compacted snapshot failed.
-    Snapshot(SnapshotError),
-    /// The compacted state is **not** identical to a from-scratch
-    /// preparation of the same merged graph — an invariant violation in one
-    /// of the delta layers. The compared encodings are the live and the
-    /// derived triple-store rows, then the two snapshots' bytes. The live
-    /// state is left unchanged.
+    /// The compacted state is **not** identical to the live one — an
+    /// invariant violation in one of the delta layers. The compared
+    /// sequences are the live and the derived triple-store rows, then the
+    /// live and the derived summary edges (the summaries are compared
+    /// whole, so they can also differ in nodes or totals with equal edges).
+    /// The live state is left unchanged.
     NotBitIdentical {
-        /// Length of the compacted encoding (rows for the store, bytes for
-        /// the snapshot).
+        /// Length of the live sequence (store rows or summary edges).
         compacted_len: usize,
-        /// Length of the from-scratch encoding.
+        /// Length of the derived sequence.
         rebuilt_len: usize,
         /// Position of the first difference (within the common prefix
         /// only).
@@ -237,7 +234,6 @@ pub enum CompactError {
 impl fmt::Display for CompactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompactError::Snapshot(e) => write!(f, "compaction snapshot failed: {e}"),
             CompactError::NotBitIdentical {
                 compacted_len,
                 rebuilt_len,
@@ -245,35 +241,21 @@ impl fmt::Display for CompactError {
             } => write!(
                 f,
                 "compacted state diverges from a from-scratch build ({compacted_len} vs \
-                 {rebuilt_len} store rows or snapshot bytes, first difference at \
+                 {rebuilt_len} store rows or summary edges, first difference at \
                  {first_difference:?})"
             ),
         }
     }
 }
 
-impl std::error::Error for CompactError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CompactError::Snapshot(e) => Some(e),
-            CompactError::NotBitIdentical { .. } => None,
-        }
-    }
-}
-
-impl From<SnapshotError> for CompactError {
-    fn from(e: SnapshotError) -> Self {
-        CompactError::Snapshot(e)
-    }
-}
+impl std::error::Error for CompactError {}
 
 /// What one [`LiveGraph::compact`] did.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionReport {
-    /// Wall-clock duration of the whole compaction (rebuild, proof, reload).
+    /// Wall-clock duration of the whole compaction (flattening, keyword
+    /// index rebuild, derivation and proof).
     pub duration: Duration,
-    /// Size of the compacted snapshot in bytes.
-    pub snapshot_bytes: usize,
     /// Delta rows of the triple store that were folded into the base.
     pub folded_rows: usize,
     /// The (unchanged) write epoch the compacted snapshot serves.
@@ -478,8 +460,8 @@ impl LiveGraph {
         keyword_index.apply_delta(&graph, &impact.new_elements, &impact.touched);
 
         // Summary graph: incremental class-level adjustment when the batch
-        // qualifies, from-scratch rebuild otherwise (both byte-identical to
-        // a rebuild — `apply_adds_matches_a_rebuild_byte_for_byte`).
+        // qualifies, from-scratch rebuild otherwise (both equal to a
+        // rebuild — `apply_adds_matches_a_rebuild_byte_for_byte`).
         let (summary, summary_rebuilt) =
             match prepared
                 .summary()
@@ -489,7 +471,15 @@ impl LiveGraph {
                 None => (SummaryGraph::build(&graph), true),
             };
 
-        let next = Self::successor(prepared, graph, keyword_index, summary, store);
+        let next = PreparedGraph::from_shared_parts(
+            graph,
+            keyword_index,
+            summary,
+            store,
+            Self::successor_cache(prepared),
+            old_epoch + 1,
+            prepared.index_build_time(),
+        );
         Ok((
             Some(next),
             WriteTicket {
@@ -503,33 +493,21 @@ impl LiveGraph {
         ))
     }
 
-    /// The snapshot one write after `prepared`, assembled from the written
-    /// structures around a fresh, empty cache of the predecessor's
-    /// capacity: entries computed on `prepared` describe its data, not the
-    /// successor's, and stay with it for readers that still hold it.
-    fn successor(
-        prepared: &PreparedGraph,
-        graph: DataGraph,
-        keyword_index: kwsearch_keyword_index::KeywordIndex,
-        summary: SummaryGraph,
-        store: TripleStore,
-    ) -> PreparedGraph {
-        let capacity = prepared.augmentation_cache().capacity();
-        PreparedGraph::from_shared_parts(
-            graph,
-            keyword_index,
-            summary,
-            store,
-            Arc::new(AugmentationCache::new(capacity)),
-            prepared.write_epoch() + 1,
-            prepared.index_build_time(),
-        )
+    /// The cache of the snapshot one write after `prepared`: fresh and
+    /// empty, of the predecessor's capacity. Entries computed on `prepared`
+    /// describe its data, not the successor's, and stay with it for readers
+    /// that still hold it.
+    fn successor_cache(prepared: &PreparedGraph) -> Arc<AugmentationCache> {
+        Arc::new(AugmentationCache::new(
+            prepared.augmentation_cache().capacity(),
+        ))
     }
 
     /// The retraction path: an inline mini-compaction. The merged triple
     /// set minus the retractions (plus the additions) is rebuilt into a
-    /// fresh base — overlays cannot "hide" a frozen triple, so removal
-    /// means rebuilding. The new snapshot gets a bumped epoch.
+    /// graph — overlays cannot "hide" a frozen triple, so removal means
+    /// rebuilding — which is then flattened and derived as [`Self::compact`]
+    /// does. The new snapshot gets a bumped epoch.
     #[allow(
         clippy::type_complexity,
         reason = "a private (successor, report) pair, clearer spelled out than behind an alias"
@@ -559,6 +537,7 @@ impl LiveGraph {
         for triple in &triples {
             graph.insert_triple(triple)?;
         }
+        drop(triples);
         let before_adds = graph.edge_count();
         let vertices_before_adds = graph.vertex_count();
         let mut collapsed = 0usize;
@@ -572,11 +551,18 @@ impl LiveGraph {
         let added_edges = graph.edge_count() - before_adds;
         let added_vertices = graph.vertex_count() - vertices_before_adds;
 
-        let keyword_index = prepared.keyword_index().rebuilt(&graph);
-        let summary = SummaryGraph::build(&graph);
-        let store = TripleStore::build(&graph);
-
-        let next = Self::successor(prepared, graph, keyword_index, summary, store);
+        // The inserts appended every edge and filled the edge set: flatten
+        // the graph as compaction does, so the lineage is flat again.
+        let flat = graph.edge_subset(|_, _| true);
+        drop(graph);
+        let keyword_index = prepared.keyword_index().rebuilt(&flat);
+        let next = PreparedGraph::derive(
+            flat,
+            keyword_index,
+            Self::successor_cache(prepared),
+            prepared.write_epoch() + 1,
+            prepared.index_build_time(),
+        );
         Ok((
             Some(next),
             WriteTicket {
@@ -590,16 +576,16 @@ impl LiveGraph {
         ))
     }
 
-    /// Folds every delta overlay back into frozen base structures and
-    /// **proves** the result correct: the triple store is derived once from
-    /// the merged graph and its rows must equal the live store's; the
-    /// compacted state is serialized via [`PreparedGraph::save`] and the
-    /// bytes are compared against a from-scratch preparation of the same
-    /// merged graph (same keyword configuration, same recorded build time).
-    /// Only when both agree is the snapshot reloaded (flat columns, fresh
-    /// `Arc` bases) and installed with the derived store — at the
-    /// *unchanged* epoch and with the replaced snapshot's cache, so
-    /// compaction is invisible to readers and cached entries keep hitting.
+    /// Folds every delta overlay back into frozen base structures in memory
+    /// and **proves** the result correct. The merged graph is flattened
+    /// (its adjacency base re-derived from the edge columns), the keyword
+    /// index is rebuilt once, and the summary graph and the triple store
+    /// are derived from the flat graph as an index build derives them. The
+    /// derived store's rows must equal the live store's, and the derived
+    /// summary must equal the live one. Only when both agree is the result
+    /// installed — at the *unchanged* epoch and with the replaced
+    /// snapshot's cache, so compaction is invisible to readers and cached
+    /// entries keep hitting.
     ///
     /// Returns with `compacted: false` (and no state change) when the
     /// lineage is already flat: neither the store nor the keyword index
@@ -627,7 +613,6 @@ impl LiveGraph {
         if !prepared.store().has_delta() && !prepared.keyword_index().has_delta() {
             let report = CompactionReport {
                 duration: start.elapsed(),
-                snapshot_bytes: 0,
                 folded_rows: 0,
                 epoch,
                 compacted: false,
@@ -635,61 +620,35 @@ impl LiveGraph {
             return Ok((None, report));
         }
 
-        // Fold and prove the store: derive it once from the merged graph,
-        // and its rows must be the live store's rows, base and delta merged.
-        let graph = prepared.graph().clone();
-        let store = TripleStore::build(&graph);
-        prove_identical(&prepared.store().rows(), &store.rows())?;
-
-        // Fold the rest: the graph is written as its edge columns; the
-        // keyword index (whose delta vocabulary has no frozen form) is
-        // rebuilt; the summary is already byte-identical to a rebuild by the
-        // `apply` invariants.
-        let compacted = PreparedGraph::from_parts(
-            graph.clone(),
-            prepared.keyword_index().rebuilt(&graph),
-            prepared.summary().clone(),
-            store.clone(),
-            0,
-            prepared.index_build_time(),
-        );
-        let mut compacted_bytes = Vec::new();
-        compacted.save(&mut compacted_bytes)?;
-
-        // Prove: a from-scratch preparation of the merged graph must
-        // serialize to exactly the same bytes (the recorded build time is
-        // part of the snapshot META, so it is threaded through).
-        let scratch = PreparedGraph::from_parts(
-            graph.clone(),
-            prepared.keyword_index().rebuilt(&graph),
-            SummaryGraph::build(&graph),
-            store.clone(),
-            0,
-            prepared.index_build_time(),
-        );
-        let mut scratch_bytes = Vec::new();
-        scratch.save(&mut scratch_bytes)?;
-        prove_identical(&compacted_bytes, &scratch_bytes)?;
-
-        // Reload through the persist path — the loaded graph is flat (an
-        // adjacency base with nothing appended) — and re-wrap it, with the
-        // derived store, around the replaced snapshot's cache at the
-        // unchanged epoch: same data, so its entries stay valid.
-        let (graph, keyword_index, summary, _) =
-            PreparedGraph::load_sections(&compacted_bytes[..])?;
-        let next = PreparedGraph::from_shared_parts(
+        // Fold: the flat graph has nothing appended, the rebuilt keyword
+        // index no delta vocabulary, and the derived store no delta rows.
+        // The replaced snapshot's cache stays valid: same data, same epoch.
+        let graph = prepared.graph().edge_subset(|_, _| true);
+        let keyword_index = prepared.keyword_index().rebuilt(&graph);
+        let next = PreparedGraph::derive(
             graph,
             keyword_index,
-            summary,
-            store,
             prepared.shared_cache(),
             epoch,
             prepared.index_build_time(),
         );
 
+        // Prove: the live store, base and delta merged, holds exactly the
+        // derived rows, and the live summary (maintained by `apply`) is the
+        // one the flat graph derives.
+        prove_identical(&prepared.store().rows(), &next.store().rows())?;
+        if prepared.summary() != next.summary() {
+            let edges = |summary: &SummaryGraph| -> Vec<_> {
+                summary.edges().map(|e| summary.edge(e)).collect()
+            };
+            return Err(disagreement(
+                &edges(prepared.summary()),
+                &edges(next.summary()),
+            ));
+        }
+
         let report = CompactionReport {
             duration: start.elapsed(),
-            snapshot_bytes: compacted_bytes.len(),
             folded_rows,
             epoch,
             compacted: true,
@@ -698,17 +657,22 @@ impl LiveGraph {
     }
 }
 
-/// [`CompactError::NotBitIdentical`] unless the compacted encoding equals
-/// the from-scratch one.
+/// [`CompactError::NotBitIdentical`] unless the live sequence equals the
+/// derived one.
 fn prove_identical<T: PartialEq>(compacted: &[T], rebuilt: &[T]) -> Result<(), CompactError> {
     if compacted == rebuilt {
         return Ok(());
     }
-    Err(CompactError::NotBitIdentical {
+    Err(disagreement(compacted, rebuilt))
+}
+
+/// The [`CompactError::NotBitIdentical`] describing two sequences.
+fn disagreement<T: PartialEq>(compacted: &[T], rebuilt: &[T]) -> CompactError {
+    CompactError::NotBitIdentical {
         compacted_len: compacted.len(),
         rebuilt_len: rebuilt.len(),
         first_difference: compacted.iter().zip(rebuilt).position(|(a, b)| a != b),
-    })
+    }
 }
 
 /// What an add-only batch did to the element universe, classified once per
@@ -804,6 +768,7 @@ mod tests {
     use crate::result::SearchOutcome;
     use crate::scoring::ScoringFunction;
     use kwsearch_rdf::fixtures::{figure1_graph, figure1_triples};
+    use kwsearch_rdf::TripleStore;
 
     fn outcome(prepared: &PreparedGraph, keywords: &[&str], config: SearchConfig) -> SearchOutcome {
         prepared
@@ -927,6 +892,11 @@ mod tests {
             .session(&["aifb"], SearchConfig::default())
             .is_err());
 
+        // A retraction leaves its successor flat: nothing to compact.
+        let report = live.compact().unwrap();
+        assert!(!report.compacted);
+        assert_eq!(report.epoch, 1);
+
         // Retracting it again now fails — the triple is gone.
         let err = live.apply(&DeltaBatch::new().retract(gone)).unwrap_err();
         assert!(matches!(err, WriteError::MissingRetraction(_)), "{err}");
@@ -953,7 +923,6 @@ mod tests {
 
         let report = live.compact().unwrap();
         assert!(report.compacted);
-        assert!(report.snapshot_bytes > 0);
         assert!(report.folded_rows > 0);
         assert_eq!(report.epoch, 1);
 
@@ -975,9 +944,8 @@ mod tests {
         assert!(!report.compacted);
     }
 
-    /// Snapshots no longer carry the store, so its rows are compared on
-    /// their own: a live store missing one row of its graph must fail the
-    /// proof, and the live state must stay as it was.
+    /// A live store missing one row of its graph must fail the proof, and
+    /// the live state must stay as it was.
     #[test]
     fn compaction_refuses_a_store_that_disagrees_with_its_graph() {
         let graph = figure1_graph();
@@ -1017,6 +985,44 @@ mod tests {
         assert!(Arc::ptr_eq(&before, &after));
         assert_eq!(after.write_epoch(), 0);
         assert_eq!(after.store().len(), n - 1);
+    }
+
+    /// A live summary that is not its graph's must fail the proof too, even
+    /// though the store agrees, and the live state must stay as it was.
+    #[test]
+    fn compaction_refuses_a_summary_that_disagrees_with_its_graph() {
+        let graph = figure1_graph();
+        let n = graph.edge_count();
+        // The store holds every row, the last one as a delta, so there is
+        // something to fold; the summary misses the graph's last edges.
+        let partial = graph.edge_subset(|e, _| e.index() + 1 < n);
+        let mut store = TripleStore::build(&partial);
+        let last = graph.edge(EdgeId::from_index(n as u32 - 1));
+        store.add_rows(&[SpoRow {
+            subject: last.from,
+            predicate: last.label,
+            object: last.to,
+        }]);
+        let stale = SummaryGraph::build(&graph.edge_subset(|e, _| e.index() < n / 2));
+        assert_ne!(stale, SummaryGraph::build(&graph));
+        let prepared = PreparedGraph::from_shared_parts(
+            graph.clone(),
+            kwsearch_keyword_index::KeywordIndex::build(&graph),
+            stale,
+            store,
+            Arc::new(AugmentationCache::new(0)),
+            0,
+            Duration::ZERO,
+        );
+        let live = LiveGraph::new(prepared);
+        let before = live.snapshot();
+
+        let err = live.compact().unwrap_err();
+        assert!(matches!(err, CompactError::NotBitIdentical { .. }), "{err}");
+        let after = live.snapshot();
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(after.write_epoch(), 0);
+        assert!(after.store().has_delta());
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Disk-backed snapshots of a [`PreparedGraph`]: O(bytes) cold start.
 //!
-//! Rebuilding the keyword index and summary graph from source triples is
-//! the dominant cold-start cost at the paper's evaluation scale (10⁶–10⁷
-//! triples). A snapshot sidesteps it: those structures and the data graph
+//! Re-parsing the source triples and rebuilding the keyword index is the
+//! dominant cold-start cost at the paper's evaluation scale (10⁶–10⁷
+//! triples). A snapshot sidesteps it: the data graph and the keyword index
 //! are written as flat, length-prefixed little-endian buffers inside the
 //! checksummed section container of [`kwsearch_rdf::snapshot`], and loading
 //! is a sequence of bulk reads into the same dense-id structures the engine
 //! searches — no re-parsing, no re-hashing of interned strings. What is a
-//! pure function of the edge columns is not stored: the graph derives its
-//! adjacency and the load derives the triple store
-//! ([`TripleStore::build`], counting sorts over the dense ids). A load
-//! pays for that derivation, and in return the snapshot is less than half
-//! the size and holds no copy that could disagree with the graph.
+//! pure function of the graph is not stored: the graph derives its
+//! adjacency, and the load derives the summary graph
+//! ([`SummaryGraph::build`](kwsearch_summary::SummaryGraph::build), the
+//! off-line projection of Definition 4) and the triple store
+//! ([`TripleStore::build`](kwsearch_rdf::TripleStore::build), counting
+//! sorts over the dense ids). A load pays for those derivations, and in
+//! return the snapshot holds no copy that could disagree with the graph.
 //!
 //! The container layout (magic, format version, checksummed section table)
 //! is documented in [`kwsearch_rdf::snapshot`]. This module assigns one
@@ -22,14 +24,14 @@
 //! | 1  | meta    | original index-build time, sanity counts |
 //! | 2  | graph   | interner, vertex/edge columns (adjacency is derived on load) |
 //! | 4  | keyword | analyzer + config + thesaurus + frozen posting lists |
-//! | 5  | summary | summary-graph node/edge columns + totals |
 //!
-//! Id 3 held the triple store up to format version 2 and is not reused.
+//! Id 3 held the triple store up to format version 2, and id 5 the summary
+//! graph up to format version 3; neither is reused.
 //!
 //! Every load path validates checksums before parsing and structural
-//! invariants during parsing; the keyword and summary sections are decoded
-//! against the loaded graph, so each vertex or label id they hold must name
-//! an element of the graph of the kind its tag says. Corrupt or
+//! invariants during parsing; the keyword section is decoded against the
+//! loaded graph, so each vertex or label id it holds must name an element
+//! of the graph of the kind its tag says. Corrupt or
 //! version-mismatched input yields a typed [`SnapshotError`], never a panic
 //! or a partially-initialised graph. Search results over a loaded graph are
 //! bit-identical to results over the originally built graph (pinned by
@@ -38,12 +40,12 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 use kwsearch_keyword_index::KeywordIndex;
 use kwsearch_rdf::snapshot::{SectionEncoder, SnapshotError, SnapshotReader, SnapshotWriter};
-use kwsearch_rdf::{DataGraph, TripleStore};
-use kwsearch_summary::SummaryGraph;
+use kwsearch_rdf::DataGraph;
 
 use crate::cache::AugmentationCache;
 use crate::prepared::PreparedGraph;
@@ -54,8 +56,6 @@ pub const SECTION_META: u32 = 1;
 pub const SECTION_GRAPH: u32 = 2;
 /// Section id of the keyword index.
 pub const SECTION_KEYWORD: u32 = 4;
-/// Section id of the summary graph.
-pub const SECTION_SUMMARY: u32 = 5;
 
 impl PreparedGraph {
     /// Serialises the complete prepared graph into `writer`.
@@ -64,10 +64,10 @@ impl PreparedGraph {
     /// iteration is sorted or avoided on the write path), so snapshots can
     /// be diffed and content-addressed.
     pub fn save<W: Write>(&self, writer: &mut W) -> Result<(), SnapshotError> {
-        // The graph's appended edges flatten on write and the store is not
-        // written at all, but the keyword index's delta vocabulary has no
-        // frozen representation — refuse with a typed error before its
-        // snapshot writer asserts.
+        // The graph's appended edges flatten on write, and the summary and
+        // the store are not written at all, but the keyword index's delta
+        // vocabulary has no frozen representation — refuse with a typed
+        // error before its snapshot writer asserts.
         if self.keyword_index().has_delta() {
             return Err(SnapshotError::Corrupt {
                 section: SECTION_KEYWORD,
@@ -92,10 +92,6 @@ impl PreparedGraph {
         self.keyword_index().write_snapshot(&mut keyword);
         snapshot.add_section(SECTION_KEYWORD, keyword);
 
-        let mut summary = SectionEncoder::new();
-        self.summary().write_snapshot(&mut summary);
-        snapshot.add_section(SECTION_SUMMARY, summary);
-
         snapshot.write_to(writer)
     }
 
@@ -118,25 +114,6 @@ impl PreparedGraph {
     /// (0 disables caching). The cache always starts empty — cache hits are
     /// proven bit-identical to misses, so this cannot change results.
     pub fn load_with<R: Read>(reader: R, cache_capacity: usize) -> Result<Self, SnapshotError> {
-        let (graph, keyword_index, summary, index_build_time) = Self::load_sections(reader)?;
-        let store = TripleStore::build(&graph);
-        Ok(Self::from_parts(
-            graph,
-            keyword_index,
-            summary,
-            store,
-            cache_capacity,
-            index_build_time,
-        ))
-    }
-
-    /// Decodes and validates every section of a snapshot: the graph, the
-    /// keyword index, the summary and the recorded build time. The triple
-    /// store is left to the caller: [`Self::load_with`] derives it, and
-    /// compaction passes the one it derived for its proof.
-    pub(crate) fn load_sections<R: Read>(
-        reader: R,
-    ) -> Result<(DataGraph, KeywordIndex, SummaryGraph, Duration), SnapshotError> {
         let snapshot = SnapshotReader::read_from(reader)?;
 
         let mut meta = snapshot.section(SECTION_META)?;
@@ -155,16 +132,19 @@ impl PreparedGraph {
             });
         }
 
-        // Both sections are a small fraction of the graph's bytes, so they
-        // decode after it, serially, checked against the graph they index.
+        // A small fraction of the graph's bytes, decoded after it and checked
+        // against the graph it indexes.
         let mut dec = snapshot.section(SECTION_KEYWORD)?;
         let keyword_index = KeywordIndex::read_snapshot(&mut dec, &graph)?;
         dec.finish()?;
-        let mut dec = snapshot.section(SECTION_SUMMARY)?;
-        let summary = SummaryGraph::read_snapshot(&mut dec, &graph)?;
-        dec.finish()?;
 
-        Ok((graph, keyword_index, summary, index_build_time))
+        Ok(Self::derive(
+            graph,
+            keyword_index,
+            Arc::new(AugmentationCache::new(cache_capacity)),
+            0,
+            index_build_time,
+        ))
     }
 
     /// [`Self::load`] from a buffered file at `path`.
@@ -249,9 +229,6 @@ mod tests {
         let mut keyword = SectionEncoder::new();
         prepared.keyword_index().write_snapshot(&mut keyword);
         snapshot.add_section(SECTION_KEYWORD, keyword);
-        let mut summary = SectionEncoder::new();
-        prepared.summary().write_snapshot(&mut summary);
-        snapshot.add_section(SECTION_SUMMARY, summary);
         let mut bytes = Vec::new();
         snapshot.write_to(&mut bytes).unwrap();
         assert!(matches!(

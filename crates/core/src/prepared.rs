@@ -100,45 +100,47 @@ impl PreparedGraph {
             kwsearch_keyword_index::Thesaurus::builtin(),
             keyword_config,
         );
-        let summary = SummaryGraph::build(&graph);
-        let store = TripleStore::build(&graph);
-        let index_build_time = start.elapsed();
-        Self {
+        let mut prepared = Self::derive(
             graph,
             keyword_index,
-            summary,
-            store,
-            cache: Arc::new(AugmentationCache::new(cache_capacity)),
-            write_epoch: 0,
-            index_build_time,
-        }
+            Arc::new(AugmentationCache::new(cache_capacity)),
+            0,
+            Duration::ZERO,
+        );
+        prepared.index_build_time = start.elapsed();
+        prepared
     }
 
-    /// Assembles a prepared graph from already-built parts — the snapshot
-    /// load path ([`crate::persist`]). `index_build_time` carries the
-    /// original build cost recorded in the snapshot.
-    pub(crate) fn from_parts(
+    /// Assembles a prepared graph from a graph and its keyword index,
+    /// deriving the rest: the summary graph ([`SummaryGraph::build`]) and
+    /// the triple store ([`TripleStore::build`]) are functions of the
+    /// graph. Indexing, snapshot loads ([`crate::persist`]), compaction and
+    /// retraction ([`crate::live`]) all assemble through here.
+    pub(crate) fn derive(
         graph: DataGraph,
         keyword_index: KeywordIndex,
-        summary: SummaryGraph,
-        store: TripleStore,
-        cache_capacity: usize,
+        cache: Arc<AugmentationCache>,
+        write_epoch: u64,
         index_build_time: Duration,
     ) -> Self {
+        let summary = SummaryGraph::build(&graph);
+        let store = TripleStore::build(&graph);
         Self::from_shared_parts(
             graph,
             keyword_index,
             summary,
             store,
-            Arc::new(AugmentationCache::new(cache_capacity)),
-            0,
+            cache,
+            write_epoch,
             index_build_time,
         )
     }
 
-    /// Assembles a prepared graph around a given cache at an explicit write
-    /// epoch — the [`crate::live`] path: a write passes a fresh cache, a
-    /// compaction the cache of the snapshot it flattens.
+    /// Assembles a prepared graph from already-built parts around a given
+    /// cache at an explicit write epoch: a live write passes its
+    /// incrementally maintained structures and a fresh cache
+    /// ([`crate::live`]), a shard its own graph with the global summary
+    /// ([`crate::shard`]).
     pub(crate) fn from_shared_parts(
         graph: DataGraph,
         keyword_index: KeywordIndex,

@@ -3,12 +3,12 @@
 //! [`partition()`] splits a data graph into `N` **edge-disjoint** shard graphs
 //! over the original id space (entity/value connectivity components stay
 //! whole; `subclass` schema edges are replicated), and
-//! [`PartitionPlan::prepare_shards`] builds one [`PreparedGraph`] per shard —
-//! each persistable as a standalone snapshot via [`persist_shards`] /
-//! [`load_shards`]. A [`SearchService`](crate::serve::SearchService) over
-//! those preparations serves a keyword query exactly as it serves one
-//! unsharded preparation (see [`crate::serve`] for the request lifecycle);
-//! what makes the two sharded steps exact lives here:
+//! [`PartitionPlan::prepare_shards`] builds one [`PreparedGraph`] per shard,
+//! each carrying the global summary graph. A
+//! [`SearchService`](crate::serve::SearchService) over those preparations
+//! serves a keyword query exactly as it serves one unsharded preparation
+//! (see [`crate::serve`] for the request lifecycle); what makes the two
+//! sharded steps exact lives here:
 //!
 //! * **merged lookups** (`matches`): shards keep the full vertex/label
 //!   tables, so per-shard lookups agree on elements, scores and order; only
@@ -22,12 +22,14 @@
 //!   connectivity component. A shard that fails a query's evaluation fails
 //!   that query's set, never shrinks it.
 //!
-//! What the shards divide is the data: triple stores, keyword-index
-//! payloads and snapshots. The stream is **bit-identical** to the unsharded
-//! session's for every shard count because it *is* that session — pinned,
-//! together with the exact one-exploration cursor counts, by golden tests
-//! and property tests across shard counts {1, 2, 3, 7} and all three
-//! scoring functions.
+//! What the shards divide is the data: triple stores and keyword-index
+//! payloads. A shard set lives in memory: snapshots store no summary, so a
+//! saved shard reloads with the summary of its own graph (see
+//! [`PartitionPlan::prepare_shards`]). The stream is **bit-identical** to
+//! the unsharded session's for every shard count because it *is* that
+//! session — pinned, together with the exact one-exploration cursor counts,
+//! by golden tests and property tests across shard counts {1, 2, 3, 7} and
+//! all three scoring functions.
 
 mod coordinator;
 mod matches;
@@ -35,7 +37,7 @@ mod partition;
 
 pub(crate) use coordinator::answer_queries_sharded;
 pub(crate) use matches::merge_keyword_matches;
-pub use partition::{load_shards, partition, persist_shards, PartitionPlan};
+pub use partition::{partition, PartitionPlan};
 
 // Benchmark compat (see the marked block in `crate::serve`).
 #[doc(hidden)]

@@ -29,14 +29,14 @@
 //! `baselines/src/partition.rs`; this module is the engine-grade
 //! replacement it points to.
 
-use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use kwsearch_keyword_index::{Analyzer, KeywordIndex, KeywordIndexConfig, Thesaurus};
-use kwsearch_rdf::snapshot::SnapshotError;
 use kwsearch_rdf::{DataGraph, EdgeId, EdgeLabel, TripleStore};
 use kwsearch_summary::SummaryGraph;
 
+use crate::cache::AugmentationCache;
 use crate::prepared::PreparedGraph;
 
 /// Sentinel for edges replicated to every shard (`subclass`).
@@ -227,6 +227,11 @@ impl PartitionPlan {
     /// cache, so turning it on is this one constant — after which a replaying
     /// session's debug-invariants shadow (`SearchSession::build_exploration`,
     /// which looks up on shard 0 alone) needs the merged lookup too.
+    ///
+    /// A shard preparation can be saved like any other, but snapshots do
+    /// not store the summary: loading one derives the summary of the
+    /// shard's own graph, not the global one, so a reloaded shard is a
+    /// standalone preparation and no longer a member of its set.
     pub fn prepare_shards(
         &self,
         graph: &DataGraph,
@@ -244,257 +249,16 @@ impl PartitionPlan {
                     keyword_config.clone(),
                 );
                 let store = TripleStore::build(&shard_graph);
-                PreparedGraph::from_parts(
+                PreparedGraph::from_shared_parts(
                     shard_graph,
                     keyword_index,
                     summary.clone(),
                     store,
+                    Arc::new(AugmentationCache::new(0)),
                     0,
                     start.elapsed(),
                 )
             })
             .collect()
-    }
-}
-
-/// Name of the shard-set manifest written next to the snapshots.
-const MANIFEST_FILE: &str = "shards.manifest";
-
-/// First line of a version-1 manifest.
-const MANIFEST_HEADER: &str = "kwsearch-shards v1";
-
-/// The snapshot file name of shard `s`.
-fn shard_file(s: usize) -> String {
-    format!("shard-{s:03}.kws")
-}
-
-/// Saves every shard preparation as a disk snapshot (`shard-000.kws`,
-/// `shard-001.kws`, …) under `dir`, creating the directory if needed.
-/// Returns the written paths in shard order. Uses the [`crate::persist`]
-/// format — each file round-trips through [`load_shards`] or
-/// [`PreparedGraph::load_from_path`].
-///
-/// A `shards.manifest` recording the shard count is written **last**, as
-/// the commit point: [`load_shards`] refuses a directory whose manifest is
-/// missing or disagrees with the snapshots next to it, so a crash
-/// mid-persist (or a deleted snapshot) fails loudly instead of silently
-/// serving a subset of the data. Stale `shard-NNN.kws` files from a
-/// previous, larger persist are removed so the directory always holds
-/// exactly shards `0..len`.
-pub fn persist_shards(shards: &[PreparedGraph], dir: &Path) -> Result<Vec<PathBuf>, SnapshotError> {
-    std::fs::create_dir_all(dir)?;
-    let paths: Vec<PathBuf> = shards
-        .iter()
-        .enumerate()
-        .map(|(s, shard)| {
-            let path = dir.join(shard_file(s));
-            shard.save_to_path(&path)?;
-            Ok(path)
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    let mut stale = shards.len();
-    loop {
-        let leftover = dir.join(shard_file(stale));
-        if !leftover.exists() {
-            break;
-        }
-        std::fs::remove_file(leftover)?;
-        stale += 1;
-    }
-    std::fs::write(
-        dir.join(MANIFEST_FILE),
-        format!("{MANIFEST_HEADER}\nshard_count={}\n", shards.len()),
-    )?;
-    Ok(paths)
-}
-
-/// Loads the shard snapshots written by [`persist_shards`] from `dir`, in
-/// shard order.
-///
-/// The directory's `shards.manifest` is the source of truth: loading fails
-/// with [`SnapshotError::BadManifest`] when the manifest is absent (an
-/// empty, foreign, or partially-persisted directory), when any of the
-/// recorded `shard-NNN.kws` snapshots is missing, or when extra shard
-/// files exist beyond the recorded count — a sharded service must start
-/// over exactly the persisted shard set, never a plausible-looking subset.
-pub fn load_shards(dir: &Path) -> Result<Vec<PreparedGraph>, SnapshotError> {
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let manifest = std::fs::read_to_string(&manifest_path).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            SnapshotError::BadManifest {
-                detail: format!(
-                    "missing {} in {} — not a persisted shard set (or an interrupted persist)",
-                    MANIFEST_FILE,
-                    dir.display()
-                ),
-            }
-        } else {
-            SnapshotError::Io(e)
-        }
-    })?;
-    let shard_count = parse_manifest(&manifest)?;
-    let mut shards = Vec::with_capacity(shard_count);
-    for s in 0..shard_count {
-        let path = dir.join(shard_file(s));
-        if !path.exists() {
-            return Err(SnapshotError::BadManifest {
-                detail: format!(
-                    "manifest records {shard_count} shards but {} is missing",
-                    shard_file(s)
-                ),
-            });
-        }
-        shards.push(PreparedGraph::load_from_path(&path)?);
-    }
-    if dir.join(shard_file(shard_count)).exists() {
-        return Err(SnapshotError::BadManifest {
-            detail: format!(
-                "manifest records {shard_count} shards but {} also exists — \
-                 stale or mixed shard sets in one directory",
-                shard_file(shard_count)
-            ),
-        });
-    }
-    Ok(shards)
-}
-
-/// Parses a [`persist_shards`] manifest into its shard count.
-fn parse_manifest(manifest: &str) -> Result<usize, SnapshotError> {
-    let bad = |detail: String| SnapshotError::BadManifest { detail };
-    let mut lines = manifest.lines();
-    match lines.next() {
-        Some(MANIFEST_HEADER) => {}
-        other => {
-            return Err(bad(format!(
-                "unsupported manifest header {other:?} (this build reads \"{MANIFEST_HEADER}\")"
-            )))
-        }
-    }
-    let count_line = lines
-        .next()
-        .ok_or_else(|| bad("manifest is missing its shard_count line".to_string()))?;
-    let count: usize = count_line
-        .strip_prefix("shard_count=")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(format!("malformed shard_count line {count_line:?}")))?;
-    if count == 0 {
-        return Err(bad("manifest records zero shards".to_string()));
-    }
-    Ok(count)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kwsearch_rdf::fixtures::figure1_graph;
-
-    /// A unique, cleaned-up-on-success scratch directory per test.
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "kwsearch-shard-manifest-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn persisted(tag: &str, shard_count: usize) -> PathBuf {
-        let graph = figure1_graph();
-        let plan = partition(&graph, shard_count);
-        let shards = plan.prepare_shards(&graph, Default::default());
-        let dir = scratch(tag);
-        persist_shards(&shards, &dir).expect("persisting shards");
-        dir
-    }
-
-    #[test]
-    fn persisted_shards_load_back_complete_and_in_order() {
-        let dir = persisted("roundtrip", 3);
-        let loaded = load_shards(&dir).expect("a freshly persisted set loads");
-        assert_eq!(loaded.len(), 3, "the manifest pins the shard count");
-        let graph = figure1_graph();
-        let plan = partition(&graph, 3);
-        for (s, shard) in loaded.iter().enumerate() {
-            assert_eq!(
-                shard.graph().edge_count(),
-                plan.shard_graph(&graph, s).edge_count(),
-                "shard {s} must come back in shard order"
-            );
-        }
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn a_directory_without_a_manifest_is_refused() {
-        let dir = persisted("no-manifest", 2);
-        std::fs::remove_file(dir.join(MANIFEST_FILE)).expect("drop the manifest");
-        let err = load_shards(&dir).expect_err("no manifest, no service");
-        assert!(matches!(err, SnapshotError::BadManifest { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn an_empty_directory_is_refused_not_an_empty_service() {
-        let dir = scratch("empty");
-        std::fs::create_dir_all(&dir).expect("creating the scratch dir");
-        let err = load_shards(&dir).expect_err("an empty dir is not a shard set");
-        assert!(matches!(err, SnapshotError::BadManifest { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn a_deleted_snapshot_fails_the_load_instead_of_shrinking_it() {
-        let dir = persisted("deleted", 3);
-        std::fs::remove_file(dir.join(shard_file(1))).expect("drop a middle shard");
-        let err = load_shards(&dir).expect_err("a missing shard must fail the set");
-        assert!(
-            matches!(&err, SnapshotError::BadManifest { detail } if detail.contains("shard-001")),
-            "{err}"
-        );
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn extra_shard_files_beyond_the_manifest_are_refused() {
-        let dir = persisted("extra", 2);
-        std::fs::write(dir.join(shard_file(2)), b"stale").expect("plant a stale shard");
-        let err = load_shards(&dir).expect_err("a mixed shard set must fail");
-        assert!(
-            matches!(&err, SnapshotError::BadManifest { detail } if detail.contains("shard-002")),
-            "{err}"
-        );
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn re_persisting_fewer_shards_removes_the_stale_snapshots() {
-        let dir = persisted("shrink", 3);
-        let graph = figure1_graph();
-        let shards = partition(&graph, 2).prepare_shards(&graph, Default::default());
-        persist_shards(&shards, &dir).expect("re-persisting a smaller set");
-        assert!(!dir.join(shard_file(2)).exists(), "stale shard removed");
-        let loaded = load_shards(&dir).expect("the shrunk set loads cleanly");
-        assert_eq!(loaded.len(), 2);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn a_tampered_manifest_is_refused() {
-        let dir = persisted("tampered", 2);
-        std::fs::write(
-            dir.join(MANIFEST_FILE),
-            "kwsearch-shards v9\nshard_count=2\n",
-        )
-        .expect("rewrite the manifest");
-        let err = load_shards(&dir).expect_err("unknown manifest versions are refused");
-        assert!(matches!(err, SnapshotError::BadManifest { .. }), "{err}");
-        std::fs::write(
-            dir.join(MANIFEST_FILE),
-            "kwsearch-shards v1\nshard_count=0\n",
-        )
-        .expect("rewrite the manifest");
-        let err = load_shards(&dir).expect_err("a zero-shard set is meaningless");
-        assert!(matches!(err, SnapshotError::BadManifest { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -270,7 +270,7 @@ proptest! {
 
     /// Splitting the same delta across several batches lands on the same
     /// state as applying it at once: after compaction (which itself proves
-    /// each lineage byte-identical to a from-scratch preparation), the two
+    /// each lineage's store and summary equal to a fresh derivation), the two
     /// snapshots save to the same bytes regardless of write granularity —
     /// physical overlay layout cannot leak into the durable form.
     ///

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use kwsearch_core::persist::{SECTION_GRAPH, SECTION_KEYWORD, SECTION_META, SECTION_SUMMARY};
+use kwsearch_core::persist::{SECTION_GRAPH, SECTION_KEYWORD, SECTION_META};
 use kwsearch_core::{PreparedGraph, ScoringFunction, SearchConfig};
 use kwsearch_rdf::fixtures::figure1_graph;
 use kwsearch_rdf::snapshot::{checksum64, SnapshotError, FORMAT_VERSION};
@@ -85,6 +85,11 @@ fn assert_roundtrip_invisible(graph: DataGraph, workload: &[Vec<String>]) {
     let loaded = PreparedGraph::load(saved_bytes(&built).as_slice()).expect("load own snapshot");
     assert_eq!(loaded.graph().vertex_count(), built.graph().vertex_count());
     assert_eq!(loaded.graph().edge_count(), built.graph().edge_count());
+    assert_eq!(
+        loaded.summary(),
+        built.summary(),
+        "the summary derived on load differs from the built one"
+    );
     for keywords in workload {
         for scoring in ScoringFunction::all() {
             let config = SearchConfig::with_k(5).scoring(scoring);
@@ -183,10 +188,10 @@ fn foreign_files_are_rejected_by_magic() {
 fn future_format_versions_are_rejected_with_the_found_version() {
     let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
     // The version field is the little-endian u32 right after the magic. An
-    // older file is refused as firmly as a newer one: version 1 stored
-    // adjacency columns in the graph section, which this build must never
-    // read as the columns that follow them.
-    for other in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+    // older file is refused as firmly as a newer one: version 3 carried a
+    // summary section, and version 1 adjacency columns in the graph section,
+    // which this build must never read.
+    for other in [FORMAT_VERSION + 1, 3, 1] {
         let mut bytes = bytes.clone();
         bytes[8..12].copy_from_slice(&other.to_le_bytes());
         assert!(matches!(
@@ -213,45 +218,6 @@ fn section_table(bytes: &[u8]) -> Vec<(u32, std::ops::Range<usize>, u64)> {
             (u32_at(entry), start - len..start, u64_at(entry + 12))
         })
         .collect()
-}
-
-/// Applies `edit` to the payload of section `id` and re-seals its checksum,
-/// so the edit reaches the section's decoder.
-fn rewrite_section(bytes: &mut [u8], id: u32, edit: impl FnOnce(&mut [u8])) {
-    let (index, range) = section_table(bytes)
-        .into_iter()
-        .enumerate()
-        .find_map(|(i, (section, range, _))| (section == id).then_some((i, range)))
-        .expect("the section exists");
-    edit(&mut bytes[range.clone()]);
-    let checksum = checksum64(&bytes[range]);
-    let entry = 16 + 20 * index;
-    bytes[entry + 12..entry + 20].copy_from_slice(&checksum.to_le_bytes());
-}
-
-#[test]
-fn summary_ids_past_the_vertex_table_are_corrupt() {
-    let prepared = PreparedGraph::index(figure1_graph());
-    let vertices = prepared.graph().vertex_count() as u32;
-    let mut bytes = saved_bytes(&prepared);
-    // The summary section opens with two u32 columns, node tags then node
-    // payloads, each behind a u64 length. Every payload but the "none"
-    // marker (u32::MAX) names a class or value vertex: move it past the
-    // vertex table.
-    rewrite_section(&mut bytes, SECTION_SUMMARY, |payload| {
-        let nodes = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-        let start = 16 + 4 * nodes;
-        for slot in payload[start..start + 4 * nodes].chunks_exact_mut(4) {
-            let id = u32::from_le_bytes(slot.try_into().unwrap());
-            if id != u32::MAX {
-                slot.copy_from_slice(&(id + vertices).to_le_bytes());
-            }
-        }
-    });
-    assert!(matches!(
-        PreparedGraph::load(bytes.as_slice()),
-        Err(SnapshotError::Corrupt { section, .. }) if section == SECTION_SUMMARY
-    ));
 }
 
 #[test]
@@ -294,18 +260,18 @@ fn a_posting_past_the_vertex_table_is_corrupt() {
     }
 }
 
-/// The snapshot layout, pinned to its version: [`FORMAT_VERSION`] with the
-/// checksum of every Figure-1 section but META (which holds the build
-/// time). When these checksums move, the bytes a snapshot holds have
-/// changed. If the layout changed, bump `FORMAT_VERSION` in the same change
-/// and re-pin both; if only the content did (a new thesaurus entry, say),
-/// re-pin the checksums alone.
-const FIGURE1_LAYOUT: (u32, [(u32, u64); 3]) = (
-    3,
+/// The snapshot layout, pinned to its version: [`FORMAT_VERSION`], the
+/// section ids in file order, and the checksum of every Figure-1 section
+/// but META (which holds the build time). When these checksums move, the
+/// bytes a snapshot holds have changed. If the layout changed, bump
+/// `FORMAT_VERSION` in the same change and re-pin both; if only the content
+/// did (a new thesaurus entry, say), re-pin the checksums alone.
+const FIGURE1_LAYOUT: (u32, [u32; 3], [(u32, u64); 2]) = (
+    4,
+    [SECTION_META, SECTION_GRAPH, SECTION_KEYWORD],
     [
         (SECTION_GRAPH, 0x6bd191fba09598d9),
         (SECTION_KEYWORD, 0x0ad10af5836010e5),
-        (SECTION_SUMMARY, 0xcaaaac3c622127ce),
     ],
 );
 
@@ -313,15 +279,21 @@ const FIGURE1_LAYOUT: (u32, [(u32, u64); 3]) = (
 fn the_figure1_layout_is_pinned_to_the_format_version() {
     let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let checksums: Vec<(u32, u64)> = section_table(&bytes)
+    let table = section_table(&bytes);
+    let ids: Vec<u32> = table.iter().map(|(id, ..)| *id).collect();
+    let checksums: Vec<(u32, u64)> = table
         .into_iter()
         .filter(|(id, ..)| *id != SECTION_META)
         .map(|(id, _, checksum)| (id, checksum))
         .collect();
     assert_eq!(version, FORMAT_VERSION);
     assert_eq!(
-        (version, checksums.as_slice()),
-        (FIGURE1_LAYOUT.0, &FIGURE1_LAYOUT.1[..]),
+        (version, ids.as_slice(), checksums.as_slice()),
+        (
+            FIGURE1_LAYOUT.0,
+            &FIGURE1_LAYOUT.1[..],
+            &FIGURE1_LAYOUT.2[..]
+        ),
         "the Figure-1 snapshot bytes changed: a layout change needs a FORMAT_VERSION bump"
     );
 }

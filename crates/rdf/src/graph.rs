@@ -1405,6 +1405,30 @@ mod tests {
     }
 
     #[test]
+    fn keeping_every_edge_flattens_an_insert_built_graph() {
+        let g = example_graph();
+        for adj in [&g.out_adj, &g.in_adj] {
+            assert!(adj.flat.is_empty());
+            assert_eq!(
+                adj.appended.iter().map(Vec::len).sum::<usize>(),
+                g.edge_count()
+            );
+        }
+        assert!(!g.edge_set_stale && g.edge_set.len() == g.edge_count());
+
+        let flat = g.edge_subset(|_, _| true);
+        for adj in [&flat.out_adj, &flat.in_adj] {
+            assert!(adj.appended.is_empty());
+            assert_eq!(adj.flat.len(), g.edge_count());
+        }
+        assert!(flat.edge_set_stale && flat.edge_set.is_empty());
+        for v in g.vertices() {
+            assert_eq!(flat.out_edges(v), g.out_edges(v));
+            assert_eq!(flat.in_edges(v), g.in_edges(v));
+        }
+    }
+
+    #[test]
     fn edge_subset_still_deduplicates_on_mutation() {
         let g = example_graph();
         let mut sub = g.edge_subset(|_, _| true);

@@ -1,9 +1,9 @@
 //! The versioned binary snapshot container and its flat-buffer codec.
 //!
 //! Every persisted index structure of the engine (interner, data graph,
-//! keyword index, summary graph) writes itself into a **section** of a
-//! snapshot file, so that a prepared engine cold-starts in time proportional
-//! to bytes on disk instead of corpus size. The format is deliberately
+//! keyword index) writes itself into a **section** of a snapshot file, so
+//! that a prepared engine cold-starts in time proportional to bytes on disk
+//! instead of corpus size. The format is deliberately
 //! hand-rolled over `std` only (the workspace has no serde/memmap):
 //!
 //! ```text
@@ -40,9 +40,10 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 8] = *b"KWSNAP\r\n";
 
 /// The container format version this build reads and writes. Version 2
-/// dropped the stored adjacency from the graph section, and version 3 the
-/// triple-store section: both are derived from the edge columns on load.
-pub const FORMAT_VERSION: u32 = 3;
+/// dropped the stored adjacency from the graph section, version 3 the
+/// triple-store section and version 4 the summary section: all three are
+/// derived from the graph on load.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Upper bound on the section count (a snapshot has a handful of sections;
 /// anything larger is a corrupt header, not a bigger snapshot).
@@ -79,13 +80,6 @@ pub enum SnapshotError {
         /// Id of the absent section.
         section: u32,
     },
-    /// A multi-snapshot set (e.g. a sharded index directory) is missing
-    /// its manifest or disagrees with it — the set cannot be proven
-    /// complete, so loading a silent subset is refused.
-    BadManifest {
-        /// Human-readable description of the inconsistency.
-        detail: String,
-    },
     /// An underlying I/O failure (other than a clean truncation).
     Io(io::Error),
 }
@@ -107,9 +101,6 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::MissingSection { section } => {
                 write!(f, "snapshot is missing required section {section}")
-            }
-            SnapshotError::BadManifest { detail } => {
-                write!(f, "bad snapshot-set manifest: {detail}")
             }
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
         }
@@ -244,14 +235,6 @@ impl SectionEncoder {
         }
     }
 
-    /// Appends a length-prefixed flat `u64` buffer.
-    pub fn put_u64_slice(&mut self, s: &[u64]) {
-        self.put_u64(s.len() as u64);
-        for &v in s {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
     /// Appends a length-prefixed raw byte buffer.
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_u64(b.len() as u64);
@@ -357,16 +340,6 @@ impl<'a> SectionDecoder<'a> {
         Ok(raw
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-
-    /// Reads a length-prefixed flat `u64` buffer with one bulk copy.
-    pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let len = self.get_len(8)?;
-        let raw = self.take(len * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
             .collect())
     }
 
@@ -598,7 +571,6 @@ mod tests {
         enc.put_u64(u64::MAX - 1);
         enc.put_f64(-0.125);
         enc.put_u32_slice(&[1, 2, 3]);
-        enc.put_u64_slice(&[u64::MAX]);
         enc.put_str("héllo");
         enc.put_bytes(&[0xde, 0xad]);
         let reader = round_trip(vec![(42, enc)]);
@@ -607,7 +579,6 @@ mod tests {
         assert_eq!(dec.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(dec.get_f64().unwrap().to_bits(), (-0.125f64).to_bits());
         assert_eq!(dec.get_u32_vec().unwrap(), vec![1, 2, 3]);
-        assert_eq!(dec.get_u64_vec().unwrap(), vec![u64::MAX]);
         assert_eq!(dec.get_string().unwrap(), "héllo");
         assert_eq!(dec.get_bytes().unwrap(), &[0xde, 0xad]);
         dec.finish().unwrap();

@@ -15,23 +15,11 @@
 
 use std::collections::HashMap;
 
-use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
-use kwsearch_rdf::{DataGraph, EdgeKind, EdgeLabel, EdgeLabelId, VertexId, VertexKind};
+use kwsearch_rdf::{DataGraph, EdgeLabel, EdgeLabelId, VertexId};
 
 use crate::element::{
     SummaryEdge, SummaryEdgeId, SummaryEdgeKind, SummaryNode, SummaryNodeId, SummaryNodeKind,
 };
-
-// Stable snapshot tags for node and edge kinds.
-const NODE_TAG_CLASS: u32 = 0;
-const NODE_TAG_THING: u32 = 1;
-const NODE_TAG_VALUE: u32 = 2;
-const NODE_TAG_ARTIFICIAL_VALUE: u32 = 3;
-const EDGE_TAG_RELATION: u32 = 0;
-const EDGE_TAG_SUBCLASS: u32 = 1;
-const EDGE_TAG_ATTRIBUTE: u32 = 2;
-/// Placeholder for "no payload" in the node-payload and edge-label columns.
-const NO_PAYLOAD: u32 = u32::MAX;
 
 /// Cloned node/edge/adjacency storage handed to [`crate::augment`]:
 /// `(nodes, edges, out_adj, in_adj)`.
@@ -43,7 +31,12 @@ pub(crate) type ClonedStorage = (
 );
 
 /// The schema-level summary of a data graph.
-#[derive(Debug, Clone, Default)]
+///
+/// A pure function of the graph: snapshots do not store it, and a load
+/// derives it with [`Self::build`]. Two summaries are `==` exactly when
+/// they have the same nodes, edges, adjacency order, class lookup and
+/// totals.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SummaryGraph {
     nodes: Vec<SummaryNode>,
     edges: Vec<SummaryEdge>,
@@ -132,11 +125,11 @@ impl SummaryGraph {
     ///   those R-edges would project onto different summary edges in a
     ///   rebuild, changing summary-edge ids mid-sequence.
     ///
-    /// Outside those two cases the result is *byte-identical* (via
-    /// [`Self::write_snapshot`]) to `SummaryGraph::build(graph)`: new data
-    /// edges sit at the end of the edge-id order, so the summary edges they
-    /// introduce are appended exactly where a rebuild would create them,
-    /// and all aggregates are recomputed from the merged graph.
+    /// Outside those two cases the result is equal (`==`) to
+    /// `SummaryGraph::build(graph)`: new data edges sit at the end of the
+    /// edge-id order, so the summary edges they introduce are appended
+    /// exactly where a rebuild would create them, and all aggregates are
+    /// recomputed from the merged graph.
     pub fn apply_adds(
         &self,
         graph: &DataGraph,
@@ -415,180 +408,6 @@ impl SummaryGraph {
             self.in_adj.clone(),
         )
     }
-
-    /// Serialises the summary graph as flat node/edge columns plus the two
-    /// popularity totals. Only the dense `nodes`/`edges` vectors are
-    /// written, so equal summaries produce byte-identical snapshots.
-    pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
-        let mut node_tags = Vec::with_capacity(self.nodes.len());
-        let mut node_payloads = Vec::with_capacity(self.nodes.len());
-        let mut node_aggregated = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            let (tag, payload) = match n.kind {
-                SummaryNodeKind::Class { class } => (NODE_TAG_CLASS, class.index() as u32),
-                SummaryNodeKind::Thing => (NODE_TAG_THING, NO_PAYLOAD),
-                SummaryNodeKind::Value { value } => (NODE_TAG_VALUE, value.index() as u32),
-                SummaryNodeKind::ArtificialValue => (NODE_TAG_ARTIFICIAL_VALUE, NO_PAYLOAD),
-            };
-            node_tags.push(tag);
-            node_payloads.push(payload);
-            node_aggregated.push(n.aggregated as u64);
-        }
-        enc.put_u32_slice(&node_tags);
-        enc.put_u32_slice(&node_payloads);
-        enc.put_u64_slice(&node_aggregated);
-
-        let mut edge_tags = Vec::with_capacity(self.edges.len());
-        let mut edge_labels = Vec::with_capacity(self.edges.len());
-        let mut edge_from = Vec::with_capacity(self.edges.len());
-        let mut edge_to = Vec::with_capacity(self.edges.len());
-        let mut edge_aggregated = Vec::with_capacity(self.edges.len());
-        for e in &self.edges {
-            let (tag, label) = match e.kind {
-                SummaryEdgeKind::Relation { label } => (EDGE_TAG_RELATION, label.index() as u32),
-                SummaryEdgeKind::SubClass => (EDGE_TAG_SUBCLASS, NO_PAYLOAD),
-                SummaryEdgeKind::Attribute { label } => (EDGE_TAG_ATTRIBUTE, label.index() as u32),
-            };
-            edge_tags.push(tag);
-            edge_labels.push(label);
-            edge_from.push(e.from.0);
-            edge_to.push(e.to.0);
-            edge_aggregated.push(e.aggregated as u64);
-        }
-        enc.put_u32_slice(&edge_tags);
-        enc.put_u32_slice(&edge_labels);
-        enc.put_u32_slice(&edge_from);
-        enc.put_u32_slice(&edge_to);
-        enc.put_u64_slice(&edge_aggregated);
-
-        enc.put_u64(self.total_entities as u64);
-        enc.put_u64(self.total_relation_edges as u64);
-    }
-
-    /// Reads a summary serialised by [`Self::write_snapshot`] for `graph`.
-    /// The class lookup map and the adjacency lists are rebuilt here — the
-    /// summary is schema-sized (nodes = classes + 1), so this stays far
-    /// below the O(bytes) budget of the data-graph sections. Every class or
-    /// value node must name a vertex of `graph` of that kind, and every
-    /// relation or attribute edge a label of that kind; anything else is
-    /// [`SnapshotError::Corrupt`].
-    pub fn read_snapshot(
-        dec: &mut SectionDecoder<'_>,
-        graph: &DataGraph,
-    ) -> Result<Self, SnapshotError> {
-        let vertex_is =
-            |v: VertexId, kind| v.index() < graph.vertex_count() && graph.vertex_kind(v) == kind;
-        let label_is = |l: EdgeLabelId, kind| {
-            l.index() < graph.edge_label_count() && graph.edge_label(l).kind() == kind
-        };
-        let node_tags = dec.get_u32_vec()?;
-        let node_payloads = dec.get_u32_vec()?;
-        let node_aggregated = dec.get_u64_vec()?;
-        if node_payloads.len() != node_tags.len() || node_aggregated.len() != node_tags.len() {
-            return Err(dec.corrupt("summary node column length mismatch"));
-        }
-        let mut nodes = Vec::with_capacity(node_tags.len());
-        let mut class_nodes = HashMap::new();
-        let mut thing_node = None;
-        for i in 0..node_tags.len() {
-            let id = SummaryNodeId(i as u32);
-            let kind = match node_tags[i] {
-                NODE_TAG_CLASS => {
-                    let class = VertexId::from_index(node_payloads[i]);
-                    if !vertex_is(class, VertexKind::Class) {
-                        return Err(dec.corrupt("summary class node names no class of the graph"));
-                    }
-                    if class_nodes.insert(class, id).is_some() {
-                        return Err(dec.corrupt("duplicate summary class node"));
-                    }
-                    SummaryNodeKind::Class { class }
-                }
-                NODE_TAG_THING => {
-                    if thing_node.is_some() {
-                        return Err(dec.corrupt("more than one Thing node"));
-                    }
-                    thing_node = Some(id);
-                    SummaryNodeKind::Thing
-                }
-                NODE_TAG_VALUE => {
-                    let value = VertexId::from_index(node_payloads[i]);
-                    if !vertex_is(value, VertexKind::Value) {
-                        return Err(dec.corrupt("summary value node names no value of the graph"));
-                    }
-                    SummaryNodeKind::Value { value }
-                }
-                NODE_TAG_ARTIFICIAL_VALUE => SummaryNodeKind::ArtificialValue,
-                _ => return Err(dec.corrupt("unknown summary node tag")),
-            };
-            nodes.push(SummaryNode {
-                kind,
-                aggregated: node_aggregated[i] as usize,
-            });
-        }
-        if thing_node.is_none() {
-            return Err(dec.corrupt("summary has no Thing node"));
-        }
-
-        let edge_tags = dec.get_u32_vec()?;
-        let edge_labels = dec.get_u32_vec()?;
-        let edge_from = dec.get_u32_vec()?;
-        let edge_to = dec.get_u32_vec()?;
-        let edge_aggregated = dec.get_u64_vec()?;
-        if edge_labels.len() != edge_tags.len()
-            || edge_from.len() != edge_tags.len()
-            || edge_to.len() != edge_tags.len()
-            || edge_aggregated.len() != edge_tags.len()
-        {
-            return Err(dec.corrupt("summary edge column length mismatch"));
-        }
-        let mut edges = Vec::with_capacity(edge_tags.len());
-        let mut out_adj = vec![Vec::new(); nodes.len()];
-        let mut in_adj = vec![Vec::new(); nodes.len()];
-        for i in 0..edge_tags.len() {
-            let label = EdgeLabelId::from_index(edge_labels[i]);
-            let kind = match edge_tags[i] {
-                EDGE_TAG_RELATION if label_is(label, EdgeKind::Relation) => {
-                    SummaryEdgeKind::Relation { label }
-                }
-                EDGE_TAG_SUBCLASS => SummaryEdgeKind::SubClass,
-                EDGE_TAG_ATTRIBUTE if label_is(label, EdgeKind::Attribute) => {
-                    SummaryEdgeKind::Attribute { label }
-                }
-                EDGE_TAG_RELATION | EDGE_TAG_ATTRIBUTE => {
-                    return Err(dec.corrupt("summary edge names no label of its kind in the graph"))
-                }
-                _ => return Err(dec.corrupt("unknown summary edge tag")),
-            };
-            let (from, to) = (edge_from[i] as usize, edge_to[i] as usize);
-            if from >= nodes.len() || to >= nodes.len() {
-                return Err(dec.corrupt("summary edge endpoint out of range"));
-            }
-            // Adjacency rebuilt in edge-id order reproduces the build-time
-            // push order exactly (edges are appended at creation).
-            out_adj[from].push(SummaryEdgeId(i as u32));
-            in_adj[to].push(SummaryEdgeId(i as u32));
-            edges.push(SummaryEdge {
-                kind,
-                from: SummaryNodeId(edge_from[i]),
-                to: SummaryNodeId(edge_to[i]),
-                aggregated: edge_aggregated[i] as usize,
-            });
-        }
-
-        let total_entities = dec.get_u64()? as usize;
-        let total_relation_edges = dec.get_u64()? as usize;
-        Ok(Self {
-            nodes,
-            edges,
-            class_nodes,
-            thing_node,
-            out_adj,
-            in_adj,
-            total_entities,
-            total_relation_edges,
-            _private: (),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -738,80 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_bit_identically() {
-        use kwsearch_rdf::snapshot::{SnapshotReader, SnapshotWriter};
-        let g = figure1_graph();
-        let s = SummaryGraph::build(&g);
-        let bytes_of = |s: &SummaryGraph| {
-            let mut enc = SectionEncoder::new();
-            s.write_snapshot(&mut enc);
-            let mut writer = SnapshotWriter::new();
-            writer.add_section(5, enc);
-            let mut bytes = Vec::new();
-            writer.write_to(&mut bytes).unwrap();
-            bytes
-        };
-        let bytes = bytes_of(&s);
-        let reader = SnapshotReader::read_from(bytes.as_slice()).unwrap();
-        let mut dec = reader.section(5).unwrap();
-        let loaded = SummaryGraph::read_snapshot(&mut dec, &g).unwrap();
-        dec.finish().unwrap();
-
-        assert_eq!(loaded.node_count(), s.node_count());
-        assert_eq!(loaded.edge_count(), s.edge_count());
-        assert_eq!(loaded.total_entities(), s.total_entities());
-        assert_eq!(loaded.total_relation_edges(), s.total_relation_edges());
-        assert_eq!(loaded.thing_node(), s.thing_node());
-        for n in s.nodes() {
-            assert_eq!(loaded.node(n), s.node(n));
-            assert_eq!(loaded.out_edges(n), s.out_edges(n));
-            assert_eq!(loaded.in_edges(n), s.in_edges(n));
-        }
-        for e in s.edges() {
-            assert_eq!(loaded.edge(e), s.edge(e));
-        }
-        let publication = g.class("Publication").unwrap();
-        assert_eq!(
-            loaded.node_of_class(publication),
-            s.node_of_class(publication)
-        );
-        // Save → load → save is byte-identical.
-        assert_eq!(bytes_of(&loaded), bytes);
-    }
-
-    #[test]
-    fn corrupt_summary_snapshots_are_rejected() {
-        use kwsearch_rdf::snapshot::{SnapshotReader, SnapshotWriter};
-        // A snapshot with two Thing nodes must be rejected, not loaded.
-        let mut enc = SectionEncoder::new();
-        enc.put_u32_slice(&[NODE_TAG_THING, NODE_TAG_THING]);
-        enc.put_u32_slice(&[NO_PAYLOAD, NO_PAYLOAD]);
-        enc.put_u64_slice(&[0, 0]);
-        for _ in 0..4 {
-            enc.put_u32_slice(&[]);
-        }
-        enc.put_u64_slice(&[]);
-        enc.put_u64(0);
-        enc.put_u64(0);
-        let mut writer = SnapshotWriter::new();
-        writer.add_section(5, enc);
-        let mut bytes = Vec::new();
-        writer.write_to(&mut bytes).unwrap();
-        let reader = SnapshotReader::read_from(bytes.as_slice()).unwrap();
-        let mut dec = reader.section(5).unwrap();
-        assert!(matches!(
-            SummaryGraph::read_snapshot(&mut dec, &figure1_graph()),
-            Err(SnapshotError::Corrupt { .. })
-        ));
-    }
-
-    fn summary_bytes(s: &SummaryGraph) -> Vec<u8> {
-        let mut enc = SectionEncoder::new();
-        s.write_snapshot(&mut enc);
-        enc.into_bytes()
-    }
-
-    #[test]
     fn apply_adds_matches_a_rebuild_byte_for_byte() {
         let base = figure1_graph();
         let summary = SummaryGraph::build(&base);
@@ -835,11 +580,10 @@ mod tests {
         let incremental = summary
             .apply_adds(&merged, nv, ne)
             .expect("batch is incrementally applicable");
-        let rebuilt = SummaryGraph::build(&merged);
         assert_eq!(
-            summary_bytes(&incremental),
-            summary_bytes(&rebuilt),
-            "incremental summary must be byte-identical to a rebuild"
+            incremental,
+            SummaryGraph::build(&merged),
+            "incremental summary must equal a rebuild"
         );
     }
 
@@ -875,10 +619,7 @@ mod tests {
         let incremental = summary
             .apply_adds(&fresh, nv, ne)
             .expect("typing a new entity is incremental");
-        assert_eq!(
-            summary_bytes(&incremental),
-            summary_bytes(&SummaryGraph::build(&fresh))
-        );
+        assert_eq!(incremental, SummaryGraph::build(&fresh));
     }
 
     #[test]

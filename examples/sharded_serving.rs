@@ -2,18 +2,18 @@
 //!
 //! Demonstrates sharded serving on the generated bibliographic dataset: the
 //! data graph is partitioned into edge-disjoint shards, each shard is
-//! prepared and persisted as its own snapshot, the snapshots are loaded
-//! back into the same [`SearchService`] that serves an unsharded
-//! preparation, and a keyword workload is served over them — keyword
-//! lookups scattered over every shard, one exploration over the merged matches (bit-identical to an
-//! unsharded session, at the same cursor count), answers scattered over
-//! the shard-local stores. A deadline demo shows the typed failure path.
+//! prepared in memory, the preparations go into the same [`SearchService`]
+//! that serves an unsharded preparation, and a keyword workload is served
+//! over them — keyword lookups scattered over every shard, one exploration
+//! over the merged matches (bit-identical to an unsharded session, at the
+//! same cursor count), answers scattered over the shard-local stores. A
+//! deadline demo shows the typed failure path.
 //!
 //! Run with `cargo run --release --example sharded_serving`.
 
 use std::time::Duration;
 
-use searchwebdb::core::shard::{load_shards, partition, persist_shards};
+use searchwebdb::core::shard::partition;
 use searchwebdb::datagen::DblpDataset;
 use searchwebdb::prelude::*;
 
@@ -33,26 +33,11 @@ fn main() {
         plan.replicated_edge_count(),
     );
 
-    // Prepare one index per shard and persist each as its own snapshot —
-    // shards deploy (and restart) independently. `persist_shards` commits
-    // the set with a `shards.manifest` written last; `load_shards` refuses
-    // a directory whose manifest is missing or disagrees with the
-    // snapshots, so a partially-persisted set fails loudly instead of
-    // silently serving a subset of the data.
+    // Prepare one index per shard, each carrying the global summary graph,
+    // and start the service over them.
     let shards = plan.prepare_shards(graph, Default::default());
-    let dir = std::env::temp_dir().join("searchwebdb-sharded-serving");
-    std::fs::create_dir_all(&dir).expect("creating the snapshot directory");
-    let files = persist_shards(&shards, &dir).expect("persisting shard snapshots");
-    println!(
-        "persisted {} shard snapshots under {}",
-        files.len(),
-        dir.display()
-    );
-
-    // On-line: load the snapshots back and start the service.
-    let loaded = load_shards(&dir).expect("loading shard snapshots");
     let config = SearchConfig::with_k(5);
-    let service = SearchService::new(loaded, config.clone());
+    let service = SearchService::new(shards, config.clone());
 
     // The same workload shape serving traffic would see.
     let author = dataset.author_names[0].clone();
@@ -131,8 +116,6 @@ fn main() {
          {} queries returned",
         stats.admitted, stats.rejected, stats.deadline_exceeded, stats.queries_returned,
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A keyword that matches broadly enough for the deadline demo to have

@@ -10,9 +10,11 @@
 //! 5. load the snapshot and run the same keyword query on both copies,
 //!    asserting bit-identical costs and canonical queries.
 //!
-//! At evaluation scale (10⁶–10⁷ triples) step 5's load replaces steps 2 + 3
-//! on every warm start — the benchmark's `data_bound` workload measures the
-//! ratio (`persist.load_vs_build_ratio`); this example shows the API.
+//! At evaluation scale (10⁶–10⁷ triples) step 5's load replaces step 2 and
+//! the keyword indexing of step 3 on every warm start (it derives the
+//! summary graph and the triple store from the loaded graph) — the
+//! benchmark's `data_bound` workload measures the ratio
+//! (`persist.load_vs_build_ratio`); this example shows the API.
 //!
 //! Run with: `cargo run --example snapshot_roundtrip`
 
