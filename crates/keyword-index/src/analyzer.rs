@@ -55,10 +55,7 @@ impl Analyzer {
     /// stop-word removal.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
-        for rough in text.split(|c: char| !c.is_alphanumeric()) {
-            if rough.is_empty() {
-                continue;
-            }
+        for rough in rough_tokens(text) {
             if self.split_camel_case {
                 for part in split_camel(rough) {
                     tokens.push(part.to_lowercase());
@@ -104,6 +101,16 @@ impl Analyzer {
             .filter(|t| seen.insert(t.clone()))
             .collect()
     }
+}
+
+/// The rough tokens of `text`: its non-empty runs of alphanumeric
+/// characters. [`Analyzer::tokenize`] treats each one on its own, so
+/// [`Analyzer::analyze`] of a text is the concatenation of `analyze` over its
+/// rough tokens — which lets an index build analyze each distinct rough
+/// token once.
+pub(crate) fn rough_tokens(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|rough| !rough.is_empty())
 }
 
 /// Splits a single token at lower-to-upper case boundaries and digit
@@ -191,6 +198,31 @@ mod tests {
         let a = Analyzer::new();
         assert!(a.analyze("").is_empty());
         assert!(a.analyze("--- !!! ---").is_empty());
+    }
+
+    /// The index build's memo rests on this: a label's terms are its rough
+    /// tokens' terms, in order.
+    #[test]
+    fn analysis_is_the_concatenation_over_rough_tokens() {
+        let labels = [
+            "",
+            "--- !!! ---",
+            "The publications of the institute",
+            "worksAt hasProjectLUBM50 X-Media",
+            "ICDE2009: Top-k Exploration, top-K exploration!",
+            "Ünïcödé ÀPFEL straße ΣΟΦΟΣ ΟΔΟΣ 漢字カタカナ",
+            "a an the of and",
+            "search search searching 42 42 4two",
+            "camelCaseWithDigits123andMORE",
+        ];
+        for analyzer in [Analyzer::new(), Analyzer::minimal()] {
+            for label in labels {
+                let pieces: Vec<String> = rough_tokens(label)
+                    .flat_map(|rough| analyzer.analyze(rough))
+                    .collect();
+                assert_eq!(analyzer.analyze(label), pieces, "{label:?}");
+            }
+        }
     }
 
     #[test]

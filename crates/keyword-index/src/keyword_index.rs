@@ -11,15 +11,17 @@
 //! E-vertices are not indexed; classes, values, relation labels and
 //! attribute labels are.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
-use kwsearch_rdf::{DataGraph, EdgeKind, EdgeLabel, EdgeLabelId, VertexId, VertexKind};
+use kwsearch_rdf::{
+    counting_sort, DataGraph, EdgeKind, EdgeLabel, EdgeLabelId, Interner, VertexId, VertexKind,
+};
 
-use crate::analyzer::Analyzer;
+use crate::analyzer::{rough_tokens, Analyzer};
 use crate::levenshtein::bounded_levenshtein;
-use crate::postings::{unpack, AttributeTable, ConnectionTable, PostingLists};
+use crate::postings::{pack, unpack, AttributeTable, ConnectionTable, PostingLists};
 use crate::thesaurus::Thesaurus;
 
 /// Reference to an indexable graph element.
@@ -170,7 +172,7 @@ impl DeltaIndex {
     /// Registers `element` under `term`, keeping the vocabulary sorted and
     /// each posting list duplicate-free.
     fn insert(&mut self, term: &str, element: ElementRef) {
-        let packed = crate::postings::pack(element);
+        let packed = pack(element);
         match self.terms.binary_search_by(|(t, _)| t.as_str().cmp(term)) {
             Ok(i) => {
                 if !self.terms[i].1.contains(&packed) {
@@ -192,10 +194,11 @@ impl DeltaIndex {
 
 /// The keyword index: an IR engine over the labels of the data graph.
 ///
-/// Construction accumulates into a term-ordered `BTreeMap` and then
-/// freezes everything into flat, offset-indexed columns
-/// ([`PostingLists`], [`ConnectionTable`], [`AttributeTable`]) — the shape
-/// that both lookups and disk snapshots operate on. The frozen columns are
+/// Construction analyzes each distinct rough token of the labels once,
+/// counting-sorts the `(term, element)` postings on term rank and writes
+/// straight into flat, offset-indexed columns ([`PostingLists`],
+/// [`ConnectionTable`], [`AttributeTable`]) — the shape that both lookups
+/// and disk snapshots operate on. The frozen columns are
 /// `Arc`-shared, so cloning an index (the live-update snapshot path) costs
 /// O(delta), and live writes land in a small `DeltaIndex` overlay that
 /// every lookup unions with the frozen side.
@@ -224,26 +227,31 @@ impl KeywordIndex {
     }
 
     /// Builds the keyword index with custom components.
+    ///
+    /// One pass over the labels: each distinct rough token (a run of
+    /// alphanumerics) is analyzed once, every label posts `(term, element)`
+    /// pairs, and the postings are placed by a stable counting sort on term
+    /// rank. The
+    /// neighbourhood tables read the classes of every entity from one
+    /// [`DataGraph::entity_classes`] table.
     pub fn build_with(
         graph: &DataGraph,
         analyzer: Analyzer,
         thesaurus: Thesaurus,
         config: KeywordIndexConfig,
     ) -> Self {
-        // Each element is visited once and `analyze_unique` yields each of
-        // its terms once, so no posting list ever holds a duplicate.
-        let mut index: BTreeMap<String, Vec<ElementRef>> = BTreeMap::new();
+        let entity_classes = graph.entity_classes();
+        let classes_of = |entity| entity_classes.of(entity).iter().copied();
+        let mut vocabulary = Vocabulary::default();
         let mut indexed_elements = 0usize;
 
         // Classes.
         for class in graph.vertices_of_kind(VertexKind::Class) {
-            let label = graph.vertex_label(class);
-            for term in analyzer.analyze_unique(label) {
-                index
-                    .entry(term)
-                    .or_default()
-                    .push(ElementRef::Class(class));
-            }
+            vocabulary.post(
+                &analyzer,
+                graph.vertex_label(class),
+                ElementRef::Class(class),
+            );
             indexed_elements += 1;
         }
 
@@ -251,16 +259,19 @@ impl KeywordIndex {
         // `vertices_of_kind` yields ascending vertex ids, the push order the
         // frozen table requires.
         let mut values = ConnectionTable::default();
+        let mut links = Vec::new();
         for value in graph.vertices_of_kind(VertexKind::Value) {
-            let label = graph.vertex_label(value);
-            for term in analyzer.analyze_unique(label) {
-                index
-                    .entry(term)
-                    .or_default()
-                    .push(ElementRef::Value(value));
-            }
+            vocabulary.post(
+                &analyzer,
+                graph.vertex_label(value),
+                ElementRef::Value(value),
+            );
             indexed_elements += 1;
-            values.push(value, &Self::connections_of_value(graph, value));
+            value_links(graph, value, classes_of, &mut links);
+            values.push_value(value);
+            for (attribute, classes, has_untyped) in connections(&links) {
+                values.push_connection(attribute, classes, has_untyped);
+            }
         }
 
         // Edge labels (relations and attributes), together with the
@@ -270,23 +281,19 @@ impl KeywordIndex {
         for (label_id, label) in graph.edge_labels() {
             match label {
                 EdgeLabel::Relation(sym) => {
-                    let name = graph.resolve(sym);
-                    for term in analyzer.analyze_unique(name) {
-                        index
-                            .entry(term)
-                            .or_default()
-                            .push(ElementRef::Relation(label_id));
-                    }
+                    vocabulary.post(
+                        &analyzer,
+                        graph.resolve(sym),
+                        ElementRef::Relation(label_id),
+                    );
                     indexed_elements += 1;
                 }
                 EdgeLabel::Attribute(sym) => {
-                    let name = graph.resolve(sym);
-                    for term in analyzer.analyze_unique(name) {
-                        index
-                            .entry(term)
-                            .or_default()
-                            .push(ElementRef::Attribute(label_id));
-                    }
+                    vocabulary.post(
+                        &analyzer,
+                        graph.resolve(sym),
+                        ElementRef::Attribute(label_id),
+                    );
                     indexed_elements += 1;
                     attribute_labels.push(label_id);
                 }
@@ -296,16 +303,16 @@ impl KeywordIndex {
         let mut attributes = AttributeTable::default();
         for (&label_id, (classes, has_untyped)) in attribute_labels
             .iter()
-            .zip(Self::classes_of_attributes(graph, &attribute_labels))
+            .zip(classes_of_attributes(graph, &attribute_labels, classes_of))
         {
             attributes.push(label_id, &classes, has_untyped);
         }
 
         Self {
+            postings: Arc::new(vocabulary.freeze()),
             analyzer,
             thesaurus,
             config,
-            postings: Arc::new(PostingLists::from_sorted(&index)),
             values: Arc::new(values),
             attributes: Arc::new(attributes),
             delta: DeltaIndex::default(),
@@ -321,9 +328,13 @@ impl KeywordIndex {
     /// `touched` are pre-existing values and attribute labels whose
     /// neighbourhood data (`[V-vertex, A-edge, (C-vertex…)]` or
     /// `(C-vertex…)`) may have changed; their enrichment is recomputed from
-    /// `graph` and overrides the frozen side tables. Both recomputations
-    /// use exactly the code paths of a from-scratch build, so lookups stay
-    /// bit-identical to a fresh index over the merged graph.
+    /// `graph` and overrides the frozen side tables. The enrichment goes
+    /// through the build's own per-value and per-attribute functions, with
+    /// the classes read off the graph's out-edges instead of a whole-graph
+    /// table, so a write costs `O(delta)` there; a new label's terms are
+    /// [`Analyzer::analyze_unique`], which the build's memoized analysis
+    /// equals. Lookups stay bit-identical to a fresh index over the merged
+    /// graph.
     pub fn apply_delta(
         &mut self,
         graph: &DataGraph,
@@ -342,13 +353,23 @@ impl KeywordIndex {
             }
             self.indexed_elements += 1;
         }
+        // No whole-graph class table here: a write reads the classes of the
+        // few entities it reaches off their out-edges.
+        let classes_of = |entity| graph.classes_iter(entity);
         let mut attribute_labels = Vec::new();
+        let mut links = Vec::new();
         for &element in new_elements.iter().chain(touched) {
             match element {
                 ElementRef::Value(v) => {
-                    self.delta
-                        .values
-                        .insert(v, Self::connections_of_value(graph, v));
+                    value_links(graph, v, classes_of, &mut links);
+                    let value_connections = connections(&links)
+                        .map(|(attribute, classes, has_untyped_source)| ValueConnection {
+                            attribute,
+                            classes: classes.collect(),
+                            has_untyped_source,
+                        })
+                        .collect();
+                    self.delta.values.insert(v, value_connections);
                 }
                 ElementRef::Attribute(l) => attribute_labels.push(l),
                 ElementRef::Class(_) | ElementRef::Relation(_) => {}
@@ -356,7 +377,7 @@ impl KeywordIndex {
         }
         attribute_labels.sort_unstable();
         attribute_labels.dedup();
-        let classes = Self::classes_of_attributes(graph, &attribute_labels);
+        let classes = classes_of_attributes(graph, &attribute_labels, classes_of);
         self.delta
             .attributes
             .extend(attribute_labels.into_iter().zip(classes));
@@ -381,78 +402,6 @@ impl KeywordIndex {
             self.thesaurus.clone(),
             self.config.clone(),
         )
-    }
-
-    /// Collects, for one V-vertex, the attribute labels and source-entity
-    /// classes through which it is reachable.
-    fn connections_of_value(graph: &DataGraph, value: VertexId) -> Vec<ValueConnection> {
-        let mut per_attribute: HashMap<EdgeLabelId, (Vec<VertexId>, bool)> = HashMap::new();
-        for &e in graph.in_edges(value) {
-            let edge = graph.edge(e);
-            let entry = per_attribute.entry(edge.label).or_default();
-            let classes = graph.classes_of(edge.from);
-            if classes.is_empty() {
-                entry.1 = true;
-            }
-            for c in classes {
-                if !entry.0.contains(&c) {
-                    entry.0.push(c);
-                }
-            }
-        }
-        let mut connections: Vec<ValueConnection> = per_attribute
-            .into_iter()
-            .map(|(attribute, (mut classes, has_untyped_source))| {
-                // Canonical class order (ascending vertex id), matching
-                // `classes_of_attributes`: the list must be a function of the
-                // edge *set*, not the edge insertion order, so that indexes
-                // built over edge-disjoint shards of one graph merge back to
-                // exactly this list (see `kwsearch_core::shard`).
-                classes.sort_unstable();
-                ValueConnection {
-                    attribute,
-                    classes,
-                    has_untyped_source,
-                }
-            })
-            .collect();
-        // The sort erases the hash order of `per_attribute`.
-        connections.sort_by_key(|c| c.attribute);
-        connections
-    }
-
-    /// Collects, for each of the distinct `labels`, the classes of all
-    /// entities that carry it (ascending) and whether an untyped one does —
-    /// in one pass over the edges, so a build costs O(edges), not
-    /// O(labels × edges).
-    fn classes_of_attributes(
-        graph: &DataGraph,
-        labels: &[EdgeLabelId],
-    ) -> Vec<(Vec<VertexId>, bool)> {
-        let mut slot = vec![usize::MAX; graph.edge_label_count()];
-        for (i, label) in labels.iter().enumerate() {
-            slot[label.index()] = i;
-        }
-        let mut out = vec![(Vec::new(), false); labels.len()];
-        for e in graph.edges() {
-            let edge = graph.edge(e);
-            let Some((classes, has_untyped)) = out.get_mut(slot[edge.label.index()]) else {
-                continue;
-            };
-            let entity_classes = graph.classes_of(edge.from);
-            if entity_classes.is_empty() {
-                *has_untyped = true;
-            }
-            for c in entity_classes {
-                if !classes.contains(&c) {
-                    classes.push(c);
-                }
-            }
-        }
-        for (classes, _) in &mut out {
-            classes.sort_unstable();
-        }
-        out
     }
 
     /// The normalized query terms of a keyword: tokenized and, when the
@@ -726,6 +675,154 @@ impl KeywordIndex {
     }
 }
 
+/// The build's vocabulary: the terms interned to dense ids, and a memo from
+/// each distinct rough token ([`rough_tokens`]) to its term ids, so a token
+/// repeated across many labels is analyzed once. The memo is sound because
+/// a label's terms are its rough tokens' terms, in order.
+#[derive(Default)]
+struct Vocabulary {
+    terms: Interner,
+    rough: Interner,
+    /// The term ids of each rough token, by its id in `rough`.
+    memo: Vec<Vec<u32>>,
+    /// The number of the last label that posted each term: a label posts
+    /// a term once, at its first occurrence.
+    last_label: Vec<u32>,
+    labels: u32,
+    /// `(term id, packed element)`, in posting order.
+    postings: Vec<(u32, u32)>,
+}
+
+impl Vocabulary {
+    /// Posts `element` under each distinct term of `label`.
+    fn post(&mut self, analyzer: &Analyzer, label: &str, element: ElementRef) {
+        self.labels += 1;
+        let packed = pack(element);
+        for rough in rough_tokens(label) {
+            let r = self.rough.intern(rough).index();
+            if r == self.memo.len() {
+                let terms = analyzer.analyze(rough);
+                let ids = terms.iter().map(|t| self.terms.intern(t).index() as u32);
+                self.memo.push(ids.collect());
+                self.last_label.resize(self.terms.len(), 0);
+            }
+            for &t in &self.memo[r] {
+                if self.last_label[t as usize] != self.labels {
+                    self.last_label[t as usize] = self.labels;
+                    self.postings.push((t, packed));
+                }
+            }
+        }
+    }
+
+    /// Sorts the vocabulary by bytes and places every posting under its
+    /// term's rank, keeping posting order within a term.
+    fn freeze(self) -> PostingLists {
+        let words: Vec<&str> = self.terms.iter().map(|(_, word)| word).collect();
+        let mut order: Vec<u32> = (0..words.len() as u32).collect();
+        order.sort_unstable_by_key(|&t| words[t as usize]);
+        let mut rank = vec![0u32; words.len()];
+        for (r, &t) in order.iter().enumerate() {
+            rank[t as usize] = r as u32;
+        }
+        let mut postings = vec![0u32; self.postings.len()];
+        let offsets = counting_sort(
+            &self.postings,
+            &mut postings,
+            words.len(),
+            |&(t, _)| rank[t as usize] as usize,
+            |_, &(_, packed)| packed,
+        );
+        PostingLists::from_sorted(order.iter().map(|&t| words[t as usize]), offsets, postings)
+    }
+}
+
+/// Stands for an untyped source entity in a value's links; sorts after
+/// every class.
+const UNTYPED: u32 = u32::MAX;
+
+/// Fills `links` with the `[V-vertex, A-edge, (C-vertex…)]` structures of
+/// `value` as sorted, distinct `attribute << 32 | class` links, one per
+/// (in-edge label, source class) and [`UNTYPED`] for a source without
+/// classes. `classes_of` yields an entity's classes: the build's
+/// [`DataGraph::entity_classes`] table, or the graph's out-edges on the
+/// write path — the one code both share.
+///
+/// The class lists this spells are ascending — a function of the edge
+/// *set*, not the edge insertion order, so that indexes built over
+/// edge-disjoint shards of one graph merge back to exactly these lists (see
+/// `kwsearch_core::shard`).
+fn value_links<I: Iterator<Item = VertexId>>(
+    graph: &DataGraph,
+    value: VertexId,
+    classes_of: impl Fn(VertexId) -> I,
+    links: &mut Vec<u64>,
+) {
+    links.clear();
+    for &e in graph.in_edges(value) {
+        let edge = graph.edge(e);
+        let attribute = (edge.label.index() as u64) << 32;
+        let before = links.len();
+        links.extend(classes_of(edge.from).map(|c| attribute | c.index() as u64));
+        if links.len() == before {
+            links.push(attribute | u64::from(UNTYPED));
+        }
+    }
+    links.sort_unstable();
+    links.dedup();
+}
+
+/// The connections sorted `links` spell, in label order: each attribute
+/// label with its classes, ascending, and whether an untyped entity is a
+/// source.
+fn connections(
+    links: &[u64],
+) -> impl Iterator<Item = (EdgeLabelId, impl Iterator<Item = VertexId> + '_, bool)> {
+    links.chunk_by(|a, b| a >> 32 == b >> 32).map(|run| {
+        let classes = run
+            .iter()
+            .map(|&link| link as u32)
+            .filter(|&class| class != UNTYPED)
+            .map(VertexId::from_index);
+        let attribute = EdgeLabelId::from_index((run[0] >> 32) as u32);
+        (attribute, classes, run[run.len() - 1] as u32 == UNTYPED)
+    })
+}
+
+/// Collects, for each of the distinct `labels`, the classes of all entities
+/// that carry it (ascending) and whether an untyped one does — in one pass
+/// over the edges, so a build costs O(edges), not O(labels × edges), and
+/// with no allocation per edge. `classes_of` is as for [`value_links`].
+fn classes_of_attributes<I: Iterator<Item = VertexId>>(
+    graph: &DataGraph,
+    labels: &[EdgeLabelId],
+    classes_of: impl Fn(VertexId) -> I,
+) -> Vec<(Vec<VertexId>, bool)> {
+    let mut slot = vec![usize::MAX; graph.edge_label_count()];
+    for (i, label) in labels.iter().enumerate() {
+        slot[label.index()] = i;
+    }
+    let mut out = vec![(Vec::new(), false); labels.len()];
+    for e in graph.edges() {
+        let edge = graph.edge(e);
+        let Some((classes, has_untyped)) = out.get_mut(slot[edge.label.index()]) else {
+            continue;
+        };
+        let mut typed = false;
+        for c in classes_of(edge.from) {
+            typed = true;
+            if !classes.contains(&c) {
+                classes.push(c);
+            }
+        }
+        *has_untyped |= !typed;
+    }
+    for (classes, _) in &mut out {
+        classes.sort_unstable();
+    }
+    out
+}
+
 /// Whether `element` names a vertex or label of `graph` of its own kind.
 fn is_element_of(graph: &DataGraph, element: ElementRef) -> bool {
     let vertex_is =
@@ -768,6 +865,116 @@ mod tests {
         }
         classes.sort();
         (classes, has_untyped)
+    }
+
+    /// The build before the one-pass vocabulary: every label analyzed in
+    /// full into a term-ordered `BTreeMap`, a `HashMap` and a `classes_of`
+    /// `Vec` per value, and the per-label attribute scan.
+    /// [`KeywordIndex::build_with`] must equal it to the snapshot byte.
+    fn reference_build(
+        graph: &DataGraph,
+        analyzer: Analyzer,
+        thesaurus: Thesaurus,
+        config: KeywordIndexConfig,
+    ) -> KeywordIndex {
+        let mut index: std::collections::BTreeMap<String, Vec<ElementRef>> =
+            std::collections::BTreeMap::new();
+        let mut indexed_elements = 0usize;
+        let mut post = |label: &str, element: ElementRef| {
+            for term in analyzer.analyze_unique(label) {
+                index.entry(term).or_default().push(element);
+            }
+            indexed_elements += 1;
+        };
+        for class in graph.vertices_of_kind(VertexKind::Class) {
+            post(graph.vertex_label(class), ElementRef::Class(class));
+        }
+        let mut values = ConnectionTable::default();
+        for value in graph.vertices_of_kind(VertexKind::Value) {
+            post(graph.vertex_label(value), ElementRef::Value(value));
+            values.push_value(value);
+            for conn in reference_connections_of_value(graph, value) {
+                let classes = conn.classes.into_iter();
+                values.push_connection(conn.attribute, classes, conn.has_untyped_source);
+            }
+        }
+        let mut attributes = AttributeTable::default();
+        for (label_id, label) in graph.edge_labels() {
+            match label {
+                EdgeLabel::Relation(sym) => {
+                    post(graph.resolve(sym), ElementRef::Relation(label_id));
+                }
+                EdgeLabel::Attribute(sym) => {
+                    post(graph.resolve(sym), ElementRef::Attribute(label_id));
+                    let (classes, has_untyped) = classes_of_attribute(graph, label_id);
+                    attributes.push(label_id, &classes, has_untyped);
+                }
+                EdgeLabel::Type | EdgeLabel::SubClass => {}
+            }
+        }
+        KeywordIndex {
+            analyzer,
+            thesaurus,
+            config,
+            postings: Arc::new(PostingLists::from_map(&index)),
+            values: Arc::new(values),
+            attributes: Arc::new(attributes),
+            delta: DeltaIndex::default(),
+            indexed_elements,
+        }
+    }
+
+    /// The per-value connections of [`reference_build`]: a `HashMap` per
+    /// value and a `classes_of` `Vec` per in-edge.
+    fn reference_connections_of_value(graph: &DataGraph, value: VertexId) -> Vec<ValueConnection> {
+        let mut per_attribute: HashMap<EdgeLabelId, (Vec<VertexId>, bool)> = HashMap::new();
+        for &e in graph.in_edges(value) {
+            let edge = graph.edge(e);
+            let entry = per_attribute.entry(edge.label).or_default();
+            let classes = graph.classes_of(edge.from);
+            if classes.is_empty() {
+                entry.1 = true;
+            }
+            for c in classes {
+                if !entry.0.contains(&c) {
+                    entry.0.push(c);
+                }
+            }
+        }
+        let mut connections: Vec<ValueConnection> = per_attribute
+            .into_iter()
+            .map(|(attribute, (mut classes, has_untyped_source))| {
+                classes.sort_unstable();
+                ValueConnection {
+                    attribute,
+                    classes,
+                    has_untyped_source,
+                }
+            })
+            .collect();
+        connections.sort_by_key(|c| c.attribute);
+        connections
+    }
+
+    /// The keyword section an index writes.
+    fn section_bytes(idx: &KeywordIndex) -> Vec<u8> {
+        let mut enc = SectionEncoder::new();
+        idx.write_snapshot(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// `build_with` and [`reference_build`] agree on the section bytes,
+    /// the element count and the term count.
+    fn assert_build_matches_reference(g: &DataGraph, analyzer: Analyzer) {
+        let config = KeywordIndexConfig::default;
+        let fast = KeywordIndex::build_with(g, analyzer.clone(), Thesaurus::builtin(), config());
+        let reference = reference_build(g, analyzer, Thesaurus::builtin(), config());
+        assert_eq!(fast.element_count(), reference.element_count());
+        assert_eq!(fast.term_count(), reference.term_count());
+        assert!(
+            section_bytes(&fast) == section_bytes(&reference),
+            "section bytes differ"
+        );
     }
 
     /// The lookup before ranking preceded enrichment: a `HashMap` of
@@ -1299,6 +1506,22 @@ mod tests {
     }
 
     #[test]
+    fn the_build_equals_the_reference_on_the_running_example() {
+        let g = figure1_graph();
+        assert_build_matches_reference(&g, Analyzer::new());
+        assert_build_matches_reference(&g, Analyzer::minimal());
+        assert_build_matches_reference(&DataGraph::new(), Analyzer::new());
+    }
+
+    /// Generated bibliographic data: titles from a small word pool, Zipf
+    /// authors, camel-cased predicates, digit runs and a class hierarchy.
+    #[test]
+    fn the_build_equals_the_reference_on_dblp() {
+        let g = kwsearch_datagen::DblpDataset::scaled(2_000).graph;
+        assert_build_matches_reference(&g, Analyzer::new());
+    }
+
+    #[test]
     fn lookup_equals_the_reference_on_the_running_example() {
         let (idx, _) = index();
         for keyword in [
@@ -1417,8 +1640,63 @@ mod tests {
                 .or_else(|| idx.attributes.get(label))
         }
 
+        /// One piece of a label: words, capitalized and all-caps runs,
+        /// digit runs, non-ASCII letters (final sigma included), stop
+        /// words and a small pool of repeated words.
+        fn piece() -> impl Strategy<Value = String> {
+            prop_oneof![
+                "[a-z]{1,5}",
+                "[A-Z][a-z]{0,4}",
+                "[A-Z]{2,4}",
+                "[0-9]{1,4}",
+                "[äöüßéÀΣςσ漢字]{1,4}",
+                Just("the".to_string()),
+                Just("of and".to_string()),
+                Just("search".to_string()),
+                Just("Searching".to_string()),
+            ]
+        }
+
+        /// A label of zero to four pieces, joined with nothing (camel case,
+        /// digit runs glued to words), spaces or punctuation: empty,
+        /// separator-only and stop-word-only labels included.
+        fn rich_label() -> impl Strategy<Value = String> {
+            (proptest::collection::vec(piece(), 0..5), 0usize..4)
+                .prop_map(|(pieces, sep)| pieces.join(["", " ", "-", ", "][sep]))
+        }
+
+        /// A random graph over a few entities: `type` edges (several or none
+        /// per entity), attributes into shared values, relations and
+        /// subclass edges, every name a rich label. A triple the graph
+        /// refuses is skipped.
+        fn rich_graph() -> impl Strategy<Value = DataGraph> {
+            let triple = (0usize..4, 0usize..6, 0usize..6, rich_label(), rich_label());
+            proptest::collection::vec(triple, 0..32).prop_map(|rows| {
+                let mut g = DataGraph::new();
+                for (kind, s, o, a, b) in rows {
+                    let (subject, object) = (format!("e{s}"), format!("e{o}"));
+                    let triple = match kind {
+                        0 => Triple::typed(subject, format!("C{a}")),
+                        1 => Triple::attribute(subject, format!("has{b}"), a),
+                        2 => Triple::relation(subject, format!("rel{a}"), object),
+                        _ => Triple::subclass(format!("C{a}"), format!("C{b}")),
+                    };
+                    let _ = g.insert_triple(&triple);
+                }
+                g
+            })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The one-pass build writes the reference build's keyword
+            /// section byte for byte, over either analyzer.
+            #[test]
+            fn the_build_equals_the_reference_build(g in rich_graph(), minimal in 0usize..2) {
+                let analyzer = if minimal == 1 { Analyzer::minimal() } else { Analyzer::new() };
+                assert_build_matches_reference(&g, analyzer);
+            }
 
             /// `lookup` returns what the enrich-everything, scan-everything
             /// lookup returns: same elements, same score bits, same order —

@@ -1,11 +1,13 @@
 //! Frozen, snapshot-friendly storage for the keyword index.
 //!
-//! The index is built into a term-ordered `BTreeMap<String, Vec<ElementRef>>`;
-//! once construction finishes it is frozen into [`PostingLists`]: the sorted
-//! vocabulary as one string blob plus an offsets column, and all posting
-//! lists as one packed `u32` column sliced by a second offsets column.
-//! Lookups binary-search the vocabulary, and a snapshot load is a handful of
-//! bulk buffer reads — no per-term allocation, hashing or parsing.
+//! The index build collects `(term id, packed element)` pairs, sorts its
+//! small vocabulary by bytes and places the pairs by a stable
+//! [`counting_sort`](kwsearch_rdf::counting_sort) on term rank; the result
+//! is frozen as [`PostingLists`]: the sorted vocabulary as one string blob
+//! plus an offsets column, and all posting lists as one packed `u32` column
+//! sliced by a second offsets column. Lookups binary-search the vocabulary,
+//! and a snapshot load is a handful of bulk buffer reads — no per-term
+//! allocation, hashing or parsing.
 //!
 //! Fuzzy matching walks the same sorted blob once per query term
 //! (`PostingLists::for_each_within`): consecutive terms share the banded
@@ -18,8 +20,6 @@
 //! [`ConnectionTable`] (per V-vertex `[V-vertex, A-edge, (C-vertex…)]`
 //! structures) and [`AttributeTable`] (per A-edge label `(C-vertex…)`
 //! structures).
-
-use std::collections::BTreeMap;
 
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
 use kwsearch_rdf::{EdgeLabelId, VertexId};
@@ -77,21 +77,44 @@ pub struct PostingLists {
 }
 
 impl PostingLists {
-    /// Freezes a build-time term → postings map. Terms keep the map's sorted
-    /// order; each posting list keeps its insertion order.
-    pub fn from_sorted(index: &BTreeMap<String, Vec<ElementRef>>) -> Self {
-        let mut out = Self {
-            term_offsets: vec![0],
-            posting_offsets: vec![0],
-            ..Self::default()
-        };
-        for (term, postings) in index {
-            out.term_bytes.push_str(term);
-            out.term_offsets.push(out.term_bytes.len() as u32);
-            out.postings.extend(postings.iter().map(|&e| pack(e)));
-            out.posting_offsets.push(out.postings.len() as u32);
+    /// Freezes counting-sorted postings: `terms` in ascending byte order,
+    /// and the packed postings of term `i` at
+    /// `postings[posting_offsets[i]..posting_offsets[i + 1]]` — the offsets
+    /// a [`counting_sort`](kwsearch_rdf::counting_sort) of the postings on
+    /// term rank returns.
+    pub fn from_sorted<'a>(
+        terms: impl IntoIterator<Item = &'a str>,
+        posting_offsets: Vec<u32>,
+        postings: Vec<u32>,
+    ) -> Self {
+        let mut term_bytes = String::new();
+        let mut term_offsets = vec![0];
+        for term in terms {
+            term_bytes.push_str(term);
+            term_offsets.push(term_bytes.len() as u32);
         }
+        let out = Self {
+            term_bytes,
+            term_offsets,
+            posting_offsets,
+            postings,
+        };
+        debug_assert_eq!(out.posting_offsets.len(), out.term_offsets.len());
+        debug_assert!((1..out.term_count()).all(|i| out.term_at(i - 1) < out.term_at(i)));
         out
+    }
+
+    /// Freezes a term → postings map, each list in its own order: the
+    /// shape of the reference build the tests compare against.
+    #[cfg(test)]
+    pub(crate) fn from_map(index: &std::collections::BTreeMap<String, Vec<ElementRef>>) -> Self {
+        let mut posting_offsets = vec![0];
+        let mut postings = Vec::new();
+        for list in index.values() {
+            postings.extend(list.iter().map(|&e| pack(e)));
+            posting_offsets.push(postings.len() as u32);
+        }
+        Self::from_sorted(index.keys().map(String::as_str), posting_offsets, postings)
     }
 
     /// Number of distinct terms.
@@ -300,23 +323,34 @@ pub struct ConnectionTable {
 }
 
 impl ConnectionTable {
-    /// Builds from `(value, connections)` pairs; `push` order must be by
-    /// ascending value id (the build loop iterates vertices in id order).
-    pub fn push(&mut self, value: VertexId, connections: &[ValueConnection]) {
+    /// Opens the entry of `value`, with no connections yet. Values must
+    /// come in ascending id order (the build loop iterates vertices in id
+    /// order).
+    pub(crate) fn push_value(&mut self, value: VertexId) {
         if self.conn_offsets.is_empty() {
             self.conn_offsets.push(0);
             self.class_offsets.push(0);
         }
         debug_assert!(self.values.last().is_none_or(|&v| v < value.index() as u32));
         self.values.push(value.index() as u32);
-        for conn in connections {
-            self.attrs.push(conn.attribute.index() as u32);
-            self.flags.push(u32::from(conn.has_untyped_source));
-            self.classes
-                .extend(conn.classes.iter().map(|c| c.index() as u32));
-            self.class_offsets.push(self.classes.len() as u32);
-        }
         self.conn_offsets.push(self.attrs.len() as u32);
+    }
+
+    /// Appends one connection to the value [`Self::push_value`] opened
+    /// last.
+    pub(crate) fn push_connection(
+        &mut self,
+        attribute: EdgeLabelId,
+        classes: impl Iterator<Item = VertexId>,
+        has_untyped_source: bool,
+    ) {
+        self.attrs.push(attribute.index() as u32);
+        self.flags.push(u32::from(has_untyped_source));
+        self.classes.extend(classes.map(|c| c.index() as u32));
+        self.class_offsets.push(self.classes.len() as u32);
+        if let Some(end) = self.conn_offsets.last_mut() {
+            *end = self.attrs.len() as u32;
+        }
     }
 
     /// The connections of `value` (empty if the vertex carries none).
@@ -512,6 +546,7 @@ impl AttributeTable {
 mod tests {
     use super::*;
     use crate::levenshtein::{bounded_levenshtein, levenshtein};
+    use std::collections::BTreeMap;
 
     #[test]
     fn pack_unpack_round_trips() {
@@ -557,7 +592,7 @@ mod tests {
                 )
             })
             .collect();
-        PostingLists::from_sorted(&inverted(&pairs))
+        PostingLists::from_map(&inverted(&pairs))
     }
 
     /// The walk's `(term, distance, postings)` visits and its cell count.
@@ -653,7 +688,7 @@ mod tests {
             ("alpha", ElementRef::Value(VertexId::from_index(3))),
             ("gamma", ElementRef::Relation(EdgeLabelId::from_index(0))),
         ]);
-        let frozen = PostingLists::from_sorted(&inv);
+        let frozen = PostingLists::from_map(&inv);
         assert_eq!(frozen.term_count(), 3);
         assert_eq!(frozen.posting_count(), 4);
         // Sorted vocabulary.
@@ -684,7 +719,7 @@ mod tests {
             .enumerate()
             .map(|(i, term)| (term, ElementRef::Class(VertexId::from_index(i as u32))))
             .collect();
-        let frozen = PostingLists::from_sorted(&inverted(&pairs));
+        let frozen = PostingLists::from_map(&inverted(&pairs));
         let mut enc = SectionEncoder::new();
         frozen.write_snapshot(&mut enc);
         let mut writer = SnapshotWriter::new();
@@ -703,30 +738,13 @@ mod tests {
 
     #[test]
     fn connection_table_lookups() {
+        let (label, vertex) = (EdgeLabelId::from_index, VertexId::from_index);
         let mut table = ConnectionTable::default();
-        table.push(
-            VertexId::from_index(3),
-            &[ValueConnection {
-                attribute: EdgeLabelId::from_index(1),
-                classes: vec![VertexId::from_index(9)],
-                has_untyped_source: false,
-            }],
-        );
-        table.push(
-            VertexId::from_index(8),
-            &[
-                ValueConnection {
-                    attribute: EdgeLabelId::from_index(0),
-                    classes: vec![],
-                    has_untyped_source: true,
-                },
-                ValueConnection {
-                    attribute: EdgeLabelId::from_index(2),
-                    classes: vec![VertexId::from_index(4), VertexId::from_index(5)],
-                    has_untyped_source: false,
-                },
-            ],
-        );
+        table.push_value(vertex(3));
+        table.push_connection(label(1), [vertex(9)].into_iter(), false);
+        table.push_value(vertex(8));
+        table.push_connection(label(0), [].into_iter(), true);
+        table.push_connection(label(2), [vertex(4), vertex(5)].into_iter(), false);
         assert_eq!(table.get(VertexId::from_index(3)).len(), 1);
         let conns = table.get(VertexId::from_index(8));
         assert_eq!(conns.len(), 2);

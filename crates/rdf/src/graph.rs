@@ -273,8 +273,14 @@ impl Adjacency {
 /// index order. Counts per bucket, prefix-sums the counts into range ends,
 /// then scatters from the last element down, each into the highest free
 /// slot of its bucket. Returns the bucket starts: `buckets + 1` offsets, the
-/// last equal to `src.len()`. Every bucket must be below `buckets`.
-pub(crate) fn counting_sort<S, T>(
+/// last equal to `src.len()`, so bucket `b` is `dst[offsets[b]..offsets[b +
+/// 1]]`. Every bucket must be below `buckets`, and `src.len()` must fit a
+/// `u32`.
+///
+/// `O(src.len() + buckets)`: the one sort behind the adjacency, the
+/// [`EntityClasses`], the triple store's permutations and the keyword
+/// index's posting lists.
+pub fn counting_sort<S, T>(
     src: &[S],
     dst: &mut [T],
     buckets: usize,
@@ -296,6 +302,28 @@ pub(crate) fn counting_sort<S, T>(
         dst[*slot as usize] = emit(i, item);
     }
     offsets
+}
+
+/// The classes of every vertex, as [`DataGraph::entity_classes`] derives
+/// them: the targets of each vertex's `type` edges in edge-id order, so
+/// [`Self::of`] equals [`DataGraph::classes_of`] vertex for vertex.
+///
+/// Two flat columns bucketed by a [`counting_sort`] of the `type` edges on
+/// their source; only entities have `type` edges, so every other vertex
+/// has an empty slice.
+#[derive(Debug, Clone)]
+pub struct EntityClasses {
+    offsets: Vec<u32>,
+    classes: Vec<VertexId>,
+}
+
+impl EntityClasses {
+    /// The classes of `entity`, in the order of its `type` edges.
+    #[inline]
+    pub fn of(&self, entity: VertexId) -> &[VertexId] {
+        let v = entity.index();
+        &self.classes[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
 }
 
 /// The in-memory typed RDF data graph.
@@ -703,14 +731,42 @@ impl DataGraph {
     /// The classes an entity is a direct instance of (targets of its `type`
     /// edges).
     pub fn classes_of(&self, entity: VertexId) -> Vec<VertexId> {
-        let mut classes = Vec::new();
-        for &e in self.out_adj.edges(entity.index()) {
-            let edge = self.edges[e.index()];
-            if self.edge_label(edge.label) == EdgeLabel::Type {
-                classes.push(edge.to);
-            }
-        }
-        classes
+        self.classes_iter(entity).collect()
+    }
+
+    /// [`Self::classes_of`] without the `Vec`: the targets of `entity`'s
+    /// `type` edges, in edge-id order, read off its out-edges.
+    pub fn classes_iter(&self, entity: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        self.out_adj
+            .edges(entity.index())
+            .into_iter()
+            .map(|&e| self.edges[e.index()])
+            .filter(|edge| self.edge_label(edge.label) == EdgeLabel::Type)
+            .map(|edge| edge.to)
+    }
+
+    /// [`Self::classes_of`] for every vertex at once, derived in one pass
+    /// over the `type` edges: the table an off-line build reads instead of
+    /// walking each entity's out-edges.
+    pub fn entity_classes(&self) -> EntityClasses {
+        let typed: Vec<Edge> = match self.edge_label_id(&EdgeLabel::Type) {
+            Some(type_label) => self
+                .edges
+                .iter()
+                .filter(|edge| edge.label == type_label)
+                .copied()
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut classes = vec![VertexId(0); typed.len()];
+        let offsets = counting_sort(
+            &typed,
+            &mut classes,
+            self.vertices.len(),
+            |edge| edge.from.index(),
+            |_, edge| edge.to,
+        );
+        EntityClasses { offsets, classes }
     }
 
     /// The direct instances of a class (sources of its incoming `type` edges).
@@ -752,7 +808,7 @@ impl DataGraph {
     /// Whether an entity has no `type` edge (it is aggregated under `Thing`
     /// in the summary graph).
     pub fn is_untyped_entity(&self, v: VertexId) -> bool {
-        self.vertex_kind(v) == VertexKind::Entity && self.classes_of(v).is_empty()
+        self.vertex_kind(v) == VertexKind::Entity && self.classes_iter(v).next().is_none()
     }
 
     // ------------------------------------------------------------------
@@ -1113,6 +1169,29 @@ mod tests {
         assert_eq!(g.superclasses_of(researcher), vec![person]);
         assert!(g.subclasses_of(person).contains(&researcher));
         assert!(!g.is_untyped_entity(re1));
+    }
+
+    /// The one-pass table equals `classes_of` on every vertex — of a graph
+    /// built by inserts, of a derived cut, and after appends to the cut.
+    #[test]
+    fn entity_classes_equal_classes_of() {
+        let mut g = example_graph();
+        g.insert_triple(&Triple::typed("pub1URI", "Agent")).unwrap();
+        g.insert_triple(&Triple::relation("loner", "knows", "re1URI"))
+            .unwrap();
+        let mut cut = g.edge_subset(|e, _| e.index() % 3 != 1);
+        cut.insert_triple(&Triple::typed("re1URI", "Publication"))
+            .unwrap();
+        for graph in [&g, &cut, &DataGraph::new()] {
+            let table = graph.entity_classes();
+            for v in graph.vertices() {
+                assert_eq!(table.of(v), graph.classes_of(v).as_slice(), "{v:?}");
+                assert!(graph.classes_iter(v).eq(graph.classes_of(v)));
+            }
+        }
+        let pub1 = g.entity("pub1URI").unwrap();
+        let (publication, agent) = (g.class("Publication").unwrap(), g.class("Agent").unwrap());
+        assert_eq!(g.entity_classes().of(pub1), [publication, agent]);
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub mod vocab;
 pub use builder::GraphBuilder;
 pub use error::RdfError;
 pub use graph::{
-    DataGraph, Edge, EdgeId, EdgeLabel, EdgeLabelId, EdgesRef, Vertex, VertexId, VertexKind,
+    counting_sort, DataGraph, Edge, EdgeId, EdgeLabel, EdgeLabelId, EdgesRef, EntityClasses,
+    Vertex, VertexId, VertexKind,
 };
 pub use interner::{Interner, Symbol};
 pub use ntriples::{ingest_ntriples, IngestStats};

@@ -15,11 +15,15 @@
 
 use std::collections::HashMap;
 
-use kwsearch_rdf::{DataGraph, EdgeLabel, EdgeLabelId, VertexId};
+use kwsearch_rdf::{DataGraph, EdgeId, EdgeLabel, EdgeLabelId, VertexId, VertexKind};
 
 use crate::element::{
     SummaryEdge, SummaryEdgeId, SummaryEdgeKind, SummaryNode, SummaryNodeId, SummaryNodeKind,
 };
+
+/// The summary edge of each `(from, kind, to)`: how a projection finds the
+/// edge a data edge bumps.
+type EdgeIndex = HashMap<(SummaryNodeId, SummaryEdgeKind, SummaryNodeId), SummaryEdgeId>;
 
 /// Cloned node/edge/adjacency storage handed to [`crate::augment`]:
 /// `(nodes, edges, out_adj, in_adj)`.
@@ -55,59 +59,42 @@ pub struct SummaryGraph {
 impl SummaryGraph {
     /// Builds the summary graph of `graph` by applying the aggregation
     /// rules of Definition 4.
+    ///
+    /// One pass over the edges after one [`DataGraph::entity_classes`]
+    /// table: the table gives every class its instance count and the
+    /// `Thing` node its untyped count, and a dense class → node array
+    /// projects each relation edge onto its classes' nodes.
     pub fn build(graph: &DataGraph) -> Self {
+        let entity_classes = graph.entity_classes();
         let mut summary = SummaryGraph::default();
 
-        // One node per class, aggregating its direct instances.
-        for class in graph.vertices_of_kind(kwsearch_rdf::VertexKind::Class) {
-            let aggregated = graph.instances_of(class).len();
-            summary.push_class_node(class, aggregated);
+        // One node per class, aggregating its direct instances, and the
+        // Thing node aggregating the untyped entities. Thing is created
+        // even when empty so that augmentation always has an attachment
+        // point.
+        let mut node_of = vec![SummaryNodeId(u32::MAX); graph.vertex_count()];
+        for class in graph.vertices_of_kind(VertexKind::Class) {
+            node_of[class.index()] = summary.push_class_node(class, 0);
         }
-
-        // The Thing node aggregates untyped entities. It is created even when
-        // empty so that augmentation always has an attachment point.
-        let untyped = graph
-            .vertices_of_kind(kwsearch_rdf::VertexKind::Entity)
-            .filter(|&v| graph.is_untyped_entity(v))
-            .count();
-        summary.push_thing_node(untyped);
-
-        summary.total_entities = graph.vertex_count_of_kind(kwsearch_rdf::VertexKind::Entity);
-
-        // Project every data edge onto the schema level.
-        let mut edge_index: HashMap<
-            (SummaryNodeId, SummaryEdgeKind, SummaryNodeId),
-            SummaryEdgeId,
-        > = HashMap::new();
-        for e in graph.edges() {
-            let edge = graph.edge(e);
-            match graph.edge_label(edge.label) {
-                EdgeLabel::Relation(_) => {
-                    summary.total_relation_edges += 1;
-                    let from_nodes = summary.schema_nodes_of_entity(graph, edge.from);
-                    let to_nodes = summary.schema_nodes_of_entity(graph, edge.to);
-                    for &f in &from_nodes {
-                        for &t in &to_nodes {
-                            summary.bump_edge(
-                                &mut edge_index,
-                                SummaryEdgeKind::Relation { label: edge.label },
-                                f,
-                                t,
-                            );
-                        }
-                    }
-                }
-                EdgeLabel::SubClass => {
-                    let f = summary.class_nodes[&edge.from];
-                    let t = summary.class_nodes[&edge.to];
-                    summary.bump_edge(&mut edge_index, SummaryEdgeKind::SubClass, f, t);
-                }
-                // A-edges and V-vertices are not part of the summary graph;
-                // they are added per query during augmentation (Definition 5).
-                EdgeLabel::Attribute(_) | EdgeLabel::Type => {}
+        let mut untyped = 0;
+        for entity in graph.vertices_of_kind(VertexKind::Entity) {
+            let classes = entity_classes.of(entity);
+            untyped += usize::from(classes.is_empty());
+            for class in classes {
+                summary.nodes[node_of[class.index()].index()].aggregated += 1;
             }
         }
+        summary.push_thing_node(untyped);
 
+        summary.total_entities = graph.vertex_count_of_kind(VertexKind::Entity);
+
+        let mut edge_index = HashMap::new();
+        let classes_of = |entity| entity_classes.of(entity).iter().copied();
+        for e in graph.edges() {
+            summary.project(graph, &mut edge_index, e, classes_of, |class| {
+                node_of[class.index()]
+            });
+        }
         summary
     }
 
@@ -139,14 +126,14 @@ impl SummaryGraph {
         // Rule 1: no new classes.
         for i in first_new_vertex..graph.vertex_count() {
             let v = VertexId::from_index(i as u32);
-            if graph.vertex(v).kind == kwsearch_rdf::VertexKind::Class {
+            if graph.vertex(v).kind == VertexKind::Class {
                 return None;
             }
         }
         // Rule 2: no new `type` edge on an entity that already had R-edges
         // (in either direction) before the batch.
         for i in first_new_edge..graph.edge_count() {
-            let edge = graph.edge(kwsearch_rdf::EdgeId::from_index(i as u32));
+            let edge = graph.edge(EdgeId::from_index(i as u32));
             if graph.edge_label(edge.label) != EdgeLabel::Type {
                 continue;
             }
@@ -168,10 +155,7 @@ impl SummaryGraph {
 
         let mut summary = self.clone();
         // Recover the build-time dedup map from the existing edges.
-        let mut edge_index: HashMap<
-            (SummaryNodeId, SummaryEdgeKind, SummaryNodeId),
-            SummaryEdgeId,
-        > = summary
+        let mut edge_index = summary
             .edges
             .iter()
             .enumerate()
@@ -179,51 +163,92 @@ impl SummaryGraph {
             .collect();
 
         // Project the new data edges in edge-id order — the order a rebuild
-        // over the merged graph would visit them in.
+        // over the merged graph would visit them in. No whole-graph table:
+        // the classes of the few entities a batch reaches are read off their
+        // out-edges, and every class is pre-existing (rule 1).
+        let class_nodes = &self.class_nodes;
         for i in first_new_edge..graph.edge_count() {
-            let edge = graph.edge(kwsearch_rdf::EdgeId::from_index(i as u32));
-            match graph.edge_label(edge.label) {
-                EdgeLabel::Relation(_) => {
-                    summary.total_relation_edges += 1;
-                    let from_nodes = summary.schema_nodes_of_entity(graph, edge.from);
-                    let to_nodes = summary.schema_nodes_of_entity(graph, edge.to);
-                    for &f in &from_nodes {
-                        for &t in &to_nodes {
-                            summary.bump_edge(
-                                &mut edge_index,
-                                SummaryEdgeKind::Relation { label: edge.label },
-                                f,
-                                t,
-                            );
-                        }
-                    }
-                }
-                EdgeLabel::SubClass => {
-                    // Both endpoints are pre-existing classes (rule 1).
-                    let f = summary.class_nodes[&edge.from];
-                    let t = summary.class_nodes[&edge.to];
-                    summary.bump_edge(&mut edge_index, SummaryEdgeKind::SubClass, f, t);
-                }
-                EdgeLabel::Attribute(_) | EdgeLabel::Type => {}
-            }
+            summary.project(
+                graph,
+                &mut edge_index,
+                EdgeId::from_index(i as u32),
+                |entity| graph.classes_iter(entity),
+                |class| class_nodes[&class],
+            );
         }
 
-        // Recompute the aggregates from the merged graph — exactly the
-        // values a rebuild would record.
-        for node in &mut summary.nodes {
-            node.aggregated = match node.kind {
-                SummaryNodeKind::Class { class } => graph.instances_of(class).len(),
-                SummaryNodeKind::Thing => graph
-                    .vertices_of_kind(kwsearch_rdf::VertexKind::Entity)
-                    .filter(|&v| graph.is_untyped_entity(v))
-                    .count(),
-                // The base summary holds no value nodes; they only appear
-                // in per-query augmented copies.
-                SummaryNodeKind::Value { .. } | SummaryNodeKind::ArtificialValue => node.aggregated,
-            };
+        // Move the aggregates by the batch alone — to exactly the values a
+        // rebuild would record. Each new `type` edge adds an instance to its
+        // class; an entity typed for the first time leaves `Thing`, and a
+        // new entity without a `type` edge joins it.
+        let thing = summary.thing_node().index();
+        let mut untyped = summary.nodes[thing].aggregated;
+        for i in first_new_edge..graph.edge_count() {
+            let e = EdgeId::from_index(i as u32);
+            let edge = graph.edge(e);
+            if graph.edge_label(edge.label) != EdgeLabel::Type {
+                continue;
+            }
+            summary.nodes[class_nodes[&edge.to].index()].aggregated += 1;
+            let first_type_edge = graph
+                .out_edges(edge.from)
+                .iter()
+                .copied()
+                .find(|&t| graph.edge_label(graph.edge(t).label) == EdgeLabel::Type);
+            if edge.from.index() < first_new_vertex && first_type_edge == Some(e) {
+                untyped -= 1;
+            }
         }
-        summary.total_entities = graph.vertex_count_of_kind(kwsearch_rdf::VertexKind::Entity);
+        untyped += (first_new_vertex..graph.vertex_count())
+            .map(|i| VertexId::from_index(i as u32))
+            .filter(|&v| graph.is_untyped_entity(v))
+            .count();
+        summary.nodes[thing].aggregated = untyped;
+        summary.total_entities = graph.vertex_count_of_kind(VertexKind::Entity);
         Some(summary)
+    }
+
+    /// Projects data edge `e` onto the schema level (Definition 4): a
+    /// relation edge bumps the summary edge between every node of its
+    /// source and every node of its target, a subclass edge the one
+    /// between its two classes. `classes_of` yields an entity's classes and
+    /// `node_of` a class's node: the build's tables, or the graph and the
+    /// class lookup on the write path — one projection for both.
+    fn project<I: Iterator<Item = VertexId>>(
+        &mut self,
+        graph: &DataGraph,
+        edge_index: &mut EdgeIndex,
+        e: EdgeId,
+        classes_of: impl Fn(VertexId) -> I,
+        node_of: impl Fn(VertexId) -> SummaryNodeId,
+    ) {
+        let edge = graph.edge(e);
+        match graph.edge_label(edge.label) {
+            EdgeLabel::Relation(_) => {
+                self.total_relation_edges += 1;
+                let kind = SummaryEdgeKind::Relation { label: edge.label };
+                let thing = self.thing_node();
+                // An entity's nodes: its classes' nodes, or `Thing` when it
+                // is untyped.
+                let nodes_of = |entity| {
+                    let mut nodes = classes_of(entity).map(&node_of).peekable();
+                    let untyped = nodes.peek().is_none();
+                    nodes.chain(untyped.then_some(thing))
+                };
+                for f in nodes_of(edge.from) {
+                    for t in nodes_of(edge.to) {
+                        self.bump_edge(edge_index, kind, f, t);
+                    }
+                }
+            }
+            EdgeLabel::SubClass => {
+                let (f, t) = (node_of(edge.from), node_of(edge.to));
+                self.bump_edge(edge_index, SummaryEdgeKind::SubClass, f, t);
+            }
+            // A-edges and V-vertices are not part of the summary graph;
+            // they are added per query during augmentation (Definition 5).
+            EdgeLabel::Attribute(_) | EdgeLabel::Type => {}
+        }
     }
 
     fn push_class_node(&mut self, class: VertexId, aggregated: usize) -> SummaryNodeId {
@@ -250,24 +275,9 @@ impl SummaryGraph {
         id
     }
 
-    /// The summary nodes an entity belongs to: its classes, or `Thing` when
-    /// untyped.
-    #[expect(
-        clippy::expect_used,
-        reason = "build() creates the Thing node unconditionally before any entity is summarized"
-    )]
-    fn schema_nodes_of_entity(&self, graph: &DataGraph, entity: VertexId) -> Vec<SummaryNodeId> {
-        let classes = graph.classes_of(entity);
-        if classes.is_empty() {
-            vec![self.thing_node.expect("Thing node always exists")]
-        } else {
-            classes.into_iter().map(|c| self.class_nodes[&c]).collect()
-        }
-    }
-
     fn bump_edge(
         &mut self,
-        index: &mut HashMap<(SummaryNodeId, SummaryEdgeKind, SummaryNodeId), SummaryEdgeId>,
+        index: &mut EdgeIndex,
         kind: SummaryEdgeKind,
         from: SummaryNodeId,
         to: SummaryNodeId,
@@ -415,6 +425,125 @@ mod tests {
     use super::*;
     use kwsearch_rdf::fixtures::figure1_graph;
     use kwsearch_rdf::Triple;
+
+    /// The build before the entity → classes table: `instances_of` and
+    /// `is_untyped_entity` per vertex, and a `classes_of` `Vec` plus a
+    /// `class_nodes` probe per endpoint of every relation edge.
+    /// [`SummaryGraph::build`] must be `==` to it.
+    fn reference_build(graph: &DataGraph) -> SummaryGraph {
+        let mut summary = SummaryGraph::default();
+        for class in graph.vertices_of_kind(VertexKind::Class) {
+            summary.push_class_node(class, graph.instances_of(class).len());
+        }
+        let untyped = graph
+            .vertices_of_kind(VertexKind::Entity)
+            .filter(|&v| graph.is_untyped_entity(v))
+            .count();
+        summary.push_thing_node(untyped);
+        summary.total_entities = graph.vertex_count_of_kind(VertexKind::Entity);
+        let nodes_of = |summary: &SummaryGraph, entity| -> Vec<SummaryNodeId> {
+            let classes = graph.classes_of(entity);
+            if classes.is_empty() {
+                vec![summary.thing_node()]
+            } else {
+                classes
+                    .into_iter()
+                    .map(|c| summary.class_nodes[&c])
+                    .collect()
+            }
+        };
+        let mut edge_index = HashMap::new();
+        for e in graph.edges() {
+            let edge = graph.edge(e);
+            match graph.edge_label(edge.label) {
+                EdgeLabel::Relation(_) => {
+                    summary.total_relation_edges += 1;
+                    let kind = SummaryEdgeKind::Relation { label: edge.label };
+                    for f in nodes_of(&summary, edge.from) {
+                        for t in nodes_of(&summary, edge.to) {
+                            summary.bump_edge(&mut edge_index, kind, f, t);
+                        }
+                    }
+                }
+                EdgeLabel::SubClass => {
+                    let f = summary.class_nodes[&edge.from];
+                    let t = summary.class_nodes[&edge.to];
+                    summary.bump_edge(&mut edge_index, SummaryEdgeKind::SubClass, f, t);
+                }
+                EdgeLabel::Attribute(_) | EdgeLabel::Type => {}
+            }
+        }
+        summary
+    }
+
+    #[test]
+    fn the_build_equals_the_reference_on_the_running_example_and_dblp() {
+        let g = figure1_graph();
+        assert_eq!(SummaryGraph::build(&g), reference_build(&g));
+        let g = kwsearch_rdf::DataGraph::new();
+        assert_eq!(SummaryGraph::build(&g), reference_build(&g));
+        let g = kwsearch_datagen::DblpDataset::scaled(2_000).graph;
+        assert_eq!(SummaryGraph::build(&g), reference_build(&g));
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A `type`, relation, attribute or subclass triple over a few
+        /// entities and classes: entities may carry several classes or
+        /// none, and relations may loop.
+        fn triple() -> impl Strategy<Value = Triple> {
+            (0usize..4, 0usize..10, 0usize..10, 0usize..4).prop_map(|(kind, s, o, c)| {
+                let (subject, object) = (format!("e{s}"), format!("e{o}"));
+                match kind {
+                    0 => Triple::typed(subject, format!("C{c}")),
+                    1 => Triple::relation(subject, ["author", "cites", "knows"][c % 3], object),
+                    2 => Triple::attribute(subject, "name", format!("v{o}")),
+                    _ => Triple::subclass(format!("C{c}"), format!("C{}", o % 4)),
+                }
+            })
+        }
+
+        fn graph_of(triples: &[Triple]) -> DataGraph {
+            let mut g = DataGraph::new();
+            for t in triples {
+                g.insert_triple(t).unwrap();
+            }
+            g
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The table-driven build is `==` to the per-edge reference.
+            #[test]
+            fn the_build_equals_the_reference_build(
+                triples in proptest::collection::vec(triple(), 0..40),
+            ) {
+                let g = graph_of(&triples);
+                prop_assert_eq!(SummaryGraph::build(&g), reference_build(&g));
+            }
+
+            /// Whenever `apply_adds` takes a batch, its aggregates, moved
+            /// by the batch alone, and its edges equal a rebuild's.
+            #[test]
+            fn apply_adds_equals_a_rebuild(
+                base in proptest::collection::vec(triple(), 0..30),
+                batch in proptest::collection::vec(triple(), 1..10),
+            ) {
+                let mut g = graph_of(&base);
+                let summary = SummaryGraph::build(&g);
+                let (nv, ne) = (g.vertex_count(), g.edge_count());
+                for t in &batch {
+                    g.insert_triple(t).unwrap();
+                }
+                if let Some(incremental) = summary.apply_adds(&g, nv, ne) {
+                    prop_assert_eq!(incremental, reference_build(&g));
+                }
+            }
+        }
+    }
 
     #[test]
     fn one_node_per_class_plus_thing() {
