@@ -57,9 +57,10 @@
 //! equal (`==`) the live one. Only then does it install the result at the
 //! *same* epoch with the *same* cache, so compaction is invisible to
 //! readers and to the cache. Retractions ride the same machinery as an
-//! inline mini-compaction: the surviving triples are rebuilt into a graph
-//! (no overlay can "hide" a frozen triple), flattened and derived the same
-//! way, at a bumped epoch.
+//! inline mini-compaction: each retracted triple is resolved to its edge, and
+//! the surviving edges, borrowed from the old graph, are re-ingested into a
+//! fresh one (no overlay can "hide" a frozen edge), flattened and derived the
+//! same way, at a bumped epoch.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -193,7 +194,7 @@ impl WriteTicket {
         self.added_edges
     }
 
-    /// Additions that were already present (edge-set dedup collapsed them).
+    /// Additions that were already present (the graph's edges are a set).
     pub fn collapsed_duplicates(&self) -> usize {
         self.collapsed_duplicates
     }
@@ -369,9 +370,9 @@ impl LiveGraph {
     /// Additions cost `O(base)`: the data graph is cloned whole before the
     /// batch is inserted. Only the triple store and the keyword index share
     /// their frozen bases through `Arc` and extend a delta overlay in
-    /// `O(delta)`. Retractions trigger an inline mini-compaction (full
-    /// rebuild of the merged base without the retracted triples). On any
-    /// error the live state is unchanged.
+    /// `O(delta)`. Retractions trigger an inline mini-compaction (the
+    /// surviving edges re-ingested into a fresh graph). On any error the
+    /// live state is unchanged.
     pub fn apply(&self, batch: &DeltaBatch) -> Result<WriteTicket, WriteError> {
         self.write(|prepared| {
             if batch.is_empty() {
@@ -412,14 +413,7 @@ impl LiveGraph {
         let old_labels = prepared.graph().edge_label_count();
 
         let mut graph = prepared.graph().clone();
-        let mut collapsed = 0usize;
-        for triple in &batch.additions {
-            let before = graph.edge_count();
-            graph.insert_triple(triple)?;
-            if graph.edge_count() == before {
-                collapsed += 1;
-            }
-        }
+        let collapsed = insert_additions(&mut graph, batch)?;
         let added_vertices = graph.vertex_count() - old_vertices;
         let added_edges = graph.edge_count() - old_edges;
         if added_edges == 0 && added_vertices == 0 {
@@ -503,11 +497,14 @@ impl LiveGraph {
         ))
     }
 
-    /// The retraction path: an inline mini-compaction. The merged triple
-    /// set minus the retractions (plus the additions) is rebuilt into a
-    /// graph — overlays cannot "hide" a frozen triple, so removal means
-    /// rebuilding — which is then flattened and derived as [`Self::compact`]
-    /// does. The new snapshot gets a bumped epoch.
+    /// The retraction path: an inline mini-compaction. Each retraction is
+    /// resolved to its edge ([`DataGraph::find_triple`]); an absent triple,
+    /// or one the batch retracts twice, fails with
+    /// [`WriteError::MissingRetraction`]. Overlays cannot "hide" a frozen
+    /// edge, so the surviving edges are re-ingested in edge order
+    /// ([`DataGraph::triple_ref`]) into a fresh graph, then the additions, as
+    /// a streamed ingest of the merged data would; the result is flattened
+    /// and derived as [`Self::compact`] does, at a bumped epoch.
     #[allow(
         clippy::type_complexity,
         reason = "a private (successor, report) pair, clearer spelled out than behind an alias"
@@ -516,43 +513,28 @@ impl LiveGraph {
         prepared: &PreparedGraph,
         batch: &DeltaBatch,
     ) -> Result<(Option<PreparedGraph>, WriteTicket), WriteError> {
-        let mut triples = prepared.graph().triples();
-        let mut retracted = 0usize;
-        for gone in &batch.retractions {
-            match triples.iter().position(|t| t == gone) {
-                Some(at) => {
-                    triples.remove(at);
-                    retracted += 1;
-                }
-                None => {
-                    return Err(WriteError::MissingRetraction(Box::new(gone.clone())));
-                }
+        let old = prepared.graph();
+        let mut gone = vec![false; old.edge_count()];
+        for triple in &batch.retractions {
+            match old.find_triple(triple) {
+                Some(e) if !gone[e.index()] => gone[e.index()] = true,
+                _ => return Err(WriteError::MissingRetraction(Box::new(triple.clone()))),
             }
         }
+        let retracted = batch.retractions.len();
 
-        // Rebuild the graph in the surviving original edge order, then
-        // append the additions — the same order a streamed re-ingest of the
-        // merged data would use.
         let mut graph = DataGraph::default();
-        for triple in &triples {
-            graph.insert_triple(triple)?;
+        for e in old.edges().filter(|e| !gone[e.index()]) {
+            graph.insert_triple_ref(&old.triple_ref(e))?;
         }
-        drop(triples);
         let before_adds = graph.edge_count();
         let vertices_before_adds = graph.vertex_count();
-        let mut collapsed = 0usize;
-        for triple in &batch.additions {
-            let before = graph.edge_count();
-            graph.insert_triple(triple)?;
-            if graph.edge_count() == before {
-                collapsed += 1;
-            }
-        }
+        let collapsed = insert_additions(&mut graph, batch)?;
         let added_edges = graph.edge_count() - before_adds;
         let added_vertices = graph.vertex_count() - vertices_before_adds;
 
-        // The inserts appended every edge and filled the edge set: flatten
-        // the graph as compaction does, so the lineage is flat again.
+        // The inserts appended every edge: flatten the graph as compaction
+        // does, so the lineage is flat again.
         let flat = graph.edge_subset(|_, _| true);
         drop(graph);
         let keyword_index = prepared.keyword_index().rebuilt(&flat);
@@ -655,6 +637,18 @@ impl LiveGraph {
         };
         Ok((Some(next), report))
     }
+}
+
+/// Inserts the batch's additions into `graph`; returns how many of them
+/// were already present.
+fn insert_additions(graph: &mut DataGraph, batch: &DeltaBatch) -> Result<usize, WriteError> {
+    let mut collapsed = 0;
+    for triple in &batch.additions {
+        let before = graph.edge_count();
+        graph.insert_triple(triple)?;
+        collapsed += usize::from(graph.edge_count() == before);
+    }
+    Ok(collapsed)
 }
 
 /// [`CompactError::NotBitIdentical`] unless the live sequence equals the
@@ -901,6 +895,59 @@ mod tests {
         let err = live.apply(&DeltaBatch::new().retract(gone)).unwrap_err();
         assert!(matches!(err, WriteError::MissingRetraction(_)), "{err}");
         assert_eq!(live.write_epoch(), 1);
+
+        // So does retracting a present triple twice in one batch, and the
+        // whole batch is refused.
+        let before = live.snapshot();
+        let twice = Triple::attribute("re1URI", "name", "Thanh Tran");
+        let batch = DeltaBatch::new().retract(twice.clone()).retract(twice);
+        let err = live.apply(&batch).unwrap_err();
+        assert!(matches!(err, WriteError::MissingRetraction(_)), "{err}");
+        assert!(Arc::ptr_eq(&before, &live.snapshot()));
+        assert_eq!(live.write_epoch(), 1);
+    }
+
+    #[test]
+    fn retracting_a_subclass_edge_detaches_the_class() {
+        // The subject of a `subclass` triple is a class, not an entity.
+        let live = LiveGraph::new(PreparedGraph::index(figure1_graph()));
+        let edge = Triple::subclass("Researcher", "Person");
+        let ticket = live.apply(&DeltaBatch::new().retract(edge)).unwrap();
+        assert_eq!(ticket.retracted(), 1);
+        let snapshot = live.snapshot();
+        let graph = snapshot.graph();
+        assert_eq!(graph.edge_count(), figure1_graph().edge_count() - 1);
+        let researcher = graph.class("Researcher").unwrap();
+        assert!(graph.superclasses_of(researcher).is_empty());
+    }
+
+    /// Retracting a triple and adding it back in one batch moves it to the
+    /// end of the edge order: the successor reads as a fresh preparation of
+    /// the triples in that order.
+    #[test]
+    fn retracting_and_re_adding_reads_as_a_fresh_preparation() {
+        let live = LiveGraph::new(PreparedGraph::index(figure1_graph()));
+        let moved = Triple::attribute("re2URI", "name", "P. Cimiano");
+        let ticket = live
+            .apply(&DeltaBatch::new().retract(moved.clone()).add(moved.clone()))
+            .unwrap();
+        assert_eq!((ticket.retracted(), ticket.added_edges()), (1, 1));
+
+        let mut merged = DataGraph::new();
+        for t in figure1_triples().iter().filter(|&t| *t != moved) {
+            merged.insert_triple(t).unwrap();
+        }
+        merged.insert_triple(&moved).unwrap();
+        let fresh = PreparedGraph::index(merged);
+        let snapshot = live.snapshot();
+        for scoring in ScoringFunction::all() {
+            for keywords in [&["cimiano", "aifb"][..], &["2006", "cimiano", "aifb"][..]] {
+                let config = SearchConfig::with_k(5).scoring(scoring);
+                let got = outcome(&snapshot, keywords, config.clone());
+                let want = outcome(&fresh, keywords, config);
+                assert_outcomes_bit_identical(&got, &want, &format!("{scoring:?} {keywords:?}"));
+            }
+        }
     }
 
     #[test]

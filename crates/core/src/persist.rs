@@ -29,10 +29,11 @@
 //! graph up to format version 3; neither is reused.
 //!
 //! Every load path validates checksums before parsing and structural
-//! invariants during parsing; the keyword section is decoded against the
-//! loaded graph, so each vertex or label id it holds must name an element
-//! of the graph of the kind its tag says. Corrupt or
-//! version-mismatched input yields a typed [`SnapshotError`], never a panic
+//! invariants during parsing. The graph must hold what insertion enforces:
+//! every edge within Definition 1's kind rule, no edge twice (found in the
+//! derived SPO order). The keyword section is decoded against the loaded
+//! graph, so each vertex or label id it holds must name an element of the
+//! graph of the kind its tag says. Corrupt or version-mismatched input yields a typed [`SnapshotError`], never a panic
 //! or a partially-initialised graph. Search results over a loaded graph are
 //! bit-identical to results over the originally built graph (pinned by
 //! `tests/snapshot_roundtrip.rs` and the cross-thread determinism suite).
@@ -138,13 +139,22 @@ impl PreparedGraph {
         let keyword_index = KeywordIndex::read_snapshot(&mut dec, &graph)?;
         dec.finish()?;
 
-        Ok(Self::derive(
+        let prepared = Self::derive(
             graph,
             keyword_index,
             Arc::new(AugmentationCache::new(cache_capacity)),
             0,
             index_build_time,
-        ))
+        );
+        // Inserts keep the edges a set: a repeated edge is corrupt, and it
+        // sits next to its twin in the SPO order just derived.
+        if let Some(row) = prepared.store().repeated_row() {
+            return Err(SnapshotError::Corrupt {
+                section: SECTION_GRAPH,
+                detail: format!("edge {row:?} is repeated"),
+            });
+        }
+        Ok(prepared)
     }
 
     /// [`Self::load`] from a buffered file at `path`.
@@ -159,6 +169,7 @@ mod tests {
     use super::*;
     use crate::config::SearchConfig;
     use kwsearch_rdf::fixtures::figure1_graph;
+    use kwsearch_rdf::EdgeId;
 
     fn saved_bytes(prepared: &PreparedGraph) -> Vec<u8> {
         let mut bytes = Vec::new();
@@ -210,6 +221,67 @@ mod tests {
         prepared.save_to_path(&path).unwrap();
         let loaded = PreparedGraph::load_from_path(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.graph().edge_count(), prepared.graph().edge_count());
+    }
+
+    /// A checksum-valid graph section that repeats an edge loads as a graph
+    /// (its decode checks edges one at a time), and the load refuses it.
+    #[test]
+    fn a_repeated_edge_is_corrupt() {
+        let prepared = PreparedGraph::index(figure1_graph());
+        let graph = prepared.graph();
+        let mut section = SectionEncoder::new();
+        graph.write_snapshot(&mut section);
+        let mut section = section.into_bytes();
+        // The section ends with the label, source and target columns of the
+        // edges, each a u64 length and then one u32 per edge: copy edge 0
+        // over edge 1 in all three.
+        let m = graph.edge_count();
+        let columns = section.len() - 3 * (8 + 4 * m);
+        for c in 0..3 {
+            let first = columns + c * (8 + 4 * m) + 8;
+            section.copy_within(first..first + 4, first + 4);
+        }
+        let mut dec = kwsearch_rdf::SectionDecoder::new(SECTION_GRAPH, &section);
+        let repeated = DataGraph::read_snapshot(&mut dec).unwrap();
+        assert_eq!(
+            repeated.edge(EdgeId::from_index(1)),
+            graph.edge(EdgeId::from_index(0))
+        );
+
+        let mut snapshot = SnapshotWriter::new();
+        let mut meta = SectionEncoder::new();
+        meta.put_u64(0);
+        meta.put_u64(graph.vertex_count() as u64);
+        meta.put_u64(m as u64);
+        snapshot.add_section(SECTION_META, meta);
+        let mut graph_section = SectionEncoder::new();
+        repeated.write_snapshot(&mut graph_section);
+        snapshot.add_section(SECTION_GRAPH, graph_section);
+        let mut keyword = SectionEncoder::new();
+        prepared.keyword_index().write_snapshot(&mut keyword);
+        snapshot.add_section(SECTION_KEYWORD, keyword);
+        let mut bytes = Vec::new();
+        snapshot.write_to(&mut bytes).unwrap();
+        let err = PreparedGraph::load(bytes.as_slice()).err();
+        assert!(
+            matches!(&err, Some(SnapshotError::Corrupt { section, detail })
+                if *section == SECTION_GRAPH && detail.contains("is repeated")),
+            "{err:?}"
+        );
+    }
+
+    /// Two labels between one pair are two edges, not a repeat.
+    #[test]
+    fn parallel_edges_load() {
+        let mut graph = figure1_graph();
+        graph
+            .insert_triple(&kwsearch_rdf::Triple::relation(
+                "pub1URI", "editor", "re1URI",
+            ))
+            .unwrap();
+        let prepared = PreparedGraph::index(graph);
+        let loaded = PreparedGraph::load(saved_bytes(&prepared).as_slice()).unwrap();
         assert_eq!(loaded.graph().edge_count(), prepared.graph().edge_count());
     }
 

@@ -3,19 +3,24 @@
 //! A [`DataGraph`] keeps three disjoint vertex partitions — entities
 //! (E-vertices), classes (C-vertices) and values (V-vertices) — and four
 //! kinds of labelled, directed edges (relations, attributes, `type`,
-//! `subclass`). Vertices are deduplicated per partition by label; edges are
-//! deduplicated by `(source, label, target)`.
+//! `subclass`). Each is kept once: a vertex per partition and label, found
+//! through one table indexed by the label's [`Symbol`]; an edge per
+//! `(source, label, target)`, found by scanning the shorter of the source's
+//! out-edges and the target's in-edges. An insert thus costs
+//! `O(min(out-degree of the subject, in-degree of the object))`, and all
+//! inserts `O(n²)` only for `n` distinct predicates between one
+//! subject–object pair.
 //!
 //! The graph offers the adjacency and classification queries needed by
 //! the summary-graph construction, the keyword index, the baselines and the
 //! conjunctive-query evaluator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::error::RdfError;
 use crate::interner::{Interner, Symbol};
 use crate::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
-use crate::term::Term;
+use crate::term::TermRef;
 use crate::triple::{EdgeKind, Triple, TripleRef};
 use crate::vocab;
 use crate::Result;
@@ -79,15 +84,35 @@ impl EdgeLabelId {
     }
 }
 
-/// The partition a vertex belongs to.
+/// The partition a vertex belongs to. The discriminant is the kind's tag in
+/// a snapshot and its slot in the graph's label table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VertexKind {
     /// An E-vertex: an entity identified by an IRI.
-    Entity,
+    Entity = 0,
     /// A C-vertex: a class.
-    Class,
+    Class = 1,
     /// A V-vertex: a data value.
-    Value,
+    Value = 2,
+}
+
+/// Every [`VertexKind`], indexed by its discriminant.
+const VERTEX_KINDS: [VertexKind; 3] = [VertexKind::Entity, VertexKind::Class, VertexKind::Value];
+
+/// An empty slot of the label table: no vertex of that kind has the label.
+const NO_VERTEX: u32 = u32::MAX;
+
+/// Whether Definition 1 lets an edge of `kind` run from a `from` vertex to a
+/// `to` vertex: the one kind rule of inserts and snapshot loads.
+fn kinds_fit(kind: EdgeKind, from: VertexKind, to: VertexKind) -> bool {
+    use VertexKind::{Class, Entity, Value};
+    matches!(
+        (kind, from, to),
+        (EdgeKind::Relation, Entity, Entity)
+            | (EdgeKind::Attribute, Entity, Value)
+            | (EdgeKind::Type, Entity, Class)
+            | (EdgeKind::SubClass, Class, Class)
+    )
 }
 
 impl VertexKind {
@@ -331,20 +356,15 @@ impl EntityClasses {
 pub struct DataGraph {
     interner: Interner,
     vertices: Vec<Vertex>,
+    /// The vertex each label names, indexed by the label's symbol, one slot
+    /// per [`VertexKind`] ([`NO_VERTEX`] when none). It may end before the
+    /// interner's last symbol.
+    vertex_of: Vec<[u32; 3]>,
     edges: Vec<Edge>,
     edge_labels: Vec<EdgeLabel>,
     edge_label_ids: HashMap<EdgeLabel, EdgeLabelId>,
     out_adj: Adjacency,
     in_adj: Adjacency,
-    entities: HashMap<Symbol, VertexId>,
-    classes: HashMap<Symbol, VertexId>,
-    values: HashMap<Symbol, VertexId>,
-    edge_set: HashSet<(VertexId, EdgeLabelId, VertexId)>,
-    /// Set when the graph was loaded from a snapshot or cut by
-    /// [`Self::edge_subset`]: `edge_set` is then empty and is rebuilt lazily
-    /// on the first mutation, keeping snapshot loads O(bytes). `false` (the
-    /// default) means `edge_set` is in sync.
-    edge_set_stale: bool,
 }
 
 impl DataGraph {
@@ -381,43 +401,40 @@ impl DataGraph {
     // Vertices
     // ------------------------------------------------------------------
 
-    fn push_vertex(&mut self, kind: VertexKind, label: Symbol) -> VertexId {
-        let id = VertexId(self.vertices.len() as u32);
-        self.vertices.push(Vertex { kind, label });
-        id
+    /// Returns the vertex of `kind` labelled `label`, creating it if
+    /// necessary.
+    fn add_vertex(&mut self, kind: VertexKind, label: &str) -> VertexId {
+        let label = self.interner.intern(label);
+        if self.vertex_of.len() <= label.index() {
+            self.vertex_of.resize(label.index() + 1, [NO_VERTEX; 3]);
+        }
+        let slot = &mut self.vertex_of[label.index()][kind as usize];
+        if *slot == NO_VERTEX {
+            *slot = self.vertices.len() as u32;
+            self.vertices.push(Vertex { kind, label });
+        }
+        VertexId(*slot)
+    }
+
+    /// The vertex of `kind` labelled `label`, if there is one.
+    fn vertex_labelled(&self, kind: VertexKind, label: &str) -> Option<VertexId> {
+        let v = self.vertex_of.get(self.interner.get(label)?.index())?[kind as usize];
+        (v != NO_VERTEX).then_some(VertexId(v))
     }
 
     /// Returns the E-vertex with the given IRI, creating it if necessary.
     pub fn add_entity(&mut self, iri: &str) -> VertexId {
-        let label = self.interner.intern(iri);
-        if let Some(&v) = self.entities.get(&label) {
-            return v;
-        }
-        let v = self.push_vertex(VertexKind::Entity, label);
-        self.entities.insert(label, v);
-        v
+        self.add_vertex(VertexKind::Entity, iri)
     }
 
     /// Returns the C-vertex with the given class name, creating it if necessary.
     pub fn add_class(&mut self, name: &str) -> VertexId {
-        let label = self.interner.intern(name);
-        if let Some(&v) = self.classes.get(&label) {
-            return v;
-        }
-        let v = self.push_vertex(VertexKind::Class, label);
-        self.classes.insert(label, v);
-        v
+        self.add_vertex(VertexKind::Class, name)
     }
 
     /// Returns the V-vertex with the given literal value, creating it if necessary.
     pub fn add_value(&mut self, value: &str) -> VertexId {
-        let label = self.interner.intern(value);
-        if let Some(&v) = self.values.get(&label) {
-            return v;
-        }
-        let v = self.push_vertex(VertexKind::Value, label);
-        self.values.insert(label, v);
-        v
+        self.add_vertex(VertexKind::Value, value)
     }
 
     /// The vertex record for `v`.
@@ -442,23 +459,17 @@ impl DataGraph {
 
     /// Looks up an entity vertex by IRI.
     pub fn entity(&self, iri: &str) -> Option<VertexId> {
-        self.interner
-            .get(iri)
-            .and_then(|s| self.entities.get(&s).copied())
+        self.vertex_labelled(VertexKind::Entity, iri)
     }
 
     /// Looks up a class vertex by name.
     pub fn class(&self, name: &str) -> Option<VertexId> {
-        self.interner
-            .get(name)
-            .and_then(|s| self.classes.get(&s).copied())
+        self.vertex_labelled(VertexKind::Class, name)
     }
 
     /// Looks up a value vertex by literal text.
     pub fn value(&self, value: &str) -> Option<VertexId> {
-        self.interner
-            .get(value)
-            .and_then(|s| self.values.get(&s).copied())
+        self.vertex_labelled(VertexKind::Value, value)
     }
 
     /// Looks up a vertex by label in all three partitions (entity, class,
@@ -474,13 +485,9 @@ impl DataGraph {
         self.vertices.len()
     }
 
-    /// Number of vertices of the given kind.
+    /// Number of vertices of the given kind (a scan of the vertices).
     pub fn vertex_count_of_kind(&self, kind: VertexKind) -> usize {
-        match kind {
-            VertexKind::Entity => self.entities.len(),
-            VertexKind::Class => self.classes.len(),
-            VertexKind::Value => self.values.len(),
-        }
+        self.vertices.iter().filter(|v| v.kind == kind).count()
     }
 
     /// Iterates over all vertex ids.
@@ -569,13 +576,7 @@ impl DataGraph {
     fn validate_edge(&self, label: EdgeLabel, from: VertexId, to: VertexId) -> Result<()> {
         let from_kind = self.vertex_kind(from);
         let to_kind = self.vertex_kind(to);
-        let ok = match label.kind() {
-            EdgeKind::Relation => from_kind == VertexKind::Entity && to_kind == VertexKind::Entity,
-            EdgeKind::Attribute => from_kind == VertexKind::Entity && to_kind == VertexKind::Value,
-            EdgeKind::Type => from_kind == VertexKind::Entity && to_kind == VertexKind::Class,
-            EdgeKind::SubClass => from_kind == VertexKind::Class && to_kind == VertexKind::Class,
-        };
-        if ok {
+        if kinds_fit(label.kind(), from_kind, to_kind) {
             Ok(())
         } else {
             Err(RdfError::InvalidEdge {
@@ -593,35 +594,45 @@ impl DataGraph {
 
     /// Adds an edge, validating the vertex kinds against Definition 1.
     ///
-    /// Duplicate `(from, label, to)` edges are silently collapsed and the
-    /// existing edge id is returned.
+    /// A `(from, label, to)` already present is not added again: its id is
+    /// returned, found by scanning the shorter of `from`'s out-edges and
+    /// `to`'s in-edges in `O(min(out-degree of from, in-degree of to))`.
+    /// All inserts cost `O(n²)` only for `n` distinct predicates between one
+    /// subject–object pair.
     pub fn add_edge(&mut self, from: VertexId, label: EdgeLabel, to: VertexId) -> Result<EdgeId> {
         self.validate_edge(label, from, to)?;
-        if self.edge_set_stale {
-            self.edge_set = self.edges.iter().map(|e| (e.from, e.label, e.to)).collect();
-            self.edge_set_stale = false;
-        }
-        let label_id = self.ensure_edge_label(label);
-        if self.edge_set.contains(&(from, label_id, to)) {
-            // Linear scan over the (short) out-adjacency list of `from`.
-            for &e in self.out_adj.edges(from.index()) {
-                let edge = self.edges[e.index()];
-                if edge.label == label_id && edge.to == to {
-                    return Ok(e);
-                }
-            }
-            unreachable!("edge_set and adjacency lists out of sync");
-        }
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge {
-            label: label_id,
+        let edge = Edge {
+            label: self.ensure_edge_label(label),
             from,
             to,
-        });
+        };
+        let (out, into) = (self.out_edges(from), self.in_edges(to));
+        let shorter = if out.len() <= into.len() { out } else { into };
+        if let Some(&e) = shorter.iter().find(|e| self.edges[e.index()] == edge) {
+            return Ok(e);
+        }
+        let id = EdgeId(self.edges.len() as u32);
+        self.edges.push(edge);
         self.out_adj.push_edge(from.index(), id);
         self.in_adj.push_edge(to.index(), id);
-        self.edge_set.insert((from, label_id, to));
         Ok(id)
+    }
+
+    /// The edge that spells `triple`, if the graph holds it: the out-edge
+    /// of the entity or the class its subject names whose
+    /// [`Self::triple_ref`] equals it. `Some` exactly when [`Self::triples`]
+    /// contains `triple`.
+    pub fn find_triple(&self, triple: &Triple) -> Option<EdgeId> {
+        if !triple.subject.is_iri() {
+            return None;
+        }
+        let t = triple.as_ref();
+        let subjects = [self.entity(t.subject), self.class(t.subject)];
+        let mut out = subjects
+            .into_iter()
+            .flatten()
+            .flat_map(|s| self.out_edges(s));
+        out.find(|&&e| self.triple_ref(e) == t).copied()
     }
 
     /// Inserts a triple, creating the vertices it refers to.
@@ -816,7 +827,7 @@ impl DataGraph {
     // ------------------------------------------------------------------
 
     /// Builds a new graph over the **same id space** as `self` — identical
-    /// interner, vertex table, vertex-lookup maps and edge-label table —
+    /// interner, vertex table, label table and edge-label table —
     /// containing exactly the edges selected by `keep`.
     ///
     /// This is the construction primitive of graph sharding: every
@@ -843,16 +854,12 @@ impl DataGraph {
         DataGraph {
             interner: self.interner.clone(),
             vertices: self.vertices.clone(),
+            vertex_of: self.vertex_of.clone(),
             out_adj: Adjacency::derive(n, &edges, |e| e.from),
             in_adj: Adjacency::derive(n, &edges, |e| e.to),
             edges,
             edge_labels: self.edge_labels.clone(),
             edge_label_ids: self.edge_label_ids.clone(),
-            entities: self.entities.clone(),
-            classes: self.classes.clone(),
-            values: self.values.clone(),
-            edge_set: HashSet::new(),
-            edge_set_stale: true,
         }
     }
 
@@ -860,34 +867,26 @@ impl DataGraph {
     // Export
     // ------------------------------------------------------------------
 
-    /// Reconstructs the triples of the graph (used by the serialiser and the
-    /// round-trip tests).
+    /// Edge `e` spelled as a triple, borrowing the graph's labels: the one
+    /// place an edge becomes a triple. An attribute's object is a literal,
+    /// every other object an IRI.
+    pub fn triple_ref(&self, e: EdgeId) -> TripleRef<'_> {
+        let edge = self.edges[e.index()];
+        let object = self.vertex_label(edge.to);
+        TripleRef {
+            subject: self.vertex_label(edge.from),
+            predicate: self.edge_label_name(edge.label),
+            object: match self.edge_label(edge.label) {
+                EdgeLabel::Attribute(_) => TermRef::Literal(object),
+                _ => TermRef::Iri(object),
+            },
+        }
+    }
+
+    /// Reconstructs the triples of the graph, in edge order.
     pub fn triples(&self) -> Vec<Triple> {
         self.edges()
-            .map(|e| {
-                let edge = self.edge(e);
-                let subject = Term::iri(self.vertex_label(edge.from));
-                match self.edge_label(edge.label) {
-                    EdgeLabel::Relation(p) => Triple::new(
-                        subject,
-                        self.resolve(p),
-                        Term::iri(self.vertex_label(edge.to)),
-                    ),
-                    EdgeLabel::Attribute(p) => Triple::new(
-                        subject,
-                        self.resolve(p),
-                        Term::literal(self.vertex_label(edge.to)),
-                    ),
-                    EdgeLabel::Type => {
-                        Triple::new(subject, vocab::TYPE, Term::iri(self.vertex_label(edge.to)))
-                    }
-                    EdgeLabel::SubClass => Triple::new(
-                        subject,
-                        vocab::SUBCLASS,
-                        Term::iri(self.vertex_label(edge.to)),
-                    ),
-                }
-            })
+            .map(|e| self.triple_ref(e).to_triple())
             .collect()
     }
 
@@ -902,15 +901,7 @@ impl DataGraph {
     pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
         self.interner.write_snapshot(enc);
 
-        let kinds: Vec<u32> = self
-            .vertices
-            .iter()
-            .map(|v| match v.kind {
-                VertexKind::Entity => 0,
-                VertexKind::Class => 1,
-                VertexKind::Value => 2,
-            })
-            .collect();
+        let kinds: Vec<u32> = self.vertices.iter().map(|v| v.kind as u32).collect();
         let labels: Vec<u32> = self.vertices.iter().map(|v| v.label.0).collect();
         enc.put_u32_slice(&kinds);
         enc.put_u32_slice(&labels);
@@ -940,11 +931,17 @@ impl DataGraph {
 
     /// Rebuilds a graph from [`Self::write_snapshot`] output.
     ///
-    /// Flat columns are bulk-loaded and the symbol→vertex and edge label
-    /// lookup maps are re-derived (cheap `u32`-keyed inserts). Both
-    /// adjacency directions are derived from the validated edge columns by
-    /// one counting sort each, into two flat columns per direction. The edge
-    /// deduplication set is rebuilt lazily on the first mutation.
+    /// Flat columns are bulk-loaded, and the label table and the edge label
+    /// lookup map are re-derived in the same pass. Both adjacency
+    /// directions are derived from the validated edge columns by one
+    /// counting sort each, into two flat columns per direction.
+    ///
+    /// The load checks what insertion enforces on vertices and edges alone:
+    /// each vertex label once per partition and each edge within the kind
+    /// rule of Definition 1. A breach is [`SnapshotError::Corrupt`]. A
+    /// repeated `(from, label, to)` is left to the loader that derives the
+    /// SPO order, where it sits next to its twin
+    /// ([`TripleStore::repeated_row`](crate::TripleStore::repeated_row)).
     pub fn read_snapshot(dec: &mut SectionDecoder<'_>) -> std::result::Result<Self, SnapshotError> {
         let interner = Interner::read_snapshot(dec)?;
 
@@ -955,39 +952,23 @@ impl DataGraph {
         }
         let n_syms = interner.len() as u32;
         let mut vertices = Vec::with_capacity(kinds.len());
-        // The partition sizes are derived from bytes that physically exist
-        // in the (already checksummed) payload, so reserving them up front
-        // is safe and halves the load cost of the largest lookup tables.
-        let mut partition_sizes = [0usize; 3];
-        for kind in kinds.iter() {
-            if let Some(slot) = partition_sizes.get_mut(kind as usize) {
-                *slot += 1;
-            }
-        }
-        let mut entities = HashMap::with_capacity(partition_sizes[0]);
-        let mut classes = HashMap::with_capacity(partition_sizes[1]);
-        let mut values = HashMap::with_capacity(partition_sizes[2]);
+        let mut vertex_of = vec![[NO_VERTEX; 3]; interner.len()];
         for (i, (kind, label)) in kinds.iter().zip(labels.iter()).enumerate() {
             if label >= n_syms {
                 return Err(dec.corrupt(format!("vertex {i} label out of interner range")));
             }
-            let kind = match kind {
-                0 => VertexKind::Entity,
-                1 => VertexKind::Class,
-                2 => VertexKind::Value,
-                other => return Err(dec.corrupt(format!("vertex {i} has bad kind tag {other}"))),
+            let Some(&kind) = VERTEX_KINDS.get(kind as usize) else {
+                return Err(dec.corrupt(format!("vertex {i} has bad kind tag {kind}")));
             };
-            let id = VertexId(i as u32);
-            let sym = Symbol(label);
-            let partition = match kind {
-                VertexKind::Entity => &mut entities,
-                VertexKind::Class => &mut classes,
-                VertexKind::Value => &mut values,
-            };
-            if partition.insert(sym, id).is_some() {
+            let slot = &mut vertex_of[label as usize][kind as usize];
+            if *slot != NO_VERTEX {
                 return Err(dec.corrupt(format!("duplicate vertex label in partition at {i}")));
             }
-            vertices.push(Vertex { kind, label: sym });
+            *slot = i as u32;
+            vertices.push(Vertex {
+                kind,
+                label: Symbol(label),
+            });
         }
 
         let label_tags = dec.get_u32_vec()?;
@@ -1042,6 +1023,14 @@ impl DataGraph {
             if label >= n_labels || from >= n_vertices || to >= n_vertices {
                 return Err(dec.corrupt(format!("edge {i} refers past the tables")));
             }
+            let kind = edge_labels[label as usize].kind();
+            if !kinds_fit(
+                kind,
+                vertices[from as usize].kind,
+                vertices[to as usize].kind,
+            ) {
+                return Err(dec.corrupt(format!("{kind} edge {i} violates Definition 1")));
+            }
             edges.push(Edge {
                 label: EdgeLabelId(label),
                 from: VertexId(from),
@@ -1054,14 +1043,10 @@ impl DataGraph {
             out_adj: Adjacency::derive(vertices.len(), &edges, |e| e.from),
             in_adj: Adjacency::derive(vertices.len(), &edges, |e| e.to),
             vertices,
+            vertex_of,
             edges,
             edge_labels,
             edge_label_ids,
-            entities,
-            classes,
-            values,
-            edge_set: HashSet::new(),
-            edge_set_stale: true,
         })
     }
 }
@@ -1069,6 +1054,7 @@ impl DataGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Term;
 
     /// Builds the running-example graph of Fig. 1a in the paper.
     pub(crate) fn example_graph() -> DataGraph {
@@ -1261,6 +1247,27 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    #[test]
+    fn find_triple_resolves_exactly_the_exported_triples() {
+        let g = example_graph();
+        for (e, t) in g.edges().zip(g.triples()) {
+            assert_eq!(g.find_triple(&t), Some(e), "{t}");
+        }
+        for absent in [
+            Triple::new(Term::literal("pub1URI"), "year", Term::literal("2006")),
+            Triple::new(Term::iri("pub1URI"), "year", Term::iri("2006")),
+            Triple::new(
+                Term::iri("pub1URI"),
+                vocab::TYPE,
+                Term::literal("Publication"),
+            ),
+            Triple::relation("pub1URI", "author", "pub2URI"),
+            Triple::subclass("pub1URI", "Publication"),
+        ] {
+            assert_eq!(g.find_triple(&absent), None, "{absent}");
+        }
+    }
+
     fn try_snapshot_round_trip(g: &DataGraph) -> std::result::Result<DataGraph, SnapshotError> {
         use crate::snapshot::{SnapshotReader, SnapshotWriter};
         let mut enc = SectionEncoder::new();
@@ -1310,7 +1317,6 @@ mod tests {
     fn loaded_graph_still_deduplicates_edges() {
         let g = example_graph();
         let mut loaded = snapshot_round_trip(&g);
-        // The lazy edge_set rebuild must kick in on the first mutation.
         let before = loaded.edge_count();
         loaded
             .insert_triple(&Triple::relation("pub1URI", "author", "re1URI"))
@@ -1344,6 +1350,71 @@ mod tests {
             ));
         }
         assert!(try_snapshot_round_trip(&g).is_ok());
+    }
+
+    fn corrupt_detail(crafted: &DataGraph) -> String {
+        match try_snapshot_round_trip(crafted) {
+            Err(SnapshotError::Corrupt { detail, .. }) => detail,
+            other => panic!(
+                "loaded a crafted graph: {:?}",
+                other.map(|g| g.edge_count())
+            ),
+        }
+    }
+
+    #[test]
+    fn edge_columns_that_break_the_kind_rule_are_corrupt() {
+        // Checksum-valid sections that insertion could never have written:
+        // a `type` edge into a value, and a relation from a class.
+        let g = example_graph();
+        let type_edge = g
+            .edges()
+            .find(|&e| g.edge_label(g.edge(e).label) == EdgeLabel::Type);
+        let type_edge = type_edge.unwrap().index();
+        let mut into_value = g.clone();
+        into_value.edges[type_edge].to = g.value("2006").unwrap();
+        let author = g.edge_labels_named("author")[0];
+        let relation = g
+            .edges()
+            .find(|&e| g.edge(e).label == author)
+            .unwrap()
+            .index();
+        let mut from_class = g.clone();
+        from_class.edges[relation].from = g.class("Publication").unwrap();
+        for crafted in [into_value, from_class] {
+            assert!(corrupt_detail(&crafted).contains("violates Definition 1"));
+        }
+    }
+
+    /// Deduplication scans the shorter of the two endpoint lists, so a hub
+    /// of either direction costs each insert O(1), not O(hub degree). The
+    /// time bound is generous: the inserts take well under a second in a
+    /// debug build, while a scan of the hub's whole list costs ≈5·10⁹ edge
+    /// comparisons, minutes.
+    #[test]
+    fn hubs_ingest_in_linear_time() {
+        const N: usize = 100_000;
+        let start = std::time::Instant::now();
+        let mut g = DataGraph::new();
+        for i in 0..N {
+            g.insert_triple_ref(&TripleRef {
+                subject: "hub",
+                predicate: "p",
+                object: TermRef::Literal(&i.to_string()),
+            })
+            .unwrap();
+            g.insert_triple_ref(&TripleRef {
+                subject: &i.to_string(),
+                predicate: "p",
+                object: TermRef::Literal("sink"),
+            })
+            .unwrap();
+        }
+        assert_eq!(g.edge_count(), 2 * N);
+        let hub = g.entity("hub").unwrap();
+        let sink = g.value("sink").unwrap();
+        assert_eq!((g.out_edges(hub).len(), g.in_edges(sink).len()), (N, N));
+        assert!(start.elapsed().as_secs() < 20, "{:?}", start.elapsed());
     }
 
     #[test]
@@ -1493,14 +1564,12 @@ mod tests {
                 g.edge_count()
             );
         }
-        assert!(!g.edge_set_stale && g.edge_set.len() == g.edge_count());
 
         let flat = g.edge_subset(|_, _| true);
         for adj in [&flat.out_adj, &flat.in_adj] {
             assert!(adj.appended.is_empty());
             assert_eq!(adj.flat.len(), g.edge_count());
         }
-        assert!(flat.edge_set_stale && flat.edge_set.is_empty());
         for v in g.vertices() {
             assert_eq!(flat.out_edges(v), g.out_edges(v));
             assert_eq!(flat.in_edges(v), g.in_edges(v));

@@ -26,7 +26,7 @@
 use std::io::{self, BufRead, Write};
 
 use crate::error::RdfError;
-use crate::graph::{DataGraph, EdgeLabel};
+use crate::graph::DataGraph;
 use crate::term::{Term, TermRef};
 use crate::triple::{Triple, TripleRef};
 use crate::Result;
@@ -117,19 +117,19 @@ fn write_escaped<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
 /// Wrap `w` in a `BufWriter` when writing to a file.
 pub fn write_graph_to<W: Write>(graph: &DataGraph, w: &mut W) -> io::Result<()> {
     for e in graph.edges() {
-        let edge = graph.edge(e);
+        let triple = graph.triple_ref(e);
         w.write_all(b"<")?;
-        w.write_all(graph.vertex_label(edge.from).as_bytes())?;
+        w.write_all(triple.subject.as_bytes())?;
         w.write_all(b"> <")?;
-        w.write_all(graph.edge_label_name(edge.label).as_bytes())?;
+        w.write_all(triple.predicate.as_bytes())?;
         w.write_all(b"> ")?;
-        if matches!(graph.edge_label(edge.label), EdgeLabel::Attribute(_)) {
+        if triple.object.is_literal() {
             w.write_all(b"\"")?;
-            write_escaped(w, graph.vertex_label(edge.to))?;
+            write_escaped(w, triple.object.value())?;
             w.write_all(b"\" .\n")?;
         } else {
             w.write_all(b"<")?;
-            w.write_all(graph.vertex_label(edge.to).as_bytes())?;
+            w.write_all(triple.object.value().as_bytes())?;
             w.write_all(b"> .\n")?;
         }
     }

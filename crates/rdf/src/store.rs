@@ -181,6 +181,14 @@ impl TripleStore {
         self.delta_pos.sort_by_key(|r| key(r, Permutation::Pos));
     }
 
+    /// A row the frozen base holds twice, if any: equal rows are adjacent in
+    /// SPO order. A graph's edges are a set, so only a graph decoded from a
+    /// corrupt snapshot yields one.
+    pub fn repeated_row(&self) -> Option<SpoRow> {
+        let spo = &self.base.spo;
+        spo.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+    }
+
     /// Whether any delta rows are overlaid on the shared base.
     pub fn has_delta(&self) -> bool {
         !self.delta_spo.is_empty()

@@ -1,6 +1,8 @@
 //! Property-based tests of the RDF substrate: serialisation round-trips,
 //! graph-construction invariants and triple-store consistency.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use kwsearch_rdf::{
@@ -76,6 +78,50 @@ proptest! {
         }
         prop_assert_eq!(once.vertex_count(), twice.vertex_count());
         prop_assert_eq!(once.edge_count(), twice.edge_count());
+    }
+
+    /// The graph is a set of edges however it was built. A map from each
+    /// distinct triple to the id of its first insert is the oracle: a graph
+    /// built by inserts, the same graph reloaded from its snapshot section,
+    /// and its `edge_subset` each take the rest of a sequence with repeats.
+    /// Every insert of a repeat returns the first occurrence's id,
+    /// `find_triple` agrees with the map, the edge count is the number of
+    /// distinct triples, and `triples` lists them in first-insert order.
+    #[test]
+    fn inserts_deduplicate_against_the_first_occurrence(
+        pool in triples(12),
+        picks in proptest::collection::vec(0usize..64, 1..60),
+        split in 0usize..60,
+    ) {
+        let sequence: Vec<&Triple> = picks.iter().map(|&i| &pool[i % pool.len()]).collect();
+        let split = split % (sequence.len() + 1);
+        let mut first: HashMap<&Triple, EdgeId> = HashMap::new();
+        let mut distinct = Vec::new();
+        let mut base = DataGraph::new();
+        for &t in &sequence[..split] {
+            let e = base.insert_triple(t).unwrap();
+            prop_assert_eq!(*first.entry(t).or_insert(e), e);
+            if e.index() == distinct.len() {
+                distinct.push(t.clone());
+            }
+        }
+        let starts = [reload(&base), base.edge_subset(|_, _| true), base];
+        for mut graph in starts {
+            let mut first = first.clone();
+            let mut distinct = distinct.clone();
+            for &t in &sequence[split..] {
+                let e = graph.insert_triple(t).unwrap();
+                prop_assert_eq!(*first.entry(t).or_insert(e), e);
+                if e.index() == distinct.len() {
+                    distinct.push(t.clone());
+                }
+            }
+            prop_assert_eq!(graph.edge_count(), first.len());
+            prop_assert_eq!(graph.triples(), distinct);
+            for t in &pool {
+                prop_assert_eq!(graph.find_triple(t), first.get(t).copied(), "{}", t);
+            }
+        }
     }
 
     /// The statistics invariants hold for arbitrary graphs: totals add up
