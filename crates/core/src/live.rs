@@ -448,10 +448,10 @@ impl LiveGraph {
         let mut store = prepared.store().clone();
         store.add_rows(&new_rows);
 
-        // Keyword index: index the new vocabulary, recompute the enrichment
-        // of every touched pre-existing element.
+        // Keyword index: index the new vocabulary, recompute the touched
+        // values' connections and fold the new edges into the attributes'.
         let mut keyword_index = prepared.keyword_index().clone();
-        keyword_index.apply_delta(&graph, &impact.new_elements, &impact.touched);
+        keyword_index.apply_delta(&graph, old_edges, &impact.new_elements, &impact.touched);
 
         // Summary graph: incremental class-level adjustment when the batch
         // qualifies, from-scratch rebuild otherwise (both equal to a
@@ -676,10 +676,10 @@ struct WriteImpact {
     /// values, new relation/attribute labels): they extend the match
     /// vocabulary.
     new_elements: Vec<ElementRef>,
-    /// Pre-existing elements whose match data (enrichment) the batch
-    /// changed: values gaining connections, attribute labels gaining
-    /// classes, and both for entities that gained a `type` edge. Sorted and
-    /// deduplicated.
+    /// Pre-existing values whose connections the batch changed: targets of
+    /// new A-edges, and of the A-edges of entities that gained a `type`
+    /// edge. Sorted and deduplicated. (Attribute labels fold the new edges
+    /// in themselves, see `KeywordIndex::apply_delta`.)
     touched: Vec<ElementRef>,
 }
 
@@ -713,30 +713,21 @@ impl WriteImpact {
             let edge = graph.edge(EdgeId::from_index(i as u32));
             match graph.edge_label(edge.label) {
                 EdgeLabel::Attribute(_) => {
-                    // The value gains a connection; the label gains the
-                    // subject's classes (or its untyped flag).
+                    // The value gains a connection.
                     if edge.to.index() < old_vertices {
                         touched.push(ElementRef::Value(edge.to));
-                    }
-                    if edge.label.index() < old_labels {
-                        touched.push(ElementRef::Attribute(edge.label));
                     }
                 }
                 EdgeLabel::Type => {
                     if edge.from.index() < old_vertices {
                         // A re-typed entity changes the class lists inside
-                        // the enrichment of every value and attribute label
-                        // it reaches.
+                        // the connections of every value it reaches.
                         for &e in graph.out_edges(edge.from) {
                             let out = graph.edge(e);
-                            if !matches!(graph.edge_label(out.label), EdgeLabel::Attribute(_)) {
-                                continue;
-                            }
-                            if out.to.index() < old_vertices {
+                            if matches!(graph.edge_label(out.label), EdgeLabel::Attribute(_))
+                                && out.to.index() < old_vertices
+                            {
                                 touched.push(ElementRef::Value(out.to));
-                            }
-                            if out.label.index() < old_labels {
-                                touched.push(ElementRef::Attribute(out.label));
                             }
                         }
                     }

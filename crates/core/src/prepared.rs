@@ -139,8 +139,8 @@ impl PreparedGraph {
     /// Assembles a prepared graph from already-built parts around a given
     /// cache at an explicit write epoch: a live write passes its
     /// incrementally maintained structures and a fresh cache
-    /// ([`crate::live`]), a shard its own graph with the global summary
-    /// ([`crate::shard`]).
+    /// ([`crate::live`]), a shard its own graph with the keyword index and
+    /// the summary of the whole graph ([`crate::shard`]).
     pub(crate) fn from_shared_parts(
         graph: DataGraph,
         keyword_index: KeywordIndex,

@@ -17,9 +17,9 @@
 //!    pops), the request fails with [`ServeError::DeadlineExceeded`];
 //! 3. **cache probe** on shard 0 — a hit replays an earlier drained session's
 //!    log and skips steps 4–5 (see [`crate::cache`]);
-//! 4. **lookups** — on every shard, merged into the exact global match
-//!    lists (see [`crate::shard`]);
-//! 5. **one exploration** — a single [`SearchSession`] over the merged
+//! 4. **lookup** — once, on shard 0's keyword index, which every shard
+//!    shares and which indexes the whole graph (see [`crate::shard`]);
+//! 5. **one exploration** — a single [`SearchSession`] over those
 //!    matches, drained to `k` and then remembered in the cache;
 //! 6. **answer phase** ([`SearchRequest::with_min_answers`]) — the ranked
 //!    queries evaluated in rank order against the shard-local stores until
@@ -49,7 +49,7 @@ use crate::error::SearchError;
 use crate::prepared::PreparedGraph;
 use crate::result::{AnswerPhase, RankedQuery, SearchOutcome};
 use crate::session::SearchSession;
-use crate::shard::{answer_queries_sharded, merge_keyword_matches};
+use crate::shard::answer_queries_sharded;
 use crate::sync::lock_unpoisoned;
 
 /// Why [`SearchService::search`] produced no result.
@@ -162,7 +162,7 @@ impl SearchRequest {
 #[derive(Debug)]
 pub struct SearchReply {
     /// The drained top-k with its match report, counters and timing split
-    /// (`keyword_mapping_time`: cache probe, per-shard lookups and merge).
+    /// (`keyword_mapping_time`: cache probe and the one keyword lookup).
     pub outcome: SearchOutcome,
     /// The answer phase, when the request asked for one. A deadline that
     /// expires here truncates the phase (flagged) instead of failing the
@@ -310,19 +310,9 @@ impl SearchService {
         let config = request
             .config
             .unwrap_or_else(|| self.default_config.clone());
-        // Any shard carries the global summary and the full vertex/label
-        // tables; shard 0's cache is the service's cache.
-        let first = &*self.shards[0];
-        let mut session =
-            SearchSession::start_with_lookup(first, &request.keywords, config, || {
-                let per_shard: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| shard.keyword_index().lookup_all(&request.keywords))
-                    .collect();
-                let max_matches = first.keyword_index().config().max_matches_per_keyword;
-                merge_keyword_matches(&per_shard, max_matches)
-            })?;
+        // Every shard carries the whole set's keyword index and summary;
+        // shard 0's cache is the service's cache.
+        let mut session = SearchSession::start(&self.shards[0], &request.keywords, config)?;
         session.set_deadline(deadline);
         session.drain();
         if session.aborted() {

@@ -100,31 +100,17 @@ pub struct SearchSession<'e> {
 }
 
 impl<'e> SearchSession<'e> {
+    /// Starts a session: cache probe, keyword-to-element mapping on
+    /// `prepared`'s index, augmentation and the seeded exploration state.
+    /// A hit replays the entry's log instead of exploring; keywords that
+    /// all match nothing fail with the typed (and cached) unmatched error;
+    /// a session that drains naturally inserts its log. A
+    /// [`crate::serve::SearchService`] starts here on its first shard,
+    /// whose index is the whole set's (see [`crate::shard`]).
     pub(crate) fn start<S: AsRef<str>>(
         prepared: &'e PreparedGraph,
         keywords: &[S],
         config: SearchConfig,
-    ) -> Result<Self, SearchError> {
-        Self::start_with_lookup(prepared, keywords, config, || {
-            prepared.keyword_index().lookup_all(keywords)
-        })
-    }
-
-    /// [`Self::start`] with the keyword-to-element mapping supplied by the
-    /// caller: [`crate::serve::SearchService`] arrives here with the
-    /// per-shard lookups merged into the exact global match lists (one list
-    /// per keyword, in keyword order). Cache probe, replay, the typed
-    /// unmatched error and the insert on a natural drain are this one path.
-    ///
-    /// Augmenting any shard's graph with the *global* matches yields the
-    /// unsharded augmented summary graph: the augmentation's structure
-    /// depends only on the shared summary and the matches, and shard graphs
-    /// retain the full vertex and label tables.
-    pub(crate) fn start_with_lookup<S: AsRef<str>>(
-        prepared: &'e PreparedGraph,
-        keywords: &[S],
-        config: SearchConfig,
-        lookup: impl FnOnce() -> Vec<Vec<kwsearch_keyword_index::KeywordMatch>>,
     ) -> Result<Self, SearchError> {
         // 0. Probe the result cache: a search depends only on the immutable
         // indexes, the configuration and the normalized query terms, so a
@@ -171,7 +157,7 @@ impl<'e> SearchSession<'e> {
         }
 
         // 1. Keyword-to-element mapping.
-        let all_matches = lookup();
+        let all_matches = prepared.keyword_index().lookup_all(keywords);
         let keyword_mapping_time = mapping_start.elapsed();
 
         let report: Vec<KeywordMatch> = keywords
@@ -200,32 +186,13 @@ impl<'e> SearchSession<'e> {
             }
             return Err(SearchError::AllKeywordsUnmatched { keywords: report });
         }
-        let matches: Vec<_> = all_matches.into_iter().filter(|m| !m.is_empty()).collect();
 
         // 2. Augmentation + the seeded exploration state.
-        let mut session =
-            Self::start_with_matches(prepared, report, &matches, config, keyword_mapping_time);
-        session.pending_insert = key;
-        Ok(session)
-    }
-
-    /// Augmentation plus the seeded exploration state over already-filtered
-    /// matches (no empty per-keyword lists; `report` covers the original
-    /// keyword positions).
-    fn start_with_matches(
-        prepared: &'e PreparedGraph,
-        report: Vec<KeywordMatch>,
-        matches: &[Vec<kwsearch_keyword_index::KeywordMatch>],
-        config: SearchConfig,
-        keyword_mapping_time: Duration,
-    ) -> Self {
         let exploration_start = Instant::now();
-        let augmented = AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), matches);
-        let state = ExplorationState::new(&augmented, &config);
+        let (augmented, state) = Self::seeded_exploration(prepared, all_matches, &config);
         let exploration_time = exploration_start.elapsed();
-
         let augmented_elements = augmented.element_count();
-        Self::assemble(
+        let mut session = Self::assemble(
             prepared,
             config,
             report,
@@ -233,7 +200,23 @@ impl<'e> SearchSession<'e> {
             augmented_elements,
             keyword_mapping_time,
             exploration_time,
-        )
+        );
+        session.pending_insert = key;
+        Ok(session)
+    }
+
+    /// The augmented summary graph over a lookup's matched keywords (the
+    /// unmatched ones dropped) and the cursor state seeded on it.
+    fn seeded_exploration(
+        prepared: &'e PreparedGraph,
+        all_matches: Vec<Vec<kwsearch_keyword_index::KeywordMatch>>,
+        config: &SearchConfig,
+    ) -> (AugmentedSummaryGraph<'e>, ExplorationState) {
+        let matches: Vec<_> = all_matches.into_iter().filter(|m| !m.is_empty()).collect();
+        let augmented =
+            AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), &matches);
+        let state = ExplorationState::new(&augmented, config);
+        (augmented, state)
     }
 
     #[allow(
@@ -276,18 +259,9 @@ impl<'e> SearchSession<'e> {
     /// inserting session explored.
     #[cfg(debug_assertions)]
     fn build_exploration(&self) -> (AugmentedSummaryGraph<'e>, ExplorationState) {
-        let prepared: &'e PreparedGraph = self.prepared;
         let keywords: Vec<&str> = self.keywords.iter().map(|k| k.keyword.as_str()).collect();
-        let matches: Vec<_> = prepared
-            .keyword_index()
-            .lookup_all(&keywords)
-            .into_iter()
-            .filter(|m| !m.is_empty())
-            .collect();
-        let augmented =
-            AugmentedSummaryGraph::build(prepared.graph(), prepared.summary(), &matches);
-        let state = ExplorationState::new(&augmented, &self.config);
-        (augmented, state)
+        let all_matches = self.prepared.keyword_index().lookup_all(&keywords);
+        Self::seeded_exploration(self.prepared, all_matches, &self.config)
     }
 
     /// The prepared graph this session searches.

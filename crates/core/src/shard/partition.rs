@@ -3,7 +3,8 @@
 //! The partitioner splits one [`DataGraph`] into `N` shard graphs over the
 //! **same id space** (see [`DataGraph::edge_subset`]): every vertex, label
 //! and interned symbol of the original graph remains valid — and means the
-//! same thing — in every shard, so per-shard results are directly
+//! same thing — in every shard, so one keyword index built over the whole
+//! graph serves every shard, and per-shard answer rows are directly
 //! comparable and mergeable without id translation.
 //!
 //! # Assignment rule
@@ -217,48 +218,102 @@ impl PartitionPlan {
     /// Builds one [`PreparedGraph`] per shard, ready for
     /// [`SearchService::new`](crate::serve::SearchService::new).
     ///
-    /// Every shard preparation carries a clone of the **global** summary
-    /// graph: the augmentation's structure depends only on the summary and
-    /// the keyword matches, so sharing the summary is what makes every
-    /// shard's exploration bit-identical to the unsharded one (see
-    /// [`crate::shard`]). The keyword index and the triple store are built
-    /// from the shard's own edges. The result cache stays disabled
-    /// (capacity 0): the service's probe/replay/insert runs on shard 0's
-    /// cache, so turning it on is this one constant — after which a replaying
-    /// session's debug-invariants shadow (`SearchSession::build_exploration`,
-    /// which looks up on shard 0 alone) needs the merged lookup too.
+    /// The keyword index and the summary graph are built once, over the
+    /// whole `graph`, and every shard preparation carries a clone of each
+    /// (the index's columns are `Arc`-shared): a lookup on any shard is the
+    /// unsharded lookup, and the augmentation's structure depends only on
+    /// the summary and those matches, so every shard's exploration is
+    /// bit-identical to the unsharded one (see [`crate::shard`]). Only the
+    /// graph and the triple store are the shard's own. The result cache
+    /// stays disabled (capacity 0): the service's probe/replay/insert runs
+    /// on shard 0's cache, so turning it on is this one constant.
     ///
     /// A shard preparation can be saved like any other, but snapshots do
-    /// not store the summary: loading one derives the summary of the
-    /// shard's own graph, not the global one, so a reloaded shard is a
-    /// standalone preparation and no longer a member of its set.
+    /// not store the summary: loading one keeps the set's keyword index and
+    /// derives the summary of the shard's own edges, so a reloaded shard is
+    /// neither a member of its set nor a standalone preparation of its own
+    /// edges.
     pub fn prepare_shards(
         &self,
         graph: &DataGraph,
         keyword_config: KeywordIndexConfig,
     ) -> Vec<PreparedGraph> {
+        let start = Instant::now();
         let summary = SummaryGraph::build(graph);
+        let keyword_index =
+            KeywordIndex::build_with(graph, Analyzer::new(), Thesaurus::builtin(), keyword_config);
+        let shared_build_time = start.elapsed();
         (0..self.shard_count)
             .map(|s| {
                 let start = Instant::now();
                 let shard_graph = self.shard_graph(graph, s);
-                let keyword_index = KeywordIndex::build_with(
-                    &shard_graph,
-                    Analyzer::new(),
-                    Thesaurus::builtin(),
-                    keyword_config.clone(),
-                );
                 let store = TripleStore::build(&shard_graph);
                 PreparedGraph::from_shared_parts(
                     shard_graph,
-                    keyword_index,
+                    keyword_index.clone(),
                     summary.clone(),
                     store,
                     Arc::new(AugmentationCache::new(0)),
                     0,
-                    start.elapsed(),
+                    shared_build_time + start.elapsed(),
                 )
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use kwsearch_rdf::fixtures::figure1_graph;
+
+    use super::*;
+
+    /// Every shard preparation looks up exactly what the unsharded index
+    /// returns — elements, scores, order and the edge-derived neighbourhood
+    /// payloads — although no shard holds every edge those payloads come
+    /// from: the `Institute` class's `type` in-edges fall in different
+    /// shards, and only one shard holds the in-edges behind the value
+    /// `AIFB`'s `[V-vertex, A-edge, (C-vertex…)]` structure.
+    #[test]
+    fn every_shard_looks_up_what_the_unsharded_index_returns() {
+        let graph = figure1_graph();
+        let keywords = [
+            "cimiano",
+            "publication",
+            "aifb",
+            "year",
+            "author",
+            "institute",
+        ];
+        let want = KeywordIndex::build(&graph).lookup_all(&keywords);
+        let owners = |plan: &PartitionPlan, vertex| -> BTreeSet<_> {
+            let edges = graph.in_edges(vertex).iter();
+            edges.map(|&e| plan.shard_of(e)).collect()
+        };
+        let institute = graph.class("Institute").unwrap();
+        let aifb = graph.value("AIFB").unwrap();
+        for shard_count in [1usize, 2, 3, 7] {
+            let plan = partition(&graph, shard_count);
+            if shard_count > 1 {
+                assert!(owners(&plan, institute).len() > 1);
+                assert_eq!(owners(&plan, aifb).len(), 1);
+            }
+            let shards = plan.prepare_shards(&graph, KeywordIndexConfig::default());
+            assert_eq!(shards.len(), shard_count);
+            for (shard, prepared) in shards.iter().enumerate() {
+                let got = prepared.keyword_index().lookup_all(&keywords);
+                assert_eq!(got.len(), want.len());
+                for (keyword, (got, want)) in keywords.iter().zip(got.iter().zip(&want)) {
+                    let at = format!("`{keyword}` on shard {shard} of {shard_count}");
+                    assert_eq!(got.len(), want.len(), "{at}: match count");
+                    for (g, w) in got.iter().zip(want) {
+                        assert_eq!(g.score.to_bits(), w.score.to_bits(), "{at}: score");
+                        assert_eq!(g.element, w.element, "{at}: payload");
+                    }
+                }
+            }
+        }
     }
 }

@@ -461,10 +461,11 @@ proptest! {
 
     /// Sharded scatter-gather identity: for random graphs, every shard
     /// count in {1, 2, 3, 7} and all three scoring functions, the stream a
-    /// [`SearchService`] over the shards returns (merged per-shard lookups,
-    /// one exploration) equals a drained unsharded session on a fresh cache-disabled preparation — ranks dense, costs
-    /// bit-for-bit, canonical queries and element sets equal. This is the
-    /// randomized arm of the golden Figure-1 bit-identity tests.
+    /// [`SearchService`] over the shards returns (one lookup on the shared
+    /// index, one exploration) equals a drained unsharded session on a
+    /// fresh cache-disabled preparation — ranks dense, costs bit-for-bit,
+    /// canonical queries and element sets equal. This is the randomized arm
+    /// of the golden Figure-1 bit-identity tests.
     #[test]
     fn sharded_merge_equals_the_unsharded_stream(spec in random_graph()) {
         use kwsearch_core::serve::{SearchRequest, SearchService};

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
 use kwsearch_rdf::{
-    counting_sort, DataGraph, EdgeKind, EdgeLabel, EdgeLabelId, Interner, VertexId, VertexKind,
+    counting_sort, DataGraph, EdgeId, EdgeKind, EdgeLabel, EdgeLabelId, Interner, VertexId,
+    VertexKind,
 };
 
 use crate::analyzer::{rough_tokens, Analyzer};
@@ -321,23 +322,29 @@ impl KeywordIndex {
     }
 
     /// Extends the index in place with a live-update delta against the
-    /// *merged* (post-write) `graph`.
+    /// *merged* (post-write) `graph`, whose edges from `first_new_edge` on
+    /// are the batch's.
     ///
     /// `new_elements` are elements that did not exist before the write:
     /// their labels are analyzed and indexed into the delta vocabulary.
-    /// `touched` are pre-existing values and attribute labels whose
-    /// neighbourhood data (`[V-vertex, A-edge, (C-vertex…)]` or
-    /// `(C-vertex…)`) may have changed; their enrichment is recomputed from
-    /// `graph` and overrides the frozen side tables. The enrichment goes
-    /// through the build's own per-value and per-attribute functions, with
-    /// the classes read off the graph's out-edges instead of a whole-graph
-    /// table, so a write costs `O(delta)` there; a new label's terms are
+    /// `touched` lists pre-existing values whose `[V-vertex, A-edge,
+    /// (C-vertex…)]` structures may have changed (other elements in it are
+    /// skipped); theirs, and those of new values, are recomputed from
+    /// `graph` through the build's own per-value function, with the classes
+    /// read off the graph's out-edges instead of a whole-graph table. An
+    /// attribute label's `(C-vertex…)` structure is its current one (delta
+    /// first, then frozen) with the batch folded in: the classes of the
+    /// subjects of new A-edges, and the new classes of re-typed subjects.
+    /// Only an entity typed for the first time can clear a label's untyped
+    /// flag; the labels of its earlier A-edges are rescanned. A write costs
+    /// `O(delta)` but for that rescan; a new label's terms are
     /// [`Analyzer::analyze_unique`], which the build's memoized analysis
     /// equals. Lookups stay bit-identical to a fresh index over the merged
     /// graph.
     pub fn apply_delta(
         &mut self,
         graph: &DataGraph,
+        first_new_edge: usize,
         new_elements: &[ElementRef],
         touched: &[ElementRef],
     ) {
@@ -356,31 +363,77 @@ impl KeywordIndex {
         // No whole-graph class table here: a write reads the classes of the
         // few entities it reaches off their out-edges.
         let classes_of = |entity| graph.classes_iter(entity);
-        let mut attribute_labels = Vec::new();
         let mut links = Vec::new();
         for &element in new_elements.iter().chain(touched) {
-            match element {
-                ElementRef::Value(v) => {
-                    value_links(graph, v, classes_of, &mut links);
-                    let value_connections = connections(&links)
-                        .map(|(attribute, classes, has_untyped_source)| ValueConnection {
-                            attribute,
-                            classes: classes.collect(),
-                            has_untyped_source,
-                        })
-                        .collect();
-                    self.delta.values.insert(v, value_connections);
-                }
-                ElementRef::Attribute(l) => attribute_labels.push(l),
-                ElementRef::Class(_) | ElementRef::Relation(_) => {}
+            if let ElementRef::Value(v) = element {
+                value_links(graph, v, classes_of, &mut links);
+                let value_connections = connections(&links)
+                    .map(|(attribute, classes, has_untyped_source)| ValueConnection {
+                        attribute,
+                        classes: classes.collect(),
+                        has_untyped_source,
+                    })
+                    .collect();
+                self.delta.values.insert(v, value_connections);
             }
         }
-        attribute_labels.sort_unstable();
-        attribute_labels.dedup();
-        let classes = classes_of_attributes(graph, &attribute_labels, classes_of);
-        self.delta
-            .attributes
-            .extend(attribute_labels.into_iter().zip(classes));
+
+        let frozen = &self.attributes;
+        let attributes = &mut self.delta.attributes;
+        let mut fold = |label, class: Option<VertexId>| {
+            let (classes, has_untyped) = attributes
+                .entry(label)
+                .or_insert_with(|| frozen.get(label).unwrap_or_default());
+            match class {
+                Some(class) => {
+                    if let Err(at) = classes.binary_search(&class) {
+                        classes.insert(at, class);
+                    }
+                }
+                None => *has_untyped = true,
+            }
+        };
+        let is_old = |e: &EdgeId| e.index() < first_new_edge;
+        let mut rescan = Vec::new();
+        for e in (first_new_edge..graph.edge_count()).map(|i| EdgeId::from_index(i as u32)) {
+            let edge = graph.edge(e);
+            match graph.edge_label(edge.label) {
+                EdgeLabel::Attribute(_) => {
+                    let mut typed = false;
+                    for class in classes_of(edge.from) {
+                        typed = true;
+                        fold(edge.label, Some(class));
+                    }
+                    if !typed {
+                        fold(edge.label, None);
+                    }
+                }
+                EdgeLabel::Type => {
+                    let was_untyped = !graph.out_edges(edge.from).iter().any(|e| {
+                        is_old(e) && graph.edge_label(graph.edge(*e).label) == EdgeLabel::Type
+                    });
+                    for out_edge in graph.out_edges(edge.from) {
+                        let out = graph.edge(*out_edge);
+                        if !matches!(graph.edge_label(out.label), EdgeLabel::Attribute(_)) {
+                            continue;
+                        }
+                        fold(out.label, Some(edge.to));
+                        if was_untyped && is_old(out_edge) {
+                            rescan.push(out.label);
+                        }
+                    }
+                }
+                EdgeLabel::Relation(_) | EdgeLabel::SubClass => {}
+            }
+        }
+        if !rescan.is_empty() {
+            rescan.sort_unstable();
+            rescan.dedup();
+            let rescanned = classes_of_attributes(graph, &rescan, classes_of);
+            self.delta
+                .attributes
+                .extend(rescan.into_iter().zip(rescanned));
+        }
     }
 
     /// Whether a live-update delta is overlaid on the frozen columns
@@ -749,9 +802,9 @@ const UNTYPED: u32 = u32::MAX;
 /// write path — the one code both share.
 ///
 /// The class lists this spells are ascending — a function of the edge
-/// *set*, not the edge insertion order, so that indexes built over
-/// edge-disjoint shards of one graph merge back to exactly these lists (see
-/// `kwsearch_core::shard`).
+/// *set*, not the edge insertion order, so a live write's delta and a
+/// rebuild over the merged graph (which re-ingests the edges in another
+/// order) spell the same lists.
 fn value_links<I: Iterator<Item = VertexId>>(
     graph: &DataGraph,
     value: VertexId,
@@ -842,6 +895,23 @@ fn is_element_of(graph: &DataGraph, element: ElementRef) -> bool {
 mod tests {
     use super::*;
     use kwsearch_rdf::fixtures::figure1_graph;
+
+    /// Every indexable element of `g`.
+    fn elements(g: &DataGraph) -> Vec<ElementRef> {
+        let mut out: Vec<ElementRef> = g
+            .vertices_of_kind(VertexKind::Class)
+            .map(ElementRef::Class)
+            .chain(g.vertices_of_kind(VertexKind::Value).map(ElementRef::Value))
+            .collect();
+        for (id, label) in g.edge_labels() {
+            match label {
+                EdgeLabel::Relation(_) => out.push(ElementRef::Relation(id)),
+                EdgeLabel::Attribute(_) => out.push(ElementRef::Attribute(id)),
+                EdgeLabel::Type | EdgeLabel::SubClass => {}
+            }
+        }
+        out
+    }
 
     /// The per-label scan that [`KeywordIndex::classes_of_attributes`]
     /// replaced: the oracle its one pass must equal, label by label.
@@ -1352,74 +1422,83 @@ mod tests {
         let mut idx = KeywordIndex::build(&g);
         assert!(!idx.has_delta());
 
-        // A write batch: a new publication with a new title value, a new
-        // class, a year attribute on a fresh entity, plus a new type edge —
-        // touching an existing attribute label ("year") and the existing
-        // "2006" value's neighbourhood is left alone.
-        let batch = [
-            Triple::relation("pub9URI", "type", "Poster"),
-            Triple::attribute("pub9URI", "title", "Graph Summaries"),
-            Triple::attribute("pub9URI", "year", "2006"),
-        ];
-        for t in &batch {
-            g.insert_triple(t).unwrap();
-        }
-        // New elements: class Poster, value "Graph Summaries", attribute
-        // label "title" (if new). Touched: attribute "year" (new source
-        // class set), value "2006" (new in-edge).
-        let poster = g.class("Poster").unwrap();
-        let title_value = g.value("Graph Summaries").unwrap();
-        let title_label = g
-            .edge_label_id(&kwsearch_rdf::EdgeLabel::Attribute(
-                g.symbol("title").unwrap(),
-            ))
-            .unwrap();
-        let year_label = g
-            .edge_label_id(&kwsearch_rdf::EdgeLabel::Attribute(
-                g.symbol("year").unwrap(),
-            ))
-            .unwrap();
-        let value_2006 = g.value("2006").unwrap();
-        idx.apply_delta(
-            &g,
-            &[ElementRef::Class(poster), ElementRef::Value(title_value)],
-            &[
-                // "title" and "year" predate the batch but gained a source.
-                ElementRef::Attribute(title_label),
-                ElementRef::Attribute(year_label),
-                ElementRef::Value(value_2006),
+        // Write batches, each applied on top of the previous ones:
+        let batches = [
+            // a new publication with a new title value and a new class,
+            // touching the existing attribute labels "title" and "year" and
+            // the existing "2006" value;
+            vec![
+                Triple::relation("pub9URI", "type", "Poster"),
+                Triple::attribute("pub9URI", "title", "Graph Summaries"),
+                Triple::attribute("pub9URI", "year", "2006"),
             ],
-        );
-        assert!(idx.has_delta());
-
-        let fresh = KeywordIndex::build(&g);
-        for keyword in [
-            "poster",
-            "graph summaries",
-            "title",
-            "year",
-            "2006",
-            "publications",
-            "cimiano",
-            "AIFB",
-            "papers",
-            "cimano",
-            "summaries",
-            "postr", // fuzzy against the delta vocabulary
-        ] {
-            let live = idx.lookup(keyword);
-            let rebuilt = fresh.lookup(keyword);
-            assert_eq!(live.len(), rebuilt.len(), "{keyword}: match count");
-            for (a, b) in live.iter().zip(rebuilt.iter()) {
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "{keyword}: score bits"
-                );
-                assert_eq!(a.element, b.element, "{keyword}: element");
+            // an attribute write on a typed subject: "year" gains the
+            // class Institute;
+            vec![Triple::attribute("inst1URI", "year", "2007")],
+            // an untyped subject: "year" gains its untyped flag;
+            vec![Triple::attribute("draftURI", "year", "2009")],
+            // and that subject typed: the flag clears again;
+            vec![Triple::typed("draftURI", "Poster")],
+            // a typed subject re-typed: "name" and "year" gain a class.
+            vec![Triple::typed("inst1URI", "Organisation")],
+        ];
+        let year = g.edge_labels_named("year")[0];
+        let year_is_untyped = |idx: &KeywordIndex| {
+            matches!(
+                idx.enrich(ElementRef::Attribute(year)),
+                MatchedElement::Attribute {
+                    has_untyped_source: true,
+                    ..
+                }
+            )
+        };
+        let mut untyped_flags = Vec::new();
+        for batch in &batches {
+            let before = elements(&g);
+            let first_new_edge = g.edge_count();
+            for t in batch {
+                g.insert_triple(t).unwrap();
             }
+            let (new, touched): (Vec<_>, Vec<_>) =
+                elements(&g).into_iter().partition(|e| !before.contains(e));
+            idx.apply_delta(&g, first_new_edge, &new, &touched);
+            assert!(idx.has_delta());
+            untyped_flags.push(year_is_untyped(&idx));
+
+            let fresh = KeywordIndex::build(&g);
+            for keyword in [
+                "poster",
+                "graph summaries",
+                "title",
+                "year",
+                "name",
+                "organisation",
+                "2006",
+                "2007",
+                "2009",
+                "publications",
+                "cimiano",
+                "AIFB",
+                "papers",
+                "cimano",
+                "summaries",
+                "postr", // fuzzy against the delta vocabulary
+            ] {
+                let live = idx.lookup(keyword);
+                let rebuilt = fresh.lookup(keyword);
+                assert_eq!(live.len(), rebuilt.len(), "{keyword}: match count");
+                for (a, b) in live.iter().zip(rebuilt.iter()) {
+                    assert_eq!(
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "{keyword}: score bits"
+                    );
+                    assert_eq!(a.element, b.element, "{keyword}: element");
+                }
+            }
+            assert_eq!(idx.element_count(), fresh.element_count());
         }
-        assert_eq!(idx.element_count(), fresh.element_count());
+        assert_eq!(untyped_flags, [false, false, true, false, false]);
     }
 
     #[test]
@@ -1428,10 +1507,11 @@ mod tests {
         use kwsearch_rdf::Triple;
         let mut g = figure1_graph();
         let mut idx = KeywordIndex::build(&g);
+        let first_new_edge = g.edge_count();
         g.insert_triple(&Triple::attribute("pub1URI", "note", "Addendum"))
             .unwrap();
         let note_value = g.value("Addendum").unwrap();
-        idx.apply_delta(&g, &[ElementRef::Value(note_value)], &[]);
+        idx.apply_delta(&g, first_new_edge, &[ElementRef::Value(note_value)], &[]);
         let mut enc = SectionEncoder::new();
         idx.write_snapshot(&mut enc);
     }
@@ -1596,23 +1676,6 @@ mod tests {
             triples
         }
 
-        /// Every indexable element of `g`.
-        fn elements(g: &DataGraph) -> Vec<ElementRef> {
-            let mut out: Vec<ElementRef> = g
-                .vertices_of_kind(VertexKind::Class)
-                .map(ElementRef::Class)
-                .chain(g.vertices_of_kind(VertexKind::Value).map(ElementRef::Value))
-                .collect();
-            for (id, label) in g.edge_labels() {
-                match label {
-                    EdgeLabel::Relation(_) => out.push(ElementRef::Relation(id)),
-                    EdgeLabel::Attribute(_) => out.push(ElementRef::Attribute(id)),
-                    EdgeLabel::Type | EdgeLabel::SubClass => {}
-                }
-            }
-            out
-        }
-
         fn row() -> impl Strategy<Value = (String, String, usize)> {
             (label(), label(), 0usize..6)
         }
@@ -1723,13 +1786,14 @@ mod tests {
                 let mut idx = KeywordIndex::build_with(&g, analyzer, Thesaurus::builtin(), config);
                 if !batch.is_empty() {
                     let before = elements(&g);
+                    let first_new_edge = g.edge_count();
                     for t in triples(base.len() + 1, &batch) {
                         g.insert_triple(&t).unwrap();
                     }
                     let after = elements(&g);
                     let new: Vec<ElementRef> =
                         after.iter().copied().filter(|e| !before.contains(e)).collect();
-                    idx.apply_delta(&g, &new, &before);
+                    idx.apply_delta(&g, first_new_edge, &new, &before);
                 }
                 for keyword in &keywords {
                     assert_matches_reference(&idx, keyword);
@@ -1763,12 +1827,13 @@ mod tests {
                 }
 
                 let before = elements(&g);
+                let first_new_edge = g.edge_count();
                 for t in &batch {
                     g.insert_triple(t).unwrap();
                 }
                 let new: Vec<ElementRef> =
                     elements(&g).into_iter().filter(|e| !before.contains(e)).collect();
-                idx.apply_delta(&g, &new, &before);
+                idx.apply_delta(&g, first_new_edge, &new, &before);
                 for l in attributes(&g) {
                     prop_assert_eq!(stored_classes(&idx, l), Some(classes_of_attribute(&g, l)));
                 }

@@ -8,8 +8,8 @@
 //! * [`model`] — the query language: variables, constants, atoms
 //!   `P(v1, v2)` and [`ConjunctiveQuery`] with
 //!   distinguished / undistinguished variables,
-//! * [`sparql`] and [`sql`] — rendering of a conjunctive query into the
-//!   SPARQL and single-table SQL forms shown in Fig. 1c of the paper,
+//! * [`sparql`] — rendering of a conjunctive query into the SPARQL form
+//!   shown in Fig. 1c of the paper,
 //! * [`plan`] — greedy, selectivity-driven join ordering and the compiled
 //!   query form (predicates, constants and variable slots resolved once per
 //!   query),
@@ -30,7 +30,6 @@ pub mod eval;
 pub mod model;
 pub mod plan;
 pub mod sparql;
-pub mod sql;
 
 pub use bindings::AnswerSet;
 pub use builder::QueryBuilder;

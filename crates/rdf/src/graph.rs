@@ -574,6 +574,16 @@ impl DataGraph {
     // ------------------------------------------------------------------
 
     fn validate_edge(&self, label: EdgeLabel, from: VertexId, to: VertexId) -> Result<()> {
+        // A relation or attribute spelled `type` or `subclass` would read
+        // back as a reserved edge (see `triple_ref`).
+        if let EdgeLabel::Relation(s) | EdgeLabel::Attribute(s) = label {
+            let name = self.interner.resolve(s);
+            if vocab::is_reserved_predicate(name) {
+                return Err(RdfError::InvalidEdge {
+                    reason: format!("{} label `{name}` is reserved", label.kind()),
+                });
+            }
+        }
         let from_kind = self.vertex_kind(from);
         let to_kind = self.vertex_kind(to);
         if kinds_fit(label.kind(), from_kind, to_kind) {
@@ -592,7 +602,8 @@ impl DataGraph {
         }
     }
 
-    /// Adds an edge, validating the vertex kinds against Definition 1.
+    /// Adds an edge, validating the vertex kinds against Definition 1. A
+    /// relation or attribute label named `type` or `subclass` is refused.
     ///
     /// A `(from, label, to)` already present is not added again: its id is
     /// returned, found by scanning the shorter of `from`'s out-edges and
@@ -937,8 +948,9 @@ impl DataGraph {
     /// counting sort each, into two flat columns per direction.
     ///
     /// The load checks what insertion enforces on vertices and edges alone:
-    /// each vertex label once per partition and each edge within the kind
-    /// rule of Definition 1. A breach is [`SnapshotError::Corrupt`]. A
+    /// each vertex label once per partition, no relation or attribute label
+    /// named `type` or `subclass`, and each edge within the kind rule of
+    /// Definition 1. A breach is [`SnapshotError::Corrupt`]. A
     /// repeated `(from, label, to)` is left to the loader that derives the
     /// SPO order, where it sits next to its twin
     /// ([`TripleStore::repeated_row`](crate::TripleStore::repeated_row)).
@@ -985,6 +997,9 @@ impl DataGraph {
                         return Err(
                             dec.corrupt(format!("edge label {i} symbol out of interner range"))
                         );
+                    }
+                    if vocab::is_reserved_predicate(interner.resolve(Symbol(sym))) {
+                        return Err(dec.corrupt(format!("edge label {i} has a reserved name")));
                     }
                     if tag == 0 {
                         EdgeLabel::Relation(Symbol(sym))
@@ -1210,6 +1225,27 @@ mod tests {
         assert!(g.add_edge(e, EdgeLabel::SubClass, c).is_err());
     }
 
+    /// A relation or attribute named like a reserved predicate would come
+    /// back from [`DataGraph::triple_ref`] as a `type` or `subclass` edge.
+    #[test]
+    fn relation_and_attribute_labels_with_reserved_names_are_refused() {
+        let mut g = DataGraph::new();
+        let (a, b) = (g.add_entity("a"), g.add_entity("b"));
+        let v = g.add_value("42");
+        for name in [vocab::TYPE, vocab::SUBCLASS] {
+            let sym = g.intern(name);
+            for (label, to) in [
+                (EdgeLabel::Relation(sym), b),
+                (EdgeLabel::Attribute(sym), v),
+            ] {
+                let err = g.add_edge(a, label, to).unwrap_err();
+                assert!(matches!(err, RdfError::InvalidEdge { .. }), "{err}");
+            }
+        }
+        assert_eq!(g.edge_count(), 0);
+        assert!(g.edge_labels_named(vocab::TYPE).is_empty());
+    }
+
     #[test]
     fn malformed_reserved_triples_are_rejected() {
         let mut g = DataGraph::new();
@@ -1384,6 +1420,16 @@ mod tests {
         for crafted in [into_value, from_class] {
             assert!(corrupt_detail(&crafted).contains("violates Definition 1"));
         }
+    }
+
+    #[test]
+    fn a_relation_label_with_a_reserved_name_is_corrupt() {
+        // A checksum-valid section whose `author` relation is spelled `type`.
+        let mut crafted = example_graph();
+        let author = crafted.edge_labels_named("author")[0];
+        let reserved = crafted.intern(vocab::TYPE);
+        crafted.edge_labels[author.index()] = EdgeLabel::Relation(reserved);
+        assert!(corrupt_detail(&crafted).contains("reserved name"));
     }
 
     /// Deduplication scans the shorter of the two endpoint lists, so a hub

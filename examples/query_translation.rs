@@ -1,18 +1,17 @@
-//! From keywords to SPARQL and SQL: the query-translation pipeline in
-//! isolation.
+//! From keywords to SPARQL: the query-translation pipeline in isolation.
 //!
 //! Shows every intermediate artefact of Fig. 2 for one keyword query over
 //! the TAP-like general-knowledge dataset: the keyword-to-element matches,
 //! the augmented summary graph, the matching subgraphs, and the final
-//! conjunctive query rendered as the paper's three query forms (abstract
-//! conjunctive query, SPARQL, single-table SQL).
+//! conjunctive query rendered as an abstract conjunctive query and as
+//! SPARQL.
 //!
 //! Run with: `cargo run --release --example query_translation`
 
 use searchwebdb::datagen::{TapConfig, TapDataset};
 use searchwebdb::keyword_index::MatchedElement;
 use searchwebdb::prelude::*;
-use searchwebdb::query::{sparql, sql};
+use searchwebdb::query::sparql;
 
 fn main() {
     let dataset = TapDataset::generate(TapConfig::default());
@@ -63,8 +62,7 @@ fn main() {
         );
         println!("conjunctive query:\n  {}", ranked.query);
         println!("description:\n  {}", ranked.description());
-        println!("SPARQL:\n{}", indent(&sparql::to_sparql(&ranked.query)));
-        println!("SQL:\n{}\n", indent(&sql::to_sql(&ranked.query)));
+        println!("SPARQL:\n{}\n", indent(&sparql::to_sparql(&ranked.query)));
     }
 
     if let Some(best) = outcome.best() {

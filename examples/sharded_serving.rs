@@ -4,10 +4,10 @@
 //! data graph is partitioned into edge-disjoint shards, each shard is
 //! prepared in memory, the preparations go into the same [`SearchService`]
 //! that serves an unsharded preparation, and a keyword workload is served
-//! over them — keyword lookups scattered over every shard, one exploration
-//! over the merged matches (bit-identical to an unsharded session, at the
-//! same cursor count), answers scattered over the shard-local stores. A
-//! deadline demo shows the typed failure path.
+//! over them — one keyword lookup on the index every shard shares, one
+//! exploration over its matches (bit-identical to an unsharded session, at
+//! the same cursor count), answers scattered over the shard-local stores.
+//! A deadline demo shows the typed failure path.
 //!
 //! Run with `cargo run --release --example sharded_serving`.
 
@@ -33,8 +33,8 @@ fn main() {
         plan.replicated_edge_count(),
     );
 
-    // Prepare one index per shard, each carrying the global summary graph,
-    // and start the service over them.
+    // Prepare the shards, each carrying the one keyword index and summary
+    // graph of the whole graph, and start the service over them.
     let shards = plan.prepare_shards(graph, Default::default());
     let config = SearchConfig::with_k(5);
     let service = SearchService::new(shards, config.clone());
@@ -60,14 +60,14 @@ fn main() {
             .session(keywords, config.clone())
             .expect("the workload keywords always match");
         let mut identical = true;
-        for merged in &outcome.queries {
+        for sharded in &outcome.queries {
             let unsharded = session.next_query().expect("streams have equal length");
-            identical &= merged.cost.to_bits() == unsharded.cost.to_bits()
-                && merged.query.canonicalized().to_string()
+            identical &= sharded.cost.to_bits() == unsharded.cost.to_bits()
+                && sharded.query.canonicalized().to_string()
                     == unsharded.query.canonicalized().to_string();
         }
         println!(
-            "{keywords:?}: {} queries over {} shards, lookups {:?} + exploration {:?} \
+            "{keywords:?}: {} queries over {} shards, lookup {:?} + exploration {:?} \
              ({} cursor pops), bit-identical: {identical}",
             outcome.queries.len(),
             service.shards().len(),

@@ -52,7 +52,7 @@
 //! The sub-crates can also be used individually:
 //!
 //! * [`rdf`] — the typed RDF data graph, triple store and N-Triples I/O,
-//! * [`query`] — conjunctive queries, SPARQL/SQL rendering and evaluation,
+//! * [`query`] — conjunctive queries, SPARQL rendering and evaluation,
 //! * [`keyword_index`] — the IR-style keyword-to-element index,
 //! * [`summary`] — the summary graph (graph index) and its augmentation,
 //! * [`core`] — the top-k exploration, search sessions and serving,

@@ -193,8 +193,9 @@ fn snapshot_loaded_scenarios_are_bit_identical_across_threads() {
 }
 
 /// The serving analogue of the suite's proof obligation: N threads calling
-/// `search` on one shared [`SearchService`] (admission, cache probe, merged
-/// per-shard lookups, one exploration — all on the caller's thread) must
+/// `search` on one shared [`SearchService`] (admission, cache probe, one
+/// lookup on the shards' shared index, one exploration — all on the
+/// caller's thread) must
 /// get streams bit-identical to single-threaded unsharded sessions on a
 /// fresh, cache-disabled preparation over `graph`.
 fn assert_service_matches_reference(service: &SearchService, graph: &DataGraph) {
@@ -246,8 +247,8 @@ fn assert_service_matches_reference(service: &SearchService, graph: &DataGraph) 
     assert_eq!((stats.rejected, stats.deadline_exceeded), (0, 0));
 }
 
-/// Three shards, shard caches off: every request looks up on every shard,
-/// merges, and explores once.
+/// Three shards, shard caches off: every request looks up once, on the
+/// index the shards share, and explores once.
 #[test]
 fn sharded_scatter_gather_is_bit_identical_across_threads() {
     let graph = figure1_graph();
