@@ -66,8 +66,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use kwsearch_keyword_index::ElementRef;
-use kwsearch_rdf::{DataGraph, EdgeId, EdgeLabel, RdfError, SpoRow, Triple, VertexId, VertexKind};
+use kwsearch_rdf::{DataGraph, EdgeId, RdfError, SpoRow, Triple};
 use kwsearch_summary::SummaryGraph;
 
 use crate::cache::AugmentationCache;
@@ -432,8 +431,6 @@ impl LiveGraph {
             ));
         }
 
-        let impact = WriteImpact::classify(&graph, old_vertices, old_edges, old_labels);
-
         // Triple store: append the new rows to the sorted delta.
         let new_rows: Vec<SpoRow> = (old_edges..graph.edge_count())
             .map(|i| {
@@ -451,7 +448,7 @@ impl LiveGraph {
         // Keyword index: index the new vocabulary, recompute the touched
         // values' connections and fold the new edges into the attributes'.
         let mut keyword_index = prepared.keyword_index().clone();
-        keyword_index.apply_delta(&graph, old_edges, &impact.new_elements, &impact.touched);
+        keyword_index.apply_delta(&graph, old_vertices, old_labels, old_edges);
 
         // Summary graph: incremental class-level adjustment when the batch
         // qualifies, from-scratch rebuild otherwise (both equal to a
@@ -666,83 +663,6 @@ fn disagreement<T: PartialEq>(compacted: &[T], rebuilt: &[T]) -> CompactError {
         compacted_len: compacted.len(),
         rebuilt_len: rebuilt.len(),
         first_difference: compacted.iter().zip(rebuilt).position(|(a, b)| a != b),
-    }
-}
-
-/// What an add-only batch did to the element universe, classified once per
-/// write for keyword-index maintenance.
-struct WriteImpact {
-    /// Elements that did not exist before the batch (new classes, new
-    /// values, new relation/attribute labels): they extend the match
-    /// vocabulary.
-    new_elements: Vec<ElementRef>,
-    /// Pre-existing values whose connections the batch changed: targets of
-    /// new A-edges, and of the A-edges of entities that gained a `type`
-    /// edge. Sorted and deduplicated. (Attribute labels fold the new edges
-    /// in themselves, see `KeywordIndex::apply_delta`.)
-    touched: Vec<ElementRef>,
-}
-
-impl WriteImpact {
-    fn classify(
-        graph: &DataGraph,
-        old_vertices: usize,
-        old_edges: usize,
-        old_labels: usize,
-    ) -> Self {
-        let mut new_elements = Vec::new();
-        for i in old_vertices..graph.vertex_count() {
-            let v = VertexId::from_index(i as u32);
-            match graph.vertex_kind(v) {
-                VertexKind::Class => new_elements.push(ElementRef::Class(v)),
-                VertexKind::Value => new_elements.push(ElementRef::Value(v)),
-                VertexKind::Entity => {}
-            }
-        }
-        for i in old_labels..graph.edge_label_count() {
-            let id = kwsearch_rdf::EdgeLabelId::from_index(i as u32);
-            match graph.edge_label(id) {
-                EdgeLabel::Relation(_) => new_elements.push(ElementRef::Relation(id)),
-                EdgeLabel::Attribute(_) => new_elements.push(ElementRef::Attribute(id)),
-                EdgeLabel::Type | EdgeLabel::SubClass => {}
-            }
-        }
-
-        let mut touched = Vec::new();
-        for i in old_edges..graph.edge_count() {
-            let edge = graph.edge(EdgeId::from_index(i as u32));
-            match graph.edge_label(edge.label) {
-                EdgeLabel::Attribute(_) => {
-                    // The value gains a connection.
-                    if edge.to.index() < old_vertices {
-                        touched.push(ElementRef::Value(edge.to));
-                    }
-                }
-                EdgeLabel::Type => {
-                    if edge.from.index() < old_vertices {
-                        // A re-typed entity changes the class lists inside
-                        // the connections of every value it reaches.
-                        for &e in graph.out_edges(edge.from) {
-                            let out = graph.edge(e);
-                            if matches!(graph.edge_label(out.label), EdgeLabel::Attribute(_))
-                                && out.to.index() < old_vertices
-                            {
-                                touched.push(ElementRef::Value(out.to));
-                            }
-                        }
-                    }
-                }
-                // Neither relations nor classes carry enrichment.
-                EdgeLabel::Relation(_) | EdgeLabel::SubClass => {}
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-
-        Self {
-            new_elements,
-            touched,
-        }
     }
 }
 

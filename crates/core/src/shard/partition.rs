@@ -67,6 +67,13 @@ pub fn partition(graph: &DataGraph, shard_count: usize) -> PartitionPlan {
 
 impl PartitionPlan {
     /// See [`partition`].
+    ///
+    /// Components are unioned through *value* vertices too, and a literal
+    /// is one value vertex however many entities carry it (a year, a venue
+    /// name). On bibliographic data nearly every entity therefore lands in
+    /// one component: `cargo run --release --example sharded_serving`
+    /// splits its 1 108 edges as `[1087, 8, 6]`, so one shard holds 98 % of
+    /// the data and the answer phase's scatter divides almost nothing.
     pub fn new(graph: &DataGraph, shard_count: usize) -> Self {
         let shard_count = shard_count.max(1);
         let labels: Vec<EdgeLabel> = graph.edge_labels().map(|(_, label)| label).collect();

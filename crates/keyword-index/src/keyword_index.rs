@@ -322,62 +322,62 @@ impl KeywordIndex {
     }
 
     /// Extends the index in place with a live-update delta against the
-    /// *merged* (post-write) `graph`, whose edges from `first_new_edge` on
-    /// are the batch's.
+    /// *merged* (post-write) `graph`. `old_vertices`, `old_labels` and
+    /// `old_edges` are the graph's counts before the write: the vertices,
+    /// labels and edges at or past them are the batch's.
     ///
-    /// `new_elements` are elements that did not exist before the write:
-    /// their labels are analyzed and indexed into the delta vocabulary.
-    /// `touched` lists pre-existing values whose `[V-vertex, A-edge,
-    /// (C-vertex…)]` structures may have changed (other elements in it are
-    /// skipped); theirs, and those of new values, are recomputed from
-    /// `graph` through the build's own per-value function, with the classes
-    /// read off the graph's out-edges instead of a whole-graph table. An
-    /// attribute label's `(C-vertex…)` structure is its current one (delta
-    /// first, then frozen) with the batch folded in: the classes of the
-    /// subjects of new A-edges, and the new classes of re-typed subjects.
-    /// Only an entity typed for the first time can clear a label's untyped
-    /// flag; the labels of its earlier A-edges are rescanned. A write costs
-    /// `O(delta)` but for that rescan; a new label's terms are
-    /// [`Analyzer::analyze_unique`], which the build's memoized analysis
-    /// equals. Lookups stay bit-identical to a fresh index over the merged
-    /// graph.
+    /// New classes, values and relation/attribute labels are keyword
+    /// elements: their labels are analyzed and indexed into the delta
+    /// vocabulary. A value's `[V-vertex, A-edge, (C-vertex…)]` structures
+    /// change when it gains an A-edge, or when an entity with an A-edge to
+    /// it gains a `type` edge; those values' structures (new values
+    /// included, since a value arrives with its first A-edge) are recomputed
+    /// from `graph` through the build's own per-value function, with the
+    /// classes read off the graph's out-edges instead of a whole-graph
+    /// table. An attribute label's `(C-vertex…)` structure is its current
+    /// one (delta first, then frozen) with the batch folded in: the classes
+    /// of the subjects of new A-edges, and the new classes of re-typed
+    /// subjects. Only an entity typed for the first time can clear a
+    /// label's untyped flag; the labels of its earlier A-edges are
+    /// rescanned. A write costs `O(delta)` but for that rescan; a new
+    /// label's terms are [`Analyzer::analyze_unique`], which the build's
+    /// memoized analysis equals. Lookups stay bit-identical to a fresh index
+    /// over the merged graph.
     pub fn apply_delta(
         &mut self,
         graph: &DataGraph,
-        first_new_edge: usize,
-        new_elements: &[ElementRef],
-        touched: &[ElementRef],
+        old_vertices: usize,
+        old_labels: usize,
+        old_edges: usize,
     ) {
-        for &element in new_elements {
+        let new_vertices = (old_vertices..graph.vertex_count())
+            .map(|i| VertexId::from_index(i as u32))
+            .filter_map(|v| match graph.vertex_kind(v) {
+                VertexKind::Class => Some(ElementRef::Class(v)),
+                VertexKind::Value => Some(ElementRef::Value(v)),
+                VertexKind::Entity => None,
+            });
+        let new_labels = (old_labels..graph.edge_label_count())
+            .map(|i| EdgeLabelId::from_index(i as u32))
+            .filter_map(|l| match graph.edge_label(l) {
+                EdgeLabel::Relation(_) => Some(ElementRef::Relation(l)),
+                EdgeLabel::Attribute(_) => Some(ElementRef::Attribute(l)),
+                EdgeLabel::Type | EdgeLabel::SubClass => None,
+            });
+        for element in new_vertices.chain(new_labels) {
             let label = match element {
-                ElementRef::Class(v) | ElementRef::Value(v) => graph.vertex_label(v).to_string(),
-                ElementRef::Relation(l) | ElementRef::Attribute(l) => {
-                    graph.edge_label_name(l).to_string()
-                }
+                ElementRef::Class(v) | ElementRef::Value(v) => graph.vertex_label(v),
+                ElementRef::Relation(l) | ElementRef::Attribute(l) => graph.edge_label_name(l),
             };
-            for term in self.analyzer.analyze_unique(&label) {
+            for term in self.analyzer.analyze_unique(label) {
                 self.delta.insert(&term, element);
             }
             self.indexed_elements += 1;
         }
+
         // No whole-graph class table here: a write reads the classes of the
         // few entities it reaches off their out-edges.
         let classes_of = |entity| graph.classes_iter(entity);
-        let mut links = Vec::new();
-        for &element in new_elements.iter().chain(touched) {
-            if let ElementRef::Value(v) = element {
-                value_links(graph, v, classes_of, &mut links);
-                let value_connections = connections(&links)
-                    .map(|(attribute, classes, has_untyped_source)| ValueConnection {
-                        attribute,
-                        classes: classes.collect(),
-                        has_untyped_source,
-                    })
-                    .collect();
-                self.delta.values.insert(v, value_connections);
-            }
-        }
-
         let frozen = &self.attributes;
         let attributes = &mut self.delta.attributes;
         let mut fold = |label, class: Option<VertexId>| {
@@ -393,12 +393,14 @@ impl KeywordIndex {
                 None => *has_untyped = true,
             }
         };
-        let is_old = |e: &EdgeId| e.index() < first_new_edge;
+        let is_old = |e: &EdgeId| e.index() < old_edges;
+        let mut values = Vec::new();
         let mut rescan = Vec::new();
-        for e in (first_new_edge..graph.edge_count()).map(|i| EdgeId::from_index(i as u32)) {
+        for e in (old_edges..graph.edge_count()).map(|i| EdgeId::from_index(i as u32)) {
             let edge = graph.edge(e);
             match graph.edge_label(edge.label) {
                 EdgeLabel::Attribute(_) => {
+                    values.push(edge.to);
                     let mut typed = false;
                     for class in classes_of(edge.from) {
                         typed = true;
@@ -417,14 +419,33 @@ impl KeywordIndex {
                         if !matches!(graph.edge_label(out.label), EdgeLabel::Attribute(_)) {
                             continue;
                         }
+                        // A re-typed entity changes the class lists inside
+                        // the structures of every value it reaches.
+                        values.push(out.to);
                         fold(out.label, Some(edge.to));
                         if was_untyped && is_old(out_edge) {
                             rescan.push(out.label);
                         }
                     }
                 }
+                // Neither relations nor classes carry enrichment.
                 EdgeLabel::Relation(_) | EdgeLabel::SubClass => {}
             }
+        }
+
+        values.sort_unstable();
+        values.dedup();
+        let mut links = Vec::new();
+        for v in values {
+            value_links(graph, v, classes_of, &mut links);
+            let value_connections = connections(&links)
+                .map(|(attribute, classes, has_untyped_source)| ValueConnection {
+                    attribute,
+                    classes: classes.collect(),
+                    has_untyped_source,
+                })
+                .collect();
+            self.delta.values.insert(v, value_connections);
         }
         if !rescan.is_empty() {
             rescan.sort_unstable();
@@ -1454,14 +1475,11 @@ mod tests {
         };
         let mut untyped_flags = Vec::new();
         for batch in &batches {
-            let before = elements(&g);
-            let first_new_edge = g.edge_count();
+            let (nv, nl, ne) = (g.vertex_count(), g.edge_label_count(), g.edge_count());
             for t in batch {
                 g.insert_triple(t).unwrap();
             }
-            let (new, touched): (Vec<_>, Vec<_>) =
-                elements(&g).into_iter().partition(|e| !before.contains(e));
-            idx.apply_delta(&g, first_new_edge, &new, &touched);
+            idx.apply_delta(&g, nv, nl, ne);
             assert!(idx.has_delta());
             untyped_flags.push(year_is_untyped(&idx));
 
@@ -1507,11 +1525,10 @@ mod tests {
         use kwsearch_rdf::Triple;
         let mut g = figure1_graph();
         let mut idx = KeywordIndex::build(&g);
-        let first_new_edge = g.edge_count();
+        let (nv, nl, ne) = (g.vertex_count(), g.edge_label_count(), g.edge_count());
         g.insert_triple(&Triple::attribute("pub1URI", "note", "Addendum"))
             .unwrap();
-        let note_value = g.value("Addendum").unwrap();
-        idx.apply_delta(&g, first_new_edge, &[ElementRef::Value(note_value)], &[]);
+        idx.apply_delta(&g, nv, nl, ne);
         let mut enc = SectionEncoder::new();
         idx.write_snapshot(&mut enc);
     }
@@ -1785,15 +1802,11 @@ mod tests {
                 };
                 let mut idx = KeywordIndex::build_with(&g, analyzer, Thesaurus::builtin(), config);
                 if !batch.is_empty() {
-                    let before = elements(&g);
-                    let first_new_edge = g.edge_count();
+                    let (nv, nl, ne) = (g.vertex_count(), g.edge_label_count(), g.edge_count());
                     for t in triples(base.len() + 1, &batch) {
                         g.insert_triple(&t).unwrap();
                     }
-                    let after = elements(&g);
-                    let new: Vec<ElementRef> =
-                        after.iter().copied().filter(|e| !before.contains(e)).collect();
-                    idx.apply_delta(&g, first_new_edge, &new, &before);
+                    idx.apply_delta(&g, nv, nl, ne);
                 }
                 for keyword in &keywords {
                     assert_matches_reference(&idx, keyword);
@@ -1826,14 +1839,11 @@ mod tests {
                     prop_assert_eq!(stored_classes(&idx, l), Some(classes_of_attribute(&g, l)));
                 }
 
-                let before = elements(&g);
-                let first_new_edge = g.edge_count();
+                let (nv, nl, ne) = (g.vertex_count(), g.edge_label_count(), g.edge_count());
                 for t in &batch {
                     g.insert_triple(t).unwrap();
                 }
-                let new: Vec<ElementRef> =
-                    elements(&g).into_iter().filter(|e| !before.contains(e)).collect();
-                idx.apply_delta(&g, first_new_edge, &new, &before);
+                idx.apply_delta(&g, nv, nl, ne);
                 for l in attributes(&g) {
                     prop_assert_eq!(stored_classes(&idx, l), Some(classes_of_attribute(&g, l)));
                 }

@@ -1,25 +1,18 @@
 //! Evaluation of conjunctive queries against a data graph (Definition 3).
 //!
 //! The evaluator runs a **streaming, pipelined index-nested-loop join**: the
-//! query is compiled once into a [`CompiledQuery`] (atoms in the order chosen
-//! by [`crate::plan`], with predicates, constants and variable slots
-//! resolved up front), and a depth-first binding search over the compiled
-//! atoms yields projected, deduplicated answers one at a time through
-//! [`AnswerStream`]. Because answers are produced incrementally,
-//! [`Evaluator::evaluate_with_limit`] stops the instant the requested number
-//! of **distinct** answers exists — the paper's Fig. 5 experiment processes
-//! queries "until finding at least 10 answers", and that phase must not pay
-//! for answers nobody asked for.
-//!
-//! The previous breadth-first evaluator materialized every intermediate join
-//! result before applying the limit; it is kept verbatim in [`reference`](mod@reference) as
-//! the executable specification that the streaming evaluator is tested (and
-//! benchmarked) against.
+//! query is compiled once (atoms in a greedy, selectivity-driven join order,
+//! with predicates, constants and variable slots resolved up front), and a
+//! depth-first binding search over the compiled atoms yields projected,
+//! deduplicated answers one at a time through [`AnswerStream`]. Because
+//! answers are produced incrementally, [`Evaluator::evaluate_with_limit`]
+//! stops the instant the requested number of **distinct** answers exists —
+//! the paper's Fig. 5 experiment processes queries "until finding at least 10
+//! answers", and that phase must not pay for answers nobody asked for.
 
 use std::collections::HashSet;
 use std::fmt;
 
-use kwsearch_rdf::triple::EdgeKind;
 use kwsearch_rdf::{DataGraph, SpoRow, TriplePattern, TripleStore, VertexId};
 
 use crate::bindings::AnswerSet;
@@ -64,33 +57,6 @@ impl fmt::Display for EvalError {
 }
 
 impl std::error::Error for EvalError {}
-
-/// Resolves a constant appearing in subject position to a vertex, respecting
-/// the vertex kind implied by the edge kind.
-pub(crate) fn resolve_subject_constant(
-    graph: &DataGraph,
-    kind: EdgeKind,
-    constant: &str,
-) -> Option<VertexId> {
-    match kind {
-        EdgeKind::SubClass => graph.class(constant),
-        _ => graph.entity(constant),
-    }
-}
-
-/// Resolves a constant appearing in object position to a vertex, respecting
-/// the vertex kind implied by the edge kind.
-pub(crate) fn resolve_object_constant(
-    graph: &DataGraph,
-    kind: EdgeKind,
-    constant: &str,
-) -> Option<VertexId> {
-    match kind {
-        EdgeKind::Relation => graph.entity(constant),
-        EdgeKind::Attribute => graph.value(constant),
-        EdgeKind::Type | EdgeKind::SubClass => graph.class(constant),
-    }
-}
 
 /// A reusable evaluator over one data graph and the triple store built from
 /// it.
@@ -244,13 +210,14 @@ fn bind(
 /// A lazy, deduplicating stream over the answers of a compiled query.
 ///
 /// Created by [`Evaluator::answer_stream`]. Each item is one projected answer
-/// row (positionally matching [`AnswerStream::distinguished`]); rows are
-/// yielded in the same order the materializing evaluator would produce them,
-/// with duplicates (projections collapsing different bindings onto the same
-/// answer) filtered out before they are yielded. An
-/// [`EvalError::TooManyIntermediateRows`] item is produced — and the stream
-/// ends — if the visited-bindings budget is exhausted while searching for the
-/// next answer.
+/// row (positionally matching [`AnswerStream::distinguished`]); duplicates
+/// (projections collapsing different bindings onto the same answer) are
+/// filtered out before they are yielded. Definition 3 fixes the answers as a
+/// set, not their order; the one order contract is that the stream is
+/// deterministic, so a run cut off after `n` answers yields a prefix of the
+/// unlimited run. An [`EvalError::TooManyIntermediateRows`] item is produced
+/// — and the stream ends — if the visited-bindings budget is exhausted while
+/// searching for the next answer.
 pub struct AnswerStream<'e> {
     store: &'e TripleStore,
     compiled: CompiledQuery,
@@ -377,178 +344,6 @@ impl Iterator for AnswerStream<'_> {
 pub fn evaluate(graph: &DataGraph, query: &ConjunctiveQuery) -> Result<AnswerSet, EvalError> {
     let store = TripleStore::build(graph);
     Evaluator::new(graph, &store).evaluate(query)
-}
-
-#[doc(hidden)]
-pub mod reference {
-    //! The pre-streaming, breadth-first evaluator, kept verbatim as the
-    //! executable specification of Definition 3.
-    //!
-    //! It materializes every intermediate join result before the limit is
-    //! applied, so it cannot terminate early — tests use it to check that the
-    //! streaming evaluator returns identical answer sets. Not part of the
-    //! supported API.
-
-    use std::collections::HashMap;
-
-    use kwsearch_rdf::{DataGraph, TriplePattern, TripleStore, VertexId};
-
-    use super::{resolve_object_constant, resolve_subject_constant, EvalError};
-    use crate::bindings::AnswerSet;
-    use crate::model::{Atom, ConjunctiveQuery, QueryTerm};
-    use crate::plan::plan_atoms;
-
-    type Row = Vec<Option<VertexId>>;
-
-    /// Evaluates `query` by materializing one full intermediate result per
-    /// atom, then projecting, deduplicating and truncating to `limit` — the
-    /// exact behaviour (including the `limit * 4` over-collect heuristic and
-    /// its shortfall bug) of the evaluator this crate shipped before the
-    /// streaming rewrite.
-    pub fn evaluate_with_limit(
-        graph: &DataGraph,
-        store: &TripleStore,
-        query: &ConjunctiveQuery,
-        limit: Option<usize>,
-        max_intermediate_rows: usize,
-    ) -> Result<AnswerSet, EvalError> {
-        let variables: Vec<String> = query.variables().into_iter().collect();
-        let var_index: HashMap<&str, usize> = variables
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i))
-            .collect();
-
-        let distinguished = query.effective_distinguished();
-        for d in &distinguished {
-            if !var_index.contains_key(d.as_str()) {
-                return Err(EvalError::UnboundDistinguishedVariable(d.clone()));
-            }
-        }
-
-        if query.is_empty() {
-            return Ok(AnswerSet::empty(distinguished));
-        }
-
-        let plan = plan_atoms(query, graph, store);
-        let mut rows: Vec<Row> = vec![vec![None; variables.len()]];
-        for &atom_idx in &plan.order {
-            let atom = &query.atoms()[atom_idx];
-            rows = join_atom(graph, store, atom, &var_index, rows, max_intermediate_rows)?;
-            if rows.is_empty() {
-                return Ok(AnswerSet::empty(distinguished));
-            }
-        }
-
-        let proj_indices: Vec<usize> = distinguished
-            .iter()
-            .map(|d| var_index[d.as_str()])
-            .collect();
-        let mut projected = Vec::with_capacity(rows.len());
-        for row in rows {
-            let out: Option<Vec<VertexId>> = proj_indices.iter().map(|&i| row[i]).collect();
-            #[expect(
-                clippy::expect_used,
-                reason = "rows surviving every join bind all variables; an unbound slot here is an evaluator bug"
-            )]
-            let out = out.expect("all query variables are bound after the final join");
-            projected.push(out);
-            if let Some(limit) = limit {
-                if projected.len() >= limit.saturating_mul(4).max(limit) {
-                    break;
-                }
-            }
-        }
-        let mut answers = AnswerSet::new(distinguished.clone(), projected);
-        if let Some(limit) = limit {
-            if answers.len() > limit {
-                let rows = answers.rows()[..limit].to_vec();
-                answers = AnswerSet::new(distinguished, rows);
-            }
-        }
-        Ok(answers)
-    }
-
-    fn join_atom(
-        graph: &DataGraph,
-        store: &TripleStore,
-        atom: &Atom,
-        var_index: &HashMap<&str, usize>,
-        rows: Vec<Row>,
-        max_intermediate_rows: usize,
-    ) -> Result<Vec<Row>, EvalError> {
-        let labels = graph.edge_labels_named(&atom.predicate);
-        if labels.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        for row in &rows {
-            for &label in &labels {
-                let kind = graph.edge_label(label).kind();
-                let subject_bound = match &atom.subject {
-                    QueryTerm::Variable(v) => row[var_index[v.as_str()]],
-                    other => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the match arm above handles Variable, so this term can only be a constant"
-                        )]
-                        let c = other
-                            .as_constant()
-                            .expect("non-variable term is a constant");
-                        match resolve_subject_constant(graph, kind, c) {
-                            Some(v) => Some(v),
-                            None => continue,
-                        }
-                    }
-                };
-                let object_bound = match &atom.object {
-                    QueryTerm::Variable(v) => row[var_index[v.as_str()]],
-                    other => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the match arm above handles Variable, so this term can only be a constant"
-                        )]
-                        let c = other
-                            .as_constant()
-                            .expect("non-variable term is a constant");
-                        match resolve_object_constant(graph, kind, c) {
-                            Some(v) => Some(v),
-                            None => continue,
-                        }
-                    }
-                };
-                let mut pattern = TriplePattern::new(label);
-                if let Some(s) = subject_bound {
-                    pattern = pattern.with_subject(s);
-                }
-                if let Some(o) = object_bound {
-                    pattern = pattern.with_object(o);
-                }
-                for matched in store.scan(pattern) {
-                    let mut new_row = row.clone();
-                    if let QueryTerm::Variable(v) = &atom.subject {
-                        new_row[var_index[v.as_str()]] = Some(matched.subject);
-                    }
-                    if let QueryTerm::Variable(v) = &atom.object {
-                        let idx = var_index[v.as_str()];
-                        if let Some(existing) = new_row[idx] {
-                            if existing != matched.object {
-                                continue;
-                            }
-                        }
-                        new_row[idx] = Some(matched.object);
-                    }
-                    out.push(new_row);
-                    if out.len() > max_intermediate_rows {
-                        return Err(EvalError::TooManyIntermediateRows {
-                            limit: max_intermediate_rows,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -757,10 +552,9 @@ mod tests {
 
     #[test]
     fn limit_returns_min_of_limit_and_total_distinct_answers() {
-        // Regression: the materializing evaluator's `limit * 4` over-collect
-        // heuristic truncated *bindings*, not answers; a projection that
-        // collapses more than ¾ of the bindings returned fewer than `limit`
-        // distinct answers even though more exist.
+        // A limit counts distinct answers, not bindings: the first 8 of the
+        // 16 bindings all project onto hubA, so a cut after `4 * limit`
+        // bindings would return one answer although two exist.
         let g = collapsing_graph();
         let q = QueryBuilder::new()
             .relation_pattern("x", "linksTo", "y")
@@ -775,24 +569,12 @@ mod tests {
         let limited = evaluator.evaluate_with_limit(&q, Some(2)).unwrap();
         assert_eq!(limited.len(), 2, "limit 2 must return both hubs");
         assert_eq!(limited.rows(), full.rows());
-
-        // The reference evaluator exhibits the shortfall this test pins down.
-        let short =
-            reference::evaluate_with_limit(&g, &store, &q, Some(2), DEFAULT_MAX_INTERMEDIATE_ROWS)
-                .unwrap();
-        assert!(
-            short.len() < 2,
-            "the materializing evaluator over-collects 8 bindings that all \
-             project onto hubA; if this starts passing the reference changed"
-        );
     }
 
     #[test]
     fn limit_succeeds_below_the_visited_bindings_budget() {
-        // Regression: the row cap used to fire even when the first `limit`
-        // answers were reachable far below the cap, because every
-        // intermediate row was materialized first. The streaming evaluator
-        // only charges the budget for bindings it actually visits.
+        // The budget is charged per visited binding, so a limited run whose
+        // answers lie below it succeeds where the full run exceeds it.
         let g = figure1_graph();
         let q = QueryBuilder::new()
             .relation_pattern("a", "author", "b")
@@ -811,13 +593,6 @@ mod tests {
         // atom, well within it.
         let answers = evaluator.evaluate_with_limit(&q, Some(1)).unwrap();
         assert_eq!(answers.len(), 1);
-
-        // The reference evaluator cannot do this: it trips the cap first.
-        let reference = reference::evaluate_with_limit(&g, &store, &q, Some(1), 3);
-        assert!(matches!(
-            reference,
-            Err(EvalError::TooManyIntermediateRows { limit: 3 })
-        ));
     }
 
     #[test]
@@ -849,40 +624,5 @@ mod tests {
             1,
             "the first answer of a single-atom query costs one binding"
         );
-    }
-
-    #[test]
-    fn streaming_matches_the_reference_evaluator_on_the_fixture() {
-        let g = figure1_graph();
-        let queries = [
-            QueryBuilder::new()
-                .class_pattern("p", "Publication")
-                .relation_pattern("p", "author", "a")
-                .distinguished(["a"])
-                .build(),
-            QueryBuilder::new()
-                .relation_pattern("p", "author", "a")
-                .relation_pattern("a", "worksAt", "i")
-                .build(),
-            QueryBuilder::new()
-                .relation_pattern("p", "author", "a1")
-                .relation_pattern("p", "author", "a2")
-                .relation_pattern("a1", "worksAt", "i")
-                .relation_pattern("a2", "worksAt", "i")
-                .distinguished(["a1", "a2"])
-                .build(),
-            QueryBuilder::new()
-                .atom("subclass", QueryTerm::var("c"), QueryTerm::iri("Agent"))
-                .build(),
-        ];
-        let store = TripleStore::build(&g);
-        let evaluator = Evaluator::new(&g, &store);
-        for q in &queries {
-            let streaming = evaluator.evaluate(q).unwrap();
-            let materializing =
-                reference::evaluate_with_limit(&g, &store, q, None, DEFAULT_MAX_INTERMEDIATE_ROWS)
-                    .unwrap();
-            assert_eq!(streaming, materializing, "query {q}");
-        }
     }
 }

@@ -10,14 +10,14 @@
 //!   distinguished / undistinguished variables,
 //! * [`sparql`] — rendering of a conjunctive query into the SPARQL form
 //!   shown in Fig. 1c of the paper,
-//! * [`plan`] — greedy, selectivity-driven join ordering and the compiled
-//!   query form (predicates, constants and variable slots resolved once per
-//!   query),
 //! * [`eval`] — the streaming evaluator implementing the answer semantics of
 //!   Definition 3 against a [`DataGraph`](kwsearch_rdf::DataGraph) via the
-//!   indexed [`TripleStore`](kwsearch_rdf::TripleStore); answers are yielded
-//!   one at a time, so a limited evaluation ("until finding at least 10
-//!   answers", the paper's Fig. 5 metric) terminates as early as possible,
+//!   indexed [`TripleStore`](kwsearch_rdf::TripleStore); each query is
+//!   compiled once (a greedy, selectivity-driven join order, with
+//!   predicates, constants and variable slots resolved up front) and its
+//!   answers are yielded one at a time, so a limited evaluation ("until
+//!   finding at least 10 answers", the paper's Fig. 5 metric) terminates as
+//!   early as possible,
 //! * [`bindings`] — answer sets (variable bindings and projections).
 
 #![deny(missing_docs)]
@@ -28,11 +28,10 @@ pub mod bindings;
 pub mod builder;
 pub mod eval;
 pub mod model;
-pub mod plan;
+mod plan;
 pub mod sparql;
 
 pub use bindings::AnswerSet;
 pub use builder::QueryBuilder;
 pub use eval::{evaluate, AnswerStream, EvalError, Evaluator};
 pub use model::{Atom, ConjunctiveQuery, QueryTerm};
-pub use plan::{plan_atoms, CompiledQuery, QueryPlan};

@@ -4,26 +4,35 @@
 //! accumulated so far with each atom's matches. The order matters: starting
 //! from selective atoms (those mentioning constants that occur rarely in the
 //! data) and always staying connected to already-bound variables keeps the
-//! search narrow. This module implements the greedy ordering used by
-//! [`crate::eval`], plus the [`CompiledQuery`] form the streaming evaluator
-//! executes: predicates, constants and variable slots are resolved once per
-//! query instead of once per row × per edge label.
+//! search narrow. [`CompiledQuery::compile`] orders the atoms greedily this
+//! way and resolves predicates, constants and variable slots once per query
+//! instead of once per row × per edge label.
 
 use std::collections::{BTreeSet, HashMap};
 
+use kwsearch_rdf::triple::EdgeKind;
 use kwsearch_rdf::{DataGraph, EdgeLabelId, TriplePattern, TripleStore, VertexId};
 
-use crate::eval::{resolve_object_constant, resolve_subject_constant, EvalError};
+use crate::eval::EvalError;
 use crate::model::{ConjunctiveQuery, QueryTerm};
 
-/// The chosen evaluation order (indices into `query.atoms()`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryPlan {
-    /// Atom indices in evaluation order.
-    pub order: Vec<usize>,
-    /// Estimated number of matching triples per atom (same indexing as the
-    /// query's atom list, *not* as `order`).
-    pub estimates: Vec<usize>,
+/// Resolves a constant appearing in subject position to a vertex, respecting
+/// the vertex kind implied by the edge kind.
+fn resolve_subject_constant(graph: &DataGraph, kind: EdgeKind, constant: &str) -> Option<VertexId> {
+    match kind {
+        EdgeKind::SubClass => graph.class(constant),
+        _ => graph.entity(constant),
+    }
+}
+
+/// Resolves a constant appearing in object position to a vertex, respecting
+/// the vertex kind implied by the edge kind.
+fn resolve_object_constant(graph: &DataGraph, kind: EdgeKind, constant: &str) -> Option<VertexId> {
+    match kind {
+        EdgeKind::Relation => graph.entity(constant),
+        EdgeKind::Attribute => graph.value(constant),
+        EdgeKind::Type | EdgeKind::SubClass => graph.class(constant),
+    }
 }
 
 /// Estimates the number of rows matching `atom` when only its constants are
@@ -60,13 +69,14 @@ fn estimate_atom(
     total
 }
 
-/// Computes a greedy, connectivity-aware join order.
+/// A greedy, connectivity-aware join order: indices into `query.atoms()`,
+/// in evaluation order.
 ///
 /// The first atom is the one with the smallest estimated cardinality; each
 /// following atom is the cheapest one that shares a variable with the atoms
 /// already planned (falling back to the globally cheapest remaining atom if
 /// the query is disconnected).
-pub fn plan_atoms(query: &ConjunctiveQuery, graph: &DataGraph, store: &TripleStore) -> QueryPlan {
+fn join_order(query: &ConjunctiveQuery, graph: &DataGraph, store: &TripleStore) -> Vec<usize> {
     let n = query.atoms().len();
     let estimates: Vec<usize> = (0..n)
         .map(|i| estimate_atom(query, i, graph, store))
@@ -112,14 +122,14 @@ pub fn plan_atoms(query: &ConjunctiveQuery, graph: &DataGraph, store: &TripleSto
         order.push(best);
     }
 
-    QueryPlan { order, estimates }
+    order
 }
 
 /// A term position of a [`CompiledPattern`]: constants are resolved to
 /// concrete vertices at compile time, variables to indices into the compiled
 /// variable table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slot {
+pub(crate) enum Slot {
     /// A constant, resolved against the data graph once per query.
     Const(VertexId),
     /// A variable, identified by its index into [`CompiledQuery::variables`].
@@ -129,47 +139,47 @@ pub enum Slot {
 /// One scannable triple pattern: a concrete edge label plus compiled
 /// subject/object slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompiledPattern {
+pub(crate) struct CompiledPattern {
     /// The edge label this pattern scans.
-    pub label: EdgeLabelId,
+    pub(crate) label: EdgeLabelId,
     /// The subject position.
-    pub subject: Slot,
+    pub(crate) subject: Slot,
     /// The object position.
-    pub object: Slot,
+    pub(crate) object: Slot,
 }
 
 /// A query atom compiled to the edge labels sharing the atom's predicate
 /// name. Labels whose constants do not resolve against the graph are dropped
 /// here, once, instead of being re-resolved (and re-skipped) per row during
 /// evaluation. An atom with no patterns can never match.
-#[derive(Debug, Clone, Default)]
-pub struct CompiledAtom {
+#[derive(Debug)]
+pub(crate) struct CompiledAtom {
     /// The scannable patterns of this atom, in edge-label order.
-    pub patterns: Vec<CompiledPattern>,
+    pub(crate) patterns: Vec<CompiledPattern>,
 }
 
 /// A conjunctive query compiled for the streaming evaluator: atoms in
-/// [`plan_atoms`] order with every predicate name, constant and variable
+/// [`join_order`] order with every predicate name, constant and variable
 /// resolved exactly once.
-#[derive(Debug, Clone)]
-pub struct CompiledQuery {
+#[derive(Debug)]
+pub(crate) struct CompiledQuery {
     /// The variable table (sorted); [`Slot::Var`] indexes into it.
-    pub variables: Vec<String>,
+    pub(crate) variables: Vec<String>,
     /// The atoms, in evaluation (plan) order.
-    pub atoms: Vec<CompiledAtom>,
+    pub(crate) atoms: Vec<CompiledAtom>,
     /// Indices into `variables` of the distinguished variables, in
     /// `distinguished` order.
-    pub projection: Vec<usize>,
+    pub(crate) projection: Vec<usize>,
     /// The distinguished variables (declaration order; defaults to all
     /// variables when the query declares none).
-    pub distinguished: Vec<String>,
+    pub(crate) distinguished: Vec<String>,
 }
 
 impl CompiledQuery {
-    /// Compiles `query` against `graph`, ordering atoms with [`plan_atoms`].
+    /// Compiles `query` against `graph`, ordering atoms with [`join_order`].
     ///
     /// Fails if a distinguished variable does not occur in any atom.
-    pub fn compile(
+    pub(crate) fn compile(
         query: &ConjunctiveQuery,
         graph: &DataGraph,
         store: &TripleStore,
@@ -192,9 +202,9 @@ impl CompiledQuery {
             .map(|d| var_index[d.as_str()])
             .collect();
 
-        let plan = plan_atoms(query, graph, store);
-        let mut atoms = Vec::with_capacity(plan.order.len());
-        for &atom_idx in &plan.order {
+        let order = join_order(query, graph, store);
+        let mut atoms = Vec::with_capacity(order.len());
+        for atom_idx in order {
             let atom = &query.atoms()[atom_idx];
             let mut patterns = Vec::new();
             for label in graph.edge_labels_named(&atom.predicate) {
@@ -265,8 +275,7 @@ mod tests {
             .attribute_pattern("y", "name", "P. Cimiano")
             .relation_pattern("y", "worksAt", "z")
             .build();
-        let plan = plan_atoms(&q, &g, &store);
-        let mut sorted = plan.order.clone();
+        let mut sorted = join_order(&q, &g, &store);
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
     }
@@ -279,10 +288,10 @@ mod tests {
             .relation_pattern("x", "author", "y")
             .attribute_pattern("y", "name", "P. Cimiano")
             .build();
-        let plan = plan_atoms(&q, &g, &store);
+        let order = join_order(&q, &g, &store);
         // The name atom has a constant and cardinality 1; it must be planned
         // before the unconstrained author atom.
-        assert_eq!(plan.order[0], 1);
+        assert_eq!(order[0], 1);
     }
 
     #[test]
@@ -294,12 +303,11 @@ mod tests {
             .relation_pattern("x", "author", "y")
             .relation_pattern("y", "worksAt", "z")
             .build();
-        let plan = plan_atoms(&q, &g, &store);
+        let order = join_order(&q, &g, &store);
         // After the first atom (year, selective), the next atom must share a
         // variable with it; worksAt(y,z) does not share a variable with
         // year(x, 2006), so author(x, y) has to come second.
-        assert_eq!(plan.order[0], 0);
-        assert_eq!(plan.order[1], 1);
+        assert_eq!(order[..2], [0, 1]);
     }
 
     #[test]
@@ -309,8 +317,7 @@ mod tests {
         let q = QueryBuilder::new()
             .relation_pattern("x", "nonexistent", "y")
             .build();
-        let plan = plan_atoms(&q, &g, &store);
-        assert_eq!(plan.estimates, vec![0]);
+        assert_eq!(estimate_atom(&q, 0, &g, &store), 0);
     }
 
     #[test]

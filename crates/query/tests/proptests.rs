@@ -1,23 +1,26 @@
-//! Property-based equivalence tests of the streaming evaluator against the
-//! materializing reference implementation (the evaluator this crate shipped
-//! before the streaming rewrite, kept in `kwsearch_query::eval::reference`),
-//! across random graphs and random conjunctive queries, with and without
-//! answer limits.
+//! Property-based checks of the streaming evaluator against Definition 3,
+//! computed by a nested-loop oracle that tries every assignment of vertices
+//! to variables and reads nothing but the graph's edges and labels (no
+//! triple store, no join order), across random graphs and random
+//! conjunctive queries, with and without answer limits.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use kwsearch_query::eval::{reference, DEFAULT_MAX_INTERMEDIATE_ROWS};
-use kwsearch_query::{ConjunctiveQuery, Evaluator, QueryBuilder};
-use kwsearch_rdf::{DataGraph, Triple, TripleStore};
+use kwsearch_query::{ConjunctiveQuery, Evaluator, QueryBuilder, QueryTerm};
+use kwsearch_rdf::fixtures::figure1_graph;
+use kwsearch_rdf::{DataGraph, Triple, TripleStore, VertexId};
 
-const CLASSES: [&str; 3] = ["Alpha", "Beta", "Gamma"];
+/// `Delta` types no entity: `build_graph` names it in a `subclass` edge only.
+const CLASSES: [&str; 4] = ["Alpha", "Beta", "Gamma", "Delta"];
 const VALUES: [&str; 5] = ["red", "green", "blue", "cyan", "amber"];
 const RELATIONS: [&str; 3] = ["linksTo", "near", "uses"];
 const VARS: [&str; 4] = ["v0", "v1", "v2", "v3"];
 
 /// A compact random data graph: entities with types, attributes from a small
 /// value pool, and random relations — the same shape the core crate's
-/// exploration proptests use.
+/// exploration proptests use — plus a fixed class hierarchy.
 #[derive(Debug, Clone)]
 struct GraphSpec {
     types: Vec<(usize, usize)>,
@@ -27,7 +30,7 @@ struct GraphSpec {
 
 fn graph_spec() -> impl Strategy<Value = GraphSpec> {
     (
-        proptest::collection::vec((0usize..10, 0usize..CLASSES.len()), 2..10),
+        proptest::collection::vec((0usize..10, 0usize..CLASSES.len() - 1), 2..10),
         proptest::collection::vec((0usize..10, 0usize..VALUES.len()), 2..10),
         proptest::collection::vec((0usize..10, 0usize..RELATIONS.len(), 0usize..10), 0..14),
     )
@@ -36,6 +39,11 @@ fn graph_spec() -> impl Strategy<Value = GraphSpec> {
 
 fn build_graph(spec: &GraphSpec) -> DataGraph {
     let mut graph = DataGraph::new();
+    for (class, super_class) in [("Alpha", "Beta"), ("Delta", "Beta")] {
+        graph
+            .insert_triple(&Triple::subclass(class, super_class))
+            .expect("well-formed triple");
+    }
     for (e, c) in &spec.types {
         graph
             .insert_triple(&Triple::typed(format!("e{e}"), CLASSES[*c]))
@@ -58,9 +66,11 @@ fn build_graph(spec: &GraphSpec) -> DataGraph {
     graph
 }
 
-/// A random conjunctive query: each atom is a type/attribute/relation pattern
-/// over a pool of four variables, plus a distinguished-variable count (0
-/// declares none, i.e. all variables are distinguished by default).
+/// A random conjunctive query: each atom is a type, attribute, relation or
+/// `subclass` pattern over a pool of four variables, with constants in every
+/// position the evaluator resolves (classes, values, entities — some absent
+/// from the graph), plus a distinguished-variable count (0 declares none,
+/// i.e. all variables are distinguished by default).
 #[derive(Debug, Clone)]
 struct QuerySpec {
     atoms: Vec<(usize, usize, usize, usize)>,
@@ -70,7 +80,12 @@ struct QuerySpec {
 fn query_spec() -> impl Strategy<Value = QuerySpec> {
     (
         proptest::collection::vec(
-            (0usize..4, 0usize..VARS.len(), 0usize..VARS.len(), 0usize..6),
+            (
+                0usize..9,
+                0usize..VARS.len(),
+                0usize..VARS.len(),
+                0usize..12,
+            ),
             1..5,
         ),
         0usize..4,
@@ -81,14 +96,34 @@ fn query_spec() -> impl Strategy<Value = QuerySpec> {
         })
 }
 
-fn build_query(spec: &QuerySpec) -> ConjunctiveQuery {
+/// Builds the query of `spec`. A relation atom with an entity constant
+/// takes its constant and predicate from the `c`-th relation edge of
+/// `graph`, so it has a match; past the last edge it names entity `e{c}`,
+/// which may be absent (`e10` and `e11` always are).
+fn build_query(graph: &GraphSpec, spec: &QuerySpec) -> ConjunctiveQuery {
     let mut builder = QueryBuilder::new();
     for &(kind, a, b, c) in &spec.atoms {
+        let class = CLASSES[c % CLASSES.len()];
+        let (s, r, o) = graph.rels.get(c).copied().unwrap_or((c, b, c));
+        let relation = RELATIONS[r % RELATIONS.len()];
         builder = match kind {
-            0 => builder.class_pattern(VARS[a], CLASSES[c % CLASSES.len()]),
+            0 => builder.class_pattern(VARS[a], class),
             1 => builder.attribute_pattern(VARS[a], "label", VALUES[c % VALUES.len()]),
             2 => builder.relation_pattern(VARS[a], RELATIONS[c % RELATIONS.len()], VARS[b]),
-            _ => builder.attribute_variable(VARS[a], "label", VARS[b]),
+            3 => builder.attribute_variable(VARS[a], "label", VARS[b]),
+            4 => builder.atom(
+                relation,
+                QueryTerm::iri(format!("e{s}")),
+                QueryTerm::var(VARS[a]),
+            ),
+            5 => builder.atom(
+                relation,
+                QueryTerm::var(VARS[a]),
+                QueryTerm::iri(format!("e{o}")),
+            ),
+            6 => builder.atom("subclass", QueryTerm::var(VARS[a]), QueryTerm::iri(class)),
+            7 => builder.atom("subclass", QueryTerm::iri(class), QueryTerm::var(VARS[a])),
+            _ => builder.atom("subclass", QueryTerm::var(VARS[a]), QueryTerm::var(VARS[b])),
         };
     }
     let mut query = builder.build();
@@ -101,30 +136,135 @@ fn build_query(spec: &QuerySpec) -> ConjunctiveQuery {
     query
 }
 
+/// One atom for the oracle: the variable slots of its two positions, and the
+/// `(from, to)` pairs of the edges its predicate names whose endpoints carry
+/// its constants.
+struct OracleAtom {
+    subject: Option<usize>,
+    object: Option<usize>,
+    pairs: Vec<(VertexId, VertexId)>,
+}
+
+impl OracleAtom {
+    fn holds(&self, assignment: &[VertexId]) -> bool {
+        self.pairs.iter().any(|&(from, to)| {
+            self.subject.is_none_or(|i| assignment[i] == from)
+                && self.object.is_none_or(|i| assignment[i] == to)
+        })
+    }
+}
+
+/// The answers of Definition 3 by brute force: every assignment of graph
+/// vertices to the query's variables that satisfies all atoms, projected
+/// onto the distinguished variables, as a sorted set. A constant matches the
+/// endpoint with that label; the edge's kind already fixes the endpoint's
+/// vertex kind.
+fn nested_loop_answers(graph: &DataGraph, query: &ConjunctiveQuery) -> Vec<Vec<VertexId>> {
+    let variables: Vec<String> = query.variables().into_iter().collect();
+    let slot = |name: &str| variables.iter().position(|v| v == name);
+    let carries = |term: &QueryTerm, v: VertexId| {
+        term.as_constant()
+            .is_none_or(|c| graph.vertex_label(v) == c)
+    };
+    let atoms: Vec<OracleAtom> = query
+        .atoms()
+        .iter()
+        .map(|atom| OracleAtom {
+            subject: atom.subject.as_variable().and_then(slot),
+            object: atom.object.as_variable().and_then(slot),
+            pairs: graph
+                .edges()
+                .map(|e| graph.edge(e))
+                .filter(|edge| {
+                    graph.edge_label_name(edge.label) == atom.predicate
+                        && carries(&atom.subject, edge.from)
+                        && carries(&atom.object, edge.to)
+                })
+                .map(|edge| (edge.from, edge.to))
+                .collect(),
+        })
+        .collect();
+    let projection: Vec<usize> = query
+        .effective_distinguished()
+        .iter()
+        .map(|d| slot(d).expect("distinguished variables occur in the body"))
+        .collect();
+
+    let vertices: Vec<VertexId> = graph.vertices().collect();
+    let mut digits = vec![0usize; variables.len()];
+    let mut answers = BTreeSet::new();
+    loop {
+        let assignment: Vec<VertexId> = digits.iter().map(|&d| vertices[d]).collect();
+        if atoms.iter().all(|atom| atom.holds(&assignment)) {
+            answers.insert(projection.iter().map(|&i| assignment[i]).collect());
+        }
+        let Some(last) = digits.iter().rposition(|&d| d + 1 < vertices.len()) else {
+            break;
+        };
+        digits[last] += 1;
+        digits[last + 1..].fill(0);
+    }
+    answers.into_iter().collect()
+}
+
+/// The streaming evaluator's rows, sorted with duplicates kept, and the
+/// oracle's set.
+fn streaming_and_oracle(
+    graph: &DataGraph,
+    query: &ConjunctiveQuery,
+) -> (Vec<Vec<VertexId>>, Vec<Vec<VertexId>>) {
+    let store = TripleStore::build(graph);
+    let answers = Evaluator::new(graph, &store)
+        .evaluate(query)
+        .expect("small graphs stay in budget");
+    assert_eq!(answers.variables(), query.effective_distinguished());
+    let mut rows = answers.rows().to_vec();
+    rows.sort();
+    (rows, nested_loop_answers(graph, query))
+}
+
+#[test]
+fn streaming_matches_the_nested_loop_oracle_on_the_fixture() {
+    let g = figure1_graph();
+    let queries = [
+        QueryBuilder::new()
+            .class_pattern("p", "Publication")
+            .relation_pattern("p", "author", "a")
+            .distinguished(["a"])
+            .build(),
+        QueryBuilder::new()
+            .relation_pattern("p", "author", "a")
+            .relation_pattern("a", "worksAt", "i")
+            .build(),
+        QueryBuilder::new()
+            .relation_pattern("p", "author", "a1")
+            .relation_pattern("p", "author", "a2")
+            .relation_pattern("a1", "worksAt", "i")
+            .relation_pattern("a2", "worksAt", "i")
+            .distinguished(["a1", "a2"])
+            .build(),
+        QueryBuilder::new()
+            .atom("subclass", QueryTerm::var("c"), QueryTerm::iri("Agent"))
+            .build(),
+    ];
+    for q in &queries {
+        let (streaming, oracle) = streaming_and_oracle(&g, q);
+        assert_eq!(streaming, oracle, "query {q}");
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Unlimited evaluation: the streaming evaluator returns exactly the
-    /// answer set (same rows, same order) of the materializing reference.
+    /// oracle's answer set, each answer once.
     #[test]
-    fn streaming_equals_the_materializing_reference(
+    fn streaming_equals_the_nested_loop_oracle(
         gspec in graph_spec(),
         qspec in query_spec(),
     ) {
-        let graph = build_graph(&gspec);
-        let query = build_query(&qspec);
-        let store = TripleStore::build(&graph);
-        let evaluator = Evaluator::new(&graph, &store);
-        let streaming = evaluator.evaluate(&query).expect("small graphs stay in budget");
-        let materializing = reference::evaluate_with_limit(
-            &graph,
-            &store,
-            &query,
-            None,
-            DEFAULT_MAX_INTERMEDIATE_ROWS,
-        )
-        .expect("small graphs stay in budget");
-        prop_assert_eq!(streaming, materializing);
+        let (streaming, oracle) = streaming_and_oracle(&build_graph(&gspec), &build_query(&gspec, &qspec));
+        prop_assert_eq!(streaming, oracle);
     }
 
     /// Limited evaluation returns exactly `min(n, total_distinct)` answers,
@@ -136,7 +276,7 @@ proptest! {
         qspec in query_spec(),
     ) {
         let graph = build_graph(&gspec);
-        let query = build_query(&qspec);
+        let query = build_query(&gspec, &qspec);
         let store = TripleStore::build(&graph);
         let evaluator = Evaluator::new(&graph, &store);
         let full = evaluator.evaluate(&query).expect("small graphs stay in budget");
@@ -154,39 +294,6 @@ proptest! {
             );
             prop_assert_eq!(limited.rows(), &full.rows()[..expected]);
             prop_assert_eq!(limited.variables(), full.variables());
-        }
-    }
-
-    /// The streaming limit never returns fewer answers than the reference's
-    /// over-collect heuristic — the shortfall bug is fixed, not relocated.
-    #[test]
-    fn streaming_limit_never_falls_short_of_the_reference(
-        gspec in graph_spec(),
-        qspec in query_spec(),
-    ) {
-        let graph = build_graph(&gspec);
-        let query = build_query(&qspec);
-        let store = TripleStore::build(&graph);
-        let evaluator = Evaluator::new(&graph, &store);
-        for n in [1usize, 3, 10] {
-            let streaming = evaluator
-                .evaluate_with_limit(&query, Some(n))
-                .expect("small graphs stay in budget");
-            let materializing = reference::evaluate_with_limit(
-                &graph,
-                &store,
-                &query,
-                Some(n),
-                DEFAULT_MAX_INTERMEDIATE_ROWS,
-            )
-            .expect("small graphs stay in budget");
-            prop_assert!(
-                streaming.len() >= materializing.len(),
-                "limit {}: streaming returned {} answers, reference {}",
-                n,
-                streaming.len(),
-                materializing.len()
-            );
         }
     }
 }
