@@ -13,9 +13,10 @@
 //! * [`eval`] — the streaming evaluator implementing the answer semantics of
 //!   Definition 3 against a [`DataGraph`](kwsearch_rdf::DataGraph) via the
 //!   indexed [`TripleStore`](kwsearch_rdf::TripleStore); each query is
-//!   compiled once (a greedy, selectivity-driven join order, with
-//!   predicates, constants and variable slots resolved up front) and its
-//!   answers are yielded one at a time, so a limited evaluation ("until
+//!   compiled once (predicates and constants resolved, a static variable
+//!   order fixed), its variables are bound one at a time by intersecting
+//!   sorted store ranges, and its answers are yielded one at a time, so a
+//!   limited evaluation ("until
 //!   finding at least 10 answers", the paper's Fig. 5 metric) terminates as
 //!   early as possible,
 //! * [`bindings`] — answer sets (variable bindings and projections).

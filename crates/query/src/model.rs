@@ -102,11 +102,6 @@ impl Atom {
             .filter_map(|t| t.as_variable())
             .collect()
     }
-
-    /// Number of constant positions (used as a selectivity hint).
-    pub fn constant_count(&self) -> usize {
-        self.subject.is_constant() as usize + self.object.is_constant() as usize
-    }
 }
 
 impl fmt::Display for Atom {
@@ -380,7 +375,6 @@ mod tests {
     fn atom_helpers() {
         let a = Atom::new("year", QueryTerm::var("x"), QueryTerm::literal("2006"));
         assert_eq!(a.variables(), vec!["x"]);
-        assert_eq!(a.constant_count(), 1);
         assert_eq!(a.to_string(), "year(?x, '2006')");
     }
 }

@@ -1,17 +1,18 @@
-//! Join ordering and query compilation.
+//! Query compilation: constants resolved once, and the variable order.
 //!
-//! The evaluator processes query atoms one at a time, extending the bindings
-//! accumulated so far with each atom's matches. The order matters: starting
-//! from selective atoms (those mentioning constants that occur rarely in the
-//! data) and always staying connected to already-bound variables keeps the
-//! search narrow. [`CompiledQuery::compile`] orders the atoms greedily this
-//! way and resolves predicates, constants and variable slots once per query
-//! instead of once per row × per edge label.
+//! The evaluator binds one variable at a time (see [`crate::eval`]): a
+//! variable's values are the intersection of sorted store columns, one per
+//! atom that links it to a constant or to a variable bound before it. The
+//! order therefore decides which atoms anchor which variable.
+//! [`CompiledQuery::compile`] resolves every predicate name and constant
+//! once per query, and [`levels`] fixes the order once — no count is
+//! repeated per binding — recording per variable the atoms it reads, the
+//! self-joins it checks and the budget units a binding costs.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use kwsearch_rdf::triple::EdgeKind;
-use kwsearch_rdf::{DataGraph, EdgeLabelId, TriplePattern, TripleStore, VertexId};
+use kwsearch_rdf::{DataGraph, SpoRow, TriplePattern, TripleStore, VertexId};
 
 use crate::eval::EvalError;
 use crate::model::{ConjunctiveQuery, QueryTerm};
@@ -35,138 +36,185 @@ fn resolve_object_constant(graph: &DataGraph, kind: EdgeKind, constant: &str) ->
     }
 }
 
-/// Estimates the number of rows matching `atom` when only its constants are
-/// bound.
-fn estimate_atom(
-    query: &ConjunctiveQuery,
-    atom_idx: usize,
-    graph: &DataGraph,
-    store: &TripleStore,
-) -> usize {
-    let atom = &query.atoms()[atom_idx];
-    let labels = graph.edge_labels_named(&atom.predicate);
-    if labels.is_empty() {
-        return 0;
-    }
-    let mut total = 0usize;
-    for label in labels {
-        let kind = graph.edge_label(label).kind();
-        let mut pattern = TriplePattern::new(label);
-        if let Some(c) = atom.subject.as_constant() {
-            match resolve_subject_constant(graph, kind, c) {
-                Some(v) => pattern = pattern.with_subject(v),
-                None => continue,
-            }
-        }
-        if let Some(c) = atom.object.as_constant() {
-            match resolve_object_constant(graph, kind, c) {
-                Some(v) => pattern = pattern.with_object(v),
-                None => continue,
-            }
-        }
-        total += store.count(pattern);
-    }
-    total
-}
-
-/// A greedy, connectivity-aware join order: indices into `query.atoms()`,
-/// in evaluation order.
-///
-/// The first atom is the one with the smallest estimated cardinality; each
-/// following atom is the cheapest one that shares a variable with the atoms
-/// already planned (falling back to the globally cheapest remaining atom if
-/// the query is disconnected).
-fn join_order(query: &ConjunctiveQuery, graph: &DataGraph, store: &TripleStore) -> Vec<usize> {
-    let n = query.atoms().len();
-    let estimates: Vec<usize> = (0..n)
-        .map(|i| estimate_atom(query, i, graph, store))
-        .collect();
-
-    let mut remaining: BTreeSet<usize> = (0..n).collect();
-    let mut bound_vars: BTreeSet<String> = BTreeSet::new();
-    let mut order = Vec::with_capacity(n);
-
-    while !remaining.is_empty() {
-        let connected: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|&i| {
-                query.atoms()[i]
-                    .variables()
-                    .iter()
-                    .any(|v| bound_vars.contains(*v))
-            })
-            .collect();
-        let candidates = if order.is_empty() || connected.is_empty() {
-            remaining.iter().copied().collect::<Vec<_>>()
-        } else {
-            connected
-        };
-        // Among candidates prefer (more constants, lower estimate) — constants
-        // make the scan a prefix lookup, and low estimates keep joins small.
-        #[expect(
-            clippy::expect_used,
-            reason = "the loop guard guarantees `remaining` is non-empty, so min_by_key sees at least one candidate"
-        )]
-        let &best = candidates
-            .iter()
-            .min_by_key(|&&i| {
-                let atom = &query.atoms()[i];
-                (usize::MAX - atom.constant_count(), estimates[i])
-            })
-            .expect("candidates is non-empty");
-        remaining.remove(&best);
-        for v in query.atoms()[best].variables() {
-            bound_vars.insert(v.to_owned());
-        }
-        order.push(best);
-    }
-
-    order
-}
-
-/// A term position of a [`CompiledPattern`]: constants are resolved to
-/// concrete vertices at compile time, variables to indices into the compiled
-/// variable table.
+/// The end of an atom a [`Level`]'s variable takes, and so the column of
+/// the atom's store rows its values are read from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Slot {
-    /// A constant, resolved against the data graph once per query.
-    Const(VertexId),
-    /// A variable, identified by its index into [`CompiledQuery::variables`].
-    Var(usize),
+pub(crate) enum Side {
+    /// The subject column: POS `(p, o, *)` is sorted by it.
+    Subject,
+    /// The object column: SPO `(s, p, *)` and POS `(p, *, *)` are sorted by
+    /// it.
+    Object,
 }
 
-/// One scannable triple pattern: a concrete edge label plus compiled
-/// subject/object slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CompiledPattern {
-    /// The edge label this pattern scans.
-    pub(crate) label: EdgeLabelId,
-    /// The subject position.
-    pub(crate) subject: Slot,
-    /// The object position.
-    pub(crate) object: Slot,
+impl Side {
+    /// The vertex at this end of `row`.
+    pub(crate) fn of(self, row: &SpoRow) -> VertexId {
+        match self {
+            Side::Subject => row.subject,
+            Side::Object => row.object,
+        }
+    }
 }
 
-/// A query atom compiled to the edge labels sharing the atom's predicate
-/// name. Labels whose constants do not resolve against the graph are dropped
-/// here, once, instead of being re-resolved (and re-skipped) per row during
-/// evaluation. An atom with no patterns can never match.
+/// A query atom compiled against the graph.
 #[derive(Debug)]
 pub(crate) struct CompiledAtom {
-    /// The scannable patterns of this atom, in edge-label order.
-    pub(crate) patterns: Vec<CompiledPattern>,
+    /// The subject's index into [`CompiledQuery::variables`]; `None` for a
+    /// constant.
+    pub(crate) subject: Option<usize>,
+    /// The object's index into [`CompiledQuery::variables`]; `None` for a
+    /// constant.
+    pub(crate) object: Option<usize>,
+    /// One pattern per edge label the predicate names whose constants
+    /// resolve, with those constants bound and the variables free. Labels
+    /// whose constants do not resolve are dropped here, once; an atom with
+    /// no pattern can never match.
+    pub(crate) patterns: Vec<TriplePattern>,
 }
 
-/// A conjunctive query compiled for the streaming evaluator: atoms in
-/// [`join_order`] order with every predicate name, constant and variable
-/// resolved exactly once.
+impl CompiledAtom {
+    /// `pattern` with the atom's variables bound as in `row` (an unbound
+    /// variable stays free).
+    pub(crate) fn under(&self, pattern: TriplePattern, row: &[Option<VertexId>]) -> TriplePattern {
+        let bound = |slot: Option<usize>| slot.and_then(|i| row[i]);
+        TriplePattern {
+            subject: pattern.subject.or_else(|| bound(self.subject)),
+            predicate: pattern.predicate,
+            object: pattern.object.or_else(|| bound(self.object)),
+        }
+    }
+
+    /// The rows matching the atom with only its constants bound.
+    fn constant_rows(&self, store: &TripleStore) -> usize {
+        self.patterns.iter().map(|&p| store.count(p)).sum()
+    }
+}
+
+/// One step of the variable order: a variable and how its values are found.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Level {
+    /// The variable this level binds, an index into
+    /// [`CompiledQuery::variables`].
+    pub(crate) variable: usize,
+    /// The atoms (indices into [`CompiledQuery::atoms`]) whose sorted
+    /// columns are intersected for the variable's values, each with the end
+    /// the variable takes: every atom linking it to a constant or to an
+    /// earlier variable; when there is none, every atom naming it as object,
+    /// entered through POS `(p, *, *)`. Never empty.
+    pub(crate) columns: Vec<(usize, Side)>,
+    /// The self-joins `r(v, v)` on the variable, checked once it is bound.
+    pub(crate) self_loops: Vec<usize>,
+    /// The atoms whose last variable this is: a binding is charged one
+    /// budget unit for each, so a full binding costs one unit per atom.
+    pub(crate) charge: usize,
+}
+
+/// The key [`levels`] ranks an unbound variable `v` by, as `atom` sees it
+/// (`count` is the atom's [`CompiledAtom::constant_rows`]); `None` when the
+/// atom cannot anchor `v` yet.
+fn rank(atom: &CompiledAtom, count: usize, v: usize, bound: &[bool]) -> Option<(u8, usize)> {
+    match (atom.subject, atom.object) {
+        (Some(u), None) | (None, Some(u)) if u == v => Some((0, count)),
+        (Some(s), Some(o)) if s == v && o != v && bound[o] => Some((1, count)),
+        (Some(s), Some(o)) if o == v && s != v && bound[s] => Some((1, count)),
+        (Some(_), Some(o)) if o == v => Some((2, count)),
+        _ => None,
+    }
+}
+
+/// The levels in binding order, fixed once per query. Each step binds the
+/// unbound variable that ranks first by:
+///
+/// 1. the smallest constant-anchored count — the fewest rows of an atom
+///    linking it to a constant;
+/// 2. sharing an atom with a bound variable (the atom with the fewest rows
+///    first);
+/// 3. being some atom's object: it is entered through the object column of
+///    POS `(p, *, *)` (the smallest predicate first).
+///
+/// Ties go to the lower variable index. A variable that is only ever a
+/// subject with a free object waits for that object: SPO has no sorted
+/// subject column for a bare predicate.
+fn levels(atoms: &[CompiledAtom], variable_count: usize, store: &TripleStore) -> Vec<Level> {
+    let counts: Vec<usize> = atoms.iter().map(|a| a.constant_rows(store)).collect();
+    let mut bound = vec![false; variable_count];
+    let mut levels = Vec::with_capacity(variable_count);
+    while levels.len() < variable_count {
+        // Some variable always ranks: an unbound object ranks 3rd at worst,
+        // and when no unbound variable is an object, any unbound one is the
+        // subject of an atom whose object is a constant or bound.
+        #[expect(
+            clippy::expect_used,
+            reason = "every variable occurs in an atom, so some unbound variable always ranks (see above)"
+        )]
+        let (_, next) = (0..variable_count)
+            .filter(|&v| !bound[v])
+            .filter_map(|v| {
+                atoms
+                    .iter()
+                    .zip(&counts)
+                    .filter_map(|(atom, &count)| rank(atom, count, v, &bound))
+                    .min()
+                    .map(|key| (key, v))
+            })
+            .min()
+            .expect("an unbound variable ranks");
+        levels.push(level(atoms, next, &bound));
+        bound[next] = true;
+    }
+    levels
+}
+
+/// The [`Level`] binding `v` once the variables in `bound` are bound.
+fn level(atoms: &[CompiledAtom], v: usize, bound: &[bool]) -> Level {
+    let anchored = |end: Option<usize>| end.is_none_or(|u| bound[u]);
+    let (mut columns, mut entries, mut self_loops) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, atom) in atoms.iter().enumerate() {
+        match (atom.subject, atom.object) {
+            (Some(s), Some(o)) if s == v && o == v => {
+                self_loops.push(i);
+                entries.push((i, Side::Object));
+            }
+            (Some(s), o) if s == v && anchored(o) => columns.push((i, Side::Subject)),
+            (s, Some(o)) if o == v && anchored(s) => columns.push((i, Side::Object)),
+            (Some(_), Some(o)) if o == v => entries.push((i, Side::Object)),
+            _ => {}
+        }
+    }
+    let charge = columns.len() + self_loops.len();
+    if columns.is_empty() {
+        columns = entries;
+    }
+    debug_assert!(
+        !columns.is_empty(),
+        "levels anchors every variable it binds"
+    );
+    Level {
+        variable: v,
+        columns,
+        self_loops,
+        charge,
+    }
+}
+
+/// A conjunctive query compiled for the evaluator: every predicate name,
+/// constant and variable resolved exactly once, and the variables ordered
+/// into [`levels`].
 #[derive(Debug)]
 pub(crate) struct CompiledQuery {
-    /// The variable table (sorted); [`Slot::Var`] indexes into it.
+    /// The variable table (sorted); atoms and levels index into it.
     pub(crate) variables: Vec<String>,
-    /// The atoms, in evaluation (plan) order.
+    /// The atoms, in query order.
     pub(crate) atoms: Vec<CompiledAtom>,
+    /// One level per variable, in binding order; empty when the query
+    /// cannot hold.
+    pub(crate) levels: Vec<Level>,
+    /// Whether the query can have answers: it has atoms, every atom keeps a
+    /// pattern, and every variable-free atom holds.
+    pub(crate) satisfiable: bool,
+    /// The number of variable-free atoms, checked once here.
+    pub(crate) ground_atoms: usize,
     /// Indices into `variables` of the distinguished variables, in
     /// `distinguished` order.
     pub(crate) projection: Vec<usize>,
@@ -176,7 +224,8 @@ pub(crate) struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// Compiles `query` against `graph`, ordering atoms with [`join_order`].
+    /// Compiles `query` against `graph`, ordering its variables with
+    /// [`levels`].
     ///
     /// Fails if a distinguished variable does not occur in any atom.
     pub(crate) fn compile(
@@ -202,57 +251,53 @@ impl CompiledQuery {
             .map(|d| var_index[d.as_str()])
             .collect();
 
-        let order = join_order(query, graph, store);
-        let mut atoms = Vec::with_capacity(order.len());
-        for atom_idx in order {
-            let atom = &query.atoms()[atom_idx];
-            let mut patterns = Vec::new();
-            for label in graph.edge_labels_named(&atom.predicate) {
-                let kind = graph.edge_label(label).kind();
-                let subject = match &atom.subject {
-                    QueryTerm::Variable(v) => Slot::Var(var_index[v.as_str()]),
-                    other => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the match arm above handles Variable, so this term can only be a constant"
-                        )]
-                        let c = other
-                            .as_constant()
-                            .expect("non-variable term is a constant");
-                        match resolve_subject_constant(graph, kind, c) {
-                            Some(v) => Slot::Const(v),
-                            None => continue,
+        let slot = |term: &QueryTerm| term.as_variable().map(|v| var_index[v]);
+        let atoms: Vec<CompiledAtom> = query
+            .atoms()
+            .iter()
+            .map(|atom| {
+                let patterns = graph
+                    .edge_labels_named(&atom.predicate)
+                    .into_iter()
+                    .filter_map(|label| {
+                        let kind = graph.edge_label(label).kind();
+                        let mut pattern = TriplePattern::new(label);
+                        if let Some(c) = atom.subject.as_constant() {
+                            pattern =
+                                pattern.with_subject(resolve_subject_constant(graph, kind, c)?);
                         }
-                    }
-                };
-                let object = match &atom.object {
-                    QueryTerm::Variable(v) => Slot::Var(var_index[v.as_str()]),
-                    other => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the match arm above handles Variable, so this term can only be a constant"
-                        )]
-                        let c = other
-                            .as_constant()
-                            .expect("non-variable term is a constant");
-                        match resolve_object_constant(graph, kind, c) {
-                            Some(v) => Slot::Const(v),
-                            None => continue,
+                        if let Some(c) = atom.object.as_constant() {
+                            pattern = pattern.with_object(resolve_object_constant(graph, kind, c)?);
                         }
-                    }
-                };
-                patterns.push(CompiledPattern {
-                    label,
-                    subject,
-                    object,
-                });
-            }
-            atoms.push(CompiledAtom { patterns });
-        }
+                        Some(pattern)
+                    })
+                    .collect();
+                CompiledAtom {
+                    subject: slot(&atom.subject),
+                    object: slot(&atom.object),
+                    patterns,
+                }
+            })
+            .collect();
+
+        let ground = |atom: &CompiledAtom| atom.subject.is_none() && atom.object.is_none();
+        let ground_atoms = atoms.iter().filter(|a| ground(a)).count();
+        let satisfiable = !atoms.is_empty()
+            && atoms.iter().all(|atom| {
+                !atom.patterns.is_empty() && (!ground(atom) || atom.constant_rows(store) > 0)
+            });
+        let levels = if satisfiable {
+            levels(&atoms, variables.len(), store)
+        } else {
+            Vec::new()
+        };
 
         Ok(CompiledQuery {
             variables,
             atoms,
+            levels,
+            satisfiable,
+            ground_atoms,
             projection,
             distinguished,
         })
@@ -265,49 +310,107 @@ mod tests {
     use crate::builder::QueryBuilder;
     use kwsearch_rdf::fixtures::figure1_graph;
 
-    #[test]
-    fn plan_covers_every_atom_exactly_once() {
+    fn compiled(q: &ConjunctiveQuery) -> CompiledQuery {
         let g = figure1_graph();
         let store = TripleStore::build(&g);
+        CompiledQuery::compile(q, &g, &store).unwrap()
+    }
+
+    /// The binding order, as variable names.
+    fn order(q: &ConjunctiveQuery) -> Vec<String> {
+        let c = compiled(q);
+        c.levels
+            .iter()
+            .map(|level| c.variables[level.variable].clone())
+            .collect()
+    }
+
+    #[test]
+    fn plan_covers_every_atom_exactly_once() {
+        // Every variable is bound once, and every atom with a variable is
+        // charged at exactly one level: a full binding costs one unit per
+        // atom.
+        let q = QueryBuilder::new()
+            .class_pattern("x", "Publication")
+            .relation_pattern("x", "author", "y")
+            .attribute_pattern("y", "name", "P. Cimiano")
+            .relation_pattern("y", "worksAt", "z")
+            .relation_pattern("z", "hasProject", "z")
+            .build();
+        let c = compiled(&q);
+        let mut bound: Vec<usize> = c.levels.iter().map(|l| l.variable).collect();
+        bound.sort_unstable();
+        assert_eq!(bound, [0, 1, 2]);
+        let charged: usize = c.levels.iter().map(|l| l.charge).sum();
+        assert_eq!(charged + c.ground_atoms, q.atoms().len());
+    }
+
+    #[test]
+    fn selective_constant_atoms_come_first() {
+        // `name(y, 'P. Cimiano')` has 1 row, `type(x, Publication)` 2.
         let q = QueryBuilder::new()
             .class_pattern("x", "Publication")
             .relation_pattern("x", "author", "y")
             .attribute_pattern("y", "name", "P. Cimiano")
             .relation_pattern("y", "worksAt", "z")
             .build();
-        let mut sorted = join_order(&q, &g, &store);
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
+        assert_eq!(order(&q), ["y", "x", "z"]);
     }
 
     #[test]
-    fn selective_constant_atoms_come_first() {
-        let g = figure1_graph();
-        let store = TripleStore::build(&g);
+    fn constant_anchored_variables_precede_connected_ones() {
+        // After y, z is anchored by a constant and bound before x, which
+        // only shares an atom with y.
         let q = QueryBuilder::new()
             .relation_pattern("x", "author", "y")
             .attribute_pattern("y", "name", "P. Cimiano")
+            .attribute_pattern("z", "name", "AIFB")
             .build();
-        let order = join_order(&q, &g, &store);
-        // The name atom has a constant and cardinality 1; it must be planned
-        // before the unconstrained author atom.
-        assert_eq!(order[0], 1);
+        assert_eq!(order(&q), ["y", "z", "x"]);
+    }
+
+    #[test]
+    fn a_subject_with_a_free_object_waits_for_that_object() {
+        // Neither variable has a constant: y is an object and is entered
+        // through POS (author, *, *); x, only a subject, follows it.
+        let q = QueryBuilder::new()
+            .relation_pattern("x", "author", "y")
+            .build();
+        assert_eq!(order(&q), ["y", "x"]);
+        let c = compiled(&q);
+        assert_eq!(c.levels[0].columns, [(0, Side::Object)]);
+        assert_eq!(c.levels[0].charge, 0, "the entry column anchors no atom");
+        assert_eq!(c.levels[1].columns, [(0, Side::Subject)]);
+        assert_eq!(c.levels[1].charge, 1);
     }
 
     #[test]
     fn plan_stays_connected_when_possible() {
-        let g = figure1_graph();
-        let store = TripleStore::build(&g);
+        // After the anchored y, x shares an atom with it; the object p of a
+        // second component is entered last, then its subject q.
         let q = QueryBuilder::new()
-            .attribute_pattern("x", "year", "2006")
+            .relation_pattern("q", "worksAt", "p")
             .relation_pattern("x", "author", "y")
-            .relation_pattern("y", "worksAt", "z")
+            .attribute_pattern("y", "name", "P. Cimiano")
             .build();
-        let order = join_order(&q, &g, &store);
-        // After the first atom (year, selective), the next atom must share a
-        // variable with it; worksAt(y,z) does not share a variable with
-        // year(x, 2006), so author(x, y) has to come second.
-        assert_eq!(order[..2], [0, 1]);
+        assert_eq!(order(&q), ["y", "x", "p", "q"]);
+    }
+
+    #[test]
+    fn a_level_reads_every_anchored_atom_and_checks_its_self_loops() {
+        let q = QueryBuilder::new()
+            .attribute_pattern("y", "name", "P. Cimiano")
+            .relation_pattern("x", "author", "y")
+            .class_pattern("x", "Publication")
+            .relation_pattern("x", "hasProject", "x")
+            .build();
+        let c = compiled(&q);
+        assert_eq!(c.variables, ["x", "y"]);
+        let x = &c.levels[1];
+        assert_eq!(x.variable, 0);
+        assert_eq!(x.columns, [(1, Side::Subject), (2, Side::Subject)]);
+        assert_eq!(x.self_loops, [3]);
+        assert_eq!(x.charge, 3, "author, type and the self-join end at x");
     }
 
     #[test]
@@ -317,7 +420,9 @@ mod tests {
         let q = QueryBuilder::new()
             .relation_pattern("x", "nonexistent", "y")
             .build();
-        assert_eq!(estimate_atom(&q, 0, &g, &store), 0);
+        let c = CompiledQuery::compile(&q, &g, &store).unwrap();
+        assert_eq!(c.atoms[0].constant_rows(&store), 0);
+        assert!(!c.satisfiable && c.levels.is_empty());
     }
 
     #[test]
@@ -335,28 +440,36 @@ mod tests {
         assert_eq!(compiled.distinguished, compiled.variables);
         assert_eq!(compiled.projection, vec![0, 1]);
         assert_eq!(compiled.atoms.len(), 2);
+        assert!(compiled.satisfiable);
         for atom in &compiled.atoms {
             assert!(!atom.patterns.is_empty());
         }
         // The name atom resolves its literal to a concrete value vertex.
-        let name_atom = &compiled.atoms[0];
         let value = g.value("AIFB").unwrap();
-        assert!(name_atom
-            .patterns
-            .iter()
-            .any(|p| p.object == Slot::Const(value)));
+        let name_atom = &compiled.atoms[0];
+        assert_eq!((name_atom.subject, name_atom.object), (Some(0), None));
+        assert!(name_atom.patterns.iter().all(|p| p.object == Some(value)));
     }
 
     #[test]
     fn compile_drops_unresolvable_patterns() {
-        let g = figure1_graph();
-        let store = TripleStore::build(&g);
         let q = QueryBuilder::new()
             .attribute_pattern("x", "name", "No Such Name")
             .build();
-        let compiled = CompiledQuery::compile(&q, &g, &store).unwrap();
-        assert_eq!(compiled.atoms.len(), 1);
-        assert!(compiled.atoms[0].patterns.is_empty());
+        let c = compiled(&q);
+        assert_eq!(c.atoms.len(), 1);
+        assert!(c.atoms[0].patterns.is_empty());
+        assert!(!c.satisfiable && c.levels.is_empty());
+    }
+
+    #[test]
+    fn variable_free_atoms_are_checked_at_compile_time() {
+        let holds = QueryBuilder::new().subclass_pattern("Researcher", "Person");
+        let c = compiled(&holds.clone().build());
+        assert!(c.satisfiable && c.levels.is_empty());
+        assert_eq!(c.ground_atoms, 1);
+        let fails = holds.subclass_pattern("Person", "Researcher").build();
+        assert!(!compiled(&fails).satisfiable);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based checks of the streaming evaluator against Definition 3,
 //! computed by a nested-loop oracle that tries every assignment of vertices
 //! to variables and reads nothing but the graph's edges and labels (no
-//! triple store, no join order), across random graphs and random
-//! conjunctive queries, with and without answer limits.
+//! triple store, no variable order), across random graphs and random
+//! conjunctive queries, with and without answer limits, over a flat store
+//! and over one split between base and delta.
 
 use std::collections::BTreeSet;
 
@@ -10,12 +11,13 @@ use proptest::prelude::*;
 
 use kwsearch_query::{ConjunctiveQuery, Evaluator, QueryBuilder, QueryTerm};
 use kwsearch_rdf::fixtures::figure1_graph;
-use kwsearch_rdf::{DataGraph, Triple, TripleStore, VertexId};
+use kwsearch_rdf::{DataGraph, SpoRow, Triple, TripleStore, VertexId};
 
 /// `Delta` types no entity: `build_graph` names it in a `subclass` edge only.
 const CLASSES: [&str; 4] = ["Alpha", "Beta", "Gamma", "Delta"];
 const VALUES: [&str; 5] = ["red", "green", "blue", "cyan", "amber"];
-const RELATIONS: [&str; 3] = ["linksTo", "near", "uses"];
+/// `label` is also the attribute's predicate: one name, two edge labels.
+const RELATIONS: [&str; 4] = ["linksTo", "near", "uses", "label"];
 const VARS: [&str; 4] = ["v0", "v1", "v2", "v3"];
 
 /// A compact random data graph: entities with types, attributes from a small
@@ -69,19 +71,22 @@ fn build_graph(spec: &GraphSpec) -> DataGraph {
 /// A random conjunctive query: each atom is a type, attribute, relation or
 /// `subclass` pattern over a pool of four variables, with constants in every
 /// position the evaluator resolves (classes, values, entities — some absent
-/// from the graph), plus a distinguished-variable count (0 declares none,
-/// i.e. all variables are distinguished by default).
+/// from the graph) and atoms with both ends constant, plus a
+/// distinguished-variable count (0 declares none, i.e. all variables are
+/// distinguished by default). One query in four (`ground == 0`) is made of
+/// variable-free atoms only.
 #[derive(Debug, Clone)]
 struct QuerySpec {
     atoms: Vec<(usize, usize, usize, usize)>,
     distinguished: usize,
+    ground: usize,
 }
 
 fn query_spec() -> impl Strategy<Value = QuerySpec> {
     (
         proptest::collection::vec(
             (
-                0usize..9,
+                0usize..12,
                 0usize..VARS.len(),
                 0usize..VARS.len(),
                 0usize..12,
@@ -89,23 +94,29 @@ fn query_spec() -> impl Strategy<Value = QuerySpec> {
             1..5,
         ),
         0usize..4,
+        0usize..4,
     )
-        .prop_map(|(atoms, distinguished)| QuerySpec {
+        .prop_map(|(atoms, distinguished, ground)| QuerySpec {
             atoms,
             distinguished,
+            ground,
         })
 }
 
 /// Builds the query of `spec`. A relation atom with an entity constant
 /// takes its constant and predicate from the `c`-th relation edge of
 /// `graph`, so it has a match; past the last edge it names entity `e{c}`,
-/// which may be absent (`e10` and `e11` always are).
+/// which may be absent (`e10` and `e11` always are). A variable-free
+/// attribute atom takes its entity and value from the `c`-th attribute the
+/// same way.
 fn build_query(graph: &GraphSpec, spec: &QuerySpec) -> ConjunctiveQuery {
     let mut builder = QueryBuilder::new();
     for &(kind, a, b, c) in &spec.atoms {
         let class = CLASSES[c % CLASSES.len()];
         let (s, r, o) = graph.rels.get(c).copied().unwrap_or((c, b, c));
         let relation = RELATIONS[r % RELATIONS.len()];
+        let (e, v) = graph.attrs.get(c).copied().unwrap_or((c, a));
+        let kind = if spec.ground == 0 { 9 + kind % 3 } else { kind };
         builder = match kind {
             0 => builder.class_pattern(VARS[a], class),
             1 => builder.attribute_pattern(VARS[a], "label", VALUES[c % VALUES.len()]),
@@ -123,7 +134,18 @@ fn build_query(graph: &GraphSpec, spec: &QuerySpec) -> ConjunctiveQuery {
             ),
             6 => builder.atom("subclass", QueryTerm::var(VARS[a]), QueryTerm::iri(class)),
             7 => builder.atom("subclass", QueryTerm::iri(class), QueryTerm::var(VARS[a])),
-            _ => builder.atom("subclass", QueryTerm::var(VARS[a]), QueryTerm::var(VARS[b])),
+            8 => builder.atom("subclass", QueryTerm::var(VARS[a]), QueryTerm::var(VARS[b])),
+            9 => builder.atom(
+                relation,
+                QueryTerm::iri(format!("e{s}")),
+                QueryTerm::iri(format!("e{o}")),
+            ),
+            10 => builder.subclass_pattern(class, CLASSES[b % CLASSES.len()]),
+            _ => builder.atom(
+                "label",
+                QueryTerm::iri(format!("e{e}")),
+                QueryTerm::literal(VALUES[v % VALUES.len()]),
+            ),
         };
     }
     let mut query = builder.build();
@@ -207,20 +229,49 @@ fn nested_loop_answers(graph: &DataGraph, query: &ConjunctiveQuery) -> Vec<Vec<V
     answers.into_iter().collect()
 }
 
+/// The graph's store built from its even edges, with the odd ones added as
+/// a delta: every pattern's rows are split between two runs.
+fn split_store(graph: &DataGraph) -> TripleStore {
+    let mut store = TripleStore::build(&graph.edge_subset(|id, _| id.index() % 2 == 0));
+    let odd: Vec<SpoRow> = graph
+        .edges()
+        .filter(|id| id.index() % 2 == 1)
+        .map(|id| {
+            let edge = graph.edge(id);
+            SpoRow {
+                subject: edge.from,
+                predicate: edge.label,
+                object: edge.to,
+            }
+        })
+        .collect();
+    store.add_rows(&odd);
+    store
+}
+
 /// The streaming evaluator's rows, sorted with duplicates kept, and the
-/// oracle's set.
+/// oracle's set. The rows are the same over a flat store and over a split
+/// one.
 fn streaming_and_oracle(
     graph: &DataGraph,
     query: &ConjunctiveQuery,
 ) -> (Vec<Vec<VertexId>>, Vec<Vec<VertexId>>) {
-    let store = TripleStore::build(graph);
-    let answers = Evaluator::new(graph, &store)
-        .evaluate(query)
-        .expect("small graphs stay in budget");
-    assert_eq!(answers.variables(), query.effective_distinguished());
-    let mut rows = answers.rows().to_vec();
-    rows.sort();
-    (rows, nested_loop_answers(graph, query))
+    let rows = |store: &TripleStore| {
+        let answers = Evaluator::new(graph, store)
+            .evaluate(query)
+            .expect("small graphs stay in budget");
+        assert_eq!(answers.variables(), query.effective_distinguished());
+        let mut rows = answers.rows().to_vec();
+        rows.sort();
+        rows
+    };
+    let flat = rows(&TripleStore::build(graph));
+    assert_eq!(
+        rows(&split_store(graph)),
+        flat,
+        "base/delta split of {query}"
+    );
+    (flat, nested_loop_answers(graph, query))
 }
 
 #[test]

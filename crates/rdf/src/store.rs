@@ -80,11 +80,11 @@ struct BaseRows {
 ///
 /// The store is a frozen, `Arc`-shared base derived from the graph's edge
 /// columns by [`Self::build`], plus a small sorted delta per permutation
-/// (the live-update overlay; empty for frozen builds). Every scan
-/// binary-searches both sides and merges, so results are always in
-/// permutation order and bit-identical to a from-scratch build over the
-/// same row set — per-permutation keys are unique, which makes the merge
-/// order unambiguous.
+/// (the live-update overlay; empty for frozen builds). A pattern reads one
+/// binary-searched range of each side, borrowed and in permutation order;
+/// the two ranges are disjoint, and merged they are bit-identical to the
+/// range of a from-scratch build over the same row set — per-permutation
+/// keys are unique, which makes the merge order unambiguous.
 #[derive(Debug, Clone, Default)]
 pub struct TripleStore {
     base: Arc<BaseRows>,
@@ -109,8 +109,8 @@ fn key(row: &SpoRow, perm: Permutation) -> (u32, u32, u32) {
 
 #[cfg(test)]
 thread_local! {
-    /// Rows this thread copied out of any store, so tests can pin which
-    /// reads copy and which do not.
+    /// Rows this thread copied out of any store, so tests can pin that
+    /// pattern reads copy none.
     static ROWS_COPIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -215,10 +215,14 @@ impl TripleStore {
         merge_sorted(&self.base.spo, &self.delta_spo, Permutation::Spo)
     }
 
-    /// The rows matching `pattern`: a contiguous range of the base and one
-    /// of the delta, in the permutation whose sort key starts with the
-    /// pattern's bound positions.
-    fn ranges(&self, pattern: TriplePattern) -> (Permutation, &[SpoRow], &[SpoRow]) {
+    /// The rows matching `pattern`, borrowed: one contiguous range of the
+    /// base and one of the delta, each sorted by the permutation whose key
+    /// starts with the pattern's bound positions. SPO serves a bound subject,
+    /// so the rows of `(s, p, *)` run in ascending object; POS serves the
+    /// rest, so the rows of `(*, p, o)` run in ascending subject and those of
+    /// `(*, p, *)` in ascending object (then subject). The two ranges are
+    /// disjoint; `O(log n)`, no copy.
+    pub fn ranges(&self, pattern: TriplePattern) -> [&[SpoRow]; 2] {
         let p = pattern.predicate.0;
         let (perm, lower, upper) = match (pattern.subject, pattern.object) {
             (Some(s), Some(o)) => (Permutation::Spo, (s.0, p, o.0), (s.0, p, o.0)),
@@ -234,22 +238,13 @@ impl TripleStore {
             Permutation::Spo => (&self.base.spo, &self.delta_spo),
             Permutation::Pos => (&self.base.pos, &self.delta_pos),
         };
-        (perm, &base[range(base)], &delta[range(delta)])
-    }
-
-    /// Returns all rows matching `pattern`, in the order of the permutation
-    /// that serves it: SPO when the subject is bound, POS otherwise.
-    pub fn scan(&self, pattern: TriplePattern) -> Vec<SpoRow> {
-        let (perm, base, delta) = self.ranges(pattern);
-        merge_sorted(base, delta, perm)
+        [&base[range(base)], &delta[range(delta)]]
     }
 
     /// Counts the rows matching `pattern` without materialising them: the
-    /// base and the delta are disjoint, so the lengths of their two ranges
-    /// add. `O(log n)`, no allocation.
+    /// lengths of its two [`Self::ranges`] add. `O(log n)`, no allocation.
     pub fn count(&self, pattern: TriplePattern) -> usize {
-        let (_, base, delta) = self.ranges(pattern);
-        base.len() + delta.len()
+        self.ranges(pattern).iter().map(|rows| rows.len()).sum()
     }
 }
 
@@ -345,12 +340,26 @@ mod tests {
             .all(|w| key(&w[0], Permutation::Spo) < key(&w[1], Permutation::Spo)));
     }
 
+    /// The rows matching `pattern`: its two borrowed ranges, each checked
+    /// sorted in the permutation that serves the pattern, merged.
+    fn scan(store: &TripleStore, pattern: TriplePattern) -> Vec<SpoRow> {
+        let perm = match pattern.subject {
+            Some(_) => Permutation::Spo,
+            None => Permutation::Pos,
+        };
+        let [base, delta] = store.ranges(pattern);
+        for run in [base, delta] {
+            assert!(run.windows(2).all(|w| key(&w[0], perm) < key(&w[1], perm)));
+        }
+        merge_sorted(base, delta, perm)
+    }
+
     #[test]
     fn subject_bound_scan() {
         let (store, g) = store_and_graph();
         let pub1 = g.entity("pub1URI").unwrap();
         let author = relation(&g, "author");
-        let rows = store.scan(TriplePattern::new(author).with_subject(pub1));
+        let rows = scan(&store, TriplePattern::new(author).with_subject(pub1));
         assert_eq!(rows.len(), 2, "pub1 has two authors");
         assert!(rows
             .iter()
@@ -361,7 +370,7 @@ mod tests {
     fn predicate_bound_scan() {
         let (store, g) = store_and_graph();
         let author = relation(&g, "author");
-        let rows = store.scan(TriplePattern::new(author));
+        let rows = scan(&store, TriplePattern::new(author));
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.predicate == author));
     }
@@ -372,13 +381,15 @@ mod tests {
         let pub1 = g.entity("pub1URI").unwrap();
         let re1 = g.entity("re1URI").unwrap();
         let author = relation(&g, "author");
-        let hit = store.scan(
+        let hit = scan(
+            &store,
             TriplePattern::new(author)
                 .with_subject(pub1)
                 .with_object(re1),
         );
         assert_eq!(hit.len(), 1);
-        let miss = store.scan(
+        let miss = scan(
+            &store,
             TriplePattern::new(author)
                 .with_subject(re1)
                 .with_object(pub1),
@@ -391,14 +402,17 @@ mod tests {
         let (store, g) = store_and_graph();
         let type_label = g.edge_label_id(&EdgeLabel::Type).unwrap();
         let publication = g.class("Publication").unwrap();
-        let rows = store.scan(TriplePattern::new(type_label).with_object(publication));
+        let rows = scan(
+            &store,
+            TriplePattern::new(type_label).with_object(publication),
+        );
         assert_eq!(rows.len(), 2, "pub1 and pub2 are Publications");
     }
 
     /// Every shape, over a flat store and a base+delta store, and over
     /// patterns that match (built from a row) and mostly miss (built from a
-    /// row with subject and object swapped): `count` equals the scan's
-    /// length and copies no row, while each scanned row is one copy.
+    /// row with subject and object swapped): `count` equals the length of
+    /// the merged ranges, and neither `count` nor `ranges` copies a row.
     #[test]
     fn counts_are_consistent_with_scans() {
         let (flat, g) = store_and_graph();
@@ -418,9 +432,14 @@ mod tests {
             ROWS_COPIED.set(0);
             let counts: Vec<usize> = patterns.iter().map(|&p| store.count(p)).collect();
             assert_eq!(ROWS_COPIED.get(), 0, "count must not copy rows");
-            let scanned: Vec<usize> = patterns.iter().map(|&p| store.scan(p).len()).collect();
+            let ranged: Vec<usize> = patterns
+                .iter()
+                .map(|&p| store.ranges(p).iter().map(|run| run.len()).sum())
+                .collect();
+            assert_eq!(ROWS_COPIED.get(), 0, "ranges must not copy rows");
+            let scanned: Vec<usize> = patterns.iter().map(|&p| scan(store, p).len()).collect();
             assert_eq!(counts, scanned);
-            assert_eq!(ROWS_COPIED.get(), scanned.iter().sum::<usize>());
+            assert_eq!(ranged, scanned);
             assert!(counts.contains(&0) && counts.iter().any(|&n| n > 1));
         }
     }
@@ -435,7 +454,7 @@ mod tests {
     }
 
     /// Splits the figure-1 rows into a base store plus a delta overlay and
-    /// checks every scan matches the flat build.
+    /// checks every pattern's merged ranges match the flat build.
     #[test]
     fn delta_overlay_scans_match_a_flat_build() {
         let (flat, g) = store_and_graph();
@@ -446,8 +465,8 @@ mod tests {
         assert_eq!(overlaid.rows(), flat.rows());
         for pattern in every_shape(&flat.rows()) {
             assert_eq!(
-                overlaid.scan(pattern),
-                flat.scan(pattern),
+                scan(&overlaid, pattern),
+                scan(&flat, pattern),
                 "pattern {pattern:?} must not see the base/delta split"
             );
         }

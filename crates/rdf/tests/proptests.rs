@@ -138,8 +138,9 @@ proptest! {
         prop_assert!(stats.untyped_entities <= stats.entities);
     }
 
-    /// Triple-store scans return exactly the rows of a naive filter over
-    /// all edges, in the order of the permutation that serves the pattern,
+    /// A pattern's two triple-store ranges, each sorted by the permutation
+    /// that serves the pattern, merge to exactly the rows of a naive filter
+    /// over all edges,
     /// for every shape a conjunctive-query atom produces (the predicate
     /// bound, the subject and the object each bound or not), and `rows`
     /// returns every edge in SPO order. Three stores must agree: one built
@@ -191,7 +192,15 @@ proptest! {
             expected.sort_by_key(order);
             for store in &stores {
                 prop_assert_eq!(store.count(pattern), expected.len(), "{:?}", pattern);
-                prop_assert_eq!(store.scan(pattern), expected.clone(), "{:?}", pattern);
+                // The two borrowed ranges, each sorted by the serving
+                // permutation, merged.
+                let [base, delta] = store.ranges(pattern);
+                for run in [base, delta] {
+                    prop_assert!(run.windows(2).all(|w| order(&w[0]) < order(&w[1])));
+                }
+                let mut merged = [base, delta].concat();
+                merged.sort_by_key(order);
+                prop_assert_eq!(merged, expected.clone(), "{:?}", pattern);
             }
         }
     }
