@@ -22,43 +22,22 @@
 //! * **LRU bounds** — the result cache never exceeds its capacity, and its
 //!   incremental heap-byte estimate matches a recount.
 //!
-//! The checks run only in debug builds (`cfg(debug_assertions)`) — release
-//! binaries compile them out entirely, which the benchmark
-//! (`benchmark/src/main.rs`) asserts so its numbers can never silently
-//! include sanitizer overhead. Within debug
-//! builds the switch defaults to **on** and can be disabled with
-//! `KWSEARCH_DEBUG_INVARIANTS=0` (also `off`, `false`, or empty); CI forces
-//! it on for one full test-suite run, determinism suite included.
+//! The checks run exactly in debug builds (`cfg(debug_assertions)`) —
+//! every `cargo test` run checks them, and release binaries compile them
+//! out entirely, which the benchmark (`benchmark/src/main.rs`) asserts so
+//! its numbers can never silently include sanitizer overhead.
 
-/// Whether sanitizer checks are active. In release builds this is a
-/// compile-time `false` (the checks vanish); in debug builds it reads
-/// `KWSEARCH_DEBUG_INVARIANTS` once and caches the verdict.
-#[cfg(debug_assertions)]
-pub fn enabled() -> bool {
-    use std::sync::OnceLock;
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("KWSEARCH_DEBUG_INVARIANTS") {
-        Ok(value) => !matches!(value.trim(), "" | "0" | "off" | "false"),
-        Err(_) => true,
-    })
-}
-
-/// Whether sanitizer checks are active (release build: never — the constant
-/// folds every check away).
-#[cfg(not(debug_assertions))]
+/// Whether sanitizer checks are active: in debug builds, always; in
+/// release builds never (the constant folds every check away).
 #[inline(always)]
 pub fn enabled() -> bool {
-    false
+    cfg!(debug_assertions)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn release_builds_compile_the_sanitizer_out() {
-        // Under `cargo test` (debug) the switch is env-controlled; what must
-        // always hold is that it never reports active in a release build.
-        if !cfg!(debug_assertions) {
-            assert!(!super::enabled());
-        }
+        assert_eq!(super::enabled(), cfg!(debug_assertions));
     }
 }

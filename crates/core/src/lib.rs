@@ -36,12 +36,12 @@
 //!    bulk buffer reads, deriving the summary graph and the triple store
 //!    from the loaded graph — a cold start that skips parsing and keyword
 //!    indexing,
-//! 9. [`shard`] partitions one data graph into edge-disjoint shards, each
-//!    with its own in-memory preparation sharing one keyword index and one
-//!    summary of the whole graph; the same [`SearchService`] serves them:
-//!    one keyword lookup, one exploration over its matches (the unsharded
-//!    stream, bit for bit), and an answer phase scattered over the
-//!    shard-local stores,
+//! 9. [`shard`] partitions one data graph by predicate into edge-disjoint
+//!    shards, each with its own in-memory preparation sharing one keyword
+//!    index and one summary of the whole graph; the same [`SearchService`]
+//!    serves them: one keyword lookup, one exploration over its matches,
+//!    and one answer phase over the union of the shard-local stores — the
+//!    unsharded stream and the unsharded answers, bit for bit,
 //! 10. [`live`] absorbs writes with measured freshness: a [`LiveGraph`]
 //!     maintains a lineage of immutable prepared snapshots whose delta
 //!     overlays (triple store, adjacency, keyword vocabulary, summary)

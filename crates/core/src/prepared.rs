@@ -250,26 +250,50 @@ impl PreparedGraph {
     /// evaluator stops the instant enough answers exist. To stop *computing*
     /// queries at that point too, use [`SearchSession::answers_until`].
     pub fn answer_queries(&self, queries: &[RankedQuery], min_answers: usize) -> AnswerPhase {
-        let start = Instant::now();
-        let mut answers = Vec::new();
-        let mut total = 0usize;
-        let mut queries_processed = 0usize;
-        for ranked in queries {
-            queries_processed += 1;
-            if let Ok(set) = self.answers(&ranked.query, Some(min_answers.saturating_sub(total))) {
-                total += set.len();
-                answers.push(set);
-            }
-            if total >= min_answers {
-                break;
-            }
+        let evaluator = Evaluator::new(&self.graph, &self.store);
+        answer_in_rank_order(&evaluator, queries, min_answers, None)
+    }
+}
+
+/// The answer loop behind [`PreparedGraph::answer_queries`] and the answer
+/// phase of [`SearchService::search`](crate::SearchService::search):
+/// evaluates `queries` in rank order, each limited to the still-missing
+/// count, until at least `min_answers` answers exist. A query whose
+/// evaluation fails (it trips the visited-bindings budget) contributes no
+/// set. `deadline` is polled before each query; once it has passed, the
+/// phase stops and reports `truncated`. One evaluation is bounded by its
+/// limit and the evaluator's budget.
+pub(crate) fn answer_in_rank_order(
+    evaluator: &Evaluator<'_>,
+    queries: &[RankedQuery],
+    min_answers: usize,
+    deadline: Option<Instant>,
+) -> AnswerPhase {
+    let start = Instant::now();
+    let mut answers = Vec::new();
+    let mut total = 0usize;
+    let mut queries_processed = 0usize;
+    let mut truncated = false;
+    for ranked in queries {
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            truncated = true;
+            break;
         }
-        AnswerPhase {
-            answers,
-            queries_processed,
-            answer_time: start.elapsed(),
-            truncated: false,
+        queries_processed += 1;
+        let limit = min_answers.saturating_sub(total);
+        if let Ok(set) = evaluator.evaluate_with_limit(&ranked.query, Some(limit)) {
+            total += set.len();
+            answers.push(set);
         }
+        if total >= min_answers {
+            break;
+        }
+    }
+    AnswerPhase {
+        answers,
+        queries_processed,
+        answer_time: start.elapsed(),
+        truncated,
     }
 }
 

@@ -22,8 +22,12 @@
 //! 5. **one exploration** — a single [`SearchSession`] over those
 //!    matches, drained to `k` and then remembered in the cache;
 //! 6. **answer phase** ([`SearchRequest::with_min_answers`]) — the ranked
-//!    queries evaluated in rank order against the shard-local stores until
-//!    enough answers exist. The top-k is drained first; to stop exploring
+//!    queries evaluated in rank order, each limited to the still-missing
+//!    count, until enough answers exist: the loop of
+//!    [`PreparedGraph::answer_queries`], run over one evaluator that reads
+//!    every shard's store as one (see [`crate::shard`]). The deadline is
+//!    polled before each query; once it has passed, the phase stops and is
+//!    flagged `truncated`. The top-k is drained first; to stop exploring
 //!    early, hold a session and use [`SearchSession::answers_until`].
 //!
 //! ```
@@ -44,12 +48,13 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use kwsearch_query::Evaluator;
+
 use crate::config::SearchConfig;
 use crate::error::SearchError;
-use crate::prepared::PreparedGraph;
+use crate::prepared::{answer_in_rank_order, PreparedGraph};
 use crate::result::{AnswerPhase, RankedQuery, SearchOutcome};
 use crate::session::SearchSession;
-use crate::shard::answer_queries_sharded;
 use crate::sync::lock_unpoisoned;
 
 /// Why [`SearchService::search`] produced no result.
@@ -320,12 +325,19 @@ impl SearchService {
         }
         let outcome = session.into_partial_outcome();
         let answer_phase = request.min_answers.map(|min_answers| {
-            answer_queries_sharded(&self.shards, &outcome.queries, min_answers, deadline)
+            answer_in_rank_order(&self.evaluator(), &outcome.queries, min_answers, deadline)
         });
         Ok(SearchReply {
             outcome,
             answer_phase,
         })
+    }
+
+    /// An evaluator over the union of the shards' stores: every shard's
+    /// graph shares one id space, so shard 0's resolves the constants.
+    pub(crate) fn evaluator(&self) -> Evaluator<'_> {
+        let stores = self.shards.iter().map(|shard| shard.store());
+        Evaluator::over_stores(self.shards[0].graph(), stores)
     }
 }
 

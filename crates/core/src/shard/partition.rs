@@ -1,30 +1,22 @@
-//! Deterministic, edge-disjoint partitioning of a data graph.
+//! Deterministic, edge-disjoint partitioning of a data graph by predicate.
 //!
 //! The partitioner splits one [`DataGraph`] into `N` shard graphs over the
 //! **same id space** (see [`DataGraph::edge_subset`]): every vertex, label
 //! and interned symbol of the original graph remains valid — and means the
 //! same thing — in every shard, so one keyword index built over the whole
-//! graph serves every shard, and per-shard answer rows are directly
-//! comparable and mergeable without id translation.
+//! graph serves every shard, and the shards' triple stores together are the
+//! whole graph's store, read as one by the evaluator.
 //!
 //! # Assignment rule
 //!
-//! 1. Entity and value vertices are grouped into **connected components**
-//!    by a union-find over the Relation and Attribute edges (`type` edges
-//!    do not merge components: routing every instance of a class through
-//!    one shard would defeat balancing, and class vertices are present in
-//!    every shard anyway).
-//! 2. Every Relation, Attribute and `type` edge is assigned to the shard
-//!    of its *subject's* component — components are atomic, so the edges
-//!    incident to any entity (including all its `type` edges) land in one
-//!    shard, which is what makes per-shard query evaluation exact for
-//!    variable-connected atom groups (see [`crate::shard`]).
-//! 3. `subclass` edges are **replicated** to every shard: they are schema,
-//!    not data, and every shard needs the class hierarchy.
-//! 4. Components are sorted (edge count descending, then minimum member
-//!    vertex id ascending) and greedily placed on the currently lightest
-//!    shard (ties break toward the lowest shard id) — a deterministic LPT
-//!    bin packing, so the same graph always yields the same plan.
+//! Every edge goes to the shard of its edge label (vertical partitioning:
+//! Abadi et al., "Scalable Semantic Web Data Management Using Vertical
+//! Partitioning", VLDB 2007). Labels are placed by a deterministic LPT bin
+//! packing over their edge counts: count descending, then label id, each
+//! onto the currently lightest shard, ties to the lowest shard id — so the
+//! same graph always yields the same plan. Every triple pattern binds its
+//! predicate, so the rows of one pattern sit on one shard: a join reads as
+//! many non-empty runs as it does unsharded, and nothing is replicated.
 //!
 //! The research prototype's hash partitioner lives in
 //! `baselines/src/partition.rs`; this module is the engine-grade
@@ -34,14 +26,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kwsearch_keyword_index::{Analyzer, KeywordIndex, KeywordIndexConfig, Thesaurus};
-use kwsearch_rdf::{DataGraph, EdgeId, EdgeLabel, TripleStore};
+use kwsearch_rdf::{DataGraph, EdgeId, TripleStore};
 use kwsearch_summary::SummaryGraph;
 
 use crate::cache::AugmentationCache;
 use crate::prepared::PreparedGraph;
-
-/// Sentinel for edges replicated to every shard (`subclass`).
-const REPLICATED: u32 = u32::MAX;
 
 /// A deterministic edge-to-shard assignment for one data graph.
 ///
@@ -50,16 +39,14 @@ const REPLICATED: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct PartitionPlan {
     shard_count: usize,
-    /// Per [`EdgeId`]: the owning shard, or [`REPLICATED`].
+    /// Per [`EdgeId`]: the owning shard, the shard of the edge's label.
     assignment: Vec<u32>,
-    /// Assigned (non-replicated) edges per shard.
+    /// Edges per shard.
     shard_edge_counts: Vec<usize>,
-    replicated_edges: usize,
-    component_count: usize,
 }
 
 /// Computes a deterministic [`PartitionPlan`] splitting `graph` into
-/// `shard_count` edge-disjoint shards (plus replicated `subclass` edges).
+/// `shard_count` edge-disjoint shards, each edge label whole on one shard.
 /// A `shard_count` of zero is treated as one.
 pub fn partition(graph: &DataGraph, shard_count: usize) -> PartitionPlan {
     PartitionPlan::new(graph, shard_count)
@@ -67,108 +54,31 @@ pub fn partition(graph: &DataGraph, shard_count: usize) -> PartitionPlan {
 
 impl PartitionPlan {
     /// See [`partition`].
-    ///
-    /// Components are unioned through *value* vertices too, and a literal
-    /// is one value vertex however many entities carry it (a year, a venue
-    /// name). On bibliographic data nearly every entity therefore lands in
-    /// one component: `cargo run --release --example sharded_serving`
-    /// splits its 1 108 edges as `[1087, 8, 6]`, so one shard holds 98 % of
-    /// the data and the answer phase's scatter divides almost nothing.
     pub fn new(graph: &DataGraph, shard_count: usize) -> Self {
         let shard_count = shard_count.max(1);
-        let labels: Vec<EdgeLabel> = graph.edge_labels().map(|(_, label)| label).collect();
-        let n = graph.vertex_count();
-
-        // 1. Union-find over Relation/Attribute edges.
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], mut v: u32) -> u32 {
-            while parent[v as usize] != v {
-                parent[v as usize] = parent[parent[v as usize] as usize]; // path halving
-                v = parent[v as usize];
-            }
-            v
-        }
+        let mut label_edges = vec![0usize; graph.edge_label_count()];
         for e in graph.edges() {
-            let edge = graph.edge(e);
-            if matches!(
-                labels[edge.label.index()],
-                EdgeLabel::Relation(_) | EdgeLabel::Attribute(_)
-            ) {
-                let a = find(&mut parent, edge.from.index() as u32);
-                let b = find(&mut parent, edge.to.index() as u32);
-                if a != b {
-                    // Deterministic union: the smaller root wins.
-                    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                    parent[hi as usize] = lo;
-                }
-            }
+            label_edges[graph.edge(e).label.index()] += 1;
         }
-
-        // 2. Per-component edge counts and minimum member vertex ids.
-        let mut component_edges: Vec<usize> = vec![0; n];
-        let mut component_min: Vec<u32> = (0..n as u32).collect();
-        let mut edge_root: Vec<u32> = Vec::with_capacity(graph.edge_count());
-        for e in graph.edges() {
-            let edge = graph.edge(e);
-            if matches!(labels[edge.label.index()], EdgeLabel::SubClass) {
-                edge_root.push(REPLICATED);
-                continue;
-            }
-            let root = find(&mut parent, edge.from.index() as u32);
-            component_edges[root as usize] += 1;
-            edge_root.push(root);
-        }
-        for v in 0..n as u32 {
-            let root = find(&mut parent, v);
-            if v < component_min[root as usize] {
-                component_min[root as usize] = v;
-            }
-        }
-
-        // 3. Deterministic LPT placement of the non-empty components.
-        let mut components: Vec<u32> = (0..n as u32)
-            .filter(|&root| parent[root as usize] == root && component_edges[root as usize] > 0)
-            .collect();
-        components.sort_by_key(|&root| {
-            (
-                std::cmp::Reverse(component_edges[root as usize]),
-                component_min[root as usize],
-            )
-        });
-        let component_count = components.len();
+        let mut labels: Vec<usize> = (0..label_edges.len()).collect();
+        labels.sort_by_key(|&label| (std::cmp::Reverse(label_edges[label]), label));
         let mut shard_edge_counts = vec![0usize; shard_count];
-        let mut shard_of_root: Vec<u32> = vec![0; n];
-        for &root in &components {
-            let lightest = shard_edge_counts
-                .iter()
-                .enumerate()
-                .min_by_key(|&(id, &load)| (load, id))
-                .map(|(id, _)| id)
+        let mut shard_of_label = vec![0u32; label_edges.len()];
+        for label in labels {
+            let lightest = (0..shard_count)
+                .min_by_key(|&shard| (shard_edge_counts[shard], shard))
                 .unwrap_or(0);
-            shard_of_root[root as usize] = lightest as u32;
-            shard_edge_counts[lightest] += component_edges[root as usize];
+            shard_of_label[label] = lightest as u32;
+            shard_edge_counts[lightest] += label_edges[label];
         }
-
-        // 4. Per-edge assignment.
-        let mut replicated_edges = 0usize;
-        let assignment: Vec<u32> = edge_root
-            .into_iter()
-            .map(|root| {
-                if root == REPLICATED {
-                    replicated_edges += 1;
-                    REPLICATED
-                } else {
-                    shard_of_root[root as usize]
-                }
-            })
+        let assignment = graph
+            .edges()
+            .map(|e| shard_of_label[graph.edge(e).label.index()])
             .collect();
-
         Self {
             shard_count,
             assignment,
             shard_edge_counts,
-            replicated_edges,
-            component_count,
         }
     }
 
@@ -177,32 +87,25 @@ impl PartitionPlan {
         self.shard_count
     }
 
-    /// The owning shard of `edge`, or `None` for a replicated (`subclass`)
-    /// edge that every shard carries.
-    pub fn shard_of(&self, edge: EdgeId) -> Option<usize> {
-        match self.assignment[edge.index()] {
-            REPLICATED => None,
-            shard => Some(shard as usize),
-        }
+    /// The shard that owns `edge`.
+    pub fn shard_of(&self, edge: EdgeId) -> usize {
+        self.assignment[edge.index()] as usize
     }
 
-    /// Assigned (non-replicated) edges per shard, indexed by shard id.
+    /// Edges per shard, indexed by shard id.
     pub fn shard_edge_counts(&self) -> &[usize] {
         &self.shard_edge_counts
     }
 
-    /// Number of `subclass` edges replicated to every shard.
+    /// Always 0: no edge is replicated. Kept for the benchmark's
+    /// `shard.replicated_edge_frac`, which goes with its next revision.
+    #[doc(hidden)]
     pub fn replicated_edge_count(&self) -> usize {
-        self.replicated_edges
-    }
-
-    /// Number of connected components that carried at least one edge.
-    pub fn component_count(&self) -> usize {
-        self.component_count
+        0
     }
 
     /// Materializes shard `shard` as a [`DataGraph`] over the original id
-    /// space: its assigned edges plus every replicated edge.
+    /// space, holding exactly its assigned edges.
     ///
     /// # Panics
     ///
@@ -215,11 +118,7 @@ impl PartitionPlan {
             self.assignment.len(),
             "plan was computed for a different graph"
         );
-        let shard = shard as u32;
-        graph.edge_subset(|e, _| {
-            let owner = self.assignment[e.index()];
-            owner == shard || owner == REPLICATED
-        })
+        graph.edge_subset(|e, _| self.shard_of(e) == shard)
     }
 
     /// Builds one [`PreparedGraph`] per shard, ready for
@@ -277,12 +176,39 @@ mod tests {
 
     use super::*;
 
+    /// Each edge label lands whole on one shard, placed by LPT: on Fig. 1,
+    /// `type` (8 edges) first, then `name` and `subclass` (4 each, by label
+    /// id), then `author` (3), `year` and `worksAt` (2), `hasProject` and
+    /// `title` (1), each onto the lightest shard.
+    #[test]
+    fn each_label_lands_whole_on_the_lightest_shard() {
+        let graph = figure1_graph();
+        let name = |label| graph.edge_label_name(label).to_string();
+        for (shard_count, want) in [(1, vec![25]), (2, vec![13, 12]), (3, vec![9, 8, 8])] {
+            let plan = partition(&graph, shard_count);
+            assert_eq!(plan.shard_edge_counts(), want);
+            let mut shard_of_label = std::collections::BTreeMap::new();
+            for e in graph.edges() {
+                let shard = *shard_of_label
+                    .entry(name(graph.edge(e).label))
+                    .or_insert(plan.shard_of(e));
+                assert_eq!(plan.shard_of(e), shard, "a label split across shards");
+            }
+            let shard_graphs = (0..shard_count).map(|s| plan.shard_graph(&graph, s));
+            let edges: Vec<usize> = shard_graphs.map(|g| g.edge_count()).collect();
+            assert_eq!(edges, want);
+            if shard_count == 3 {
+                assert_eq!(shard_of_label["subclass"], 2);
+            }
+        }
+    }
+
     /// Every shard preparation looks up exactly what the unsharded index
     /// returns — elements, scores, order and the edge-derived neighbourhood
     /// payloads — although no shard holds every edge those payloads come
-    /// from: the `Institute` class's `type` in-edges fall in different
-    /// shards, and only one shard holds the in-edges behind the value
-    /// `AIFB`'s `[V-vertex, A-edge, (C-vertex…)]` structure.
+    /// from: the `Institute` class's and the value `AIFB`'s payloads join
+    /// `name` edges with `type` edges, the two largest labels, which land
+    /// on different shards.
     #[test]
     fn every_shard_looks_up_what_the_unsharded_index_returns() {
         let graph = figure1_graph();
@@ -295,8 +221,10 @@ mod tests {
             "institute",
         ];
         let want = KeywordIndex::build(&graph).lookup_all(&keywords);
+        // The shards of `vertex`'s in-edges and of their subjects' out-edges.
         let owners = |plan: &PartitionPlan, vertex| -> BTreeSet<_> {
-            let edges = graph.in_edges(vertex).iter();
+            let subjects = graph.in_edges(vertex).iter().map(|&e| graph.edge(e).from);
+            let edges = subjects.flat_map(|s| graph.out_edges(s).iter());
             edges.map(|&e| plan.shard_of(e)).collect()
         };
         let institute = graph.class("Institute").unwrap();
@@ -305,7 +233,7 @@ mod tests {
             let plan = partition(&graph, shard_count);
             if shard_count > 1 {
                 assert!(owners(&plan, institute).len() > 1);
-                assert_eq!(owners(&plan, aifb).len(), 1);
+                assert!(owners(&plan, aifb).len() > 1);
             }
             let shards = plan.prepare_shards(&graph, KeywordIndexConfig::default());
             assert_eq!(shards.len(), shard_count);

@@ -464,8 +464,9 @@ proptest! {
     /// [`SearchService`] over the shards returns (one lookup on the shared
     /// index, one exploration) equals a drained unsharded session on a
     /// fresh cache-disabled preparation — ranks dense, costs bit-for-bit,
-    /// canonical queries and element sets equal. This is the randomized arm
-    /// of the golden Figure-1 bit-identity tests.
+    /// canonical queries and element sets equal — and its answer phase
+    /// equals `PreparedGraph::answer_queries` on that stream. This is the
+    /// randomized arm of the golden Figure-1 bit-identity tests.
     #[test]
     fn sharded_merge_equals_the_unsharded_stream(spec in random_graph()) {
         use kwsearch_core::serve::{SearchRequest, SearchService};
@@ -492,10 +493,15 @@ proptest! {
                 while let Some(ranked) = session.next_query() {
                     reference.push(ranked);
                 }
-                let outcome = service
-                    .search(SearchRequest::new(keywords.iter()).with_config(config))
-                    .expect("the unsharded session matched, so the service must too")
-                    .outcome;
+                let min_answers = 2 * shard_count;
+                let reply = service
+                    .search(
+                        SearchRequest::new(keywords.iter())
+                            .with_config(config)
+                            .with_min_answers(min_answers),
+                    )
+                    .expect("the unsharded session matched, so the service must too");
+                let outcome = reply.outcome;
                 prop_assert_eq!(
                     outcome.queries.len(),
                     reference.len(),
@@ -516,6 +522,18 @@ proptest! {
                     prop_assert_eq!(got.query.canonicalized(), want.query.canonicalized());
                     prop_assert_eq!(element_key(got), element_key(want));
                 }
+                // The answer phase reads every shard's store as one: the
+                // unsharded phase, set for set and row for row.
+                let phase = reply.answer_phase.expect("min_answers requests a phase");
+                let want = pristine.answer_queries(&reference, min_answers);
+                prop_assert_eq!(phase.queries_processed, want.queries_processed);
+                prop_assert_eq!(
+                    &phase.answers,
+                    &want.answers,
+                    "{} shards, scoring {}: answer phase",
+                    shard_count,
+                    scoring
+                );
             }
         }
     }

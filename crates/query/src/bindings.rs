@@ -4,11 +4,7 @@
 //! distinguished variables to graph vertices such that the mapping extends to
 //! all variables consistently with the data graph. During evaluation we carry
 //! full bindings (all variables); the final [`AnswerSet`] is the projection
-//! onto the distinguished variables, deduplicated.
-
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+//! onto the distinguished variables, each answer once.
 
 use kwsearch_rdf::{DataGraph, VertexId};
 
@@ -21,34 +17,8 @@ pub struct AnswerSet {
 }
 
 impl AnswerSet {
-    /// Creates an answer set from already-projected rows, deduplicating them
-    /// (first occurrence wins, input order preserved).
-    ///
-    /// Rows are probed by hash and compared in place — no per-row clone, this
-    /// sits on the answer hot path.
-    pub fn new(variables: Vec<String>, rows: Vec<Vec<VertexId>>) -> Self {
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::with_capacity(rows.len());
-        let mut deduped: Vec<Vec<VertexId>> = Vec::with_capacity(rows.len());
-        for row in rows {
-            debug_assert_eq!(row.len(), variables.len());
-            let mut hasher = DefaultHasher::new();
-            row.hash(&mut hasher);
-            let bucket = buckets.entry(hasher.finish()).or_default();
-            if bucket.iter().any(|&i| deduped[i] == row) {
-                continue;
-            }
-            bucket.push(deduped.len());
-            deduped.push(row);
-        }
-        Self {
-            variables,
-            rows: deduped,
-        }
-    }
-
-    /// Creates an answer set from rows that are already distinct — e.g. the
-    /// streaming evaluator deduplicates while enumerating — skipping the
-    /// dedup pass of [`AnswerSet::new`].
+    /// Creates an answer set from already-projected rows that are distinct:
+    /// the streaming evaluator deduplicates while enumerating.
     pub fn from_distinct(variables: Vec<String>, rows: Vec<Vec<VertexId>>) -> Self {
         debug_assert!(
             {
@@ -60,14 +30,6 @@ impl AnswerSet {
             "from_distinct requires unique rows"
         );
         Self { variables, rows }
-    }
-
-    /// An empty answer set over the given variables.
-    pub fn empty(variables: Vec<String>) -> Self {
-        Self {
-            variables,
-            rows: Vec::new(),
-        }
     }
 
     /// The projected (distinguished) variables.
@@ -118,22 +80,10 @@ mod tests {
     use kwsearch_rdf::fixtures::figure1_graph;
 
     #[test]
-    fn duplicate_rows_are_removed() {
-        let g = figure1_graph();
-        let v1 = g.entity("pub1URI").unwrap();
-        let v2 = g.entity("re1URI").unwrap();
-        let answers = AnswerSet::new(
-            vec!["x".into(), "y".into()],
-            vec![vec![v1, v2], vec![v1, v2], vec![v2, v1]],
-        );
-        assert_eq!(answers.len(), 2);
-    }
-
-    #[test]
     fn labelled_rows_resolve_vertex_labels() {
         let g = figure1_graph();
         let v = g.entity("pub1URI").unwrap();
-        let answers = AnswerSet::new(vec!["x".into()], vec![vec![v]]);
+        let answers = AnswerSet::from_distinct(vec!["x".into()], vec![vec![v]]);
         let labelled = answers.labelled_rows(&g);
         assert_eq!(labelled.len(), 1);
         assert_eq!(labelled[0][0], ("x".to_string(), "pub1URI"));
@@ -144,29 +94,9 @@ mod tests {
         let g = figure1_graph();
         let a = g.entity("re1URI").unwrap();
         let b = g.entity("re2URI").unwrap();
-        let answers = AnswerSet::new(vec!["y".into()], vec![vec![a], vec![b]]);
+        let answers = AnswerSet::from_distinct(vec!["y".into()], vec![vec![a], vec![b]]);
         assert_eq!(answers.column("y").unwrap(), vec![a, b]);
         assert!(answers.column("missing").is_none());
-    }
-
-    #[test]
-    fn empty_answer_set() {
-        let answers = AnswerSet::empty(vec!["x".into()]);
-        assert!(answers.is_empty());
-        assert_eq!(answers.variables(), &["x".to_string()]);
-    }
-
-    #[test]
-    fn dedup_preserves_first_occurrence_order() {
-        let g = figure1_graph();
-        let a = g.entity("pub1URI").unwrap();
-        let b = g.entity("re1URI").unwrap();
-        let c = g.entity("re2URI").unwrap();
-        let answers = AnswerSet::new(
-            vec!["x".into()],
-            vec![vec![c], vec![a], vec![c], vec![b], vec![a], vec![b]],
-        );
-        assert_eq!(answers.rows(), &[vec![c], vec![a], vec![b]]);
     }
 
     #[test]

@@ -9,11 +9,18 @@
 //! depth-first search then binds one variable per level. The candidate
 //! values of a variable come from every atom linking it to a constant or to
 //! an earlier variable: each contributes a sorted column borrowed from the
-//! triple store — the subjects of POS `(p, o, *)` or the objects of SPO
-//! `(s, p, *)`, over base and delta — and the level leapfrogs them,
-//! galloping every column to the largest head until all agree. A Zipf head
-//! on one side of a join then costs a few galloping steps against a
+//! triple stores — the subjects of POS `(p, o, *)` or the objects of SPO
+//! `(s, p, *)`, over every store's base and delta — and the level leapfrogs
+//! them, galloping every column to the largest head until all agree. A Zipf
+//! head on one side of a join then costs a few galloping steps against a
 //! selective column on the other, not one probe per row.
+//!
+//! The evaluator reads a slice of stores as one: the stores of a shard set
+//! hold disjoint rows over one id space, so a column's runs are taken from
+//! each of them, a count is their sum, and a row holds if any store has it.
+//! Over edge-disjoint stores whose union is the graph's edges every count
+//! equals the one-store count, so the variable order, the answers and their
+//! order equal the one-store evaluation's.
 //!
 //! Answers are projected, deduplicated and yielded one at a time through
 //! [`AnswerStream`], so [`Evaluator::evaluate_with_limit`] stops the instant
@@ -70,11 +77,11 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// A reusable evaluator over one data graph and the triple store built from
-/// it.
+/// A reusable evaluator over one data graph and the triple stores holding
+/// its edges.
 pub struct Evaluator<'g> {
     graph: &'g DataGraph,
-    store: &'g TripleStore,
+    stores: Vec<&'g TripleStore>,
     max_intermediate_rows: usize,
 }
 
@@ -82,9 +89,21 @@ impl<'g> Evaluator<'g> {
     /// Creates an evaluator over `graph` and `store`, which must have been
     /// built from that graph.
     pub fn new(graph: &'g DataGraph, store: &'g TripleStore) -> Self {
+        Self::over_stores(graph, [store])
+    }
+
+    /// Creates an evaluator over the union of `stores`: edge-disjoint
+    /// stores over `graph`'s id space whose rows together are the edges the
+    /// queries are answered over (the shards of one graph). `graph` only
+    /// resolves predicate names and constants, so any graph sharing that id
+    /// space serves.
+    pub fn over_stores(
+        graph: &'g DataGraph,
+        stores: impl IntoIterator<Item = &'g TripleStore>,
+    ) -> Self {
         Self {
             graph,
-            store,
+            stores: stores.into_iter().collect(),
             max_intermediate_rows: DEFAULT_MAX_INTERMEDIATE_ROWS,
         }
     }
@@ -133,9 +152,9 @@ impl<'g> Evaluator<'g> {
     /// producing it is found — pulling `n` items costs only the work needed
     /// to reach the first `n` distinct answers.
     pub fn answer_stream(&self, query: &ConjunctiveQuery) -> Result<AnswerStream<'_>, EvalError> {
-        let compiled = CompiledQuery::compile(query, self.graph, self.store)?;
+        let compiled = CompiledQuery::compile(query, self.graph, &self.stores)?;
         Ok(AnswerStream {
-            store: self.store,
+            stores: &self.stores,
             row: vec![None; compiled.variables.len()],
             frames: compiled.levels.iter().map(|_| Frame::default()).collect(),
             depth: 0,
@@ -179,7 +198,7 @@ struct Run<'s> {
 #[derive(Debug, Default)]
 struct Frame<'s> {
     /// The runs of every column, flattened: one per edge label of the
-    /// column's atom, per base and delta, empty ones left out.
+    /// column's atom, per store, per base and delta, empty ones left out.
     runs: Vec<Run<'s>>,
     /// Column `c`'s runs end at `ends[c]` and start at the previous end.
     ends: Vec<usize>,
@@ -189,25 +208,29 @@ struct Frame<'s> {
 
 impl<'s> Frame<'s> {
     /// Starts `level` under the bindings in `row`: borrows each column's
-    /// runs from `store`, and restarts the values at the lowest id.
+    /// runs from every store, and restarts the values at the lowest id.
     fn enter(
         &mut self,
         level: &Level,
         atoms: &[CompiledAtom],
         row: &[Option<VertexId>],
-        store: &'s TripleStore,
+        stores: &[&'s TripleStore],
     ) {
         self.runs.clear();
         self.ends.clear();
         for &(atom, side) in &level.columns {
             let atom = &atoms[atom];
             for &pattern in &atom.patterns {
-                let runs = store.ranges(atom.under(pattern, row));
-                self.runs.extend(
-                    runs.into_iter()
-                        .filter(|rows| !rows.is_empty())
-                        .map(|rows| Run { rows, side }),
-                );
+                let pattern = atom.under(pattern, row);
+                for store in stores {
+                    self.runs.extend(
+                        store
+                            .ranges(pattern)
+                            .into_iter()
+                            .filter(|rows| !rows.is_empty())
+                            .map(|rows| Run { rows, side }),
+                    );
+                }
             }
             self.ends.push(self.runs.len());
         }
@@ -264,7 +287,7 @@ impl<'s> Frame<'s> {
 /// ends — if the visited-bindings budget is exhausted while searching for
 /// the next answer.
 pub struct AnswerStream<'e> {
-    store: &'e TripleStore,
+    stores: &'e [&'e TripleStore],
     compiled: CompiledQuery,
     row: Vec<Option<VertexId>>,
     /// One frame per level; those below `depth` hold their level's value.
@@ -300,7 +323,7 @@ impl AnswerStream<'_> {
     /// Starts the level at `depth` under the current bindings.
     fn enter(&mut self, depth: usize) {
         let level = &self.compiled.levels[depth];
-        self.frames[depth].enter(level, &self.compiled.atoms, &self.row, self.store);
+        self.frames[depth].enter(level, &self.compiled.atoms, &self.row, self.stores);
     }
 
     /// Binds the level at `depth` to its next value that passes the level's
@@ -312,9 +335,10 @@ impl AnswerStream<'_> {
             self.row[level.variable] = Some(value);
             let holds = |&atom: &usize| {
                 let atom: &CompiledAtom = &self.compiled.atoms[atom];
-                atom.patterns
-                    .iter()
-                    .any(|&p| self.store.count(atom.under(p, &self.row)) > 0)
+                atom.patterns.iter().any(|&p| {
+                    let p = atom.under(p, &self.row);
+                    self.stores.iter().any(|store| store.count(p) > 0)
+                })
             };
             if level.self_loops.iter().all(holds) {
                 return true;

@@ -85,9 +85,11 @@ impl CompiledAtom {
         }
     }
 
-    /// The rows matching the atom with only its constants bound.
-    fn constant_rows(&self, store: &TripleStore) -> usize {
-        self.patterns.iter().map(|&p| store.count(p)).sum()
+    /// The rows matching the atom with only its constants bound, summed
+    /// over `stores`.
+    fn constant_rows(&self, stores: &[&TripleStore]) -> usize {
+        let count = |p| stores.iter().map(|store| store.count(p)).sum::<usize>();
+        self.patterns.iter().map(|&p| count(p)).sum()
     }
 }
 
@@ -136,8 +138,8 @@ fn rank(atom: &CompiledAtom, count: usize, v: usize, bound: &[bool]) -> Option<(
 /// Ties go to the lower variable index. A variable that is only ever a
 /// subject with a free object waits for that object: SPO has no sorted
 /// subject column for a bare predicate.
-fn levels(atoms: &[CompiledAtom], variable_count: usize, store: &TripleStore) -> Vec<Level> {
-    let counts: Vec<usize> = atoms.iter().map(|a| a.constant_rows(store)).collect();
+fn levels(atoms: &[CompiledAtom], variable_count: usize, stores: &[&TripleStore]) -> Vec<Level> {
+    let counts: Vec<usize> = atoms.iter().map(|a| a.constant_rows(stores)).collect();
     let mut bound = vec![false; variable_count];
     let mut levels = Vec::with_capacity(variable_count);
     while levels.len() < variable_count {
@@ -225,13 +227,13 @@ pub(crate) struct CompiledQuery {
 
 impl CompiledQuery {
     /// Compiles `query` against `graph`, ordering its variables with
-    /// [`levels`].
+    /// [`levels`] by the row counts of `stores`.
     ///
     /// Fails if a distinguished variable does not occur in any atom.
     pub(crate) fn compile(
         query: &ConjunctiveQuery,
         graph: &DataGraph,
-        store: &TripleStore,
+        stores: &[&TripleStore],
     ) -> Result<Self, EvalError> {
         let variables: Vec<String> = query.variables().into_iter().collect();
         let var_index: HashMap<&str, usize> = variables
@@ -284,10 +286,10 @@ impl CompiledQuery {
         let ground_atoms = atoms.iter().filter(|a| ground(a)).count();
         let satisfiable = !atoms.is_empty()
             && atoms.iter().all(|atom| {
-                !atom.patterns.is_empty() && (!ground(atom) || atom.constant_rows(store) > 0)
+                !atom.patterns.is_empty() && (!ground(atom) || atom.constant_rows(stores) > 0)
             });
         let levels = if satisfiable {
-            levels(&atoms, variables.len(), store)
+            levels(&atoms, variables.len(), stores)
         } else {
             Vec::new()
         };
@@ -313,7 +315,7 @@ mod tests {
     fn compiled(q: &ConjunctiveQuery) -> CompiledQuery {
         let g = figure1_graph();
         let store = TripleStore::build(&g);
-        CompiledQuery::compile(q, &g, &store).unwrap()
+        CompiledQuery::compile(q, &g, &[&store]).unwrap()
     }
 
     /// The binding order, as variable names.
@@ -420,8 +422,8 @@ mod tests {
         let q = QueryBuilder::new()
             .relation_pattern("x", "nonexistent", "y")
             .build();
-        let c = CompiledQuery::compile(&q, &g, &store).unwrap();
-        assert_eq!(c.atoms[0].constant_rows(&store), 0);
+        let c = CompiledQuery::compile(&q, &g, &[&store]).unwrap();
+        assert_eq!(c.atoms[0].constant_rows(&[&store]), 0);
         assert!(!c.satisfiable && c.levels.is_empty());
     }
 
@@ -433,7 +435,7 @@ mod tests {
             .attribute_pattern("x", "name", "AIFB")
             .relation_pattern("x", "worksAt", "y")
             .build();
-        let compiled = CompiledQuery::compile(&q, &g, &store).unwrap();
+        let compiled = CompiledQuery::compile(&q, &g, &[&store]).unwrap();
         assert_eq!(compiled.variables, vec!["x".to_string(), "y".to_string()]);
         // No distinguished variables declared -> all variables, projected in
         // table order.
@@ -480,7 +482,7 @@ mod tests {
             .relation_pattern("x", "author", "y")
             .distinguished(["z"])
             .build();
-        match CompiledQuery::compile(&q, &g, &store) {
+        match CompiledQuery::compile(&q, &g, &[&store]) {
             Err(EvalError::UnboundDistinguishedVariable(v)) => assert_eq!(v, "z"),
             other => panic!("expected unbound-variable error, got {other:?}"),
         }

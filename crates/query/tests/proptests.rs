@@ -2,8 +2,9 @@
 //! computed by a nested-loop oracle that tries every assignment of vertices
 //! to variables and reads nothing but the graph's edges and labels (no
 //! triple store, no variable order), across random graphs and random
-//! conjunctive queries, with and without answer limits, over a flat store
-//! and over one split between base and delta.
+//! conjunctive queries, with and without answer limits, over a flat store,
+//! over one split between base and delta, and over several edge-disjoint
+//! stores read as one.
 
 use std::collections::BTreeSet;
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 
 use kwsearch_query::{ConjunctiveQuery, Evaluator, QueryBuilder, QueryTerm};
 use kwsearch_rdf::fixtures::figure1_graph;
-use kwsearch_rdf::{DataGraph, SpoRow, Triple, TripleStore, VertexId};
+use kwsearch_rdf::{DataGraph, Edge, EdgeId, SpoRow, Triple, TripleStore, VertexId};
 
 /// `Delta` types no entity: `build_graph` names it in a `subclass` edge only.
 const CLASSES: [&str; 4] = ["Alpha", "Beta", "Gamma", "Delta"];
@@ -249,28 +250,52 @@ fn split_store(graph: &DataGraph) -> TripleStore {
     store
 }
 
+/// The graph's edges split into `n` edge-disjoint stores over its id space:
+/// by predicate (label id mod `n`) or by edge id mod `n`.
+fn disjoint_stores(graph: &DataGraph, n: usize, by_predicate: bool) -> Vec<TripleStore> {
+    let key = |id: EdgeId, edge: &Edge| {
+        if by_predicate {
+            edge.label.index()
+        } else {
+            id.index()
+        }
+    };
+    (0..n)
+        .map(|shard| TripleStore::build(&graph.edge_subset(|id, edge| key(id, edge) % n == shard)))
+        .collect()
+}
+
 /// The streaming evaluator's rows, sorted with duplicates kept, and the
-/// oracle's set. The rows are the same over a flat store and over a split
-/// one.
+/// oracle's set. The rows, in order, are the same over a flat store, over
+/// one split between base and delta, and over the union of 2 or 3
+/// edge-disjoint stores split by predicate or by edge id.
 fn streaming_and_oracle(
     graph: &DataGraph,
     query: &ConjunctiveQuery,
 ) -> (Vec<Vec<VertexId>>, Vec<Vec<VertexId>>) {
-    let rows = |store: &TripleStore| {
-        let answers = Evaluator::new(graph, store)
+    let rows = |stores: &[TripleStore]| {
+        let answers = Evaluator::over_stores(graph, stores)
             .evaluate(query)
             .expect("small graphs stay in budget");
         assert_eq!(answers.variables(), query.effective_distinguished());
-        let mut rows = answers.rows().to_vec();
-        rows.sort();
-        rows
+        answers.rows().to_vec()
     };
-    let flat = rows(&TripleStore::build(graph));
+    let mut flat = rows(&[TripleStore::build(graph)]);
     assert_eq!(
-        rows(&split_store(graph)),
+        rows(&[split_store(graph)]),
         flat,
         "base/delta split of {query}"
     );
+    for n in [2, 3] {
+        for by_predicate in [true, false] {
+            assert_eq!(
+                rows(&disjoint_stores(graph, n, by_predicate)),
+                flat,
+                "{n} stores (by predicate: {by_predicate}) of {query}"
+            );
+        }
+    }
+    flat.sort();
     (flat, nested_loop_answers(graph, query))
 }
 
@@ -302,6 +327,25 @@ fn streaming_matches_the_nested_loop_oracle_on_the_fixture() {
         let (streaming, oracle) = streaming_and_oracle(&g, q);
         assert_eq!(streaming, oracle, "query {q}");
     }
+}
+
+/// A self-join `r(x, x)` holds on whichever store has the loop: split by
+/// edge id, the three loops below sit on different stores, and every split
+/// answers all three, in the one-store order.
+#[test]
+fn self_joins_hold_on_any_store() {
+    let mut graph = DataGraph::new();
+    for (s, o) in [("a", "b"), ("a", "a"), ("b", "b"), ("c", "c"), ("c", "a")] {
+        graph
+            .insert_triple(&Triple::relation(s, "linksTo", o))
+            .expect("well-formed triple");
+    }
+    let query = QueryBuilder::new()
+        .relation_pattern("x", "linksTo", "x")
+        .build();
+    let (streaming, oracle) = streaming_and_oracle(&graph, &query);
+    assert_eq!(streaming, oracle);
+    assert_eq!(streaming.len(), 3, "a, b and c each link to themselves");
 }
 
 proptest! {

@@ -13,56 +13,23 @@
 //! enough to persist and exchange the generated datasets and the paper's
 //! running example.
 //!
-//! Two API layers exist:
-//!
-//! * the owning layer ([`parse_line`], [`parse_document`], [`write_document`])
-//!   trades allocations for convenience, and
-//! * the **streamed layer** ([`parse_line_ref`], [`ingest_ntriples`],
-//!   [`write_graph_to`]) parses borrowed [`TripleRef`]s with a reused
-//!   scratch buffer and inserts them into a [`DataGraph`] without ever
-//!   materialising the whole document or an owned `Triple` — this is the
-//!   ingest path for the 10⁶–10⁷ triple tiers.
+//! One layer reads and writes it: [`parse_line_ref`] parses a line into a
+//! borrowed [`TripleRef`] with a reused scratch buffer, [`ingest_ntriples`]
+//! streams a document from any reader into a [`DataGraph`] without ever
+//! materialising the document or an owned `Triple`, and [`write_graph_to`]
+//! streams a graph's edges to any writer — the ingest and export path for
+//! the 10⁶–10⁷ triple tiers.
 
 use std::io::{self, BufRead, Write};
 
 use crate::error::RdfError;
 use crate::graph::DataGraph;
-use crate::term::{Term, TermRef};
-use crate::triple::{Triple, TripleRef};
+use crate::term::TermRef;
+use crate::triple::TripleRef;
 use crate::Result;
 
-/// Serialises a single triple to one line (without trailing newline).
-pub fn write_triple(triple: &Triple) -> String {
-    format!(
-        "{} <{}> {} .",
-        write_term(&triple.subject),
-        triple.predicate,
-        write_term(&triple.object)
-    )
-}
-
-fn write_term(term: &Term) -> String {
-    match term {
-        Term::Iri(v) => format!("<{v}>"),
-        Term::Literal(v) => format!("\"{}\"", escape_literal(v)),
-    }
-}
-
-fn escape_literal(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
 /// Streaming unescape into a caller-provided buffer; the inverse of
-/// [`escape_literal`] without the intermediate `String`.
+/// [`write_escaped`].
 fn unescape_into(s: &str, out: &mut String) {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -76,24 +43,6 @@ fn unescape_into(s: &str, out: &mut String) {
             out.push(c);
         }
     }
-}
-
-/// Serialises a whole document (one line per triple).
-pub fn write_document(triples: &[Triple]) -> String {
-    let mut out = String::new();
-    for t in triples {
-        out.push_str(&write_triple(t));
-        out.push('\n');
-    }
-    out
-}
-
-/// Serialises all edges of a data graph into one in-memory `String`.
-///
-/// For large graphs prefer [`write_graph_to`], which streams to any writer
-/// without materialising the triples.
-pub fn write_graph(graph: &DataGraph) -> String {
-    write_document(&graph.triples())
 }
 
 /// Writes `s` with `"`/`\`/newline escaping, copying unescaped runs in bulk.
@@ -235,8 +184,7 @@ impl<'a> Cursor<'a> {
 ///
 /// Returns `Ok(None)` for blank lines and comments. `scratch` is only
 /// written when the object literal contains escape sequences; reusing one
-/// buffer across lines is what removes the per-line allocation churn of the
-/// owning parser.
+/// buffer across lines removes a per-line allocation.
 pub fn parse_line_ref<'a>(
     line: &'a str,
     line_no: usize,
@@ -279,25 +227,6 @@ pub fn parse_line_ref<'a>(
     }))
 }
 
-/// Parses one line into an owned triple. Returns `Ok(None)` for blank lines
-/// and comments.
-pub fn parse_line(line: &str, line_no: usize) -> Result<Option<Triple>> {
-    let mut scratch = String::new();
-    Ok(parse_line_ref(line, line_no, &mut scratch)?.map(TripleRef::to_triple))
-}
-
-/// Parses a whole document into owned triples.
-pub fn parse_document(input: &str) -> Result<Vec<Triple>> {
-    let mut triples = Vec::new();
-    let mut scratch = String::new();
-    for (i, line) in input.lines().enumerate() {
-        if let Some(t) = parse_line_ref(line, i + 1, &mut scratch)? {
-            triples.push(t.to_triple());
-        }
-    }
-    Ok(triples)
-}
-
 /// Attaches the offending line number to a graph-insertion error.
 ///
 /// A line can parse cleanly and still be rejected by the graph's typing
@@ -318,21 +247,6 @@ fn insert_error_at_line(err: RdfError, line_no: usize) -> RdfError {
     }
 }
 
-/// Parses a document directly into a [`DataGraph`] over the streamed,
-/// allocation-free path.
-pub fn parse_graph(input: &str) -> Result<DataGraph> {
-    let mut graph = DataGraph::new();
-    let mut scratch = String::new();
-    for (i, line) in input.lines().enumerate() {
-        if let Some(t) = parse_line_ref(line, i + 1, &mut scratch)? {
-            graph
-                .insert_triple_ref(&t)
-                .map_err(|e| insert_error_at_line(e, i + 1))?;
-        }
-    }
-    Ok(graph)
-}
-
 /// Counters reported by [`ingest_ntriples`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
@@ -348,9 +262,8 @@ pub struct IngestStats {
 /// The document is never materialised: one line buffer and one literal
 /// scratch buffer are reused for the whole stream, and each triple is
 /// classified and interned via the borrowed [`DataGraph::insert_triple_ref`]
-/// path. The resulting graph is bit-identical to one built by parsing the
-/// same document with [`parse_graph`] or inserting owned [`Triple`]s in the
-/// same order.
+/// path. The resulting graph is bit-identical to one built by inserting
+/// the same triples as owned [`Triple`](crate::Triple)s in the same order.
 pub fn ingest_ntriples<R: BufRead>(mut reader: R, graph: &mut DataGraph) -> Result<IngestStats> {
     let mut line = String::new();
     let mut scratch = String::new();
@@ -374,14 +287,45 @@ pub fn ingest_ntriples<R: BufRead>(mut reader: R, graph: &mut DataGraph) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::figure1_triples;
+    use crate::fixtures::{figure1_graph, figure1_triples};
+    use crate::triple::Triple;
+
+    /// `triples` inserted in order into a fresh graph.
+    fn graph_of(triples: &[Triple]) -> DataGraph {
+        let mut graph = DataGraph::new();
+        for t in triples {
+            graph.insert_triple(t).unwrap();
+        }
+        graph
+    }
+
+    /// `graph` written as one document.
+    fn document(graph: &DataGraph) -> String {
+        let mut out = Vec::new();
+        write_graph_to(graph, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// `doc` ingested into a fresh graph.
+    fn ingest(doc: &str) -> (DataGraph, IngestStats) {
+        let mut graph = DataGraph::new();
+        let stats = ingest_ntriples(doc.as_bytes(), &mut graph).unwrap();
+        (graph, stats)
+    }
+
+    /// The one triple on `line`, parsed.
+    fn parse(line: &str) -> Triple {
+        let mut scratch = String::new();
+        let parsed = parse_line_ref(line, 1, &mut scratch).unwrap();
+        parsed.expect("a triple line").to_triple()
+    }
 
     #[test]
     fn single_triple_round_trip() {
         let t = Triple::attribute("re2URI", "name", "P. Cimiano");
-        let line = write_triple(&t);
-        let parsed = parse_line(&line, 1).unwrap().unwrap();
-        assert_eq!(parsed, t);
+        let doc = document(&graph_of(std::slice::from_ref(&t)));
+        assert_eq!(doc, "<re2URI> <name> \"P. Cimiano\" .\n");
+        assert_eq!(parse(doc.trim_end()), t);
     }
 
     #[test]
@@ -391,48 +335,54 @@ mod tests {
             "title",
             "A \"quoted\" title \\ with backslash\nand newline",
         );
-        let line = write_triple(&original);
-        let parsed = parse_line(&line, 1).unwrap().unwrap();
-        assert_eq!(parsed, original);
+        let doc = document(&graph_of(std::slice::from_ref(&original)));
+        assert_eq!(
+            doc,
+            "<p> <title> \"A \\\"quoted\\\" title \\\\ with backslash\\nand newline\" .\n"
+        );
+        assert_eq!(parse(doc.trim_end()), original);
     }
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
-        let doc = "# a comment\n\n<s> <p> <o> .\n   \n# another\n";
-        let triples = parse_document(doc).unwrap();
-        assert_eq!(triples.len(), 1);
-        assert_eq!(triples[0], Triple::relation("s", "p", "o"));
+        let (graph, stats) = ingest("# a comment\n\n<s> <p> <o> .\n   \n# another\n");
+        assert_eq!((stats.lines, stats.triples), (5, 1));
+        assert_eq!(graph.triples(), [Triple::relation("s", "p", "o")]);
     }
 
     #[test]
     fn document_round_trip_preserves_all_triples() {
         let triples = figure1_triples();
-        let doc = write_document(&triples);
-        let parsed = parse_document(&doc).unwrap();
-        assert_eq!(parsed, triples);
+        let (graph, stats) = ingest(&document(&graph_of(&triples)));
+        assert_eq!(stats.triples, triples.len());
+        assert_eq!(graph.triples(), triples);
     }
 
+    /// A written and re-ingested graph is the same graph, id for id, and
+    /// writes the same document again.
     #[test]
     fn graph_round_trip() {
-        let triples = figure1_triples();
-        let doc = write_document(&triples);
-        let graph = parse_graph(&doc).unwrap();
-        assert_eq!(graph.edge_count(), triples.len());
-        let rewritten = write_graph(&graph);
-        let reparsed = parse_document(&rewritten).unwrap();
-        let mut a: Vec<String> = triples.iter().map(|t| t.to_string()).collect();
-        let mut b: Vec<String> = reparsed.iter().map(|t| t.to_string()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        let original = figure1_graph();
+        let doc = document(&original);
+        let (graph, stats) = ingest(&doc);
+        assert_eq!(stats.lines, doc.lines().count());
+        assert_eq!(graph.vertex_count(), original.vertex_count());
+        assert_eq!(graph.edge_count(), original.edge_count());
+        for v in original.vertices() {
+            assert_eq!(graph.vertex(v), original.vertex(v));
+            assert_eq!(graph.vertex_label(v), original.vertex_label(v));
+        }
+        for e in original.edges() {
+            assert_eq!(graph.edge(e), original.edge(e));
+        }
+        assert_eq!(document(&graph), doc);
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let doc = "<s> <p> <o> .\n<s> <p> broken .\n";
-        let err = parse_document(doc).unwrap_err();
-        match err {
-            RdfError::Parse { line, .. } => assert_eq!(line, 2),
+        let mut scratch = String::new();
+        match parse_line_ref("<s> <p> broken .", 2, &mut scratch) {
+            Err(RdfError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
     }
@@ -447,11 +397,12 @@ mod tests {
             "<s> <p> <o> . extra",      // trailing garbage
             "<s <p> <o> .",             // unterminated IRI
         ];
+        let mut scratch = String::new();
         for case in cases {
-            assert!(parse_line(case, 1).is_err(), "should reject: {case}");
+            let parsed = parse_line_ref(case, 1, &mut scratch);
+            assert!(parsed.is_err(), "should reject: {case}");
         }
     }
-
     #[test]
     fn parse_line_ref_borrows_clean_literals() {
         let line = "<s> <year> \"2006\" .";
@@ -470,41 +421,6 @@ mod tests {
         let mut scratch = String::new();
         let t = parse_line_ref(line, 1, &mut scratch).unwrap().unwrap();
         assert_eq!(t.object, TermRef::Literal("a \"b\" c"));
-    }
-
-    #[test]
-    fn streamed_ingest_matches_owned_parse() {
-        let triples = figure1_triples();
-        let doc = write_document(&triples);
-
-        let mut streamed = DataGraph::new();
-        let stats = ingest_ntriples(doc.as_bytes(), &mut streamed).unwrap();
-        assert_eq!(stats.triples, triples.len());
-        assert_eq!(stats.lines, doc.lines().count());
-
-        let owned = parse_graph(&doc).unwrap();
-        assert_eq!(streamed.vertex_count(), owned.vertex_count());
-        assert_eq!(streamed.edge_count(), owned.edge_count());
-        for v in owned.vertices() {
-            assert_eq!(streamed.vertex(v), owned.vertex(v));
-            assert_eq!(streamed.vertex_label(v), owned.vertex_label(v));
-        }
-        for e in owned.edges() {
-            assert_eq!(streamed.edge(e), owned.edge(e));
-        }
-    }
-
-    #[test]
-    fn streamed_writer_matches_owning_writer() {
-        let mut g = DataGraph::new();
-        for t in figure1_triples() {
-            g.insert_triple(&t).unwrap();
-        }
-        g.insert_triple(&Triple::attribute("s", "title", "quo\"te\\back\nline"))
-            .unwrap();
-        let mut streamed = Vec::new();
-        write_graph_to(&g, &mut streamed).unwrap();
-        assert_eq!(String::from_utf8(streamed).unwrap(), write_graph(&g));
     }
 
     #[test]
@@ -555,11 +471,6 @@ mod tests {
         // triple below sits on physical line 6, not on "triple number 2".
         let doc = "# header\n\n<s> <p> <o> .\n   \n# more\n<s> <p> broken .\n";
         assert_eq!(ingest_error_line(doc), 6);
-        // Same document through the in-memory path reports the same line.
-        match parse_graph(doc).unwrap_err() {
-            RdfError::Parse { line, .. } => assert_eq!(line, 6),
-            other => panic!("expected parse error, got {other:?}"),
-        }
     }
 
     #[test]
@@ -573,10 +484,6 @@ mod tests {
                 assert_eq!(line, 3);
                 assert!(message.contains("literal object"), "got: {message}");
             }
-            other => panic!("expected a positioned error, got {other:?}"),
-        }
-        match parse_graph(doc).unwrap_err() {
-            RdfError::Parse { line, .. } => assert_eq!(line, 3),
             other => panic!("expected a positioned error, got {other:?}"),
         }
     }

@@ -54,8 +54,10 @@ proptest! {
         for t in &ts {
             graph.insert_triple(t).expect("generated triples are well-formed");
         }
-        let document = ntriples::write_graph(&graph);
-        let reparsed = ntriples::parse_graph(&document).expect("round-trip parses");
+        let mut document = Vec::new();
+        ntriples::write_graph_to(&graph, &mut document).expect("writes to memory");
+        let mut reparsed = DataGraph::new();
+        ntriples::ingest_ntriples(document.as_slice(), &mut reparsed).expect("round-trip parses");
         let mut original: Vec<String> = graph.triples().iter().map(|t| t.to_string()).collect();
         let mut round_tripped: Vec<String> =
             reparsed.triples().iter().map(|t| t.to_string()).collect();

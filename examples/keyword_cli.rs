@@ -35,9 +35,12 @@ fn load_dataset(spec: &str) -> Result<DataGraph, String> {
         "lubm" => Ok(LubmDataset::small().graph),
         "tap" => Ok(TapDataset::small().graph),
         path => {
-            let text = std::fs::read_to_string(path)
+            let file = std::fs::File::open(path)
                 .map_err(|e| format!("cannot read dataset file `{path}`: {e}"))?;
-            ntriples::parse_graph(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))
+            let mut graph = DataGraph::new();
+            ntriples::ingest_ntriples(std::io::BufReader::new(file), &mut graph)
+                .map_err(|e| format!("cannot parse `{path}`: {e}"))?;
+            Ok(graph)
         }
     }
 }

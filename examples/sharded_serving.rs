@@ -1,13 +1,14 @@
 //! Sharded serving: partitioned preparations behind one exploration.
 //!
 //! Demonstrates sharded serving on the generated bibliographic dataset: the
-//! data graph is partitioned into edge-disjoint shards, each shard is
-//! prepared in memory, the preparations go into the same [`SearchService`]
-//! that serves an unsharded preparation, and a keyword workload is served
-//! over them — one keyword lookup on the index every shard shares, one
-//! exploration over its matches (bit-identical to an unsharded session, at
-//! the same cursor count), answers scattered over the shard-local stores.
-//! A deadline demo shows the typed failure path.
+//! data graph is partitioned by predicate into edge-disjoint shards, each
+//! shard is prepared in memory, the preparations go into the same
+//! [`SearchService`] that serves an unsharded preparation, and a keyword
+//! workload is served over them — one keyword lookup on the index every
+//! shard shares, one exploration over its matches (bit-identical to an
+//! unsharded session, at the same cursor count), and one answer phase over
+//! the union of the shard-local stores (the unsharded answers, row for
+//! row). A deadline demo shows the typed failure path.
 //!
 //! Run with `cargo run --release --example sharded_serving`.
 
@@ -20,17 +21,17 @@ use searchwebdb::prelude::*;
 const SHARDS: usize = 3;
 
 fn main() {
-    // Off-line: partition the data graph into edge-disjoint shards.
+    // Off-line: partition the data graph into edge-disjoint shards, each
+    // edge label whole on one shard.
     let dataset = DblpDataset::small();
     let graph = &dataset.graph;
     let plan = partition(graph, SHARDS);
     println!(
-        "partitioned {} edges into {} shards {:?} ({} connectivity components, {} replicated schema edges)",
+        "partitioned {} edges of {} edge labels into {} shards {:?}",
         graph.edge_count(),
+        graph.edge_label_count(),
         plan.shard_count(),
         plan.shard_edge_counts(),
-        plan.component_count(),
-        plan.replicated_edge_count(),
     );
 
     // Prepare the shards, each carrying the one keyword index and summary
@@ -82,14 +83,18 @@ fn main() {
         );
     }
 
-    // The Fig. 5 interaction also scatters: the answer phase evaluates each
-    // ranked query against the shard-local triple stores.
+    // The Fig. 5 interaction: the answer phase evaluates the ranked queries
+    // once, over every shard's triple store read as one, and returns the
+    // unsharded answers.
     let reply = service
         .search(SearchRequest::new(["publications"]).with_min_answers(3))
         .expect("the workload keywords always match");
     if let Some(phase) = &reply.answer_phase {
+        let unsharded = reference.answer_queries(&reply.outcome.queries, 3);
+        let identical = phase.answers == unsharded.answers
+            && phase.queries_processed == unsharded.queries_processed;
         println!(
-            "min_answers(3): {} answers from {} of {} queries (best: {})",
+            "min_answers(3): {} answers from {} of {} queries (best: {}), identical: {identical}",
             phase.total_answers(),
             phase.queries_processed,
             reply.outcome.queries.len(),
@@ -98,6 +103,10 @@ fn main() {
                 .best()
                 .map(|q| q.query.canonicalized().to_string())
                 .unwrap_or_default(),
+        );
+        assert!(
+            identical,
+            "the sharded answer phase must match the unsharded one"
         );
     }
 

@@ -22,8 +22,10 @@ fn search<S: AsRef<str>>(prepared: &PreparedGraph, keywords: &[S]) -> SearchOutc
 fn running_example_from_ntriples_to_answers() {
     // Serialise the running example to the N-Triples-like format, parse it
     // back, index it and run the paper's keyword query.
-    let document = ntriples::write_graph(&fixtures::figure1_graph());
-    let graph = ntriples::parse_graph(&document).expect("round-trip parses");
+    let mut document = Vec::new();
+    ntriples::write_graph_to(&fixtures::figure1_graph(), &mut document).expect("writes to memory");
+    let mut graph = DataGraph::new();
+    ntriples::ingest_ntriples(document.as_slice(), &mut graph).expect("round-trip parses");
     let prepared = PreparedGraph::index(graph);
 
     let outcome = search(&prepared, &["2006", "cimiano", "aifb"]);
