@@ -60,7 +60,8 @@
 //! `B` is used in both places that need a lower bound on the future:
 //!
 //! * **termination** — once the k-th candidate costs less than `B`, no
-//!   future candidate can enter the list ([`ExplorationState::run_to_completion`]),
+//!   future candidate can enter the list, so the main loop stops and
+//!   [`ExplorationState::next_certified`] hands out the rest,
 //! * **certification** — a front candidate costing at most `B` can no
 //!   longer be displaced ([`ExplorationState::next_certified`]).
 //!
@@ -119,16 +120,6 @@ impl ExplorationStats {
     }
 }
 
-/// The result of one exploration run.
-#[derive(Debug, Clone)]
-#[must_use]
-pub struct ExplorationOutcome {
-    /// The k cheapest matching subgraphs, in ascending cost order.
-    pub subgraphs: Vec<MatchingSubgraph>,
-    /// Run statistics.
-    pub stats: ExplorationStats,
-}
-
 /// The deadline is polled when `queue_pops & DEADLINE_POLL_MASK == 0`: once
 /// every 64 pops (and on the very first), bounding both the clock-sampling
 /// overhead and the post-expiry overshoot.
@@ -147,9 +138,9 @@ struct ElementPaths {
 /// global cursor heap, the cursor arena, the per-element path lists, the
 /// candidate list and the run counters — lives here, so an exploration can
 /// be advanced one cursor pop at a time and paused between results.
-/// [`Self::run_to_completion`] drives it to the end in one call (the batch
-/// shape); [`crate::SearchSession`] owns one and advances it lazily, popping
-/// [`Self::next_certified`] results on demand.
+/// [`Self::next_certified`] is its one driver: it advances the run until
+/// the next result is certified. [`crate::SearchSession`] owns one state
+/// and pops results from it on demand.
 ///
 /// The state holds no borrows: cursors, queue entries, path lists and
 /// candidates are all index- or value-based, so the state can be stored next
@@ -298,17 +289,6 @@ impl ExplorationState {
     /// The counters of the run so far.
     pub fn stats(&self) -> ExplorationStats {
         self.stats
-    }
-
-    /// Whether the main loop has terminated: no further cursor will be
-    /// expanded (the remaining candidates, if any, are final by default).
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Number of subgraphs already handed out by [`Self::next_certified`].
-    pub fn certified_count(&self) -> usize {
-        self.certified
     }
 
     /// Whether the run was cut short by its deadline (see
@@ -551,17 +531,16 @@ impl ExplorationState {
     /// A candidate is certified as soon as its cost is at most the
     /// completion bound `B` of the [module doc](crate::exploration): every
     /// candidate still to be generated costs at least `B` (the same
-    /// certificate the batch top-k termination uses), and an equal-cost
+    /// certificate the top-k termination uses), and an equal-cost
     /// newcomer is never placed ahead of an existing candidate, so the
     /// certified prefix of the candidate list can no longer change. This is what makes the search
     /// *anytime*: the rank-1 result is typically certified after a small
     /// fraction of the pops a full top-k run performs.
     ///
-    /// One exception, shared with the batch mode: when the run is cut short
-    /// by the `max_cursors` safety valve (`stats().hit_cursor_limit`), the
-    /// remaining candidates are handed out as the best found so far
-    /// *without* a certificate — a longer run could outrank them, exactly
-    /// as a truncated [`Self::run_to_completion`] could.
+    /// One exception: when the run is cut short by the `max_cursors` safety
+    /// valve (`stats().hit_cursor_limit`), the remaining candidates are
+    /// handed out as the best found so far *without* a certificate — a
+    /// longer run could outrank them.
     pub fn next_certified(
         &mut self,
         graph: &AugmentedSummaryGraph<'_>,
@@ -600,24 +579,6 @@ impl ExplorationState {
             self.step(graph, config);
         }
     }
-
-    /// Drives the main loop to completion (the batch shape): afterwards all
-    /// retained candidates are final.
-    pub fn run_to_completion(&mut self, graph: &AugmentedSummaryGraph<'_>, config: &SearchConfig) {
-        while !self.finished {
-            self.step(graph, config);
-        }
-    }
-
-    /// Consumes the state into the batch [`ExplorationOutcome`] (all
-    /// candidates retained so far, in ascending cost order, plus the
-    /// counters).
-    pub fn into_outcome(self) -> ExplorationOutcome {
-        ExplorationOutcome {
-            subgraphs: self.candidates.into_best(),
-            stats: self.stats,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -636,19 +597,24 @@ mod tests {
         AugmentedSummaryGraph::build(graph, &base, &matches)
     }
 
-    fn run(graph: &AugmentedSummaryGraph<'_>, config: SearchConfig) -> ExplorationOutcome {
+    /// Drains [`ExplorationState::next_certified`]: every result in rank
+    /// order, and the counters of the finished run.
+    fn run(
+        graph: &AugmentedSummaryGraph<'_>,
+        config: SearchConfig,
+    ) -> (Vec<MatchingSubgraph>, ExplorationStats) {
         let mut state = ExplorationState::new(graph, &config);
-        state.run_to_completion(graph, &config);
-        state.into_outcome()
+        let subgraphs = std::iter::from_fn(|| state.next_certified(graph, &config)).collect();
+        (subgraphs, state.stats())
     }
 
     #[test]
     fn the_running_example_finds_a_connecting_subgraph() {
         let g = figure1_graph();
         let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
-        let outcome = run(&aug, SearchConfig::default());
-        assert!(!outcome.subgraphs.is_empty());
-        let best = &outcome.subgraphs[0];
+        let (subgraphs, _) = run(&aug, SearchConfig::default());
+        assert!(!subgraphs.is_empty());
+        let best = &subgraphs[0];
         assert_eq!(best.keyword_count(), 3);
         assert!(best.is_connected(&aug));
         // The cheapest subgraph must touch the three matched values and the
@@ -670,9 +636,9 @@ mod tests {
     fn results_are_sorted_by_cost_and_bounded_by_k() {
         let g = figure1_graph();
         let aug = augmented(&g, &["cimiano", "publication"]);
-        let outcome = run(&aug, SearchConfig::with_k(3));
-        assert!(outcome.subgraphs.len() <= 3);
-        for pair in outcome.subgraphs.windows(2) {
+        let (subgraphs, _) = run(&aug, SearchConfig::with_k(3));
+        assert!(subgraphs.len() <= 3);
+        for pair in subgraphs.windows(2) {
             assert!(pair[0].cost <= pair[1].cost + 1e-12);
         }
     }
@@ -681,9 +647,9 @@ mod tests {
     fn single_keyword_queries_yield_trivial_subgraphs() {
         let g = figure1_graph();
         let aug = augmented(&g, &["publications"]);
-        let outcome = run(&aug, SearchConfig::default());
-        assert!(!outcome.subgraphs.is_empty());
-        let best = &outcome.subgraphs[0];
+        let (subgraphs, _) = run(&aug, SearchConfig::default());
+        assert!(!subgraphs.is_empty());
+        let best = &subgraphs[0];
         assert_eq!(best.keyword_count(), 1);
         assert_eq!(aug.element_label(best.connecting_element), "Publication");
     }
@@ -692,17 +658,17 @@ mod tests {
     fn unmatched_keywords_produce_no_subgraphs() {
         let g = figure1_graph();
         let aug = augmented(&g, &["cimiano", "quetzalcoatl"]);
-        let outcome = run(&aug, SearchConfig::default());
-        assert!(outcome.subgraphs.is_empty());
-        assert_eq!(outcome.stats.cursors_created, 0);
+        let (subgraphs, stats) = run(&aug, SearchConfig::default());
+        assert!(subgraphs.is_empty());
+        assert_eq!(stats.cursors_created, 0);
     }
 
     #[test]
     fn dmax_zero_prevents_any_connection() {
         let g = figure1_graph();
         let aug = augmented(&g, &["2006", "aifb"]);
-        let outcome = run(&aug, SearchConfig::default().dmax(0));
-        assert!(outcome.subgraphs.is_empty());
+        let (subgraphs, _) = run(&aug, SearchConfig::default().dmax(0));
+        assert!(subgraphs.is_empty());
     }
 
     #[test]
@@ -712,16 +678,16 @@ mod tests {
         // cheapest costs — the top-k guarantee says they must coincide.
         let g = figure1_graph();
         let aug = augmented(&g, &["cimiano", "aifb"]);
-        let exact = run(
+        let (exact, _) = run(
             &aug,
             SearchConfig {
                 k: usize::MAX / 2,
                 ..SearchConfig::default()
             },
         );
-        let topk = run(&aug, SearchConfig::with_k(3));
-        assert!(!topk.subgraphs.is_empty());
-        for (a, b) in topk.subgraphs.iter().zip(exact.subgraphs.iter()) {
+        let (topk, _) = run(&aug, SearchConfig::with_k(3));
+        assert!(!topk.is_empty());
+        for (a, b) in topk.iter().zip(exact.iter()) {
             assert!(
                 (a.cost - b.cost).abs() < 1e-9,
                 "top-k costs must match the exhaustive enumeration: {} vs {}",
@@ -739,7 +705,7 @@ mod tests {
         let g = figure1_graph();
         let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
         for scoring in ScoringFunction::all() {
-            let exhaustive = run(
+            let (exhaustive, exhaustive_stats) = run(
                 &aug,
                 SearchConfig {
                     k: usize::MAX / 2,
@@ -747,7 +713,7 @@ mod tests {
                 }
                 .scoring(scoring),
             );
-            let exhaustive_pops = exhaustive.stats.queue_pops;
+            let exhaustive_pops = exhaustive_stats.queue_pops;
 
             let config = SearchConfig::with_k(1).scoring(scoring);
             let mut state = ExplorationState::new(&aug, &config);
@@ -758,9 +724,9 @@ mod tests {
                 "{scoring}: rank 1 certified after {first_pops} pops, exhaustion takes \
                  {exhaustive_pops}"
             );
-            assert_eq!(first.cost.to_bits(), exhaustive.subgraphs[0].cost.to_bits());
+            assert_eq!(first.cost.to_bits(), exhaustive[0].cost.to_bits());
 
-            state.run_to_completion(&aug, &config);
+            while state.next_certified(&aug, &config).is_some() {}
             let stats = state.stats();
             assert!(
                 stats.terminated_by_threshold,
@@ -774,34 +740,33 @@ mod tests {
     fn cursor_limit_is_respected() {
         let g = figure1_graph();
         let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
-        let outcome = run(
+        let (_, stats) = run(
             &aug,
             SearchConfig {
                 max_cursors: 10,
                 ..SearchConfig::default()
             },
         );
-        assert!(outcome.stats.hit_cursor_limit);
-        assert!(outcome.stats.cursors_created <= 10 + aug.element_count());
+        assert!(stats.hit_cursor_limit);
+        assert!(stats.cursors_created <= 10 + aug.element_count());
     }
 
     #[test]
     fn stats_are_populated() {
         let g = figure1_graph();
         let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
-        let outcome = run(&aug, SearchConfig::default());
-        assert!(outcome.stats.cursors_created > 0);
-        assert!(outcome.stats.cursors_expanded > 0);
-        assert!(outcome.stats.elements_visited > 0);
-        assert!(outcome.stats.candidates_generated > 0);
+        let (_, stats) = run(&aug, SearchConfig::default());
+        assert!(stats.cursors_created > 0);
+        assert!(stats.cursors_expanded > 0);
+        assert!(stats.elements_visited > 0);
+        assert!(stats.candidates_generated > 0);
     }
 
     #[test]
     fn queue_counters_account_for_every_push_and_pop() {
         let g = figure1_graph();
         let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
-        let outcome = run(&aug, SearchConfig::default());
-        let stats = outcome.stats;
+        let (_, stats) = run(&aug, SearchConfig::default());
         // Every created cursor is pushed exactly once.
         assert_eq!(stats.queue_pushes, stats.cursors_created);
         // Every pop is an expansion, and nothing is popped twice.
@@ -817,9 +782,9 @@ mod tests {
         let expected = (stats.queue_pushes - stats.queue_pops) as f64 / stats.queue_pushes as f64;
         assert!((wasted - expected).abs() < 1e-15);
         // A run terminated by the threshold leaves unexpanded cursors behind.
-        let early = run(&aug, SearchConfig::with_k(1));
-        if early.stats.terminated_by_threshold {
-            assert!(early.stats.wasted_queue_ratio() > 0.0);
+        let (_, early) = run(&aug, SearchConfig::with_k(1));
+        if early.terminated_by_threshold {
+            assert!(early.wasted_queue_ratio() > 0.0);
         }
     }
 
@@ -833,8 +798,8 @@ mod tests {
         let config = SearchConfig::default().scoring(ScoringFunction::PathLength);
         // Indirect check: all result subgraph path costs are >= the cost of
         // their keyword element and the result list is cost-sorted.
-        let outcome = run(&aug, config);
-        for subgraph in &outcome.subgraphs {
+        let (subgraphs, _) = run(&aug, config);
+        for subgraph in &subgraphs {
             for path in subgraph.paths() {
                 assert!(path.cost >= 1.0 - 1e-12);
                 assert_eq!(path.elements.len() as f64, path.cost);
@@ -853,8 +818,6 @@ mod tests {
         ));
         assert!(state.next_certified(&aug, &config).is_none());
         assert!(state.is_aborted());
-        assert!(state.is_finished());
-        assert_eq!(state.certified_count(), 0);
         // Clearing the deadline does not resurrect an aborted run.
         state.set_deadline(None);
         assert!(state.next_certified(&aug, &config).is_none());
@@ -871,9 +834,9 @@ mod tests {
         ))
         .unwrap();
         let aug = augmented(&g, &["author", "editedBy"]);
-        let outcome = run(&aug, SearchConfig::default());
-        assert!(!outcome.subgraphs.is_empty());
-        let best = &outcome.subgraphs[0];
+        let (subgraphs, _) = run(&aug, SearchConfig::default());
+        assert!(!subgraphs.is_empty());
+        let best = &subgraphs[0];
         // A cycle has at least as many edges as vertices among its elements.
         let nodes = best
             .elements()

@@ -106,16 +106,6 @@ impl DeltaBatch {
         self
     }
 
-    /// Number of triples to insert.
-    pub fn addition_count(&self) -> usize {
-        self.additions.len()
-    }
-
-    /// Number of triples to retract.
-    pub fn retraction_count(&self) -> usize {
-        self.retractions.len()
-    }
-
     /// Whether the batch contains no writes at all.
     pub fn is_empty(&self) -> bool {
         self.additions.is_empty() && self.retractions.is_empty()
@@ -469,7 +459,6 @@ impl LiveGraph {
             store,
             Self::successor_cache(prepared),
             old_epoch + 1,
-            prepared.index_build_time(),
         );
         Ok((
             Some(next),
@@ -540,7 +529,6 @@ impl LiveGraph {
             keyword_index,
             Self::successor_cache(prepared),
             prepared.write_epoch() + 1,
-            prepared.index_build_time(),
         );
         Ok((
             Some(next),
@@ -604,13 +592,7 @@ impl LiveGraph {
         // The replaced snapshot's cache stays valid: same data, same epoch.
         let graph = prepared.graph().edge_subset(|_, _| true);
         let keyword_index = prepared.keyword_index().rebuilt(&graph);
-        let next = PreparedGraph::derive(
-            graph,
-            keyword_index,
-            prepared.shared_cache(),
-            epoch,
-            prepared.index_build_time(),
-        );
+        let next = PreparedGraph::derive(graph, keyword_index, prepared.shared_cache(), epoch);
 
         // Prove: the live store, base and delta merged, holds exactly the
         // derived rows, and the live summary (maintained by `apply`) is the
@@ -925,7 +907,6 @@ mod tests {
             store,
             Arc::new(AugmentationCache::new(0)),
             0,
-            Duration::ZERO,
         );
         let live = LiveGraph::new(prepared);
         let before = live.snapshot();
@@ -970,7 +951,6 @@ mod tests {
             store,
             Arc::new(AugmentationCache::new(0)),
             0,
-            Duration::ZERO,
         );
         let live = LiveGraph::new(prepared);
         let before = live.snapshot();

@@ -6,9 +6,9 @@
 //! are written as flat, length-prefixed little-endian buffers inside the
 //! checksummed section container of [`kwsearch_rdf::snapshot`], and loading
 //! is a sequence of bulk reads into the same dense-id structures the engine
-//! searches — no re-parsing, no re-hashing of interned strings. What is a
-//! pure function of the graph is not stored: the graph derives its
-//! adjacency, and the load derives the summary graph
+//! searches — no re-parsing of triples. What is a pure function of the graph
+//! is not stored: the interner rehashes its strings into its probe table,
+//! the graph derives its adjacency, and the load derives the summary graph
 //! ([`SummaryGraph::build`](kwsearch_summary::SummaryGraph::build), the
 //! off-line projection of Definition 4) and the triple store
 //! ([`TripleStore::build`](kwsearch_rdf::TripleStore::build), counting
@@ -21,19 +21,20 @@
 //!
 //! | id | section | content |
 //! |----|---------|---------|
-//! | 1  | meta    | original index-build time, sanity counts |
-//! | 2  | graph   | interner, vertex/edge columns (adjacency is derived on load) |
+//! | 2  | graph   | interner strings and offsets, vertex/edge columns |
 //! | 4  | keyword | analyzer + config + thesaurus + frozen posting lists |
 //!
-//! Id 3 held the triple store up to format version 2, and id 5 the summary
-//! graph up to format version 3; neither is reused.
+//! Id 1 held a metadata section (the build time and counts the graph section
+//! repeats) up to format version 4, id 3 the triple store up to version 2,
+//! and id 5 the summary graph up to version 3; none is reused.
 //!
 //! Every load path validates checksums before parsing and structural
 //! invariants during parsing. The graph must hold what insertion enforces:
-//! every edge within Definition 1's kind rule, no edge twice (found in the
-//! derived SPO order). The keyword section is decoded against the loaded
-//! graph, so each vertex or label id it holds must name an element of the
-//! graph of the kind its tag says. Corrupt or version-mismatched input yields a typed [`SnapshotError`], never a panic
+//! each interned string once, every edge within Definition 1's kind rule, no
+//! edge twice (found in the derived SPO order). The keyword section is
+//! decoded against the loaded graph, so each vertex or label id it holds
+//! must name an element of the graph of the kind its tag says. Corrupt or
+//! version-mismatched input yields a typed [`SnapshotError`], never a panic
 //! or a partially-initialised graph. Search results over a loaded graph are
 //! bit-identical to results over the originally built graph (pinned by
 //! `tests/snapshot_roundtrip.rs` and the cross-thread determinism suite).
@@ -42,7 +43,6 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use kwsearch_keyword_index::KeywordIndex;
 use kwsearch_rdf::snapshot::{SectionEncoder, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -51,8 +51,6 @@ use kwsearch_rdf::DataGraph;
 use crate::cache::AugmentationCache;
 use crate::prepared::PreparedGraph;
 
-/// Section id of the metadata section (build time + sanity counts).
-pub const SECTION_META: u32 = 1;
 /// Section id of the data graph.
 pub const SECTION_GRAPH: u32 = 2;
 /// Section id of the keyword index.
@@ -78,12 +76,6 @@ impl PreparedGraph {
             });
         }
         let mut snapshot = SnapshotWriter::new();
-
-        let mut meta = SectionEncoder::new();
-        meta.put_u64(self.index_build_time().as_nanos() as u64);
-        meta.put_u64(self.graph().vertex_count() as u64);
-        meta.put_u64(self.graph().edge_count() as u64);
-        snapshot.add_section(SECTION_META, meta);
 
         let mut graph = SectionEncoder::new();
         self.graph().write_snapshot(&mut graph);
@@ -117,21 +109,9 @@ impl PreparedGraph {
     pub fn load_with<R: Read>(reader: R, cache_capacity: usize) -> Result<Self, SnapshotError> {
         let snapshot = SnapshotReader::read_from(reader)?;
 
-        let mut meta = snapshot.section(SECTION_META)?;
-        let index_build_time = Duration::from_nanos(meta.get_u64()?);
-        let vertex_count = meta.get_u64()?;
-        let edge_count = meta.get_u64()?;
-        meta.finish()?;
-
         let mut dec = snapshot.section(SECTION_GRAPH)?;
         let graph = DataGraph::read_snapshot(&mut dec)?;
         dec.finish()?;
-        if graph.vertex_count() as u64 != vertex_count || graph.edge_count() as u64 != edge_count {
-            return Err(SnapshotError::Corrupt {
-                section: SECTION_META,
-                detail: "graph counts disagree with the metadata section".to_string(),
-            });
-        }
 
         // A small fraction of the graph's bytes, decoded after it and checked
         // against the graph it indexes.
@@ -144,7 +124,6 @@ impl PreparedGraph {
             keyword_index,
             Arc::new(AugmentationCache::new(cache_capacity)),
             0,
-            index_build_time,
         );
         // Inserts keep the edges a set: a repeated edge is corrupt, and it
         // sits next to its twin in the SPO order just derived.
@@ -183,7 +162,6 @@ mod tests {
         let bytes = saved_bytes(&prepared);
         let loaded = PreparedGraph::load(bytes.as_slice()).unwrap();
 
-        assert_eq!(loaded.index_build_time(), prepared.index_build_time());
         assert_eq!(
             loaded.graph().vertex_count(),
             prepared.graph().vertex_count()
@@ -250,11 +228,6 @@ mod tests {
         );
 
         let mut snapshot = SnapshotWriter::new();
-        let mut meta = SectionEncoder::new();
-        meta.put_u64(0);
-        meta.put_u64(graph.vertex_count() as u64);
-        meta.put_u64(m as u64);
-        snapshot.add_section(SECTION_META, meta);
         let mut graph_section = SectionEncoder::new();
         repeated.write_snapshot(&mut graph_section);
         snapshot.add_section(SECTION_GRAPH, graph_section);
@@ -283,29 +256,5 @@ mod tests {
         let prepared = PreparedGraph::index(graph);
         let loaded = PreparedGraph::load(saved_bytes(&prepared).as_slice()).unwrap();
         assert_eq!(loaded.graph().edge_count(), prepared.graph().edge_count());
-    }
-
-    #[test]
-    fn metadata_count_mismatch_is_rejected() {
-        let prepared = PreparedGraph::index(figure1_graph());
-        // Re-author the snapshot with a lying metadata section.
-        let mut snapshot = SnapshotWriter::new();
-        let mut meta = SectionEncoder::new();
-        meta.put_u64(prepared.index_build_time().as_nanos() as u64);
-        meta.put_u64(prepared.graph().vertex_count() as u64 + 1);
-        meta.put_u64(prepared.graph().edge_count() as u64);
-        snapshot.add_section(SECTION_META, meta);
-        let mut graph = SectionEncoder::new();
-        prepared.graph().write_snapshot(&mut graph);
-        snapshot.add_section(SECTION_GRAPH, graph);
-        let mut keyword = SectionEncoder::new();
-        prepared.keyword_index().write_snapshot(&mut keyword);
-        snapshot.add_section(SECTION_KEYWORD, keyword);
-        let mut bytes = Vec::new();
-        snapshot.write_to(&mut bytes).unwrap();
-        assert!(matches!(
-            PreparedGraph::load(bytes.as_slice()),
-            Err(SnapshotError::Corrupt { section, .. }) if section == SECTION_META
-        ));
     }
 }

@@ -15,11 +15,11 @@
 //! is the batch shape, [`SearchSession::next_query`] the streaming one.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use kwsearch_keyword_index::{KeywordIndex, KeywordIndexConfig};
 use kwsearch_query::{AnswerSet, ConjunctiveQuery, EvalError, Evaluator};
-use kwsearch_rdf::{DataGraph, GraphStats, TripleStore};
+use kwsearch_rdf::{DataGraph, TripleStore};
 use kwsearch_summary::SummaryGraph;
 
 use crate::cache::AugmentationCache;
@@ -73,7 +73,6 @@ pub struct PreparedGraph {
     /// Monotone write epoch of the live lineage this preparation belongs
     /// to; 0 for frozen preparations.
     write_epoch: u64,
-    index_build_time: Duration,
 }
 
 impl PreparedGraph {
@@ -93,22 +92,18 @@ impl PreparedGraph {
         keyword_config: KeywordIndexConfig,
         cache_capacity: usize,
     ) -> Self {
-        let start = Instant::now();
         let keyword_index = KeywordIndex::build_with(
             &graph,
             kwsearch_keyword_index::Analyzer::new(),
             kwsearch_keyword_index::Thesaurus::builtin(),
             keyword_config,
         );
-        let mut prepared = Self::derive(
+        Self::derive(
             graph,
             keyword_index,
             Arc::new(AugmentationCache::new(cache_capacity)),
             0,
-            Duration::ZERO,
-        );
-        prepared.index_build_time = start.elapsed();
-        prepared
+        )
     }
 
     /// Assembles a prepared graph from a graph and its keyword index,
@@ -121,19 +116,10 @@ impl PreparedGraph {
         keyword_index: KeywordIndex,
         cache: Arc<AugmentationCache>,
         write_epoch: u64,
-        index_build_time: Duration,
     ) -> Self {
         let summary = SummaryGraph::build(&graph);
         let store = TripleStore::build(&graph);
-        Self::from_shared_parts(
-            graph,
-            keyword_index,
-            summary,
-            store,
-            cache,
-            write_epoch,
-            index_build_time,
-        )
+        Self::from_shared_parts(graph, keyword_index, summary, store, cache, write_epoch)
     }
 
     /// Assembles a prepared graph from already-built parts around a given
@@ -148,7 +134,6 @@ impl PreparedGraph {
         store: TripleStore,
         cache: Arc<AugmentationCache>,
         write_epoch: u64,
-        index_build_time: Duration,
     ) -> Self {
         Self {
             graph,
@@ -157,7 +142,6 @@ impl PreparedGraph {
             store,
             cache,
             write_epoch,
-            index_build_time,
         }
     }
 
@@ -200,16 +184,6 @@ impl PreparedGraph {
     /// frozen preparations).
     pub fn write_epoch(&self) -> u64 {
         self.write_epoch
-    }
-
-    /// How long the off-line preprocessing took.
-    pub fn index_build_time(&self) -> Duration {
-        self.index_build_time
-    }
-
-    /// Structural statistics of the indexed data graph.
-    pub fn graph_stats(&self) -> GraphStats {
-        GraphStats::compute(&self.graph)
     }
 
     // ------------------------------------------------------------------

@@ -212,13 +212,10 @@ mod tests {
         let aug = augmented(graph, keywords);
         let config = SearchConfig::default();
         let mut state = ExplorationState::new(&aug, &config);
-        state.run_to_completion(&aug, &config);
-        let outcome = state.into_outcome();
-        assert!(
-            !outcome.subgraphs.is_empty(),
-            "no subgraph for {keywords:?}"
-        );
-        map_subgraph_to_query(&aug, &outcome.subgraphs[0])
+        let best = state
+            .next_certified(&aug, &config)
+            .unwrap_or_else(|| panic!("no subgraph for {keywords:?}"));
+        map_subgraph_to_query(&aug, &best)
     }
 
     #[test]

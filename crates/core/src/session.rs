@@ -8,7 +8,7 @@
 //! [`ExplorationState`], and hands out
 //! ranked queries one at a time, each one *provably* rank-correct the moment
 //! it is returned (its cost is at most the cheapest remaining cursor cost —
-//! the same certificate the batch top-k termination uses).
+//! the same certificate the top-k termination uses).
 //!
 //! ```
 //! use kwsearch_core::{PreparedGraph, SearchConfig};
@@ -550,15 +550,6 @@ impl<'e> SearchSession<'e> {
 
     /// Drains the remaining queries and returns the batch [`SearchOutcome`]:
     /// the ranked queries, the timing split and the exploration counters.
-    ///
-    /// The queries are identical, bit for bit, to mapping the subgraphs of
-    /// a bare [`ExplorationState::run_to_completion`], but the exploration
-    /// *counters* can come out slightly lower: the drain stops at the k-th
-    /// certification (`cost <= bound`), whereas `run_to_completion` keeps
-    /// popping until the strict threshold (`kth cost < bound`) fires, so on
-    /// cost ties the drained session skips a few trailing pops (and may
-    /// report `terminated_by_threshold = false` where the bare run reports
-    /// `true`). Counters are comparable across sessions.
     pub fn into_outcome(mut self) -> SearchOutcome {
         self.drain();
         self.into_partial_outcome()

@@ -23,7 +23,6 @@
 //! replacement it points to.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use kwsearch_keyword_index::{Analyzer, KeywordIndex, KeywordIndexConfig, Thesaurus};
 use kwsearch_rdf::{DataGraph, EdgeId, TripleStore};
@@ -144,14 +143,11 @@ impl PartitionPlan {
         graph: &DataGraph,
         keyword_config: KeywordIndexConfig,
     ) -> Vec<PreparedGraph> {
-        let start = Instant::now();
         let summary = SummaryGraph::build(graph);
         let keyword_index =
             KeywordIndex::build_with(graph, Analyzer::new(), Thesaurus::builtin(), keyword_config);
-        let shared_build_time = start.elapsed();
         (0..self.shard_count)
             .map(|s| {
-                let start = Instant::now();
                 let shard_graph = self.shard_graph(graph, s);
                 let store = TripleStore::build(&shard_graph);
                 PreparedGraph::from_shared_parts(
@@ -161,7 +157,6 @@ impl PartitionPlan {
                     store,
                     Arc::new(AugmentationCache::new(0)),
                     0,
-                    shared_build_time + start.elapsed(),
                 )
             })
             .collect()

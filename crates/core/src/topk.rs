@@ -95,11 +95,6 @@ impl CandidateList {
     pub fn best(&self) -> &[MatchingSubgraph] {
         &self.candidates
     }
-
-    /// Consumes the list and returns the candidates in ascending cost order.
-    pub fn into_best(self) -> Vec<MatchingSubgraph> {
-        self.candidates
-    }
 }
 
 /// Generates the new candidate subgraphs that arise when `new_cursor`

@@ -4,10 +4,9 @@
 //! behavioural drift in the exploration order, the candidate list, or the
 //! cost functions is caught immediately.
 //!
-//! Every case is checked twice on an [`ExplorationState`]: once run to
-//! completion (the batch shape) and once by streaming certified subgraphs
-//! out of a suspended state one at a time — pinning the *session pop order*
-//! to the very same golden tables.
+//! Every case streams certified subgraphs out of a suspended
+//! [`ExplorationState`] one at a time, as a session does, and checks that
+//! the stream is the golden table and ends with it.
 
 use kwsearch_core::{ExplorationState, ScoringFunction, SearchConfig};
 use kwsearch_keyword_index::KeywordIndex;
@@ -27,36 +26,8 @@ fn check(keywords: &[&str], scoring: ScoringFunction, expected: &[Golden]) {
     let matches = index.lookup_all(keywords);
     let aug = AugmentedSummaryGraph::build(&g, &base, &matches);
     let config = SearchConfig::with_k(10).scoring(scoring);
-    let mut batch = ExplorationState::new(&aug, &config);
-    batch.run_to_completion(&aug, &config);
-    let outcome = batch.into_outcome();
-    assert_eq!(
-        outcome.subgraphs.len(),
-        expected.len(),
-        "{keywords:?} {scoring}: result count"
-    );
-    for (i, (got, want)) in outcome.subgraphs.iter().zip(expected).enumerate() {
-        assert_eq!(
-            got.cost.to_bits(),
-            want.cost_bits,
-            "{keywords:?} {scoring} rank {i}: cost {} != expected bits",
-            got.cost
-        );
-        let mut labels: Vec<&str> = got
-            .elements()
-            .iter()
-            .map(|&e| aug.element_label(e))
-            .collect();
-        labels.sort_unstable();
-        assert_eq!(
-            labels, want.labels,
-            "{keywords:?} {scoring} rank {i}: element set"
-        );
-    }
-
-    // The streaming pop order reproduces the batch order exactly: popping
-    // certified subgraphs one at a time from a suspended exploration yields
-    // the same sequence, bit for bit.
+    // Certified subgraphs popped one at a time from a suspended exploration
+    // reproduce the golden table, bit for bit, and the stream ends with it.
     let mut state = ExplorationState::new(&aug, &config);
     for (i, want) in expected.iter().enumerate() {
         let got = state

@@ -282,9 +282,8 @@ proptest! {
         delta in random_delta(),
     ) {
         prop_assume!(!delta.additions.is_empty());
-        // Both lineages start from the *same* saved base — the snapshot
-        // META carries the measured index-build time, so two independent
-        // `index` calls would already differ in their durable form.
+        // Both lineages start from one saved base, so both also run a live
+        // graph over a loaded snapshot.
         let mut base_bytes = Vec::new();
         PreparedGraph::index(build(&spec.triples))
             .save(&mut base_bytes)

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use kwsearch_core::{
-    map_subgraph_to_query, ExplorationOutcome, ExplorationState, PreparedGraph, RankedQuery,
+    map_subgraph_to_query, ExplorationState, MatchingSubgraph, PreparedGraph, RankedQuery,
     ScoringFunction, SearchConfig, SearchOutcome,
 };
 use kwsearch_keyword_index::KeywordIndex;
@@ -67,12 +67,11 @@ fn build(graph_spec: &RandomGraph) -> DataGraph {
     graph
 }
 
-/// Algorithm 1 + 2 run to completion over one augmented graph (the batch
-/// shape).
-fn explore(augmented: &AugmentedSummaryGraph<'_>, config: &SearchConfig) -> ExplorationOutcome {
+/// Algorithm 1 + 2 over one augmented graph: every certified subgraph, in
+/// rank order.
+fn explore(augmented: &AugmentedSummaryGraph<'_>, config: &SearchConfig) -> Vec<MatchingSubgraph> {
     let mut state = ExplorationState::new(augmented, config);
-    state.run_to_completion(augmented, config);
-    state.into_outcome()
+    std::iter::from_fn(|| state.next_certified(augmented, config)).collect()
 }
 
 /// A drained session: the batch shape of one keyword search.
@@ -102,9 +101,9 @@ proptest! {
 
         for scoring in ScoringFunction::all() {
             let config = SearchConfig::with_k(5).scoring(scoring);
-            let outcome = explore(&augmented, &config);
+            let subgraphs = explore(&augmented, &config);
             let mut previous = 0.0f64;
-            for subgraph in &outcome.subgraphs {
+            for subgraph in &subgraphs {
                 prop_assert!(subgraph.cost >= previous - 1e-9);
                 previous = subgraph.cost;
                 prop_assert!(subgraph.is_connected(&augmented));
@@ -186,14 +185,14 @@ proptest! {
                 let config = SearchConfig::with_k(k).scoring(scoring).dmax(4);
                 let topk = explore(&augmented, &config);
                 prop_assert_eq!(
-                    topk.subgraphs.len(),
-                    reference.subgraphs.len().min(k),
+                    topk.len(),
+                    reference.len().min(k),
                     "k = {}, scoring {}: result count",
                     k,
                     scoring
                 );
                 for (i, (got, want)) in
-                    topk.subgraphs.iter().zip(reference.subgraphs.iter()).enumerate()
+                    topk.iter().zip(reference.iter()).enumerate()
                 {
                     prop_assert!(
                         (got.cost - want.cost).abs() < 1e-9,
@@ -232,8 +231,8 @@ proptest! {
     }
 }
 
-/// The batch pipeline, reimplemented on the exploration directly: run
-/// Algorithm 1 + 2 to completion, then map and deduplicate the subgraphs.
+/// The batch pipeline, reimplemented on the exploration directly: drain
+/// Algorithm 1 + 2's certified subgraphs, then map and deduplicate them.
 /// The independent reference the streaming `SearchSession` is checked
 /// against.
 fn batch_reference(
@@ -248,11 +247,11 @@ fn batch_reference(
     let all_matches = index.lookup_all(keywords);
     let matches: Vec<_> = all_matches.into_iter().filter(|m| !m.is_empty()).collect();
     let augmented = AugmentedSummaryGraph::build(graph, &base, &matches);
-    let outcome = explore(&augmented, config);
+    let subgraphs = explore(&augmented, config);
 
     let mut queries: Vec<RankedQuery> = Vec::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    for subgraph in outcome.subgraphs {
+    for subgraph in subgraphs {
         let query = map_subgraph_to_query(&augmented, &subgraph);
         let canonical = query.canonicalized().to_string();
         if !seen.insert(canonical) {

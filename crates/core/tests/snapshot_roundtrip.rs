@@ -3,12 +3,12 @@
 //! query strings, element sets and answer rows, for all three scoring
 //! functions — on the paper's Figure 1 graph and on randomly generated
 //! graphs. Corrupt input (truncation, bit flips, foreign files, future
-//! format versions) must yield a typed [`SnapshotError`], never a panic or
-//! a partially-initialised graph.
+//! format versions, seeded mutations behind a valid checksum) must yield a
+//! typed [`SnapshotError`], never a panic or a partially-initialised graph.
 
 use proptest::prelude::*;
 
-use kwsearch_core::persist::{SECTION_GRAPH, SECTION_KEYWORD, SECTION_META};
+use kwsearch_core::persist::{SECTION_GRAPH, SECTION_KEYWORD};
 use kwsearch_core::{PreparedGraph, ScoringFunction, SearchConfig};
 use kwsearch_rdf::fixtures::figure1_graph;
 use kwsearch_rdf::snapshot::{checksum64, SnapshotError, FORMAT_VERSION};
@@ -188,10 +188,11 @@ fn foreign_files_are_rejected_by_magic() {
 fn future_format_versions_are_rejected_with_the_found_version() {
     let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
     // The version field is the little-endian u32 right after the magic. An
-    // older file is refused as firmly as a newer one: version 3 carried a
-    // summary section, and version 1 adjacency columns in the graph section,
-    // which this build must never read.
-    for other in [FORMAT_VERSION + 1, 3, 1] {
+    // older file is refused as firmly as a newer one: version 4 carried a
+    // metadata section and the interner's probe table, version 3 a summary
+    // section, and version 1 adjacency columns in the graph section, which
+    // this build must never read.
+    for other in [FORMAT_VERSION + 1, 4, 3, 1] {
         let mut bytes = bytes.clone();
         bytes[8..12].copy_from_slice(&other.to_le_bytes());
         assert!(matches!(
@@ -220,6 +221,31 @@ fn section_table(bytes: &[u8]) -> Vec<(u32, std::ops::Range<usize>, u64)> {
         .collect()
 }
 
+/// `bytes` with the payload of section `id` replaced by `payload`, and the
+/// section table's length and checksum for it rewritten to match, so the
+/// container accepts the section and its decoder sees the new bytes.
+fn with_section(bytes: &[u8], id: u32, payload: &[u8]) -> Vec<u8> {
+    let table = section_table(bytes);
+    let mut out = bytes[..table[0].1.start].to_vec();
+    for (i, (sid, range, _)) in table.into_iter().enumerate() {
+        let payload = if sid == id { payload } else { &bytes[range] };
+        let entry = 16 + 20 * i;
+        out[entry + 4..entry + 12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        out[entry + 12..entry + 20].copy_from_slice(&checksum64(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// The payload of section `id` of a snapshot.
+fn section(bytes: &[u8], id: u32) -> Vec<u8> {
+    section_table(bytes)
+        .into_iter()
+        .find(|(sid, ..)| *sid == id)
+        .map(|(_, range, _)| bytes[range].to_vec())
+        .expect("the section is present")
+}
+
 #[test]
 fn a_posting_past_the_vertex_table_is_corrupt() {
     // A keyword section indexed over a graph with one more value vertex
@@ -229,28 +255,10 @@ fn a_posting_past_the_vertex_table_is_corrupt() {
     wider
         .insert_triple(&Triple::attribute("inst1URI", "name", "Zebra"))
         .expect("a well-formed triple");
-    let wider = saved_bytes(&PreparedGraph::index(wider));
-    let keyword = section_table(&wider)
-        .into_iter()
-        .find(|(id, ..)| *id == SECTION_KEYWORD)
-        .map(|(_, range, _)| wider[range].to_vec())
-        .expect("a keyword section");
+    let keyword = section(&saved_bytes(&PreparedGraph::index(wider)), SECTION_KEYWORD);
 
     let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
-    let mut spliced = Vec::new();
-    let table = section_table(&bytes);
-    spliced.extend_from_slice(&bytes[..table[0].1.start]);
-    for (i, (id, range, _)) in table.iter().enumerate() {
-        let payload = if *id == SECTION_KEYWORD {
-            &keyword[..]
-        } else {
-            &bytes[range.clone()]
-        };
-        let entry = 16 + 20 * i;
-        spliced[entry + 4..entry + 12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        spliced[entry + 12..entry + 20].copy_from_slice(&checksum64(payload).to_le_bytes());
-        spliced.extend_from_slice(payload);
-    }
+    let spliced = with_section(&bytes, SECTION_KEYWORD, &keyword);
     match PreparedGraph::load(spliced.as_slice()) {
         Err(SnapshotError::Corrupt { section, detail }) => {
             assert_eq!(section, SECTION_KEYWORD);
@@ -260,17 +268,127 @@ fn a_posting_past_the_vertex_table_is_corrupt() {
     }
 }
 
-/// The snapshot layout, pinned to its version: [`FORMAT_VERSION`], the
-/// section ids in file order, and the checksum of every Figure-1 section
-/// but META (which holds the build time). When these checksums move, the
-/// bytes a snapshot holds have changed. If the layout changed, bump
-/// `FORMAT_VERSION` in the same change and re-pin both; if only the content
-/// did (a new thesaurus entry, say), re-pin the checksums alone.
-const FIGURE1_LAYOUT: (u32, [u32; 3], [(u32, u64); 2]) = (
-    4,
-    [SECTION_META, SECTION_GRAPH, SECTION_KEYWORD],
+/// A graph section whose interner holds one string twice: two vertices
+/// would share a label, and `entity` could find at most one of them. The
+/// load refuses it.
+#[test]
+fn a_repeated_interned_string_is_corrupt() {
+    let mut graph = figure1_graph();
+    graph
+        .insert_triple(&Triple::relation("twinA", "knows", "twinB"))
+        .expect("a well-formed triple");
+    let bytes = saved_bytes(&PreparedGraph::index(graph));
+    // The graph section opens with the interner's blob: rename `twinB` to
+    // `twinA` in place, leaving every offset and column as it was.
+    let mut graph_section = section(&bytes, SECTION_GRAPH);
+    let at = graph_section
+        .windows(5)
+        .position(|w| w == b"twinB")
+        .expect("the label is in the blob");
+    graph_section[at + 4] = b'A';
+    match PreparedGraph::load(with_section(&bytes, SECTION_GRAPH, &graph_section).as_slice()) {
+        Err(SnapshotError::Corrupt { section, detail }) => {
+            assert_eq!(section, SECTION_GRAPH);
+            assert!(detail.contains("repeats"), "{detail}");
+        }
+        other => panic!(
+            "a repeated interned string must be corrupt, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+}
+
+/// SplitMix64: a seeded, std-only source of mutations.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`), up to a negligible modulo bias.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A byte biased toward the values that make ids and lengths
+    /// interesting: 0, 1, 0xFF, or any.
+    fn byte(&mut self) -> u8 {
+        match self.below(4) {
+            0 => 0,
+            1 => 1,
+            2 => 0xFF,
+            _ => self.next() as u8,
+        }
+    }
+}
+
+/// Seeded mutations inside one section's payload: each round overwrites,
+/// inserts or deletes a few bytes of the graph or the keyword section and
+/// re-seals it with a matching length and checksum, so the decoder, not the
+/// checksum, meets the damage. Every load returns `Ok` or a typed
+/// [`SnapshotError`]; a panic fails the test and names the mutation.
+#[test]
+fn mutated_sections_load_or_fail_typed() {
+    const ROUNDS: usize = 8_000;
+    let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
+    let ids = [SECTION_GRAPH, SECTION_KEYWORD];
+    let mut rng = SplitMix64(2009);
+    let mut rejected = 0;
+    for round in 0..ROUNDS {
+        let id = ids[rng.below(ids.len())];
+        let mut payload = section(&bytes, id);
+        let at = rng.below(payload.len());
+        let n = 1 + rng.below(8);
+        let mutation = match rng.below(3) {
+            0 => {
+                let end = (at + n).min(payload.len());
+                for byte in &mut payload[at..end] {
+                    *byte = rng.byte();
+                }
+                "overwrite"
+            }
+            1 => {
+                let inserted: Vec<u8> = (0..n).map(|_| rng.byte()).collect();
+                payload.splice(at..at, inserted);
+                "insert"
+            }
+            _ => {
+                payload.drain(at..(at + n).min(payload.len()));
+                "delete"
+            }
+        };
+        let mutated = with_section(&bytes, id, &payload);
+        let loaded = std::panic::catch_unwind(|| PreparedGraph::load(mutated.as_slice()).is_ok())
+            .unwrap_or_else(|_| {
+                panic!("round {round}: {mutation} of {n} bytes at {at} in section {id} panicked")
+            });
+        if !loaded {
+            rejected += 1;
+        }
+    }
+    // Most mutations break a structural invariant; the test must not pass
+    // by never reaching the decoder.
+    assert!(
+        rejected > ROUNDS / 2,
+        "only {rejected} of {ROUNDS} rejected"
+    );
+}
+
+/// The snapshot layout, pinned to its version: [`FORMAT_VERSION`] and, per
+/// section in file order, its id and the checksum of its Figure-1 payload.
+/// When these checksums move, the bytes a snapshot holds have changed. If
+/// the layout changed, bump `FORMAT_VERSION` in the same change and re-pin
+/// both; if only the content did (a new thesaurus entry, say), re-pin the
+/// checksums alone.
+const FIGURE1_LAYOUT: (u32, [(u32, u64); 2]) = (
+    5,
     [
-        (SECTION_GRAPH, 0x6bd191fba09598d9),
+        (SECTION_GRAPH, 0x892007239f21f7a1),
         (SECTION_KEYWORD, 0x0ad10af5836010e5),
     ],
 );
@@ -279,21 +397,14 @@ const FIGURE1_LAYOUT: (u32, [u32; 3], [(u32, u64); 2]) = (
 fn the_figure1_layout_is_pinned_to_the_format_version() {
     let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let table = section_table(&bytes);
-    let ids: Vec<u32> = table.iter().map(|(id, ..)| *id).collect();
-    let checksums: Vec<(u32, u64)> = table
+    let sections: Vec<(u32, u64)> = section_table(&bytes)
         .into_iter()
-        .filter(|(id, ..)| *id != SECTION_META)
         .map(|(id, _, checksum)| (id, checksum))
         .collect();
     assert_eq!(version, FORMAT_VERSION);
     assert_eq!(
-        (version, ids.as_slice(), checksums.as_slice()),
-        (
-            FIGURE1_LAYOUT.0,
-            &FIGURE1_LAYOUT.1[..],
-            &FIGURE1_LAYOUT.2[..]
-        ),
+        (version, sections.as_slice()),
+        (FIGURE1_LAYOUT.0, &FIGURE1_LAYOUT.1[..]),
         "the Figure-1 snapshot bytes changed: a layout change needs a FORMAT_VERSION bump"
     );
 }

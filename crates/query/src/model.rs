@@ -57,11 +57,6 @@ impl QueryTerm {
     pub fn is_variable(&self) -> bool {
         matches!(self, QueryTerm::Variable(_))
     }
-
-    /// Whether this term is a constant (IRI or literal).
-    pub fn is_constant(&self) -> bool {
-        !self.is_variable()
-    }
 }
 
 impl fmt::Display for QueryTerm {

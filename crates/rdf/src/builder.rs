@@ -57,12 +57,6 @@ impl GraphBuilder {
         e
     }
 
-    /// Declares an entity without a type (it will aggregate under `Thing` in
-    /// the summary graph).
-    pub fn untyped_entity(&mut self, iri: &str) -> VertexId {
-        self.graph.add_entity(iri)
-    }
-
     /// Adds an additional `type` edge to an existing or new entity.
     pub fn add_type(&mut self, iri: &str, class: &str) -> &mut Self {
         self.entity(iri, class);

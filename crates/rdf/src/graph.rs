@@ -452,11 +452,6 @@ impl DataGraph {
         self.interner.resolve(self.vertices[v.index()].label)
     }
 
-    /// The interned label of `v`.
-    pub fn vertex_symbol(&self, v: VertexId) -> Symbol {
-        self.vertices[v.index()].label
-    }
-
     /// Looks up an entity vertex by IRI.
     pub fn entity(&self, iri: &str) -> Option<VertexId> {
         self.vertex_labelled(VertexKind::Entity, iri)

@@ -8,9 +8,10 @@
 //!
 //! The representation is snapshot-friendly: all strings live in one
 //! concatenated UTF-8 blob addressed by an offsets array, and deduplication
-//! uses an open-addressing hash table of symbol ids. All three parts are
-//! flat buffers, so a snapshot load is a bulk copy plus a single UTF-8
-//! validation pass — no per-string allocation and no rehashing.
+//! uses an open-addressing hash table of symbol ids. A snapshot stores the
+//! blob and the offsets, both flat buffers, and not the table: it is a
+//! function of the strings, so a load rehashes them in one presized pass,
+//! and that pass refuses a string the blob holds twice.
 
 use crate::snapshot::{fnv1a64, SectionDecoder, SectionEncoder, SnapshotError};
 
@@ -104,27 +105,28 @@ impl Interner {
                 self.bytes.push_str(s);
                 self.offsets.push(self.bytes.len() as u32);
                 self.table[slot] = idx;
-                // Keep the load factor below ~0.7 so probes stay short.
-                if (self.len() + 1) * 10 >= self.table.len() * 7 {
-                    self.grow_table();
+                let capacity = table_capacity(self.len());
+                if self.table.len() < capacity {
+                    let grown = self.fill_table(capacity);
+                    debug_assert!(grown.is_ok(), "interned strings are distinct");
                 }
                 Symbol(idx)
             }
         }
     }
 
-    fn grow_table(&mut self) {
-        let new_cap = self.table.len() * 2;
-        let mask = new_cap - 1;
-        let mut table = vec![EMPTY; new_cap];
+    /// Replaces the probe table by one of `capacity` slots holding every
+    /// symbol id. Fails with the first id whose string an earlier id
+    /// already holds.
+    fn fill_table(&mut self, capacity: usize) -> Result<(), u32> {
+        self.table = vec![EMPTY; capacity];
         for idx in 0..self.len() as u32 {
-            let mut slot = fnv1a64(self.str_at(idx).as_bytes()) as usize & mask;
-            while table[slot] != EMPTY {
-                slot = (slot + 1) & mask;
+            match self.probe(self.str_at(idx)) {
+                Ok(_) => return Err(idx),
+                Err(slot) => self.table[slot] = idx,
             }
-            table[slot] = idx;
         }
-        self.table = table;
+        Ok(())
     }
 
     /// Looks up a string without interning it.
@@ -163,22 +165,23 @@ impl Interner {
             + self.table.len() * std::mem::size_of::<u32>()
     }
 
-    /// Serialises the interner into a snapshot section: blob, offsets and
-    /// probe table verbatim, so loading needs no rehashing.
+    /// Serialises the interner into a snapshot section: the blob and the
+    /// offsets. The probe table is a function of them and is not written.
     pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
         enc.put_str(&self.bytes);
         enc.put_u32_slice(&self.offsets);
-        enc.put_u32_slice(&self.table);
     }
 
     /// Rebuilds an interner from [`Self::write_snapshot`] output.
     ///
     /// The blob is UTF-8 validated in one pass and every offset is checked to
-    /// be a monotone char boundary; the probe table is taken verbatim.
+    /// be a monotone char boundary. The probe table is then rebuilt at the
+    /// capacity interning would have reached, and a string that is already
+    /// in it is [`SnapshotError::Corrupt`]: symbol ids stay in blob order,
+    /// and each names a distinct string.
     pub fn read_snapshot(dec: &mut SectionDecoder<'_>) -> Result<Self, SnapshotError> {
         let bytes = dec.get_string()?;
         let offsets = dec.get_u32_vec()?;
-        let table = dec.get_u32_vec()?;
         if offsets.is_empty() || offsets[0] != 0 {
             return Err(dec.corrupt("interner offsets must start at 0"));
         }
@@ -186,6 +189,9 @@ impl Interner {
             return Err(dec.corrupt("interner offsets do not cover the blob"));
         }
         let len = offsets.len() - 1;
+        if len >= EMPTY as usize {
+            return Err(dec.corrupt("interner holds more strings than symbol ids"));
+        }
         for pair in offsets.windows(2) {
             if pair[0] > pair[1] {
                 return Err(dec.corrupt("interner offsets are not monotone"));
@@ -196,27 +202,31 @@ impl Interner {
                 return Err(dec.corrupt("interner offset splits a UTF-8 character"));
             }
         }
-        if !table.len().is_power_of_two() || table.len() < INITIAL_TABLE || table.len() <= len {
-            return Err(dec.corrupt("interner probe table has an invalid capacity"));
-        }
-        let mut seen = 0usize;
-        for &slot in &table {
-            if slot != EMPTY {
-                if slot as usize >= len {
-                    return Err(dec.corrupt("interner probe table points past the string count"));
-                }
-                seen += 1;
-            }
-        }
-        if seen != len {
-            return Err(dec.corrupt("interner probe table does not cover every string"));
-        }
-        Ok(Self {
+        let mut interner = Self {
             bytes,
             offsets,
-            table,
-        })
+            table: Vec::new(),
+        };
+        if let Err(idx) = interner.fill_table(table_capacity(len)) {
+            return Err(dec.corrupt(format!(
+                "interner repeats the string {:?} at symbol {idx}",
+                interner.str_at(idx)
+            )));
+        }
+        Ok(interner)
     }
+}
+
+/// The probe-table capacity for `len` strings: the smallest power of two,
+/// at least [`INITIAL_TABLE`], that keeps the load factor below ~0.7 (so
+/// probes stay short) with room for one more string. Interning grows the
+/// table to exactly this, and a load presizes it to this.
+fn table_capacity(len: usize) -> usize {
+    let mut capacity = INITIAL_TABLE;
+    while (len + 1) * 10 >= capacity * 7 {
+        capacity *= 2;
+    }
+    capacity
 }
 
 #[cfg(test)]
@@ -311,10 +321,29 @@ mod tests {
             assert_eq!(loaded.resolve(*sym), *label);
             assert_eq!(loaded.get(label), Some(*sym));
         }
+        assert_eq!(loaded.heap_bytes(), interner.heap_bytes());
         // Interning into the loaded copy keeps deduplicating.
         let mut loaded = loaded;
         assert_eq!(loaded.intern("publication"), symbols[0]);
         let fresh = loaded.intern("brand-new");
         assert_eq!(fresh.index(), labels.len());
+    }
+
+    /// A blob that holds a string twice would give it two symbols, and
+    /// `get` could find at most one of them: the load refuses it.
+    #[test]
+    fn a_repeated_string_is_corrupt() {
+        let mut enc = SectionEncoder::new();
+        enc.put_str("xyx");
+        enc.put_u32_slice(&[0, 1, 2, 3]);
+        let bytes = enc.into_bytes();
+        let mut dec = SectionDecoder::new(7, &bytes);
+        match Interner::read_snapshot(&mut dec) {
+            Err(SnapshotError::Corrupt { section, detail }) => {
+                assert_eq!(section, 7);
+                assert!(detail.contains("repeats"), "{detail}");
+            }
+            other => panic!("a repeated string must be corrupt, got {other:?}"),
+        }
     }
 }

@@ -8,10 +8,14 @@
 //! # comments and blank lines are ignored
 //! ```
 //!
-//! IRIs are written in angle brackets, literals in double quotes with `\"`
-//! and `\\` escapes. This is deliberately a small subset of W3C N-Triples —
-//! enough to persist and exchange the generated datasets and the paper's
-//! running example.
+//! IRIs are written in angle brackets, literals in double quotes. Reading
+//! decodes the escapes of W3C N-Triples — ECHAR (`\t \b \n \r \f \" \' \\`)
+//! and UCHAR (`\uXXXX`, `\UXXXXXXXX`) — and refuses any other; writing
+//! escapes `"`, `\`, line feed and carriage return, so every written line is
+//! one N-Triples line. Otherwise this is deliberately a small subset of
+//! N-Triples (no blank nodes, datatypes or language tags) — enough to
+//! persist and exchange the generated datasets and the paper's running
+//! example.
 //!
 //! One layer reads and writes it: [`parse_line_ref`] parses a line into a
 //! borrowed [`TripleRef`] with a reused scratch buffer, [`ingest_ntriples`]
@@ -29,31 +33,55 @@ use crate::triple::TripleRef;
 use crate::Result;
 
 /// Streaming unescape into a caller-provided buffer; the inverse of
-/// [`write_escaped`].
-fn unescape_into(s: &str, out: &mut String) {
+/// [`write_escaped`]. Decodes ECHAR and UCHAR escapes (module doc); any
+/// other escape, or a code point that is not a Unicode scalar value, is
+/// the error message returned.
+fn unescape_into(s: &str, out: &mut String) -> std::result::Result<(), String> {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some(other) => out.push(other),
-                None => out.push('\\'),
-            }
-        } else {
+        if c != '\\' {
             out.push(c);
+            continue;
         }
+        let decoded = match chars.next() {
+            Some('t') => '\t',
+            Some('b') => '\u{8}',
+            Some('n') => '\n',
+            Some('r') => '\r',
+            Some('f') => '\u{c}',
+            Some(c @ ('"' | '\'' | '\\')) => c,
+            Some(u @ ('u' | 'U')) => {
+                let digits = if u == 'u' { 4 } else { 8 };
+                let rest = chars.as_str();
+                let hex = rest
+                    .get(..digits)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .ok_or_else(|| format!("`\\{u}` needs {digits} hex digits"))?;
+                chars = rest[digits..].chars();
+                u32::from_str_radix(hex, 16)
+                    .ok()
+                    .and_then(char::from_u32)
+                    .ok_or_else(|| format!("`\\{u}{hex}` is not a Unicode scalar value"))?
+            }
+            Some(other) => return Err(format!("unknown escape `\\{other}`")),
+            None => return Err("literal ends in a lone `\\`".to_string()),
+        };
+        out.push(decoded);
     }
+    Ok(())
 }
 
-/// Writes `s` with `"`/`\`/newline escaping, copying unescaped runs in bulk.
+/// Writes `s` with `"`, `\`, line-feed and carriage-return escaping,
+/// copying unescaped runs in bulk.
 fn write_escaped<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     let mut rest = s;
-    while let Some(i) = rest.find(['"', '\\', '\n']) {
+    while let Some(i) = rest.find(['"', '\\', '\n', '\r']) {
         w.write_all(&rest.as_bytes()[..i])?;
         match rest.as_bytes()[i] {
             b'"' => w.write_all(b"\\\"")?,
             b'\\' => w.write_all(b"\\\\")?,
-            _ => w.write_all(b"\\n")?,
+            b'\n' => w.write_all(b"\\n")?,
+            _ => w.write_all(b"\\r")?,
         }
         rest = &rest[i + 1..];
     }
@@ -212,7 +240,7 @@ pub fn parse_line_ref<'a>(
         RawTerm::Literal { raw, escaped } => {
             if escaped {
                 scratch.clear();
-                unescape_into(raw, &mut *scratch);
+                unescape_into(raw, &mut *scratch).map_err(|message| cursor.error(message))?;
                 TermRef::Literal(&scratch[..])
             } else {
                 TermRef::Literal(raw)
@@ -341,6 +369,39 @@ mod tests {
             "<p> <title> \"A \\\"quoted\\\" title \\\\ with backslash\\nand newline\" .\n"
         );
         assert_eq!(parse(doc.trim_end()), original);
+    }
+
+    /// N-Triples' ECHAR and UCHAR escapes decode to the characters they
+    /// name, and a written carriage return comes back as one.
+    #[test]
+    fn echar_and_uchar_escapes_decode() {
+        let line = r#"<s> <p> "a\tb\u00E9c\rd\U0001F600\b\f\'" ."#;
+        assert_eq!(
+            parse(line),
+            Triple::attribute("s", "p", "a\tb\u{e9}c\rd\u{1F600}\u{8}\u{c}'")
+        );
+        let original = Triple::attribute("p", "title", "carriage\rreturn");
+        let doc = document(&graph_of(std::slice::from_ref(&original)));
+        assert_eq!(doc, "<p> <title> \"carriage\\rreturn\" .\n");
+        assert_eq!(parse(doc.trim_end()), original);
+    }
+
+    /// A short or non-hex UCHAR, an escape N-Triples does not define and a
+    /// code point that is not a Unicode scalar value are parse errors on
+    /// their line.
+    #[test]
+    fn malformed_escapes_are_parse_errors() {
+        for literal in [r"\u12", r"\u12G4", r"\q", r"\uD800", r"\U00110000"] {
+            let doc = format!("<s> <q> <o> .\n<s> <p> \"{literal}\" .\n");
+            let mut g = DataGraph::new();
+            match ingest_ntriples(doc.as_bytes(), &mut g) {
+                Err(RdfError::Parse { line, message }) => {
+                    assert_eq!(line, 2, "{literal}");
+                    assert!(message.contains(&literal[..2]), "{literal}: {message}");
+                }
+                other => panic!("{literal} must be a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

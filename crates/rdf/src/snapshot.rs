@@ -42,8 +42,9 @@ pub const MAGIC: [u8; 8] = *b"KWSNAP\r\n";
 /// The container format version this build reads and writes. Version 2
 /// dropped the stored adjacency from the graph section, version 3 the
 /// triple-store section and version 4 the summary section: all three are
-/// derived from the graph on load.
-pub const FORMAT_VERSION: u32 = 4;
+/// derived from the graph on load. Version 5 dropped the interner's probe
+/// table, rebuilt from its strings on load, and the metadata section.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Upper bound on the section count (a snapshot has a handful of sections;
 /// anything larger is a corrupt header, not a bigger snapshot).
@@ -135,20 +136,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
-}
-
-/// Whether the checksum verification of [`SnapshotReader::read_from`]
-/// should fan out to helper threads.
-///
-/// On a single-core host the scoped-thread path is strictly worse: the work
-/// serialises anyway, and each helper thread allocates from a fresh malloc
-/// arena instead of the warmed main-thread heap. The serial twin reports the
-/// same result.
-fn parallel_load() -> bool {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        > 1
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -266,11 +253,6 @@ impl<'a> SectionDecoder<'a> {
             section: self.section,
             detail: detail.into(),
         }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -469,7 +451,7 @@ impl SnapshotReader {
             table.push((id, len, checksum));
         }
         let mut sections = Vec::with_capacity(table.len());
-        for &(id, len, _) in &table {
+        for (id, len, checksum) in table {
             // `take` + `read_to_end` grows with the data actually present,
             // so a corrupt huge length yields `Truncated`, not a huge alloc.
             let mut payload = Vec::new();
@@ -477,48 +459,10 @@ impl SnapshotReader {
             if got as u64 != len {
                 return Err(SnapshotError::Truncated);
             }
+            if checksum64(&payload) != checksum {
+                return Err(SnapshotError::ChecksumMismatch { section: id });
+            }
             sections.push((id, payload));
-        }
-        // The payloads are in memory now; verify their checksums — in
-        // parallel on multicore hosts (still before a single payload byte
-        // is *parsed*: the integrity guarantee is the ordering of verify
-        // vs. parse, not of the verifications among themselves). On a
-        // mismatch the first failing section in file order is reported,
-        // identically on both paths.
-        let failed = if parallel_load() {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sections
-                    .iter()
-                    .zip(&table)
-                    .map(|((id, payload), &(_, _, checksum))| {
-                        scope.spawn(move || {
-                            if checksum64(payload) != checksum {
-                                Some(*id)
-                            } else {
-                                None
-                            }
-                        })
-                    })
-                    .collect();
-                let mut failed = None;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Some(id)) => failed = failed.or(Some(id)),
-                        Ok(None) => {}
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-                failed
-            })
-        } else {
-            sections
-                .iter()
-                .zip(&table)
-                .find(|((_, payload), &(_, _, checksum))| checksum64(payload) != checksum)
-                .map(|((id, _), _)| *id)
-        };
-        if let Some(section) = failed {
-            return Err(SnapshotError::ChecksumMismatch { section });
         }
         Ok(Self { sections })
     }
@@ -530,11 +474,6 @@ impl SnapshotReader {
             .find(|(sid, _)| *sid == id)
             .map(|(_, payload)| SectionDecoder::new(id, payload))
             .ok_or(SnapshotError::MissingSection { section: id })
-    }
-
-    /// Ids of the sections present, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.sections.iter().map(|(id, _)| *id).collect()
     }
 }
 

@@ -20,6 +20,38 @@ fn literal_value() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[ -~]{0,12}").expect("valid regex")
 }
 
+/// A literal built from characters the writer must escape or may pass
+/// through raw: control characters, quotes, backslashes, the letters of
+/// escape sequences and non-ASCII text.
+fn awkward_literal() -> impl Strategy<Value = String> {
+    const CHARS: [char; 22] = [
+        '\n',
+        '\r',
+        '\t',
+        '\u{8}',
+        '\u{c}',
+        '\u{0}',
+        '\u{7f}',
+        '"',
+        '\'',
+        '\\',
+        'u',
+        'U',
+        'n',
+        'r',
+        '0',
+        'F',
+        ' ',
+        '\u{e9}',
+        '\u{df}',
+        '\u{6f22}',
+        '\u{1f600}',
+        '\u{2028}',
+    ];
+    proptest::collection::vec(0..CHARS.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+}
+
 /// A random well-formed triple.
 fn triple() -> impl Strategy<Value = Triple> {
     prop_oneof![
@@ -64,6 +96,25 @@ proptest! {
         original.sort();
         round_tripped.sort();
         prop_assert_eq!(original, round_tripped);
+    }
+
+    /// Literals with control characters, quotes, backslashes and non-ASCII
+    /// text survive `write_graph_to` → `ingest_ntriples`: the graph read
+    /// back is the graph written, triple for triple and in order.
+    #[test]
+    fn awkward_literals_round_trip(values in proptest::collection::vec(awkward_literal(), 1..12)) {
+        let mut graph = DataGraph::new();
+        for (i, value) in values.iter().enumerate() {
+            graph
+                .insert_triple(&Triple::attribute(format!("e{i}"), "note", value.clone()))
+                .expect("an attribute triple is well-formed");
+        }
+        let mut document = Vec::new();
+        ntriples::write_graph_to(&graph, &mut document).expect("writes to memory");
+        let mut reparsed = DataGraph::new();
+        ntriples::ingest_ntriples(document.as_slice(), &mut reparsed).expect("round-trip parses");
+        prop_assert_eq!(reparsed.vertex_count(), graph.vertex_count());
+        prop_assert_eq!(reparsed.triples(), graph.triples());
     }
 
     /// Inserting the same triples twice never creates additional vertices or

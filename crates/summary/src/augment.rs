@@ -292,11 +292,6 @@ impl<'g> AugmentedSummaryGraph<'g> {
     // Accessors used by the exploration and the query mapping
     // ------------------------------------------------------------------
 
-    /// The underlying data graph.
-    pub fn data_graph(&self) -> &'g DataGraph {
-        self.graph
-    }
-
     /// Number of nodes (base + augmented).
     pub fn node_count(&self) -> usize {
         self.nodes.len()

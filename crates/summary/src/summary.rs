@@ -369,16 +369,6 @@ impl SummaryGraph {
         self.total_relation_edges
     }
 
-    /// A human-readable label for a node.
-    pub fn node_label<'g>(&self, graph: &'g DataGraph, id: SummaryNodeId) -> &'g str {
-        match self.nodes[id.index()].kind {
-            SummaryNodeKind::Class { class } => graph.vertex_label(class),
-            SummaryNodeKind::Thing => kwsearch_rdf::vocab::THING,
-            SummaryNodeKind::Value { value } => graph.vertex_label(value),
-            SummaryNodeKind::ArtificialValue => kwsearch_rdf::vocab::VALUE,
-        }
-    }
-
     /// A human-readable label for an edge.
     pub fn edge_label_name<'g>(&self, graph: &'g DataGraph, id: SummaryEdgeId) -> &'g str {
         match self.edges[id.index()].kind {

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::time::Instant;
+
 use searchwebdb::prelude::*;
 
 fn main() {
@@ -18,12 +20,13 @@ fn main() {
     );
 
     // 2. Off-line preprocessing: keyword index + summary graph + triple store.
+    let started = Instant::now();
     let prepared = PreparedGraph::index(graph);
     println!(
         "\nsummary graph: {} nodes, {} edges (built in {:?})",
         prepared.summary().node_count(),
         prepared.summary().edge_count(),
-        prepared.index_build_time()
+        started.elapsed()
     );
 
     // 3. The keyword query of the running example, as a streaming session:
