@@ -22,7 +22,7 @@
 //! | id | section | content |
 //! |----|---------|---------|
 //! | 2  | graph   | interner strings and offsets, vertex/edge columns |
-//! | 4  | keyword | analyzer + config + thesaurus + frozen posting lists |
+//! | 4  | keyword | analyzer + config + thesaurus + frozen posting lists + value connections |
 //!
 //! Id 1 held a metadata section (the build time and counts the graph section
 //! repeats) up to format version 4, id 3 the triple store up to version 2,

@@ -16,8 +16,22 @@
 //! | C1 (path length)        | `1` |
 //! | C2 (popularity)         | `1 − |n_agg| / |total|` |
 //! | C3 (popularity + match) | `c2(n) / s_m(n)` |
+//!
+//! The popularity of a node is `|v_agg| / |V_E|` and of an edge
+//! `|e_agg| / |E_R|`: the aggregation count of the summary element over the
+//! total number of E-vertices or R-edges. The paper divides by the totals
+//! "of the summary graph"; we normalise by the data-graph totals instead, so
+//! the ratio is a true fraction of the data that the element represents and
+//! the cost stays in `[MIN_ELEMENT_COST, 1]` — a deliberate deviation from
+//! the paper's wording. Elements added during augmentation aggregate a
+//! single data element and are therefore "unpopular" (cost close to 1):
+//! query-specific detours are not free.
 
-use kwsearch_summary::{AugmentedSummaryGraph, CostModel, SummaryElement};
+use kwsearch_summary::{AugmentedSummaryGraph, SummaryElement};
+
+/// Minimum element cost, keeping costs strictly positive so that longer
+/// paths always cost more than their prefixes.
+pub const MIN_ELEMENT_COST: f64 = 0.05;
 
 /// Which of the paper's cost functions to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -56,10 +70,10 @@ impl ScoringFunction {
     /// The cost `c(n)` of a single element of the augmented summary graph.
     pub fn element_cost(self, graph: &AugmentedSummaryGraph<'_>, element: SummaryElement) -> f64 {
         match self {
-            ScoringFunction::PathLength => CostModel::Uniform.element_cost(graph, element),
-            ScoringFunction::Popularity => CostModel::Popularity.element_cost(graph, element),
+            ScoringFunction::PathLength => 1.0,
+            ScoringFunction::Popularity => popularity_cost(graph, element),
             ScoringFunction::PopularityAndMatch => {
-                let base = CostModel::Popularity.element_cost(graph, element);
+                let base = popularity_cost(graph, element);
                 let s_m = graph.match_score(element).clamp(f64::EPSILON, 1.0);
                 base / s_m
             }
@@ -95,6 +109,21 @@ impl ScoringFunction {
     }
 }
 
+/// The C2 cost of `element`: one minus its popularity (module doc),
+/// floored at [`MIN_ELEMENT_COST`]; 1 when the data graph has no element of
+/// its kind.
+fn popularity_cost(graph: &AugmentedSummaryGraph<'_>, element: SummaryElement) -> f64 {
+    let total = match element {
+        SummaryElement::Node(_) => graph.total_entities(),
+        SummaryElement::Edge(_) => graph.total_relation_edges(),
+    };
+    if total == 0 {
+        return 1.0;
+    }
+    let popularity = (graph.aggregated(element) as f64 / total as f64).min(1.0);
+    (1.0 - popularity).max(MIN_ELEMENT_COST)
+}
+
 impl std::fmt::Display for ScoringFunction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.short_name())
@@ -114,6 +143,53 @@ mod tests {
         let index = KeywordIndex::build(graph);
         let matches = index.lookup_all(keywords);
         AugmentedSummaryGraph::build(graph, &base, &matches)
+    }
+
+    #[test]
+    fn uniform_costs_are_all_one() {
+        let g = figure1_graph();
+        let aug = augmented(&g, &["aifb"]);
+        for element in aug.elements() {
+            assert_eq!(ScoringFunction::PathLength.element_cost(&aug, element), 1.0);
+        }
+    }
+
+    #[test]
+    fn popularity_costs_are_bounded_and_positive() {
+        let g = figure1_graph();
+        let aug = augmented(&g, &["2006", "cimiano", "aifb"]);
+        for element in aug.elements() {
+            let cost = ScoringFunction::Popularity.element_cost(&aug, element);
+            assert!(cost >= MIN_ELEMENT_COST - 1e-12);
+            assert!(cost <= 1.0);
+        }
+    }
+
+    #[test]
+    fn popular_elements_cost_less() {
+        let g = figure1_graph();
+        let base = SummaryGraph::build(&g);
+        let aug = augmented(&g, &["aifb"]);
+        // Publication aggregates 2 of 8 entities; Agent aggregates 0.
+        let publication =
+            SummaryElement::Node(base.node_of_class(g.class("Publication").unwrap()).unwrap());
+        let agent = SummaryElement::Node(base.node_of_class(g.class("Agent").unwrap()).unwrap());
+        let c_pub = ScoringFunction::Popularity.element_cost(&aug, publication);
+        let c_agent = ScoringFunction::Popularity.element_cost(&aug, agent);
+        assert!(c_pub < c_agent);
+        assert_eq!(c_agent, 1.0);
+    }
+
+    #[test]
+    fn augmented_elements_are_unpopular() {
+        let g = figure1_graph();
+        let aug = augmented(&g, &["aifb"]);
+        let value_node = aug.keyword_elements()[0][0].element;
+        let cost = ScoringFunction::Popularity.element_cost(&aug, value_node);
+        assert!(
+            cost > 0.8,
+            "a single-value node should be expensive, got {cost}"
+        );
     }
 
     #[test]

@@ -188,11 +188,12 @@ fn foreign_files_are_rejected_by_magic() {
 fn future_format_versions_are_rejected_with_the_found_version() {
     let bytes = saved_bytes(&PreparedGraph::index(figure1_graph()));
     // The version field is the little-endian u32 right after the magic. An
-    // older file is refused as firmly as a newer one: version 4 carried a
-    // metadata section and the interner's probe table, version 3 a summary
-    // section, and version 1 adjacency columns in the graph section, which
-    // this build must never read.
-    for other in [FORMAT_VERSION + 1, 4, 3, 1] {
+    // older file is refused as firmly as a newer one: version 5 carried
+    // attribute classes in the keyword section, version 4 a metadata
+    // section and the interner's probe table, version 3 a summary section,
+    // and version 1 adjacency columns in the graph section, which this
+    // build must never read.
+    for other in [FORMAT_VERSION + 1, 5, 4, 3, 1] {
         let mut bytes = bytes.clone();
         bytes[8..12].copy_from_slice(&other.to_le_bytes());
         assert!(matches!(
@@ -386,10 +387,10 @@ fn mutated_sections_load_or_fail_typed() {
 /// both; if only the content did (a new thesaurus entry, say), re-pin the
 /// checksums alone.
 const FIGURE1_LAYOUT: (u32, [(u32, u64); 2]) = (
-    5,
+    6,
     [
         (SECTION_GRAPH, 0x892007239f21f7a1),
-        (SECTION_KEYWORD, 0x0ad10af5836010e5),
+        (SECTION_KEYWORD, 0xe6ec538198afd266),
     ],
 );
 

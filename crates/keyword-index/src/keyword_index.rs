@@ -2,11 +2,11 @@
 //!
 //! For every keyword the index returns the graph elements whose labels are
 //! syntactically or semantically similar, together with a matching score
-//! `s_m ∈ [0, 1]` and — for V-vertices and A-edges — the neighbourhood data
-//! structures (`[V-vertex, A-edge, (C-vertex1…n)]` and
-//! `[A-edge, (C-vertex1…n)]`) that the summary-graph augmentation
-//! (Definition 5) needs in order to attach the matched element to the right
-//! classes.
+//! `s_m ∈ [0, 1]` and — for V-vertices — the neighbourhood data structure
+//! `[V-vertex, A-edge, (C-vertex1…n)]` that the summary-graph augmentation
+//! (Definition 5) needs in order to attach the matched value to the right
+//! classes. The classes of an A-edge label, `[A-edge, (C-vertex1…n)]`, are
+//! schema-level: the summary graph records them, not this index.
 //!
 //! E-vertices are not indexed; classes, values, relation labels and
 //! attribute labels are.
@@ -22,7 +22,7 @@ use kwsearch_rdf::{
 
 use crate::analyzer::{rough_tokens, Analyzer};
 use crate::levenshtein::bounded_levenshtein;
-use crate::postings::{pack, unpack, AttributeTable, ConnectionTable, PostingLists};
+use crate::postings::{pack, unpack, ConnectionTable, PostingLists};
 use crate::thesaurus::Thesaurus;
 
 /// Reference to an indexable graph element.
@@ -65,14 +65,11 @@ pub enum MatchedElement {
         /// The matched relation label.
         label: EdgeLabelId,
     },
-    /// The keyword matched an attribute (A-edge) label.
+    /// The keyword matched an attribute (A-edge) label; the summary graph
+    /// knows the classes of the entities using it.
     Attribute {
         /// The matched attribute label.
         label: EdgeLabelId,
-        /// Classes of the entities using this attribute.
-        classes: Vec<VertexId>,
-        /// Whether some entity using this attribute is untyped.
-        has_untyped_source: bool,
     },
     /// The keyword matched a data value (V-vertex).
     Value {
@@ -90,7 +87,7 @@ impl MatchedElement {
         match self {
             MatchedElement::Class { class } => ElementRef::Class(*class),
             MatchedElement::Relation { label } => ElementRef::Relation(*label),
-            MatchedElement::Attribute { label, .. } => ElementRef::Attribute(*label),
+            MatchedElement::Attribute { label } => ElementRef::Attribute(*label),
             MatchedElement::Value { value, .. } => ElementRef::Value(*value),
         }
     }
@@ -152,15 +149,11 @@ struct DeltaIndex {
     /// that are new or whose neighbourhood changed; consulted before the
     /// frozen [`ConnectionTable`].
     values: HashMap<VertexId, Vec<ValueConnection>>,
-    /// Overridden `(C-vertex…)` structures for attribute labels that are
-    /// new or whose usage changed; consulted before the frozen
-    /// [`AttributeTable`].
-    attributes: HashMap<EdgeLabelId, (Vec<VertexId>, bool)>,
 }
 
 impl DeltaIndex {
     fn is_empty(&self) -> bool {
-        self.terms.is_empty() && self.values.is_empty() && self.attributes.is_empty()
+        self.terms.is_empty() && self.values.is_empty()
     }
 
     fn get_packed(&self, term: &str) -> &[u32] {
@@ -189,7 +182,7 @@ impl DeltaIndex {
             .iter()
             .map(|(t, p)| t.len() + p.len() * std::mem::size_of::<u32>())
             .sum::<usize>()
-            + (self.values.len() + self.attributes.len()) * 64
+            + self.values.len() * 64
     }
 }
 
@@ -198,8 +191,9 @@ impl DeltaIndex {
 /// Construction analyzes each distinct rough token of the labels once,
 /// counting-sorts the `(term, element)` postings on term rank and writes
 /// straight into flat, offset-indexed columns ([`PostingLists`],
-/// [`ConnectionTable`], [`AttributeTable`]) — the shape that both lookups
-/// and disk snapshots operate on. The frozen columns are
+/// [`ConnectionTable`]) — the shape that both lookups and disk snapshots
+/// operate on. Everything it holds is per element and instance-level: the
+/// vocabulary and, per value, its connections. The frozen columns are
 /// `Arc`-shared, so cloning an index (the live-update snapshot path) costs
 /// O(delta), and live writes land in a small `DeltaIndex` overlay that
 /// every lookup unions with the frozen side.
@@ -210,7 +204,6 @@ pub struct KeywordIndex {
     config: KeywordIndexConfig,
     postings: Arc<PostingLists>,
     values: Arc<ConnectionTable>,
-    attributes: Arc<AttributeTable>,
     delta: DeltaIndex,
     indexed_elements: usize,
 }
@@ -233,7 +226,7 @@ impl KeywordIndex {
     /// alphanumerics) is analyzed once, every label posts `(term, element)`
     /// pairs, and the postings are placed by a stable counting sort on term
     /// rank. The
-    /// neighbourhood tables read the classes of every entity from one
+    /// value connections read the classes of every entity from one
     /// [`DataGraph::entity_classes`] table.
     pub fn build_with(
         graph: &DataGraph,
@@ -275,38 +268,15 @@ impl KeywordIndex {
             }
         }
 
-        // Edge labels (relations and attributes), together with the
-        // [A-edge, (C-vertex…)] data for attributes. `edge_labels` yields
-        // ascending label ids.
-        let mut attribute_labels = Vec::new();
+        // Edge labels (relations and attributes), in ascending label ids.
         for (label_id, label) in graph.edge_labels() {
-            match label {
-                EdgeLabel::Relation(sym) => {
-                    vocabulary.post(
-                        &analyzer,
-                        graph.resolve(sym),
-                        ElementRef::Relation(label_id),
-                    );
-                    indexed_elements += 1;
-                }
-                EdgeLabel::Attribute(sym) => {
-                    vocabulary.post(
-                        &analyzer,
-                        graph.resolve(sym),
-                        ElementRef::Attribute(label_id),
-                    );
-                    indexed_elements += 1;
-                    attribute_labels.push(label_id);
-                }
-                EdgeLabel::Type | EdgeLabel::SubClass => {}
-            }
-        }
-        let mut attributes = AttributeTable::default();
-        for (&label_id, (classes, has_untyped)) in attribute_labels
-            .iter()
-            .zip(classes_of_attributes(graph, &attribute_labels, classes_of))
-        {
-            attributes.push(label_id, &classes, has_untyped);
+            let (sym, element) = match label {
+                EdgeLabel::Relation(sym) => (sym, ElementRef::Relation(label_id)),
+                EdgeLabel::Attribute(sym) => (sym, ElementRef::Attribute(label_id)),
+                EdgeLabel::Type | EdgeLabel::SubClass => continue,
+            };
+            vocabulary.post(&analyzer, graph.resolve(sym), element);
+            indexed_elements += 1;
         }
 
         Self {
@@ -315,7 +285,6 @@ impl KeywordIndex {
             thesaurus,
             config,
             values: Arc::new(values),
-            attributes: Arc::new(attributes),
             delta: DeltaIndex::default(),
             indexed_elements,
         }
@@ -334,15 +303,10 @@ impl KeywordIndex {
     /// included, since a value arrives with its first A-edge) are recomputed
     /// from `graph` through the build's own per-value function, with the
     /// classes read off the graph's out-edges instead of a whole-graph
-    /// table. An attribute label's `(C-vertex…)` structure is its current
-    /// one (delta first, then frozen) with the batch folded in: the classes
-    /// of the subjects of new A-edges, and the new classes of re-typed
-    /// subjects. Only an entity typed for the first time can clear a
-    /// label's untyped flag; the labels of its earlier A-edges are
-    /// rescanned. A write costs `O(delta)` but for that rescan; a new
-    /// label's terms are [`Analyzer::analyze_unique`], which the build's
-    /// memoized analysis equals. Lookups stay bit-identical to a fresh index
-    /// over the merged graph.
+    /// table. A write costs `O(delta)`; a new label's terms are
+    /// [`Analyzer::analyze_unique`], which the build's memoized analysis
+    /// equals. Lookups stay bit-identical to a fresh index over the merged
+    /// graph.
     pub fn apply_delta(
         &mut self,
         graph: &DataGraph,
@@ -375,59 +339,23 @@ impl KeywordIndex {
             self.indexed_elements += 1;
         }
 
-        // No whole-graph class table here: a write reads the classes of the
-        // few entities it reaches off their out-edges.
-        let classes_of = |entity| graph.classes_iter(entity);
-        let frozen = &self.attributes;
-        let attributes = &mut self.delta.attributes;
-        let mut fold = |label, class: Option<VertexId>| {
-            let (classes, has_untyped) = attributes
-                .entry(label)
-                .or_insert_with(|| frozen.get(label).unwrap_or_default());
-            match class {
-                Some(class) => {
-                    if let Err(at) = classes.binary_search(&class) {
-                        classes.insert(at, class);
-                    }
-                }
-                None => *has_untyped = true,
-            }
-        };
-        let is_old = |e: &EdgeId| e.index() < old_edges;
         let mut values = Vec::new();
-        let mut rescan = Vec::new();
         for e in (old_edges..graph.edge_count()).map(|i| EdgeId::from_index(i as u32)) {
             let edge = graph.edge(e);
             match graph.edge_label(edge.label) {
-                EdgeLabel::Attribute(_) => {
-                    values.push(edge.to);
-                    let mut typed = false;
-                    for class in classes_of(edge.from) {
-                        typed = true;
-                        fold(edge.label, Some(class));
-                    }
-                    if !typed {
-                        fold(edge.label, None);
-                    }
-                }
-                EdgeLabel::Type => {
-                    let was_untyped = !graph.out_edges(edge.from).iter().any(|e| {
-                        is_old(e) && graph.edge_label(graph.edge(*e).label) == EdgeLabel::Type
-                    });
-                    for out_edge in graph.out_edges(edge.from) {
-                        let out = graph.edge(*out_edge);
-                        if !matches!(graph.edge_label(out.label), EdgeLabel::Attribute(_)) {
-                            continue;
-                        }
-                        // A re-typed entity changes the class lists inside
-                        // the structures of every value it reaches.
-                        values.push(out.to);
-                        fold(out.label, Some(edge.to));
-                        if was_untyped && is_old(out_edge) {
-                            rescan.push(out.label);
-                        }
-                    }
-                }
+                EdgeLabel::Attribute(_) => values.push(edge.to),
+                // A re-typed entity changes the class lists inside the
+                // structures of every value it reaches.
+                EdgeLabel::Type => values.extend(
+                    graph
+                        .out_edges(edge.from)
+                        .iter()
+                        .map(|&out| graph.edge(out))
+                        .filter(|out| {
+                            matches!(graph.edge_label(out.label), EdgeLabel::Attribute(_))
+                        })
+                        .map(|out| out.to),
+                ),
                 // Neither relations nor classes carry enrichment.
                 EdgeLabel::Relation(_) | EdgeLabel::SubClass => {}
             }
@@ -435,6 +363,9 @@ impl KeywordIndex {
 
         values.sort_unstable();
         values.dedup();
+        // No whole-graph class table here: a write reads the classes of the
+        // few entities it reaches off their out-edges.
+        let classes_of = |entity| graph.classes_iter(entity);
         let mut links = Vec::new();
         for v in values {
             value_links(graph, v, classes_of, &mut links);
@@ -446,14 +377,6 @@ impl KeywordIndex {
                 })
                 .collect();
             self.delta.values.insert(v, value_connections);
-        }
-        if !rescan.is_empty() {
-            rescan.sort_unstable();
-            rescan.dedup();
-            let rescanned = classes_of_attributes(graph, &rescan, classes_of);
-            self.delta
-                .attributes
-                .extend(rescan.into_iter().zip(rescanned));
         }
     }
 
@@ -625,20 +548,7 @@ impl KeywordIndex {
         match element {
             ElementRef::Class(class) => MatchedElement::Class { class },
             ElementRef::Relation(label) => MatchedElement::Relation { label },
-            ElementRef::Attribute(label) => {
-                let (classes, has_untyped_source) = self
-                    .delta
-                    .attributes
-                    .get(&label)
-                    .cloned()
-                    .or_else(|| self.attributes.get(label))
-                    .unwrap_or_default();
-                MatchedElement::Attribute {
-                    label,
-                    classes,
-                    has_untyped_source,
-                }
-            }
+            ElementRef::Attribute(label) => MatchedElement::Attribute { label },
             ElementRef::Value(value) => MatchedElement::Value {
                 value,
                 connections: self
@@ -668,10 +578,7 @@ impl KeywordIndex {
 
     /// Approximate heap size in bytes (Fig. 6b index-size report).
     pub fn heap_bytes(&self) -> usize {
-        self.postings.heap_bytes()
-            + self.values.heap_bytes()
-            + self.attributes.heap_bytes()
-            + self.delta.heap_bytes()
+        self.postings.heap_bytes() + self.values.heap_bytes() + self.delta.heap_bytes()
     }
 
     /// The configuration in use.
@@ -680,7 +587,7 @@ impl KeywordIndex {
     }
 
     /// Serialises the complete index — analysis configuration, thesaurus,
-    /// frozen posting lists and augmentation side tables — into one section.
+    /// frozen posting lists and value connections — into one section.
     pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
         assert!(
             !self.has_delta(),
@@ -697,12 +604,11 @@ impl KeywordIndex {
         self.thesaurus.write_snapshot(enc);
         self.postings.write_snapshot(enc);
         self.values.write_snapshot(enc);
-        self.attributes.write_snapshot(enc);
         enc.put_u64(self.indexed_elements as u64);
     }
 
     /// Reads an index serialised by [`Self::write_snapshot`] for `graph`.
-    /// The posting lists and side tables load as bulk buffer reads; only the
+    /// The posting lists and connections load as bulk buffer reads; only the
     /// small thesaurus is re-hashed. Every vertex and label id they hold
     /// must name an element of `graph` of the kind its tag says (a class or
     /// value vertex, a relation or attribute label); any other id is
@@ -726,12 +632,10 @@ impl KeywordIndex {
         let thesaurus = Thesaurus::read_snapshot(dec)?;
         let postings = Arc::new(PostingLists::read_snapshot(dec)?);
         let values = Arc::new(ConnectionTable::read_snapshot(dec)?);
-        let attributes = Arc::new(AttributeTable::read_snapshot(dec)?);
         let indexed_elements = dec.get_u64()? as usize;
         if let Some(stray) = postings
             .elements()
             .chain(values.elements())
-            .chain(attributes.elements())
             .find(|&element| !is_element_of(graph, element))
         {
             return Err(dec.corrupt(format!("{stray:?} is not an element of the data graph")));
@@ -742,7 +646,6 @@ impl KeywordIndex {
             config,
             postings,
             values,
-            attributes,
             delta: DeltaIndex::default(),
             indexed_elements,
         })
@@ -863,40 +766,6 @@ fn connections(
     })
 }
 
-/// Collects, for each of the distinct `labels`, the classes of all entities
-/// that carry it (ascending) and whether an untyped one does — in one pass
-/// over the edges, so a build costs O(edges), not O(labels × edges), and
-/// with no allocation per edge. `classes_of` is as for [`value_links`].
-fn classes_of_attributes<I: Iterator<Item = VertexId>>(
-    graph: &DataGraph,
-    labels: &[EdgeLabelId],
-    classes_of: impl Fn(VertexId) -> I,
-) -> Vec<(Vec<VertexId>, bool)> {
-    let mut slot = vec![usize::MAX; graph.edge_label_count()];
-    for (i, label) in labels.iter().enumerate() {
-        slot[label.index()] = i;
-    }
-    let mut out = vec![(Vec::new(), false); labels.len()];
-    for e in graph.edges() {
-        let edge = graph.edge(e);
-        let Some((classes, has_untyped)) = out.get_mut(slot[edge.label.index()]) else {
-            continue;
-        };
-        let mut typed = false;
-        for c in classes_of(edge.from) {
-            typed = true;
-            if !classes.contains(&c) {
-                classes.push(c);
-            }
-        }
-        *has_untyped |= !typed;
-    }
-    for (classes, _) in &mut out {
-        classes.sort_unstable();
-    }
-    out
-}
-
 /// Whether `element` names a vertex or label of `graph` of its own kind.
 fn is_element_of(graph: &DataGraph, element: ElementRef) -> bool {
     let vertex_is =
@@ -917,50 +786,9 @@ mod tests {
     use super::*;
     use kwsearch_rdf::fixtures::figure1_graph;
 
-    /// Every indexable element of `g`.
-    fn elements(g: &DataGraph) -> Vec<ElementRef> {
-        let mut out: Vec<ElementRef> = g
-            .vertices_of_kind(VertexKind::Class)
-            .map(ElementRef::Class)
-            .chain(g.vertices_of_kind(VertexKind::Value).map(ElementRef::Value))
-            .collect();
-        for (id, label) in g.edge_labels() {
-            match label {
-                EdgeLabel::Relation(_) => out.push(ElementRef::Relation(id)),
-                EdgeLabel::Attribute(_) => out.push(ElementRef::Attribute(id)),
-                EdgeLabel::Type | EdgeLabel::SubClass => {}
-            }
-        }
-        out
-    }
-
-    /// The per-label scan that [`KeywordIndex::classes_of_attributes`]
-    /// replaced: the oracle its one pass must equal, label by label.
-    fn classes_of_attribute(graph: &DataGraph, label: EdgeLabelId) -> (Vec<VertexId>, bool) {
-        let mut classes = Vec::new();
-        let mut has_untyped = false;
-        for e in graph.edges() {
-            let edge = graph.edge(e);
-            if edge.label != label {
-                continue;
-            }
-            let entity_classes = graph.classes_of(edge.from);
-            if entity_classes.is_empty() {
-                has_untyped = true;
-            }
-            for c in entity_classes {
-                if !classes.contains(&c) {
-                    classes.push(c);
-                }
-            }
-        }
-        classes.sort();
-        (classes, has_untyped)
-    }
-
     /// The build before the one-pass vocabulary: every label analyzed in
-    /// full into a term-ordered `BTreeMap`, a `HashMap` and a `classes_of`
-    /// `Vec` per value, and the per-label attribute scan.
+    /// full into a term-ordered `BTreeMap`, and a `HashMap` and a
+    /// `classes_of` `Vec` per value.
     /// [`KeywordIndex::build_with`] must equal it to the snapshot byte.
     fn reference_build(
         graph: &DataGraph,
@@ -989,7 +817,6 @@ mod tests {
                 values.push_connection(conn.attribute, classes, conn.has_untyped_source);
             }
         }
-        let mut attributes = AttributeTable::default();
         for (label_id, label) in graph.edge_labels() {
             match label {
                 EdgeLabel::Relation(sym) => {
@@ -997,8 +824,6 @@ mod tests {
                 }
                 EdgeLabel::Attribute(sym) => {
                     post(graph.resolve(sym), ElementRef::Attribute(label_id));
-                    let (classes, has_untyped) = classes_of_attribute(graph, label_id);
-                    attributes.push(label_id, &classes, has_untyped);
                 }
                 EdgeLabel::Type | EdgeLabel::SubClass => {}
             }
@@ -1009,7 +834,6 @@ mod tests {
             config,
             postings: Arc::new(PostingLists::from_map(&index)),
             values: Arc::new(values),
-            attributes: Arc::new(attributes),
             delta: DeltaIndex::default(),
             indexed_elements,
         }
@@ -1260,19 +1084,13 @@ mod tests {
         )));
 
         let matches = idx.lookup("year");
-        let attr = matches
-            .iter()
-            .find_map(|m| match &m.element {
-                MatchedElement::Attribute { label, classes, .. }
-                    if g.edge_label_name(*label) == "year" =>
-                {
-                    Some(classes)
-                }
-                _ => None,
-            })
-            .expect("year should match the attribute label");
-        let class_labels: Vec<&str> = attr.iter().map(|&c| g.vertex_label(c)).collect();
-        assert_eq!(class_labels, vec!["Publication"]);
+        assert!(
+            matches.iter().any(|m| matches!(
+                &m.element,
+                MatchedElement::Attribute { label } if g.edge_label_name(*label) == "year"
+            )),
+            "year should match the attribute label"
+        );
     }
 
     #[test]
@@ -1453,27 +1271,16 @@ mod tests {
                 Triple::attribute("pub9URI", "title", "Graph Summaries"),
                 Triple::attribute("pub9URI", "year", "2006"),
             ],
-            // an attribute write on a typed subject: "year" gains the
-            // class Institute;
+            // an attribute write on a typed subject: a new value reached
+            // from an Institute;
             vec![Triple::attribute("inst1URI", "year", "2007")],
-            // an untyped subject: "year" gains its untyped flag;
+            // an untyped subject: "2009" gains an untyped source;
             vec![Triple::attribute("draftURI", "year", "2009")],
-            // and that subject typed: the flag clears again;
+            // and that subject typed: the source gains a class;
             vec![Triple::typed("draftURI", "Poster")],
-            // a typed subject re-typed: "name" and "year" gain a class.
+            // a typed subject re-typed: "AIFB" and "2007" gain a class.
             vec![Triple::typed("inst1URI", "Organisation")],
         ];
-        let year = g.edge_labels_named("year")[0];
-        let year_is_untyped = |idx: &KeywordIndex| {
-            matches!(
-                idx.enrich(ElementRef::Attribute(year)),
-                MatchedElement::Attribute {
-                    has_untyped_source: true,
-                    ..
-                }
-            )
-        };
-        let mut untyped_flags = Vec::new();
         for batch in &batches {
             let (nv, nl, ne) = (g.vertex_count(), g.edge_label_count(), g.edge_count());
             for t in batch {
@@ -1481,7 +1288,6 @@ mod tests {
             }
             idx.apply_delta(&g, nv, nl, ne);
             assert!(idx.has_delta());
-            untyped_flags.push(year_is_untyped(&idx));
 
             let fresh = KeywordIndex::build(&g);
             for keyword in [
@@ -1516,7 +1322,6 @@ mod tests {
             }
             assert_eq!(idx.element_count(), fresh.element_count());
         }
-        assert_eq!(untyped_flags, [false, false, true, false, false]);
     }
 
     #[test]
@@ -1697,29 +1502,6 @@ mod tests {
             (label(), label(), 0usize..6)
         }
 
-        /// A `type` or an attribute triple over a few entities, classes and
-        /// attribute labels: entities may carry several classes or none.
-        fn typing_row() -> impl Strategy<Value = Triple> {
-            (0usize..8, 0usize..3, 0usize..4, 0usize..4).prop_map(|(e, kind, c, a)| {
-                let entity = format!("e{e}");
-                if kind == 0 {
-                    Triple::typed(entity, format!("C{c}"))
-                } else {
-                    Triple::attribute(entity, format!("a{a}"), format!("v{c}"))
-                }
-            })
-        }
-
-        /// The classes and untyped flag `idx` enriches attribute `label`
-        /// with, delta first.
-        fn stored_classes(idx: &KeywordIndex, label: EdgeLabelId) -> Option<(Vec<VertexId>, bool)> {
-            idx.delta
-                .attributes
-                .get(&label)
-                .cloned()
-                .or_else(|| idx.attributes.get(label))
-        }
-
         /// One piece of a label: words, capitalized and all-caps runs,
         /// digit runs, non-ASCII letters (final sigma included), stop
         /// words and a small pool of repeated words.
@@ -1810,42 +1592,6 @@ mod tests {
                 }
                 for keyword in &keywords {
                     assert_matches_reference(&idx, keyword);
-                }
-            }
-
-            /// The one-pass attribute classes of a build, and of an
-            /// `apply_delta` batch, equal the per-label scan on every
-            /// attribute label.
-            #[test]
-            fn attribute_classes_equal_the_per_label_scan(
-                base in proptest::collection::vec(typing_row(), 1..24),
-                batch in proptest::collection::vec(typing_row(), 1..8),
-            ) {
-                let mut g = DataGraph::new();
-                for t in &base {
-                    g.insert_triple(t).unwrap();
-                }
-                let mut idx = KeywordIndex::build(&g);
-                let attributes = |g: &DataGraph| -> Vec<EdgeLabelId> {
-                    elements(g)
-                        .into_iter()
-                        .filter_map(|e| match e {
-                            ElementRef::Attribute(l) => Some(l),
-                            _ => None,
-                        })
-                        .collect()
-                };
-                for l in attributes(&g) {
-                    prop_assert_eq!(stored_classes(&idx, l), Some(classes_of_attribute(&g, l)));
-                }
-
-                let (nv, nl, ne) = (g.vertex_count(), g.edge_label_count(), g.edge_count());
-                for t in &batch {
-                    g.insert_triple(t).unwrap();
-                }
-                idx.apply_delta(&g, nv, nl, ne);
-                for l in attributes(&g) {
-                    prop_assert_eq!(stored_classes(&idx, l), Some(classes_of_attribute(&g, l)));
                 }
             }
         }

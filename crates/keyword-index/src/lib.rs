@@ -11,12 +11,12 @@
 //! * [`stopwords`] — the built-in English stop-word list,
 //! * [`levenshtein`](mod@levenshtein) — bounded edit distance for syntactic similarity,
 //! * [`thesaurus`] — synonym/hypernym expansion standing in for WordNet,
-//! * [`postings`] — the frozen flat posting lists and augmentation side
-//!   tables that lookups and disk snapshots operate on,
+//! * [`postings`] — the frozen flat posting lists and value connections
+//!   that lookups and disk snapshots operate on,
 //! * [`keyword_index`] — the keyword-to-element map returning, for each
 //!   keyword, the matching classes, values, relations and attributes with
-//!   their neighbourhood data structures (`[V-vertex, A-edge, (C-vertex…)]`)
-//!   and matching scores `s_m ∈ [0, 1]`.
+//!   the values' neighbourhood data structures
+//!   (`[V-vertex, A-edge, (C-vertex…)]`) and matching scores `s_m ∈ [0, 1]`.
 //!
 //! E-vertices (entity URIs) are deliberately not indexed, following the
 //! paper: "it can be assumed the user will enter keywords corresponding to

@@ -16,10 +16,10 @@
 //! by one galloping search — the trie form of Schulz & Mihov's
 //! Levenshtein-automaton lookup, without a trie to build.
 //!
-//! The same flattening is applied to the two augmentation side tables:
-//! [`ConnectionTable`] (per V-vertex `[V-vertex, A-edge, (C-vertex…)]`
-//! structures) and [`AttributeTable`] (per A-edge label `(C-vertex…)`
-//! structures).
+//! The same flattening is applied to the augmentation side table,
+//! [`ConnectionTable`]: the `[V-vertex, A-edge, (C-vertex…)]` structures of
+//! every V-vertex. (The classes of an A-edge label are schema-level; the
+//! summary graph projects them.)
 
 use kwsearch_rdf::snapshot::{SectionDecoder, SectionEncoder, SnapshotError};
 use kwsearch_rdf::{EdgeLabelId, VertexId};
@@ -451,97 +451,6 @@ impl ConnectionTable {
     }
 }
 
-/// Frozen per-attribute-label `(C-vertex…)` structures plus untyped flag.
-#[derive(Debug, Clone, Default)]
-pub struct AttributeTable {
-    attrs: Vec<u32>,
-    flags: Vec<u32>,
-    class_offsets: Vec<u32>,
-    classes: Vec<u32>,
-}
-
-impl AttributeTable {
-    /// Builds from entries pushed in ascending attribute-label-id order.
-    pub fn push(&mut self, label: EdgeLabelId, classes: &[VertexId], has_untyped: bool) {
-        if self.class_offsets.is_empty() {
-            self.class_offsets.push(0);
-        }
-        debug_assert!(self.attrs.last().is_none_or(|&a| a < label.index() as u32));
-        self.attrs.push(label.index() as u32);
-        self.flags.push(u32::from(has_untyped));
-        self.classes
-            .extend(classes.iter().map(|c| c.index() as u32));
-        self.class_offsets.push(self.classes.len() as u32);
-    }
-
-    /// The classes and untyped flag of `label`, if it is an indexed
-    /// attribute.
-    pub fn get(&self, label: EdgeLabelId) -> Option<(Vec<VertexId>, bool)> {
-        let i = self.attrs.binary_search(&(label.index() as u32)).ok()?;
-        let classes = self.classes
-            [self.class_offsets[i] as usize..self.class_offsets[i + 1] as usize]
-            .iter()
-            .map(|&v| VertexId::from_index(v))
-            .collect();
-        Some((classes, self.flags[i] != 0))
-    }
-
-    /// Approximate heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        (self.attrs.len() + self.flags.len() + self.class_offsets.len() + self.classes.len())
-            * std::mem::size_of::<u32>()
-    }
-
-    /// Every element the table names: its attribute labels and their
-    /// classes.
-    pub(crate) fn elements(&self) -> impl Iterator<Item = ElementRef> + '_ {
-        let attrs = self
-            .attrs
-            .iter()
-            .map(|&a| ElementRef::Attribute(EdgeLabelId::from_index(a)));
-        let classes = self
-            .classes
-            .iter()
-            .map(|&c| ElementRef::Class(VertexId::from_index(c)));
-        attrs.chain(classes)
-    }
-
-    /// Serialises the four flat columns verbatim.
-    pub fn write_snapshot(&self, enc: &mut SectionEncoder) {
-        enc.put_u32_slice(&self.attrs);
-        enc.put_u32_slice(&self.flags);
-        enc.put_u32_slice(&self.class_offsets);
-        enc.put_u32_slice(&self.classes);
-    }
-
-    /// Bulk-loads the four flat columns, validating the structure.
-    pub fn read_snapshot(dec: &mut SectionDecoder<'_>) -> Result<Self, SnapshotError> {
-        let attrs = dec.get_u32_vec()?;
-        let flags = dec.get_u32_vec()?;
-        let class_offsets = dec.get_u32_vec()?;
-        let classes = dec.get_u32_vec()?;
-        if attrs.is_empty() && class_offsets.is_empty() {
-            return Ok(Self::default());
-        }
-        if attrs.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(dec.corrupt("attribute table labels are not sorted"));
-        }
-        if flags.len() != attrs.len() {
-            return Err(dec.corrupt("attribute flag column length mismatch"));
-        }
-        if class_offsets.len() != attrs.len() + 1 {
-            return Err(dec.corrupt("attribute class offsets do not match the label count"));
-        }
-        validate_offsets(dec, &class_offsets, classes.len(), "attribute class")?;
-        Ok(Self {
-            attrs,
-            flags,
-            class_offsets,
-            classes,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,23 +660,5 @@ mod tests {
         assert!(conns[0].has_untyped_source);
         assert_eq!(conns[1].classes.len(), 2);
         assert!(table.get(VertexId::from_index(7)).is_empty());
-    }
-
-    #[test]
-    fn attribute_table_lookups() {
-        let mut table = AttributeTable::default();
-        table.push(
-            EdgeLabelId::from_index(2),
-            &[VertexId::from_index(1)],
-            false,
-        );
-        table.push(EdgeLabelId::from_index(5), &[], true);
-        let (classes, untyped) = table.get(EdgeLabelId::from_index(2)).unwrap();
-        assert_eq!(classes, vec![VertexId::from_index(1)]);
-        assert!(!untyped);
-        let (classes, untyped) = table.get(EdgeLabelId::from_index(5)).unwrap();
-        assert!(classes.is_empty());
-        assert!(untyped);
-        assert!(table.get(EdgeLabelId::from_index(3)).is_none());
     }
 }

@@ -9,10 +9,13 @@
 //! ```
 //!
 //! IRIs are written in angle brackets, literals in double quotes. Reading
-//! decodes the escapes of W3C N-Triples — ECHAR (`\t \b \n \r \f \" \' \\`)
-//! and UCHAR (`\uXXXX`, `\UXXXXXXXX`) — and refuses any other; writing
-//! escapes `"`, `\`, line feed and carriage return, so every written line is
-//! one N-Triples line. Otherwise this is deliberately a small subset of
+//! decodes the escapes of W3C N-Triples — in literals ECHAR
+//! (`\t \b \n \r \f \" \' \\`) and UCHAR (`\uXXXX`, `\UXXXXXXXX`), in IRIs
+//! UCHAR only — and refuses any other. Writing escapes `"`, `\`, line feed
+//! and carriage return in literals, and every character IRIREF forbids
+//! (`U+0000`–`U+0020`, `<>"{}|^`, backtick and `\`) in IRIs as a `\u00XX`
+//! UCHAR, so every written line is one N-Triples line and reads back as the
+//! triple written. Otherwise this is deliberately a small subset of
 //! N-Triples (no blank nodes, datatypes or language tags) — enough to
 //! persist and exchange the generated datasets and the paper's running
 //! example.
@@ -33,10 +36,11 @@ use crate::triple::TripleRef;
 use crate::Result;
 
 /// Streaming unescape into a caller-provided buffer; the inverse of
-/// [`write_escaped`]. Decodes ECHAR and UCHAR escapes (module doc); any
-/// other escape, or a code point that is not a Unicode scalar value, is
+/// [`write_escaped`] for a literal and of [`write_iri`] for an `iri`.
+/// Decodes UCHAR escapes, and ECHAR escapes outside an IRI (module doc);
+/// any other escape, or a code point that is not a Unicode scalar value, is
 /// the error message returned.
-fn unescape_into(s: &str, out: &mut String) -> std::result::Result<(), String> {
+fn unescape_into(s: &str, iri: bool, out: &mut String) -> std::result::Result<(), String> {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
@@ -44,6 +48,11 @@ fn unescape_into(s: &str, out: &mut String) -> std::result::Result<(), String> {
             continue;
         }
         let decoded = match chars.next() {
+            Some(c) if iri && c != 'u' && c != 'U' => {
+                return Err(format!(
+                    "escape `\\{c}` in an IRI (only `\\u` and `\\U` are allowed)"
+                ))
+            }
             Some('t') => '\t',
             Some('b') => '\u{8}',
             Some('n') => '\n',
@@ -64,6 +73,7 @@ fn unescape_into(s: &str, out: &mut String) -> std::result::Result<(), String> {
                     .ok_or_else(|| format!("`\\{u}{hex}` is not a Unicode scalar value"))?
             }
             Some(other) => return Err(format!("unknown escape `\\{other}`")),
+            None if iri => return Err("IRI ends in a lone `\\`".to_string()),
             None => return Err("literal ends in a lone `\\`".to_string()),
         };
         out.push(decoded);
@@ -88,6 +98,24 @@ fn write_escaped<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     w.write_all(rest.as_bytes())
 }
 
+/// Writes `iri` with every character IRIREF forbids (module doc) as a
+/// `\u00XX` UCHAR, copying the permitted runs in bulk.
+fn write_iri<W: Write>(w: &mut W, iri: &str) -> io::Result<()> {
+    let mut rest = iri;
+    let forbidden = |b| {
+        matches!(
+            b,
+            0..=b' ' | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+        )
+    };
+    while let Some(i) = rest.bytes().position(forbidden) {
+        w.write_all(&rest.as_bytes()[..i])?;
+        write!(w, "\\u{:04X}", rest.as_bytes()[i])?;
+        rest = &rest[i + 1..];
+    }
+    w.write_all(rest.as_bytes())
+}
+
 /// Streams all edges of a data graph as N-Triples lines to `w` without
 /// materialising the triples or any per-line `String`.
 ///
@@ -96,9 +124,9 @@ pub fn write_graph_to<W: Write>(graph: &DataGraph, w: &mut W) -> io::Result<()> 
     for e in graph.edges() {
         let triple = graph.triple_ref(e);
         w.write_all(b"<")?;
-        w.write_all(triple.subject.as_bytes())?;
+        write_iri(w, triple.subject)?;
         w.write_all(b"> <")?;
-        w.write_all(triple.predicate.as_bytes())?;
+        write_iri(w, triple.predicate)?;
         w.write_all(b"> ")?;
         if triple.object.is_literal() {
             w.write_all(b"\"")?;
@@ -106,19 +134,20 @@ pub fn write_graph_to<W: Write>(graph: &DataGraph, w: &mut W) -> io::Result<()> 
             w.write_all(b"\" .\n")?;
         } else {
             w.write_all(b"<")?;
-            w.write_all(triple.object.value().as_bytes())?;
+            write_iri(w, triple.object.value())?;
             w.write_all(b"> .\n")?;
         }
     }
     Ok(())
 }
 
-/// A parsed term that still borrows the input line; literals remember
-/// whether they contain escapes so unescaping can be skipped on the
-/// (overwhelmingly common) clean path.
-enum RawTerm<'a> {
-    Iri(&'a str),
-    Literal { raw: &'a str, escaped: bool },
+/// A parsed term that still borrows the input line, and whether it
+/// contains escapes, so unescaping can be skipped on the (overwhelmingly
+/// common) clean path.
+struct RawTerm<'a> {
+    raw: &'a str,
+    literal: bool,
+    escaped: bool,
 }
 
 struct Cursor<'a> {
@@ -151,13 +180,24 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'<') => {
-                let end = self.line[self.pos..]
-                    .find('>')
-                    .map(|i| self.pos + i)
-                    .ok_or_else(|| self.error("unterminated IRI"))?;
-                let iri = &self.line[self.pos + 1..end];
-                self.pos = end + 1;
-                Ok(RawTerm::Iri(iri))
+                // Scan for the closing `>`, noting any escape on the way.
+                let bytes = self.line.as_bytes();
+                let mut i = self.pos + 1;
+                let mut escaped = false;
+                while i < bytes.len() && bytes[i] != b'>' {
+                    escaped |= bytes[i] == b'\\';
+                    i += 1;
+                }
+                if i >= bytes.len() {
+                    return Err(self.error("unterminated IRI"));
+                }
+                let raw = &self.line[self.pos + 1..i];
+                self.pos = i + 1;
+                Ok(RawTerm {
+                    raw,
+                    literal: false,
+                    escaped,
+                })
             }
             Some(b'"') => {
                 // Scan for the closing unescaped quote.
@@ -182,8 +222,9 @@ impl<'a> Cursor<'a> {
                 }
                 let raw = &self.line[self.pos + 1..i];
                 self.pos = i + 1;
-                Ok(RawTerm::Literal {
+                Ok(RawTerm {
                     raw,
+                    literal: true,
                     escaped: any_escape,
                 })
             }
@@ -211,8 +252,9 @@ impl<'a> Cursor<'a> {
 /// Parses one line into a borrowed [`TripleRef`] without allocating.
 ///
 /// Returns `Ok(None)` for blank lines and comments. `scratch` is only
-/// written when the object literal contains escape sequences; reusing one
-/// buffer across lines removes a per-line allocation.
+/// written when a term contains escape sequences, and then holds the
+/// decoded terms one after another; reusing one buffer across lines
+/// removes a per-line allocation.
 pub fn parse_line_ref<'a>(
     line: &'a str,
     line_no: usize,
@@ -227,31 +269,52 @@ pub fn parse_line_ref<'a>(
         pos: 0,
         line_no,
     };
-    let subject = match cursor.parse_term_raw()? {
-        RawTerm::Iri(s) => s,
-        RawTerm::Literal { .. } => return Err(cursor.error("subject must be an IRI")),
+    let subject = cursor.parse_term_raw()?;
+    if subject.literal {
+        return Err(cursor.error("subject must be an IRI"));
+    }
+    let predicate = cursor.parse_term_raw()?;
+    if predicate.literal {
+        return Err(cursor.error("predicate must be an IRI"));
+    }
+    let object = cursor.parse_term_raw()?;
+    cursor.expect_dot()?;
+    let object_term: fn(&'a str) -> TermRef<'a> = if object.literal {
+        TermRef::Literal
+    } else {
+        TermRef::Iri
     };
-    let predicate = match cursor.parse_term_raw()? {
-        RawTerm::Iri(p) => p,
-        RawTerm::Literal { .. } => return Err(cursor.error("predicate must be an IRI")),
-    };
-    let object = match cursor.parse_term_raw()? {
-        RawTerm::Iri(o) => TermRef::Iri(o),
-        RawTerm::Literal { raw, escaped } => {
-            if escaped {
-                scratch.clear();
-                unescape_into(raw, &mut *scratch).map_err(|message| cursor.error(message))?;
-                TermRef::Literal(&scratch[..])
-            } else {
-                TermRef::Literal(raw)
-            }
+    if !(subject.escaped || predicate.escaped || object.escaped) {
+        return Ok(Some(TripleRef {
+            subject: subject.raw,
+            predicate: predicate.raw,
+            object: object_term(object.raw),
+        }));
+    }
+
+    // The escaped terms, decoded into `scratch` back to back: term `i`
+    // ends at `ends[i]`.
+    scratch.clear();
+    let mut ends = [0; 3];
+    for (term, end) in [&subject, &predicate, &object].into_iter().zip(&mut ends) {
+        if term.escaped {
+            unescape_into(term.raw, !term.literal, &mut *scratch)
+                .map_err(|message| cursor.error(message))?;
+        }
+        *end = scratch.len();
+    }
+    let scratch: &'a str = scratch;
+    let text = |term: &RawTerm<'a>, start, end| {
+        if term.escaped {
+            &scratch[start..end]
+        } else {
+            term.raw
         }
     };
-    cursor.expect_dot()?;
     Ok(Some(TripleRef {
-        subject,
-        predicate,
-        object,
+        subject: text(&subject, 0, ends[0]),
+        predicate: text(&predicate, ends[0], ends[1]),
+        object: object_term(text(&object, ends[1], ends[2])),
     }))
 }
 
@@ -287,8 +350,8 @@ pub struct IngestStats {
 /// Streams N-Triples from any `BufRead` source straight into a
 /// [`DataGraph`].
 ///
-/// The document is never materialised: one line buffer and one literal
-/// scratch buffer are reused for the whole stream, and each triple is
+/// The document is never materialised: one line buffer and one scratch
+/// buffer for escaped terms are reused for the whole stream, and each triple is
 /// classified and interned via the borrowed [`DataGraph::insert_triple_ref`]
 /// path. The resulting graph is bit-identical to one built by inserting
 /// the same triples as owned [`Triple`](crate::Triple)s in the same order.
@@ -400,6 +463,57 @@ mod tests {
                     assert!(message.contains(&literal[..2]), "{literal}: {message}");
                 }
                 other => panic!("{literal} must be a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    /// An IRI holding characters IRIREF forbids is written with UCHARs and
+    /// reads back as the IRI written; a clean IRI stays borrowed.
+    #[test]
+    fn iris_with_forbidden_characters_round_trip() {
+        let original = Triple::relation("a>b c", "p", "o");
+        let doc = document(&graph_of(std::slice::from_ref(&original)));
+        assert_eq!(doc, "<a\\u003Eb\\u0020c> <p> <o> .\n");
+        assert_eq!(ingest(&doc).0.triples(), [original]);
+
+        let original = Triple::attribute("x\\y\n{z}", "has|\"note\"", "v");
+        let doc = document(&graph_of(std::slice::from_ref(&original)));
+        assert_eq!(
+            doc,
+            "<x\\u005Cy\\u000A\\u007Bz\\u007D> <has\\u007C\\u0022note\\u0022> \"v\" .\n"
+        );
+        assert_eq!(parse(doc.trim_end()), original);
+
+        let mut scratch = String::new();
+        let t = parse_line_ref("<s\\u00E9> <p> <o> .", 1, &mut scratch)
+            .unwrap()
+            .unwrap();
+        assert_eq!(t.subject, "s\u{e9}");
+        assert_eq!(scratch, "s\u{e9}");
+        scratch.clear();
+        let t = parse_line_ref("<s\u{e9}> <p> <o> .", 1, &mut scratch)
+            .unwrap()
+            .unwrap();
+        assert_eq!(t.subject, "s\u{e9}");
+        assert!(
+            scratch.is_empty(),
+            "a clean IRI does not touch the scratch buffer"
+        );
+    }
+
+    /// Inside an IRI only UCHAR decodes: an ECHAR, an unknown escape, a
+    /// short UCHAR and a lone trailing `\` are parse errors on their line.
+    #[test]
+    fn iri_escapes_other_than_uchar_are_parse_errors() {
+        for iri in [r"a\n", r"a\\", r"a\q", r"a\u12", r"a\"] {
+            let doc = format!("<s> <q> <o> .\n<s> <p> <{iri}> .\n");
+            let mut g = DataGraph::new();
+            match ingest_ntriples(doc.as_bytes(), &mut g) {
+                Err(RdfError::Parse { line, message }) => {
+                    assert_eq!(line, 2, "{iri}");
+                    assert!(message.contains('\\'), "{iri}: {message}");
+                }
+                other => panic!("{iri} must be a parse error, got {other:?}"),
             }
         }
     }

@@ -44,7 +44,9 @@ pub const MAGIC: [u8; 8] = *b"KWSNAP\r\n";
 /// triple-store section and version 4 the summary section: all three are
 /// derived from the graph on load. Version 5 dropped the interner's probe
 /// table, rebuilt from its strings on load, and the metadata section.
-pub const FORMAT_VERSION: u32 = 5;
+/// Version 6 dropped the attribute classes from the keyword section: the
+/// summary graph derives them on load.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Upper bound on the section count (a snapshot has a handful of sections;
 /// anything larger is a corrupt header, not a bigger snapshot).

@@ -52,6 +52,39 @@ fn awkward_literal() -> impl Strategy<Value = String> {
         .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
 }
 
+/// An IRI tail built from characters IRIREF forbids and the writer must
+/// escape — space, `<>"{}|^`, backtick, `\`, line breaks, other controls —
+/// and characters it passes through raw: the letters of escape sequences
+/// and non-ASCII text.
+fn awkward_iri() -> impl Strategy<Value = String> {
+    const CHARS: [char; 22] = [
+        ' ',
+        '>',
+        '<',
+        '"',
+        '\\',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '{',
+        '}',
+        '|',
+        '^',
+        '`',
+        'u',
+        '0',
+        'A',
+        '\u{e9}',
+        '\u{6f22}',
+        '\u{1f600}',
+        '\u{2028}',
+        '\u{7f}',
+    ];
+    proptest::collection::vec(0..CHARS.len(), 0..10)
+        .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+}
+
 /// A random well-formed triple.
 fn triple() -> impl Strategy<Value = Triple> {
     prop_oneof![
@@ -108,6 +141,30 @@ proptest! {
             graph
                 .insert_triple(&Triple::attribute(format!("e{i}"), "note", value.clone()))
                 .expect("an attribute triple is well-formed");
+        }
+        let mut document = Vec::new();
+        ntriples::write_graph_to(&graph, &mut document).expect("writes to memory");
+        let mut reparsed = DataGraph::new();
+        ntriples::ingest_ntriples(document.as_slice(), &mut reparsed).expect("round-trip parses");
+        prop_assert_eq!(reparsed.vertex_count(), graph.vertex_count());
+        prop_assert_eq!(reparsed.triples(), graph.triples());
+    }
+
+    /// IRIs with spaces, `>`, `"`, `\`, line breaks and non-ASCII text
+    /// survive `write_graph_to` → `ingest_ntriples` in every position: the
+    /// graph read back is the graph written, triple for triple and in order.
+    #[test]
+    fn awkward_iris_round_trip(iris in proptest::collection::vec(awkward_iri(), 1..12)) {
+        let mut graph = DataGraph::new();
+        for (i, iri) in iris.iter().enumerate() {
+            let subject = format!("e{i}{iri}");
+            for t in [
+                Triple::relation(&subject, format!("p{iri}"), format!("o{iri}")),
+                Triple::attribute(&subject, format!("a{iri}"), iri.clone()),
+                Triple::typed(&subject, format!("C{iri}")),
+            ] {
+                graph.insert_triple(&t).expect("the triple is well-formed");
+            }
         }
         let mut document = Vec::new();
         ntriples::write_graph_to(&graph, &mut document).expect("writes to memory");

@@ -8,7 +8,9 @@
 //!   for every class `v'` of an entity carrying that value,
 //! * for a keyword-matching **A-edge** `ek`, an edge `ek(v', value)` to a new
 //!   artificial `value` node is added for every class `v'` of an entity
-//!   using that attribute,
+//!   using that attribute — the label's
+//!   [`SummaryGraph::attribute_sources`], which the base summary projects
+//!   once per data graph,
 //! * keyword-matching **classes** and **relations** are already part of the
 //!   summary graph and are only marked as keyword elements.
 //!
@@ -68,7 +70,6 @@ pub struct AugmentedSummaryGraph<'g> {
     /// Flattened neighbour lists: for a node its out-edges then in-edges, for
     /// an edge its `from` endpoint then (unless a self-loop) its `to` endpoint.
     csr_neighbors: Vec<SummaryElement>,
-    class_nodes: HashMap<VertexId, SummaryNodeId>,
     thing_node: SummaryNodeId,
     value_nodes: HashMap<VertexId, SummaryNodeId>,
     artificial_value_nodes: HashMap<EdgeLabelId, SummaryNodeId>,
@@ -93,12 +94,6 @@ impl<'g> AugmentedSummaryGraph<'g> {
         matches_per_keyword: &[Vec<KeywordMatch>],
     ) -> Self {
         let (nodes, edges, out_adj, in_adj) = base.clone_storage();
-        let mut class_nodes = HashMap::new();
-        for (idx, node) in nodes.iter().enumerate() {
-            if let SummaryNodeKind::Class { class } = node.kind {
-                class_nodes.insert(class, SummaryNodeId(idx as u32));
-            }
-        }
         let mut augmented = Self {
             graph,
             nodes,
@@ -107,7 +102,6 @@ impl<'g> AugmentedSummaryGraph<'g> {
             in_adj,
             csr_offsets: Vec::new(),
             csr_neighbors: Vec::new(),
-            class_nodes,
             thing_node: base.thing_node(),
             value_nodes: HashMap::new(),
             artificial_value_nodes: HashMap::new(),
@@ -182,10 +176,9 @@ impl<'g> AugmentedSummaryGraph<'g> {
     /// elements that represent it.
     fn attach_match(&mut self, base: &SummaryGraph, m: &KeywordMatch) -> Vec<SummaryElement> {
         match &m.element {
-            MatchedElement::Class { class } => self
-                .class_nodes
-                .get(class)
-                .map(|&n| SummaryElement::Node(n))
+            MatchedElement::Class { class } => base
+                .node_of_class(*class)
+                .map(SummaryElement::Node)
                 .into_iter()
                 .collect(),
             MatchedElement::Relation { label } => base
@@ -199,7 +192,7 @@ impl<'g> AugmentedSummaryGraph<'g> {
                     let mut sources: Vec<SummaryNodeId> = conn
                         .classes
                         .iter()
-                        .filter_map(|c| self.class_nodes.get(c).copied())
+                        .filter_map(|&c| base.node_of_class(c))
                         .collect();
                     if conn.has_untyped_source {
                         sources.push(self.thing_node);
@@ -210,22 +203,11 @@ impl<'g> AugmentedSummaryGraph<'g> {
                 }
                 vec![SummaryElement::Node(value_node)]
             }
-            MatchedElement::Attribute {
-                label,
-                classes,
-                has_untyped_source,
-            } => {
+            MatchedElement::Attribute { label } => {
                 let value_node = self.artificial_value_node(*label);
-                let mut sources: Vec<SummaryNodeId> = classes
+                base.attribute_sources(*label)
                     .iter()
-                    .filter_map(|c| self.class_nodes.get(c).copied())
-                    .collect();
-                if *has_untyped_source {
-                    sources.push(self.thing_node);
-                }
-                sources
-                    .into_iter()
-                    .map(|source| {
+                    .map(|&source| {
                         SummaryElement::Edge(self.add_attribute_edge(source, *label, value_node))
                     })
                     .collect()

@@ -19,12 +19,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod augment;
-pub mod cost;
 pub mod element;
 pub mod summary;
 
 pub use augment::{AugmentedSummaryGraph, KeywordElement};
-pub use cost::CostModel;
 pub use element::{
     SummaryEdge, SummaryEdgeId, SummaryEdgeKind, SummaryElement, SummaryNode, SummaryNodeId,
     SummaryNodeKind,

@@ -12,6 +12,11 @@
 //! Every node records `|[[v']]|` (how many entities it aggregates) and every
 //! relation edge records `|e_agg|` (how many data edges it aggregates); the
 //! popularity cost of Section V is computed from these counts.
+//!
+//! A-edges are not edges of the summary, but the same projection records,
+//! per attribute label, the nodes of the entities carrying it
+//! ([`SummaryGraph::attribute_sources`]): the classes an augmentation
+//! (Definition 5) attaches a keyword-matching A-edge to.
 
 use std::collections::HashMap;
 
@@ -38,8 +43,8 @@ pub(crate) type ClonedStorage = (
 ///
 /// A pure function of the graph: snapshots do not store it, and a load
 /// derives it with [`Self::build`]. Two summaries are `==` exactly when
-/// they have the same nodes, edges, adjacency order, class lookup and
-/// totals.
+/// they have the same nodes, edges, adjacency order, class lookup,
+/// attribute sources and totals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SummaryGraph {
     nodes: Vec<SummaryNode>,
@@ -48,6 +53,9 @@ pub struct SummaryGraph {
     thing_node: Option<SummaryNodeId>,
     out_adj: Vec<Vec<SummaryEdgeId>>,
     in_adj: Vec<Vec<SummaryEdgeId>>,
+    /// Per edge label (by index), the nodes of the entities carrying it as
+    /// an attribute — sorted and distinct; empty for other labels.
+    attribute_sources: Vec<Vec<SummaryNodeId>>,
     /// Totals of the underlying data graph used for popularity costs.
     total_entities: usize,
     total_relation_edges: usize,
@@ -63,7 +71,7 @@ impl SummaryGraph {
     /// One pass over the edges after one [`DataGraph::entity_classes`]
     /// table: the table gives every class its instance count and the
     /// `Thing` node its untyped count, and a dense class → node array
-    /// projects each relation edge onto its classes' nodes.
+    /// projects each relation and attribute edge onto its entities' nodes.
     pub fn build(graph: &DataGraph) -> Self {
         let entity_classes = graph.entity_classes();
         let mut summary = SummaryGraph::default();
@@ -87,6 +95,7 @@ impl SummaryGraph {
         summary.push_thing_node(untyped);
 
         summary.total_entities = graph.vertex_count_of_kind(VertexKind::Entity);
+        summary.attribute_sources = vec![Vec::new(); graph.edge_label_count()];
 
         let mut edge_index = HashMap::new();
         let classes_of = |entity| entity_classes.of(entity).iter().copied();
@@ -108,9 +117,11 @@ impl SummaryGraph {
     ///
     /// * a **new class vertex** — a rebuild would renumber the summary
     ///   nodes (classes come before `Thing` in node order), and
-    /// * a **new `type` edge on an entity with pre-existing R-edges** —
-    ///   those R-edges would project onto different summary edges in a
-    ///   rebuild, changing summary-edge ids mid-sequence.
+    /// * a **new `type` edge on an entity with pre-existing R-edges or
+    ///   A-edges** — those R-edges would project onto different summary
+    ///   edges in a rebuild, changing summary-edge ids mid-sequence, and
+    ///   those A-edges' labels could lose `Thing` from their sources, which
+    ///   only a scan of every edge with the label would tell.
     ///
     /// Outside those two cases the result is equal (`==`) to
     /// `SummaryGraph::build(graph)`: new data edges sit at the end of the
@@ -131,13 +142,13 @@ impl SummaryGraph {
             }
         }
         // Rule 2: no new `type` edge on an entity that already had R-edges
-        // (in either direction) before the batch.
+        // (in either direction) or A-edges before the batch.
         for i in first_new_edge..graph.edge_count() {
             let edge = graph.edge(EdgeId::from_index(i as u32));
             if graph.edge_label(edge.label) != EdgeLabel::Type {
                 continue;
             }
-            let had_base_relation = graph
+            let had_base_projection = graph
                 .out_edges(edge.from)
                 .iter()
                 .chain(graph.in_edges(edge.from))
@@ -145,15 +156,18 @@ impl SummaryGraph {
                     e.index() < first_new_edge
                         && matches!(
                             graph.edge_label(graph.edge(e).label),
-                            EdgeLabel::Relation(_)
+                            EdgeLabel::Relation(_) | EdgeLabel::Attribute(_)
                         )
                 });
-            if had_base_relation {
+            if had_base_projection {
                 return None;
             }
         }
 
         let mut summary = self.clone();
+        summary
+            .attribute_sources
+            .resize(graph.edge_label_count(), Vec::new());
         // Recover the build-time dedup map from the existing edges.
         let mut edge_index = summary
             .edges
@@ -211,9 +225,11 @@ impl SummaryGraph {
     /// Projects data edge `e` onto the schema level (Definition 4): a
     /// relation edge bumps the summary edge between every node of its
     /// source and every node of its target, a subclass edge the one
-    /// between its two classes. `classes_of` yields an entity's classes and
-    /// `node_of` a class's node: the build's tables, or the graph and the
-    /// class lookup on the write path — one projection for both.
+    /// between its two classes, and an attribute edge adds its source's
+    /// nodes to its label's [`Self::attribute_sources`]. `classes_of`
+    /// yields an entity's classes and `node_of` a class's node: the build's
+    /// tables, or the graph and the class lookup on the write path — one
+    /// projection for both.
     fn project<I: Iterator<Item = VertexId>>(
         &mut self,
         graph: &DataGraph,
@@ -223,18 +239,18 @@ impl SummaryGraph {
         node_of: impl Fn(VertexId) -> SummaryNodeId,
     ) {
         let edge = graph.edge(e);
+        let thing = self.thing_node();
+        // An entity's nodes: its classes' nodes, or `Thing` when it is
+        // untyped.
+        let nodes_of = |entity| {
+            let mut nodes = classes_of(entity).map(&node_of).peekable();
+            let untyped = nodes.peek().is_none();
+            nodes.chain(untyped.then_some(thing))
+        };
         match graph.edge_label(edge.label) {
             EdgeLabel::Relation(_) => {
                 self.total_relation_edges += 1;
                 let kind = SummaryEdgeKind::Relation { label: edge.label };
-                let thing = self.thing_node();
-                // An entity's nodes: its classes' nodes, or `Thing` when it
-                // is untyped.
-                let nodes_of = |entity| {
-                    let mut nodes = classes_of(entity).map(&node_of).peekable();
-                    let untyped = nodes.peek().is_none();
-                    nodes.chain(untyped.then_some(thing))
-                };
                 for f in nodes_of(edge.from) {
                     for t in nodes_of(edge.to) {
                         self.bump_edge(edge_index, kind, f, t);
@@ -246,8 +262,17 @@ impl SummaryGraph {
                 self.bump_edge(edge_index, SummaryEdgeKind::SubClass, f, t);
             }
             // A-edges and V-vertices are not part of the summary graph;
-            // they are added per query during augmentation (Definition 5).
-            EdgeLabel::Attribute(_) | EdgeLabel::Type => {}
+            // augmentation (Definition 5) adds them per query, from the
+            // sources recorded here.
+            EdgeLabel::Attribute(_) => {
+                let sources = &mut self.attribute_sources[edge.label.index()];
+                for node in nodes_of(edge.from) {
+                    if let Err(at) = sources.binary_search(&node) {
+                        sources.insert(at, node);
+                    }
+                }
+            }
+            EdgeLabel::Type => {}
         }
     }
 
@@ -379,6 +404,16 @@ impl SummaryGraph {
         }
     }
 
+    /// The nodes of the entities that carry attribute `label`, ascending:
+    /// the nodes of their classes, and `Thing` (the last node) when one of
+    /// them is untyped. Empty for a label no entity carries as an
+    /// attribute.
+    pub fn attribute_sources(&self, label: EdgeLabelId) -> &[SummaryNodeId] {
+        self.attribute_sources
+            .get(label.index())
+            .map_or(&[], Vec::as_slice)
+    }
+
     /// Finds the summary edges carrying a given relation label.
     pub fn edges_with_relation(&self, label: EdgeLabelId) -> Vec<SummaryEdgeId> {
         self.edges()
@@ -395,6 +430,8 @@ impl SummaryGraph {
             + (self.out_adj.iter().map(Vec::len).sum::<usize>()
                 + self.in_adj.iter().map(Vec::len).sum::<usize>())
                 * std::mem::size_of::<SummaryEdgeId>()
+            + self.attribute_sources.iter().map(Vec::len).sum::<usize>()
+                * std::mem::size_of::<SummaryNodeId>()
     }
 
     /// Internal helper for [`crate::augment`]: clones node/edge/adjacency
@@ -417,8 +454,9 @@ mod tests {
     use kwsearch_rdf::Triple;
 
     /// The build before the entity → classes table: `instances_of` and
-    /// `is_untyped_entity` per vertex, and a `classes_of` `Vec` plus a
-    /// `class_nodes` probe per endpoint of every relation edge.
+    /// `is_untyped_entity` per vertex, a `classes_of` `Vec` plus a
+    /// `class_nodes` probe per endpoint of every relation edge, and the
+    /// sources of each attribute label from a scan of that label's edges.
     /// [`SummaryGraph::build`] must be `==` to it.
     fn reference_build(graph: &DataGraph) -> SummaryGraph {
         let mut summary = SummaryGraph::default();
@@ -463,6 +501,20 @@ mod tests {
                 EdgeLabel::Attribute(_) | EdgeLabel::Type => {}
             }
         }
+        summary.attribute_sources = vec![Vec::new(); graph.edge_label_count()];
+        for (label, _) in graph.edge_labels() {
+            let mut sources = Vec::new();
+            for e in graph.edges() {
+                let edge = graph.edge(e);
+                if edge.label == label && matches!(graph.edge_label(label), EdgeLabel::Attribute(_))
+                {
+                    sources.extend(nodes_of(&summary, edge.from));
+                }
+            }
+            sources.sort();
+            sources.dedup();
+            summary.attribute_sources[label.index()] = sources;
+        }
         summary
     }
 
@@ -483,16 +535,42 @@ mod tests {
         /// A `type`, relation, attribute or subclass triple over a few
         /// entities and classes: entities may carry several classes or
         /// none, and relations may loop.
-        fn triple() -> impl Strategy<Value = Triple> {
+        fn mixed_row() -> impl Strategy<Value = Triple> {
             (0usize..4, 0usize..10, 0usize..10, 0usize..4).prop_map(|(kind, s, o, c)| {
                 let (subject, object) = (format!("e{s}"), format!("e{o}"));
                 match kind {
                     0 => Triple::typed(subject, format!("C{c}")),
                     1 => Triple::relation(subject, ["author", "cites", "knows"][c % 3], object),
-                    2 => Triple::attribute(subject, "name", format!("v{o}")),
+                    2 => Triple::attribute(
+                        subject,
+                        ["name", "title", "year"][c % 3],
+                        format!("v{o}"),
+                    ),
                     _ => Triple::subclass(format!("C{c}"), format!("C{}", o % 4)),
                 }
             })
+        }
+
+        /// A `type` or an attribute triple over a few entities, classes and
+        /// attribute labels, so that entities carrying only A-edges are
+        /// typed for the first time, or typed again.
+        fn typing_row() -> impl Strategy<Value = Triple> {
+            (0usize..10, 0usize..3, 0usize..4, 0usize..4).prop_map(|(e, kind, c, a)| {
+                let entity = format!("e{e}");
+                if kind == 0 {
+                    Triple::typed(entity, format!("C{c}"))
+                } else {
+                    Triple::attribute(
+                        entity,
+                        ["name", "title", "year", "note"][a],
+                        format!("v{c}"),
+                    )
+                }
+            })
+        }
+
+        fn triple() -> impl Strategy<Value = Triple> {
+            prop_oneof![mixed_row(), typing_row()]
         }
 
         fn graph_of(triples: &[Triple]) -> DataGraph {
@@ -598,6 +676,24 @@ mod tests {
             s.node(n).kind,
             SummaryNodeKind::Value { .. } | SummaryNodeKind::ArtificialValue
         )));
+    }
+
+    #[test]
+    fn attribute_sources_are_the_carriers_nodes_with_thing_last() {
+        let mut g = figure1_graph();
+        let label = |g: &DataGraph, name| g.edge_labels_named(name)[0];
+        let s = SummaryGraph::build(&g);
+        let publication = s.node_of_class(g.class("Publication").unwrap()).unwrap();
+        assert_eq!(s.attribute_sources(label(&g, "year")), [publication]);
+        assert!(s.attribute_sources(label(&g, "author")).is_empty());
+
+        g.insert_triple(&Triple::attribute("draftURI", "year", "2009"))
+            .unwrap();
+        let s = SummaryGraph::build(&g);
+        assert_eq!(
+            s.attribute_sources(label(&g, "year")),
+            [publication, s.thing_node()]
+        );
     }
 
     #[test]
@@ -726,6 +822,20 @@ mod tests {
             .insert_triple(&Triple::typed("pub1URI", "Agent"))
             .unwrap();
         assert!(summary.apply_adds(&retyped, nv, ne).is_none());
+
+        // So does a type edge on an entity with only A-edges (a label's
+        // `Thing` source could go, which only a rescan would tell).
+        let mut attributed = base.clone();
+        attributed
+            .insert_triple(&Triple::attribute("draftURI", "year", "2009"))
+            .unwrap();
+        let attributed_summary = SummaryGraph::build(&attributed);
+        let (nv, ne) = (attributed.vertex_count(), attributed.edge_count());
+        attributed
+            .insert_triple(&Triple::typed("draftURI", "Publication"))
+            .unwrap();
+        assert!(attributed_summary.apply_adds(&attributed, nv, ne).is_none());
+        let (nv, ne) = (base.vertex_count(), base.edge_count());
 
         // But typing a *fresh* entity in the same batch is fine.
         let mut fresh = base.clone();
